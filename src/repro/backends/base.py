@@ -1,40 +1,53 @@
-"""The :class:`KernelBackend` protocol and the shared dispatch drivers.
+"""The :class:`KernelBackend` protocol and the shared Sinkhorn driver.
 
-A backend supplies the four *inner loops* the library's kernels are
-built from — scalar Sinkhorn, batched Sinkhorn, singular values, and a
-fused normalize-and-measure pass — while everything around those loops
+A backend supplies the *inner loops* the library's kernels are built
+from — one batched Sinkhorn core, singular values, and a fused
+normalize-and-measure pass — while everything around those loops
 (input validation, warm-start application, the float32 fast path,
 observability spans/metrics, error messages, result objects) lives in
-the public entry points and the drivers here, shared by every backend.
+the public entry points, their shared body in
+:mod:`repro.normalize.sinkhorn` and the driver here, shared by every
+backend.
 
-The cores operate **in place** on caller-owned state so a backend never
-decides result semantics:
+There is one Sinkhorn core per backend.  A single matrix is a stack of
+one: ``sinkhorn_knopp`` and ``scale_to_margins`` run a ``(T, M)``
+matrix as its ``(1, T, M)`` view through the same core and driver as
+``sinkhorn_knopp_batched``.
 
-* ``sinkhorn_core(work, row_targets, col_targets, ...)`` mutates
-  ``work`` and the ``row_scale``/``col_scale`` accumulators, appends
-  one residual per full (column pass + row pass) iteration to
-  ``history`` (whose last entry is the residual of ``work`` at entry),
-  and returns ``(iterations, converged, timed_out)``.  Targets are
-  vectors, so the same core serves ``sinkhorn_knopp`` (constant
-  targets) and ``scale_to_margins`` (prescribed margins).
-* ``sinkhorn_core_batched(...)`` is the ``(N, T, M)`` counterpart; it
-  additionally maintains the per-slice ``iterations``/``residual``/
-  ``converged``/``active`` arrays and per-slice ``histories``, and
-  returns ``(iterations_run, timed_out)``.
+The core operates **in place** on caller-owned state so a backend never
+decides result semantics.  ``sinkhorn_core_batched(work, row_target,
+col_target, ...)`` takes an ``(N, T, M)`` stack and ``(T,)``/``(M,)``
+target vectors in the stack's dtype (constant for ``sinkhorn_knopp``,
+prescribed margins for ``scale_to_margins``).  It iterates every slice
+that is ``active`` and has run fewer than ``max_iterations`` iterations
+(counted in ``iterations``), and it:
+
+* scales ``work`` and the ``row_scale``/``col_scale`` accumulators;
+* adds each slice's full (column pass + row pass) iterations to
+  ``iterations`` and stores its latest residual in ``residual``;
+* clears ``active`` for slices whose residual reached ``tol``;
+* appends every residual it computes to ``trace``, in iteration order,
+  as ``(owners, values)`` chunks: ``values[k]`` is a residual of slice
+  ``owners[k]``, and ``owners`` is ``None`` when the chunk holds one
+  residual per slice in slice order (:func:`residual_histories` turns a
+  trace into per-slice tuples);
+* returns ``(iterations_run, timed_out)``.
 
 Precision
 ---------
 ``precision="float32"`` runs a coarse float32 phase to
 ``max(tol, 1e-5)``, then **verifies** the float32-derived scaling
-vectors by applying them to the original float64 matrix and measuring
+vectors by applying them to the original float64 stack and measuring
 the residual in float64, and finally polishes in float64 down to the
-true tolerance.  Non-finite or non-positive float32 scales discard the
-coarse phase entirely and fall back to a pure float64 run, so the
-returned result is always float64-verified regardless of backend.
+true tolerance.  Both phases share each slice's ``max_iterations``
+budget.  Non-finite or non-positive float32 scales discard the coarse
+phase entirely and fall back to a pure float64 run, so the returned
+result is always float64-verified regardless of backend.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Protocol, runtime_checkable
 
@@ -50,7 +63,8 @@ __all__ = [
     "check_precision",
     "coerce_warm_start",
     "coerce_warm_start_batched",
-    "run_sinkhorn",
+    "residual_histories",
+    "residuals",
     "run_sinkhorn_batched",
 ]
 
@@ -80,20 +94,6 @@ class KernelBackend(Protocol):
     @property
     def tolerance(self) -> float: ...
 
-    def sinkhorn_core(
-        self,
-        work,
-        row_targets,
-        col_targets,
-        *,
-        tol,
-        max_iterations,
-        row_scale,
-        col_scale,
-        history,
-        t_end,
-    ): ...
-
     def sinkhorn_core_batched(
         self,
         work,
@@ -104,11 +104,10 @@ class KernelBackend(Protocol):
         max_iterations,
         row_scale,
         col_scale,
-        histories,
-        iterations,
         residual,
-        converged,
         active,
+        iterations,
+        trace,
         t_end,
         on_progress,
     ): ...
@@ -201,108 +200,42 @@ def coerce_warm_start_batched(
     return _check_warm(row, "row_scale"), _check_warm(col, "col_scale")
 
 
-def run_sinkhorn(
-    backend,
-    work,
-    row_targets,
-    col_targets,
-    *,
-    tol,
-    max_iterations,
-    row_scale,
-    col_scale,
-    history,
-    t_end,
-    precision="float64",
-):
-    """Precision-dispatching scalar driver.
+def residuals(stack, row_target, col_target) -> np.ndarray:
+    """Per-slice residual of an ``(N, T, M)`` stack: the largest absolute
+    deviation of any row or column sum from its ``(T,)``/``(M,)``
+    target.
 
-    Returns ``(iterations, converged, timed_out, precision_outcome)``
-    where ``precision_outcome`` is ``None`` under float64 and
-    ``"verified"``/``"fallback"`` under float32.
+    The reductions are the ufuncs ``.sum``/``.max`` wrap, and the
+    targets get a leading unit axis so a stack of one stays off numpy's
+    broadcasting path; both only shave per-call overhead.
     """
-    if precision == "float64":
-        iterations, converged, timed_out = backend.sinkhorn_core(
-            work,
-            row_targets,
-            col_targets,
-            tol=tol,
-            max_iterations=max_iterations,
-            row_scale=row_scale,
-            col_scale=col_scale,
-            history=history,
-            t_end=t_end,
-        )
-        return iterations, converged, timed_out, None
-
-    coarse_tol = max(tol, F32_COARSE_TOL)
-    outcome = "verified"
-    coarse_iterations = 0
-    if history[-1] > coarse_tol:
-        # Over/underflow in the float32 phase is expected on extreme
-        # inputs and handled by the fallback below, so the coarse pass
-        # runs silenced.
-        with np.errstate(all="ignore"):
-            work32 = work.astype(np.float32)
-            rs32 = np.ones(work.shape[0], dtype=np.float32)
-            cs32 = np.ones(work.shape[1], dtype=np.float32)
-            h32 = [history[-1]]
-            coarse_iterations, _, coarse_timed_out = backend.sinkhorn_core(
-                work32,
-                row_targets.astype(np.float32),
-                col_targets.astype(np.float32),
-                tol=coarse_tol,
-                max_iterations=max_iterations,
-                row_scale=rs32,
-                col_scale=cs32,
-                history=h32,
-                t_end=t_end,
-            )
-        rs64 = rs32.astype(np.float64)
-        cs64 = cs32.astype(np.float64)
-        usable = (
-            np.isfinite(rs64).all()
-            and np.isfinite(cs64).all()
-            and (rs64 > 0).all()
-            and (cs64 > 0).all()
-        )
-        if usable and coarse_iterations:
-            # Verify in float64: apply the float32-derived scales to
-            # the pristine float64 iterate and measure the residual at
-            # full precision before accepting the coarse phase.
-            candidate = rs64[:, None] * work * cs64[None, :]
-            verified = float(
-                max(
-                    np.abs(candidate.sum(axis=1) - row_targets).max(),
-                    np.abs(candidate.sum(axis=0) - col_targets).max(),
-                )
-            )
-            work[:] = candidate
-            row_scale *= rs64
-            col_scale *= cs64
-            history.extend(h32[1:-1])
-            history.append(verified)
-            if coarse_timed_out:
-                return coarse_iterations, verified <= tol, True, outcome
-        elif not usable:
-            # float32 over/underflowed: discard the coarse phase and
-            # run pure float64 from the untouched entry state.
-            outcome = "fallback"
-            coarse_iterations = 0
-    if history[-1] <= tol:
-        return coarse_iterations, True, False, outcome
-    polish_iterations, converged, timed_out = backend.sinkhorn_core(
-        work,
-        row_targets,
-        col_targets,
-        tol=tol,
-        max_iterations=max(max_iterations - coarse_iterations, 0),
-        row_scale=row_scale,
-        col_scale=col_scale,
-        history=history,
-        t_end=t_end,
+    add, highest = np.add.reduce, np.maximum.reduce
+    return np.maximum(
+        highest(np.abs(add(stack, axis=2) - row_target[None]), axis=1),
+        highest(np.abs(add(stack, axis=1) - col_target[None]), axis=1),
     )
-    return coarse_iterations + polish_iterations, converged, timed_out, outcome
+
+
+def _grouped(trace, n_slices):
+    """A trace's ``(owners, values)``, grouped by slice and kept in
+    chronological order within each slice."""
+    owners = np.concatenate(
+        [np.arange(n_slices) if o is None else o for o, _ in trace]
+    )
+    values = np.concatenate([v for _, v in trace]).astype(np.float64)
+    order = np.argsort(owners, kind="stable")
+    return owners[order], values[order]
+
+
+def residual_histories(trace, n_slices: int) -> tuple[tuple[float, ...], ...]:
+    """Per-slice residual tuples recorded by a trace (see the module
+    docstring for the chunk format)."""
+    if all(owners is None for owners, _ in trace):
+        rows = np.array([values for _, values in trace], dtype=np.float64)
+        return tuple(map(tuple, rows.T.tolist()))
+    owners, values = _grouped(trace, n_slices)
+    bounds = np.cumsum(np.bincount(owners, minlength=n_slices))[:-1]
+    return tuple(tuple(part.tolist()) for part in np.split(values, bounds))
 
 
 def run_sinkhorn_batched(
@@ -315,138 +248,106 @@ def run_sinkhorn_batched(
     max_iterations,
     row_scale,
     col_scale,
-    histories,
-    iterations,
     residual,
-    converged,
     active,
+    iterations,
+    trace,
     t_end,
     precision="float64",
     on_progress=None,
 ):
-    """Precision-dispatching batched driver (same return convention as
-    :func:`run_sinkhorn`, with ``iterations_run`` in place of the
-    per-call iteration count)."""
-    if precision == "float64":
-        iterations_run, timed_out = backend.sinkhorn_core_batched(
-            work,
-            row_target,
-            col_target,
-            tol=tol,
-            max_iterations=max_iterations,
-            row_scale=row_scale,
-            col_scale=col_scale,
-            histories=histories,
-            iterations=iterations,
-            residual=residual,
-            converged=converged,
-            active=active,
-            t_end=t_end,
-            on_progress=on_progress,
-        )
-        return iterations_run, timed_out, None
+    """The precision-dispatching Sinkhorn driver.
 
-    coarse_tol = max(tol, F32_COARSE_TOL)
-    outcome = "verified"
-    entry_active = active.copy()
-    entry_residual = residual.copy()
-    entry_lengths = [len(h) for h in histories]
-    entry_iterations = iterations.copy()
-    n_slices, n_rows, n_cols = work.shape
-    coarse_run = 0
-    coarse_timed_out = False
-    if entry_active.any():
-        # As in the scalar driver: float32 over/underflow is expected
-        # on extreme inputs and handled by the fallback below.
+    Arguments follow the core's contract (module docstring), with
+    ``work``/``row_scale``/``col_scale`` in float64.  Returns
+    ``(iterations_run, timed_out, precision_outcome)`` where
+    ``precision_outcome`` is ``"verified"``/``"fallback"`` when a
+    float32 phase ran and ``None`` otherwise.
+    """
+    core = functools.partial(
+        backend.sinkhorn_core_batched,
+        max_iterations=max_iterations,
+        residual=residual,
+        iterations=iterations,
+        t_end=t_end,
+        on_progress=on_progress,
+    )
+    coarse_run, outcome = 0, None
+    if precision == "float32" and np.count_nonzero(active):
+        coarse_tol = max(tol, F32_COARSE_TOL)
+        entry_residual = residual.copy()
+        entry_iterations = iterations.copy()
+        rs32 = np.ones(row_scale.shape, dtype=np.float32)
+        cs32 = np.ones(col_scale.shape, dtype=np.float32)
+        coarse_trace: list = []
+        # Over/underflow in the float32 phase is expected on extreme
+        # inputs and handled by the fallback below, so the coarse pass
+        # runs silenced.
         with np.errstate(all="ignore"):
-            work32 = work.astype(np.float32)
-            rs32 = np.ones((n_slices, n_rows), dtype=np.float32)
-            cs32 = np.ones((n_slices, n_cols), dtype=np.float32)
-            coarse_active = entry_active & (residual > coarse_tol)
-            coarse_run, coarse_timed_out = backend.sinkhorn_core_batched(
-                work32,
-                np.float32(row_target),
-                np.float32(col_target),
+            coarse_run, timed_out = core(
+                work.astype(np.float32),
+                row_target.astype(np.float32),
+                col_target.astype(np.float32),
                 tol=coarse_tol,
-                max_iterations=max_iterations,
                 row_scale=rs32,
                 col_scale=cs32,
-                histories=histories,
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                active=coarse_active,
-                t_end=t_end,
-                on_progress=on_progress,
+                active=active & (residual > coarse_tol),
+                trace=coarse_trace,
             )
         rs64 = rs32.astype(np.float64)
         cs64 = cs32.astype(np.float64)
-        usable = (
-            np.isfinite(rs64).all()
-            and np.isfinite(cs64).all()
-            and (rs64 > 0).all()
-            and (cs64 > 0).all()
-        )
-        if usable:
+        if all(np.isfinite(v).all() and (v > 0).all() for v in (rs64, cs64)):
+            outcome = "verified"
             # Slices that never iterated keep unit relative scales, so
-            # the broadcast application below is a bit-exact no-op for
-            # them.  Verification happens in float64 on the pristine
-            # entry iterates.
+            # the application below is a bit-exact no-op for them.
+            # Verification happens in float64 on the pristine entry
+            # iterates, and each slice's verified residual replaces its
+            # last float32 one.
             work[:] = rs64[:, :, None] * work * cs64[:, None, :]
             row_scale *= rs64
             col_scale *= cs64
-            verified = np.maximum(
-                np.abs(work.sum(axis=2) - row_target).max(axis=1),
-                np.abs(work.sum(axis=1) - col_target).max(axis=1),
-            )
-            residual[entry_active] = verified[entry_active]
-            ran = iterations > entry_iterations
-            for i in np.nonzero(entry_active & ran)[0]:
-                histories[i][-1] = float(verified[i])
+            verified = residuals(work, row_target, col_target)
+            residual[active] = verified[active]
+            if coarse_trace:
+                owners, values = _grouped(coarse_trace, len(residual))
+                last = np.append(owners[1:] != owners[:-1], True)
+                values[last] = verified[owners[last]]
+                trace.append((owners, values))
         else:
-            # Batch-level fallback: one slice overflowing float32
-            # discards the whole coarse phase (cheap, and keeps every
-            # slice's history coherent).
+            # One slice overflowing float32 discards the whole coarse
+            # phase (cheap, and keeps every slice's history coherent):
+            # the run restarts in float64 from the untouched entry state.
             outcome = "fallback"
             residual[:] = entry_residual
             iterations[:] = entry_iterations
-            for i, length in enumerate(entry_lengths):
-                del histories[i][length:]
-        done = residual <= tol
-        converged[:] = np.where(entry_active, done, converged)
-        active[:] = entry_active & ~done
-        if coarse_timed_out and usable:
+            coarse_run = 0
+        active &= ~(residual <= tol)
+        if timed_out:
             return coarse_run, True, outcome
-    if not active.any():
-        return coarse_run, False, outcome
-    polish_run, timed_out = backend.sinkhorn_core_batched(
+    # The float64 run, or the float32 path's polish: the float32
+    # iterations already count against each slice's budget.
+    run, timed_out = core(
         work,
         row_target,
         col_target,
         tol=tol,
-        max_iterations=max_iterations,
         row_scale=row_scale,
         col_scale=col_scale,
-        histories=histories,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
         active=active,
-        t_end=t_end,
-        on_progress=on_progress,
+        trace=trace,
     )
-    return coarse_run + polish_run, timed_out, outcome
+    return coarse_run + run, timed_out, outcome
 
 
 class KernelBackendBase:
     """Shared default implementations for concrete backends.
 
-    Subclasses must provide ``name``, ``tolerance``, ``sinkhorn_core``
-    and ``sinkhorn_core_batched``; the SVD defaults delegate to the
-    same LAPACK routines the library has always used (``svdvals`` for
-    one matrix, stacked ``numpy.linalg.svd`` for ensembles), and the
-    fused pass composes the public batched kernels so every backend
-    inherits identical measure semantics.
+    Subclasses must provide ``name``, ``tolerance`` and
+    ``sinkhorn_core_batched``; the SVD defaults delegate to the same
+    LAPACK routines the library has always used (``svdvals`` for one
+    matrix, stacked ``numpy.linalg.svd`` for ensembles), and the fused
+    pass composes the public batched kernels so every backend inherits
+    identical measure semantics.
     """
 
     name = "abstract"

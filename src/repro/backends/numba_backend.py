@@ -1,4 +1,4 @@
-"""Optional numba backend (JIT-compiled scalar loops).
+"""Optional numba backend (JIT-compiled Sinkhorn loops).
 
 Importing this module requires numba; ``repro.backends`` only imports
 it when numba is installed, and the differential tests in
@@ -13,10 +13,10 @@ Design notes:
   deadline checked between chunks in Python, so ``deadline_s`` keeps
   working at slightly coarser granularity (one chunk) than the numpy
   backend (one iteration);
-* the batched core is a Python loop over slices calling the scalar
-  core, which makes per-slice results identical to a scalar run on
-  that matrix *by construction* (the property the numpy active-mask
-  loop maintains by careful bookkeeping);
+* the one Sinkhorn core is a Python loop over slices, each running the
+  njit kernel to convergence or budget, so a slice's result never
+  depends on the rest of its stack (a single matrix is a stack of
+  one);
 * singular values delegate to the same LAPACK routines as the
   reference (a JIT SVD would buy nothing).
 """
@@ -89,50 +89,10 @@ def _sinkhorn_chunk(
 
 
 class NumbaBackend(KernelBackendBase):
-    """JIT-compiled scalar Sinkhorn core, applied per slice when
-    batched."""
+    """JIT-compiled Sinkhorn core, applied slice by slice."""
 
     name = "numba"
     tolerance = 1e-10
-
-    def sinkhorn_core(
-        self,
-        work,
-        row_targets,
-        col_targets,
-        *,
-        tol,
-        max_iterations,
-        row_scale,
-        col_scale,
-        history,
-        t_end,
-    ):
-        iterations = 0
-        converged = history[-1] <= tol
-        timed_out = False
-        residual_out = np.empty(CHUNK_ITERATIONS, dtype=np.float64)
-        while not converged and iterations < max_iterations:
-            if t_end is not None and time.monotonic() >= t_end:
-                timed_out = True
-                break
-            budget = min(CHUNK_ITERATIONS, max_iterations - iterations)
-            done, converged = _sinkhorn_chunk(
-                work,
-                row_targets,
-                col_targets,
-                tol,
-                budget,
-                row_scale,
-                col_scale,
-                residual_out,
-            )
-            for k in range(done):
-                history.append(float(residual_out[k]))
-            iterations += done
-            if done == 0:
-                break
-        return iterations, converged, timed_out
 
     def sinkhorn_core_batched(
         self,
@@ -144,45 +104,45 @@ class NumbaBackend(KernelBackendBase):
         max_iterations,
         row_scale,
         col_scale,
-        histories,
-        iterations,
         residual,
-        converged,
         active,
+        iterations,
+        trace,
         t_end,
         on_progress=None,
     ):
-        n_slices, n_rows, n_cols = work.shape
-        row_targets = np.full(n_rows, row_target, dtype=work.dtype)
-        col_targets = np.full(n_cols, col_target, dtype=work.dtype)
-        iterations_run = 0
-        timed_out = False
-        idx = np.nonzero(active)[0]
+        idx = np.flatnonzero(active & (iterations < max_iterations))
         if on_progress is not None and idx.size:
             on_progress(int(idx.size))
+        residual_out = np.empty(CHUNK_ITERATIONS, dtype=np.float64)
+        iterations_run = 0
+        timed_out = False
         for i in idx:
-            if t_end is not None and time.monotonic() >= t_end:
-                # Remaining slices freeze untouched (non-converged),
-                # exactly like the numpy core's mid-iteration break.
-                timed_out = True
-                break
-            hist = [float(residual[i])]
-            ran, conv, slice_timed_out = self.sinkhorn_core(
-                work[i],
-                row_targets,
-                col_targets,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale[i],
-                col_scale=col_scale[i],
-                history=hist,
-                t_end=t_end,
-            )
-            histories[i].extend(hist[1:])
+            budget = max_iterations - int(iterations[i])
+            ran = 0
+            converged = False
+            while not converged and ran < budget:
+                if t_end is not None and time.monotonic() >= t_end:
+                    # This and the remaining slices freeze
+                    # (non-converged), like the numpy core's break.
+                    timed_out = True
+                    break
+                done, converged = _sinkhorn_chunk(
+                    work[i],
+                    row_target,
+                    col_target,
+                    tol,
+                    min(CHUNK_ITERATIONS, budget - ran),
+                    row_scale[i],
+                    col_scale[i],
+                    residual_out,
+                )
+                trace.append((np.full(done, i), residual_out[:done].copy()))
+                residual[i] = residual_out[done - 1]
+                ran += done
             iterations[i] += ran
-            residual[i] = hist[-1]
-            converged[i] = conv
-            active[i] = not conv
+            active[i] = not converged
             iterations_run = max(iterations_run, ran)
-            timed_out = timed_out or slice_timed_out
+            if timed_out:
+                break
         return iterations_run, timed_out

@@ -1,10 +1,9 @@
 """The pure-numpy reference backend.
 
-These are the library's original inner loops, extracted verbatim from
-``repro.normalize.sinkhorn`` / ``repro.batch.sinkhorn`` — one iteration
-is two broadcast sums and two broadcast multiplies, with a per-slice
-active mask on the batched path so every slice's iterate sequence is
-identical to a scalar run on that matrix alone.  Every other backend is
+One Sinkhorn core serves every entry point: a single matrix arrives as
+a stack of one.  An iteration is two broadcast sums and two broadcast
+multiplies over the slices still iterating, so every slice's iterate
+sequence is the one it would follow alone.  Every other backend is
 tested against this one (``tolerance = 0.0``: the reference defines
 correctness).
 """
@@ -26,51 +25,6 @@ class NumpyBackend(KernelBackendBase):
     name = "numpy"
     tolerance = 0.0
 
-    def sinkhorn_core(
-        self,
-        work,
-        row_targets,
-        col_targets,
-        *,
-        tol,
-        max_iterations,
-        row_scale,
-        col_scale,
-        history,
-        t_end,
-    ):
-        iterations = 0
-        converged = history[-1] <= tol
-        timed_out = False
-        while not converged and iterations < max_iterations:
-            if t_end is not None and time.monotonic() >= t_end:
-                timed_out = True
-                break
-            # Column pass (eq. 9, odd k): scale columns to their
-            # targets.  The accumulated diagonal scales can overflow
-            # for non-normalizable zero patterns (they genuinely
-            # diverge while the matrix iterates stay bounded); that is
-            # reported through ConvergenceError, not a warning.
-            factors = col_targets / work.sum(axis=0)
-            work *= factors[None, :]
-            with np.errstate(over="ignore"):
-                col_scale *= factors
-            # Row pass (eq. 9, even k): scale rows to their targets.
-            factors = row_targets / work.sum(axis=1)
-            work *= factors[:, None]
-            with np.errstate(over="ignore"):
-                row_scale *= factors
-            iterations += 1
-            residual = float(
-                max(
-                    np.abs(work.sum(axis=1) - row_targets).max(),
-                    np.abs(work.sum(axis=0) - col_targets).max(),
-                )
-            )
-            history.append(residual)
-            converged = residual <= tol
-        return iterations, converged, timed_out
-
     def sinkhorn_core_batched(
         self,
         work,
@@ -81,48 +35,80 @@ class NumpyBackend(KernelBackendBase):
         max_iterations,
         row_scale,
         col_scale,
-        histories,
-        iterations,
         residual,
-        converged,
         active,
+        iterations,
+        trace,
         t_end,
         on_progress=None,
     ):
-        iterations_run = 0
+        n_slices, n_rows, n_cols = work.shape
+        idx = (active & (iterations < max_iterations)).nonzero()[0]
+        # While every slice iterates, the stack is scaled in place; once
+        # some stop, the survivors are gathered into a compact copy that
+        # is written back whenever the set shrinks again.
+        sel = slice(None) if idx.size == n_slices else idx
+        # As in ``residuals``: the ufuncs behind ``.sum``/``.max``, and
+        # targets with a leading unit axis, to keep per-iteration
+        # overhead down on small stacks.
+        row_target, col_target = row_target[None], col_target[None]
+        add, highest = np.add.reduce, np.maximum.reduce
+        run = 0
         timed_out = False
-        while active.any() and iterations_run < max_iterations:
-            if t_end is not None and time.monotonic() >= t_end:
-                timed_out = True
-                break
-            idx = np.nonzero(active)[0]
-            if on_progress is not None:
-                on_progress(idx.size)
-            sub = work[idx]
-            # Column pass (eq. 9, odd k).  As in the scalar core, the
-            # accumulated diagonal scales can overflow for
-            # non-normalizable zero patterns while the matrix iterates
-            # stay bounded.
-            factors = col_target / sub.sum(axis=1)
-            sub *= factors[:, None, :]
-            with np.errstate(over="ignore"):
-                col_scale[idx] *= factors
-            # Row pass (eq. 9, even k).
-            factors = row_target / sub.sum(axis=2)
-            sub *= factors[:, :, None]
-            with np.errstate(over="ignore"):
-                row_scale[idx] *= factors
-            work[idx] = sub
-            iterations_run += 1
-            iterations[idx] += 1
-            res = np.maximum(
-                np.abs(sub.sum(axis=2) - row_target).max(axis=1),
-                np.abs(sub.sum(axis=1) - col_target).max(axis=1),
-            )
-            residual[idx] = res
-            for pos, i in enumerate(idx):
-                histories[i].append(float(res[pos]))
-            done = res <= tol
-            converged[idx] = done
-            active[idx] = ~done
-        return iterations_run, timed_out
+        # The accumulated diagonal scales can overflow for
+        # non-normalizable zero patterns (they genuinely diverge while
+        # the matrix iterates stay bounded); that is reported through
+        # ConvergenceError, not a warning.
+        with np.errstate(over="ignore"):
+            while idx.size and not timed_out:
+                sub, rows, cols = work[sel], row_scale[sel], col_scale[sel]
+                owners = idx if sel is idx else None
+                # Iterations until the first slice exhausts its budget.
+                horizon = max_iterations - highest(iterations[sel])
+                steps = 0
+                # The residual's column sums are the next column pass's.
+                col_sums = add(sub, axis=1)
+                # Row then column deviations, side by side, so one
+                # reduction finds each slice's residual.
+                deviation = np.empty((len(sub), n_rows + n_cols), work.dtype)
+                row_dev, col_dev = deviation[:, :n_rows], deviation[:, n_rows:]
+                while True:
+                    if t_end is not None and time.monotonic() >= t_end:
+                        timed_out = True
+                        break
+                    if on_progress is not None:
+                        on_progress(idx.size)
+                    # Column pass (eq. 9, odd k).
+                    factors = col_target / col_sums
+                    sub *= factors[:, None, :]
+                    cols *= factors
+                    # Row pass (eq. 9, even k).
+                    factors = row_target / add(sub, axis=2)
+                    sub *= factors[:, :, None]
+                    rows *= factors
+                    steps += 1
+                    col_sums = add(sub, axis=1)
+                    np.subtract(add(sub, axis=2), row_target, out=row_dev)
+                    np.subtract(col_sums, col_target, out=col_dev)
+                    res = highest(np.abs(deviation, out=deviation), axis=1)
+                    trace.append((owners, res))
+                    # fmin skips NaN, so one NaN slice cannot hide another
+                    # slice's convergence.
+                    if steps == horizon or np.fmin.reduce(res) <= tol:
+                        break
+                if sel is idx:
+                    work[idx], row_scale[idx], col_scale[idx] = sub, rows, cols
+                # Free the compact copy before the next phase gathers one.
+                del sub, rows, cols
+                if not steps:
+                    break
+                # Book the phase: every slice in it was active and ran
+                # ``steps`` iterations.
+                run += steps
+                iterations[sel] += steps
+                residual[sel] = res
+                active[sel] = keep = ~(res <= tol)
+                if steps == horizon:
+                    keep &= iterations[sel] < max_iterations
+                idx = sel = idx[keep]
+        return run, timed_out

@@ -1,15 +1,15 @@
 """Batched alternating row/column scaling over ``(N, T, M)`` stacks.
 
 :func:`sinkhorn_knopp_batched` runs the paper's eq. (9) iteration on a
-whole ensemble of same-shape matrices at once: one iteration is two
-broadcast sums and two broadcast multiplies over the full stack, so the
-per-matrix Python overhead of the scalar loop disappears.  Slices
-converge independently — a per-slice *active mask* freezes a slice the
-moment its residual drops below ``tol``, which keeps every slice's
-iterate sequence identical to what the scalar
-:func:`repro.normalize.sinkhorn_knopp` would produce on that matrix
-alone (the differential harness in ``tests/batch/`` pins this to
-≤ 1e-10).
+whole ensemble of same-shape matrices at once, through the same backend
+core and body as the scalar :func:`repro.normalize.sinkhorn_knopp` (a
+single matrix is a stack of one).  One iteration is two broadcast sums
+and two broadcast multiplies over the slices still iterating, so the
+per-matrix Python overhead is paid once per stack.  Slices converge
+independently — a slice freezes the moment its residual drops below
+``tol``, so its iterates are exactly those of a scalar run on that
+matrix alone (bit-identical on the numpy backend; the differential
+harness in ``tests/batch/`` pins it).
 
 :func:`standardize_batched` applies the Theorem-2 targets
 (rows ``sqrt(M/T)``, columns ``sqrt(T/M)``) to a stack.  Unlike the
@@ -25,26 +25,18 @@ exactly that.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .._validation import check_positive_scalar
 from ..backends import resolve_backend
-from ..backends.base import (
-    check_precision,
-    coerce_warm_start_batched,
-    run_sinkhorn_batched,
-)
-from ..exceptions import ConvergenceError, MatrixValueError
-from ..normalize.outcome import _removed_alias
+from ..backends.base import check_precision
+from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import (
-    NormalizationResult,
-    _check_deadline,
-    convergence_message,
+    BatchNormalizationResult,
+    _check_entries,
+    _check_targets,
+    _first_slices,
+    _scale_stack,
 )
-from ..obs import current_recorder, metrics as _metrics, span as _obs_span
 from ..normalize.standard_form import standard_targets
 from ._stack import as_float_stack
 
@@ -53,82 +45,6 @@ __all__ = [
     "sinkhorn_knopp_batched",
     "standardize_batched",
 ]
-
-
-@dataclass(frozen=True)
-class BatchNormalizationResult:
-    """Columnar outcome of the batched alternating-scaling iteration.
-
-    Field names follow the :class:`~repro.normalize.ScalingOutcome`
-    protocol shared with the scalar results — ``matrix`` is the whole
-    scaled stack here, and the diagnostics are per-slice arrays instead
-    of scalars.  The pre-1.1 names ``matrices`` and
-    ``residual_histories`` were removed after their deprecation cycle;
-    accessing them raises :class:`AttributeError` naming the
-    replacement field.
-
-    Attributes
-    ----------
-    matrix : numpy.ndarray, shape (N, T, M)
-        The scaled stack; slice ``i`` is ``D1_i @ A_i @ D2_i``.
-    row_scale : numpy.ndarray, shape (N, T)
-        Per-slice diagonals of ``D1``.
-    col_scale : numpy.ndarray, shape (N, M)
-        Per-slice diagonals of ``D2``.
-    converged : numpy.ndarray of bool, shape (N,)
-        Per-slice convergence mask.
-    iterations : numpy.ndarray of int, shape (N,)
-        Full (column pass + row pass) iterations each slice ran before
-        freezing.
-    residual : numpy.ndarray, shape (N,)
-        Final per-slice residual (largest absolute row/column-sum
-        deviation from its target).
-    residual_history : tuple of tuple of float
-        Per-slice residual trace; entry 0 of each is the residual of
-        the *input* slice, matching the scalar result's convention.
-    row_target, col_target : float
-        The target sums the iteration aimed for.
-    """
-
-    matrix: np.ndarray
-    row_scale: np.ndarray
-    col_scale: np.ndarray
-    converged: np.ndarray
-    iterations: np.ndarray
-    residual: np.ndarray
-    residual_history: tuple[tuple[float, ...], ...] = field(repr=False)
-    row_target: float = 1.0
-    col_target: float = 1.0
-
-    matrices = _removed_alias("matrices", "matrix")
-    residual_histories = _removed_alias(
-        "residual_histories", "residual_history"
-    )
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def slice(self, index: int) -> NormalizationResult:
-        """The scalar-compatible :class:`NormalizationResult` of slice
-        ``index`` (a bridge for code written against the scalar API)."""
-        return NormalizationResult(
-            matrix=self.matrix[index].copy(),
-            row_scale=self.row_scale[index].copy(),
-            col_scale=self.col_scale[index].copy(),
-            converged=bool(self.converged[index]),
-            iterations=int(self.iterations[index]),
-            residual=float(self.residual[index]),
-            residual_history=self.residual_history[index],
-            row_target=self.row_target,
-            col_target=self.col_target,
-        )
-
-
-def _residuals(stack: np.ndarray, row_target: float, col_target: float) -> np.ndarray:
-    """Per-slice residual of an (n, T, M) stack."""
-    row_err = np.abs(stack.sum(axis=2) - row_target).max(axis=1)
-    col_err = np.abs(stack.sum(axis=1) - col_target).max(axis=1)
-    return np.maximum(row_err, col_err)
 
 
 def sinkhorn_knopp_batched(
@@ -147,12 +63,9 @@ def sinkhorn_knopp_batched(
     """Scale every slice of ``stack`` so rows sum to ``row_target`` and
     columns to ``col_target``.
 
-    Semantics per slice are identical to the scalar
-    :func:`repro.normalize.sinkhorn_knopp` (same validation, same
-    column-then-row pass order, same joint stopping rule); the batching
-    is purely an execution strategy.  A slice stops iterating the
-    moment it converges, so already-converged slices are not perturbed
-    while stragglers continue.
+    Each slice runs exactly as :func:`repro.normalize.sinkhorn_knopp`
+    runs that matrix alone (one core serves both), and stops iterating
+    the moment it converges while stragglers continue.
 
     Parameters
     ----------
@@ -199,122 +112,32 @@ def sinkhorn_knopp_batched(
     be = resolve_backend(backend)
     precision = check_precision(precision)
     work = as_float_stack(stack, name="stack").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("stack must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("stack must be non-negative")
+    _check_entries(work, "stack")
     n_slices, n_rows, n_cols = work.shape
-    row_target = check_positive_scalar(row_target, name="row_target")
-    implied = n_rows * row_target / n_cols
-    if col_target is None:
-        col_target = implied
-    else:
-        col_target = check_positive_scalar(col_target, name="col_target")
-        if not np.isclose(col_target, implied, rtol=1e-12, atol=0.0):
-            raise MatrixValueError(
-                "inconsistent targets: need T*row_target == M*col_target "
-                f"({n_rows}*{row_target} != {n_cols}*{col_target})"
-            )
+    row_target, col_target = _check_targets(
+        row_target, col_target, n_rows, n_cols
+    )
     zero_line = (work.sum(axis=2) == 0).any(axis=1) | (
         work.sum(axis=1) == 0
     ).any(axis=1)
     if zero_line.any():
-        bad = np.nonzero(zero_line)[0]
         raise MatrixValueError(
             "stack has an all-zero row or column in slice(s) "
-            f"{bad[:5].tolist()}{'...' if bad.size > 5 else ''}; "
+            f"{_first_slices(np.flatnonzero(zero_line))}; "
             "no scaling can fix that"
         )
-
-    row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
-    col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start_batched(
-            warm_start, n_slices, n_rows, n_cols
-        )
-        work = warm_rows[:, :, None] * work * warm_cols[:, None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    residual = _residuals(work, row_target, col_target)
-    histories: list[list[float]] = [[float(r)] for r in residual]
-    converged = residual <= tol
-    iterations = np.zeros(n_slices, dtype=np.int64)
-    active = ~converged
-    it = 0
-    t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
-    rec = current_recorder()
-    with _obs_span(
-        "sinkhorn.batched", slices=n_slices, rows=n_rows, cols=n_cols
-    ) as sp:
-        if rec is not None:
-            # Active-mask occupancy: how many slices still iterate.
-            def on_progress(active_count: int) -> None:
-                sp.sample("active_slices", active_count)
-        else:
-            on_progress = None
-        if active.any():
-            it, timed_out, precision_outcome = run_sinkhorn_batched(
-                be,
-                work,
-                row_target,
-                col_target,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale,
-                col_scale=col_scale,
-                histories=histories,
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                active=active,
-                t_end=t_end,
-                precision=precision,
-                on_progress=on_progress,
-            )
-        sp.note(
-            iterations=int(it),
-            converged_slices=int(converged.sum()),
-            max_residual=float(residual.max()),
-            timed_out=timed_out,
-        )
-    _metrics.observe_sinkhorn_batch(
-        "batched",
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_batched")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_batched",
-            "converged" if bool(converged.all()) else "pending",
-        )
-    if active.any() and require_convergence:
-        bad = np.nonzero(active)[0]
-        raise ConvergenceError(
-            convergence_message(
-                f"{bad.size} of {n_slices} slices",
-                tol=tol,
-                iterations=int(it),
-                residual=float(residual[bad].max()),
-                failing=bad[:5].tolist(),
-                deadline_s=deadline_s if timed_out else None,
-            ),
-            iterations=int(it),
-            residual=float(residual[bad].max()),
-        )
-    return BatchNormalizationResult(
-        matrix=work,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        residual_history=tuple(tuple(h) for h in histories),
+    return _scale_stack(
+        work,
+        np.full(n_rows, row_target),
+        np.full(n_cols, col_target),
+        kind="batched",
+        backend=be,
+        precision=precision,
+        warm_start=warm_start,
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
         row_target=row_target,
         col_target=col_target,
     )

@@ -10,6 +10,12 @@ Three result classes report the outcome of an alternating-scaling run:
   stack (``sinkhorn_knopp_batched`` / ``standardize_batched``), with
   per-slice diagnostic arrays.
 
+Every run goes through one Sinkhorn core, which sees a single matrix
+as a stack of one, so every run first produces a
+``BatchNormalizationResult``; the single-matrix entry points return
+its ``.slice(0)``.  ``NormalizationResult`` stays the public
+per-matrix type.
+
 Historically they drifted apart (``matrices`` vs ``matrix``,
 ``residual_histories`` vs ``residual_history``); all three now expose
 the same seven core fields, captured by the :class:`ScalingOutcome`

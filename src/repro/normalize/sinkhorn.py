@@ -11,8 +11,11 @@ For matrices with zero entries the iteration may fail to converge
 (paper Section VI); :mod:`repro.structure` predicts this from the zero
 pattern alone.
 
-The kernel is fully vectorized: one iteration is two sums and two
-broadcast multiplies, O(T·M) with no Python-level loops over entries.
+One matrix runs as a stack of one: :func:`sinkhorn_knopp`,
+:func:`scale_to_margins` and :func:`repro.batch.sinkhorn_knopp_batched`
+validate their own input, then share one body (warm start, entry
+checks, span, the backend driver, metrics, errors and the result), so
+a matrix gets the same iterates alone or inside a stack.
 """
 
 from __future__ import annotations
@@ -27,12 +30,22 @@ from .._validation import (
     check_positive_scalar,
 )
 from ..backends import resolve_backend
-from ..backends.base import check_precision, coerce_warm_start, run_sinkhorn
+from ..backends.base import (
+    check_precision,
+    coerce_warm_start,
+    coerce_warm_start_batched,
+    residual_histories,
+    residuals,
+    run_sinkhorn_batched,
+)
 from ..exceptions import ConvergenceError, MatrixValueError
+from ..obs import current_recorder
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
+from .outcome import _removed_alias
 
 __all__ = [
+    "BatchNormalizationResult",
     "NormalizationResult",
     "sinkhorn_knopp",
     "scale_to_margins",
@@ -132,13 +145,263 @@ class NormalizationResult:
 
     def max_sum_error(self) -> float:
         """Recompute the residual from ``matrix`` (diagnostic helper)."""
-        return _residual(self.matrix, self.row_target, self.col_target)
+        row_err = np.abs(self.matrix.sum(axis=1) - self.row_target).max()
+        col_err = np.abs(self.matrix.sum(axis=0) - self.col_target).max()
+        return float(max(row_err, col_err))
 
 
-def _residual(matrix: np.ndarray, row_target: float, col_target: float) -> float:
-    row_err = np.abs(matrix.sum(axis=1) - row_target).max()
-    col_err = np.abs(matrix.sum(axis=0) - col_target).max()
-    return float(max(row_err, col_err))
+@dataclass(frozen=True)
+class BatchNormalizationResult:
+    """Columnar outcome of the batched alternating-scaling iteration.
+
+    Field names follow the :class:`~repro.normalize.ScalingOutcome`
+    protocol shared with the scalar results — ``matrix`` is the whole
+    scaled stack here, and the diagnostics are per-slice arrays instead
+    of scalars.  The pre-1.1 names ``matrices`` and
+    ``residual_histories`` were removed after their deprecation cycle;
+    accessing them raises :class:`AttributeError` naming the
+    replacement field.
+
+    Attributes
+    ----------
+    matrix : numpy.ndarray, shape (N, T, M)
+        The scaled stack; slice ``i`` is ``D1_i @ A_i @ D2_i``.
+    row_scale : numpy.ndarray, shape (N, T)
+        Per-slice diagonals of ``D1``.
+    col_scale : numpy.ndarray, shape (N, M)
+        Per-slice diagonals of ``D2``.
+    converged : numpy.ndarray of bool, shape (N,)
+        Per-slice convergence mask.
+    iterations : numpy.ndarray of int, shape (N,)
+        Full (column pass + row pass) iterations each slice ran before
+        freezing.
+    residual : numpy.ndarray, shape (N,)
+        Final per-slice residual (largest absolute row/column-sum
+        deviation from its target).
+    residual_history : tuple of tuple of float
+        Per-slice residual trace; entry 0 of each is the residual of
+        the *input* slice, matching the scalar result's convention.
+    row_target, col_target : float
+        The target sums the iteration aimed for.
+    """
+
+    matrix: np.ndarray
+    row_scale: np.ndarray
+    col_scale: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    residual_history: tuple[tuple[float, ...], ...] = field(repr=False)
+    row_target: float = 1.0
+    col_target: float = 1.0
+
+    matrices = _removed_alias("matrices", "matrix")
+    residual_histories = _removed_alias(
+        "residual_histories", "residual_history"
+    )
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def slice(self, index: int) -> NormalizationResult:
+        """The scalar-compatible :class:`NormalizationResult` of slice
+        ``index`` (a bridge for code written against the scalar API)."""
+        return NormalizationResult(
+            matrix=self.matrix[index].copy(),
+            row_scale=self.row_scale[index].copy(),
+            col_scale=self.col_scale[index].copy(),
+            converged=bool(self.converged[index]),
+            iterations=int(self.iterations[index]),
+            residual=float(self.residual[index]),
+            residual_history=self.residual_history[index],
+            row_target=self.row_target,
+            col_target=self.col_target,
+        )
+
+
+#: What a single-matrix ConvergenceError says failed, per kernel.
+_SUBJECTS = {"scalar": "row/column normalization", "margins": "margin scaling"}
+
+
+def _first_slices(indices: np.ndarray) -> str:
+    return f"{indices[:5].tolist()}{'...' if indices.size > 5 else ''}"
+
+
+def _scale_stack(
+    work: np.ndarray,
+    row_targets: np.ndarray,
+    col_targets: np.ndarray,
+    *,
+    kind: str,
+    backend,
+    precision: str,
+    warm_start,
+    tol: float,
+    max_iterations: int,
+    require_convergence: bool,
+    deadline_s: float | None,
+    row_target: float,
+    col_target: float,
+) -> BatchNormalizationResult:
+    """The body every Sinkhorn entry point shares once its input is
+    validated.
+
+    ``work`` is a caller-owned float64 ``(N, T, M)`` stack (a single
+    matrix is ``N == 1``); ``row_targets``/``col_targets`` are the
+    ``(T,)``/``(M,)`` margins.  ``kind`` is the
+    ``"scalar"``/``"margins"``/``"batched"`` label of the span
+    (``sinkhorn.<kind>``) and metrics; ``row_target``/``col_target``
+    are what the result reports.
+    """
+    n_slices, n_rows, n_cols = work.shape
+    if warm_start is None:
+        row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
+        col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
+    else:
+        if kind == "batched":
+            rows, cols = coerce_warm_start_batched(
+                warm_start, n_slices, n_rows, n_cols
+            )
+        else:
+            rows, cols = coerce_warm_start(warm_start, n_rows, n_cols)
+        # Copies, because the scales accumulate in place.
+        row_scale = rows.reshape(n_slices, n_rows).copy()
+        col_scale = cols.reshape(n_slices, n_cols).copy()
+        # Rows first, then columns: the products scale_by_diagonals
+        # forms, so a warm start from a converged run reproduces that
+        # result bit-for-bit.
+        work *= row_scale[:, :, None]
+        work *= col_scale[:, None, :]
+    # Entries are finite, but their line sums can still overflow.  After
+    # one column pass every sum is bounded by its target, so checking the
+    # entry sums is enough to rule out NaN iterates.
+    residual = residuals(work, row_targets, col_targets)
+    finite = np.isfinite(residual)
+    if not finite.all():
+        where = (
+            f" in slice(s) {_first_slices(np.flatnonzero(~finite))}"
+            if kind == "batched"
+            else ""
+        )
+        raise MatrixValueError(
+            f"row or column sums overflow to inf{where}; rescale the "
+            "matrix (e.g. divide it by its largest entry) so every row "
+            "and column sum is finite"
+        )
+    active = ~(residual <= tol)
+    iterations = np.zeros(n_slices, dtype=np.int64)
+    trace = [(None, residual.copy())]
+    t_end = _check_deadline(deadline_s)
+    if kind == "batched":
+        region = _obs_span(
+            "sinkhorn.batched", slices=n_slices, rows=n_rows, cols=n_cols
+        )
+    else:
+        region = _obs_span(f"sinkhorn.{kind}", rows=n_rows, cols=n_cols)
+    with region as sp:
+        on_progress = None
+        if kind == "batched" and current_recorder() is not None:
+            # Active-mask occupancy: how many slices still iterate.
+            def on_progress(active_count: int) -> None:
+                sp.sample("active_slices", active_count)
+
+        run, timed_out, outcome = run_sinkhorn_batched(
+            backend,
+            work,
+            row_targets,
+            col_targets,
+            tol=tol,
+            max_iterations=max_iterations,
+            row_scale=row_scale,
+            col_scale=col_scale,
+            residual=residual,
+            active=active,
+            iterations=iterations,
+            trace=trace,
+            t_end=t_end,
+            precision=precision,
+            on_progress=on_progress,
+        )
+        history = residual_histories(trace, n_slices)
+        converged = ~active
+        # count_nonzero is the cheap any() on a bool mask.
+        pending = np.count_nonzero(active)
+        if kind == "batched":
+            sp.note(
+                iterations=run,
+                converged_slices=int(converged.sum()),
+                max_residual=float(residual.max()),
+                timed_out=timed_out,
+            )
+        else:
+            sp.note(
+                iterations=run,
+                converged=bool(converged[0]),
+                residual=float(residual[0]),
+                timed_out=timed_out,
+            )
+            sp.sample("residual", history[0])
+    _metrics.observe_sinkhorn_batch(
+        kind, iterations=iterations, residual=residual, converged=converged
+    )
+    _metrics.count_backend_dispatch(backend.name, f"sinkhorn_{kind}")
+    if outcome is not None:
+        _metrics.count_backend_precision(backend.name, outcome)
+    if warm_start is not None:
+        _metrics.count_warm_start(
+            f"sinkhorn_{kind}", "pending" if pending else "converged"
+        )
+    if require_convergence and pending:
+        bad = np.flatnonzero(active)
+        worst = float(residual[bad].max())
+        batched = kind == "batched"
+        raise ConvergenceError(
+            convergence_message(
+                f"{pending} of {n_slices} slices" if batched else _SUBJECTS[kind],
+                tol=tol,
+                iterations=run,
+                residual=worst,
+                failing=bad[:5].tolist() if batched else None,
+                deadline_s=deadline_s if timed_out else None,
+            ),
+            iterations=run,
+            residual=worst,
+        )
+    return BatchNormalizationResult(
+        matrix=work,
+        row_scale=row_scale,
+        col_scale=col_scale,
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+        residual_history=history,
+        row_target=row_target,
+        col_target=col_target,
+    )
+
+
+def _check_entries(work: np.ndarray, what: str) -> None:
+    """Reject infinite or negative entries (``what`` names the input)."""
+    if np.isinf(work).any():
+        raise MatrixValueError(f"{what} must be finite (got inf entries)")
+    if (work < 0).any():
+        raise MatrixValueError(f"{what} must be non-negative")
+
+
+def _check_targets(row_target, col_target, n_rows: int, n_cols: int):
+    """Validated ``(row_target, col_target)``; ``col_target`` defaults to
+    the one consistent value ``T * row_target / M``."""
+    row_target = check_positive_scalar(row_target, name="row_target")
+    implied = n_rows * row_target / n_cols
+    if col_target is None:
+        return row_target, implied
+    col_target = check_positive_scalar(col_target, name="col_target")
+    if not np.isclose(col_target, implied, rtol=1e-12, atol=0.0):
+        raise MatrixValueError(
+            "inconsistent targets: need T*row_target == M*col_target "
+            f"({n_rows}*{row_target} != {n_cols}*{col_target})"
+        )
+    return row_target, col_target
 
 
 def sinkhorn_knopp(
@@ -218,104 +481,30 @@ def sinkhorn_knopp(
     be = resolve_backend(backend)
     precision = check_precision(precision)
     work = as_float_matrix(matrix, name="matrix").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("matrix must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("matrix must be non-negative")
+    _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
-    row_target = check_positive_scalar(row_target, name="row_target")
-    implied = n_rows * row_target / n_cols
-    if col_target is None:
-        col_target = implied
-    else:
-        col_target = check_positive_scalar(col_target, name="col_target")
-        if not np.isclose(col_target, implied, rtol=1e-12, atol=0.0):
-            raise MatrixValueError(
-                "inconsistent targets: need T*row_target == M*col_target "
-                f"({n_rows}*{row_target} != {n_cols}*{col_target})"
-            )
-    row_sums = work.sum(axis=1)
-    col_sums = work.sum(axis=0)
-    if (row_sums == 0).any() or (col_sums == 0).any():
+    row_target, col_target = _check_targets(
+        row_target, col_target, n_rows, n_cols
+    )
+    if (work.sum(axis=1) == 0).any() or (work.sum(axis=0) == 0).any():
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
-
-    row_scale = np.ones(n_rows, dtype=np.float64)
-    col_scale = np.ones(n_cols, dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start(warm_start, n_rows, n_cols)
-        # Same expression as scale_by_diagonals, so a warm start from a
-        # converged run reproduces that result bit-for-bit.
-        work = warm_rows[:, None] * work * warm_cols[None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    history = [_residual(work, row_target, col_target)]
-    converged = history[0] <= tol
-    iterations = 0
-    t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
-    with _obs_span("sinkhorn.scalar", rows=n_rows, cols=n_cols) as sp:
-        if not converged:
-            row_targets = np.full(n_rows, row_target, dtype=np.float64)
-            col_targets = np.full(n_cols, col_target, dtype=np.float64)
-            iterations, converged, timed_out, precision_outcome = run_sinkhorn(
-                be,
-                work,
-                row_targets,
-                col_targets,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale,
-                col_scale=col_scale,
-                history=history,
-                t_end=t_end,
-                precision=precision,
-            )
-        sp.note(
-            iterations=iterations,
-            converged=converged,
-            residual=history[-1],
-            timed_out=timed_out,
-        )
-        sp.sample("residual", history)
-    _metrics.observe_sinkhorn(
-        "scalar",
-        iterations=iterations,
-        residual=history[-1],
-        converged=converged,
-    )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_scalar")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_scalar", "converged" if converged else "pending"
-        )
-    if not converged and require_convergence:
-        raise ConvergenceError(
-            convergence_message(
-                "row/column normalization",
-                tol=tol,
-                iterations=iterations,
-                residual=history[-1],
-                deadline_s=deadline_s if timed_out else None,
-            ),
-            iterations=iterations,
-            residual=history[-1],
-        )
-    return NormalizationResult(
-        matrix=work,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        converged=converged,
-        iterations=iterations,
-        residual=history[-1],
-        residual_history=tuple(history),
+    return _scale_stack(
+        work[None],
+        np.full(n_rows, row_target),
+        np.full(n_cols, col_target),
+        kind="scalar",
+        backend=be,
+        precision=precision,
+        warm_start=warm_start,
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
         row_target=row_target,
         col_target=col_target,
-    )
+    ).slice(0)
 
 
 def scale_to_margins(
@@ -354,10 +543,7 @@ def scale_to_margins(
     be = resolve_backend(backend)
     precision = check_precision(precision)
     work = as_float_matrix(matrix, name="matrix").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("matrix must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("matrix must be non-negative")
+    _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
     r = np.ascontiguousarray(row_sums, dtype=np.float64).reshape(-1)
     c = np.ascontiguousarray(col_sums, dtype=np.float64).reshape(-1)
@@ -377,86 +563,21 @@ def scale_to_margins(
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
-
-    def residual(mat: np.ndarray) -> float:
-        return float(
-            max(
-                np.abs(mat.sum(axis=1) - r).max(),
-                np.abs(mat.sum(axis=0) - c).max(),
-            )
-        )
-
-    row_scale = np.ones(n_rows, dtype=np.float64)
-    col_scale = np.ones(n_cols, dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start(warm_start, n_rows, n_cols)
-        work = warm_rows[:, None] * work * warm_cols[None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    history = [residual(work)]
-    converged = history[0] <= tol
-    iterations = 0
-    t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
-    with _obs_span("sinkhorn.margins", rows=n_rows, cols=n_cols) as sp:
-        if not converged:
-            iterations, converged, timed_out, precision_outcome = run_sinkhorn(
-                be,
-                work,
-                r,
-                c,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale,
-                col_scale=col_scale,
-                history=history,
-                t_end=t_end,
-                precision=precision,
-            )
-        sp.note(
-            iterations=iterations,
-            converged=converged,
-            residual=history[-1],
-            timed_out=timed_out,
-        )
-        sp.sample("residual", history)
-    _metrics.observe_sinkhorn(
-        "margins",
-        iterations=iterations,
-        residual=history[-1],
-        converged=converged,
-    )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_margins")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_margins", "converged" if converged else "pending"
-        )
-    if not converged and require_convergence:
-        raise ConvergenceError(
-            convergence_message(
-                "margin scaling",
-                tol=tol,
-                iterations=iterations,
-                residual=history[-1],
-                deadline_s=deadline_s if timed_out else None,
-            ),
-            iterations=iterations,
-            residual=history[-1],
-        )
-    return NormalizationResult(
-        matrix=work,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        converged=converged,
-        iterations=iterations,
-        residual=history[-1],
-        residual_history=tuple(history),
+    return _scale_stack(
+        work[None],
+        r,
+        c,
+        kind="margins",
+        backend=be,
+        precision=precision,
+        warm_start=warm_start,
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
         row_target=float("nan"),
         col_target=float("nan"),
-    )
+    ).slice(0)
 
 
 def scale_by_diagonals(

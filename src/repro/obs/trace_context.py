@@ -379,10 +379,12 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 def tracing(path: str, *, process: str | None = None):
     """Install a JSONL-backed process tracer for the enclosed block.
 
-    >>> with tracing("spans.jsonl") as tracer:
-    ...     ctx = TraceContext.new()
-    ...     with tracer.span("work", ctx):
-    ...         pass
+    >>> import os, tempfile
+    >>> with tempfile.TemporaryDirectory() as tmp:
+    ...     with tracing(os.path.join(tmp, "spans.jsonl")) as tracer:
+    ...         ctx = TraceContext.new()
+    ...         with tracer.span("work", ctx):
+    ...             pass
     """
     tracer = Tracer(JsonlSink(path), process=process)
     previous = set_tracer(tracer)

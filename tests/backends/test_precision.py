@@ -119,3 +119,24 @@ class TestBatchedFloat32:
             np.testing.assert_allclose(
                 batched.matrix[index], scalar.matrix, rtol=0, atol=1e-7
             )
+
+
+class TestIterationBudget:
+    #: Converges slowly enough that the float32 phase alone exhausts a
+    #: 20-iteration budget.
+    SLOW = np.array([[1.0, 1e-6, 0.0], [1.0, 1.0, 1e-6], [0.0, 1e-6, 1.0]])
+
+    def test_phases_share_max_iterations_on_both_entry_points(self):
+        from repro.batch import sinkhorn_knopp_batched
+
+        options = {
+            "precision": "float32",
+            "max_iterations": 20,
+            "require_convergence": False,
+        }
+        scalar = sinkhorn_knopp(self.SLOW, **options)
+        batched = sinkhorn_knopp_batched(self.SLOW[None], **options)
+        assert scalar.iterations == 20
+        assert batched.iterations.tolist() == [20]
+        assert len(batched.residual_history[0]) == 21
+        assert batched.residual_history[0] == scalar.residual_history

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from repro.backends import (
     get_backend,
     list_backends,
     register_backend,
+    registry,
     resolve_backend,
 )
 from repro.exceptions import MatrixValueError
+
+DOCS = Path(__file__).resolve().parents[2] / "docs"
 
 
 class TestLookup:
@@ -55,6 +59,63 @@ class TestRegister:
     def test_rejects_empty_name(self):
         with pytest.raises(MatrixValueError, match="name"):
             register_backend("", NumpyBackend())
+
+
+def _documented_backend_source() -> str:
+    """The code block of docs/BACKENDS.md's "Registering your own"."""
+    text = (DOCS / "BACKENDS.md").read_text(encoding="utf-8")
+    section = text.split("## Registering your own", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestDocumentedBackend:
+    """The documented example registers and runs every entry point."""
+
+    @pytest.fixture
+    def loop_backend(self, monkeypatch):
+        # Register into a copy so the example never leaks into other tests.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        exec(_documented_backend_source(), {})
+        return get_backend("loop")
+
+    def test_registers_as_a_kernel_backend(self, loop_backend):
+        assert isinstance(loop_backend, KernelBackend)
+        assert "loop" in list_backends()
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_matches_reference_within_tolerance(self, loop_backend, precision):
+        from repro.batch import standardize_batched
+        from repro.normalize import scale_to_margins, sinkhorn_knopp
+
+        rng = np.random.default_rng(0)
+        stack = rng.uniform(0.1, 10.0, size=(4, 6, 5))
+        margins = (np.full(6, 5.0), np.full(5, 6.0))
+
+        def run(name):
+            options = {"backend": name, "precision": precision}
+            return (
+                sinkhorn_knopp(stack[0], **options),
+                scale_to_margins(stack[1], *margins, **options),
+                standardize_batched(stack, **options),
+            )
+
+        for ours, reference in zip(run("loop"), run("numpy")):
+            np.testing.assert_allclose(
+                ours.matrix, reference.matrix,
+                rtol=0, atol=loop_backend.tolerance,
+            )
+            np.testing.assert_array_equal(ours.iterations, reference.iterations)
+
+    def test_respects_the_iteration_budget(self, loop_backend):
+        from repro.normalize import sinkhorn_knopp
+
+        eq10 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        result = sinkhorn_knopp(
+            eq10, backend="loop", max_iterations=30, require_convergence=False
+        )
+        assert not result.converged
+        assert result.iterations == 30
+        assert len(result.residual_history) == 31
 
 
 class TestResolve:

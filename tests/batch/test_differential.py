@@ -3,10 +3,12 @@
 Property-based equivalence of ``repro.batch`` against per-slice calls
 of the scalar pipeline over random positive and zero-patterned
 ``(N, T, M)`` stacks.  The batched path is an execution strategy, not a
-reformulation — per-slice agreement is held to ≤ 1e-10 on convergent
-stacks (in practice the Sinkhorn iterates are bit-identical, because
-the broadcast reductions visit each slice's entries in the same order
-as the scalar kernel).
+reformulation: a scalar run is a stack of one through the same core,
+so on a backend with ``tolerance == 0`` (the numpy reference) the
+Sinkhorn results are held bit-identical, and on any other backend
+within ``ATOL``.  The measure columns keep ``ATOL``: the
+stacked SVD behind batched TMA is a different LAPACK call than the
+single-matrix one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.backends import resolve_backend
 from repro.batch import (
     mph_batched,
     sinkhorn_knopp_batched,
@@ -28,9 +31,12 @@ from repro.normalize import sinkhorn_knopp, standardize
 
 from .conftest import ecs_stacks
 
-#: Acceptance bound: per-slice batched/scalar agreement on convergent
-#: stacks (ISSUE acceptance criterion; the harness pins it).
+#: Per-slice batched/scalar agreement bound for measures, and for
+#: Sinkhorn results on a backend that declares a nonzero tolerance.
 ATOL = 1e-10
+
+#: Sinkhorn agreement bound: exact on the reference backend.
+SINKHORN_ATOL = ATOL if resolve_backend().tolerance > 0 else 0.0
 
 #: Iteration cap for adversarial zero patterns: enough for every
 #: normalizable pattern this size, quick to fail for decomposable ones.
@@ -47,16 +53,16 @@ class TestSinkhornDifferential:
             assert bool(batched.converged[i]) == scalar.converged
             assert int(batched.iterations[i]) == scalar.iterations
             np.testing.assert_allclose(
-                batched.matrix[i], scalar.matrix, rtol=0, atol=ATOL
+                batched.matrix[i], scalar.matrix, rtol=0, atol=SINKHORN_ATOL
             )
             np.testing.assert_allclose(
-                batched.row_scale[i], scalar.row_scale, rtol=ATOL
+                batched.row_scale[i], scalar.row_scale, rtol=SINKHORN_ATOL
             )
             np.testing.assert_allclose(
-                batched.col_scale[i], scalar.col_scale, rtol=ATOL
+                batched.col_scale[i], scalar.col_scale, rtol=SINKHORN_ATOL
             )
             assert batched.residual_history[i] == pytest.approx(
-                scalar.residual_history, abs=ATOL
+                scalar.residual_history, abs=SINKHORN_ATOL
             )
 
     @settings(max_examples=40, deadline=None)
@@ -74,10 +80,10 @@ class TestSinkhornDifferential:
             assert bool(batched.converged[i]) == scalar.converged
             assert int(batched.iterations[i]) == scalar.iterations
             np.testing.assert_allclose(
-                batched.matrix[i], scalar.matrix, rtol=0, atol=ATOL
+                batched.matrix[i], scalar.matrix, rtol=0, atol=SINKHORN_ATOL
             )
             assert float(batched.residual[i]) == pytest.approx(
-                scalar.residual, abs=ATOL
+                scalar.residual, abs=SINKHORN_ATOL
             )
 
     @settings(max_examples=20, deadline=None)
@@ -89,9 +95,11 @@ class TestSinkhornDifferential:
         scalar = sinkhorn_knopp(stack[0])
         assert view.converged == scalar.converged
         assert view.iterations == scalar.iterations
-        np.testing.assert_allclose(view.matrix, scalar.matrix, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(
+            view.matrix, scalar.matrix, rtol=0, atol=SINKHORN_ATOL
+        )
         assert view.max_sum_error() == pytest.approx(
-            scalar.max_sum_error(), abs=ATOL
+            scalar.max_sum_error(), abs=SINKHORN_ATOL
         )
 
     def test_non_convergent_raises_with_slice_indices(self, eq10_stack):
@@ -129,7 +137,7 @@ class TestStandardizeDifferential:
         for i in range(stack.shape[0]):
             scalar = standardize(stack[i])
             np.testing.assert_allclose(
-                batched.matrix[i], scalar.matrix, rtol=0, atol=ATOL
+                batched.matrix[i], scalar.matrix, rtol=0, atol=SINKHORN_ATOL
             )
             assert int(batched.iterations[i]) == scalar.iterations
 

@@ -1,11 +1,68 @@
-"""Shared fixtures: the paper's example matrices and hypothesis strategies."""
+"""Shared fixtures: the paper's example matrices and hypothesis strategies.
+
+Also a session check that the test run leaves the repository's working
+tree as it found it (no test may write into a tracked or unignored
+path).
+"""
 
 from __future__ import annotations
+
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_GIT_STATUS = pytest.StashKey[str]()
+
+
+def _git_status() -> str | None:
+    """``git status --porcelain`` of this repository, or None when git is
+    missing or the tests do not sit in the root of a git work tree."""
+    if shutil.which("git") is None:
+        return None
+    try:
+        top = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+        )
+        if top.returncode != 0 or Path(top.stdout.strip()) != REPO_ROOT:
+            return None
+        status = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return status.stdout if status.returncode == 0 else None
+
+
+def pytest_sessionstart(session):
+    status = _git_status()
+    if status is not None:
+        session.config.stash[_GIT_STATUS] = status
+
+
+def pytest_sessionfinish(session, exitstatus):
+    before = session.config.stash.get(_GIT_STATUS, None)
+    if before is None:
+        return
+    after = _git_status()
+    if after is None or after == before:
+        return
+    changed = sorted(set(after.splitlines()) ^ set(before.splitlines()))
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line("")
+        reporter.write_sep("=", "the test run changed the working tree", red=True)
+        for line in changed:
+            reporter.write_line(line)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 # ---------------------------------------------------------------------------
 # Paper example matrices
