@@ -4,6 +4,15 @@ These are internal: every public entry point funnels its array inputs
 through the functions here so that error messages are uniform and the
 numerical kernels can assume clean, C-contiguous ``float64`` data (a
 vectorization-friendly invariant; see the repo's DESIGN.md).
+
+The rule: **public entry points validate once; private ``_…`` bodies
+take validated arrays.**  A public function checks its input here and
+then calls private bodies (``standard_form._standardize``,
+``sinkhorn._scale_stack``, ``alternatives._line_statistics``, ...)
+that trust it, so a call that chains several kernels — e.g.
+:func:`repro.characterize` — checks its matrix once, not once per
+kernel.  A private body never re-validates, and a public function never
+skips a check its error contract promises.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ __all__ = [
     "as_etc_array",
     "as_positive_vector",
     "check_weights",
+    "weight_ecs",
     "check_choice",
     "check_probability",
     "check_positive_scalar",
@@ -155,6 +165,34 @@ def check_weights(weights, length: int, *, name: str) -> np.ndarray:
     if not np.isfinite(arr).all() or (arr <= 0).any():
         raise WeightError(f"{name} must contain strictly positive finite values")
     return arr
+
+
+def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
+    """The weighted ECS matrix ``w_t[i] * w_m[j] * ecs[i, j]`` (eqs. 4/6).
+
+    ``ecs`` is a validated ECS array and ``w_t``/``w_m`` validated
+    weights, so the product can only break by leaving the float64
+    range: entries that overflow to ``inf``, or a line whose entries
+    all underflow to zero.  Either raises :class:`WeightError` naming
+    the weights (silently, without numpy's overflow warning).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = w_t[:, None] * w_m[None, :] * ecs
+    if not np.isfinite(weighted).all():
+        raise WeightError(
+            "task_weights and machine_weights overflow the weighted ECS "
+            "matrix (an entry w_t[i] * w_m[j] * ECS[i, j] exceeds the "
+            "float64 range); rescale the weights"
+        )
+    # Underflow is the only way a valid ECS loses a nonzero entry here.
+    if np.count_nonzero(weighted) != np.count_nonzero(ecs) and not (
+        (weighted > 0).any(axis=1).all() and (weighted > 0).any(axis=0).all()
+    ):
+        raise WeightError(
+            "task_weights and machine_weights underflow the weighted ECS "
+            "matrix to an all-zero row or column; rescale the weights"
+        )
+    return weighted
 
 
 def check_probability(value, *, name: str) -> float:

@@ -30,7 +30,8 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
   as ``(owners, values)`` chunks: ``values[k]`` is a residual of slice
   ``owners[k]``, and ``owners`` is ``None`` when the chunk holds one
   residual per slice in slice order (:func:`residual_histories` turns a
-  trace into per-slice tuples);
+  trace into per-slice tuples when a result's ``residual_history`` is
+  first read, so a chunk's arrays must not be written again);
 * returns ``(iterations_run, timed_out)``.
 
 Precision
@@ -343,20 +344,18 @@ class KernelBackendBase:
     """Shared default implementations for concrete backends.
 
     Subclasses must provide ``name``, ``tolerance`` and
-    ``sinkhorn_core_batched``; the SVD defaults delegate to the same
-    LAPACK routines the library has always used (``svdvals`` for one
-    matrix, stacked ``numpy.linalg.svd`` for ensembles), and the fused
-    pass composes the public batched kernels so every backend inherits
-    identical measure semantics.
+    ``sinkhorn_core_batched``; the SVD defaults are one LAPACK routine,
+    ``numpy.linalg.svd(..., compute_uv=False)`` (``gesdd``, values
+    only), on one matrix or a stack, and the fused pass composes the
+    public batched kernels so every backend inherits identical measure
+    semantics.
     """
 
     name = "abstract"
     tolerance = 0.0
 
     def svd_values(self, matrix) -> np.ndarray:
-        import scipy.linalg
-
-        return scipy.linalg.svdvals(matrix)
+        return np.linalg.svd(matrix, compute_uv=False)
 
     def svd_values_batched(self, stack) -> np.ndarray:
         return np.linalg.svd(stack, compute_uv=False)

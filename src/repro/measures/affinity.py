@@ -31,18 +31,50 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.linalg
 
 from .._validation import check_choice
+from ..backends import resolve_backend
 from ..normalize.standard_form import (
     DEFAULT_TOL,
-    column_normalize,
+    _coerce_ecs,
+    _column_normalize,
     standardize,
 )
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
 
 __all__ = ["tma", "task_machine_affinity", "standard_singular_values"]
+
+
+def _singular_values(matrix: np.ndarray, backend) -> np.ndarray:
+    """``backend.svd_values(matrix)``, descending, timed as the
+    ``svd.scalar`` span and metric."""
+    t0 = time.perf_counter()
+    with _obs_span("svd.scalar", rows=matrix.shape[0], cols=matrix.shape[1]):
+        values = backend.svd_values(matrix)
+    _metrics.observe_svd("scalar", time.perf_counter() - t0)
+    return values
+
+
+def _clamp(raw: float) -> float:
+    """Clamp tiny numerical excursions (|error| ~ tol) into [0, 1]."""
+    return float(min(max(raw, 0.0), 1.0))
+
+
+def _standard_tma(values: np.ndarray) -> float:
+    """eq. 8 on the singular values of a standard-form matrix."""
+    if values.shape[0] < 2:
+        return 0.0
+    # sigma_1 == 1 by Theorem 2 (up to tol); eq. 8 drops the 1/sigma_1.
+    return _clamp(float(values[1:].sum() / (values.shape[0] - 1)))
+
+
+def _column_tma(ecs: np.ndarray, backend) -> float:
+    """eq. 5 on a validated (weighted) ECS array."""
+    values = _singular_values(_column_normalize(ecs), backend)
+    if values.shape[0] < 2:
+        return 0.0
+    return _clamp(float(values[1:].sum() / ((values.shape[0] - 1) * values[0])))
 
 
 def standard_singular_values(
@@ -58,8 +90,9 @@ def standard_singular_values(
 
     By Theorem 2 the first value is 1 up to the normalization
     tolerance; the remainder are the raw material of TMA (eq. 8).
-    ``scipy.linalg.svdvals`` is used — values only, no singular vectors,
-    the economical call the guides recommend for this access pattern.
+    The default backend's ``svd_values`` computes them — one
+    ``numpy.linalg.svd(..., compute_uv=False)`` call, values only, no
+    singular vectors, the same LAPACK routine the batched path stacks.
     ``zeros`` selects the Section-VI handling (see
     :func:`repro.normalize.standardize`); weighting factors follow the
     canonical override rule shared by every measure.
@@ -72,12 +105,7 @@ def standard_singular_values(
         max_iterations=max_iterations,
         zeros=zeros,
     )
-    shape = standard.matrix.shape
-    t0 = time.perf_counter()
-    with _obs_span("svd.scalar", rows=shape[0], cols=shape[1]):
-        values = scipy.linalg.svdvals(standard.matrix)
-    _metrics.observe_svd("scalar", time.perf_counter() - t0)
-    return values
+    return _singular_values(standard.matrix, resolve_backend())
 
 
 def tma(
@@ -133,36 +161,18 @@ def tma(
     1.0
     """
     check_choice(method, name="method", choices=("standard", "column"))
-    if method == "standard":
-        values = standard_singular_values(
-            matrix,
-            task_weights=task_weights,
-            machine_weights=machine_weights,
-            tol=tol,
-            max_iterations=max_iterations,
-            zeros=zeros,
-        )
-        if values.shape[0] < 2:
-            return 0.0
-        # sigma_1 == 1 by Theorem 2 (up to tol); eq. 8 drops the 1/sigma_1.
-        raw = float(values[1:].sum() / (values.shape[0] - 1))
-    else:
-        normalized = column_normalize(
-            matrix,
-            task_weights=task_weights,
-            machine_weights=machine_weights,
-        )
-        t0 = time.perf_counter()
-        with _obs_span(
-            "svd.scalar", rows=normalized.shape[0], cols=normalized.shape[1]
-        ):
-            values = scipy.linalg.svdvals(normalized)
-        _metrics.observe_svd("scalar", time.perf_counter() - t0)
-        if values.shape[0] < 2:
-            return 0.0
-        raw = float(values[1:].sum() / ((values.shape[0] - 1) * values[0]))
-    # Clamp tiny numerical excursions (|error| ~ tol) into the range.
-    return float(min(max(raw, 0.0), 1.0))
+    if method == "column":
+        ecs = _coerce_ecs(matrix, task_weights, machine_weights)
+        return _column_tma(ecs, resolve_backend())
+    values = standard_singular_values(
+        matrix,
+        task_weights=task_weights,
+        machine_weights=machine_weights,
+        tol=tol,
+        max_iterations=max_iterations,
+        zeros=zeros,
+    )
+    return _standard_tma(values)
 
 
 #: Long-form alias for :func:`tma`.

@@ -9,24 +9,23 @@ the SPEC matrices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import check_choice
+from .._validation import check_choice, weight_ecs
+from ..backends import resolve_backend
+from ..backends.base import check_precision
 from ..exceptions import ConvergenceError, NotNormalizableError
-from ..normalize.standard_form import DEFAULT_TOL, standardize
+from ..normalize.standard_form import DEFAULT_TOL, _standardize
+# Not called here since characterize runs the private body, but still
+# looked up in this module by name (benchmarks/suite/spans.py HOOKS).
+from ..normalize.standard_form import standardize  # noqa: F401
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
 from ._coerce import coerce_ecs_and_weights
-from .affinity import tma
-from .alternatives import (
-    average_adjacent_ratio,
-    coefficient_of_variation,
-    geometric_mean_ratio,
-    min_max_ratio,
-)
+from .affinity import _column_tma, _singular_values, _standard_tma
+from .alternatives import _line_statistics
 
 __all__ = ["HeterogeneityProfile", "characterize", "characterize_many"]
 
@@ -93,20 +92,6 @@ class HeterogeneityProfile:
         return "\n".join(lines)
 
 
-def _tma_from_standard(standard, backend=None) -> float:
-    """eq. 8 on an already-computed standard form (no second Sinkhorn)."""
-    from ..backends import resolve_backend
-
-    shape = standard.matrix.shape
-    t0 = time.perf_counter()
-    with _obs_span("svd.scalar", rows=shape[0], cols=shape[1]):
-        values = resolve_backend(backend).svd_values(standard.matrix)
-    _metrics.observe_svd("scalar", time.perf_counter() - t0)
-    if values.shape[0] < 2:
-        return 0.0
-    return float(min(max(values[1:].sum() / (values.shape[0] - 1), 0.0), 1.0))
-
-
 def characterize(
     matrix,
     *,
@@ -154,10 +139,14 @@ def characterize(
     check_choice(
         tma_fallback, name="tma_fallback", choices=("limit", "column", "raise")
     )
+    # The one validation of this call: the private bodies below trust it.
     ecs, w_t, w_m = coerce_ecs_and_weights(matrix, task_weights, machine_weights)
-    weighted = w_t[:, None] * w_m[None, :] * ecs
+    weighted = weight_ecs(ecs, w_t, w_m)
+    be = resolve_backend(backend)
+    precision = check_precision(precision)
     mp = weighted.sum(axis=0)
     td = weighted.sum(axis=1)
+    options = dict(tol=tol, backend=be, precision=precision)
 
     iterations: int | None = None
     residual: float | None = None
@@ -166,57 +155,44 @@ def characterize(
         "measures.characterize", rows=ecs.shape[0], cols=ecs.shape[1]
     ) as sp:
         try:
-            standard = standardize(
-                weighted,
-                tol=tol,
-                zeros="strict",
-                backend=backend,
-                precision=precision,
-            )
-            iterations = standard.iterations
-            residual = standard.residual
-            tma_value = _tma_from_standard(standard, backend)
+            standard = _standardize(weighted, zeros="strict", **options)
         except (NotNormalizableError, ConvergenceError):
             if tma_fallback == "raise":
                 raise
+            standard = None
             if tma_fallback == "limit":
                 try:
-                    standard = standardize(
-                        weighted,
-                        tol=tol,
-                        zeros="limit",
-                        backend=backend,
-                        precision=precision,
-                    )
+                    standard = _standardize(weighted, zeros="limit", **options)
+                    method = "limit"
                 except NotNormalizableError:
                     # Even the eq. 9 limit may not exist (the margins can
                     # be infeasible outright, e.g. one machine compatible
                     # with a single task type); eq. 5 always is.
-                    method = "column"
-                    tma_value = tma(weighted, method="column")
-                else:
-                    method = "limit"
-                    iterations = standard.iterations
-                    residual = standard.residual
-                    tma_value = _tma_from_standard(standard, backend)
-            else:
-                method = "column"
-                tma_value = tma(weighted, method="column")
+                    pass
+        if standard is None:
+            method = "column"
+            tma_value = _column_tma(weighted, be)
+        else:
+            iterations = standard.iterations
+            residual = standard.residual
+            tma_value = _standard_tma(_singular_values(standard.matrix, be))
         sp.note(tma_method=method, iterations=iterations)
     _metrics.count_characterize(method)
 
+    mph, machine_r, machine_g, machine_cov = _line_statistics(mp)
+    tdh, task_r, task_g, task_cov = _line_statistics(td)
     return HeterogeneityProfile(
-        mph=average_adjacent_ratio(mp),
-        tdh=average_adjacent_ratio(td),
+        mph=mph,
+        tdh=tdh,
         tma=tma_value,
         machine_performance=mp,
         task_difficulty=td,
-        machine_r=min_max_ratio(mp),
-        machine_g=geometric_mean_ratio(mp),
-        machine_cov=coefficient_of_variation(mp),
-        task_r=min_max_ratio(td),
-        task_g=geometric_mean_ratio(td),
-        task_cov=coefficient_of_variation(td),
+        machine_r=machine_r,
+        machine_g=machine_g,
+        machine_cov=machine_cov,
+        task_r=task_r,
+        task_g=task_g,
+        task_cov=task_cov,
         sinkhorn_iterations=iterations,
         sinkhorn_residual=residual,
         tma_method=method,

@@ -16,10 +16,17 @@ One matrix runs as a stack of one: :func:`sinkhorn_knopp`,
 validate their own input, then share one body (warm start, entry
 checks, span, the backend driver, metrics, errors and the result), so
 a matrix gets the same iterates alone or inside a stack.
+:func:`repro.normalize.standardize` and :func:`repro.characterize`
+validate at their own entry and call the scalar body
+(:func:`_sinkhorn`) directly.
+
+A result's ``residual_history`` is built from the core's trace on
+first read, so runs whose history nobody reads never build it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -105,6 +112,36 @@ def _check_deadline(deadline_s: float | None) -> float | None:
             f"{deadline_s!r}"
         )
     return time.monotonic() + float(deadline_s)
+
+
+class _Deferred(functools.partial):
+    """A ``residual_history`` not built yet: calling it builds it once,
+    so slices sharing a batch's histories build them together."""
+
+    def __call__(self):
+        if "value" not in self.__dict__:
+            self.value = super().__call__()
+        return self.value
+
+
+class _LazyHistory:
+    """The ``residual_history`` field of the result classes.
+
+    The field holds either the tuple itself (explicit construction) or
+    a :class:`_Deferred` over the core's trace chunks, which the first
+    read replaces by the tuple it builds.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__["residual_history"]
+        if isinstance(value, _Deferred):
+            value = obj.__dict__["residual_history"] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__["residual_history"] = value
 
 
 @dataclass(frozen=True)
@@ -206,17 +243,41 @@ class BatchNormalizationResult:
     def slice(self, index: int) -> NormalizationResult:
         """The scalar-compatible :class:`NormalizationResult` of slice
         ``index`` (a bridge for code written against the scalar API)."""
-        return NormalizationResult(
-            matrix=self.matrix[index].copy(),
-            row_scale=self.row_scale[index].copy(),
-            col_scale=self.col_scale[index].copy(),
-            converged=bool(self.converged[index]),
-            iterations=int(self.iterations[index]),
-            residual=float(self.residual[index]),
-            residual_history=self.residual_history[index],
-            row_target=self.row_target,
-            col_target=self.col_target,
-        )
+        return _slice(self, index, copy=True)
+
+
+def _pick(histories, index: int):
+    return histories()[index]
+
+
+def _slice(
+    result: BatchNormalizationResult, index: int, *, copy: bool
+) -> NormalizationResult:
+    """Slice ``index`` of ``result``; ``copy=False`` returns views, for
+    a stack the call created and nobody else sees."""
+    arrays = (result.matrix[index], result.row_scale[index], result.col_scale[index])
+    if copy:
+        arrays = tuple(a.copy() for a in arrays)
+    history = result.__dict__["residual_history"]
+    return NormalizationResult(
+        *arrays,
+        converged=bool(result.converged[index]),
+        iterations=int(result.iterations[index]),
+        residual=float(result.residual[index]),
+        residual_history=(
+            _Deferred(_pick, history, index)
+            if isinstance(history, _Deferred)
+            else history[index]
+        ),
+        row_target=result.row_target,
+        col_target=result.col_target,
+    )
+
+
+# Installed after the dataclasses are built, so their generated
+# ``__init__`` stores the field through the descriptor.
+NormalizationResult.residual_history = _LazyHistory()
+BatchNormalizationResult.residual_history = _LazyHistory()
 
 
 #: What a single-matrix ConvergenceError says failed, per kernel.
@@ -225,6 +286,14 @@ _SUBJECTS = {"scalar": "row/column normalization", "margins": "margin scaling"}
 
 def _first_slices(indices: np.ndarray) -> str:
     return f"{indices[:5].tolist()}{'...' if indices.size > 5 else ''}"
+
+
+def _in_slices(bad: np.ndarray, kind: str) -> str:
+    """`` in slice(s) [...]`` naming the ``bad`` slices of a batched run
+    (empty for a single matrix)."""
+    if kind != "batched":
+        return ""
+    return f" in slice(s) {_first_slices(np.flatnonzero(bad))}"
 
 
 def _scale_stack(
@@ -278,15 +347,24 @@ def _scale_stack(
     residual = residuals(work, row_targets, col_targets)
     finite = np.isfinite(residual)
     if not finite.all():
-        where = (
-            f" in slice(s) {_first_slices(np.flatnonzero(~finite))}"
-            if kind == "batched"
-            else ""
-        )
         raise MatrixValueError(
-            f"row or column sums overflow to inf{where}; rescale the "
-            "matrix (e.g. divide it by its largest entry) so every row "
-            "and column sum is finite"
+            f"row or column sums overflow to inf{_in_slices(~finite, kind)}; "
+            "rescale the matrix (e.g. divide it by its largest entry) so "
+            "every row and column sum is finite"
+        )
+    # The other way out of range: a line sum so small that the first
+    # pass's factor target / sum is inf, and every iterate after it NaN.
+    add = np.add.reduce
+    with np.errstate(over="ignore"):
+        scalable = np.isfinite(row_targets / add(work, axis=2)).all(
+            axis=1
+        ) & np.isfinite(col_targets / add(work, axis=1)).all(axis=1)
+    if not scalable.all():
+        raise MatrixValueError(
+            "row or column sums are too small to scale (target / sum "
+            f"overflows to inf){_in_slices(~scalable, kind)}; rescale the "
+            "matrix (e.g. divide it by its largest entry) so every row and "
+            "column sum is a normal float"
         )
     active = ~(residual <= tol)
     iterations = np.zeros(n_slices, dtype=np.int64)
@@ -322,25 +400,24 @@ def _scale_stack(
             precision=precision,
             on_progress=on_progress,
         )
-        history = residual_histories(trace, n_slices)
         converged = ~active
         # count_nonzero is the cheap any() on a bool mask.
         pending = np.count_nonzero(active)
-        if kind == "batched":
+        if sp.enabled and kind == "batched":
             sp.note(
                 iterations=run,
                 converged_slices=int(converged.sum()),
                 max_residual=float(residual.max()),
                 timed_out=timed_out,
             )
-        else:
+        elif sp.enabled:
             sp.note(
                 iterations=run,
                 converged=bool(converged[0]),
                 residual=float(residual[0]),
                 timed_out=timed_out,
             )
-            sp.sample("residual", history[0])
+            sp.sample("residual", residual_histories(trace, 1)[0])
     _metrics.observe_sinkhorn_batch(
         kind, iterations=iterations, residual=residual, converged=converged
     )
@@ -374,9 +451,32 @@ def _scale_stack(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        residual_history=history,
+        residual_history=_Deferred(residual_histories, trace, n_slices),
         row_target=row_target,
         col_target=col_target,
+    )
+
+
+def _sinkhorn(
+    work: np.ndarray, row_target: float, col_target: float, **options
+) -> NormalizationResult:
+    """The body of :func:`sinkhorn_knopp`: ``work`` is a caller-owned,
+    validated ``(T, M)`` matrix scaled in place, the targets are
+    consistent, and ``options`` are :func:`_scale_stack`'s keywords
+    with a resolved backend and a checked precision."""
+    n_rows, n_cols = work.shape
+    return _slice(
+        _scale_stack(
+            work[None],
+            np.full(n_rows, row_target),
+            np.full(n_cols, col_target),
+            kind="scalar",
+            row_target=row_target,
+            col_target=col_target,
+            **options,
+        ),
+        0,
+        copy=False,
     )
 
 
@@ -396,7 +496,8 @@ def _check_targets(row_target, col_target, n_rows: int, n_cols: int):
     if col_target is None:
         return row_target, implied
     col_target = check_positive_scalar(col_target, name="col_target")
-    if not np.isclose(col_target, implied, rtol=1e-12, atol=0.0):
+    # np.isclose(rtol=1e-12, atol=0) in plain float arithmetic.
+    if abs(col_target - implied) > 1e-12 * abs(implied):
         raise MatrixValueError(
             "inconsistent targets: need T*row_target == M*col_target "
             f"({n_rows}*{row_target} != {n_cols}*{col_target})"
@@ -490,11 +591,10 @@ def sinkhorn_knopp(
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
-    return _scale_stack(
-        work[None],
-        np.full(n_rows, row_target),
-        np.full(n_cols, col_target),
-        kind="scalar",
+    return _sinkhorn(
+        work,
+        row_target,
+        col_target,
         backend=be,
         precision=precision,
         warm_start=warm_start,
@@ -502,9 +602,7 @@ def sinkhorn_knopp(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        row_target=row_target,
-        col_target=col_target,
-    ).slice(0)
+    )
 
 
 def scale_to_margins(
@@ -563,7 +661,7 @@ def scale_to_margins(
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
-    return _scale_stack(
+    result = _scale_stack(
         work[None],
         r,
         c,
@@ -577,7 +675,8 @@ def scale_to_margins(
         deadline_s=deadline_s,
         row_target=float("nan"),
         col_target=float("nan"),
-    ).slice(0)
+    )
+    return _slice(result, 0, copy=False)
 
 
 def scale_by_diagonals(

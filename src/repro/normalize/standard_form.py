@@ -20,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import as_ecs_array, check_choice, check_weights
+from .._validation import as_ecs_array, check_choice, check_weights, weight_ecs
+from ..backends import resolve_backend
+from ..backends.base import check_precision
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import NotNormalizableError
-from .sinkhorn import NormalizationResult, sinkhorn_knopp
+from .sinkhorn import NormalizationResult, _sinkhorn
+# Not called here since standardize runs the private body, but still
+# looked up in this module by name (benchmarks/suite/spans.py HOOKS).
+from .sinkhorn import sinkhorn_knopp  # noqa: F401
 
 __all__ = [
     "StandardFormResult",
@@ -128,7 +133,7 @@ def _coerce_ecs(
         return ecs
     w_t = check_weights(task_weights, ecs.shape[0], name="task_weights")
     w_m = check_weights(machine_weights, ecs.shape[1], name="machine_weights")
-    return w_t[:, None] * w_m[None, :] * ecs
+    return weight_ecs(ecs, w_t, w_m)
 
 
 def standardize(
@@ -204,6 +209,33 @@ def standardize(
     """
     ecs = _coerce_ecs(matrix, task_weights, machine_weights)
     check_choice(zeros, name="zeros", choices=("strict", "limit"))
+    return _standardize(
+        ecs,
+        zeros=zeros,
+        backend=resolve_backend(backend),
+        precision=check_precision(precision),
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
+        warm_start=warm_start,
+    )
+
+
+def _standardize(
+    ecs: np.ndarray,
+    *,
+    zeros: str,
+    backend,
+    precision: str,
+    tol: float,
+    max_iterations: int = 100_000,
+    require_convergence: bool = True,
+    deadline_s: float | None = None,
+    warm_start=None,
+) -> StandardFormResult:
+    """The body of :func:`standardize` on a validated (weighted) ECS
+    array, a resolved backend and a checked precision."""
     zeroed: tuple[tuple[int, int], ...] = ()
     if (ecs == 0).any():
         from ..structure import normalizability_report
@@ -227,12 +259,11 @@ def standardize(
             rows, cols = zip(*report.blocking_edges)
             ecs[list(rows), list(cols)] = 0.0
             zeroed = report.blocking_edges
-    n_tasks, n_machines = ecs.shape
-    row_target, col_target = standard_targets(n_tasks, n_machines)
-    norm = sinkhorn_knopp(
-        ecs,
-        row_target=row_target,
-        col_target=col_target,
+    row_target, col_target = standard_targets(*ecs.shape)
+    norm = _sinkhorn(
+        ecs.copy(),
+        row_target,
+        col_target,
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=require_convergence,
@@ -258,7 +289,11 @@ def column_normalize(
     factors follow the canonical override rule (wrapper-stored weights
     unless explicitly given).
     """
-    ecs = _coerce_ecs(matrix, task_weights, machine_weights)
+    return _column_normalize(_coerce_ecs(matrix, task_weights, machine_weights))
+
+
+def _column_normalize(ecs: np.ndarray) -> np.ndarray:
+    """The body of :func:`column_normalize` on a validated ECS array."""
     return ecs / ecs.sum(axis=0, keepdims=True)
 
 

@@ -4,11 +4,10 @@ Property-based equivalence of ``repro.batch`` against per-slice calls
 of the scalar pipeline over random positive and zero-patterned
 ``(N, T, M)`` stacks.  The batched path is an execution strategy, not a
 reformulation: a scalar run is a stack of one through the same core,
+and the scalar SVD is the stacked one's LAPACK routine on one matrix,
 so on a backend with ``tolerance == 0`` (the numpy reference) the
-Sinkhorn results are held bit-identical, and on any other backend
-within ``ATOL``.  The measure columns keep ``ATOL``: the
-stacked SVD behind batched TMA is a different LAPACK call than the
-single-matrix one.
+Sinkhorn results and the measure columns are held bit-identical, and
+on any other backend within ``ATOL``.
 """
 
 from __future__ import annotations
@@ -37,6 +36,9 @@ ATOL = 1e-10
 
 #: Sinkhorn agreement bound: exact on the reference backend.
 SINKHORN_ATOL = ATOL if resolve_backend().tolerance > 0 else 0.0
+
+#: Measure agreement bound: exact on the reference backend too.
+MEASURE_ATOL = SINKHORN_ATOL
 
 #: Iteration cap for adversarial zero patterns: enough for every
 #: normalizable pattern this size, quick to fail for decomposable ones.
@@ -155,21 +157,21 @@ class TestMeasureDifferential:
     def test_mph_matches_scalar(self, stack):
         batched = mph_batched(stack)
         expected = [mph(stack[i]) for i in range(stack.shape[0])]
-        np.testing.assert_allclose(batched, expected, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(batched, expected, rtol=0, atol=MEASURE_ATOL)
 
     @settings(max_examples=40, deadline=None)
     @given(stack=ecs_stacks())
     def test_tdh_matches_scalar(self, stack):
         batched = tdh_batched(stack)
         expected = [tdh(stack[i]) for i in range(stack.shape[0])]
-        np.testing.assert_allclose(batched, expected, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(batched, expected, rtol=0, atol=MEASURE_ATOL)
 
     @settings(max_examples=30, deadline=None)
     @given(stack=ecs_stacks())
     def test_tma_matches_scalar(self, stack):
         batched = tma_batched(stack)
         expected = [tma(stack[i]) for i in range(stack.shape[0])]
-        np.testing.assert_allclose(batched, expected, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(batched, expected, rtol=0, atol=MEASURE_ATOL)
 
     @settings(max_examples=30, deadline=None)
     @given(stack=ecs_stacks(positive_only=False, min_side=2))
@@ -180,11 +182,11 @@ class TestMeasureDifferential:
             mph_batched(stack),
             [mph(stack[i]) for i in range(stack.shape[0])],
             rtol=0,
-            atol=ATOL,
+            atol=MEASURE_ATOL,
         )
         np.testing.assert_allclose(
             tdh_batched(stack),
             [tdh(stack[i]) for i in range(stack.shape[0])],
             rtol=0,
-            atol=ATOL,
+            atol=MEASURE_ATOL,
         )

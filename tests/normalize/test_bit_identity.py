@@ -1,11 +1,22 @@
-"""Bit-identity pins for every Sinkhorn entry point.
+"""Bit-identity pins for every Sinkhorn entry point and for
+:func:`repro.characterize`.
 
-Each case hashes the outputs a run reports — ``matrix``, ``row_scale``,
-``col_scale``, ``iterations`` and ``residual_history`` — with SHA-256.
-The digests were recorded while the scalar and batched paths still ran
-through separate cores, so they hold the single batched core to the
-exact float64 results of both.  A digest changes only when the numpy
-reference changes numerically: update :data:`DIGESTS` deliberately,
+Each Sinkhorn case hashes the outputs a run reports — ``matrix``,
+``row_scale``, ``col_scale``, ``iterations`` and ``residual_history`` —
+with SHA-256.  The digests were recorded while the scalar and batched
+paths still ran through separate cores, so they hold the single batched
+core to the exact float64 results of both.
+
+Each characterize case hashes every float of the
+:class:`~repro.measures.HeterogeneityProfile`, its iteration count,
+residual, TMA method and the MP/TD vectors.  Those digests were
+recorded while ``characterize`` still re-validated its matrix in every
+kernel it called and took singular values from ``scipy.linalg.svdvals``,
+so they hold the validate-once path and the one SVD routine to the
+same results.
+
+A digest changes only when the numpy reference changes numerically:
+update :data:`DIGESTS` or :data:`CHARACTERIZE_DIGESTS` deliberately,
 never to make a refactor pass.
 """
 
@@ -16,10 +27,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import characterize
 from repro.batch import standardize_batched
+from repro.core import ECSMatrix, ETCMatrix
 from repro.normalize import scale_to_margins, sinkhorn_knopp
 from repro.normalize.standard_form import standard_targets
-from repro.spec import load_dataset
+from repro.spec import figure8a, figure8b, load_dataset
 
 #: The seeded corpus shapes (square, tall, and a wider 32-task case).
 SHAPES = ((8, 8), (12, 5), (32, 16))
@@ -177,3 +190,123 @@ def test_outputs_match_recorded_digest(case):
 
 def test_every_case_is_pinned():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+#: Paper Fig. 4 matrix A: no standard form, but an eq. 9 limit.
+FIG4_A = np.array([[10.0, 0.0], [9.0, 1.0]])
+
+#: Margins infeasible outright (the last machine runs one task type
+#: only), so even the eq. 9 limit is missing and TMA falls back to eq. 5.
+NO_LIMIT = np.array(
+    [[1.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+)
+
+#: The seeded characterize corpus adds the largest library shape.
+PROFILE_SHAPES = (*SHAPES, (64, 32))
+
+
+def _weights(n, seed):
+    return np.random.default_rng(seed + 300).uniform(0.5, 2.0, size=n)
+
+
+def _characterize_cases():
+    cases = {}
+    for name in ("cint2006rate", "cfp2006rate"):
+        cases[f"spec[{name}]"] = lambda n=name: characterize(load_dataset(n))
+    cases["figure8a"] = lambda: characterize(figure8a())
+    cases["figure8b"] = lambda: characterize(figure8b())
+    for shape in PROFILE_SHAPES:
+        for seed in SEEDS:
+            cases[f"random[{shape[0]}x{shape[1]}/{seed}]"] = (
+                lambda s=shape, k=seed: characterize(_matrix(s, k))
+            )
+    cases["weighted[12x5]"] = lambda: characterize(
+        _matrix((12, 5), 0),
+        task_weights=_weights(12, 0),
+        machine_weights=_weights(5, 1),
+    )
+    cases["ecs_matrix_weights[8x8]"] = lambda: characterize(
+        ECSMatrix(
+            _matrix((8, 8), 1),
+            task_weights=_weights(8, 2),
+            machine_weights=_weights(8, 3),
+        )
+    )
+    cases["ecs_matrix_override[8x8]"] = lambda: characterize(
+        ECSMatrix(_matrix((8, 8), 2), task_weights=_weights(8, 4)),
+        task_weights=_weights(8, 5),
+    )
+    cases["etc_matrix[12x5]"] = lambda: characterize(ETCMatrix(_matrix((12, 5), 2)))
+    cases["limit[fig4_A]"] = lambda: characterize(FIG4_A)
+    cases["limit[eq10]"] = lambda: characterize(EQ10)
+    cases["column[fig4_A]"] = lambda: characterize(FIG4_A, tma_fallback="column")
+    cases["column[eq10]"] = lambda: characterize(EQ10, tma_fallback="column")
+    cases["limit_to_column[no_limit]"] = lambda: characterize(NO_LIMIT)
+    return cases
+
+
+CHARACTERIZE_CASES = _characterize_cases()
+
+#: Every scalar a HeterogeneityProfile reports.
+PROFILE_SCALARS = (
+    "mph", "tdh", "tma", "machine_r", "machine_g", "machine_cov",
+    "task_r", "task_g", "task_cov", "sinkhorn_iterations",
+    "sinkhorn_residual", "tma_method", "n_tasks", "n_machines",
+)
+
+
+def _exact(value) -> str:
+    """A float's exact bits whatever its Python/numpy type."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return repr(value)
+
+
+def profile_digest(profile) -> str:
+    """SHA-256 over every scalar of a profile and its MP/TD vectors."""
+    h = hashlib.sha256()
+    for name in ("machine_performance", "task_difficulty"):
+        h.update(np.ascontiguousarray(getattr(profile, name), np.float64).tobytes())
+    h.update(
+        ",".join(_exact(getattr(profile, n)) for n in PROFILE_SCALARS).encode()
+    )
+    return h.hexdigest()
+
+
+CHARACTERIZE_DIGESTS = {
+    "column[eq10]": "ad44545e8828a4a4368ce8a862fca9df6bbfbaec5dfa041960c91ecd408afd56",
+    "column[fig4_A]": "cc80e268ae42d0d1777952bb782c41515fbd386ade6ad92938e02289b2f612ce",
+    "ecs_matrix_override[8x8]": "341074bfe693df741cbc0fe93c72d1780b20b5c23a341c9a1d55527a3942051e",
+    "ecs_matrix_weights[8x8]": "6bf5c1768aee4289691375bada8c2866e59467e42582d079a625fd40d3c1b4e5",
+    "etc_matrix[12x5]": "9561e8f1cda56b558eaf27a0f7bacda2fb1812ac222142f0f5e518a99ca1b2ac",
+    "figure8a": "4457f2e654d1976b84eee825bb12771d298bc1e07dc908d087de0b4d7ae063df",
+    "figure8b": "79a730a340a22274a7e1e7d687b0894616d1498406055582c0920656033d0d9d",
+    "limit[eq10]": "1e61e13d184549d2be141f0a684c784d8ded676c78be1636e62584a6bbe34582",
+    "limit[fig4_A]": "8f923fa39f3be167e24cb21f7fd282b7f46e6f71cf61f632e843a132e6b2564b",
+    "limit_to_column[no_limit]": "251c96c35cc29c9fb83ca394d670c49c8e37db28553418c20d451e9d8f3c15b4",
+    "random[12x5/0]": "3310db67bd61064318944e90baf73e23407167808e2644b80f73d0242aeff5cf",
+    "random[12x5/1]": "2f630a7e859a0def241923615e1bb30eaa7b68f170f0ba39bdbb7141fd0bbcf0",
+    "random[12x5/2]": "7e090ca946fcb6e385ce236450edeb9274e65c84a3fae0ac6aa08cb4b1bee6d4",
+    "random[32x16/0]": "ced0d13121c7efa8f9e9ee24d8520a7a44210178ad50a3df42c405c20c444781",
+    "random[32x16/1]": "14f47c8189ff71ef41892218780fbe9782533b4801f49c73ce559fba692b367a",
+    "random[32x16/2]": "b82d1b92e688fe3ac9c3cc2554b49f7f5f725a1511a637c9c35347eededc3770",
+    "random[64x32/0]": "5eab3d9427b934a6a9606675b710ea3dc09045883a8813b3bb4e5174bbbef6fb",
+    "random[64x32/1]": "b612d06dafbda7d08f192eaf1c2da96a3cdf57efbe1f1510ba6a8063911b39b4",
+    "random[64x32/2]": "90c6d7db0a0c57d32d6645493e121df69d37c5f53d571d4e71362421734d41df",
+    "random[8x8/0]": "e4ff3837785441a7e61bd2099696d3d4822b86644867358665331379a29e04a1",
+    "random[8x8/1]": "bd5b2c42132a8eb7381b21c365b6e77b3e5d93d6f0d69076f421ef0a96c29d9c",
+    "random[8x8/2]": "910d2d2c7d7dfc508770fd14d0ba930d7220e170e2b51e8065d942cd1c672bb1",
+    "spec[cfp2006rate]": "e8f567430b9100af8c29097c2ab4b9a18ebc17e2b0a3febf00a1f340ef044dd0",
+    "spec[cint2006rate]": "746e2f246d73de3ff1ccb0d25fa920e868c42163063fbeb1fdc49362429287a6",
+    "weighted[12x5]": "dbc998e1e5fd81a67bed8207c12b17a9f3b9c7b4f40de7e45c97a469aabd13ce",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARACTERIZE_CASES))
+def test_characterize_matches_recorded_digest(case):
+    digest_ = profile_digest(CHARACTERIZE_CASES[case]())
+    assert digest_ == CHARACTERIZE_DIGESTS[case]
+
+
+def test_every_characterize_case_is_pinned():
+    assert sorted(CHARACTERIZE_DIGESTS) == sorted(CHARACTERIZE_CASES)

@@ -3,6 +3,10 @@
 * Finite entries whose row or column sums overflow are rejected before
   the first iteration with a structured error that says to rescale —
   never a loop of NaN iterates ending in a misleading ConvergenceError.
+* So are positive entries whose line sums are so small that the first
+  scaling factor ``target / sum`` overflows: scalar multiples of a
+  matrix that converges in one iteration, which used to run 100,000
+  NaN iterations before failing.
 * Section VI's non-normalizable patterns (eq. 10, Fig. 4's A) run to
   ``max_iterations`` warning-free: the matrix iterates and the
   diverging diagonal scales stay finite at that budget.
@@ -55,6 +59,48 @@ class TestOverflowingSums:
 
     def test_large_but_summable_entries_still_scale(self):
         result = sinkhorn_knopp(np.full((2, 2), 1e307))
+        assert result.converged
+        np.testing.assert_allclose(result.matrix, 0.5)
+
+
+#: Positive entries whose line sums are subnormal: 1 / sum overflows.
+TINY = np.full((2, 2), 1e-320)
+
+TOO_SMALL = "too small to scale.*rescale"
+
+
+class TestTinySums:
+    """Rejected at entry, silently (no RuntimeWarning from the check)."""
+
+    def setup_method(self):
+        self._warnings = warnings.catch_warnings()
+        self._warnings.__enter__()
+        warnings.simplefilter("error")
+
+    def teardown_method(self):
+        self._warnings.__exit__(None, None, None)
+
+    def test_scalar_rejected_at_entry(self):
+        with pytest.raises(MatrixValueError, match=TOO_SMALL):
+            sinkhorn_knopp(TINY)
+
+    def test_margins_rejected_at_entry(self):
+        with pytest.raises(MatrixValueError, match=TOO_SMALL):
+            scale_to_margins(TINY, [1.0, 1.0], [1.0, 1.0])
+
+    def test_batched_rejected_naming_the_slices(self):
+        stack = np.stack([np.ones((2, 2)), TINY, TINY])
+        with pytest.raises(
+            MatrixValueError, match=r"slice\(s\) \[1, 2\].*rescale"
+        ):
+            sinkhorn_knopp_batched(stack)
+
+    def test_characterize_rejected_at_entry(self):
+        with pytest.raises(MatrixValueError, match=TOO_SMALL):
+            repro.characterize(np.full((3, 3), 1e-310))
+
+    def test_small_but_scalable_entries_still_scale(self):
+        result = sinkhorn_knopp(np.full((2, 2), 1e-300))
         assert result.converged
         np.testing.assert_allclose(result.matrix, 0.5)
 
