@@ -17,6 +17,7 @@ skips a check its error contract promises.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -172,9 +173,13 @@ def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
 
     ``ecs`` is a validated ECS array and ``w_t``/``w_m`` validated
     weights, so the product can only break by leaving the float64
-    range: entries that overflow to ``inf``, or a line whose entries
-    all underflow to zero.  Either raises :class:`WeightError` naming
-    the weights (silently, without numpy's overflow warning).
+    range: entries that overflow to ``inf``, or a line sum that
+    underflows to zero or to a value the standard form cannot scale.
+    Either raises :class:`WeightError` naming the weights (silently,
+    without numpy's overflow warning).  A matrix whose own line sums
+    are already too small to scale is the matrix's fault, and unless
+    the weights zero out a line it is left to Sinkhorn's "rescale the
+    matrix" error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = w_t[:, None] * w_m[None, :] * ecs
@@ -184,15 +189,38 @@ def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
             "matrix (an entry w_t[i] * w_m[j] * ECS[i, j] exceeds the "
             "float64 range); rescale the weights"
         )
-    # Underflow is the only way a valid ECS loses a nonzero entry here.
-    if np.count_nonzero(weighted) != np.count_nonzero(ecs) and not (
-        (weighted > 0).any(axis=1).all() and (weighted > 0).any(axis=0).all()
+    if _too_small_to_scale(weighted) and (
+        not _too_small_to_scale(ecs)
+        # A valid ECS line has a positive entry, so a line the weights
+        # zero out is their doing even when the matrix is tiny too.
+        or not (weighted.any(axis=1).all() and weighted.any(axis=0).all())
     ):
         raise WeightError(
             "task_weights and machine_weights underflow the weighted ECS "
-            "matrix to an all-zero row or column; rescale the weights"
+            "matrix (a row or column sum is zero or too small to scale); "
+            "rescale the weights"
         )
     return weighted
+
+
+def _too_small_to_scale(ecs: np.ndarray) -> bool:
+    """Whether a line sum of ``ecs`` is zero or so small that the
+    standard form's first factor ``target / sum`` overflows.
+
+    The test ``sinkhorn._scale_stack`` applies, with the Theorem-2
+    targets of ``standard_form.standard_targets``.  Division is
+    monotone, so the smallest sum of each axis decides it.
+    """
+    n_rows, n_cols = ecs.shape
+    low_row = float(np.add.reduce(ecs, axis=1).min())
+    low_col = float(np.add.reduce(ecs, axis=0).min())
+    # Python float division overflows to inf without a warning.
+    return (
+        low_row == 0.0
+        or low_col == 0.0
+        or math.isinf(math.sqrt(n_cols / n_rows) / low_row)
+        or math.isinf(math.sqrt(n_rows / n_cols) / low_col)
+    )
 
 
 def check_probability(value, *, name: str) -> float:

@@ -30,8 +30,9 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
   as ``(owners, values)`` chunks: ``values[k]`` is a residual of slice
   ``owners[k]``, and ``owners`` is ``None`` when the chunk holds one
   residual per slice in slice order (:func:`residual_histories` turns a
-  trace into per-slice tuples when a result's ``residual_history`` is
-  first read, so a chunk's arrays must not be written again);
+  trace into per-slice tuples when a batched result's
+  ``residual_history`` is first read, so a chunk's arrays must not be
+  written again);
 * returns ``(iterations_run, timed_out)``.
 
 Precision

@@ -69,7 +69,12 @@ def min_max_ratio(values) -> float:
     0.0625
     """
     vec = as_positive_vector(values, name="values")
-    return float(vec.min() / vec.max())
+    return _min_max(vec.min(), vec.max())
+
+
+def _min_max(low, high) -> float:
+    """:func:`min_max_ratio` of values spanning ``[low, high]``."""
+    return float(low / high)
 
 
 def geometric_mean_ratio(values) -> float:
@@ -113,27 +118,31 @@ def coefficient_of_variation(values) -> float:
     >>> coefficient_of_variation([1.0, 1.0, 1.0, 1.0, 16.0])
     1.5
     """
-    vec = as_positive_vector(values, name="values")
-    return float(vec.std(ddof=0) / vec.mean())
+    return _cov(as_positive_vector(values, name="values"))
+
+
+def _cov(vec: np.ndarray) -> float:
+    """:func:`coefficient_of_variation` of a validated vector.
+
+    ``vec.std(ddof=0) / vec.mean()`` without the wrappers: the same
+    reductions in the same order, so the same bits.
+    """
+    n = vec.shape[0]
+    mean = np.add.reduce(vec) / n
+    deviation = vec - mean
+    return float(np.sqrt(np.add.reduce(deviation * deviation) / n) / mean)
 
 
 def _line_statistics(values) -> tuple[float, float, float, float]:
     """``(average_adjacent_ratio, min_max_ratio, geometric_mean_ratio,
-    coefficient_of_variation)`` of one vector, validated once.
-
-    Bit-identical to the four public functions: the extremes and the
-    adjacent ratios come from one sorted copy, and COV runs the
-    reductions ``vec.std(ddof=0) / vec.mean()`` runs, in the same order.
-    """
+    coefficient_of_variation)`` of one vector, validated once; the
+    extremes and the adjacent ratios come from one sorted copy."""
     vec = as_positive_vector(values, name="values")
     ordered = np.sort(vec)
     low, high, n = ordered[0], ordered[-1], ordered.shape[0]
-    mean = np.add.reduce(vec) / n
-    deviation = vec - mean
-    std = np.sqrt(np.add.reduce(deviation * deviation) / n)
     return (
         _adjacent_ratio(ordered),
-        float(low / high),
+        _min_max(low, high),
         _geometric_ratio(low, high, n),
-        float(std / mean),
+        _cov(vec),
     )

@@ -20,8 +20,9 @@ a matrix gets the same iterates alone or inside a stack.
 validate at their own entry and call the scalar body
 (:func:`_sinkhorn`) directly.
 
-A result's ``residual_history`` is built from the core's trace on
-first read, so runs whose history nobody reads never build it.
+A batched result's ``residual_history`` is built from the core's trace
+on first read, so ensemble runs whose histories nobody reads never
+build them; a single-matrix result builds its one history at once.
 """
 
 from __future__ import annotations
@@ -114,29 +115,19 @@ def _check_deadline(deadline_s: float | None) -> float | None:
     return time.monotonic() + float(deadline_s)
 
 
-class _Deferred(functools.partial):
-    """A ``residual_history`` not built yet: calling it builds it once,
-    so slices sharing a batch's histories build them together."""
-
-    def __call__(self):
-        if "value" not in self.__dict__:
-            self.value = super().__call__()
-        return self.value
-
-
 class _LazyHistory:
-    """The ``residual_history`` field of the result classes.
+    """The ``residual_history`` field of :class:`BatchNormalizationResult`.
 
     The field holds either the tuple itself (explicit construction) or
-    a :class:`_Deferred` over the core's trace chunks, which the first
-    read replaces by the tuple it builds.
+    a zero-argument callable over the core's trace chunks, which the
+    first read replaces by the tuple it builds.
     """
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = obj.__dict__["residual_history"]
-        if isinstance(value, _Deferred):
+        if callable(value):
             value = obj.__dict__["residual_history"] = value()
         return value
 
@@ -246,10 +237,6 @@ class BatchNormalizationResult:
         return _slice(self, index, copy=True)
 
 
-def _pick(histories, index: int):
-    return histories()[index]
-
-
 def _slice(
     result: BatchNormalizationResult, index: int, *, copy: bool
 ) -> NormalizationResult:
@@ -258,25 +245,19 @@ def _slice(
     arrays = (result.matrix[index], result.row_scale[index], result.col_scale[index])
     if copy:
         arrays = tuple(a.copy() for a in arrays)
-    history = result.__dict__["residual_history"]
     return NormalizationResult(
         *arrays,
         converged=bool(result.converged[index]),
         iterations=int(result.iterations[index]),
         residual=float(result.residual[index]),
-        residual_history=(
-            _Deferred(_pick, history, index)
-            if isinstance(history, _Deferred)
-            else history[index]
-        ),
+        residual_history=result.residual_history[index],
         row_target=result.row_target,
         col_target=result.col_target,
     )
 
 
-# Installed after the dataclasses are built, so their generated
-# ``__init__`` stores the field through the descriptor.
-NormalizationResult.residual_history = _LazyHistory()
+# Installed after the dataclass is built, so its generated ``__init__``
+# stores the field through the descriptor.
 BatchNormalizationResult.residual_history = _LazyHistory()
 
 
@@ -451,7 +432,7 @@ def _scale_stack(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        residual_history=_Deferred(residual_histories, trace, n_slices),
+        residual_history=functools.partial(residual_histories, trace, n_slices),
         row_target=row_target,
         col_target=col_target,
     )

@@ -130,21 +130,38 @@ def test_every_case_has_an_expectation():
     assert sorted(EXPECTED) == sorted(c for c in CASES if c[1] != "ragged")
 
 
-#: Valid weights whose product with a finite ECS matrix leaves float64:
-#: the error names the weights, not the (valid) matrix.
+#: Valid weights whose product with a valid ECS matrix leaves float64:
+#: the error names the weights, not the matrix.
 FINITE = np.random.default_rng(0).uniform(0.5, 2.0, size=(4, 3))
+#: Line sums too small to scale even unweighted.
+TINY = np.full((3, 3), 1e-310)
+_UNDERFLOW = (
+    "task_weights and machine_weights underflow the weighted ECS matrix "
+    "(a row or column sum is zero or too small to scale); rescale the "
+    "weights"
+)
 OUT_OF_RANGE = {
     "overflow": (
+        FINITE,
         {"task_weights": [1e300] * 4, "machine_weights": [1e300] * 3},
         "task_weights and machine_weights overflow the weighted ECS matrix "
         "(an entry w_t[i] * w_m[j] * ECS[i, j] exceeds the float64 range); "
         "rescale the weights",
     ),
+    # Every entry underflows to zero.
     "underflow": (
+        FINITE,
         {"task_weights": [1e-200] * 4, "machine_weights": [1e-200] * 3},
-        "task_weights and machine_weights underflow the weighted ECS matrix "
-        "to an all-zero row or column; rescale the weights",
+        _UNDERFLOW,
     ),
+    # Entries near 1e-320: nonzero, but target / sum overflows.
+    "subnormal": (
+        FINITE,
+        {"task_weights": [1e-160] * 4, "machine_weights": [1e-160] * 3},
+        _UNDERFLOW,
+    ),
+    # The matrix is out of range too, but the weights zero it out.
+    "tiny_zeroed": (TINY, {"task_weights": [1e-200] * 3}, _UNDERFLOW),
 }
 
 
@@ -152,10 +169,18 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("entry", ["characterize", "standardize"])
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_weights_are_named(entry, case):
-    kwargs, message = OUT_OF_RANGE[case]
+    matrix, kwargs, message = OUT_OF_RANGE[case]
     with pytest.raises(WeightError) as info:
-        ENTRY_POINTS[entry](FINITE, **kwargs)
+        ENTRY_POINTS[entry](matrix, **kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["characterize", "standardize"])
+def test_a_matrix_too_small_to_scale_is_named_even_with_weights(entry):
+    # The matrix alone is already out of range: the weights are not at
+    # fault, so the error is Sinkhorn's "rescale the matrix".
+    with pytest.raises(MatrixValueError, match="too small to scale.*matrix"):
+        ENTRY_POINTS[entry](TINY, task_weights=[0.5] * 3)
 
 
 def test_weights_that_underflow_some_entries_still_work():
