@@ -140,8 +140,6 @@ from .robust import (
     FaultPlan,
     MemberFault,
     QuarantineReport,
-    RobustEnsembleCharacterization,
-    characterize_ensemble_robust,
     repaired_matrix,
 )
 from .shard import (
@@ -214,8 +212,6 @@ __all__ = [
     "FaultPlan",
     "MemberFault",
     "QuarantineReport",
-    "RobustEnsembleCharacterization",
-    "characterize_ensemble_robust",
     "repaired_matrix",
     # shard
     "StackStore",

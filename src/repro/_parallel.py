@@ -13,7 +13,7 @@ such a function over its items with an optional process pool:
   as the per-item work is seeded per item (every study in this library
   derives one child seed per item up front).
 
-Fault tolerance (used by :mod:`repro.robust`): ``return_failures=True``
+Fault tolerance (used by the robust ensemble policies): ``return_failures=True``
 captures per-item exceptions as :class:`WorkerFailure` records instead
 of aborting the whole map, and ``timeout_s`` bounds the wait on each
 item so a straggling worker cannot hang the pipeline — its slot is
@@ -177,14 +177,22 @@ def parallel_map(
                     raise
                 results.append(WorkerFailure(index=i, error=exc))
     finally:
-        if any_timeout:
-            # A stalled worker would block a clean shutdown; kill the
-            # pool's processes outright first (all healthy futures have
-            # already been collected above).  The join is then instant,
-            # and waiting for it lets the executor close its wakeup
-            # pipes cleanly instead of tripping the interpreter's
-            # atexit hook on a dead pool.
-            for process in (pool._processes or {}).values():
-                process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
+        # A stalled worker would block a clean shutdown (all healthy
+        # futures have already been collected above).
+        _shutdown(pool, terminate=any_timeout)
     return results
+
+
+def _shutdown(pool: ProcessPoolExecutor, *, terminate: bool) -> None:
+    """Shut ``pool`` down, cancelling queued work.
+
+    ``terminate`` kills the pool's processes outright first — for a
+    pool whose remaining workers are stragglers nobody waits for.  The
+    join is then instant, and waiting for it lets the executor close
+    its wakeup pipes cleanly instead of tripping the interpreter's
+    atexit hook on a dead pool.
+    """
+    if terminate:
+        for process in (pool._processes or {}).values():
+            process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)

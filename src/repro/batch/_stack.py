@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import MatrixShapeError, MatrixValueError
+from ..robust.taxonomy import _value_screens
 
 __all__ = ["as_float_stack", "as_ecs_stack", "stack_environments"]
 
@@ -45,28 +46,33 @@ def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
     Entries must be finite and non-negative; no slice may contain an
     all-zero row or column (the same per-matrix rule as
     :func:`repro._validation.as_ecs_array`, reported with the offending
-    slice index).
+    slice index).  The checks are the robust pipeline's value screens
+    (:func:`repro.robust.classify_stack`), raising on the first
+    category any slice trips.
     """
-    arr = as_float_stack(values, name=name)
-    if np.isinf(arr).any():
-        raise MatrixValueError(
-            f"{name} contains infinite entries; infinities belong in the "
-            "ETC representation (use zero ECS for incompatible pairs)"
-        )
-    if (arr < 0).any():
-        raise MatrixValueError(f"{name} contains negative entries")
-    zero_rows = ~(arr > 0).any(axis=2)
-    zero_cols = ~(arr > 0).any(axis=1)
-    if zero_rows.any() or zero_cols.any():
-        bad = sorted(
-            set(np.nonzero(zero_rows.any(axis=1))[0])
-            | set(np.nonzero(zero_cols.any(axis=1))[0])
-        )
-        raise MatrixValueError(
-            f"{name} has an all-zero row or column in slice(s) "
-            f"{bad[:5]}{'...' if len(bad) > 5 else ''}"
-        )
+    arr = as_float_stack(values, name=name, allow_nan=True)
+    for category, _detail, mask in _value_screens(arr):
+        if not mask.any():
+            continue
+        if category == "empty-line":
+            bad = list(np.flatnonzero(mask))
+            raise MatrixValueError(
+                f"{name} has an all-zero row or column in slice(s) "
+                f"{bad[:5]}{'...' if len(bad) > 5 else ''}"
+            )
+        raise MatrixValueError(f"{name} {_STACK_ERRORS[category]}")
     return arr
+
+
+#: What :func:`as_ecs_stack` says about a stack with each value fault.
+_STACK_ERRORS = {
+    "nan": "contains NaN entries",
+    "non-finite": (
+        "contains infinite entries; infinities belong in the ETC "
+        "representation (use zero ECS for incompatible pairs)"
+    ),
+    "negative": "contains negative entries",
+}
 
 
 def stack_environments(environments) -> np.ndarray | None:
@@ -92,7 +98,14 @@ def stack_environments(environments) -> np.ndarray | None:
     arrays = [_coerce_ecs(env) for env in environments]
     if not arrays:
         raise MatrixShapeError("cannot stack an empty environment sequence")
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays[1:]):
-        return None
-    return np.stack(arrays)
+    return stack_members(arrays)
+
+
+def stack_members(members: list) -> np.ndarray | None:
+    """``np.stack`` of coerced members; ``None`` unless every member is
+    a 2-D array of one common shape."""
+    if all(isinstance(m, np.ndarray) and m.ndim == 2 for m in members) and (
+        len({m.shape for m in members}) == 1
+    ):
+        return np.stack(members)
+    return None

@@ -18,18 +18,38 @@ Dispatch rules (documented in ``docs/BATCHED.md``):
 Either way the returned columns line up with the input order, and the
 batched and scalar paths agree to ≤ 1e-10 on convergent slices (the
 differential harness in ``tests/batch/`` enforces this).
+
+Every fault policy runs the same body: coerce, apply the chaos fault
+plan, pre-screen, split batched/scalar, run the kernels, then the policy
+step.  A policy changes only how a screened or kernel fault is handled
+(``"raise"`` propagates it, ``"quarantine"`` NaN-masks the member and
+reports it, ``"repair"`` also walks the :mod:`repro.robust.repair`
+ladder) and whether worker failures are captured.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import MatrixShapeError, MatrixValueError, WeightError
-from ..normalize.standard_form import DEFAULT_TOL
+from .._parallel import WorkerFailure, parallel_map, resolve_n_jobs
+from .._validation import check_weights
+from ..core.environment import ECSMatrix, ETCMatrix
+from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
+from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
 from ..obs import current_recorder, metrics as _metrics, traced
-from ._stack import as_ecs_stack, stack_environments
+from ..robust.budget import DEFAULT_BUDGET
+from ..robust.repair import apply_policy, recovered_columns
+from ..robust.taxonomy import (
+    QuarantineReport,
+    check_policy,
+    classify_exception,
+    classify_matrix,
+    classify_stack,
+)
+from ._stack import as_ecs_stack, as_float_stack, stack_members
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
 
@@ -56,7 +76,8 @@ class EnsembleCharacterization:
         The paper's three measures per member.
     iterations : numpy.ndarray of int, shape (N,)
         Standard-form Sinkhorn iterations; ``-1`` where no standard
-        form was computed (eq. 5 column fallback).
+        form was computed (eq. 5 column fallback, or a quarantined
+        member).
     converged : numpy.ndarray of bool, shape (N,)
         Whether the standard-form iteration reached tolerance.
     batched : numpy.ndarray of bool, shape (N,)
@@ -65,6 +86,12 @@ class EnsembleCharacterization:
         ``batched=False``).
     n_tasks, n_machines : int or None
         Common slice dimensions; ``None`` when the input was ragged.
+    report : repro.robust.QuarantineReport or None
+        The faulty members under ``policy="quarantine"``/``"repair"``;
+        None under ``policy="raise"``.  Quarantined members have NaN
+        measures, ``iterations == -1`` and ``converged == False``;
+        repaired members carry their recovered measures and show up in
+        ``report.repaired``.
     """
 
     mph: np.ndarray
@@ -75,6 +102,7 @@ class EnsembleCharacterization:
     batched: np.ndarray
     n_tasks: int | None
     n_machines: int | None
+    report: QuarantineReport | None = None
 
     def __len__(self) -> int:
         return self.mph.shape[0]
@@ -83,6 +111,15 @@ class EnsembleCharacterization:
     def measures(self) -> np.ndarray:
         """The ``(N, 3)`` array of (MPH, TDH, TMA) rows."""
         return np.column_stack([self.mph, self.tdh, self.tma])
+
+    @property
+    def healthy_mask(self) -> np.ndarray:
+        """Boolean mask of members with a usable result row (healthy or
+        repaired)."""
+        mask = np.ones(len(self), dtype=bool)
+        if self.report is not None:
+            mask[list(self.report.quarantined)] = False
+        return mask
 
     def records(self) -> np.ndarray:
         """The full result as a structured array (``ENSEMBLE_DTYPE``)."""
@@ -95,30 +132,73 @@ class EnsembleCharacterization:
         out["batched"] = self.batched
         return out
 
+    def member_payload(self, index: int) -> dict:
+        """JSON-safe serving row for member ``index``.
+
+        Healthy members get their measure columns; repaired members
+        additionally carry their fault record (``repaired=True``);
+        quarantined members get *only* the fault record — the
+        characterization service turns that into a structured error
+        response without touching the NaN-masked measure row.
+        """
+        fault = None
+        if self.report is not None:
+            try:
+                fault = self.report.fault(index)
+            except KeyError:
+                pass
+        if fault is not None and not fault.repaired:
+            return {"fault": fault.to_payload()}
+        payload = {
+            "mph": float(self.mph[index]),
+            "tdh": float(self.tdh[index]),
+            "tma": float(self.tma[index]),
+            "iterations": int(self.iterations[index]),
+            "converged": bool(self.converged[index]),
+            "batched": bool(self.batched[index]),
+        }
+        if fault is not None:
+            payload["fault"] = fault.to_payload()
+        return payload
+
     def summary(self) -> str:
-        """One-line mean ± std digest of the ensemble."""
-        m = self.measures
-        mean, std = m.mean(axis=0), m.std(axis=0)
+        """One-line mean ± std digest over the usable rows."""
+        usable = self.measures[self.healthy_mask]
         shape = (
             f"{self.n_tasks}x{self.n_machines}"
             if self.n_tasks is not None
             else "ragged"
         )
+        if usable.shape[0] == 0:
+            stats = "no usable members"
+        else:
+            mean, std = usable.mean(axis=0), usable.std(axis=0)
+            stats = (
+                f"MPH {mean[0]:.3f}±{std[0]:.3f}  "
+                f"TDH {mean[1]:.3f}±{std[1]:.3f}  "
+                f"TMA {mean[2]:.3f}±{std[2]:.3f}"
+            )
+        if self.report is None:
+            outcome = f"{int((~self.converged).sum())} non-converged"
+        else:
+            outcome = (
+                f"{len(self.report.quarantined)} quarantined, "
+                f"{len(self.report.repaired)} repaired"
+            )
         return (
-            f"{len(self)} environments ({shape}): "
-            f"MPH {mean[0]:.3f}±{std[0]:.3f}  "
-            f"TDH {mean[1]:.3f}±{std[1]:.3f}  "
-            f"TMA {mean[2]:.3f}±{std[2]:.3f}  "
-            f"[{int(self.batched.sum())} batched, "
-            f"{int((~self.converged).sum())} non-converged]"
+            f"{len(self)} environments ({shape}): {stats}  "
+            f"[{int(self.batched.sum())} batched, {outcome}]"
         )
 
 
 def _characterize_columns(args: tuple) -> tuple:
-    """Module-level worker (picklable): scalar columns of one member."""
+    """Module-level worker (picklable): scalar columns of one member,
+    optionally delayed by an injected chaos stall."""
     from ..measures.report import characterize
 
-    matrix, tol, tma_fallback, backend, precision = args
+    matrix, tol, tma_fallback, backend, precision, stall_s = args
+    if stall_s > 0:
+        time.sleep(stall_s)
     profile = characterize(
         matrix,
         tol=tol,
@@ -138,52 +218,82 @@ def _characterize_columns(args: tuple) -> tuple:
     return (profile.mph, profile.tdh, profile.tma, iterations, converged)
 
 
-def _coerce_input(
-    environments, task_weights=None, machine_weights=None
+def _lenient_member(env):
+    """Best-effort member coercion: the strict path first, a raw float
+    view when validation rejects the data (the pre-screen will name the
+    corruption), ``None`` when it isn't array-like at all."""
+    try:
+        return _coerce_ecs(env)
+    # Raw TypeError/ValueError covers data numpy cannot even coerce
+    # (e.g. a string member) — validation never gets to wrap those.
+    except (ReproError, TypeError, ValueError):
+        base = env
+        if isinstance(base, ETCMatrix):
+            try:
+                base = base.to_ecs()
+            except ReproError:
+                pass
+        if isinstance(base, (ECSMatrix, ETCMatrix)):
+            base = base.values
+        try:
+            return np.asarray(base, dtype=np.float64)
+        except (TypeError, ValueError):
+            return None
+
+
+def _coerce(
+    environments, task_weights, machine_weights, *, strict: bool
 ) -> tuple[np.ndarray | None, list | None]:
-    """Shared input coercion for the plain and robust pipelines.
+    """The one input coercion of every policy.
 
     Returns ``(stack, members)``: a weighted ``(N, T, M)`` float stack
     (and ``members=None``) when the input stacks, or ``stack=None`` and
-    the list of coerced 2-D member arrays when the shapes are ragged.
+    the list of 2-D members when the shapes are ragged.  ``strict``
+    (``policy="raise"``) rejects corrupt member data here;
+    otherwise corrupt members flow through, so the pre-screen can
+    quarantine them one by one.
     """
-    if isinstance(environments, np.ndarray) and environments.ndim == 3:
-        stack = as_ecs_stack(environments)
-    elif isinstance(environments, np.ndarray):
-        raise MatrixShapeError(
-            "array input must be a 3-D (N, T, M) stack, got ndim="
-            f"{environments.ndim} (shape {environments.shape}); wrap a "
-            "single matrix as matrix[None, :, :] or pass a list"
-        )
+    weighted = task_weights is not None or machine_weights is not None
+    members = None
+    if isinstance(environments, np.ndarray):
+        if environments.ndim != 3:
+            raise MatrixShapeError(
+                "array input must be a 3-D (N, T, M) stack, got ndim="
+                f"{environments.ndim} (shape {environments.shape}); wrap a "
+                "single matrix as matrix[None, :, :] or pass a list"
+            )
+        if strict:
+            stack = as_ecs_stack(environments)
+        else:
+            stack = as_float_stack(environments, name="ECS stack", allow_nan=True)
     else:
-        from ..core.environment import ECSMatrix, ETCMatrix
-
         environments = list(environments)
-        if any(
+        if weighted and any(
             isinstance(env, (ECSMatrix, ETCMatrix)) for env in environments
-        ) and (task_weights is not None or machine_weights is not None):
+        ):
             raise WeightError(
                 "explicit task_weights/machine_weights require raw-array "
                 "environments (matrix wrappers carry their own weights)"
             )
-        stack = stack_environments(environments)
-
-    if stack is not None and (
-        task_weights is not None or machine_weights is not None
-    ):
-        from .._validation import check_weights
-
+        coerce = _coerce_ecs if strict else _lenient_member
+        members = [coerce(env) for env in environments]
+        if not members:
+            raise MatrixShapeError("cannot stack an empty environment sequence")
+        stack = stack_members(members)
+        if stack is not None:
+            members = None
+        elif weighted:
+            raise WeightError(
+                "explicit task_weights/machine_weights need same-shape "
+                "members (the ensemble is ragged)"
+            )
+    if weighted:
         w_t = check_weights(task_weights, stack.shape[1], name="task_weights")
         w_m = check_weights(
             machine_weights, stack.shape[2], name="machine_weights"
         )
         stack = w_t[None, :, None] * w_m[None, None, :] * stack
-
-    if stack is None:
-        from ..normalize.standard_form import _coerce_ecs
-
-        return None, [_coerce_ecs(env) for env in environments]
-    return stack, None
+    return stack, members
 
 
 def _characterize_stack_batched(
@@ -284,19 +394,22 @@ def characterize_ensemble(
         default) propagates the first member failure, aborting the
         whole call — the historical behavior.  ``"quarantine"``
         isolates failing members into a structured
-        :class:`~repro.robust.QuarantineReport` (their result rows are
-        NaN-masked) while every healthy member completes with
-        bit-identical results; ``"repair"`` additionally retries
-        quarantined members through the
-        :mod:`repro.robust.repair` ladder.  Both return a
-        :class:`~repro.robust.RobustEnsembleCharacterization`.
+        :class:`~repro.robust.QuarantineReport` on ``result.report``
+        (their result rows are NaN-masked) while every healthy member
+        completes with bit-identical results; ``"repair"`` additionally
+        retries quarantined members through the
+        :mod:`repro.robust.repair` ladder.
     budget : repro.robust.Budget, optional
         Wall-clock / retry budgets; only valid with a robust policy.
     fault_plan : repro.robust.FaultPlan, optional
-        Fault injection for chaos drills.  Data faults are applied
-        under any policy (so a drill can also demonstrate the
-        ``"raise"`` crash); ``stall`` faults need a robust policy,
-        whose worker path hosts the injected sleep.
+        Fault injection for chaos drills, with the same meaning under
+        every policy and input kind.  Data faults corrupt their member
+        (so a drill can also demonstrate the ``"raise"`` crash); a plan
+        naming a member past the end of the ensemble is rejected.  A
+        ``stall`` fault delays its member's worker under the robust
+        policies (a straggler a ``member_timeout_s`` budget can
+        quarantine); under ``"raise"`` the call sleeps ``stall_s`` once
+        before the kernels and the results are unchanged.
     backend, precision
         Kernel backend and float32 fast-path selection, threaded into
         every Sinkhorn/SVD call on both the batched and scalar paths
@@ -318,6 +431,12 @@ def characterize_ensemble(
     [0.0, 0.98]
     >>> bool(result.batched.all()), bool(result.converged.all())
     (True, True)
+    >>> stack[1, 0, 0] = np.nan
+    >>> result = characterize_ensemble(stack, policy="quarantine")
+    >>> result.report.quarantined, result.report.categories()
+    ((1,), {1: 'nan'})
+    >>> bool(np.isnan(result.mph[1])), float(result.mph[0])
+    (True, 1.0)
     """
     if store is not None:
         if environments is not None:
@@ -369,76 +488,71 @@ def characterize_ensemble(
             f"tma_fallback must be 'limit', 'column' or 'raise', got "
             f"{tma_fallback!r}"
         )
-    if policy not in ("raise", "quarantine", "repair"):
-        raise MatrixValueError(
-            f"policy must be 'raise', 'quarantine' or 'repair', got "
-            f"{policy!r}"
-        )
-    if policy != "raise":
-        if warm_start is not None:
-            raise MatrixValueError(
-                "warm_start requires policy='raise' (the robust "
-                "pipeline re-orders and repairs slices, so previous "
-                "scaling vectors cannot be matched up safely)"
-            )
-        from ..robust.ensemble import characterize_ensemble_robust
-
-        return characterize_ensemble_robust(
-            environments,
-            task_weights=task_weights,
-            machine_weights=machine_weights,
-            tol=tol,
-            max_iterations=max_iterations,
-            tma_fallback=tma_fallback,
-            batched=batched,
-            n_jobs=n_jobs,
-            policy=policy,
-            budget=budget,
-            fault_plan=fault_plan,
-            backend=backend,
-            precision=precision,
-        )
-    if budget is not None:
+    robust = check_policy(policy, warm_start=warm_start)
+    if budget is not None and not robust:
         raise MatrixValueError(
             "budget requires policy='quarantine' or policy='repair'"
         )
-    stack, members = _coerce_input(environments, task_weights, machine_weights)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    deadline = budget.start()
+
+    stack, members = _coerce(
+        environments, task_weights, machine_weights, strict=not robust
+    )
+    n = stack.shape[0] if stack is not None else len(members)
+    stalls: dict[int, float] = {}
     if fault_plan is not None:
+        for spec in fault_plan.faults:
+            if spec.member >= n:
+                raise MatrixValueError(
+                    f"fault targets member {spec.member} but the "
+                    f"ensemble has only {n} members"
+                )
         if stack is not None:
             stack = fault_plan.apply(stack)
         else:
             members = [
-                fault_plan.apply_member(i, m) for i, m in enumerate(members)
+                fault_plan.apply_member(i, m)
+                if isinstance(m, np.ndarray) and m.ndim == 2
+                else m
+                for i, m in enumerate(members)
             ]
+        stalls = {i: fault_plan.stall_seconds(i) for i in fault_plan.stalled}
 
-    if stack is None:
-        # Ragged shapes: scalar path for every member.
-        if warm_start is not None:
+    def member(i):
+        return stack[i] if stack is not None else members[i]
+
+    # Pre-screen: corruption quarantines before any kernel runs, so one
+    # bad member cannot poison a batched pass.  Under "raise" the strict
+    # coercion already screened the input, and injected faults surface
+    # as the kernels' own errors.
+    if not robust:
+        faults = {}
+    elif stack is not None:
+        faults = classify_stack(stack, tma_fallback=tma_fallback)
+    else:
+        faults = {}
+        for i, m in enumerate(members):
+            verdict = classify_matrix(m, tma_fallback=tma_fallback)
+            if verdict is not None:
+                faults[i] = verdict
+
+    healthy = np.ones(n, dtype=bool)
+    healthy[list(faults)] = False
+    in_batch = np.zeros(n, dtype=bool)
+    if stack is not None and batched:
+        in_batch = healthy & (stack > 0).all(axis=(1, 2))
+        if robust:
+            # Stalled members are healthy data but must visit the
+            # worker path so their injected straggle is exercised.
+            in_batch[list(stalls)] = False
+    if warm_start is not None:
+        if stack is None:
             raise MatrixValueError(
                 "warm_start requires a stacked (N, T, M) input (ragged "
                 "members take the scalar path)"
             )
-        from .._parallel import parallel_map
-
-        rec = current_recorder()
-        if rec is not None:
-            rec.counter("ensemble.slices", len(members))
-            rec.counter("ensemble.fallback_slices", len(members))
-        _metrics.count_ensemble_members(fallback=len(members))
-        items = [
-            (member, tol, tma_fallback, backend, precision)
-            for member in members
-        ]
-        columns = parallel_map(_characterize_columns, items, n_jobs=n_jobs)
-        return _from_columns(columns, n_tasks=None, n_machines=None)
-
-    n_slices, n_tasks, n_machines = stack.shape
-    positive = (stack > 0).all(axis=(1, 2))
-    if not batched:
-        positive = np.zeros(n_slices, dtype=bool)
-    warm_rows = warm_cols = None
-    if warm_start is not None:
-        if not positive.all():
+        if not in_batch.all():
             raise MatrixValueError(
                 "warm_start requires batched=True and a strictly "
                 "positive stack (zero-patterned slices take the scalar "
@@ -446,82 +560,108 @@ def characterize_ensemble(
             )
         from ..backends.base import coerce_warm_start_batched
 
-        warm_rows, warm_cols = coerce_warm_start_batched(
-            warm_start, n_slices, n_tasks, n_machines
-        )
+        warm_start = coerce_warm_start_batched(warm_start, *stack.shape)
+    scalar_idx = np.flatnonzero(healthy & ~in_batch)
+    n_batched = int(in_batch.sum())
     rec = current_recorder()
     if rec is not None:
-        rec.counter("ensemble.slices", n_slices)
-        rec.counter("ensemble.batched_slices", int(positive.sum()))
-        rec.counter("ensemble.fallback_slices", int((~positive).sum()))
-    _metrics.count_ensemble_members(
-        batched=int(positive.sum()), fallback=int((~positive).sum())
-    )
+        rec.counter("ensemble.slices", n)
+        rec.counter("ensemble.batched_slices", n_batched)
+        rec.counter("ensemble.fallback_slices", len(scalar_idx))
+    _metrics.count_ensemble_members(batched=n_batched, fallback=len(scalar_idx))
+    if not robust and stalls:
+        # No worker hosts a straggle under "raise": the call stalls once.
+        time.sleep(max(stalls.values()))
+        stalls = {}
 
-    mph = np.empty(n_slices, dtype=np.float64)
-    tdh = np.empty(n_slices, dtype=np.float64)
-    tma = np.empty(n_slices, dtype=np.float64)
-    iterations = np.empty(n_slices, dtype=np.int64)
-    converged = np.zeros(n_slices, dtype=bool)
+    mph = np.full(n, np.nan)
+    tdh = np.full(n, np.nan)
+    tma = np.full(n, np.nan)
+    iterations = np.full(n, -1, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    batched_mask = in_batch.copy()
 
-    if positive.any():
-        (
-            mph[positive],
-            tdh[positive],
-            tma[positive],
-            iterations[positive],
-            converged[positive],
-        ) = _characterize_stack_batched(
-            stack[positive],
+    if n_batched:
+        columns = _characterize_stack_batched(
+            stack[in_batch],
             tol=tol,
             max_iterations=max_iterations,
+            deadline_s=deadline.remaining(),
             backend=backend,
             precision=precision,
             warm_start=(
                 None
-                if warm_rows is None
-                else (warm_rows[positive], warm_cols[positive])
+                if warm_start is None
+                else (warm_start[0][in_batch], warm_start[1][in_batch])
             ),
         )
+        index = np.flatnonzero(in_batch)
+        missed = ~columns[4]
+        if robust and missed.any():
+            for i, its in zip(index[missed], columns[3][missed]):
+                detail = (
+                    f"standard form missed tol={tol:g} after {int(its)} "
+                    "iterations"
+                )
+                if deadline.expired():
+                    detail += f" (deadline_s={budget.deadline_s:g} expired)"
+                faults[int(i)] = ("non-convergent", detail)
+            batched_mask[index[missed]] = False
+            index = index[~missed]
+            columns = [column[~missed] for column in columns]
+        mph[index], tdh[index], tma[index], iterations[index], converged[index] = (
+            columns
+        )
 
-    fallback = ~positive
-    if fallback.any():
-        from .._parallel import parallel_map
-
+    if len(scalar_idx):
+        jobs = resolve_n_jobs(n_jobs)
+        if budget.member_timeout_s is not None and jobs == 1:
+            # An in-process worker cannot be preempted; a timeout
+            # implies a pool.
+            jobs = 2
         items = [
-            (stack[i], tol, tma_fallback, backend, precision)
-            for i in np.nonzero(fallback)[0]
+            (member(i), tol, tma_fallback, backend, precision, stalls.get(i, 0.0))
+            for i in scalar_idx
         ]
-        columns = parallel_map(_characterize_columns, items, n_jobs=n_jobs)
-        for i, (m, t, a, its, conv) in zip(np.nonzero(fallback)[0], columns):
-            mph[i], tdh[i], tma[i] = m, t, a
-            iterations[i] = its
-            converged[i] = conv
+        results = parallel_map(
+            _characterize_columns,
+            items,
+            n_jobs=jobs,
+            timeout_s=budget.member_timeout_s,
+            return_failures=robust,
+        )
+        for i, result in zip(scalar_idx, results):
+            if isinstance(result, WorkerFailure):
+                faults[int(i)] = (classify_exception(result.error), str(result.error))
+            else:
+                mph[i], tdh[i], tma[i], iterations[i], converged[i] = result
 
+    report = None
+    if robust:
+
+        def splice(i, repaired, standard):
+            mph[i], tdh[i], tma[i], iterations[i], converged[i] = (
+                recovered_columns(repaired, standard)
+            )
+
+        report = apply_policy(
+            faults,
+            policy=policy,
+            member=member,
+            splice=splice,
+            tol=tol,
+            max_iterations=max_iterations,
+            budget=budget,
+            deadline=deadline,
+        )
     return EnsembleCharacterization(
         mph=mph,
         tdh=tdh,
         tma=tma,
         iterations=iterations,
         converged=converged,
-        batched=positive,
-        n_tasks=n_tasks,
-        n_machines=n_machines,
-    )
-
-
-def _from_columns(
-    columns, *, n_tasks: int | None, n_machines: int | None
-) -> EnsembleCharacterization:
-    """Assemble a columnar result from per-member scalar tuples."""
-    arr = np.array(columns, dtype=np.float64).reshape(-1, 5)
-    return EnsembleCharacterization(
-        mph=arr[:, 0].copy(),
-        tdh=arr[:, 1].copy(),
-        tma=arr[:, 2].copy(),
-        iterations=arr[:, 3].astype(np.int64),
-        converged=arr[:, 4].astype(bool),
-        batched=np.zeros(arr.shape[0], dtype=bool),
-        n_tasks=n_tasks,
-        n_machines=n_machines,
+        batched=batched_mask,
+        n_tasks=None if stack is None else stack.shape[1],
+        n_machines=None if stack is None else stack.shape[2],
+        report=report,
     )

@@ -38,6 +38,9 @@ from ..normalize.sinkhorn import (
     _scale_stack,
 )
 from ..normalize.standard_form import standard_targets
+from ..robust.budget import DEFAULT_BUDGET
+from ..robust.repair import apply_policy
+from ..robust.taxonomy import check_policy, classify_stack
 from ._stack import as_float_stack
 
 __all__ = [
@@ -166,13 +169,17 @@ def standardize_batched(
     module docstring for the fallback rules).
 
     ``policy`` selects the fault semantics: ``"raise"`` (default) is
-    the historical behavior described above; ``"quarantine"`` /
-    ``"repair"`` delegate to
-    :func:`repro.robust.standardize_batched_robust`, which isolates
-    corrupt or structurally hopeless slices into a
-    :class:`~repro.robust.QuarantineReport` (NaN result rows) instead
-    of rejecting the whole stack, honouring the optional ``budget``
-    and applying the optional chaos ``fault_plan``.
+    the historical behavior described above.  ``"quarantine"`` /
+    ``"repair"`` pre-screen the stack (NaN/inf/negative entries, empty
+    lines and Section-VI zero patterns, which can never reach the
+    Theorem-2 margins), scale the healthy slices and splice them back:
+    screened slices get NaN result rows, slices that merely miss the
+    tolerance keep their best partial iterate (``converged=False``),
+    and both are recorded in ``result.report``
+    (:class:`~repro.robust.QuarantineReport`).  ``"repair"`` retries
+    them through the :mod:`repro.robust.repair` ladder (on the
+    reference kernels).  The robust policies honour the optional
+    ``budget`` and apply the optional chaos ``fault_plan``.
 
     ``backend``/``precision``/``warm_start`` behave exactly as in
     :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the default
@@ -186,47 +193,103 @@ def standardize_batched(
     >>> np.round(result.matrix[0], 6)
     array([[1., 0.],
            [0., 1.]])
+    >>> stack = np.ones((2, 2, 2))
+    >>> stack[1, 0, 0] = np.nan
+    >>> result = standardize_batched(stack, policy="quarantine")
+    >>> result.report.categories()
+    {1: 'nan'}
+    >>> bool(result.converged[0]), bool(np.isnan(result.matrix[1]).all())
+    (True, True)
     """
-    if policy not in ("raise", "quarantine", "repair"):
-        raise MatrixValueError(
-            f"policy must be 'raise', 'quarantine' or 'repair', got "
-            f"{policy!r}"
-        )
-    if policy != "raise":
-        if warm_start is not None:
-            raise MatrixValueError(
-                "warm_start requires policy='raise' (the robust "
-                "pipeline re-orders and repairs slices, so previous "
-                "scaling vectors cannot be matched up safely)"
-            )
-        from ..robust.ensemble import standardize_batched_robust
-
-        return standardize_batched_robust(
-            stack,
-            tol=tol,
-            max_iterations=max_iterations,
-            policy=policy,
-            budget=budget,
-            fault_plan=fault_plan,
-            backend=backend,
-            precision=precision,
-        )
-    if budget is not None or fault_plan is not None:
+    robust = check_policy(policy, warm_start=warm_start)
+    if not robust and (budget is not None or fault_plan is not None):
         raise MatrixValueError(
             "budget/fault_plan require policy='quarantine' or "
             "policy='repair'"
         )
-    work = as_float_stack(stack, name="stack")
-    row_target, col_target = standard_targets(work.shape[1], work.shape[2])
-    return sinkhorn_knopp_batched(
-        work,
-        row_target=row_target,
-        col_target=col_target,
+    budget = DEFAULT_BUDGET if budget is None else budget
+    deadline = budget.start()
+    work = as_float_stack(stack, name="stack", allow_nan=robust)
+    if fault_plan is not None:
+        work = fault_plan.apply(work)
+    n_slices, n_rows, n_cols = work.shape
+    row_target, col_target = standard_targets(n_rows, n_cols)
+    # Structural screening uses the strict ("raise") semantics: a
+    # decomposable slice can never converge to the Theorem-2 margins.
+    faults = classify_stack(work, tma_fallback="raise") if robust else {}
+    healthy = np.ones(n_slices, dtype=bool)
+    healthy[list(faults)] = False
+    scaled = None
+    if healthy.any():
+        scaled = sinkhorn_knopp_batched(
+            work[healthy] if faults else work,
+            row_target=row_target,
+            col_target=col_target,
+            tol=tol,
+            max_iterations=max_iterations,
+            require_convergence=require_convergence and not robust,
+            deadline_s=deadline.clamp(deadline_s),
+            backend=backend,
+            precision=precision,
+            warm_start=warm_start,
+        )
+    if not robust:
+        return scaled
+
+    matrix = np.full_like(work, np.nan)
+    row_scale = np.full((n_slices, n_rows), np.nan)
+    col_scale = np.full((n_slices, n_cols), np.nan)
+    converged = np.zeros(n_slices, dtype=bool)
+    iterations = np.zeros(n_slices, dtype=np.int64)
+    residual = np.full(n_slices, np.nan)
+    histories: list[tuple[float, ...]] = [() for _ in range(n_slices)]
+    if scaled is not None:
+        index = np.flatnonzero(healthy)
+        matrix[index] = scaled.matrix
+        row_scale[index] = scaled.row_scale
+        col_scale[index] = scaled.col_scale
+        converged[index] = scaled.converged
+        iterations[index] = scaled.iterations
+        residual[index] = scaled.residual
+        for i, history in zip(index, scaled.residual_history):
+            histories[i] = history
+        for i in index[~scaled.converged]:
+            detail = (
+                f"missed tol={tol:g} after {int(iterations[i])} iterations "
+                f"(residual={float(residual[i]):.3e})"
+            )
+            if deadline.expired():
+                detail += f" (deadline_s={budget.deadline_s:g} expired)"
+            faults[int(i)] = ("non-convergent", detail)
+
+    def splice(i, _repaired, standard):
+        matrix[i] = standard.matrix
+        row_scale[i] = standard.normalization.row_scale
+        col_scale[i] = standard.normalization.col_scale
+        converged[i] = True
+        iterations[i] = standard.iterations
+        residual[i] = standard.residual
+        histories[i] = standard.residual_history
+
+    report = apply_policy(
+        faults,
+        policy=policy,
+        member=lambda i: work[i],
+        splice=splice,
         tol=tol,
         max_iterations=max_iterations,
-        require_convergence=require_convergence,
-        deadline_s=deadline_s,
-        backend=backend,
-        precision=precision,
-        warm_start=warm_start,
+        budget=budget,
+        deadline=deadline,
+    )
+    return BatchNormalizationResult(
+        matrix=matrix,
+        row_scale=row_scale,
+        col_scale=col_scale,
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+        residual_history=tuple(histories),
+        row_target=row_target,
+        col_target=col_target,
+        report=report,
     )

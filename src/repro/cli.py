@@ -856,7 +856,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     n_jobs=args.jobs,
                     backend=args.backend,
                 )
-            report = getattr(result, "report", None)
+            report = result.report
             if args.json:
                 payload = {
                     "file": args.file if args.store is None else args.store,

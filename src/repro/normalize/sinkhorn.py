@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from ..obs import current_recorder
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
 from .outcome import _removed_alias
+
+if TYPE_CHECKING:
+    from ..robust.taxonomy import QuarantineReport
 
 __all__ = [
     "BatchNormalizationResult",
@@ -211,6 +215,11 @@ class BatchNormalizationResult:
         the *input* slice, matching the scalar result's convention.
     row_target, col_target : float
         The target sums the iteration aimed for.
+    report : repro.robust.QuarantineReport or None
+        The faulty slices under ``policy="quarantine"``/``"repair"``
+        (see :func:`repro.batch.standardize_batched`); None under
+        ``policy="raise"``.  Quarantined slices have NaN ``matrix`` and
+        scale rows; non-convergent ones keep their best partial iterate.
     """
 
     matrix: np.ndarray
@@ -222,6 +231,7 @@ class BatchNormalizationResult:
     residual_history: tuple[tuple[float, ...], ...] = field(repr=False)
     row_target: float = 1.0
     col_target: float = 1.0
+    report: QuarantineReport | None = None
 
     matrices = _removed_alias("matrices", "matrix")
     residual_histories = _removed_alias(

@@ -7,29 +7,24 @@ simply slow (straggling workers).  This package makes every such
 failure a *per-member* event instead of a whole-call crash:
 
 * :mod:`~repro.robust.taxonomy` — the stable fault vocabulary
-  (:data:`FAULT_CATEGORIES`), per-member :class:`MemberFault` records
-  and the :class:`QuarantineReport` returned by the robust policies;
+  (:data:`FAULT_CATEGORIES`), the stack-wide pre-screen
+  (:func:`classify_stack`), per-member :class:`MemberFault` records
+  and the :class:`QuarantineReport` the robust policies attach to a
+  result's ``report``;
 * :mod:`~repro.robust.budget` — wall-clock deadlines, per-member
   worker timeouts and repair-attempt budgets (:class:`Budget`);
 * :mod:`~repro.robust.repair` — the retry-with-repair ladder
   (:func:`repair_member`, :func:`repaired_matrix`);
 * :mod:`~repro.robust.chaos` — seedable fault injection
-  (:class:`FaultPlan`) for drills and the chaos test suite;
-* :mod:`~repro.robust.ensemble` — the pipeline itself
-  (:func:`characterize_ensemble_robust`,
-  :func:`standardize_batched_robust`), normally reached through the
-  ``policy=`` knob of :func:`repro.batch.characterize_ensemble` /
-  :func:`repro.batch.standardize_batched`.
+  (:class:`FaultPlan`) for drills and the chaos test suite.
+
+The policies themselves are a step of the one ensemble pipeline: the
+``policy=`` knob of :func:`repro.batch.characterize_ensemble` and
+:func:`repro.batch.standardize_batched`.
 """
 
 from .budget import DEFAULT_BUDGET, Budget, Deadline
 from .chaos import FAULT_KINDS, KIND_CATEGORY, FaultPlan, FaultSpec
-from .ensemble import (
-    RobustBatchNormalizationResult,
-    RobustEnsembleCharacterization,
-    characterize_ensemble_robust,
-    standardize_batched_robust,
-)
 from .repair import MemberRecovery, repair_member, repaired_matrix
 from .taxonomy import (
     FAULT_CATEGORIES,
@@ -38,6 +33,7 @@ from .taxonomy import (
     QuarantineReport,
     classify_exception,
     classify_matrix,
+    classify_stack,
 )
 
 __all__ = [
@@ -53,12 +49,9 @@ __all__ = [
     "MemberFault",
     "MemberRecovery",
     "QuarantineReport",
-    "RobustBatchNormalizationResult",
-    "RobustEnsembleCharacterization",
-    "characterize_ensemble_robust",
     "classify_exception",
     "classify_matrix",
+    "classify_stack",
     "repair_member",
     "repaired_matrix",
-    "standardize_batched_robust",
 ]

@@ -123,8 +123,9 @@ class FaultPlan:
 
     Build one with :meth:`random` (seeded member assignment) or from
     explicit :class:`FaultSpec` records.  Data faults are applied by
-    :meth:`apply` / :meth:`apply_member`; ``stall`` faults are consumed
-    by the robust pipeline's worker path via :meth:`stall_seconds`.
+    :meth:`apply` / :meth:`apply_member`; the ensemble pipeline reads
+    ``stall`` faults through :meth:`stall_seconds` (a worker sleep under
+    the robust policies, one up-front sleep under ``policy="raise"``).
 
     Examples
     --------

@@ -18,6 +18,11 @@ The ladder maps each fault category to its recovery move:
 Corrupt data (``nan``, ``non-finite``, ``negative``, shapes, unknown
 worker errors) is never "repaired" — inventing entries would silently
 fabricate measures — so those members stay quarantined.
+
+One ladder serves both ensemble entry points: ``characterize_ensemble``
+turns a repaired member's standard form into measure columns
+(:func:`repair_member`), ``standardize_batched`` splices the standard
+form itself.
 """
 
 from __future__ import annotations
@@ -26,13 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..backends import resolve_backend
 from ..exceptions import MatrixValueError, ReproError
+from ..measures.affinity import _singular_values, _standard_tma
 from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.standard_form import standardize
+from ..obs import current_recorder, metrics as _metrics
 from .budget import Budget, Deadline
-from .taxonomy import UNREPAIRABLE_CATEGORIES
+from .taxonomy import UNREPAIRABLE_CATEGORIES, MemberFault, QuarantineReport
 
 __all__ = ["MemberRecovery", "repair_member", "repaired_matrix"]
+
+#: Categories the pattern surgery step repairs.
+PATTERN_CATEGORIES = ("empty-line", "decomposable", "infeasible")
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,24 @@ class MemberRecovery:
     columns: tuple[float, float, float, int, bool]
     attempts: int
     repair: str
+
+
+def _pattern_plan(arr: np.ndarray):
+    """The exact ``drop`` plan, or the greedy ``add`` plan when the
+    margins are infeasible outright (e.g. an all-zero row)."""
+    from ..structure import suggest_repairs
+
+    try:
+        return suggest_repairs(arr, strategy="drop")
+    except MatrixValueError:
+        return suggest_repairs(arr, strategy="add")
+
+
+def _median_fill(arr: np.ndarray) -> float:
+    """The median positive entry: a plausible ECS speed for an added
+    compatibility (1.0 when there is none)."""
+    positive = arr[arr > 0]
+    return float(np.median(positive)) if positive.size else 1.0
 
 
 def repaired_matrix(matrix, *, fill: float | None = None) -> np.ndarray:
@@ -66,48 +95,74 @@ def repaired_matrix(matrix, *, fill: float | None = None) -> np.ndarray:
     >>> bool(is_normalizable(repaired_matrix(eq10)))
     True
     """
-    from ..structure import suggest_repairs
-
     arr = np.asarray(matrix, dtype=np.float64)
-    if fill is None:
-        positive = arr[arr > 0]
-        fill = float(np.median(positive)) if positive.size else 1.0
-    try:
-        plan = suggest_repairs(arr, strategy="drop")
-    except MatrixValueError:
-        plan = suggest_repairs(arr, strategy="add")
-    return plan.apply(arr, fill=fill)
+    return _pattern_plan(arr).apply(
+        arr, fill=_median_fill(arr) if fill is None else fill
+    )
 
 
-def _columns_from_profile(matrix, *, tol, max_iterations, deadline_s=None):
-    """Scalar profile columns with an explicit iteration/deadline budget.
+def _repair(
+    matrix,
+    category: str,
+    *,
+    tol: float,
+    max_iterations: int,
+    budget: Budget,
+    deadline: Deadline,
+):
+    """Walk the ladder for one member.
 
-    The ensemble's scalar worker (``repro.measures.characterize``) does
-    not expose ``max_iterations``; the repair ladder needs it, so this
-    computes the same three measures directly: MPH/TDH from the
-    weighted row/column sums, TMA from the standard form (eq. 8).
-    Raises any :class:`~repro.exceptions.ReproError` the kernels raise.
+    Returns ``(repaired, standard, attempts, label)``: the repaired
+    matrix, its converged standard form
+    (:class:`~repro.normalize.StandardFormResult`), the attempts used
+    and the repair label; ``repaired``/``standard``/``label`` are None
+    when the member is unrepairable, every attempt failed, or the
+    deadline ran out first.  Standard forms run on the default backend
+    with the Section-VI ``limit`` semantics.
     """
+    failed = (None, None, 0, None)
+    if category in UNREPAIRABLE_CATEGORIES or deadline.expired():
+        return failed
     arr = np.asarray(matrix, dtype=np.float64)
-    mph = average_adjacent_ratio(arr.sum(axis=0))
-    tdh = average_adjacent_ratio(arr.sum(axis=1))
-    standard = standardize(
-        arr,
-        tol=tol,
-        max_iterations=max_iterations,
-        require_convergence=False,
-        zeros="limit",
-        deadline_s=deadline_s,
-    )
-    if not standard.converged:
-        return None
-    values = np.linalg.svd(standard.matrix, compute_uv=False)
-    tma = (
-        0.0
-        if values.shape[0] < 2
-        else float(np.clip(values[1:].sum() / (values.shape[0] - 1), 0.0, 1.0))
-    )
-    return (mph, tdh, tma, standard.iterations, True)
+    if category in PATTERN_CATEGORIES:
+        try:
+            plan = _pattern_plan(arr)
+        except ReproError:
+            return (None, None, 1, None)
+        arr = plan.apply(arr, fill=_median_fill(arr))
+        steps = [(tol, max_iterations, f"{plan.strategy}:{len(plan.entries)}")]
+    elif category == "timeout":
+        # Straggler: the data is healthy, re-run the work locally.
+        steps = [(tol, max_iterations, "local-retry")]
+    elif category == "non-convergent":
+        steps = [
+            (tol_k, iters_k, f"tol-backoff:{tol_k:g}")
+            for tol_k, iters_k in zip(
+                budget.attempt_tolerances(tol),
+                budget.attempt_iterations(max_iterations),
+            )
+        ]
+    else:
+        return failed
+    attempts = 0
+    for tol_k, iters_k, label in steps:
+        if deadline.expired():
+            break
+        attempts += 1
+        try:
+            standard = standardize(
+                arr,
+                tol=tol_k,
+                max_iterations=iters_k,
+                require_convergence=False,
+                zeros="limit",
+                deadline_s=deadline.remaining(),
+            )
+        except ReproError:
+            continue
+        if standard.converged:
+            return (arr, standard, attempts, label)
+    return (None, None, attempts, None)
 
 
 def repair_member(
@@ -124,7 +179,8 @@ def repair_member(
     Returns ``(recovery, attempts_used)``; ``recovery`` is None when
     the member is unrepairable, every attempt failed, or the deadline
     budget ran out first.  ``matrix`` must be the member's (weighted)
-    ECS array as the pipeline saw it.
+    ECS array as the pipeline saw it.  MPH/TDH come from the repaired
+    matrix's column/row sums, TMA from its standard form (eq. 8).
 
     Examples
     --------
@@ -137,81 +193,82 @@ def repair_member(
     >>> recovery.repair, attempts
     ('drop:1', 1)
     """
-    if category in UNREPAIRABLE_CATEGORIES:
-        return None, 0
-    deadline = deadline if deadline is not None else Deadline(None)
-
-    if category == "timeout":
-        # Straggler: the data is healthy, re-run the work locally.
-        if deadline.expired():
-            return None, 0
-        try:
-            columns = _columns_from_profile(
-                matrix,
-                tol=tol,
-                max_iterations=max_iterations,
-                deadline_s=deadline.remaining(),
-            )
-        except ReproError:
-            return None, 1
-        if columns is None:
-            return None, 1
-        return MemberRecovery(columns, attempts=1, repair="local-retry"), 1
-
-    if category in ("empty-line", "decomposable", "infeasible"):
-        if deadline.expired():
-            return None, 0
-        from ..structure import suggest_repairs
-
-        arr = np.asarray(matrix, dtype=np.float64)
-        try:
-            try:
-                plan = suggest_repairs(arr, strategy="drop")
-                strategy = "drop"
-            except MatrixValueError:
-                plan = suggest_repairs(arr, strategy="add")
-                strategy = "add"
-            positive = arr[arr > 0]
-            fill = float(np.median(positive)) if positive.size else 1.0
-            columns = _columns_from_profile(
-                plan.apply(arr, fill=fill),
-                tol=tol,
-                max_iterations=max_iterations,
-                deadline_s=deadline.remaining(),
-            )
-        except ReproError:
-            return None, 1
-        if columns is None:
-            return None, 1
-        repair = f"{strategy}:{len(plan.entries)}"
-        return MemberRecovery(columns, attempts=1, repair=repair), 1
-
-    if category == "non-convergent":
-        tolerances = budget.attempt_tolerances(tol)
-        iteration_budgets = budget.attempt_iterations(max_iterations)
-        attempts = 0
-        for tol_k, iters_k in zip(tolerances, iteration_budgets):
-            if deadline.expired():
-                break
-            attempts += 1
-            try:
-                columns = _columns_from_profile(
-                    matrix,
-                    tol=tol_k,
-                    max_iterations=iters_k,
-                    deadline_s=deadline.remaining(),
-                )
-            except ReproError:
-                continue
-            if columns is not None:
-                return (
-                    MemberRecovery(
-                        columns,
-                        attempts=attempts,
-                        repair=f"tol-backoff:{tol_k:g}",
-                    ),
-                    attempts,
-                )
+    repaired, standard, attempts, label = _repair(
+        matrix,
+        category,
+        tol=tol,
+        max_iterations=max_iterations,
+        budget=budget,
+        deadline=deadline if deadline is not None else Deadline(None),
+    )
+    if standard is None:
         return None, attempts
+    columns = recovered_columns(repaired, standard)
+    return MemberRecovery(columns, attempts=attempts, repair=label), attempts
 
-    return None, 0
+
+def recovered_columns(repaired: np.ndarray, standard) -> tuple:
+    """``(mph, tdh, tma, iterations, converged)`` of a repaired member:
+    MPH/TDH from its column/row sums, TMA from its standard form."""
+    return (
+        average_adjacent_ratio(repaired.sum(axis=0)),
+        average_adjacent_ratio(repaired.sum(axis=1)),
+        _standard_tma(_singular_values(standard.matrix, resolve_backend())),
+        standard.iterations,
+        True,
+    )
+
+
+def apply_policy(
+    faults: dict,
+    *,
+    policy: str,
+    member,
+    splice,
+    tol: float,
+    max_iterations: int,
+    budget: Budget,
+    deadline: Deadline,
+) -> QuarantineReport:
+    """The fault-policy step of the ensemble entry points.
+
+    ``faults`` maps member index to ``(category, detail)``.  Every fault
+    becomes a :class:`MemberFault`; under ``policy="repair"`` each one
+    also walks the ladder on ``member(i)`` and a recovery is handed to
+    ``splice(i, repaired, standard)``.  The report's outcomes are
+    counted in the ambient obs recorder and the metrics registry.
+    """
+    records = []
+    for i, (category, detail) in sorted(faults.items()):
+        standard, attempts, label = None, 0, None
+        if policy == "repair":
+            repaired, standard, attempts, label = _repair(
+                member(i),
+                category,
+                tol=tol,
+                max_iterations=max_iterations,
+                budget=budget,
+                deadline=deadline,
+            )
+            if standard is not None:
+                splice(i, repaired, standard)
+        records.append(
+            MemberFault(
+                index=i,
+                category=category,
+                detail=detail,
+                attempts=attempts,
+                repaired=standard is not None,
+                repair=label,
+            )
+        )
+    report = QuarantineReport(policy=policy, faults=tuple(records))
+    _metrics.count_member_outcomes(report)
+    rec = current_recorder()
+    if rec is not None:
+        rec.counter("robust.quarantined", len(report.quarantined))
+        rec.counter("robust.repaired", len(report.repaired))
+        rec.counter("robust.retries", report.attempts)
+        for category, indices in report.by_category().items():
+            rec.counter(f"robust.fault.{category}", len(indices))
+    return report

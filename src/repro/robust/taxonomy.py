@@ -60,6 +60,7 @@ __all__ = [
     "QuarantineReport",
     "classify_exception",
     "classify_matrix",
+    "classify_stack",
 ]
 
 #: Every category a :class:`MemberFault` may carry, in screening order.
@@ -75,6 +76,27 @@ FAULT_CATEGORIES = (
     "worker-error",
     "invalid-shape",
 )
+
+#: The fault policies of the ensemble entry points.
+POLICIES = ("raise", "quarantine", "repair")
+
+
+def check_policy(policy: str, *, warm_start=None) -> bool:
+    """Validate ``policy=``; True for the robust policies (quarantine,
+    repair), which cannot take a ``warm_start``."""
+    if policy not in POLICIES:
+        raise MatrixValueError(
+            f"policy must be 'raise', 'quarantine' or 'repair', got "
+            f"{policy!r}"
+        )
+    if policy != "raise" and warm_start is not None:
+        raise MatrixValueError(
+            "warm_start requires policy='raise' (the robust "
+            "pipeline re-orders and repairs slices, so previous "
+            "scaling vectors cannot be matched up safely)"
+        )
+    return policy != "raise"
+
 
 #: Categories the repair ladder never attempts: corrupt or malformed
 #: data has no legitimate numerical fix (``timeout`` members *are*
@@ -254,6 +276,76 @@ def classify_exception(exc: BaseException) -> str:
     return "worker-error"
 
 
+def _value_screens(stack: np.ndarray):
+    """``(category, detail, mask)`` of the value screens over a float
+    ``(N, T, M)`` stack, in screening order; ``mask[i]`` flags slice
+    ``i``.  Stack-wide reductions only, no per-slice loop."""
+    positive = stack > 0
+    return (
+        ("nan", "member contains NaN entries", np.isnan(stack).any(axis=(1, 2))),
+        (
+            "non-finite",
+            "member contains infinite entries",
+            np.isinf(stack).any(axis=(1, 2)),
+        ),
+        ("negative", "member contains negative entries", (stack < 0).any(axis=(1, 2))),
+        (
+            "empty-line",
+            "member has an all-zero row or column",
+            ~(positive.any(axis=2).all(axis=1) & positive.any(axis=1).all(axis=1)),
+        ),
+    )
+
+
+def classify_stack(
+    stack: np.ndarray, *, tma_fallback: str = "limit"
+) -> dict[int, tuple[str, str]]:
+    """Pre-screen every slice of a float ``(N, T, M)`` stack at once.
+
+    Returns ``{index: (category, detail)}`` for the faulty slices only.
+    The value screens (:func:`_value_screens`) run as stack-wide
+    reductions; the structural screen runs
+    :func:`repro.structure.normalizability_report` only on slices that
+    still contain zeros, and only under ``tma_fallback="raise"`` — an
+    exact standard form is required there, while the ``"limit"`` and
+    ``"column"`` fallbacks produce a legitimate TMA for decomposable
+    members (paper Section VI).  Each slice reports its first category
+    in screening order.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> stack = np.ones((3, 2, 2))
+    >>> stack[1, 0, 0] = np.nan
+    >>> stack[2, :, 1] = 0.0
+    >>> classify_stack(stack)
+    {1: ('nan', 'member contains NaN entries'), 2: ('empty-line', 'member has an all-zero row or column')}
+    """
+    faults: dict[int, tuple[str, str]] = {}
+    for category, detail, mask in _value_screens(stack):
+        for i in np.flatnonzero(mask):
+            faults.setdefault(int(i), (category, detail))
+    if tma_fallback == "raise":
+        from ..structure import normalizability_report
+
+        for i in np.flatnonzero((stack == 0).any(axis=(1, 2))):
+            if int(i) in faults:
+                continue
+            report = normalizability_report(stack[i])
+            if not report.feasible:
+                faults[int(i)] = (
+                    "infeasible",
+                    "zero pattern admits no equal-margin matrix at all",
+                )
+            elif report.blocking_edges:
+                faults[int(i)] = (
+                    "decomposable",
+                    "zero pattern is decomposable (Section VI); blocking "
+                    f"entries {list(report.blocking_edges)[:4]}",
+                )
+    return dict(sorted(faults.items()))
+
+
 def classify_matrix(
     matrix, *, tma_fallback: str = "limit"
 ) -> tuple[str, str] | None:
@@ -261,11 +353,8 @@ def classify_matrix(
 
     The screen is ordered so the most fundamental corruption wins: a
     slice that is both NaN-ridden and decomposable reports ``nan``.
-    Structural (zero-pattern) screening runs only when the member
-    contains zeros, and the ``decomposable`` verdict is only a fault
-    under ``tma_fallback="raise"`` — the ``"limit"`` and ``"column"``
-    fallbacks both produce a legitimate TMA for such members (paper
-    Section VI), so they stay healthy.
+    After the shape checks this is :func:`classify_stack` on a stack
+    of one.
 
     Examples
     --------
@@ -285,27 +374,4 @@ def classify_matrix(
             f"environment must be a non-empty 2-D matrix, got shape "
             f"{arr.shape}",
         )
-    if np.isnan(arr).any():
-        return ("nan", "member contains NaN entries")
-    if np.isinf(arr).any():
-        return ("non-finite", "member contains infinite entries")
-    if (arr < 0).any():
-        return ("negative", "member contains negative entries")
-    if not (arr > 0).any(axis=1).all() or not (arr > 0).any(axis=0).all():
-        return ("empty-line", "member has an all-zero row or column")
-    if tma_fallback == "raise" and (arr == 0).any():
-        from ..structure import normalizability_report
-
-        report = normalizability_report(arr)
-        if not report.feasible:
-            return (
-                "infeasible",
-                "zero pattern admits no equal-margin matrix at all",
-            )
-        if report.blocking_edges:
-            return (
-                "decomposable",
-                "zero pattern is decomposable (Section VI); blocking "
-                f"entries {list(report.blocking_edges)[:4]}",
-            )
-    return None
+    return classify_stack(arr[None], tma_fallback=tma_fallback).get(0)

@@ -291,7 +291,7 @@ class CharacterizationServer:
             backend=options.get("backend"),
             budget=budget,
         )
-        report = getattr(result, "report", None)
+        report = result.report
         out: list = []
         for index in range(len(matrices)):
             fault = None

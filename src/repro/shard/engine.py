@@ -45,7 +45,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
-from .._parallel import resolve_n_jobs
+from .._parallel import _shutdown, resolve_n_jobs
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import current_recorder, metrics as _metrics, span as _obs_span, traced
@@ -55,6 +55,7 @@ from ..obs.trace_context import (
     current_trace,
     current_tracer,
 )
+from ..robust.taxonomy import check_policy
 from .merge import merge_characterizations
 from .planner import plan_shards
 from .store import StackStore
@@ -376,14 +377,9 @@ def _run_pool(
                         if rec is not None:
                             rec.counter("shard.speculative", 1)
     finally:
-        if abandoned or outstanding:
-            # A straggling loser (or an error-path abort) would block a
-            # clean shutdown; every wanted result is already collected,
-            # so terminate the pool's processes outright first (the
-            # parallel_map idiom).
-            for process in (pool._processes or {}).values():
-                process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
+        # A straggling loser (or an error-path abort) would block a
+        # clean shutdown; every wanted result is already collected.
+        _shutdown(pool, terminate=abandoned or bool(outstanding))
 
     for shard in plan.shards:
         parts.append(results_by_shard[shard.index])
@@ -435,7 +431,7 @@ def characterize_store(
 
     Returns
     -------
-    EnsembleCharacterization or RobustEnsembleCharacterization
+    EnsembleCharacterization
         Bit-identical to ``characterize_ensemble(store.memmap()[:])``
         with the same options — columns in member order, quarantine
         report carrying absolute member indices.
@@ -452,12 +448,7 @@ def characterize_store(
     """
     if not isinstance(store, StackStore):
         store = StackStore(store)
-    if policy not in ("raise", "quarantine", "repair"):
-        raise MatrixValueError(
-            f"policy must be 'raise', 'quarantine' or 'repair', got "
-            f"{policy!r}"
-        )
-    if budget is not None and policy == "raise":
+    if not check_policy(policy) and budget is not None:
         raise MatrixValueError(
             "budget requires policy='quarantine' or policy='repair'"
         )

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..batch.ensemble import EnsembleCharacterization
 from ..exceptions import MatrixShapeError, MatrixValueError
-from ..robust.ensemble import RobustEnsembleCharacterization
 from ..robust.taxonomy import QuarantineReport
 
 __all__ = ["merge_characterizations", "merge_reports", "shift_report"]
@@ -91,13 +90,13 @@ def merge_characterizations(parts):
         Each part's result covers members ``[start, start +
         len(result))`` of the ensemble, with quarantine-report indices
         relative to the part.  Parts may arrive in any order but must
-        tile a contiguous range exactly once.  When *any* part is a
-        :class:`~repro.robust.RobustEnsembleCharacterization`, all must
-        be, and the merged result carries the merged report.
+        tile a contiguous range exactly once.  When *any* part carries
+        a quarantine ``report``, all must, and the merged result carries
+        the merged report.
 
     Returns
     -------
-    EnsembleCharacterization or RobustEnsembleCharacterization
+    EnsembleCharacterization
         Bit-identical to characterizing the concatenated members in one
         call (the differential harness in ``tests/shard/`` enforces
         this against the real pipeline).
@@ -120,10 +119,7 @@ def merge_characterizations(parts):
         raise MatrixValueError("cannot merge zero shard results")
     _check_contiguous(parts)
 
-    robust = [
-        isinstance(result, RobustEnsembleCharacterization)
-        for _, result in parts
-    ]
+    robust = [result.report is not None for _, result in parts]
     if any(robust) and not all(robust):
         raise MatrixValueError(
             "cannot merge robust and non-robust shard results (all shards "
@@ -145,13 +141,11 @@ def merge_characterizations(parts):
         )
         for name in ("mph", "tdh", "tma", "iterations", "converged", "batched")
     }
-    if not all(robust):
-        return EnsembleCharacterization(
-            n_tasks=n_tasks, n_machines=n_machines, **columns
+    report = None
+    if all(robust):
+        report = merge_reports(
+            [(start - base, result.report) for start, result in parts]
         )
-    report = merge_reports(
-        [(start - base, result.report) for start, result in parts]
-    )
-    return RobustEnsembleCharacterization(
+    return EnsembleCharacterization(
         n_tasks=n_tasks, n_machines=n_machines, report=report, **columns
     )

@@ -93,6 +93,18 @@ class TestDispatch:
         with pytest.raises(WeightError):
             characterize_ensemble(envs, task_weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("policy", ["raise", "quarantine", "repair"])
+    def test_weights_rejected_for_ragged_members(self, policy):
+        envs = [np.ones((4, 3)), np.ones((3, 3))]
+        with pytest.raises(
+            WeightError,
+            match="explicit task_weights/machine_weights need same-shape "
+            "members",
+        ):
+            characterize_ensemble(
+                envs, task_weights=[1.0, 2.0, 3.0, 4.0], policy=policy
+            )
+
     def test_invalid_inputs(self):
         with pytest.raises(MatrixShapeError):
             characterize_ensemble(np.empty((0, 2, 2)))

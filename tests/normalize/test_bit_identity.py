@@ -310,3 +310,225 @@ def test_characterize_matches_recorded_digest(case):
 
 def test_every_characterize_case_is_pinned():
     assert sorted(CHARACTERIZE_DIGESTS) == sorted(CHARACTERIZE_CASES)
+
+
+# -- ensemble entry points under every fault policy --------------------------
+#
+# ``characterize_ensemble``, ``standardize_batched`` and
+# ``characterize_store`` (serial, three chunks) on one seeded 16x8x8
+# stack: fault-free, under four chaos plans, with a zero-patterned member
+# that takes the scalar path, and (characterize only) as ragged lists.
+# A run that raises is pinned by its exception type and message.  The
+# digests were recorded while the quarantine/repair policies still ran
+# through a second pipeline beside the ``raise`` one.
+
+POLICIES = ("raise", "quarantine", "repair")
+ENSEMBLE_MAX_ITER = 2_000
+CHAOS_KINDS = ("nan", "zero-row", "decomposable", "non-convergent")
+
+
+def _ensemble_inputs():
+    """name -> (environments, fault plan, extra characterize kwargs)."""
+    from repro.robust import FaultPlan
+
+    stack = _stack((8, 8), 6)
+    inputs = {"clean": (stack, None, {})}
+    for kind in CHAOS_KINDS:
+        plan = FaultPlan.random(16, faults={kind: 3}, seed=11, severity=1e6)
+        # Under the default "limit" fallback a decomposable member is
+        # healthy; "raise" makes it a fault.
+        extra = {"tma_fallback": "raise"} if kind == "decomposable" else {}
+        inputs[kind] = (stack, plan, extra)
+    inputs["decomposable-limit"] = (stack, inputs["decomposable"][1], {})
+    patterned = stack.copy()
+    patterned[5, 0, 1] = 0.0
+    inputs["zero-pattern"] = (patterned, None, {})
+    ragged = [stack[0], stack[1, :6], stack[2, :, :5], stack[3]]
+    inputs["ragged"] = (ragged, None, {})
+    corrupt = stack[2, :, :5].copy()
+    corrupt[1, 1] = np.nan
+    inputs["ragged-nan"] = (ragged[:2] + [corrupt, ragged[3]], None, {})
+    return inputs
+
+
+ENSEMBLE_INPUTS = _ensemble_inputs()
+
+
+def _ensemble_cases():
+    from repro.batch import characterize_ensemble
+    from repro.shard import characterize_store, write_store
+
+    cases = {}
+    for policy in POLICIES:
+        for name, (envs, plan, extra) in ENSEMBLE_INPUTS.items():
+            options = dict(
+                policy=policy,
+                fault_plan=plan,
+                max_iterations=ENSEMBLE_MAX_ITER,
+                **extra,
+            )
+            cases[f"characterize_ensemble[{policy}/{name}]"] = (
+                lambda tmp, e=envs, o=options: characterize_ensemble(e, **o)
+            )
+            if isinstance(envs, list):
+                continue
+            cases[f"characterize_store[{policy}/{name}]"] = (
+                lambda tmp, e=envs, o=options: characterize_store(
+                    write_store(tmp / "store", e), chunk_size=6, **o
+                )
+            )
+            if name == "decomposable-limit":
+                continue
+            cases[f"standardize_batched[{policy}/{name}]"] = (
+                lambda tmp, e=envs, p=policy, f=plan: standardize_batched(
+                    e, policy=p, fault_plan=f, max_iterations=ENSEMBLE_MAX_ITER
+                )
+            )
+    return cases
+
+
+ENSEMBLE_CASES = _ensemble_cases()
+
+ENSEMBLE_COLUMNS = ("mph", "tdh", "tma", "iterations", "converged", "batched")
+SCALING_COLUMNS = (
+    "matrix", "row_scale", "col_scale", "iterations", "converged", "residual",
+)
+
+
+def run_ensemble_case(case, tmp_path):
+    """The case's result, or ``"raises <type>: <message>"``."""
+    try:
+        return ENSEMBLE_CASES[case](tmp_path)
+    except Exception as exc:  # noqa: BLE001 -- a pinned outcome
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+def ensemble_digest(result) -> str:
+    """SHA-256 over every column of an ensemble or scaling result and its
+    quarantine report, repair labels excepted (see REPAIR_LABELS)."""
+    if isinstance(result, str):
+        return result
+    h = hashlib.sha256()
+    if hasattr(result, "mph"):
+        columns = ENSEMBLE_COLUMNS
+        shape = (result.n_tasks, result.n_machines)
+    else:
+        columns = SCALING_COLUMNS
+        shape = (
+            result.residual_history,
+            _exact(result.row_target),
+            _exact(result.col_target),
+        )
+    for name in columns:
+        h.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+    h.update(repr(shape).encode())
+    report = getattr(result, "report", None)
+    if report is not None:
+        faults = [
+            (f.index, f.category, f.detail, f.attempts, f.repaired)
+            for f in report.faults
+        ]
+        h.update(repr((report.policy, faults)).encode())
+    return h.hexdigest()
+
+
+ENSEMBLE_DIGESTS = {
+    "characterize_ensemble[quarantine/clean]": "31d72fce38f8ddff71c14967a84a738a23f87ba2d979cd6802366664ef191145",
+    "characterize_ensemble[quarantine/decomposable-limit]": "6a8678a349f56a40abcb11af085c5d3175396f2373d4dc7a426d2d5663e2a41c",
+    "characterize_ensemble[quarantine/decomposable]": "8264d5b736b1bf3f275f6cc0591f539e11ca492121e7cd03896fbb8297e7c215",
+    "characterize_ensemble[quarantine/nan]": "6d74c8f9cab43ca3545c601be3fb995e94c2144556aafacb40516a352856b211",
+    "characterize_ensemble[quarantine/non-convergent]": "8024d733580a57d5b7f2002e418908acc9e28626785538ada42b64257ccacc5e",
+    "characterize_ensemble[quarantine/ragged-nan]": "297b764558c5e1633e7df1161b93260edebb502b1ac8c0c5e49790423a8696e7",
+    "characterize_ensemble[quarantine/ragged]": "fd387ade325ff1552d77d90a77f060d77a0476defb53a3f1ff1e77d3108b70ee",
+    "characterize_ensemble[quarantine/zero-pattern]": "7949dfbe6792a82ad14166ca04a21ba70984eb7d902984caeb20016650a4a531",
+    "characterize_ensemble[quarantine/zero-row]": "87ec658234e84cdbb68f2865f3a1036ddabbe7332bfc41d29e5daf033bd8eedd",
+    "characterize_ensemble[raise/clean]": "2ac91043dfcb1407794fe06bdec5e1622b04c999d0ec01d938d4434ed6c9bc36",
+    "characterize_ensemble[raise/decomposable-limit]": "bca5201f2cceefccaeee4eef9daaf5d4cca558e7255aa503490009c4b70563db",
+    "characterize_ensemble[raise/decomposable]": "raises NotNormalizableError: no standard form exists: the matrix's zero pattern is decomposable (paper Section VI, e.g. its eq. 10); use zeros='limit' for the eq.-9 limit or TMA with method='column'",
+    "characterize_ensemble[raise/nan]": "raises MatrixValueError: ECS matrix contains NaN entries",
+    "characterize_ensemble[raise/non-convergent]": "1fd7507be7582ba3b1e45740814b09ebbea401a4dcb70e929f9c2885cd27608b",
+    "characterize_ensemble[raise/ragged-nan]": "raises MatrixValueError: ECS matrix contains NaN entries",
+    "characterize_ensemble[raise/ragged]": "ecafe2454654a34b4f8fa03d757c80e4bcc78cdf83508cc97106839d72681521",
+    "characterize_ensemble[raise/zero-pattern]": "981c217b877565878d925b83f6af2bc926a00b44caa60144791854bc11dd9d24",
+    "characterize_ensemble[raise/zero-row]": "raises EmptyRowColumnError: ECS matrix has an all-zero row: a task type that no machine can execute",
+    "characterize_ensemble[repair/clean]": "4ca5f4f02ed24d27fcd31d36830c0bfe17fd968649e6c94fb08800eccd5f0661",
+    "characterize_ensemble[repair/decomposable-limit]": "97323c8acd276644c9982a1f26375ec3d768066eea87bfeea681e4f8dbf7e488",
+    "characterize_ensemble[repair/decomposable]": "b56f17f3a878869fc5a2aaf6278eb9c4004c4da899c43ec0940fc76964fe031e",
+    "characterize_ensemble[repair/nan]": "1e46201fc8f1908e7aaaf462b97c217123ceabd8aaf8d014ca3b169cac595a84",
+    "characterize_ensemble[repair/non-convergent]": "ba3d84b08f2624e53442b5d1f803ec3ad539b5ca6e8f36daa9f78eac6b7c1956",
+    "characterize_ensemble[repair/ragged-nan]": "62df38f05f660cf9ce477324f2968bb50e0620f12d2785a05e4fd666822cca1f",
+    "characterize_ensemble[repair/ragged]": "e31300c6e039ce96e0f807047e046d0a214c036e3be645d650c95698189c2860",
+    "characterize_ensemble[repair/zero-pattern]": "3c2f7f79bd3b07863dd86804027c707ec067c5011e7407244ade67f022b6b801",
+    "characterize_ensemble[repair/zero-row]": "27a7dc23be960483c6cebf32a803cab972dccbcd84987f9c4ab40467b52c8fa4",
+    "characterize_store[quarantine/clean]": "31d72fce38f8ddff71c14967a84a738a23f87ba2d979cd6802366664ef191145",
+    "characterize_store[quarantine/decomposable-limit]": "6a8678a349f56a40abcb11af085c5d3175396f2373d4dc7a426d2d5663e2a41c",
+    "characterize_store[quarantine/decomposable]": "8264d5b736b1bf3f275f6cc0591f539e11ca492121e7cd03896fbb8297e7c215",
+    "characterize_store[quarantine/nan]": "6d74c8f9cab43ca3545c601be3fb995e94c2144556aafacb40516a352856b211",
+    "characterize_store[quarantine/non-convergent]": "8024d733580a57d5b7f2002e418908acc9e28626785538ada42b64257ccacc5e",
+    "characterize_store[quarantine/zero-pattern]": "7949dfbe6792a82ad14166ca04a21ba70984eb7d902984caeb20016650a4a531",
+    "characterize_store[quarantine/zero-row]": "87ec658234e84cdbb68f2865f3a1036ddabbe7332bfc41d29e5daf033bd8eedd",
+    "characterize_store[raise/clean]": "2ac91043dfcb1407794fe06bdec5e1622b04c999d0ec01d938d4434ed6c9bc36",
+    "characterize_store[raise/decomposable-limit]": "bca5201f2cceefccaeee4eef9daaf5d4cca558e7255aa503490009c4b70563db",
+    "characterize_store[raise/decomposable]": "raises NotNormalizableError: no standard form exists: the matrix's zero pattern is decomposable (paper Section VI, e.g. its eq. 10); use zeros='limit' for the eq.-9 limit or TMA with method='column'",
+    "characterize_store[raise/nan]": "raises MatrixValueError: ECS stack contains NaN entries",
+    "characterize_store[raise/non-convergent]": "1fd7507be7582ba3b1e45740814b09ebbea401a4dcb70e929f9c2885cd27608b",
+    "characterize_store[raise/zero-pattern]": "981c217b877565878d925b83f6af2bc926a00b44caa60144791854bc11dd9d24",
+    "characterize_store[raise/zero-row]": "raises MatrixValueError: ECS stack has an all-zero row or column in slice(s) [np.int64(2)]",
+    "characterize_store[repair/clean]": "4ca5f4f02ed24d27fcd31d36830c0bfe17fd968649e6c94fb08800eccd5f0661",
+    "characterize_store[repair/decomposable-limit]": "97323c8acd276644c9982a1f26375ec3d768066eea87bfeea681e4f8dbf7e488",
+    "characterize_store[repair/decomposable]": "b56f17f3a878869fc5a2aaf6278eb9c4004c4da899c43ec0940fc76964fe031e",
+    "characterize_store[repair/nan]": "1e46201fc8f1908e7aaaf462b97c217123ceabd8aaf8d014ca3b169cac595a84",
+    "characterize_store[repair/non-convergent]": "ba3d84b08f2624e53442b5d1f803ec3ad539b5ca6e8f36daa9f78eac6b7c1956",
+    "characterize_store[repair/zero-pattern]": "3c2f7f79bd3b07863dd86804027c707ec067c5011e7407244ade67f022b6b801",
+    "characterize_store[repair/zero-row]": "27a7dc23be960483c6cebf32a803cab972dccbcd84987f9c4ab40467b52c8fa4",
+    "standardize_batched[quarantine/clean]": "d8f413fdb982b27c5738bacfd15de9431a94c6a796f1e282f80cba1d7079e2f5",
+    "standardize_batched[quarantine/decomposable]": "59437487749dbf67f0110097113d5f42eaec7ce13c76a082e5037520bddaf032",
+    "standardize_batched[quarantine/nan]": "37d24aa421ec88a62fdbfad623e0e5871775b0ddfd92ec572317ba3ec61fbeed",
+    "standardize_batched[quarantine/non-convergent]": "3cd56349bb04d6a5537323dae6229389e96c6c75bcf3dd562d082e662675df65",
+    "standardize_batched[quarantine/zero-pattern]": "8be49cfa2e6f252394d1118e224eb9ba730e43eceae8dcf37de5c7506deaf363",
+    "standardize_batched[quarantine/zero-row]": "228c8b7a2bfebabd1ddbdced3200ad93c3a845d6a351f746295a78cdab12503b",
+    "standardize_batched[raise/clean]": "b6c7faf534d714ef3436e5a3f53861a6f272a482e7cb1965d93f11f99bef6e52",
+    "standardize_batched[raise/decomposable]": "raises MatrixValueError: budget/fault_plan require policy='quarantine' or policy='repair'",
+    "standardize_batched[raise/nan]": "raises MatrixValueError: budget/fault_plan require policy='quarantine' or policy='repair'",
+    "standardize_batched[raise/non-convergent]": "raises MatrixValueError: budget/fault_plan require policy='quarantine' or policy='repair'",
+    "standardize_batched[raise/zero-pattern]": "b1fbb60a00b4bffd325238cc796e21fd3450b57b1b83653092e67e24b0cd91a6",
+    "standardize_batched[raise/zero-row]": "raises MatrixValueError: budget/fault_plan require policy='quarantine' or policy='repair'",
+    "standardize_batched[repair/clean]": "b4a709a283a20d2939bc984505920719ab4fff20e41bbcd0269a553198fcc561",
+    "standardize_batched[repair/decomposable]": "8ca9f0468d7ad77b3f400c5fdb83640a3c62921aa61874881541c8ef9f2827ce",
+    "standardize_batched[repair/nan]": "101521a15d2f8895b2e3e5521baeaf4bf7ab38b6a4e28b61ca8f2417ac161aca",
+    "standardize_batched[repair/non-convergent]": "45a8fdad733676773ee2c95d70002a169ff1b54832eb525b0739d3c004da2b98",
+    "standardize_batched[repair/zero-pattern]": "11f251eaea38a5d14bb557704572f8123cf6b6a02b960b152e396b5b8652dd3e",
+    "standardize_batched[repair/zero-row]": "dca0fd87b9da821e4b4c670af4131a8f193a59d1eb9ccc3b28b3ae8834459ff4",
+}
+
+#: case -> {member: repair label} for every case with a repaired member,
+#: kept apart from the digests so a relabelling shows up on its own.
+#: The second pipeline labelled standardize_batched's pattern repairs
+#: ``pattern:N``; the one ladder labels them ``drop:N``/``add:N`` like
+#: characterize_ensemble, with the same repaired matrices.
+REPAIR_LABELS = {
+    "characterize_ensemble[repair/decomposable]": {2: "drop:7", 8: "drop:7", 13: "drop:7"},
+    "characterize_ensemble[repair/non-convergent]": {2: "tol-backoff:1e-07", 8: "tol-backoff:1e-07", 13: "tol-backoff:1e-07"},
+    "characterize_ensemble[repair/zero-row]": {2: "add:2", 8: "add:2", 13: "add:2"},
+    "characterize_store[repair/decomposable]": {2: "drop:7", 8: "drop:7", 13: "drop:7"},
+    "characterize_store[repair/non-convergent]": {2: "tol-backoff:1e-07", 8: "tol-backoff:1e-07", 13: "tol-backoff:1e-07"},
+    "characterize_store[repair/zero-row]": {2: "add:2", 8: "add:2", 13: "add:2"},
+    "standardize_batched[repair/decomposable]": {2: "drop:7", 8: "drop:7", 13: "drop:7"},
+    "standardize_batched[repair/non-convergent]": {2: "tol-backoff:1e-07", 8: "tol-backoff:1e-07", 13: "tol-backoff:1e-07"},
+    "standardize_batched[repair/zero-row]": {2: "add:2", 8: "add:2", 13: "add:2"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENSEMBLE_CASES))
+def test_ensemble_matches_recorded_digest(case, tmp_path):
+    result = run_ensemble_case(case, tmp_path)
+    assert ensemble_digest(result) == ENSEMBLE_DIGESTS[case]
+    report = getattr(result, "report", None)
+    labels = {
+        f.index: f.repair for f in (report.faults if report else ()) if f.repaired
+    }
+    assert labels == REPAIR_LABELS.get(case, {})
+
+
+def test_every_ensemble_case_is_pinned():
+    assert sorted(ENSEMBLE_DIGESTS) == sorted(ENSEMBLE_CASES)

@@ -94,6 +94,22 @@ class TestFaultPlan:
         with pytest.raises(MatrixValueError):
             plan.apply(base_stack)
 
+    @pytest.mark.parametrize("policy", ["raise", "quarantine", "repair"])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_out_of_range_member_rejected_on_every_path(
+        self, base_stack, policy, ragged
+    ):
+        members = (
+            [base_stack[0], base_stack[1, :3]] if ragged else base_stack[:2]
+        )
+        plan = FaultPlan(faults=(FaultSpec(kind="nan", member=7),))
+        with pytest.raises(
+            MatrixValueError,
+            match="fault targets member 7 but the ensemble has only 2 "
+            "members",
+        ):
+            characterize_ensemble(members, policy=policy, fault_plan=plan)
+
 
 class TestQuarantineMatrix:
     """One test per data-fault kind, two injected members each."""
@@ -223,6 +239,23 @@ class TestQuarantineMatrix:
 
 
 class TestWorkerFaults:
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_raise_policy_sleeps_the_stall_once(self, base_stack, ragged):
+        import time
+
+        members = (
+            [*base_stack[:3], base_stack[3, :3]] if ragged else base_stack
+        )
+        baseline = characterize_ensemble(members)
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="stall", member=1, stall_s=0.3),)
+        )
+        start = time.monotonic()
+        result = characterize_ensemble(members, fault_plan=plan)
+        elapsed = time.monotonic() - start
+        assert 0.3 <= elapsed < 0.6
+        _assert_healthy_bit_identical(result, baseline, range(len(result)))
+
     @pytest.mark.slow
     def test_stall_times_out_and_is_quarantined(self, base_stack):
         import time

@@ -19,6 +19,7 @@ from repro.robust import (
     QuarantineReport,
     classify_exception,
     classify_matrix,
+    classify_stack,
 )
 
 
@@ -95,6 +96,34 @@ class TestClassifyMatrix:
         verdict = classify_matrix(m, tma_fallback="raise")
         assert verdict is not None
         assert verdict[0] in ("infeasible", "decomposable")
+
+
+class TestClassifyStack:
+    @pytest.mark.parametrize("tma_fallback", ["limit", "raise"])
+    def test_matches_member_by_member_screen(self, tma_fallback):
+        stack = np.random.default_rng(3).uniform(0.5, 2.0, size=(9, 3, 3))
+        stack[1, 0, 0] = np.nan
+        stack[2, 1, 1] = np.inf
+        stack[3, 2, 0] = -1.0
+        stack[4, :, 2] = 0.0
+        stack[5] = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # eq. 10
+        stack[6, 0, 1] = 0.0  # zeros, but normalizable
+        stack[7, 0, 0] = np.nan
+        stack[7, 1, :] = 0.0  # nan outranks the empty line
+        expected = {}
+        for i, member in enumerate(stack):
+            verdict = classify_matrix(member, tma_fallback=tma_fallback)
+            if verdict is not None:
+                expected[i] = verdict
+        assert classify_stack(stack, tma_fallback=tma_fallback) == expected
+        categories = {1: "nan", 2: "non-finite", 3: "negative", 4: "empty-line"}
+        if tma_fallback == "raise":
+            categories[5] = "decomposable"
+        categories[7] = "nan"
+        assert {i: c for i, (c, _) in expected.items()} == categories
+
+    def test_healthy_stack_is_empty(self):
+        assert classify_stack(np.ones((4, 2, 3))) == {}
 
 
 class TestMemberFault:

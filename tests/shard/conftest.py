@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import list_backends
-from repro.robust.ensemble import RobustEnsembleCharacterization
 
 #: Measure columns every characterization result carries.
 RESULT_COLUMNS = ("mph", "tdh", "tma", "iterations", "converged", "batched")
@@ -39,5 +38,5 @@ def assert_results_equal(actual, expected):
         assert np.array_equal(a, e, equal_nan=True), (
             f"column {name!r} differs: {a} vs {e}"
         )
-    if isinstance(expected, RobustEnsembleCharacterization):
+    if expected.report is not None:
         assert actual.report == expected.report

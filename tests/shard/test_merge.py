@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.batch import characterize_ensemble
 from repro.batch.ensemble import EnsembleCharacterization
 from repro.exceptions import MatrixShapeError, MatrixValueError
-from repro.robust.ensemble import RobustEnsembleCharacterization
 from repro.robust.taxonomy import MemberFault, QuarantineReport
 from repro.shard import merge_characterizations, merge_reports, shift_report
 
@@ -42,7 +41,7 @@ def whole_robust():
             for i in (2, 11, 17, 23)
         ),
     )
-    return RobustEnsembleCharacterization(
+    return EnsembleCharacterization(
         report=report,
         **{name: getattr(plain, name) for name in RESULT_COLUMNS},
         n_tasks=plain.n_tasks,
@@ -55,13 +54,13 @@ def slice_result(result, start, stop):
     columns = {
         name: getattr(result, name)[start:stop] for name in RESULT_COLUMNS
     }
-    if isinstance(result, RobustEnsembleCharacterization):
+    if result.report is not None:
         faults = tuple(
             dataclasses.replace(f, index=f.index - start)
             for f in result.report.faults
             if start <= f.index < stop
         )
-        return RobustEnsembleCharacterization(
+        return EnsembleCharacterization(
             report=QuarantineReport(
                 policy=result.report.policy, faults=faults
             ),

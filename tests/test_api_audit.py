@@ -114,7 +114,6 @@ def test_robust_entry_points_at_top_level():
         "Budget",
         "FaultPlan",
         "QuarantineReport",
-        "characterize_ensemble_robust",
         "repaired_matrix",
     ):
         assert name in repro.__all__

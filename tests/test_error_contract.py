@@ -183,6 +183,128 @@ def test_a_matrix_too_small_to_scale_is_named_even_with_weights(entry):
         ENTRY_POINTS[entry](TINY, task_weights=[0.5] * 3)
 
 
+def _stack_with(value, where=(1, 0, 1)):
+    """A (3, 2, 2) stack of ones with ``value`` written at ``where``."""
+    stack = np.ones((3, 2, 2))
+    stack[where] = value
+    return stack
+
+
+#: name -> (ensemble, keyword arguments)
+ENSEMBLE_INPUTS = {
+    "nan": (_stack_with(float("nan")), {}),
+    "inf": (_stack_with(float("inf")), {}),
+    "negative": (_stack_with(-1.0), {}),
+    "zero_line": (_stack_with(0.0, (1, 0, slice(None))), {}),
+    "empty": (np.empty((0, 2, 2)), {}),
+    "two_d": (np.ones((2, 2)), {}),
+    "empty_list": ([], {}),
+    "weights_length": (np.ones((3, 2, 2)), {"task_weights": [1.0]}),
+}
+
+
+def _characterize_store(stack, tmp_path, **kwargs):
+    from repro.shard import characterize_store, write_store
+
+    return characterize_store(write_store(tmp_path / "store", stack), **kwargs)
+
+
+ENSEMBLE_ENTRY_POINTS = {
+    "characterize_ensemble": lambda envs, tmp, **kw: repro.characterize_ensemble(
+        envs, **kw
+    ),
+    "standardize_batched": lambda envs, tmp, **kw: repro.standardize_batched(
+        envs, **kw
+    ),
+    "characterize_store": lambda envs, tmp, **kw: _characterize_store(
+        envs, tmp, **kw
+    ),
+}
+
+_ECS_STACK_INF = (
+    "ECS stack contains infinite entries; infinities belong in the ETC "
+    "representation (use zero ECS for incompatible pairs)"
+)
+_ECS_STACK_DATA = {
+    "nan": (MatrixValueError, "ECS stack contains NaN entries"),
+    "inf": (MatrixValueError, _ECS_STACK_INF),
+    "negative": (MatrixValueError, "ECS stack contains negative entries"),
+    # numpy >= 2 prints the slice index as a numpy scalar.
+    "zero_line": (
+        MatrixValueError,
+        "ECS stack has an all-zero row or column in slice(s) [np.int64(1)]",
+    ),
+}
+
+#: (entry point, input) -> (exception type, message) under policy="raise".
+#: The store entry point only sees data errors: write_store itself
+#: rejects the malformed shapes, and a store takes no weights.
+ENSEMBLE_EXPECTED = {
+    **{("characterize_ensemble", k): e for k, e in _ECS_STACK_DATA.items()},
+    **{("characterize_store", k): e for k, e in _ECS_STACK_DATA.items()},
+    ("characterize_ensemble", "empty"): (
+        MatrixShapeError,
+        "ECS stack must be non-empty, got shape (0, 2, 2)",
+    ),
+    ("characterize_ensemble", "two_d"): (
+        MatrixShapeError,
+        "array input must be a 3-D (N, T, M) stack, got ndim=2 (shape (2, 2)); "
+        "wrap a single matrix as matrix[None, :, :] or pass a list",
+    ),
+    ("characterize_ensemble", "empty_list"): (
+        MatrixShapeError,
+        "cannot stack an empty environment sequence",
+    ),
+    ("characterize_ensemble", "weights_length"): (
+        WeightError,
+        "task_weights must be a 1-D vector of length 2, got shape (1,)",
+    ),
+    ("standardize_batched", "nan"): (
+        MatrixValueError,
+        "stack contains NaN entries",
+    ),
+    ("standardize_batched", "inf"): (
+        MatrixValueError,
+        "stack must be finite (got inf entries)",
+    ),
+    ("standardize_batched", "negative"): (
+        MatrixValueError,
+        "stack must be non-negative",
+    ),
+    ("standardize_batched", "zero_line"): (
+        MatrixValueError,
+        "stack has an all-zero row or column in slice(s) [1]; no scaling "
+        "can fix that",
+    ),
+    ("standardize_batched", "empty"): (
+        MatrixShapeError,
+        "stack must be non-empty, got shape (0, 2, 2)",
+    ),
+    ("standardize_batched", "two_d"): (
+        MatrixShapeError,
+        "stack must be 3-D (N, T, M), got ndim=2 (shape (2, 2))",
+    ),
+    ("standardize_batched", "empty_list"): (
+        MatrixShapeError,
+        "stack must be 3-D (N, T, M), got ndim=1 (shape (0,))",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,key",
+    sorted(ENSEMBLE_EXPECTED),
+    ids=[f"{e}-{k}" for e, k in sorted(ENSEMBLE_EXPECTED)],
+)
+def test_ensemble_error_type_and_message(entry, key, tmp_path):
+    envs, kwargs = ENSEMBLE_INPUTS[key]
+    kind, message = ENSEMBLE_EXPECTED[(entry, key)]
+    with pytest.raises(Exception) as info:
+        ENSEMBLE_ENTRY_POINTS[entry](envs, tmp_path, **kwargs)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
 def test_weights_that_underflow_some_entries_still_work():
     # One entry underflows to zero, but no row or column is left empty.
     ecs = np.ones((3, 3))
