@@ -34,7 +34,7 @@ import timeit
 import numpy as np
 
 from repro.batch import characterize_ensemble
-from repro.obs import RequestTrace
+from repro.obs.trace_context import TraceContext, new_trace_id
 from repro.obs import metrics as obs_metrics
 from repro.obs import recording, span
 
@@ -110,21 +110,24 @@ def test_disabled_overhead_under_2_percent(write_result):
     ) / n_iter
     feed_pct = disabled_observe_s / kernel_s * 100
 
-    # Serve-path tracing with span emission *disabled* (no trace_path):
-    # the only per-request cost is the RequestTrace bookkeeping — mint
-    # the trace id for the always-on ``X-Repro-Trace-Id`` header and
-    # accumulate a few stage timings (the breakdown dict itself is
-    # built lazily, only when a span, slow-log record, or
-    # ``debug_timings`` answer consumes it).  That cost is microbenched
-    # directly and gated at 0.1% of a compute request under the default
-    # serving config; the cache-hit time is reported alongside so the
-    # relative cost on the fastest path stays visible.
+    # Serve-path tracing with span emission *disabled* (no trace_path,
+    # no slow log): the only per-request cost is reading the request's
+    # ``traceparent`` and minting the trace id for the always-on
+    # ``X-Repro-Trace-Id`` header, as CharacterizationServer.exchange
+    # does.  Stage timings (a RequestTrace) are collected only for a
+    # request whose span, slow-log record or ``debug_timings`` answer
+    # reads them.  That cost is microbenched directly (best of REPEATS,
+    # like every other timing here) and gated at 0.1% of a compute
+    # request under the default serving config; the cache-hit time is
+    # reported alongside so the relative cost on the fastest path stays
+    # visible.
     def _bookkeeping() -> None:
-        rtrace = RequestTrace.begin(None)
-        rtrace.add("cache_s", 1e-4)
-        rtrace.add("kernel_s", 1e-3)
+        parent = TraceContext.from_traceparent(None)
+        new_trace_id() if parent is None else parent.trace_id
 
-    serve_noop_s = timeit.timeit(_bookkeeping, number=50_000) / 50_000
+    serve_noop_s = min(
+        timeit.repeat(_bookkeeping, number=50_000, repeat=REPEATS)
+    ) / 50_000
     hit_s, compute_s, bit_identical = _serve_hot_path()
     serve_pct = serve_noop_s / compute_s * 100
 

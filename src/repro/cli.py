@@ -371,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--linger-ms", type=float, default=2.0,
-        help="coalescing window: how long the first request of a batch "
-        "waits for same-shape company before the kernel fires",
+        help="coalescing cap: a same-shape batch flushes on the first "
+        "loop turn that adds no member, at --linger-ms at the latest, or "
+        "at --max-batch",
     )
     p.add_argument(
         "--max-batch", type=int, default=64,

@@ -19,6 +19,13 @@ Three instrument kinds, mirroring the Prometheus data model:
 Instruments are labelled: one metric name carries many label-value
 series (``repro_sinkhorn_runs_total{kernel="scalar",converged="true"}``).
 
+Every family the library records is declared once, in :data:`FAMILIES`
+(name, kind, help, label names, buckets).  The hot-path helpers below
+record into those families by name through
+:meth:`MetricsRegistry.record`: the family is registered and validated
+the first time a registry sees it, and every later record is a dict
+lookup plus an update, all of one call under one lock hold.
+
 Collection is **off by default** and gated by a module-level flag so the
 instrumented hot paths pay one early-return function call per kernel
 *run* (never per iteration) while disabled —
@@ -46,10 +53,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MetricsRegistry",
     "MetricFamily",
+    "FamilySpec",
+    "FAMILIES",
     "Counter",
     "Gauge",
     "Histogram",
@@ -59,6 +69,7 @@ __all__ = [
     "disable_metrics",
     "metrics_enabled",
     "collecting_metrics",
+    "declare_families",
     "fold_recorder",
     "observe_serve_request",
     "observe_serve_scrape",
@@ -71,7 +82,6 @@ __all__ = [
     "count_serve_deadline_exceeded",
     "count_serve_drain",
     "set_serve_admission_limit",
-    "register_serve_resilience_metrics",
     "observe_shard_chunk",
     "count_shard_dispatch",
     "ITERATION_BUCKETS",
@@ -111,6 +121,99 @@ SECONDS_BUCKETS = (
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+class FamilySpec(NamedTuple):
+    """One declared metric family: everything about it but its samples."""
+
+    name: str
+    kind: str
+    labelnames: tuple[str, ...]
+    help: str
+    buckets: tuple[float, ...] | None = None
+
+
+#: Every metric family the library and the service record, by name.
+#: To add one, append a :class:`FamilySpec` here and record into it by
+#: name with :meth:`MetricsRegistry.record`; a ``repro_serve_*`` family
+#: is then pre-registered by the server like every other serve family.
+FAMILIES = {spec.name: spec for spec in (
+    # -- compute layers (normalize, batch, backends, measures, robust)
+    FamilySpec("repro_sinkhorn_runs_total", "counter", ("kernel", "converged"),
+               "Sinkhorn kernel runs by kernel and convergence outcome."),
+    FamilySpec("repro_sinkhorn_iterations", "histogram", ("kernel",),
+               "Full (column+row) Sinkhorn iterations to tolerance per run.",
+               ITERATION_BUCKETS),
+    FamilySpec("repro_sinkhorn_exit_residual", "histogram", ("kernel",),
+               "Largest row/column-sum deviation at kernel exit.",
+               RESIDUAL_BUCKETS),
+    FamilySpec("repro_svd_seconds", "histogram", ("kernel",),
+               "Wall time of the singular-value decompositions behind TMA.",
+               SECONDS_BUCKETS),
+    FamilySpec("repro_ensemble_members_total", "counter", ("path",),
+               "Ensemble members characterized, by kernel dispatch path."),
+    FamilySpec("repro_member_outcomes_total", "counter", ("outcome",),
+               "Robust ensemble member outcomes by quarantine taxonomy slug."),
+    FamilySpec("repro_backend_dispatch_total", "counter", ("backend", "kernel"),
+               "Kernel invocations by backend and kernel entry point."),
+    FamilySpec("repro_backend_precision_total", "counter", ("backend", "outcome"),
+               "float32 fast-path outcomes: float64-verified vs discarded."),
+    FamilySpec("repro_backend_warm_start_total", "counter", ("kernel", "outcome"),
+               "Warm-started Sinkhorn runs by kernel and convergence outcome."),
+    FamilySpec("repro_characterize_runs_total", "counter", ("tma_method",),
+               "Full heterogeneity characterizations by TMA method."),
+    # -- folded recorder sessions
+    FamilySpec("repro_span_seconds", "histogram", ("span",),
+               "Wall time of recorded obs spans, by span name.", SECONDS_BUCKETS),
+    FamilySpec("repro_spans_total", "counter", ("span",),
+               "Recorded obs spans, by span name."),
+    FamilySpec("repro_span_errors_total", "counter", ("span",),
+               "Recorded obs spans that exited by raising, by span name."),
+    FamilySpec("repro_obs_counter_total", "counter", ("counter",),
+               "Recorder counter totals folded at session close, by name."),
+    FamilySpec("repro_obs_gauge", "gauge", ("gauge",),
+               "Last recorded obs gauge value, by name."),
+    # -- the service (repro.serve)
+    FamilySpec("repro_serve_requests_total", "counter", ("endpoint", "status"),
+               "Characterization service requests by endpoint and HTTP status."),
+    FamilySpec("repro_serve_request_seconds", "histogram", ("endpoint", "source"),
+               "Service request wall time by endpoint and serving path.",
+               SECONDS_BUCKETS),
+    FamilySpec("repro_serve_scrapes_total", "counter", ("kind", "status"),
+               "Observability scrapes (metrics/health endpoints) by kind and "
+               "status."),
+    FamilySpec("repro_serve_scrape_seconds", "histogram", ("kind",),
+               "Wall time of observability scrapes, by kind.", SECONDS_BUCKETS),
+    FamilySpec("repro_serve_coalesce_batch_size", "histogram", ("endpoint",),
+               "Requests per coalesced kernel batch, by endpoint.",
+               BATCH_SIZE_BUCKETS),
+    FamilySpec("repro_serve_kernel_invocations_total", "counter", ("endpoint",),
+               "Batched kernel calls issued by the coalescer, by endpoint."),
+    FamilySpec("repro_serve_cache_events_total", "counter", ("event",),
+               "Content-addressed result cache events."),
+    FamilySpec("repro_serve_quarantined_total", "counter", ("endpoint", "category"),
+               "Service requests quarantined, by endpoint and fault category."),
+    FamilySpec("repro_serve_admitted_total", "counter", ("endpoint",),
+               "Requests admitted to the compute path, by endpoint."),
+    FamilySpec("repro_serve_shed_total", "counter", ("endpoint", "reason"),
+               "Requests shed with a structured 503, by endpoint and reason."),
+    FamilySpec("repro_serve_deadline_exceeded_total", "counter", ("endpoint", "stage"),
+               "Requests shed at their deadline, by endpoint and pipeline stage."),
+    FamilySpec("repro_serve_drain_total", "counter", ("event",),
+               "Graceful-drain lifecycle events."),
+    FamilySpec("repro_serve_admission_limit", "gauge", ("endpoint",),
+               "Current adaptive admission limit, by endpoint."),
+    # -- the shard engine (repro.shard)
+    FamilySpec("repro_shard_chunks_total", "counter", ("mode",),
+               "Shard chunks characterized, by dispatch mode."),
+    FamilySpec("repro_shard_members_total", "counter", ("mode",),
+               "Ensemble members streamed through the shard engine, by mode."),
+    FamilySpec("repro_shard_chunk_seconds", "histogram", ("mode",),
+               "Wall time of one shard chunk (read + characterize), by mode.",
+               SECONDS_BUCKETS),
+    FamilySpec("repro_shard_dispatch_total", "counter", ("event",),
+               "Shard scheduler dispatch events (straggler mitigation)."),
+)}
+
+
 @dataclass(frozen=True)
 class MetricFamily:
     """One collected metric: identity plus every label-series sample.
@@ -131,7 +234,12 @@ class MetricFamily:
 
 
 class _Metric:
-    """Shared identity + label-key handling of the three instruments."""
+    """Shared identity + label-key handling of the three instruments.
+
+    ``_update(key, ...)`` applies one record to the series ``key`` (a
+    tuple of label-value strings in ``labelnames`` order); the caller
+    holds the registry lock.
+    """
 
     kind = "untyped"
 
@@ -180,7 +288,10 @@ class Counter(_Metric):
             )
         key = self._key(labels)
         with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
+            self._update(key, value)
+
+    def _update(self, key, value) -> None:
+        self._series[key] = self._series.get(key, 0.0) + float(value)
 
     def value(self, **labels) -> float:
         """Current total of one label series (0.0 when never incremented)."""
@@ -196,7 +307,10 @@ class Gauge(_Metric):
     def set(self, value: float, **labels) -> None:
         key = self._key(labels)
         with self._lock:
-            self._series[key] = float(value)
+            self._update(key, value)
+
+    def _update(self, key, value) -> None:
+        self._series[key] = float(value)
 
     def inc(self, value: float = 1.0, **labels) -> None:
         key = self._key(labels)
@@ -252,28 +366,29 @@ class Histogram(_Metric):
         an OpenMetrics exemplar on that bucket's sample line, so a p99
         bucket points at a concrete trace to pull up.
         """
+        key = self._key(labels)
+        with self._lock:
+            self._update(key, value, exemplar)
+
+    def _update(self, key, value, exemplar=None) -> None:
         value = float(value)
         if math.isnan(value):
             return
-        key = self._key(labels)
         idx = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(
-                    len(self.buckets)
-                )
-            series.counts[idx] += 1
-            series.sum += value
-            series.count += 1
-            if exemplar:
-                if series.exemplars is None:
-                    series.exemplars = {}
-                series.exemplars[idx] = {
-                    "labels": {str(k): str(v) for k, v in exemplar.items()},
-                    "value": value,
-                    "timestamp": time.time(),
-                }
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(len(self.buckets))
+        series.counts[idx] += 1
+        series.sum += value
+        series.count += 1
+        if exemplar:
+            if series.exemplars is None:
+                series.exemplars = {}
+            series.exemplars[idx] = {
+                "labels": {str(k): str(v) for k, v in exemplar.items()},
+                "value": value,
+                "timestamp": time.time(),
+            }
 
     def snapshot(self, **labels) -> dict:
         """``{"buckets": {le: cumulative_count}, "sum": s, "count": n}``
@@ -315,7 +430,9 @@ class MetricsRegistry:
     ``counter()`` / ``gauge()`` / ``histogram()`` return the existing
     instrument when the name is already registered (validating that the
     kind, label names and buckets agree), so call sites never need to
-    coordinate registration order.  All mutation is guarded by one lock,
+    coordinate registration order.  :meth:`declare` does the same for a
+    family of :data:`FAMILIES` once, and :meth:`record` feeds declared
+    families on the hot paths.  All mutation is guarded by one lock,
     making the registry safe to scrape from the metrics HTTP endpoint
     while kernels feed it.
 
@@ -334,11 +451,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        # Declared families already registered (and validated) here.
+        self._declared: dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
     # -- registration (create-or-get) ----------------------------------
 
     def _register(self, kind: str, name: str, help: str, labelnames, **extra):
+        with self._lock:
+            return self._get_or_create(kind, name, help, labelnames, extra)
+
+    def _get_or_create(self, kind, name, help, labelnames, extra):
+        """Create-or-get with validation; the caller holds the lock."""
         if not _METRIC_NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         labelnames = tuple(labelnames)
@@ -347,27 +471,26 @@ class MetricsRegistry:
                 raise ValueError(
                     f"invalid label name {label!r} for metric {name!r}"
                 )
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing.kind != kind or existing.labelnames != labelnames:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind} with labels {existing.labelnames}"
-                    )
-                if kind == "histogram" and existing.buckets != tuple(
-                    float(b) for b in extra["buckets"]
-                ):
-                    raise ValueError(
-                        f"histogram {name!r} already registered with "
-                        f"buckets {existing.buckets}"
-                    )
-                return existing
-            metric = _METRIC_CLASSES[kind](
-                name, help, labelnames, self._lock, **extra
-            )
-            self._metrics[name] = metric
-            return metric
+        existing = self._metrics.get(name)
+        if existing is not None:
+            if existing.kind != kind or existing.labelnames != labelnames:
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{existing.kind} with labels {existing.labelnames}"
+                )
+            if kind == "histogram" and existing.buckets != tuple(
+                float(b) for b in extra["buckets"]
+            ):
+                raise ValueError(
+                    f"histogram {name!r} already registered with "
+                    f"buckets {existing.buckets}"
+                )
+            return existing
+        metric = _METRIC_CLASSES[kind](
+            name, help, labelnames, self._lock, **extra
+        )
+        self._metrics[name] = metric
+        return metric
 
     def counter(self, name: str, help: str = "", labelnames=()) -> Counter:
         return self._register("counter", name, help, labelnames)
@@ -385,6 +508,39 @@ class MetricsRegistry:
         return self._register(
             "histogram", name, help, labelnames, buckets=buckets
         )
+
+    def declare(self, name: str) -> _Metric:
+        """The instrument of the :data:`FAMILIES` entry ``name``.
+
+        Registered (and validated) the first time this registry sees the
+        family; later calls only look it up.
+        """
+        with self._lock:
+            return self._declared.get(name) or self._declare(name)
+
+    def _declare(self, name: str) -> _Metric:
+        spec = FAMILIES[name]
+        extra = {} if spec.buckets is None else {"buckets": spec.buckets}
+        metric = self._get_or_create(
+            spec.kind, name, spec.help, spec.labelnames, extra
+        )
+        self._declared[name] = metric
+        return metric
+
+    def record(self, *updates) -> None:
+        """Apply ``(family, label values, value[, exemplar])`` updates.
+
+        ``family`` names a :data:`FAMILIES` entry and ``label values`` is
+        a tuple of strings in its label order.  A counter adds
+        ``value``, a gauge is set to it and a histogram observes it
+        (``exemplar`` as in :meth:`Histogram.observe`).  Every update of
+        one call is applied under one lock hold, in order.
+        """
+        declared = self._declared
+        with self._lock:
+            for name, key, *args in updates:
+                metric = declared.get(name) or self._declare(name)
+                metric._update(key, *args)
 
     # -- reading back --------------------------------------------------
 
@@ -508,12 +664,43 @@ def collecting_metrics(registry: MetricsRegistry | None = None):
             set_registry(previous_registry)
 
 
-# -- pre-specified instruments fed by the compute layers ---------------
+def declare_families(
+    prefix: str = "", registry: MetricsRegistry | None = None
+) -> None:
+    """Register every :data:`FAMILIES` entry whose name starts with
+    ``prefix`` (zero-valued) in ``registry`` (default: the default one).
+
+    The server declares ``repro_serve_*`` at startup so an operator
+    scraping ``/metrics`` sees every serve family (HELP/TYPE lines)
+    before its first sample — a dashboard wired against a healthy server
+    keeps working when the weather turns.
+    """
+    registry = registry or _default_registry
+    for name in FAMILIES:
+        if name.startswith(prefix):
+            registry.declare(name)
+
+
+# -- the hot-path helpers ----------------------------------------------
 #
 # Helpers rather than module-level instrument objects so a swapped
-# default registry (collecting_metrics(fresh)) is always the one fed.
-# Every helper early-returns while the gate is closed; that early
-# return IS the disabled-path cost the overhead benchmark budgets.
+# default registry (collecting_metrics(fresh)) is always the one fed;
+# ``registry=`` records into an explicit registry regardless of the
+# gate.  Every helper skips all work while the gate is closed; that one
+# test IS the disabled-path cost the overhead benchmark budgets.
+
+
+def _record(registry: MetricsRegistry | None, *updates) -> None:
+    (registry or _default_registry).record(*updates)
+
+
+def _sinkhorn_updates(kernel, iterations, residual, converged) -> tuple:
+    return (
+        ("repro_sinkhorn_runs_total",
+         (kernel, "true" if converged else "false"), 1.0),
+        ("repro_sinkhorn_iterations", (kernel,), int(iterations)),
+        ("repro_sinkhorn_exit_residual", (kernel,), float(residual)),
+    )
 
 
 def observe_sinkhorn(
@@ -525,27 +712,8 @@ def observe_sinkhorn(
     registry: MetricsRegistry | None = None,
 ) -> None:
     """Record one scalar Sinkhorn kernel run (scalar/margins kernels)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_sinkhorn_runs_total",
-        "Sinkhorn kernel runs by kernel and convergence outcome.",
-        labelnames=("kernel", "converged"),
-    ).inc(kernel=kernel, converged="true" if converged else "false")
-    registry.histogram(
-        "repro_sinkhorn_iterations",
-        "Full (column+row) Sinkhorn iterations to tolerance per run.",
-        labelnames=("kernel",),
-        buckets=ITERATION_BUCKETS,
-    ).observe(iterations, kernel=kernel)
-    registry.histogram(
-        "repro_sinkhorn_exit_residual",
-        "Largest row/column-sum deviation at kernel exit.",
-        labelnames=("kernel",),
-        buckets=RESIDUAL_BUCKETS,
-    ).observe(residual, kernel=kernel)
+    if registry is not None or _enabled:
+        _record(registry, *_sinkhorn_updates(kernel, iterations, residual, converged))
 
 
 def observe_sinkhorn_batch(
@@ -556,35 +724,22 @@ def observe_sinkhorn_batch(
     converged,
     registry: MetricsRegistry | None = None,
 ) -> None:
-    """Record every slice of a batched Sinkhorn run (per-slice arrays)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    for it, res, conv in zip(iterations, residual, converged):
-        observe_sinkhorn(
-            kernel,
-            iterations=int(it),
-            residual=float(res),
-            converged=bool(conv),
-            registry=registry,
-        )
+    """Record every slice of a batched Sinkhorn run (per-slice arrays),
+    in slice order, under one lock hold."""
+    if registry is not None or _enabled:
+        _record(registry, *(
+            update
+            for run in zip(iterations, residual, converged)
+            for update in _sinkhorn_updates(kernel, *run)
+        ))
 
 
 def observe_svd(
     kernel: str, wall_s: float, registry: MetricsRegistry | None = None
 ) -> None:
     """Record the wall time of one SVD call (scalar or stacked)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.histogram(
-        "repro_svd_seconds",
-        "Wall time of the singular-value decompositions behind TMA.",
-        labelnames=("kernel",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, kernel=kernel)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_svd_seconds", (kernel,), wall_s))
 
 
 def count_ensemble_members(
@@ -594,19 +749,17 @@ def count_ensemble_members(
     registry: MetricsRegistry | None = None,
 ) -> None:
     """Record ensemble members by dispatch path (batched vs scalar)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    counter = registry.counter(
-        "repro_ensemble_members_total",
-        "Ensemble members characterized, by kernel dispatch path.",
-        labelnames=("path",),
-    )
-    if batched:
-        counter.inc(batched, path="batched")
-    if fallback:
-        counter.inc(fallback, path="fallback")
+    if registry is not None or _enabled:
+        registry = registry or _default_registry
+        updates = [
+            ("repro_ensemble_members_total", (path,), n)
+            for path, n in (("batched", batched), ("fallback", fallback))
+            if n
+        ]
+        if updates:
+            registry.record(*updates)
+        else:  # the family still shows, with no samples
+            registry.declare("repro_ensemble_members_total")
 
 
 def count_member_outcomes(
@@ -618,79 +771,45 @@ def count_member_outcomes(
     ``quarantined``, ``repaired`` plus one series per fault-category
     slug seen (``fault.nan_input``, ``fault.non_convergent``, ...).
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    counter = registry.counter(
-        "repro_member_outcomes_total",
-        "Robust ensemble member outcomes by quarantine taxonomy slug.",
-        labelnames=("outcome",),
-    )
-    counter.inc(len(report.quarantined), outcome="quarantined")
-    counter.inc(len(report.repaired), outcome="repaired")
-    for category, indices in report.by_category().items():
-        counter.inc(len(indices), outcome=f"fault.{category}")
+    if registry is not None or _enabled:
+        counts = [("quarantined", len(report.quarantined)),
+                  ("repaired", len(report.repaired))]
+        counts += [(f"fault.{category}", len(indices))
+                   for category, indices in report.by_category().items()]
+        _record(registry, *(("repro_member_outcomes_total", (outcome,), n)
+                            for outcome, n in counts))
 
 
 def count_backend_dispatch(
     backend: str, kernel: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one kernel invocation by backend (``repro.backends``)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_dispatch_total",
-        "Kernel invocations by backend and kernel entry point.",
-        labelnames=("backend", "kernel"),
-    ).inc(backend=backend, kernel=kernel)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_backend_dispatch_total", (backend, kernel), 1.0))
 
 
 def count_backend_precision(
     backend: str, outcome: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record a float32 fast-path outcome (``verified``/``fallback``)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_precision_total",
-        "float32 fast-path outcomes: float64-verified vs discarded.",
-        labelnames=("backend", "outcome"),
-    ).inc(backend=backend, outcome=outcome)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_backend_precision_total", (backend, outcome), 1.0))
 
 
 def count_warm_start(
     kernel: str, outcome: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one warm-started Sinkhorn run and how it ended."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_warm_start_total",
-        "Warm-started Sinkhorn runs by kernel and convergence outcome.",
-        labelnames=("kernel", "outcome"),
-    ).inc(kernel=kernel, outcome=outcome)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_backend_warm_start_total", (kernel, outcome), 1.0))
 
 
 def count_characterize(
     tma_method: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one full characterization by TMA method taken."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_characterize_runs_total",
-        "Full heterogeneity characterizations by TMA method.",
-        labelnames=("tma_method",),
-    ).inc(tma_method=tma_method)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_characterize_runs_total", (tma_method,), 1.0))
 
 
 def fold_recorder(
@@ -708,50 +827,23 @@ def fold_recorder(
     metrics collection is enabled, so CLI profile runs and long-lived
     services feed the scrape endpoint with no extra wiring.
     """
-    if registry is None:
-        registry = _default_registry
-    span_seconds = registry.histogram(
-        "repro_span_seconds",
-        "Wall time of recorded obs spans, by span name.",
-        labelnames=("span",),
-        buckets=SECONDS_BUCKETS,
-    )
-    spans_total = registry.counter(
-        "repro_spans_total",
-        "Recorded obs spans, by span name.",
-        labelnames=("span",),
-    )
-    span_errors = registry.counter(
-        "repro_span_errors_total",
-        "Recorded obs spans that exited by raising, by span name.",
-        labelnames=("span",),
-    )
+    registry = registry or _default_registry
+    declare_families("repro_span", registry)
+    registry.declare("repro_obs_counter_total")
+    updates = []
     for event in recorder.events:
-        span_seconds.observe(event.wall_s, span=event.name)
-        spans_total.inc(span=event.name)
+        updates.append(("repro_span_seconds", (event.name,), event.wall_s))
+        updates.append(("repro_spans_total", (event.name,), 1.0))
         if event.error is not None:
-            span_errors.inc(span=event.name)
-    counter_total = registry.counter(
-        "repro_obs_counter_total",
-        "Recorder counter totals folded at session close, by name.",
-        labelnames=("counter",),
-    )
-    for name, total in recorder.counters.items():
-        counter_total.inc(total, counter=name)
-    if recorder.gauges:
-        gauge = registry.gauge(
-            "repro_obs_gauge",
-            "Last recorded obs gauge value, by name.",
-            labelnames=("gauge",),
-        )
-        for event in recorder.gauges:
-            gauge.set(event.value, gauge=event.name)
+            updates.append(("repro_span_errors_total", (event.name,), 1.0))
+    updates += [("repro_obs_counter_total", (name,), total)
+                for name, total in recorder.counters.items()]
+    updates += [("repro_obs_gauge", (event.name,), event.value)
+                for event in recorder.gauges]
+    registry.record(*updates)
 
 
 # -- serving-layer instruments (repro.serve) ---------------------------
-#
-# Same contract as the kernel helpers above: early return while the
-# gate is closed, explicit registry override for isolated collection.
 
 
 def observe_serve_request(
@@ -778,26 +870,13 @@ def observe_serve_request(
     this request fell into, tying the histogram tail to a concrete
     trace.
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_requests_total",
-        "Characterization service requests by endpoint and HTTP status.",
-        labelnames=("endpoint", "status"),
-    ).inc(endpoint=endpoint, status=str(int(status)))
-    registry.histogram(
-        "repro_serve_request_seconds",
-        "Service request wall time by endpoint and serving path.",
-        labelnames=("endpoint", "source"),
-        buckets=SECONDS_BUCKETS,
-    ).observe(
-        wall_s,
-        exemplar={"trace_id": trace_id} if trace_id else None,
-        endpoint=endpoint,
-        source=source,
-    )
+    if registry is not None or _enabled:
+        _record(
+            registry,
+            ("repro_serve_requests_total", (endpoint, str(int(status))), 1.0),
+            ("repro_serve_request_seconds", (endpoint, source), wall_s,
+             {"trace_id": trace_id} if trace_id else None),
+        )
 
 
 def observe_serve_scrape(
@@ -816,52 +895,28 @@ def observe_serve_scrape(
     targets.  They get their own family instead, so scrape traffic is
     still visible.
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_scrapes_total",
-        "Observability scrapes (metrics/health endpoints) by kind and status.",
-        labelnames=("kind", "status"),
-    ).inc(kind=kind, status=str(int(status)))
-    registry.histogram(
-        "repro_serve_scrape_seconds",
-        "Wall time of observability scrapes, by kind.",
-        labelnames=("kind",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, kind=kind)
+    if registry is not None or _enabled:
+        _record(
+            registry,
+            ("repro_serve_scrapes_total", (kind, str(int(status))), 1.0),
+            ("repro_serve_scrape_seconds", (kind,), wall_s),
+        )
 
 
 def observe_coalesce_batch(
     endpoint: str, size: int, registry: MetricsRegistry | None = None
 ) -> None:
     """Record the size of one flushed coalescer batch."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.histogram(
-        "repro_serve_coalesce_batch_size",
-        "Requests per coalesced kernel batch, by endpoint.",
-        labelnames=("endpoint",),
-        buckets=BATCH_SIZE_BUCKETS,
-    ).observe(size, endpoint=endpoint)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_coalesce_batch_size", (endpoint,), size))
 
 
 def count_serve_kernel(
     endpoint: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one batched kernel invocation issued by the service."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_kernel_invocations_total",
-        "Batched kernel calls issued by the coalescer, by endpoint.",
-        labelnames=("endpoint",),
-    ).inc(endpoint=endpoint)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_kernel_invocations_total", (endpoint,), 1.0))
 
 
 def count_serve_cache(
@@ -872,48 +927,25 @@ def count_serve_cache(
     ``event`` is ``hit-memory``, ``hit-disk``, ``miss``, ``store`` or
     ``spill``.
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_cache_events_total",
-        "Content-addressed result cache events.",
-        labelnames=("event",),
-    ).inc(event=event)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_cache_events_total", (event,), 1.0))
 
 
 def count_serve_quarantined(
     endpoint: str, category: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one request answered with a structured quarantine error."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_quarantined_total",
-        "Service requests quarantined, by endpoint and fault category.",
-        labelnames=("endpoint", "category"),
-    ).inc(endpoint=endpoint, category=category)
-
-
-# -- serving resilience instruments (repro.serve.resilience) -----------
+    if registry is not None or _enabled:
+        _record(registry,
+                ("repro_serve_quarantined_total", (endpoint, category), 1.0))
 
 
 def count_serve_admitted(
     endpoint: str, registry: MetricsRegistry | None = None
 ) -> None:
     """Record one request admitted past the admission controller."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_admitted_total",
-        "Requests admitted to the compute path, by endpoint.",
-        labelnames=("endpoint",),
-    ).inc(endpoint=endpoint)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_admitted_total", (endpoint,), 1.0))
 
 
 def count_serve_shed(
@@ -925,15 +957,8 @@ def count_serve_shed(
     ``draining`` (graceful shutdown in progress); deadline sheds are
     counted separately by :func:`count_serve_deadline_exceeded`.
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_shed_total",
-        "Requests shed with a structured 503, by endpoint and reason.",
-        labelnames=("endpoint", "reason"),
-    ).inc(endpoint=endpoint, reason=reason)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_shed_total", (endpoint, reason), 1.0))
 
 
 def count_serve_deadline_exceeded(
@@ -945,15 +970,9 @@ def count_serve_deadline_exceeded(
     expired when parsed), ``admission`` (expired while queued for a
     slot) or ``coalesce`` (expired while lingering in a batch group).
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_deadline_exceeded_total",
-        "Requests shed at their deadline, by endpoint and pipeline stage.",
-        labelnames=("endpoint", "stage"),
-    ).inc(endpoint=endpoint, stage=stage)
+    if registry is not None or _enabled:
+        _record(registry,
+                ("repro_serve_deadline_exceeded_total", (endpoint, stage), 1.0))
 
 
 def count_serve_drain(
@@ -965,72 +984,16 @@ def count_serve_drain(
     during the drain), ``completed`` (all in-flight requests finished)
     or ``timeout`` (the drain deadline expired with work still live).
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_drain_total",
-        "Graceful-drain lifecycle events.",
-        labelnames=("event",),
-    ).inc(event=event)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_drain_total", (event,), 1.0))
 
 
 def set_serve_admission_limit(
     endpoint: str, limit: float, registry: MetricsRegistry | None = None
 ) -> None:
     """Publish the live AIMD admission limit of one endpoint."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.gauge(
-        "repro_serve_admission_limit",
-        "Current adaptive admission limit, by endpoint.",
-        labelnames=("endpoint",),
-    ).set(float(limit), endpoint=endpoint)
-
-
-def register_serve_resilience_metrics(
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Pre-register the resilience metric families (zero-valued).
-
-    The server calls this at startup so an operator scraping
-    ``/metrics`` sees the ``repro_serve_{admitted,shed,
-    deadline_exceeded,drain}_total`` families (HELP/TYPE lines) before
-    the first overload ever happens — a dashboard wired against a
-    healthy server keeps working when the weather turns.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_admitted_total",
-        "Requests admitted to the compute path, by endpoint.",
-        labelnames=("endpoint",),
-    )
-    registry.counter(
-        "repro_serve_shed_total",
-        "Requests shed with a structured 503, by endpoint and reason.",
-        labelnames=("endpoint", "reason"),
-    )
-    registry.counter(
-        "repro_serve_deadline_exceeded_total",
-        "Requests shed at their deadline, by endpoint and pipeline stage.",
-        labelnames=("endpoint", "stage"),
-    )
-    registry.counter(
-        "repro_serve_drain_total",
-        "Graceful-drain lifecycle events.",
-        labelnames=("event",),
-    )
-    registry.gauge(
-        "repro_serve_admission_limit",
-        "Current adaptive admission limit, by endpoint.",
-        labelnames=("endpoint",),
-    )
+    if registry is not None or _enabled:
+        _record(registry, ("repro_serve_admission_limit", (endpoint,), limit))
 
 
 # -- shard-engine instruments (repro.shard) ----------------------------
@@ -1048,26 +1011,13 @@ def observe_shard_chunk(
     ``mode`` names the dispatch path: ``serial`` (streamed in-process)
     or ``pool`` (scheduled on a worker process).
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_shard_chunks_total",
-        "Shard chunks characterized, by dispatch mode.",
-        labelnames=("mode",),
-    ).inc(mode=mode)
-    registry.counter(
-        "repro_shard_members_total",
-        "Ensemble members streamed through the shard engine, by mode.",
-        labelnames=("mode",),
-    ).inc(members, mode=mode)
-    registry.histogram(
-        "repro_shard_chunk_seconds",
-        "Wall time of one shard chunk (read + characterize), by mode.",
-        labelnames=("mode",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, mode=mode)
+    if registry is not None or _enabled:
+        _record(
+            registry,
+            ("repro_shard_chunks_total", (mode,), 1.0),
+            ("repro_shard_members_total", (mode,), members),
+            ("repro_shard_chunk_seconds", (mode,), wall_s),
+        )
 
 
 def count_shard_dispatch(
@@ -1080,12 +1030,5 @@ def count_shard_dispatch(
     ``winner_primary`` / ``winner_backup`` (which copy finished first),
     or ``cancelled`` (the losing copy was revoked or abandoned).
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_shard_dispatch_total",
-        "Shard scheduler dispatch events (straggler mitigation).",
-        labelnames=("event",),
-    ).inc(event=event)
+    if registry is not None or _enabled:
+        _record(registry, ("repro_shard_dispatch_total", (event,), 1.0))

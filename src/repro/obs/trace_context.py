@@ -9,10 +9,11 @@ serialized into ``ProcessPoolExecutor`` shard workers.
 Design constraints, in priority order:
 
 1. **Disabled cost is near zero.**  When no tracer is installed the only
-   per-request work is minting two random ids and a handful of
-   ``perf_counter`` reads (see ``benchmarks/bench_obs_overhead.py`` for
-   the gated budget).  Span emission happens only behind a ``tracer is
-   not None`` check.
+   per-request work is minting a random trace id (see
+   ``benchmarks/bench_obs_overhead.py`` for the gated budget).  Stage
+   timings (:class:`RequestTrace`) are collected only for a request whose
+   span, slow-log record or ``debug_timings`` answer reads them, and
+   span emission happens only behind a ``tracer is not None`` check.
 2. **No retention.**  :class:`Tracer` writes span records straight to
    its sink; a long-running server never accumulates span state.
 3. **Determinism of results.**  Trace ids never feed into any numeric
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
 from contextlib import contextmanager
@@ -48,6 +50,7 @@ __all__ = [
     "trace_scope",
     "tracing",
     "TIMING_STAGES",
+    "new_trace_id",
 ]
 
 # Stage names surfaced in ``debug.timings`` and slow-request records, in
@@ -62,21 +65,30 @@ TIMING_STAGES = (
     "other_s",
 )
 
-# Ids come straight from the OS: ``os.urandom(n).hex()`` is cheaper
-# than a locked Random.getrandbits + hex format, needs no lock, and is
-# fork-safe — pool workers never inherit a parent's RNG state and mint
-# colliding ids.
+# Ids come from a private generator seeded from ``os.urandom``: one
+# ``getrandbits`` call is a C call under the GIL (no lock, no syscall),
+# about half the cost of ``os.urandom`` on the per-request path.  It is
+# reseeded in every forked child, so pool workers never mint a parent's
+# ids, and seeding the global ``random`` module never touches it.
 _ZERO_TRACE = "0" * 32
 _ZERO_SPAN = "0" * 16
 _HEX = set("0123456789abcdef")
+_IDS = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_IDS.seed)
 
 
-def _new_trace_id() -> str:
-    return os.urandom(16).hex()
+def _random_hex(n_bytes: int) -> str:
+    return _IDS.getrandbits(8 * n_bytes).to_bytes(n_bytes, "big").hex()
 
 
-def _new_span_id() -> str:
-    return os.urandom(8).hex()
+def new_trace_id() -> str:
+    """A fresh W3C trace id (32 lowercase hex chars).
+
+    The serve hot path: every request without a ``traceparent`` mints
+    one for its ``X-Repro-Trace-Id`` header, traced or not.
+    """
+    return _random_hex(16)
 
 
 def _is_hex(text: str) -> bool:
@@ -127,23 +139,19 @@ class TraceContext:
         )
 
     @classmethod
-    def new(cls) -> "TraceContext":
-        """Mint a fresh root context.
+    def new(cls, trace_id: str | None = None) -> "TraceContext":
+        """Mint a fresh root context (in trace ``trace_id`` when given).
 
-        Both ids come from one ``urandom`` draw — this sits on the serve
-        hot path (every request mints a context for its
-        ``X-Repro-Trace-Id`` header, traced or not).
+        Both ids come from one random draw.
         """
-        both = os.urandom(24).hex()
-        return cls(trace_id=both[:32], span_id=both[32:])
+        if trace_id is not None:
+            return cls(trace_id, _random_hex(8))
+        both = _random_hex(24)
+        return cls(both[:32], both[32:])
 
     def child(self) -> "TraceContext":
         """A new span context under this one (same trace)."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=_new_span_id(),
-            parent_id=self.span_id,
-        )
+        return TraceContext(self.trace_id, _random_hex(8), self.span_id)
 
     def to_traceparent(self) -> str:
         """Render as a W3C ``traceparent`` header value."""
@@ -200,18 +208,28 @@ class TraceContext:
 class RequestTrace:
     """Per-request stage-timing accumulator.
 
-    Created at server ingress, threaded through the request pipeline,
-    and asked for a breakdown at response time.  Stage durations are
-    accumulated with :meth:`add`; :meth:`timings` fills ``other_s`` with
-    the unattributed remainder so the stages always sum to the total.
+    Created at server ingress (for a request whose stages something
+    reads), threaded through the request pipeline, and asked for a
+    breakdown at response time.  Stage durations are accumulated with
+    :meth:`add`; :meth:`timings` fills ``other_s`` with the unattributed
+    remainder so the stages always sum to the total.  ``t0`` is the
+    request's ``perf_counter`` start (default: now); ``started_at`` is
+    the same instant on the wall clock.
     """
 
     __slots__ = ("context", "started_at", "t0", "stages", "remote_parent")
 
-    def __init__(self, context: TraceContext, *, remote_parent: bool = False):
+    def __init__(
+        self,
+        context: TraceContext,
+        *,
+        remote_parent: bool = False,
+        t0: float | None = None,
+    ):
+        now = time.perf_counter()
         self.context = context
-        self.started_at = time.time()
-        self.t0 = time.perf_counter()
+        self.t0 = now if t0 is None else t0
+        self.started_at = time.time() - (now - self.t0)
         self.stages: dict[str, float] = {}
         self.remote_parent = remote_parent
 

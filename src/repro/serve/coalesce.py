@@ -6,11 +6,17 @@ materializes when N > 1.  A long-running service gets that N from
 share a coalescing group — same matrix shape and same kernel options —
 are stacked into one batched kernel call instead of N scalar ones.
 
-:class:`Coalescer` implements the standard micro-batching queue:
+:class:`Coalescer` implements the standard micro-batching queue.  A
+group flushes on the first loop turn that adds no member, at
+``linger_s`` at the latest, or at ``max_batch``:
 
-* the first request of a group arms a **linger timer**
-  (``linger_s``); everything that joins the group before it fires
-  shares the flush;
+* the first request of a group schedules an **idle check** on the next
+  event-loop turn; while a turn adds members the check re-arms, and
+  the first turn that adds none flushes the group.  A burst of
+  concurrent requests therefore shares one batch and runs as soon as
+  the burst has been read, instead of waiting out a timer;
+* the first request also arms a **linger cap** (``linger_s``), which
+  flushes a trickle that keeps adding a member every turn;
 * a group that reaches ``max_batch`` flushes immediately (bounded
   latency *and* bounded stack memory);
 * the flush runs the (synchronous, numpy-heavy) batch runner in the
@@ -94,6 +100,8 @@ class _PendingGroup:
     submitted: list = field(default_factory=list)
     traces: list = field(default_factory=list)
     timer: asyncio.TimerHandle | None = None
+    #: members present when the pending idle check was scheduled
+    seen: int = 0
 
 
 class Coalescer:
@@ -108,7 +116,9 @@ class Coalescer:
     endpoint : str
         Metric label for this coalescer's batches.
     linger_s : float
-        How long the first request of a group waits for company.
+        The longest the first request of a group waits for company.  A
+        group flushes on the first loop turn that adds no member, at
+        ``linger_s`` at the latest, or at ``max_batch``.
     max_batch : int
         Flush threshold; also the largest stack a single kernel call
         materializes.
@@ -180,6 +190,7 @@ class Coalescer:
             group.timer = loop.call_later(
                 self.linger_s, self._flush_now, key
             )
+            loop.call_soon(self._flush_if_idle, key, group)
         future: asyncio.Future = loop.create_future()
         group.matrices.append(np.asarray(request.matrix, dtype=np.float64))
         group.futures.append(future)
@@ -191,6 +202,17 @@ class Coalescer:
         return await future
 
     # -- flushing ------------------------------------------------------
+
+    def _flush_if_idle(self, key: tuple, group: _PendingGroup) -> None:
+        """Flush ``group`` unless it grew since the previous check."""
+        if self._groups.get(key) is not group:
+            return  # already flushed by the cap or the max-batch path
+        size = len(group.matrices)
+        if size == group.seen:
+            self._flush_now(key)
+            return
+        group.seen = size
+        asyncio.get_running_loop().call_soon(self._flush_if_idle, key, group)
 
     def _flush_now(self, key: tuple) -> None:
         """Detach the group and schedule its batch (loop thread only)."""

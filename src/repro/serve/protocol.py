@@ -237,13 +237,18 @@ def json_safe(value):
     """Recursively convert numpy scalars/arrays and NaN for JSON.
 
     NaN / ±inf become ``None`` (strict-JSON clients choke on the bare
-    ``NaN`` token Python's encoder would otherwise emit).
+    ``NaN`` token Python's encoder would otherwise emit).  Integer, bool
+    and all-finite float arrays are rendered whole by ``tolist()``; only
+    an array holding NaN/±inf (or objects) is walked element by element.
     """
     if isinstance(value, dict):
         return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        if kind in "iub" or (kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return json_safe(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)

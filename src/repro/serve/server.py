@@ -56,9 +56,14 @@ import numpy as np
 from .. import __version__
 from ..obs import metrics as _metrics
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..obs.metrics import enable_metrics, register_serve_resilience_metrics
+from ..obs.metrics import declare_families, enable_metrics
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
-from ..obs.trace_context import RequestTrace, Tracer
+from ..obs.trace_context import (
+    RequestTrace,
+    TraceContext,
+    Tracer,
+    new_trace_id,
+)
 from ..robust.budget import Budget, Deadline
 from .cache import ResultCache, matrix_cache_key
 from .coalesce import Coalescer, ServeFault
@@ -100,6 +105,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 @dataclass(frozen=True)
 class ServeConfig:
     """Operational knobs of the characterization service.
+
+    ``linger_s`` / ``max_batch`` shape request coalescing
+    (:class:`repro.serve.coalesce.Coalescer`): a group flushes on the
+    first loop turn that adds no member, at ``linger_s`` at the latest,
+    or at ``max_batch``.
 
     The resilience knobs (see :mod:`repro.serve.resilience` and
     ``docs/SERVING.md``):
@@ -231,7 +241,7 @@ class CharacterizationServer:
         self._server: asyncio.base_events.Server | None = None
         if self.config.enable_metrics:
             enable_metrics()
-            register_serve_resilience_metrics()
+            declare_families("repro_serve_")
 
     # -- batch runners (executor threads) ------------------------------
 
@@ -532,7 +542,7 @@ class CharacterizationServer:
 
     def _finish_request(
         self,
-        rtrace: RequestTrace,
+        rtrace: RequestTrace | None,
         endpoint: str | None,
         *,
         status: int,
@@ -548,8 +558,11 @@ class CharacterizationServer:
         None when nothing consumes it: the breakdown is only built when
         a span is emitted, the request is slow enough to log, or the
         caller asked for it (``debug_timings``), keeping the fully
-        disabled path free of the dict work.
+        disabled path free of the dict work.  ``rtrace`` is None exactly
+        when none of those can happen.
         """
+        if rtrace is None:
+            return None
         slow = (
             self.slow_log is not None
             and wall_s * 1e3 >= self.config.slow_threshold_ms
@@ -585,6 +598,16 @@ class CharacterizationServer:
                 }
             )
         return timings
+
+    @staticmethod
+    def _request_trace(
+        parent: TraceContext | None, trace_id: str, t0: float
+    ) -> RequestTrace:
+        """Stage timings of one request that started at ``t0``, under
+        the remote ``parent`` span when the request carried one."""
+        if parent is not None:
+            return RequestTrace(parent.child(), remote_parent=True, t0=t0)
+        return RequestTrace(TraceContext.new(trace_id), t0=t0)
 
     @staticmethod
     def _inject_debug(
@@ -646,9 +669,16 @@ class CharacterizationServer:
         endpoint = None
         if path.startswith("/v1/"):
             endpoint = path[len("/v1/"):]
-        rtrace = RequestTrace.begin((headers or {}).get("traceparent"))
-        trace_id = rtrace.context.trace_id
+        parent = TraceContext.from_traceparent(
+            (headers or {}).get("traceparent")
+        )
+        trace_id = new_trace_id() if parent is None else parent.trace_id
         out_headers = {"X-Repro-Trace-Id": trace_id}
+        # Stage timings are collected only for a request whose span,
+        # slow-log record or debug_timings answer reads them.
+        rtrace = None
+        if self.tracer is not None or self.slow_log is not None:
+            rtrace = self._request_trace(parent, trace_id, t0)
         try:
             if endpoint is None:
                 return 404, "application/json", error_body(
@@ -668,6 +698,12 @@ class CharacterizationServer:
                     retry_after_s=max(1.0, self.config.drain_timeout_s),
                 )
             payload = decode_json(body)
+            if (
+                rtrace is None
+                and isinstance(payload, dict)
+                and payload.get("debug_timings") is True
+            ):
+                rtrace = self._request_trace(parent, trace_id, t0)
             status, response, source = await self.handle_request(
                 endpoint,
                 payload,

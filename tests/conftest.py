@@ -64,6 +64,23 @@ def pytest_sessionfinish(session, exitstatus):
             reporter.write_line(line)
     session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
+
+@pytest.fixture(autouse=True)
+def _restore_metrics_gate():
+    """Put the metrics gate and the default registry back after each test.
+
+    A default-config server opens the gate (``enable_metrics()``) and
+    nothing closes it again; without this, a later test's assumption of
+    a closed gate would depend on test order.
+    """
+    from repro.obs import metrics
+
+    enabled, registry = metrics.metrics_enabled(), metrics.get_registry()
+    yield
+    (metrics.enable_metrics if enabled else metrics.disable_metrics)()
+    metrics.set_registry(registry)
+
+
 # ---------------------------------------------------------------------------
 # Paper example matrices
 # ---------------------------------------------------------------------------

@@ -121,6 +121,65 @@ class TestCoalescer:
         assert len(runner.calls) == 1
         assert [r.batch_size for r in results] == [3, 3, 3]
 
+    def test_lone_request_does_not_wait_out_the_linger(self):
+        runner = CountingRunner()
+        coalescer = Coalescer(runner, endpoint="characterize", linger_s=10.0)
+
+        async def main():
+            # The first loop turn that adds no member flushes the group;
+            # linger_s is only the cap.
+            return await asyncio.wait_for(
+                coalescer.submit(_request(np.ones((2, 2)))), timeout=1.0
+            )
+
+        result = asyncio.run(main())
+        assert result.batch_size == 1
+        assert result.linger_s < 1.0
+
+    def test_members_on_consecutive_turns_share_one_batch(self):
+        runner = CountingRunner()
+        coalescer = Coalescer(runner, endpoint="characterize", linger_s=10.0)
+
+        async def main():
+            tasks = []
+            for i in range(4):
+                tasks.append(asyncio.ensure_future(
+                    coalescer.submit(_request(np.full((2, 2), i + 1.0)))
+                ))
+                await asyncio.sleep(0)  # the next member joins a turn later
+            return await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+
+        results = asyncio.run(main())
+        assert len(runner.calls) == 1
+        assert [r.batch_size for r in results] == [4] * 4
+
+    def test_trickle_is_flushed_by_the_linger_cap(self):
+        runner = CountingRunner()
+        coalescer = Coalescer(
+            runner, endpoint="characterize", linger_s=0.05, max_batch=100_000
+        )
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            first = asyncio.ensure_future(
+                coalescer.submit(_request(np.ones((2, 2))))
+            )
+            tasks = [first]
+            while not first.done():  # one new member on every loop turn
+                await asyncio.sleep(0)
+                tasks.append(asyncio.ensure_future(
+                    coalescer.submit(_request(np.ones((2, 2))))
+                ))
+            waited = loop.time() - start
+            await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+            return waited
+
+        waited = asyncio.run(main())
+        assert waited >= 0.04  # never idle, so only the cap could flush
+        assert len(runner.calls[0]) > 10
+        assert len(runner.calls) >= 2
+
     def test_faulty_member_fails_only_its_caller(self):
         runner = CountingRunner(fail_on={4.0 * 9})  # the all-9s matrix
         coalescer = Coalescer(runner, endpoint="characterize", linger_s=0.02)

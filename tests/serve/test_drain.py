@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.serve import CharacterizationServer, ServeConfig
@@ -21,25 +22,56 @@ _BODY = json.dumps({"matrix": [[1.0, 2.0], [3.0, 4.0]]}).encode("utf-8")
 
 class TestInProcessDrain:
     def test_inflight_completes_and_new_work_sheds(self, metrics_registry):
+        # The kernel is held on an event that is only released once the
+        # drain has begun, so the request is really in flight while the
+        # server shuts down (a coalescer flushes as soon as its burst
+        # ends, so a linger cannot hold it).
+        release = threading.Event()
+
         async def _run():
-            server = CharacterizationServer(
-                ServeConfig(linger_s=0.1, adaptive=False)
-            )
+            server = CharacterizationServer(ServeConfig(port=0, adaptive=False))
+            coalescer = server.coalescers["characterize"]
+            runner = coalescer.runner
+
+            def gated(options, matrices):
+                release.wait(10.0)
+                return runner(options, matrices)
+
+            coalescer.runner = gated
+            await server.start()
+            host, port = server.address
             inflight = asyncio.ensure_future(
-                server.exchange("POST", "/v1/characterize", _BODY)
+                http_exchange(host, port, "POST", "/v1/characterize", _BODY)
             )
-            await asyncio.sleep(0.02)  # lingering in the coalescer
-            clean = await server.shutdown(drain_timeout_s=5.0)
+            active = 0
+            for _ in range(500):
+                await asyncio.sleep(0.01)
+                health = await server.exchange("GET", "/healthz", b"")
+                active = json.loads(health[2])["result"]["active_exchanges"]
+                if active >= 1:
+                    break
+            drain = asyncio.ensure_future(server.shutdown(drain_timeout_s=5.0))
+            while not server.drain_state.draining:
+                await asyncio.sleep(0)
+            answered_early = inflight.done()
+            release.set()
+            clean = await drain
             first = await inflight
             late = await server.exchange("POST", "/v1/characterize", _BODY)
             health = await server.exchange("GET", "/healthz", b"")
             ready = await server.exchange("GET", "/healthz/ready", b"")
             live = await server.exchange("GET", "/healthz/live", b"")
-            return clean, first, late, health, ready, live
+            return active, answered_early, clean, first, late, health, ready, live
 
-        clean, first, late, health, ready, live = asyncio.run(_run())
+        try:
+            (active, answered_early, clean, first, late,
+             health, ready, live) = asyncio.run(_run())
+        finally:
+            release.set()
+        assert active >= 1
+        assert not answered_early
         assert clean is True
-        # The request caught mid-linger still got its real answer.
+        # The request caught mid-kernel still got its real answer.
         assert first[0] == 200
         assert b'"result"' in first[2]
         # New work is shed with the draining category + Retry-After.
@@ -85,13 +117,25 @@ class TestInProcessDrain:
 class TestSubprocessSignals:
     """The real contract: a signalled `repro-hc serve` exits 0 cleanly."""
 
+    #: Nearly decomposable, so Sinkhorn needs ~75k iterations to reach
+    #: tolerance: the kernel of one request runs long enough to still be
+    #: computing when the signal lands.
+    SLOW = [[1.0, 1e-9], [1.0, 1.0]]
+
+    @staticmethod
+    def _kernel_s(matrix) -> float:
+        from repro.batch import standardize_batched
+
+        t0 = time.perf_counter()
+        standardize_batched(np.array([matrix]), policy="quarantine")
+        return time.perf_counter() - t0
+
     @staticmethod
     def _spawn() -> tuple[subprocess.Popen, str, int]:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--linger-ms", "150",
-                "--drain-timeout", "10",
+                "--port", "0", "--drain-timeout", "10",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -104,12 +148,14 @@ class TestSubprocessSignals:
         return process, match.group(1), int(match.group(2))
 
     @staticmethod
-    def _post_in_thread(host: str, port: int, out: dict) -> threading.Thread:
+    def _post_in_thread(
+        host: str, port: int, body: bytes, out: dict
+    ) -> threading.Thread:
         def _work() -> None:
             try:
                 out["response"] = asyncio.run(
                     http_exchange(
-                        host, port, "POST", "/v1/characterize", _BODY,
+                        host, port, "POST", "/v1/standardize", body,
                         timeout_s=30.0,
                     )
                 )
@@ -120,22 +166,38 @@ class TestSubprocessSignals:
         thread.start()
         return thread
 
+    @staticmethod
+    def _active_exchanges(host: str, port: int) -> int:
+        _, _, body = asyncio.run(
+            http_exchange(host, port, "GET", "/healthz", b"", timeout_s=5.0)
+        )
+        return json.loads(body)["result"]["active_exchanges"]
+
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_signal_drains_and_exits_zero(self, signum):
+        kernel_s = self._kernel_s(self.SLOW)
+        assert kernel_s > 0.2, f"kernel too quick to hold ({kernel_s:.3f}s)"
         process, host, port = self._spawn()
         try:
-            # The 150ms linger keeps the request in flight while the
-            # signal lands; the drain must still answer it.
             out: dict = {}
-            thread = self._post_in_thread(host, port, out)
-            time.sleep(0.06)  # request has arrived and is lingering
+            body = json.dumps({"matrix": self.SLOW}).encode("utf-8")
+            posted = time.perf_counter()
+            thread = self._post_in_thread(host, port, body, out)
+            # The probe counts itself, so 2 means the POST is in flight.
+            while self._active_exchanges(host, port) < 2:
+                assert time.perf_counter() - posted < 10.0
+                time.sleep(0.01)
+            signal_delay = time.perf_counter() - posted
             process.send_signal(signum)
+            assert signal_delay < kernel_s, (
+                f"signal after {signal_delay:.3f}s; kernel takes {kernel_s:.3f}s"
+            )
             stdout, _ = process.communicate(timeout=30)
             thread.join(timeout=30)
             assert "error" not in out, out.get("error")
-            status, _, body = out["response"]
+            status, _, answer = out["response"]
             assert status == 200
-            assert b'"result"' in body
+            assert json.loads(answer)["result"]["converged"] is True
             assert process.returncode == 0
             assert "draining" in stdout
             assert "drain complete" in stdout

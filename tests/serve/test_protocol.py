@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.obs import metrics as obs_metrics
+from repro.obs.export import render_prometheus
 from repro.serve import (
     ENDPOINTS,
     SCHEMA,
+    CharacterizationServer,
     ProtocolError,
+    ServeConfig,
     decode_json,
     encode_json,
     error_body,
@@ -19,6 +27,7 @@ from repro.serve import (
     parse_request,
     result_body,
 )
+from repro.spec import load_dataset
 
 
 def _payload(matrix=None, **options):
@@ -164,3 +173,212 @@ class TestEncoding:
         document = json.loads(error_body("standardize", "nan", "bad data"))
         assert document["schema"] == SCHEMA
         assert document["error"] == {"category": "nan", "message": "bad data"}
+
+
+# -- byte pins ---------------------------------------------------------------
+#
+# SHA-256 digests of response bodies, encoded documents and a metrics
+# exposition, recorded before the renderer and the metrics registry were
+# optimized.  The serving benchmark compares answers with a fresh server
+# running the same code, so it cannot see a rendering drift; these pins
+# can.  Update a digest deliberately, never to make a refactor pass.
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _served_matrices() -> dict[str, np.ndarray]:
+    matrices = {
+        name: load_dataset(name).to_ecs().values
+        for name in ("cint2006rate", "cfp2006rate")
+    }
+    matrices["rand8x8"] = np.random.default_rng(81).uniform(0.5, 10.0, (8, 8))
+    matrices["rand5x4"] = np.random.default_rng(54).uniform(0.5, 10.0, (5, 4))
+    return matrices
+
+
+def _served_bodies() -> dict[str, tuple[int, bytes]]:
+    """``endpoint/matrix`` → (status, body), every request in one burst;
+    ``quarantined`` is a NaN 8×8 batched next to ``rand8x8``."""
+    nan = np.random.default_rng(88).uniform(0.5, 10.0, (8, 8))
+    nan[3, 4] = np.nan
+    requests = {
+        f"{endpoint}/{name}": (endpoint, {"matrix": matrix.tolist()})
+        for endpoint in ENDPOINTS
+        for name, matrix in _served_matrices().items()
+    }
+    requests["quarantined"] = ("characterize", {"matrix": nan.tolist()})
+
+    async def burst():
+        server = CharacterizationServer(ServeConfig(enable_metrics=False))
+        return await asyncio.gather(
+            *(
+                server.exchange(
+                    "POST",
+                    f"/v1/{endpoint}",
+                    json.dumps(payload, allow_nan=True).encode(),
+                )
+                for endpoint, payload in requests.values()
+            )
+        )
+
+    answers = asyncio.run(burst())
+    return {
+        key: (status, body)
+        for key, (status, _ct, body, _h) in zip(requests, answers)
+    }
+
+
+SERVED_DIGESTS = {
+    "characterize/cint2006rate": "6c8b87a8923f48fcdaebb08d65dde373be425bf1d277c5cbb1ae9e5ed5ac69b6",
+    "characterize/cfp2006rate": "05a2d4d955f93dc048bb37dad2d373251e16901e1a289aeee3c384324b671a16",
+    "characterize/rand8x8": "6ae6cd292a156c133a206fb7dabe0a06d91f5a4715ce87ff3bd9f42d263a4392",
+    "characterize/rand5x4": "bdae713e2a2e9c89b9426695cb1bb5e6894ac970d82205342d7f302ac531a063",
+    "standardize/cint2006rate": "c6c7c091fa59c9ef2c5dcac45c13068d4c87192d7811e7bad006b1d3c4b565b8",
+    "standardize/cfp2006rate": "8a8d0e325b5afbc1fe7410e4af85ef0437fbe43096381c34bbe7058848ea37b9",
+    "standardize/rand8x8": "eec1f69ac7e77ab66cd359650565bbf45d0bcc868e511bc9fee3f1399a4aa61d",
+    "standardize/rand5x4": "54d9c91b0e75887ac1ab02919032a491da90c39642a652069756134dea7a5a2b",
+    "recommend-heuristic/cint2006rate": "9174917bde6e2515b64fa3a5deaeb9b2374cae8ed2d4d4e1d1b253641165a752",
+    "recommend-heuristic/cfp2006rate": "303a6b9ef9325bceb90a7a2f6e65f5b04eafa2ffe68da267b3a8838ff83c82c6",
+    "recommend-heuristic/rand8x8": "6f6b7fa86b0b9a5c6b8647da051e138d49cc44980b6f7a0a12f1fdb60948c910",
+    "recommend-heuristic/rand5x4": "f3cf9e6ebda3ac71c2db669c34bca90ef419782180e59be09fbe3033db2cd293",
+    "quarantined": "85d9f86ded701de50ffae53440c9ba1cf89e67ecdbe4293787549fb19845b974",
+}
+
+ENCODE_CASES = {
+    "non_finite": {
+        "vector": np.array([1.5, np.nan, np.inf, -np.inf]),
+        "matrix": np.array([[np.nan, 2.0], [3.0, -np.inf]]),
+        "float32": np.array([0.1, np.nan], dtype=np.float32),
+        "zero_d": np.array(np.nan),
+    },
+    "finite_float": {
+        "vector": np.linspace(0.1, 2.0, 7),
+        "matrix": np.random.default_rng(3).uniform(size=(3, 4)),
+        "float32": np.array([0.1, 0.2], dtype=np.float32),
+        "zero_d": np.array(2.5),
+        "empty": np.array([]),
+    },
+    "int_bool": {
+        "int64": np.arange(6, dtype=np.int64).reshape(2, 3),
+        "int32": np.array([-1, 7], dtype=np.int32),
+        "uint8": np.array([1, 255], dtype=np.uint8),
+        "bool": np.array([[True, False], [False, True]]),
+    },
+    "scalars": {
+        "float64": np.float64(0.1),
+        "float32": np.float32(0.1),
+        "int64": np.int64(-4),
+        "bool": np.bool_(False),
+        "nan": np.float64("nan"),
+        "inf": np.float32("inf"),
+        "python": [1, 2.5, True, None, "text"],
+    },
+    "nested": {
+        "tuple": (1, (2.5, np.float64(3.0)), [np.array([1.0, np.nan]), (np.int32(2),)]),
+        "dicts": {"a": {"b": (np.array([[1, 2]]), np.array([0.5]))}},
+    },
+}
+
+ENCODE_DIGESTS = {
+    "non_finite": "95bb274ac8bf2a0b0553b680ed91fd0eb45f2c7f549cc7662f2c804c8641e661",
+    "finite_float": "98701af4a86a095400f8ccce55ddfdca6030d79bd23b3e26e286a2da82028d58",
+    "int_bool": "e41f2eac459c669c25c09cc4ae41aa9bc08c45676fb57161db5efe87ee7de34f",
+    "scalars": "7d035eee60c6d6a001e4b68b86d5efc3b476d9fade6dd2705ed8e88336f6366d",
+    "nested": "96428d7023f6b03dfdecf38c2990f16ca59ca06d8bd708cf202ced87c39bcaab",
+}
+
+
+def _helper_sequence(registry) -> None:
+    """A fixed call of every metrics helper into ``registry``."""
+    m = obs_metrics
+    m.observe_sinkhorn("scalar", iterations=7, residual=3e-9, converged=True, registry=registry)
+    m.observe_sinkhorn("margins", iterations=100_000, residual=0.25, converged=False, registry=registry)
+    m.observe_sinkhorn_batch(
+        "batched",
+        iterations=np.array([5, 9, 12, 700]),
+        residual=np.array([1e-9, 2.5e-9, np.nan, 0.1]),
+        converged=np.array([True, True, False, False]),
+        registry=registry,
+    )
+    m.observe_svd("scalar", 2.5e-5, registry=registry)
+    m.observe_svd("batched", 0.003, registry=registry)
+    m.count_ensemble_members(batched=14, fallback=2, registry=registry)
+    m.count_ensemble_members(batched=3, registry=registry)
+    report = SimpleNamespace(
+        quarantined=[1, 4], repaired=[2],
+        by_category=lambda: {"nan": [1], "non-convergent": [2, 4]},
+    )
+    m.count_member_outcomes(report, registry=registry)
+    m.count_backend_dispatch("numpy", "sinkhorn_batched", registry=registry)
+    m.count_backend_precision("numpy", "fallback", registry=registry)
+    m.count_warm_start("batched", "converged", registry=registry)
+    m.count_characterize("standard", registry=registry)
+    m.count_characterize("limit", registry=registry)
+    recorder = SimpleNamespace(
+        events=[
+            SimpleNamespace(name="demo.ok", wall_s=0.004, error=None),
+            SimpleNamespace(name="demo.err", wall_s=0.25, error="boom"),
+        ],
+        counters={"demo.count": 3, "demo.more": 0.5},
+        gauges=[SimpleNamespace(name="demo.gauge", value=7.5)],
+    )
+    m.fold_recorder(recorder, registry=registry)
+    for wall_s, source in ((0.0021, "batched"), (0.4, "cold"), (3e-5, "cache-memory")):
+        m.observe_serve_request(
+            "characterize", status=200, source=source, wall_s=wall_s,
+            trace_id="ab" * 16, registry=registry,
+        )
+    m.observe_serve_request(
+        "standardize", status=422, source="error", wall_s=0.0015, registry=registry
+    )
+    m.observe_serve_scrape("metrics", status=200, wall_s=0.0004, registry=registry)
+    m.observe_serve_scrape("healthz", status=503, wall_s=2e-5, registry=registry)
+    m.observe_coalesce_batch("characterize", 16, registry=registry)
+    m.observe_coalesce_batch("standardize", 6, registry=registry)
+    m.count_serve_kernel("characterize", registry=registry)
+    for event in ("miss", "store", "hit-memory", "hit-memory"):
+        m.count_serve_cache(event, registry=registry)
+    m.count_serve_quarantined("characterize", "nan", registry=registry)
+    m.count_serve_admitted("characterize", registry=registry)
+    m.count_serve_shed("standardize", "queue-full", registry=registry)
+    m.count_serve_deadline_exceeded("characterize", "coalesce", registry=registry)
+    m.count_serve_drain("started", registry=registry)
+    m.set_serve_admission_limit("characterize", 48, registry=registry)
+    m.set_serve_admission_limit("characterize", 33.5, registry=registry)
+    m.observe_shard_chunk("serial", members=64, wall_s=0.012, registry=registry)
+    m.count_shard_dispatch("primary", registry=registry)
+    m.count_shard_dispatch("winner_backup", registry=registry)
+
+
+def _exposition_without_exemplars(registry) -> bytes:
+    text = render_prometheus(registry)
+    return re.sub(r" # \{[^\n]*", "", text).encode("utf-8")
+
+
+PROMETHEUS_DIGEST = (
+    "ec8f49410cc50c722c161e211e2f2715202283e29f5f5064c38182d7d6dc2fdc"
+)
+
+
+class TestBytePins:
+    def test_served_bodies(self):
+        bodies = _served_bodies()
+        assert bodies["quarantined"][0] == 422
+        assert {status for key, (status, _b) in bodies.items()
+                if key != "quarantined"} == {200}
+        got = {key: _digest(body) for key, (_s, body) in bodies.items()}
+        assert got == SERVED_DIGESTS
+
+    def test_encoded_documents(self):
+        got = {
+            name: _digest(encode_json(document))
+            for name, document in ENCODE_CASES.items()
+        }
+        assert got == ENCODE_DIGESTS
+
+    def test_metrics_exposition(self):
+        registry = obs_metrics.MetricsRegistry()
+        _helper_sequence(registry)
+        assert _digest(_exposition_without_exemplars(registry)) == PROMETHEUS_DIGEST
