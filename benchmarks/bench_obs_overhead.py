@@ -34,7 +34,7 @@ import timeit
 import numpy as np
 
 from repro.batch import characterize_ensemble
-from repro.obs.trace_context import TraceContext, new_trace_id
+from repro.obs.trace_context import RequestTrace, request_ids
 from repro.obs import metrics as obs_metrics
 from repro.obs import recording, span
 
@@ -111,24 +111,28 @@ def test_disabled_overhead_under_2_percent(write_result):
     feed_pct = disabled_observe_s / kernel_s * 100
 
     # Serve-path tracing with span emission *disabled* (no trace_path,
-    # no slow log): the only per-request cost is reading the request's
-    # ``traceparent`` and minting the trace id for the always-on
-    # ``X-Repro-Trace-Id`` header, as CharacterizationServer.exchange
-    # does.  Stage timings (a RequestTrace) are collected only for a
-    # request whose span, slow-log record or ``debug_timings`` answer
-    # reads them.  That cost is microbenched directly (best of REPEATS,
-    # like every other timing here) and gated at 0.1% of a compute
-    # request under the default serving config; the cache-hit time is
-    # reported alongside so the relative cost on the fastest path stays
-    # visible.
-    def _bookkeeping() -> None:
-        parent = TraceContext.from_traceparent(None)
-        new_trace_id() if parent is None else parent.trace_id
-
-    serve_noop_s = min(
-        timeit.repeat(_bookkeeping, number=50_000, repeat=REPEATS)
+    # no slow log): the only per-request cost is
+    # ``trace_context.request_ids`` — the very call
+    # CharacterizationServer.exchange makes to read the request's
+    # ``traceparent`` and mint the trace id for the always-on
+    # ``X-Repro-Trace-Id`` header.  Stage timings (a RequestTrace) are
+    # collected only for a request whose span, slow-log record or
+    # ``debug_timings`` answer reads them; their cost (begin + two
+    # stage adds, the measurement this gate used before) is reported
+    # alongside.  Both are one timeit run each.  The preamble is gated
+    # at 0.1% of a compute request under the default serving config;
+    # the cache-hit time is reported for context.
+    serve_noop_s = timeit.timeit(
+        lambda: request_ids(None), number=50_000
     ) / 50_000
-    hit_s, compute_s, bit_identical = _serve_hot_path()
+
+    def _request_trace() -> None:
+        rtrace = RequestTrace.begin(*request_ids(None))
+        rtrace.add("cache_s", 1e-4)
+        rtrace.add("kernel_s", 1e-3)
+
+    rtrace_s = timeit.timeit(_request_trace, number=50_000) / 50_000
+    hit_s, compute_s, bit_identical, traces_built = _serve_hot_path()
     serve_pct = serve_noop_s / compute_s * 100
 
     lines = [
@@ -152,8 +156,12 @@ def test_disabled_overhead_under_2_percent(write_result):
         f"{compute_s * 1e6:8.1f} us",
         f"disabled trace bookkeeping           : "
         f"{serve_noop_s * 1e9:8.1f} ns/request",
+        f"RequestTrace bookkeeping (if read)   : "
+        f"{rtrace_s * 1e9:8.1f} ns/request"
+        f"  ({rtrace_s / compute_s * 100:.4f} %)",
         f"disabled serve tracing overhead      : {serve_pct:8.4f} %"
         f"  (acceptance <= 0.1% of a compute request)",
+        f"RequestTraces built, untraced server : {traces_built:8d}",
         f"traced vs untraced response bytes    : "
         f"{'bit-identical' if bit_identical else 'DIVERGED'}",
     ]
@@ -175,8 +183,10 @@ def test_disabled_overhead_under_2_percent(write_result):
             "serve_cache_hit_s": hit_s,
             "serve_compute_s": compute_s,
             "serve_trace_bookkeeping_ns": serve_noop_s * 1e9,
+            "serve_request_trace_ns": rtrace_s * 1e9,
             "serve_disabled_tracing_pct": serve_pct,
             "serve_traced_bit_identical": bit_identical,
+            "serve_untraced_request_traces": traces_built,
         },
     )
 
@@ -193,11 +203,15 @@ def test_disabled_overhead_under_2_percent(write_result):
     # bookkeeping costs <= 0.1% of a compute request under the default
     # config, and span emission never changes the served bytes.
     assert serve_pct <= 0.1, f"serve tracing overhead {serve_pct:.4f}% > 0.1%"
+    # The preamble is the whole cost only while the untraced server
+    # builds no RequestTrace; a regression there must fail this gate.
+    assert traces_built == 0, f"untraced server built {traces_built} traces"
     assert bit_identical, "traced and untraced responses diverged"
 
 
-def _serve_hot_path() -> tuple[float, float, bool]:
-    """(cache-hit s, cold compute s, traced == untraced body bytes).
+def _serve_hot_path() -> tuple[float, float, bool, int]:
+    """(cache-hit s, cold compute s, traced == untraced body bytes,
+    RequestTraces the untraced server built).
 
     Both times are in-process exchanges under the *default* serving
     config (coalescing linger included — that is the deployed request
@@ -241,10 +255,21 @@ def _serve_hot_path() -> tuple[float, float, bool]:
         finally:
             await server.stop()
 
-    hit_s, compute_s, untraced_body = asyncio.run(_measure())
+    built = []
+    init = RequestTrace.__init__
+
+    def _counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    RequestTrace.__init__ = _counting_init
+    try:
+        hit_s, compute_s, untraced_body = asyncio.run(_measure())
+    finally:
+        RequestTrace.__init__ = init
     with tempfile.TemporaryDirectory() as tmp:
         _, _, traced_body = asyncio.run(_measure(f"{tmp}/spans.jsonl"))
-    return hit_s, compute_s, traced_body == untraced_body
+    return hit_s, compute_s, traced_body == untraced_body, len(built)
 
 
 def test_enabled_recording_collects_without_blowup(write_result):

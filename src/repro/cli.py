@@ -372,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--linger-ms", type=float, default=2.0,
         help="coalescing cap: a same-shape batch flushes on the first "
-        "loop turn that adds no member, at --linger-ms at the latest, or "
-        "at --max-batch",
+        "loop turn that adds no member while no request is still being "
+        "read, at --linger-ms at the latest, or at --max-batch",
     )
     p.add_argument(
         "--max-batch", type=int, default=64,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from contextlib import contextmanager
@@ -50,7 +49,7 @@ __all__ = [
     "trace_scope",
     "tracing",
     "TIMING_STAGES",
-    "new_trace_id",
+    "request_ids",
 ]
 
 # Stage names surfaced in ``debug.timings`` and slow-request records, in
@@ -65,30 +64,37 @@ TIMING_STAGES = (
     "other_s",
 )
 
-# Ids come from a private generator seeded from ``os.urandom``: one
-# ``getrandbits`` call is a C call under the GIL (no lock, no syscall),
-# about half the cost of ``os.urandom`` on the per-request path.  It is
-# reseeded in every forked child, so pool workers never mint a parent's
-# ids, and seeding the global ``random`` module never touches it.
+# Ids come straight from the OS: ``os.urandom(n).hex()`` is cheaper
+# than a locked Random.getrandbits + hex format, needs no lock, and is
+# fork-safe — pool workers never inherit a parent's RNG state and mint
+# colliding ids.  It is also unpredictable: every ``/v1`` response
+# returns its trace id, and no number of them reveals another client's.
 _ZERO_TRACE = "0" * 32
 _ZERO_SPAN = "0" * 16
 _HEX = set("0123456789abcdef")
-_IDS = random.Random()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_IDS.seed)
 
 
-def _random_hex(n_bytes: int) -> str:
-    return _IDS.getrandbits(8 * n_bytes).to_bytes(n_bytes, "big").hex()
+def _new_trace_id() -> str:
+    return os.urandom(16).hex()
 
 
-def new_trace_id() -> str:
-    """A fresh W3C trace id (32 lowercase hex chars).
+def _new_span_id() -> str:
+    return os.urandom(8).hex()
 
-    The serve hot path: every request without a ``traceparent`` mints
-    one for its ``X-Repro-Trace-Id`` header, traced or not.
+
+def request_ids(traceparent: str | None) -> tuple["TraceContext | None", str]:
+    """``(remote parent, trace id)`` of an incoming request.
+
+    The parent is the parsed ``traceparent`` header (None when absent or
+    malformed); the trace id is the parent's, or a fresh one.  This is
+    the whole tracing cost of a request whose stages nobody reads — the
+    server calls it once per ``/v1`` exchange for the always-on
+    ``X-Repro-Trace-Id`` header.
     """
-    return _random_hex(16)
+    parent = TraceContext.from_traceparent(traceparent)
+    if parent is None:
+        return None, _new_trace_id()
+    return parent, parent.trace_id
 
 
 def _is_hex(text: str) -> bool:
@@ -139,19 +145,21 @@ class TraceContext:
         )
 
     @classmethod
-    def new(cls, trace_id: str | None = None) -> "TraceContext":
-        """Mint a fresh root context (in trace ``trace_id`` when given).
+    def new(cls) -> "TraceContext":
+        """Mint a fresh root context.
 
-        Both ids come from one random draw.
+        Both ids come from one ``urandom`` draw.
         """
-        if trace_id is not None:
-            return cls(trace_id, _random_hex(8))
-        both = _random_hex(24)
-        return cls(both[:32], both[32:])
+        both = os.urandom(24).hex()
+        return cls(trace_id=both[:32], span_id=both[32:])
 
     def child(self) -> "TraceContext":
         """A new span context under this one (same trace)."""
-        return TraceContext(self.trace_id, _random_hex(8), self.span_id)
+        return TraceContext(
+            trace_id=self.trace_id,
+            span_id=_new_span_id(),
+            parent_id=self.span_id,
+        )
 
     def to_traceparent(self) -> str:
         """Render as a W3C ``traceparent`` header value."""
@@ -234,12 +242,22 @@ class RequestTrace:
         self.remote_parent = remote_parent
 
     @classmethod
-    def begin(cls, traceparent: str | None = None) -> "RequestTrace":
-        """Start a request trace, adopting an incoming traceparent if valid."""
-        remote = TraceContext.from_traceparent(traceparent)
-        if remote is not None:
-            return cls(remote.child(), remote_parent=True)
-        return cls(TraceContext.new())
+    def begin(
+        cls,
+        parent: TraceContext | None = None,
+        trace_id: str | None = None,
+        t0: float | None = None,
+    ) -> "RequestTrace":
+        """Start the trace of a request that started at ``t0``.
+
+        With a remote ``parent`` (see :func:`request_ids`) the request
+        span is its child; otherwise it is a new root in trace
+        ``trace_id`` (default: a fresh one).
+        """
+        if parent is not None:
+            return cls(parent.child(), remote_parent=True, t0=t0)
+        context = TraceContext(trace_id or _new_trace_id(), _new_span_id())
+        return cls(context, t0=t0)
 
     def add(self, stage: str, seconds: float) -> None:
         if seconds > 0.0:

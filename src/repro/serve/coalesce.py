@@ -7,16 +7,19 @@ share a coalescing group — same matrix shape and same kernel options —
 are stacked into one batched kernel call instead of N scalar ones.
 
 :class:`Coalescer` implements the standard micro-batching queue.  A
-group flushes on the first loop turn that adds no member, at
-``linger_s`` at the latest, or at ``max_batch``:
+group flushes on the first loop turn that adds no member while no
+request is still being read, at ``linger_s`` at the latest, or at
+``max_batch``:
 
 * the first request of a group schedules an **idle check** on the next
-  event-loop turn; while a turn adds members the check re-arms, and
-  the first turn that adds none flushes the group.  A burst of
-  concurrent requests therefore shares one batch and runs as soon as
-  the burst has been read, instead of waiting out a timer;
+  event-loop turn.  The check re-arms while a turn adds members or
+  while the server is still reading a request off a socket (which may
+  join the group); the first turn with neither flushes the group.  A
+  burst of concurrent requests therefore shares one batch and runs as
+  soon as the burst has been read, instead of waiting out a timer;
 * the first request also arms a **linger cap** (``linger_s``), which
-  flushes a trickle that keeps adding a member every turn;
+  flushes a trickle that keeps adding a member every turn, and a group
+  held by a connection that never finishes sending;
 * a group that reaches ``max_batch`` flushes immediately (bounded
   latency *and* bounded stack memory);
 * the flush runs the (synchronous, numpy-heavy) batch runner in the
@@ -117,8 +120,9 @@ class Coalescer:
         Metric label for this coalescer's batches.
     linger_s : float
         The longest the first request of a group waits for company.  A
-        group flushes on the first loop turn that adds no member, at
-        ``linger_s`` at the latest, or at ``max_batch``.
+        group flushes on the first loop turn that adds no member while
+        no request is still being read, at ``linger_s`` at the latest,
+        or at ``max_batch``.
     max_batch : int
         Flush threshold; also the largest stack a single kernel call
         materializes.
@@ -126,6 +130,11 @@ class Coalescer:
         When set, every flushed batch emits one ``serve.kernel`` span
         *linked* to the request spans it served (fan-in), so a single
         slow batch explains N slow responses.
+    reading : callable, optional
+        ``reading() -> int``: how many requests the server is still
+        reading off its sockets.  The idle check holds a group while it
+        is nonzero.  Without it (in-process callers) only the group's
+        own growth holds it.
     """
 
     def __init__(
@@ -136,6 +145,7 @@ class Coalescer:
         linger_s: float = 0.002,
         max_batch: int = 64,
         tracer=None,
+        reading=None,
     ) -> None:
         if linger_s < 0:
             raise ValueError(f"linger_s must be >= 0, got {linger_s}")
@@ -146,6 +156,7 @@ class Coalescer:
         self.linger_s = float(linger_s)
         self.max_batch = int(max_batch)
         self.tracer = tracer
+        self.reading = reading
         self._groups: dict[tuple, _PendingGroup] = {}
         self.batches_flushed = 0
         self.requests_coalesced = 0
@@ -204,11 +215,12 @@ class Coalescer:
     # -- flushing ------------------------------------------------------
 
     def _flush_if_idle(self, key: tuple, group: _PendingGroup) -> None:
-        """Flush ``group`` unless it grew since the previous check."""
+        """Flush ``group`` unless it grew since the previous check or a
+        request that may join it is still being read."""
         if self._groups.get(key) is not group:
             return  # already flushed by the cap or the max-batch path
         size = len(group.matrices)
-        if size == group.seen:
+        if size == group.seen and not (self.reading and self.reading()):
             self._flush_now(key)
             return
         group.seen = size

@@ -58,12 +58,7 @@ from ..obs import metrics as _metrics
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.metrics import declare_families, enable_metrics
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
-from ..obs.trace_context import (
-    RequestTrace,
-    TraceContext,
-    Tracer,
-    new_trace_id,
-)
+from ..obs.trace_context import RequestTrace, Tracer, request_ids
 from ..robust.budget import Budget, Deadline
 from .cache import ResultCache, matrix_cache_key
 from .coalesce import Coalescer, ServeFault
@@ -108,8 +103,8 @@ class ServeConfig:
 
     ``linger_s`` / ``max_batch`` shape request coalescing
     (:class:`repro.serve.coalesce.Coalescer`): a group flushes on the
-    first loop turn that adds no member, at ``linger_s`` at the latest,
-    or at ``max_batch``.
+    first loop turn that adds no member while no request is still being
+    read, at ``linger_s`` at the latest, or at ``max_batch``.
 
     The resilience knobs (see :mod:`repro.serve.resilience` and
     ``docs/SERVING.md``):
@@ -205,6 +200,7 @@ class CharacterizationServer:
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
                 tracer=self.tracer,
+                reading=lambda: self._reading,
             ),
             "standardize": Coalescer(
                 self._run_standardize_batch,
@@ -212,6 +208,7 @@ class CharacterizationServer:
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
                 tracer=self.tracer,
+                reading=lambda: self._reading,
             ),
         }
         estimators = None
@@ -238,6 +235,8 @@ class CharacterizationServer:
         self.started_at = self.drain_state.started_at
         self.requests_served = 0
         self._active_exchanges = 0
+        #: connections whose request has not been read in full yet
+        self._reading = 0
         self._server: asyncio.base_events.Server | None = None
         if self.config.enable_metrics:
             enable_metrics()
@@ -600,16 +599,6 @@ class CharacterizationServer:
         return timings
 
     @staticmethod
-    def _request_trace(
-        parent: TraceContext | None, trace_id: str, t0: float
-    ) -> RequestTrace:
-        """Stage timings of one request that started at ``t0``, under
-        the remote ``parent`` span when the request carried one."""
-        if parent is not None:
-            return RequestTrace(parent.child(), remote_parent=True, t0=t0)
-        return RequestTrace(TraceContext.new(trace_id), t0=t0)
-
-    @staticmethod
     def _inject_debug(
         response: bytes, rtrace: RequestTrace, timings: dict, wall_s: float
     ) -> bytes:
@@ -669,16 +658,13 @@ class CharacterizationServer:
         endpoint = None
         if path.startswith("/v1/"):
             endpoint = path[len("/v1/"):]
-        parent = TraceContext.from_traceparent(
-            (headers or {}).get("traceparent")
-        )
-        trace_id = new_trace_id() if parent is None else parent.trace_id
+        parent, trace_id = request_ids((headers or {}).get("traceparent"))
         out_headers = {"X-Repro-Trace-Id": trace_id}
         # Stage timings are collected only for a request whose span,
         # slow-log record or debug_timings answer reads them.
         rtrace = None
         if self.tracer is not None or self.slow_log is not None:
-            rtrace = self._request_trace(parent, trace_id, t0)
+            rtrace = RequestTrace.begin(parent, trace_id, t0)
         try:
             if endpoint is None:
                 return 404, "application/json", error_body(
@@ -698,12 +684,12 @@ class CharacterizationServer:
                     retry_after_s=max(1.0, self.config.drain_timeout_s),
                 )
             payload = decode_json(body)
-            if (
-                rtrace is None
-                and isinstance(payload, dict)
+            want_debug = (
+                isinstance(payload, dict)
                 and payload.get("debug_timings") is True
-            ):
-                rtrace = self._request_trace(parent, trace_id, t0)
+            )
+            if want_debug and rtrace is None:
+                rtrace = RequestTrace.begin(parent, trace_id, t0)
             status, response, source = await self.handle_request(
                 endpoint,
                 payload,
@@ -723,11 +709,6 @@ class CharacterizationServer:
                 # Feed the AIMD estimator from the compute path only:
                 # memoized answers say nothing about kernel capacity.
                 self.admission.observe(endpoint, wall_s)
-            want_debug = (
-                status == 200
-                and isinstance(payload, dict)
-                and payload.get("debug_timings") is True
-            )
             timings = self._finish_request(
                 rtrace, endpoint, status=status, source=source,
                 wall_s=wall_s, need_timings=want_debug,
@@ -812,42 +793,64 @@ class CharacterizationServer:
 
     # -- the socket layer ----------------------------------------------
 
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ):
+        """Connection callback: count the connection's request as being
+        read (the coalescers' idle flush waits for it) until
+        :meth:`_handle_client` has read it."""
+        self._reading += 1
+        return self._handle_client(reader, writer)
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader):
+        """``(method, target, headers, content_length, body)`` of one
+        request, or None for a malformed request line.  Header names are
+        lower-cased; ``body`` is None when it exceeds MAX_BODY_BYTES."""
+        request_line = await reader.readline()
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            return None
+        method, target = parts[0].upper(), parts[1]
+        request_headers: dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            request_headers[name.strip().lower()] = value.strip()
+        try:
+            content_length = int(request_headers.get("content-length", "0"))
+        except ValueError:
+            content_length = 0
+        body = None
+        if content_length <= MAX_BODY_BYTES:
+            body = (
+                await reader.readexactly(content_length)
+                if content_length
+                else b""
+            )
+        return method, target, request_headers, content_length, body
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, target = parts[0].upper(), parts[1]
-            content_length = 0
-            request_headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                request_headers[name.strip().lower()] = value.strip()
             try:
-                content_length = int(
-                    request_headers.get("content-length", "0")
-                )
-            except ValueError:
-                content_length = 0
+                request = await self._read_request(reader)
+            finally:
+                self._reading -= 1  # counted up by _accept
+            if request is None:
+                return
+            method, target, request_headers, content_length, body_in = request
             headers: dict[str, str] = {}
-            if content_length > MAX_BODY_BYTES:
+            if body_in is None:
                 status, ctype, body = 413, "application/json", error_body(
                     None, "bad-request",
                     f"body of {content_length} bytes exceeds the "
                     f"{MAX_BODY_BYTES}-byte limit",
                 )
             else:
-                body_in = (
-                    await reader.readexactly(content_length)
-                    if content_length
-                    else b""
-                )
                 self._active_exchanges += 1
                 try:
                     status, ctype, body, headers = await self.exchange(
@@ -890,7 +893,7 @@ class CharacterizationServer:
         taken — the CLI turns that into a one-line actionable error.
         """
         self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
+            self._accept, host=self.config.host, port=self.config.port
         )
         return self._server
 

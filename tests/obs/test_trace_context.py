@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.obs import (
     trace_scope,
     tracing,
 )
+from repro.obs.trace_context import request_ids
 
 
 class TestTraceContext:
@@ -94,14 +96,27 @@ class TestRequestTrace:
 
     def test_begin_adopts_remote_parent(self):
         remote = TraceContext.new()
-        rtrace = RequestTrace.begin(remote.to_traceparent())
+        parent, trace_id = request_ids(remote.to_traceparent())
+        assert trace_id == remote.trace_id
+        rtrace = RequestTrace.begin(parent, trace_id)
         assert rtrace.remote_parent is True
         assert rtrace.context.trace_id == remote.trace_id
         assert rtrace.context.parent_id == remote.span_id
 
     def test_begin_with_bad_header_starts_fresh(self):
-        rtrace = RequestTrace.begin("not-a-traceparent")
+        parent, trace_id = request_ids("not-a-traceparent")
+        assert parent is None and len(trace_id) == 32
+        rtrace = RequestTrace.begin(parent, trace_id)
         assert rtrace.remote_parent is False
+        assert rtrace.context.trace_id == trace_id
+        assert rtrace.context.parent_id is None
+
+    def test_begin_at_t0_backdates_the_wall_clock_start(self):
+        now = time.perf_counter()
+        rtrace = RequestTrace.begin(t0=now - 5.0)
+        assert rtrace.t0 == now - 5.0
+        assert rtrace.elapsed() >= 5.0
+        assert rtrace.started_at == pytest.approx(time.time() - 5.0, abs=1.0)
 
     def test_timings_sum_to_total_by_construction(self):
         rtrace = RequestTrace.begin()

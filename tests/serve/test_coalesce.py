@@ -180,6 +180,54 @@ class TestCoalescer:
         assert len(runner.calls[0]) > 10
         assert len(runner.calls) >= 2
 
+    def test_group_waits_while_a_request_is_being_read(self):
+        runner = CountingRunner()
+        reading = [1]
+        coalescer = Coalescer(
+            runner,
+            endpoint="characterize",
+            linger_s=10.0,
+            reading=lambda: reading[0],
+        )
+
+        async def main():
+            first = asyncio.ensure_future(
+                coalescer.submit(_request(np.ones((2, 2))))
+            )
+            for _ in range(20):  # quiet turns, but a read is in progress
+                await asyncio.sleep(0)
+            assert not first.done() and coalescer.pending == 1
+            second = asyncio.ensure_future(
+                coalescer.submit(_request(np.full((2, 2), 2.0)))
+            )
+            await asyncio.sleep(0)  # the read finished: its request joins
+            reading[0] = 0
+            return await asyncio.wait_for(
+                asyncio.gather(first, second), timeout=5.0
+            )
+
+        results = asyncio.run(main())
+        assert len(runner.calls) == 1
+        assert [r.batch_size for r in results] == [2, 2]
+
+    def test_read_that_never_finishes_is_cut_off_by_the_cap(self):
+        runner = CountingRunner()
+        coalescer = Coalescer(
+            runner, endpoint="characterize", linger_s=0.05, reading=lambda: 1
+        )
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            result = await asyncio.wait_for(
+                coalescer.submit(_request(np.ones((2, 2)))), timeout=5.0
+            )
+            return result, loop.time() - start
+
+        result, waited = asyncio.run(main())
+        assert result.batch_size == 1
+        assert waited >= 0.04
+
     def test_faulty_member_fails_only_its_caller(self):
         runner = CountingRunner(fail_on={4.0 * 9})  # the all-9s matrix
         coalescer = Coalescer(runner, endpoint="characterize", linger_s=0.02)

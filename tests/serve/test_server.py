@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.measures.report import characterize
 from repro.scheduling.selection import recommend_from_measures
-from repro.serve import SCHEMA
+from repro.serve import SCHEMA, ServeConfig, ServerThread
 
-from .conftest import cache_events, kernel_invocations
+from .conftest import batch_size_snapshot, cache_events, kernel_invocations
 
 
 @pytest.fixture
@@ -144,8 +146,6 @@ class TestHttpSurface:
         assert "tol" in json.loads(body)["error"]["message"]
 
     def test_oversized_body_413(self, live_server):
-        import asyncio
-
         async def oversized():
             reader, writer = await asyncio.open_connection(
                 live_server.host, live_server.port
@@ -207,3 +207,91 @@ class TestConcurrentHttpBurst:
             kernel_invocations(live_server.registry, "characterize")
             == before + 1
         )
+
+
+class TestIdleFlushOverSockets:
+    """The coalescer's idle flush waits for requests still being read."""
+
+    @staticmethod
+    def _post(host, port, body: bytes, split: int, pause_s: float):
+        """POST ``body`` to characterize, holding back all but its first
+        ``split`` bytes for ``pause_s``; returns (status line, seconds)."""
+
+        async def main():
+            reader, writer = await asyncio.open_connection(host, port)
+            t0 = time.perf_counter()
+            writer.write(
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body[:split]
+            )
+            await writer.drain()
+            await asyncio.sleep(pause_s)
+            writer.write(body[split:])
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw.split(b"\r\n", 1)[0], time.perf_counter() - t0
+
+        return main()
+
+    def test_request_still_being_read_joins_the_batch(self, metrics_registry):
+        handle = ServerThread(ServeConfig(port=0, linger_s=5.0))
+        host, port = handle.start()
+        rng = np.random.default_rng(41)
+        slow, fast = (
+            json.dumps({"matrix": rng.uniform(0.5, 10.0, (4, 4)).tolist()})
+            .encode()
+            for _ in range(2)
+        )
+
+        async def main():
+            # ``slow`` sends half its body, pauses, then the rest; ``fast``
+            # arrives whole while ``slow`` is still being read.
+            slow_task = asyncio.ensure_future(
+                self._post(host, port, slow, len(slow) // 2, 0.6)
+            )
+            await asyncio.sleep(0.2)
+            fast_task = asyncio.ensure_future(
+                self._post(host, port, fast, len(fast), 0.0)
+            )
+            return await asyncio.gather(slow_task, fast_task)
+
+        try:
+            (slow_status, _), (fast_status, fast_s) = asyncio.run(main())
+            reading = handle.server._reading
+        finally:
+            handle.stop()
+        assert b"200" in slow_status and b"200" in fast_status
+        # One kernel call for both: ``fast`` waited for ``slow``'s body ...
+        assert kernel_invocations(metrics_registry, "characterize") == 1
+        snapshot = batch_size_snapshot(metrics_registry, "characterize")
+        assert (snapshot["count"], snapshot["sum"]) == (1, 2)
+        assert fast_s >= 0.3
+        # ... and no longer: the idle check flushed, not the 5 s cap.
+        assert fast_s < 3.0
+        assert reading == 0
+
+    def test_reading_count_returns_to_zero(self, live_server):
+        async def main():
+            for raw in (
+                b"\r\n",  # malformed request line
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                b"Content-Length: 99999999999\r\n\r\n",  # 413
+            ):
+                reader, writer = await asyncio.open_connection(
+                    live_server.host, live_server.port
+                )
+                writer.write(raw)
+                await writer.drain()
+                await reader.read()
+                writer.close()
+                await writer.wait_closed()
+
+        asyncio.run(main())
+        status, _ = live_server.post_json(
+            "characterize", {"matrix": [[1.0, 2.0], [3.0, 4.0]]}
+        )
+        assert status == 200
+        assert live_server.handle.server._reading == 0
