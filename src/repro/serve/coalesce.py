@@ -12,11 +12,13 @@ request is still being read, at ``linger_s`` at the latest, or at
 ``max_batch``:
 
 * the first request of a group schedules an **idle check** on the next
-  event-loop turn.  The check re-arms while a turn adds members or
-  while the server is still reading a request off a socket (which may
-  join the group); the first turn with neither flushes the group.  A
-  burst of concurrent requests therefore shares one batch and runs as
-  soon as the burst has been read, instead of waiting out a timer;
+  event-loop turn.  The check re-arms while a turn adds members.  While
+  the server is still reading a request off a socket (which may join
+  the group; see :meth:`Coalescer.read_started`) the group is held
+  until the last such read finishes.  The first check that finds
+  neither flushes the group.  A burst of concurrent requests therefore
+  shares one batch and runs as soon as the burst has been read, instead
+  of waiting out a timer;
 * the first request also arms a **linger cap** (``linger_s``), which
   flushes a trickle that keeps adding a member every turn, and a group
   held by a connection that never finishes sending;
@@ -105,6 +107,8 @@ class _PendingGroup:
     timer: asyncio.TimerHandle | None = None
     #: members present when the pending idle check was scheduled
     seen: int = 0
+    #: waiting for read_finished instead of a scheduled idle check
+    held: bool = False
 
 
 class Coalescer:
@@ -130,11 +134,6 @@ class Coalescer:
         When set, every flushed batch emits one ``serve.kernel`` span
         *linked* to the request spans it served (fan-in), so a single
         slow batch explains N slow responses.
-    reading : callable, optional
-        ``reading() -> int``: how many requests the server is still
-        reading off its sockets.  The idle check holds a group while it
-        is nonzero.  Without it (in-process callers) only the group's
-        own growth holds it.
     """
 
     def __init__(
@@ -145,7 +144,6 @@ class Coalescer:
         linger_s: float = 0.002,
         max_batch: int = 64,
         tracer=None,
-        reading=None,
     ) -> None:
         if linger_s < 0:
             raise ValueError(f"linger_s must be >= 0, got {linger_s}")
@@ -156,7 +154,8 @@ class Coalescer:
         self.linger_s = float(linger_s)
         self.max_batch = int(max_batch)
         self.tracer = tracer
-        self.reading = reading
+        #: requests the server is still reading (see read_started)
+        self.reading = 0
         self._groups: dict[tuple, _PendingGroup] = {}
         self.batches_flushed = 0
         self.requests_coalesced = 0
@@ -212,6 +211,27 @@ class Coalescer:
             self._flush_now(key)
         return await future
 
+    def read_started(self) -> None:
+        """A request that may join a group is being read off a socket.
+
+        Idle checks hold their group until every such read has called
+        :meth:`read_finished` (``linger_s`` still caps the wait).
+        In-process callers, whose requests arrive whole, never call it.
+        """
+        self.reading += 1
+
+    def read_finished(self) -> None:
+        """That request is read (it submits, if at all, before the next
+        loop turn); re-check the groups held for it."""
+        self.reading -= 1
+        if self.reading:
+            return
+        loop = asyncio.get_running_loop()
+        for key, group in self._groups.items():
+            if group.held:
+                group.held = False
+                loop.call_soon(self._flush_if_idle, key, group)
+
     # -- flushing ------------------------------------------------------
 
     def _flush_if_idle(self, key: tuple, group: _PendingGroup) -> None:
@@ -220,11 +240,15 @@ class Coalescer:
         if self._groups.get(key) is not group:
             return  # already flushed by the cap or the max-batch path
         size = len(group.matrices)
-        if size == group.seen and not (self.reading and self.reading()):
+        if size != group.seen:
+            group.seen = size
+            asyncio.get_running_loop().call_soon(
+                self._flush_if_idle, key, group
+            )
+        elif self.reading:
+            group.held = True  # read_finished re-checks it
+        else:
             self._flush_now(key)
-            return
-        group.seen = size
-        asyncio.get_running_loop().call_soon(self._flush_if_idle, key, group)
 
     def _flush_now(self, key: tuple) -> None:
         """Detach the group and schedule its batch (loop thread only)."""

@@ -200,7 +200,6 @@ class CharacterizationServer:
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
                 tracer=self.tracer,
-                reading=lambda: self._reading,
             ),
             "standardize": Coalescer(
                 self._run_standardize_batch,
@@ -208,7 +207,6 @@ class CharacterizationServer:
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
                 tracer=self.tracer,
-                reading=lambda: self._reading,
             ),
         }
         estimators = None
@@ -235,8 +233,6 @@ class CharacterizationServer:
         self.started_at = self.drain_state.started_at
         self.requests_served = 0
         self._active_exchanges = 0
-        #: connections whose request has not been read in full yet
-        self._reading = 0
         self._server: asyncio.base_events.Server | None = None
         if self.config.enable_metrics:
             enable_metrics()
@@ -796,10 +792,11 @@ class CharacterizationServer:
     def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ):
-        """Connection callback: count the connection's request as being
-        read (the coalescers' idle flush waits for it) until
-        :meth:`_handle_client` has read it."""
-        self._reading += 1
+        """Connection callback: the coalescers hold their idle flush for
+        the connection's request until :meth:`_handle_client` has read
+        it."""
+        for coalescer in self.coalescers.values():
+            coalescer.read_started()
         return self._handle_client(reader, writer)
 
     @staticmethod
@@ -839,7 +836,8 @@ class CharacterizationServer:
             try:
                 request = await self._read_request(reader)
             finally:
-                self._reading -= 1  # counted up by _accept
+                for coalescer in self.coalescers.values():
+                    coalescer.read_finished()
             if request is None:
                 return
             method, target, request_headers, content_length, body_in = request

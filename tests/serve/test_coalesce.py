@@ -182,26 +182,26 @@ class TestCoalescer:
 
     def test_group_waits_while_a_request_is_being_read(self):
         runner = CountingRunner()
-        reading = [1]
-        coalescer = Coalescer(
-            runner,
-            endpoint="characterize",
-            linger_s=10.0,
-            reading=lambda: reading[0],
-        )
+        coalescer = Coalescer(runner, endpoint="characterize", linger_s=10.0)
 
         async def main():
+            coalescer.read_started()
+            coalescer.read_started()
             first = asyncio.ensure_future(
                 coalescer.submit(_request(np.ones((2, 2))))
             )
-            for _ in range(20):  # quiet turns, but a read is in progress
+            for _ in range(20):  # quiet turns, but reads are in progress
+                await asyncio.sleep(0)
+            coalescer.read_finished()  # a request that joins no group
+            for _ in range(20):
                 await asyncio.sleep(0)
             assert not first.done() and coalescer.pending == 1
+            # The last read ends and its request joins, in one loop turn.
             second = asyncio.ensure_future(
                 coalescer.submit(_request(np.full((2, 2), 2.0)))
             )
-            await asyncio.sleep(0)  # the read finished: its request joins
-            reading[0] = 0
+            await asyncio.sleep(0)
+            coalescer.read_finished()
             return await asyncio.wait_for(
                 asyncio.gather(first, second), timeout=5.0
             )
@@ -212,11 +212,15 @@ class TestCoalescer:
 
     def test_read_that_never_finishes_is_cut_off_by_the_cap(self):
         runner = CountingRunner()
-        coalescer = Coalescer(
-            runner, endpoint="characterize", linger_s=0.05, reading=lambda: 1
+        coalescer = Coalescer(runner, endpoint="characterize", linger_s=0.05)
+        checks = []
+        check = coalescer._flush_if_idle
+        coalescer._flush_if_idle = lambda *args: (
+            checks.append(args), check(*args)
         )
 
         async def main():
+            coalescer.read_started()  # never finishes
             loop = asyncio.get_running_loop()
             start = loop.time()
             result = await asyncio.wait_for(
@@ -227,6 +231,9 @@ class TestCoalescer:
         result, waited = asyncio.run(main())
         assert result.batch_size == 1
         assert waited >= 0.04
+        # The held group waits for read_finished; it is not re-checked
+        # on every loop turn until the cap.
+        assert len(checks) <= 3
 
     def test_faulty_member_fails_only_its_caller(self):
         runner = CountingRunner(fail_on={4.0 * 9})  # the all-9s matrix

@@ -260,7 +260,7 @@ class TestIdleFlushOverSockets:
 
         try:
             (slow_status, _), (fast_status, fast_s) = asyncio.run(main())
-            reading = handle.server._reading
+            reading = [c.reading for c in handle.server.coalescers.values()]
         finally:
             handle.stop()
         assert b"200" in slow_status and b"200" in fast_status
@@ -271,7 +271,7 @@ class TestIdleFlushOverSockets:
         assert fast_s >= 0.3
         # ... and no longer: the idle check flushed, not the 5 s cap.
         assert fast_s < 3.0
-        assert reading == 0
+        assert reading == [0, 0]
 
     def test_reading_count_returns_to_zero(self, live_server):
         async def main():
@@ -294,4 +294,5 @@ class TestIdleFlushOverSockets:
             "characterize", {"matrix": [[1.0, 2.0], [3.0, 4.0]]}
         )
         assert status == 200
-        assert live_server.handle.server._reading == 0
+        coalescers = live_server.handle.server.coalescers.values()
+        assert [c.reading for c in coalescers] == [0, 0]
