@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.batch import sinkhorn_knopp_batched
 from repro.exceptions import (
     EmptyRowColumnError,
     MatrixShapeError,
@@ -190,6 +191,12 @@ def _stack_with(value, where=(1, 0, 1)):
     return stack
 
 
+def _between_healthy(member):
+    """An (8, 8) ``member`` between two healthy 8x8 members."""
+    rng = np.random.default_rng(3)
+    return np.stack([rng.uniform(0.5, 2.0, (8, 8)), member, rng.uniform(0.5, 2.0, (8, 8))])
+
+
 #: name -> (ensemble, keyword arguments)
 ENSEMBLE_INPUTS = {
     "nan": (_stack_with(float("nan")), {}),
@@ -200,6 +207,11 @@ ENSEMBLE_INPUTS = {
     "two_d": (np.ones((2, 2)), {}),
     "empty_list": ([], {}),
     "weights_length": (np.ones((3, 2, 2)), {"task_weights": [1.0]}),
+    "policy": (np.ones((3, 2, 2)), {"policy": "bogus"}),
+    "tma_fallback": (np.ones((3, 2, 2)), {"tma_fallback": "bogus"}),
+    # Finite entries whose line sums leave the float64 range.
+    "overflow": (_between_healthy(np.full((8, 8), 1e308)), {}),
+    "tiny": (_between_healthy(np.full((8, 8), 1e-320)), {}),
 }
 
 
@@ -214,6 +226,9 @@ ENSEMBLE_ENTRY_POINTS = {
         envs, **kw
     ),
     "standardize_batched": lambda envs, tmp, **kw: repro.standardize_batched(
+        envs, **kw
+    ),
+    "sinkhorn_knopp_batched": lambda envs, tmp, **kw: sinkhorn_knopp_batched(
         envs, **kw
     ),
     "characterize_store": lambda envs, tmp, **kw: _characterize_store(
@@ -236,12 +251,75 @@ _ECS_STACK_DATA = {
     ),
 }
 
+_POLICY = (
+    MatrixValueError,
+    "policy must be 'raise', 'quarantine' or 'repair', got 'bogus'",
+)
+_TMA_FALLBACK = (
+    MatrixValueError,
+    "tma_fallback must be 'limit', 'column' or 'raise', got 'bogus'",
+)
+_OVERFLOW = (
+    MatrixValueError,
+    "row or column sums overflow to inf in slice(s) [1]; rescale the matrix "
+    "(e.g. divide it by its largest entry) so every row and column sum is "
+    "finite",
+)
+_TINY = (
+    MatrixValueError,
+    "row or column sums are too small to scale (target / sum overflows to "
+    "inf) in slice(s) [1]; rescale the matrix (e.g. divide it by its largest "
+    "entry) so every row and column sum is a normal float",
+)
+#: The message sinkhorn_knopp_batched gives, and standardize_batched
+#: gives for what it does not screen itself.
+_STACK_ERRORS = {
+    "nan": (MatrixValueError, "stack contains NaN entries"),
+    "inf": (MatrixValueError, "stack must be finite (got inf entries)"),
+    "negative": (MatrixValueError, "stack must be non-negative"),
+    "zero_line": (
+        MatrixValueError,
+        "stack has an all-zero row or column in slice(s) [1]; no scaling "
+        "can fix that",
+    ),
+    "empty": (
+        MatrixShapeError,
+        "stack must be non-empty, got shape (0, 2, 2)",
+    ),
+    "two_d": (
+        MatrixShapeError,
+        "stack must be 3-D (N, T, M), got ndim=2 (shape (2, 2))",
+    ),
+    "empty_list": (
+        MatrixShapeError,
+        "stack must be 3-D (N, T, M), got ndim=1 (shape (0,))",
+    ),
+    "overflow": _OVERFLOW,
+    "tiny": _TINY,
+}
+#: Recorded before the batched entry points validated once: a member
+#: whose line sums overflow failed the measures' own check.
+_MEASURE_VALUES = (MatrixValueError, "values must be strictly positive and finite")
+
 #: (entry point, input) -> (exception type, message) under policy="raise".
 #: The store entry point only sees data errors: write_store itself
 #: rejects the malformed shapes, and a store takes no weights.
 ENSEMBLE_EXPECTED = {
     **{("characterize_ensemble", k): e for k, e in _ECS_STACK_DATA.items()},
     **{("characterize_store", k): e for k, e in _ECS_STACK_DATA.items()},
+    **{("standardize_batched", k): e for k, e in _STACK_ERRORS.items()},
+    **{("sinkhorn_knopp_batched", k): e for k, e in _STACK_ERRORS.items()},
+    **{
+        (entry, key): error
+        for entry in ("characterize_ensemble", "characterize_store")
+        for key, error in (
+            ("policy", _POLICY),
+            ("tma_fallback", _TMA_FALLBACK),
+            ("overflow", _MEASURE_VALUES),
+            ("tiny", _TINY),
+        )
+    },
+    ("standardize_batched", "policy"): _POLICY,
     ("characterize_ensemble", "empty"): (
         MatrixShapeError,
         "ECS stack must be non-empty, got shape (0, 2, 2)",
@@ -259,35 +337,6 @@ ENSEMBLE_EXPECTED = {
         WeightError,
         "task_weights must be a 1-D vector of length 2, got shape (1,)",
     ),
-    ("standardize_batched", "nan"): (
-        MatrixValueError,
-        "stack contains NaN entries",
-    ),
-    ("standardize_batched", "inf"): (
-        MatrixValueError,
-        "stack must be finite (got inf entries)",
-    ),
-    ("standardize_batched", "negative"): (
-        MatrixValueError,
-        "stack must be non-negative",
-    ),
-    ("standardize_batched", "zero_line"): (
-        MatrixValueError,
-        "stack has an all-zero row or column in slice(s) [1]; no scaling "
-        "can fix that",
-    ),
-    ("standardize_batched", "empty"): (
-        MatrixShapeError,
-        "stack must be non-empty, got shape (0, 2, 2)",
-    ),
-    ("standardize_batched", "two_d"): (
-        MatrixShapeError,
-        "stack must be 3-D (N, T, M), got ndim=2 (shape (2, 2))",
-    ),
-    ("standardize_batched", "empty_list"): (
-        MatrixShapeError,
-        "stack must be 3-D (N, T, M), got ndim=1 (shape (0,))",
-    ),
 }
 
 
@@ -303,6 +352,52 @@ def test_ensemble_error_type_and_message(entry, key, tmp_path):
         ENSEMBLE_ENTRY_POINTS[entry](envs, tmp_path, **kwargs)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+_MEMBER_FAULTS = {
+    "nan": ("nan", "member contains NaN entries"),
+    "inf": ("non-finite", "member contains infinite entries"),
+    "negative": ("negative", "member contains negative entries"),
+    "zero_line": ("empty-line", "member has an all-zero row or column"),
+}
+ROBUST_ENTRY_POINTS = ("characterize_ensemble", "standardize_batched", "characterize_store")
+
+#: (entry point, input) -> the report's (index, category, detail) rows
+#: under policy="quarantine", or the (exception type, message) it raises.
+QUARANTINE_EXPECTED = {
+    **{
+        (entry, key): ((1, *fault),)
+        for entry in ROBUST_ENTRY_POINTS
+        for key, fault in _MEMBER_FAULTS.items()
+    },
+    ("characterize_ensemble", "overflow"): _MEASURE_VALUES,
+    ("characterize_store", "overflow"): _MEASURE_VALUES,
+    ("standardize_batched", "overflow"): _OVERFLOW,
+    **{(entry, "tiny"): _TINY for entry in ROBUST_ENTRY_POINTS},
+}
+
+
+@pytest.mark.parametrize(
+    "entry,key",
+    sorted(QUARANTINE_EXPECTED),
+    ids=[f"{e}-{k}" for e, k in sorted(QUARANTINE_EXPECTED)],
+)
+def test_ensemble_quarantine_report(entry, key, tmp_path):
+    envs, kwargs = ENSEMBLE_INPUTS[key]
+    expected = QUARANTINE_EXPECTED[(entry, key)]
+
+    def call():
+        return ENSEMBLE_ENTRY_POINTS[entry](
+            envs, tmp_path, policy="quarantine", **kwargs
+        )
+
+    if isinstance(expected[0], type):
+        with pytest.raises(Exception) as info:
+            call()
+        assert (type(info.value), str(info.value)) == expected
+    else:
+        faults = call().report.faults
+        assert tuple((f.index, f.category, f.detail) for f in faults) == expected
 
 
 def test_weights_that_underflow_some_entries_still_work():
