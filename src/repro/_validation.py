@@ -13,6 +13,17 @@ that trust it, so a call that chains several kernels — e.g.
 :func:`repro.characterize` — checks its matrix once, not once per
 kernel.  A private body never re-validates, and a public function never
 skips a check its error contract promises.
+
+The batched entry points follow the same rule.
+:func:`repro.batch.characterize_ensemble` (and the chunks of
+:func:`repro.shard.characterize_store`) screens its stack once
+(``batch._stack._ecs_stack`` or ``robust.taxonomy._classify``, which
+also find the strictly positive members), and the backend's fused pass
+sums the batch's lines once for MPH/TDH
+(``batch.measures._adjacent_ratio_batched``) and for
+``sinkhorn._scale_stack``.  :func:`repro.batch.standardize_batched`
+screens and sums once and calls ``_scale_stack`` itself, while
+:func:`repro.batch.sinkhorn_knopp_batched` keeps its own full checks.
 """
 
 from __future__ import annotations

@@ -211,11 +211,30 @@ def residuals(stack, row_target, col_target) -> np.ndarray:
     targets get a leading unit axis so a stack of one stays off numpy's
     broadcasting path; both only shave per-call overhead.
     """
-    add, highest = np.add.reduce, np.maximum.reduce
-    return np.maximum(
-        highest(np.abs(add(stack, axis=2) - row_target[None]), axis=1),
-        highest(np.abs(add(stack, axis=1) - col_target[None]), axis=1),
+    add = np.add.reduce
+    return _sum_residuals(
+        add(stack, axis=2), add(stack, axis=1), row_target, col_target
     )
+
+
+def _sum_residuals(row_sums, col_sums, row_target, col_target) -> np.ndarray:
+    """:func:`residuals` from the stack's ``(N, T)`` row and ``(N, M)``
+    column sums."""
+    highest = np.maximum.reduce
+    return np.maximum(
+        highest(np.abs(row_sums - row_target[None]), axis=1),
+        highest(np.abs(col_sums - col_target[None]), axis=1),
+    )
+
+
+def _line_sums(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(N, T)`` row and ``(N, M)`` column sums of a stack, in the
+    reductions :func:`residuals` uses.  A sum past the float64 range is
+    inf (or NaN, from opposite infinities), without numpy's warning:
+    callers screen for it."""
+    add = np.add.reduce
+    with np.errstate(over="ignore", invalid="ignore"):
+        return add(stack, axis=2), add(stack, axis=1)
 
 
 def _grouped(trace, n_slices):
@@ -348,8 +367,8 @@ class KernelBackendBase:
     ``sinkhorn_core_batched``; the SVD defaults are one LAPACK routine,
     ``numpy.linalg.svd(..., compute_uv=False)`` (``gesdd``, values
     only), on one matrix or a stack, and the fused pass composes the
-    public batched kernels so every backend inherits identical measure
-    semantics.
+    batched kernels' private bodies so every backend inherits identical
+    measure semantics.
     """
 
     name = "abstract"
@@ -372,23 +391,48 @@ class KernelBackendBase:
         precision=None,
     ):
         """Batched (MPH, TDH, TMA, iterations, converged) columns of a
-        strictly positive ``(N, T, M)`` stack in one backend pass."""
-        from ..batch.measures import average_adjacent_ratio_batched
-        from ..batch.sinkhorn import standardize_batched
+        strictly positive ``(N, T, M)`` stack in one backend pass.
+
+        The stack is left as it is: the standard form scales one working
+        copy.  Its line sums are computed once, and give MPH, TDH and
+        the standard form's entry residual.  Line sums that overflow to
+        inf, or are too small to scale, raise
+        :class:`~repro.exceptions.MatrixValueError` naming the slices;
+        after a ``warm_start`` the scaling checks the rescaled copy.
+        """
+        from ..batch.measures import _adjacent_ratio_batched
+        from ..normalize.sinkhorn import _scale_stack, _unscalable, _unscalable_error
+        from ..normalize.standard_form import standard_targets
         from ..obs import metrics as _metrics, span as _obs_span
 
-        mph = average_adjacent_ratio_batched(stack.sum(axis=1))
-        tdh = average_adjacent_ratio_batched(stack.sum(axis=2))
-        standard = standardize_batched(
-            stack,
+        n_rows, n_cols = stack.shape[1:]
+        row_sums, col_sums = _line_sums(stack)
+        row_target, col_target = standard_targets(n_rows, n_cols)
+        row_targets = np.full(n_rows, row_target)
+        col_targets = np.full(n_cols, col_target)
+        if warm_start is not None:
+            # MPH and TDH still need finite raw line sums.
+            overflow = _unscalable(row_sums, col_sums, row_targets, col_targets)[0]
+            if overflow.any():
+                raise _unscalable_error(overflow, None, "batched")
+        standard = _scale_stack(
+            stack.copy(),
+            row_targets,
+            col_targets,
+            kind="batched",
+            backend=self,
+            precision=check_precision(precision),
+            warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,
             require_convergence=False,
             deadline_s=deadline_s,
-            backend=self,
-            precision=precision,
-            warm_start=warm_start,
+            row_target=row_target,
+            col_target=col_target,
+            sums=(row_sums, col_sums),
         )
+        mph = _adjacent_ratio_batched(col_sums)
+        tdh = _adjacent_ratio_batched(row_sums)
         t0 = time.perf_counter()
         with _obs_span(
             "svd.batched",

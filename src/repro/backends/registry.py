@@ -18,7 +18,7 @@ import os
 
 from .._validation import check_choice
 from ..exceptions import MatrixValueError
-from .base import KernelBackend
+from .base import KernelBackend, KernelBackendBase
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -89,7 +89,18 @@ def resolve_backend(backend=None) -> KernelBackend:
         backend = os.environ.get(BACKEND_ENV_VAR) or "numpy"
     if isinstance(backend, str):
         return get_backend(backend)
-    if isinstance(backend, KernelBackend):
+    # Nominal checks first: the runtime Protocol check walks every
+    # protocol member, ten times the cost.  A registered instance passed
+    # it at registration, and the base class supplies every member but
+    # the core.
+    if (
+        any(backend is known for known in _REGISTRY.values())
+        or (
+            isinstance(backend, KernelBackendBase)
+            and hasattr(backend, "sinkhorn_core_batched")
+        )
+        or isinstance(backend, KernelBackend)
+    ):
         return backend
     raise MatrixValueError(
         "backend must be a registered backend name or a KernelBackend "

@@ -50,8 +50,15 @@ def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
     (:func:`repro.robust.classify_stack`), raising on the first
     category any slice trips.
     """
+    return _ecs_stack(values, name=name)[0]
+
+
+def _ecs_stack(values, *, name: str = "ECS stack"):
+    """:func:`as_ecs_stack`, and the mask of its strictly positive
+    slices from the same screen."""
     arr = as_float_stack(values, name=name, allow_nan=True)
-    for category, _detail, mask in _value_screens(arr):
+    screens, positive = _value_screens(arr)
+    for category, _detail, mask in screens:
         if not mask.any():
             continue
         if category == "empty-line":
@@ -61,7 +68,7 @@ def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
                 f"{bad[:5]}{'...' if len(bad) > 5 else ''}"
             )
         raise MatrixValueError(f"{name} {_STACK_ERRORS[category]}")
-    return arr
+    return arr, positive
 
 
 #: What :func:`as_ecs_stack` says about a stack with each value fault.

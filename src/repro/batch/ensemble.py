@@ -36,20 +36,25 @@ import numpy as np
 
 from .._parallel import WorkerFailure, parallel_map, resolve_n_jobs
 from .._validation import check_weights
+from ..backends import resolve_backend
+from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
-from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
+from ..normalize.sinkhorn import _unscalable, _unscalable_error
+from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs, standard_targets
 from ..obs import current_recorder, metrics as _metrics, traced
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy, recovered_columns
 from ..robust.taxonomy import (
     QuarantineReport,
+    _classify,
+    _unscalable_faults,
+    _value_screens,
     check_policy,
     classify_exception,
     classify_matrix,
-    classify_stack,
 )
-from ._stack import as_ecs_stack, as_float_stack, stack_members
+from ._stack import _ecs_stack, as_float_stack, stack_members
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
 
@@ -241,20 +246,20 @@ def _lenient_member(env):
             return None
 
 
-def _coerce(
-    environments, task_weights, machine_weights, *, strict: bool
-) -> tuple[np.ndarray | None, list | None]:
+def _coerce(environments, task_weights, machine_weights, *, strict: bool):
     """The one input coercion of every policy.
 
-    Returns ``(stack, members)``: a weighted ``(N, T, M)`` float stack
-    (and ``members=None``) when the input stacks, or ``stack=None`` and
-    the list of 2-D members when the shapes are ragged.  ``strict``
-    (``policy="raise"``) rejects corrupt member data here;
-    otherwise corrupt members flow through, so the pre-screen can
-    quarantine them one by one.
+    Returns ``(stack, members, positive)``: a weighted ``(N, T, M)``
+    float stack (and ``members=None``) when the input stacks, or
+    ``stack=None`` and the list of 2-D members when the shapes are
+    ragged.  ``strict`` (``policy="raise"``) rejects corrupt member
+    data here; otherwise corrupt members flow through, so the
+    pre-screen can quarantine them one by one.  ``positive`` is the
+    mask of strictly positive slices when the strict screen of an
+    unweighted array already found it, else None.
     """
     weighted = task_weights is not None or machine_weights is not None
-    members = None
+    members = positive = None
     if isinstance(environments, np.ndarray):
         if environments.ndim != 3:
             raise MatrixShapeError(
@@ -263,7 +268,7 @@ def _coerce(
                 "single matrix as matrix[None, :, :] or pass a list"
             )
         if strict:
-            stack = as_ecs_stack(environments)
+            stack, positive = _ecs_stack(environments)
         else:
             stack = as_float_stack(environments, name="ECS stack", allow_nan=True)
     else:
@@ -293,21 +298,13 @@ def _coerce(
             machine_weights, stack.shape[2], name="machine_weights"
         )
         stack = w_t[None, :, None] * w_m[None, None, :] * stack
-    return stack, members
+        positive = None
+    return stack, members, positive
 
 
-def _characterize_stack_batched(
-    sub: np.ndarray,
-    *,
-    tol: float,
-    max_iterations: int,
-    deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
-    warm_start=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched (MPH, TDH, TMA, iterations, converged) columns of a
-    strictly positive sub-stack.
+def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
+    """Batched (MPH, TDH, TMA, iterations, converged) columns of the
+    strictly positive members ``in_batch``.
 
     The same reductions :func:`repro.measures.characterize` performs on
     the weighted matrix, lifted one axis: MP is the column-sum rows, TD
@@ -315,18 +312,23 @@ def _characterize_stack_batched(
     standard form (eq. 8).  Per-slice results are independent of which
     other slices share the stack, which is what lets the robust
     pipeline promise bit-identical healthy members.  The whole pass is
-    one fused backend call (:mod:`repro.backends`).
+    one fused call of the resolved backend ``be``
+    (:mod:`repro.backends`), on ``stack`` itself when every member is
+    in the batch (the pass scales its own working copy).
     """
-    from ..backends import resolve_backend
+    sub = stack if in_batch.all() else stack[in_batch]
+    return be.fused_standard_measures(sub, **options)
 
-    return resolve_backend(backend).fused_standard_measures(
-        sub,
-        tol=tol,
-        max_iterations=max_iterations,
-        deadline_s=deadline_s,
-        warm_start=warm_start,
-        precision=precision,
+
+def _unscalable_members(stack: np.ndarray, in_batch: np.ndarray):
+    """Full-length ``(overflow, too_small)`` masks of the members in the
+    batch whose line sums the standard form cannot scale."""
+    n_rows, n_cols = stack.shape[1:]
+    row_target, col_target = standard_targets(n_rows, n_cols)
+    overflow, too_small = _unscalable(
+        *_line_sums(stack), np.full(n_rows, row_target), np.full(n_cols, col_target)
     )
+    return overflow & in_batch, too_small & in_batch
 
 
 @traced(name="batch.characterize_ensemble")
@@ -496,7 +498,7 @@ def characterize_ensemble(
     budget = DEFAULT_BUDGET if budget is None else budget
     deadline = budget.start()
 
-    stack, members = _coerce(
+    stack, members, positive = _coerce(
         environments, task_weights, machine_weights, strict=not robust
     )
     n = stack.shape[0] if stack is not None else len(members)
@@ -510,6 +512,7 @@ def characterize_ensemble(
                 )
         if stack is not None:
             stack = fault_plan.apply(stack)
+            positive = None
         else:
             members = [
                 fault_plan.apply_member(i, m)
@@ -529,7 +532,8 @@ def characterize_ensemble(
     if not robust:
         faults = {}
     elif stack is not None:
-        faults = classify_stack(stack, tma_fallback=tma_fallback)
+        screens, positive = _value_screens(stack)
+        faults = _classify(stack, screens, positive, tma_fallback=tma_fallback)
     else:
         faults = {}
         for i, m in enumerate(members):
@@ -541,7 +545,9 @@ def characterize_ensemble(
     healthy[list(faults)] = False
     in_batch = np.zeros(n, dtype=bool)
     if stack is not None and batched:
-        in_batch = healthy & (stack > 0).all(axis=(1, 2))
+        if positive is None:
+            positive = (stack > 0).all(axis=(1, 2))
+        in_batch = healthy & positive
         if robust:
             # Stalled members are healthy data but must visit the
             # worker path so their injected straggle is exercised.
@@ -579,22 +585,36 @@ def characterize_ensemble(
     tma = np.full(n, np.nan)
     iterations = np.full(n, -1, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
-    batched_mask = in_batch.copy()
 
+    columns = None
     if n_batched:
-        columns = _characterize_stack_batched(
-            stack[in_batch],
+        be = resolve_backend(backend)
+        options = dict(
             tol=tol,
             max_iterations=max_iterations,
             deadline_s=deadline.remaining(),
-            backend=backend,
+            # A warm start implies every member is in the batch.
+            warm_start=warm_start,
             precision=precision,
-            warm_start=(
-                None
-                if warm_start is None
-                else (warm_start[0][in_batch], warm_start[1][in_batch])
-            ),
         )
+        try:
+            columns = _batch_columns(be, stack, in_batch, **options)
+        except MatrixValueError:
+            # The fused pass checks the batch's line sums before it
+            # scales anything: find the members at fault, and name them
+            # (under "raise") or quarantine them and run the rest.
+            overflow, too_small = _unscalable_members(stack, in_batch)
+            unscalable = overflow | too_small
+            if warm_start is not None or not unscalable.any():
+                raise
+            if not robust:
+                raise _unscalable_error(overflow, too_small, "batched") from None
+            faults.update(_unscalable_faults(overflow, too_small))
+            in_batch &= ~unscalable
+            if in_batch.any():
+                columns = _batch_columns(be, stack, in_batch, **options)
+    batched_mask = in_batch.copy()
+    if columns is not None:
         index = np.flatnonzero(in_batch)
         missed = ~columns[4]
         if robust and missed.any():

@@ -53,9 +53,15 @@ def average_adjacent_ratio_batched(values) -> np.ndarray:
         )
     if not np.isfinite(arr).all() or (arr <= 0).any():
         raise MatrixValueError("values must be strictly positive and finite")
-    if arr.shape[1] == 1:
-        return np.ones(arr.shape[0], dtype=np.float64)
-    ordered = np.sort(arr, axis=1)
+    return _adjacent_ratio_batched(arr)
+
+
+def _adjacent_ratio_batched(values: np.ndarray) -> np.ndarray:
+    """The body of :func:`average_adjacent_ratio_batched`: ``values`` is
+    a validated ``(N, K)`` float64 array."""
+    if values.shape[1] == 1:
+        return np.ones(values.shape[0], dtype=np.float64)
+    ordered = np.sort(values, axis=1)
     return (ordered[:, :-1] / ordered[:, 1:]).mean(axis=1)
 
 

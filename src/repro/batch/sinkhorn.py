@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import resolve_backend
-from ..backends.base import check_precision
+from ..backends.base import _line_sums, check_precision
 from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import (
     BatchNormalizationResult,
@@ -36,11 +36,12 @@ from ..normalize.sinkhorn import (
     _check_targets,
     _first_slices,
     _scale_stack,
+    _unscalable,
 )
 from ..normalize.standard_form import standard_targets
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy
-from ..robust.taxonomy import check_policy, classify_stack
+from ..robust.taxonomy import _unscalable_faults, check_policy, classify_stack
 from ._stack import as_float_stack
 
 __all__ = [
@@ -114,23 +115,16 @@ def sinkhorn_knopp_batched(
     """
     be = resolve_backend(backend)
     precision = check_precision(precision)
-    work = as_float_stack(stack, name="stack").copy()
+    work = as_float_stack(stack, name="stack")
     _check_entries(work, "stack")
     n_slices, n_rows, n_cols = work.shape
     row_target, col_target = _check_targets(
         row_target, col_target, n_rows, n_cols
     )
-    zero_line = (work.sum(axis=2) == 0).any(axis=1) | (
-        work.sum(axis=1) == 0
-    ).any(axis=1)
-    if zero_line.any():
-        raise MatrixValueError(
-            "stack has an all-zero row or column in slice(s) "
-            f"{_first_slices(np.flatnonzero(zero_line))}; "
-            "no scaling can fix that"
-        )
+    sums = _line_sums(work)
+    _check_zero_lines(*sums)
     return _scale_stack(
-        work,
+        work.copy(),
         np.full(n_rows, row_target),
         np.full(n_cols, col_target),
         kind="batched",
@@ -143,7 +137,19 @@ def sinkhorn_knopp_batched(
         deadline_s=deadline_s,
         row_target=row_target,
         col_target=col_target,
+        sums=sums,
     )
+
+
+def _check_zero_lines(row_sums, col_sums) -> None:
+    """Reject a non-negative stack with an all-zero row or column."""
+    zero_line = (row_sums == 0).any(axis=1) | (col_sums == 0).any(axis=1)
+    if zero_line.any():
+        raise MatrixValueError(
+            "stack has an all-zero row or column in slice(s) "
+            f"{_first_slices(np.flatnonzero(zero_line))}; "
+            "no scaling can fix that"
+        )
 
 
 def standardize_batched(
@@ -171,8 +177,9 @@ def standardize_batched(
     ``policy`` selects the fault semantics: ``"raise"`` (default) is
     the historical behavior described above.  ``"quarantine"`` /
     ``"repair"`` pre-screen the stack (NaN/inf/negative entries, empty
-    lines and Section-VI zero patterns, which can never reach the
-    Theorem-2 margins), scale the healthy slices and splice them back:
+    lines, Section-VI zero patterns, which can never reach the
+    Theorem-2 margins, and line sums that overflow or are too small to
+    scale), scale the healthy slices and splice them back:
     screened slices get NaN result rows, slices that merely miss the
     tolerance keep their best partial iterate (``converged=False``),
     and both are recorded in ``result.report``
@@ -212,29 +219,53 @@ def standardize_batched(
     work = as_float_stack(stack, name="stack", allow_nan=robust)
     if fault_plan is not None:
         work = fault_plan.apply(work)
+    be = resolve_backend(backend)
+    precision = check_precision(precision)
     n_slices, n_rows, n_cols = work.shape
     row_target, col_target = standard_targets(n_rows, n_cols)
-    # Structural screening uses the strict ("raise") semantics: a
-    # decomposable slice can never converge to the Theorem-2 margins.
-    faults = classify_stack(work, tma_fallback="raise") if robust else {}
-    healthy = np.ones(n_slices, dtype=bool)
-    healthy[list(faults)] = False
-    scaled = None
-    if healthy.any():
-        scaled = sinkhorn_knopp_batched(
-            work[healthy] if faults else work,
-            row_target=row_target,
-            col_target=col_target,
+    targets = (np.full(n_rows, row_target), np.full(n_cols, col_target))
+
+    def scale(sub, sums):
+        return _scale_stack(
+            sub,
+            *targets,
+            kind="batched",
+            backend=be,
+            precision=precision,
+            warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,
             require_convergence=require_convergence and not robust,
             deadline_s=deadline.clamp(deadline_s),
-            backend=backend,
-            precision=precision,
-            warm_start=warm_start,
+            row_target=row_target,
+            col_target=col_target,
+            sums=sums,
         )
+
     if not robust:
-        return scaled
+        _check_entries(work, "stack")
+        sums = _line_sums(work)
+        _check_zero_lines(*sums)
+        if warm_start is not None:
+            sums = None  # the body sums the warm-started copy itself
+        return scale(work.copy(), sums)
+
+    # Structural screening uses the strict ("raise") semantics: a
+    # decomposable slice can never converge to the Theorem-2 margins.
+    faults = classify_stack(work, tma_fallback="raise")
+    row_sums, col_sums = _line_sums(work)
+    unscalable = _unscalable(row_sums, col_sums, *targets)
+    for i, fault in _unscalable_faults(*unscalable).items():
+        faults.setdefault(i, fault)
+    healthy = np.ones(n_slices, dtype=bool)
+    healthy[list(faults)] = False
+    # The one working copy: the healthy slices' gather, or a copy of the
+    # whole input (the repair ladder still reads it).
+    scaled = None
+    if not faults:
+        scaled = scale(work.copy(), (row_sums, col_sums))
+    elif healthy.any():
+        scaled = scale(work[healthy], (row_sums[healthy], col_sums[healthy]))
 
     matrix = np.full_like(work, np.nan)
     row_scale = np.full((n_slices, n_rows), np.nan)

@@ -40,11 +40,12 @@ from .._validation import (
 )
 from ..backends import resolve_backend
 from ..backends.base import (
+    _line_sums,
+    _sum_residuals,
     check_precision,
     coerce_warm_start,
     coerce_warm_start_batched,
     residual_histories,
-    residuals,
     run_sinkhorn_batched,
 )
 from ..exceptions import ConvergenceError, MatrixValueError
@@ -287,6 +288,41 @@ def _in_slices(bad: np.ndarray, kind: str) -> str:
     return f" in slice(s) {_first_slices(np.flatnonzero(bad))}"
 
 
+def _unscalable(row_sums, col_sums, row_targets, col_targets):
+    """``(overflow, too_small)`` slice masks from a stack's ``(N, T)``
+    row and ``(N, M)`` column sums: a line sum that is not finite, and
+    (otherwise) one so small that the first pass's factor
+    ``target / sum`` overflows to inf, making every iterate after it
+    NaN."""
+    isfinite = np.isfinite
+    overflow = ~(isfinite(row_sums).all(axis=1) & isfinite(col_sums).all(axis=1))
+    with np.errstate(over="ignore", divide="ignore"):
+        too_small = ~(
+            isfinite(row_targets / row_sums).all(axis=1)
+            & isfinite(col_targets / col_sums).all(axis=1)
+        )
+    return overflow, too_small & ~overflow
+
+
+def _unscalable_error(overflow, too_small, kind: str) -> MatrixValueError | None:
+    """The error for the first non-empty mask of :func:`_unscalable`
+    (``too_small=None`` skips that test), or None."""
+    if overflow.any():
+        return MatrixValueError(
+            f"row or column sums overflow to inf{_in_slices(overflow, kind)}; "
+            "rescale the matrix (e.g. divide it by its largest entry) so "
+            "every row and column sum is finite"
+        )
+    if too_small is not None and too_small.any():
+        return MatrixValueError(
+            "row or column sums are too small to scale (target / sum "
+            f"overflows to inf){_in_slices(too_small, kind)}; rescale the "
+            "matrix (e.g. divide it by its largest entry) so every row and "
+            "column sum is a normal float"
+        )
+    return None
+
+
 def _scale_stack(
     work: np.ndarray,
     row_targets: np.ndarray,
@@ -302,16 +338,20 @@ def _scale_stack(
     deadline_s: float | None,
     row_target: float,
     col_target: float,
+    sums=None,
 ) -> BatchNormalizationResult:
     """The body every Sinkhorn entry point shares once its input is
     validated.
 
     ``work`` is a caller-owned float64 ``(N, T, M)`` stack (a single
-    matrix is ``N == 1``); ``row_targets``/``col_targets`` are the
-    ``(T,)``/``(M,)`` margins.  ``kind`` is the
-    ``"scalar"``/``"margins"``/``"batched"`` label of the span
-    (``sinkhorn.<kind>``) and metrics; ``row_target``/``col_target``
-    are what the result reports.
+    matrix is ``N == 1``) that the body scales in place;
+    ``row_targets``/``col_targets`` are the ``(T,)``/``(M,)`` margins.
+    ``kind`` is the ``"scalar"``/``"margins"``/``"batched"`` label of
+    the span (``sinkhorn.<kind>``) and metrics; ``row_target``/
+    ``col_target`` are what the result reports.  ``sums`` are the row
+    and column sums of ``work`` as passed, when the caller has them
+    (from :func:`repro.backends.base._line_sums`); they are recomputed
+    when a ``warm_start`` rescales ``work`` first.
     """
     n_slices, n_rows, n_cols = work.shape
     if warm_start is None:
@@ -332,31 +372,17 @@ def _scale_stack(
         # result bit-for-bit.
         work *= row_scale[:, :, None]
         work *= col_scale[:, None, :]
-    # Entries are finite, but their line sums can still overflow.  After
-    # one column pass every sum is bounded by its target, so checking the
-    # entry sums is enough to rule out NaN iterates.
-    residual = residuals(work, row_targets, col_targets)
-    finite = np.isfinite(residual)
-    if not finite.all():
-        raise MatrixValueError(
-            f"row or column sums overflow to inf{_in_slices(~finite, kind)}; "
-            "rescale the matrix (e.g. divide it by its largest entry) so "
-            "every row and column sum is finite"
-        )
-    # The other way out of range: a line sum so small that the first
-    # pass's factor target / sum is inf, and every iterate after it NaN.
-    add = np.add.reduce
-    with np.errstate(over="ignore"):
-        scalable = np.isfinite(row_targets / add(work, axis=2)).all(
-            axis=1
-        ) & np.isfinite(col_targets / add(work, axis=1)).all(axis=1)
-    if not scalable.all():
-        raise MatrixValueError(
-            "row or column sums are too small to scale (target / sum "
-            f"overflows to inf){_in_slices(~scalable, kind)}; rescale the "
-            "matrix (e.g. divide it by its largest entry) so every row and "
-            "column sum is a normal float"
-        )
+        sums = None
+    if sums is None:
+        sums = _line_sums(work)
+    # Entries are finite, but their line sums can still overflow, or be
+    # too small to scale.  After one column pass every sum is bounded by
+    # its target, so checking the entry sums rules out NaN iterates.
+    error = _unscalable_error(*_unscalable(*sums, row_targets, col_targets), kind)
+    if error is not None:
+        raise error
+    residual = _sum_residuals(*sums, row_targets, col_targets)
+    del sums  # the iterations need no line sums
     active = ~(residual <= tol)
     iterations = np.zeros(n_slices, dtype=np.int64)
     trace = [(None, residual.copy())]

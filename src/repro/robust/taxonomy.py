@@ -14,7 +14,8 @@ Categories
     The member contains NaN entries (corrupt profiling data).
 ``non-finite``
     The member contains infinite entries (infinities belong in the ETC
-    representation, never in ECS).
+    representation, never in ECS), or its entries are finite but a row
+    or column sum overflows to inf or is too small to scale.
 ``negative``
     The member contains negative entries.
 ``empty-line``
@@ -276,25 +277,58 @@ def classify_exception(exc: BaseException) -> str:
     return "worker-error"
 
 
+#: ``(category, detail)`` of each value screen, in screening order.
+_VALUE_FAULTS = (
+    ("nan", "member contains NaN entries"),
+    ("non-finite", "member contains infinite entries"),
+    ("negative", "member contains negative entries"),
+    ("empty-line", "member has an all-zero row or column"),
+)
+
+
 def _value_screens(stack: np.ndarray):
-    """``(category, detail, mask)`` of the value screens over a float
-    ``(N, T, M)`` stack, in screening order; ``mask[i]`` flags slice
-    ``i``.  Stack-wide reductions only, no per-slice loop."""
+    """``(screens, positive)`` of a float ``(N, T, M)`` stack.
+
+    ``screens`` holds the ``(category, detail, mask)`` of each value
+    screen, in screening order; ``mask[i]`` flags slice ``i``.
+    ``positive[i]`` says every entry of slice ``i`` is > 0 (the slices
+    a batched kernel can take).  Stack-wide reductions only, no
+    per-slice loop.
+    """
+    # The common case takes two reductions: every entry is positive and
+    # finite (a NaN fails both comparisons).
+    if stack.size and np.minimum.reduce(stack, axis=None) > 0 and (
+        np.maximum.reduce(stack, axis=None) < np.inf
+    ):
+        clear = np.zeros(stack.shape[0], dtype=bool)
+        return tuple((*fault, clear) for fault in _VALUE_FAULTS), ~clear
     positive = stack > 0
-    return (
-        ("nan", "member contains NaN entries", np.isnan(stack).any(axis=(1, 2))),
-        (
-            "non-finite",
-            "member contains infinite entries",
-            np.isinf(stack).any(axis=(1, 2)),
-        ),
-        ("negative", "member contains negative entries", (stack < 0).any(axis=(1, 2))),
-        (
-            "empty-line",
-            "member has an all-zero row or column",
-            ~(positive.any(axis=2).all(axis=1) & positive.any(axis=1).all(axis=1)),
-        ),
+    masks = (
+        np.isnan(stack).any(axis=(1, 2)),
+        np.isinf(stack).any(axis=(1, 2)),
+        (stack < 0).any(axis=(1, 2)),
+        ~(positive.any(axis=2).all(axis=1) & positive.any(axis=1).all(axis=1)),
     )
+    screens = tuple((*fault, mask) for fault, mask in zip(_VALUE_FAULTS, masks))
+    return screens, positive.all(axis=(1, 2))
+
+
+#: The ``non-finite`` details of members whose entries are finite but
+#: whose line sums cannot be scaled (:func:`_unscalable_faults`).
+_UNSCALABLE_DETAILS = (
+    "member has a row or column sum that overflows to inf",
+    "member has a row or column sum too small to scale",
+)
+
+
+def _unscalable_faults(overflow, too_small) -> dict[int, tuple[str, str]]:
+    """``non-finite`` faults of the slices flagged by
+    :func:`repro.normalize.sinkhorn._unscalable`'s masks."""
+    faults: dict[int, tuple[str, str]] = {}
+    for mask, detail in zip((overflow, too_small), _UNSCALABLE_DETAILS):
+        for i in np.flatnonzero(mask):
+            faults[int(i)] = ("non-finite", detail)
+    return faults
 
 
 def classify_stack(
@@ -321,14 +355,23 @@ def classify_stack(
     >>> classify_stack(stack)
     {1: ('nan', 'member contains NaN entries'), 2: ('empty-line', 'member has an all-zero row or column')}
     """
+    return _classify(stack, *_value_screens(stack), tma_fallback=tma_fallback)
+
+
+def _classify(
+    stack: np.ndarray, screens, positive: np.ndarray, *, tma_fallback: str
+) -> dict[int, tuple[str, str]]:
+    """:func:`classify_stack` from the stack's :func:`_value_screens`."""
     faults: dict[int, tuple[str, str]] = {}
-    for category, detail, mask in _value_screens(stack):
+    for category, detail, mask in screens:
         for i in np.flatnonzero(mask):
             faults.setdefault(int(i), (category, detail))
     if tma_fallback == "raise":
         from ..structure import normalizability_report
 
-        for i in np.flatnonzero((stack == 0).any(axis=(1, 2))):
+        # A slice that passed the value screens without being strictly
+        # positive contains zeros.
+        for i in np.flatnonzero(~positive):
             if int(i) in faults:
                 continue
             report = normalizability_report(stack[i])

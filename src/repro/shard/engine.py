@@ -204,27 +204,29 @@ def _shard_budget(budget, deadline):
 
 def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs):
     parts = []
-    for shard in plan.shards:
-        stall_s = shard_stalls.get(shard.index, 0.0)
-        with _obs_span(
-            "shard.chunk", start=shard.start, members=shard.n_members
-        ):
-            if stall_s > 0.0:
-                time.sleep(stall_s)
-            t0 = time.perf_counter()
-            result = _characterize_chunk(
-                store,
-                shard.start,
-                shard.stop,
-                data_specs,
-                _shard_budget(budget, deadline),
-                kwargs,
+    # One memory map serves the whole pass, and no longer.
+    with store._pass_map():
+        for shard in plan.shards:
+            stall_s = shard_stalls.get(shard.index, 0.0)
+            with _obs_span(
+                "shard.chunk", start=shard.start, members=shard.n_members
+            ):
+                if stall_s > 0.0:
+                    time.sleep(stall_s)
+                t0 = time.perf_counter()
+                result = _characterize_chunk(
+                    store,
+                    shard.start,
+                    shard.stop,
+                    data_specs,
+                    _shard_budget(budget, deadline),
+                    kwargs,
+                )
+            _metrics.observe_shard_chunk(
+                "serial", members=shard.n_members, wall_s=time.perf_counter() - t0
             )
-        _metrics.observe_shard_chunk(
-            "serial", members=shard.n_members, wall_s=time.perf_counter() - t0
-        )
-        _metrics.count_shard_dispatch("primary")
-        parts.append((shard.start, result))
+            _metrics.count_shard_dispatch("primary")
+            parts.append((shard.start, result))
     return parts
 
 

@@ -27,6 +27,7 @@ Readers get two granularities:
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -185,6 +186,7 @@ class StackStore:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self._map = None
         manifest_path = self.path / MANIFEST_NAME
         if not manifest_path.is_file():
             raise MatrixValueError(
@@ -272,6 +274,17 @@ class StackStore:
             self.data_path, dtype=self.dtype, mode="r", shape=self.shape
         )
 
+    @contextlib.contextmanager
+    def _pass_map(self):
+        """Serve every :meth:`read` inside the block from one memory map,
+        dropped when the block ends (a later read maps the file afresh,
+        so it sees the file as it is then)."""
+        outer, self._map = self._map, self.memmap()
+        try:
+            yield
+        finally:
+            self._map = outer
+
     def read(self, start: int, stop: int) -> np.ndarray:
         """Members ``[start, stop)`` as an owned C-contiguous float64 array.
 
@@ -284,11 +297,8 @@ class StackStore:
                 f"chunk [{start}, {stop}) is out of bounds for a store of "
                 f"{self.n_members} members"
             )
-        mm = self.memmap()
-        try:
-            return np.array(mm[start:stop], dtype=np.float64, order="C")
-        finally:
-            del mm
+        mm = self.memmap() if self._map is None else self._map
+        return np.array(mm[start:stop], dtype=np.float64, order="C")
 
     def __getitem__(self, index: int) -> np.ndarray:
         """One member as an owned float64 ``(T, M)`` array."""

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import (
     BACKEND_ENV_VAR,
     KernelBackend,
+    KernelBackendBase,
     NumpyBackend,
     get_backend,
     list_backends,
@@ -143,6 +145,56 @@ class TestResolve:
     def test_rejects_other_types(self):
         with pytest.raises(MatrixValueError, match="backend"):
             resolve_backend(42)
+
+    def test_rejects_a_non_backend_with_the_same_message(self):
+        for other in (42, object(), type("Incomplete", (KernelBackendBase,), {})()):
+            with pytest.raises(MatrixValueError) as info:
+                resolve_backend(other)
+            assert str(info.value) == (
+                "backend must be a registered backend name or a "
+                f"KernelBackend instance, got {other!r}"
+            )
+
+    def test_accepts_a_duck_typed_backend(self):
+        class Duck:
+            """Every protocol member, by delegation, and no base class."""
+
+            def __init__(self):
+                self._inner = NumpyBackend()
+                self.name, self.tolerance = "duck", 0.0
+
+            def sinkhorn_core_batched(self, *args, **kwargs):
+                return self._inner.sinkhorn_core_batched(*args, **kwargs)
+
+            def svd_values(self, matrix):
+                return self._inner.svd_values(matrix)
+
+            def svd_values_batched(self, stack):
+                return self._inner.svd_values_batched(stack)
+
+            def fused_standard_measures(self, stack, **options):
+                return self._inner.fused_standard_measures(stack, **options)
+
+        duck = Duck()
+        assert not isinstance(duck, KernelBackendBase)
+        assert resolve_backend(duck) is duck
+        stack = np.random.default_rng(2).uniform(0.5, 2.0, (3, 4, 4))
+        ours = repro.characterize_ensemble(stack, backend=duck)
+        reference = repro.characterize_ensemble(stack)
+        assert ours.records().tobytes() == reference.records().tobytes()
+
+    def test_nominal_backends_skip_the_protocol_walk(self, monkeypatch):
+        class Refusing(type):
+            def __instancecheck__(cls, instance):
+                raise AssertionError("walked the runtime protocol")
+
+        monkeypatch.setattr(
+            registry, "KernelBackend", Refusing("KernelBackend", (), {})
+        )
+        registered = get_backend("numpy")
+        assert resolve_backend(registered) is registered
+        fresh = NumpyBackend()
+        assert resolve_backend(fresh) is fresh
 
 
 class TestKwargSurface:

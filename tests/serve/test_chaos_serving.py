@@ -69,6 +69,45 @@ class TestFaultInCoalescedBatch:
             quarantined_total(metrics_registry, "characterize", "nan") == 1
         )
 
+    @pytest.mark.parametrize("endpoint", ["characterize", "standardize"])
+    def test_unscalable_member_gets_422_batch_mates_their_solo_bytes(
+        self, metrics_registry, endpoint
+    ):
+        # Finite entries whose line sums overflow to inf.
+        rng = np.random.default_rng(3)
+        healthy = [rng.uniform(0.5, 2.0, (8, 8)).tolist() for _ in range(2)]
+        burst = [healthy[0], np.full((8, 8), 1e308).tolist(), healthy[1]]
+
+        def exchange(matrices):
+            server = CharacterizationServer(
+                ServeConfig(port=0, linger_s=0.05, enable_metrics=False)
+            )
+
+            async def main():
+                return await asyncio.gather(
+                    *(
+                        server.exchange(
+                            "POST",
+                            f"/v1/{endpoint}",
+                            json.dumps({"matrix": m}).encode(),
+                        )
+                        for m in matrices
+                    )
+                )
+
+            return asyncio.run(main())
+
+        responses = exchange(burst)
+        assert kernel_invocations(metrics_registry, endpoint) == 1
+        assert [status for status, *_ in responses] == [200, 422, 200]
+        error = json.loads(responses[1][2])["error"]
+        assert error["category"] == "non-finite"
+        assert "overflows" in error["message"]
+        for matrix, (_, _, body, _) in zip(healthy, responses[::2]):
+            ((status, _, solo, _),) = exchange([matrix])
+            assert status == 200
+            assert body == solo
+
     def test_empty_line_fault_category(self, metrics_registry):
         server = CharacterizationServer(
             ServeConfig(port=0, linger_s=0.01, enable_metrics=False)

@@ -6,7 +6,7 @@ import pytest
 from repro.batch import characterize_ensemble
 from repro.exceptions import MatrixValueError, WeightError
 from repro.robust import Budget
-from repro.shard import characterize_store, write_store
+from repro.shard import StackStore, characterize_store, write_store
 
 from .conftest import random_stack
 
@@ -49,6 +49,29 @@ class TestEngineValidation:
         )
         assert len(result) == 12
         assert result.converged.all()
+
+
+class TestOneMapPerPass:
+    def test_an_eight_chunk_pass_maps_the_file_once(self, tmp_path, monkeypatch):
+        stack = random_stack(64, 4, 4, seed=5)
+        store = write_store(tmp_path / "store", stack)
+        maps, reads = [], []
+        memmap, read = StackStore.memmap, StackStore.read
+        monkeypatch.setattr(
+            StackStore, "memmap", lambda self: maps.append(1) or memmap(self)
+        )
+        monkeypatch.setattr(
+            StackStore,
+            "read",
+            lambda self, start, stop: reads.append(start) or read(self, start, stop),
+        )
+        result = characterize_store(store, chunk_size=8)
+        assert (len(maps), len(reads)) == (1, 8)
+        reference = characterize_ensemble(stack)
+        assert result.records().tobytes() == reference.records().tobytes()
+        # The map ends with the pass: a later read maps the file afresh.
+        store.read(0, 1)
+        assert len(maps) == 2
 
 
 class TestFacadeValidation:

@@ -297,9 +297,6 @@ _STACK_ERRORS = {
     "overflow": _OVERFLOW,
     "tiny": _TINY,
 }
-#: Recorded before the batched entry points validated once: a member
-#: whose line sums overflow failed the measures' own check.
-_MEASURE_VALUES = (MatrixValueError, "values must be strictly positive and finite")
 
 #: (entry point, input) -> (exception type, message) under policy="raise".
 #: The store entry point only sees data errors: write_store itself
@@ -315,7 +312,9 @@ ENSEMBLE_EXPECTED = {
         for key, error in (
             ("policy", _POLICY),
             ("tma_fallback", _TMA_FALLBACK),
-            ("overflow", _MEASURE_VALUES),
+            # Was "values must be strictly positive and finite" before
+            # the batched entry points validated once.
+            ("overflow", _OVERFLOW),
             ("tiny", _TINY),
         )
     },
@@ -359,21 +358,24 @@ _MEMBER_FAULTS = {
     "inf": ("non-finite", "member contains infinite entries"),
     "negative": ("negative", "member contains negative entries"),
     "zero_line": ("empty-line", "member has an all-zero row or column"),
+    # Before the batched entry points validated once, these two raised
+    # for the whole call (the policy="raise" errors above, except that
+    # characterize_ensemble and characterize_store said "values must be
+    # strictly positive and finite" for an overflow).
+    "overflow": (
+        "non-finite",
+        "member has a row or column sum that overflows to inf",
+    ),
+    "tiny": ("non-finite", "member has a row or column sum too small to scale"),
 }
 ROBUST_ENTRY_POINTS = ("characterize_ensemble", "standardize_batched", "characterize_store")
 
 #: (entry point, input) -> the report's (index, category, detail) rows
-#: under policy="quarantine", or the (exception type, message) it raises.
+#: under policy="quarantine".
 QUARANTINE_EXPECTED = {
-    **{
-        (entry, key): ((1, *fault),)
-        for entry in ROBUST_ENTRY_POINTS
-        for key, fault in _MEMBER_FAULTS.items()
-    },
-    ("characterize_ensemble", "overflow"): _MEASURE_VALUES,
-    ("characterize_store", "overflow"): _MEASURE_VALUES,
-    ("standardize_batched", "overflow"): _OVERFLOW,
-    **{(entry, "tiny"): _TINY for entry in ROBUST_ENTRY_POINTS},
+    (entry, key): ((1, *fault),)
+    for entry in ROBUST_ENTRY_POINTS
+    for key, fault in _MEMBER_FAULTS.items()
 }
 
 
@@ -384,20 +386,28 @@ QUARANTINE_EXPECTED = {
 )
 def test_ensemble_quarantine_report(entry, key, tmp_path):
     envs, kwargs = ENSEMBLE_INPUTS[key]
+    faults = ENSEMBLE_ENTRY_POINTS[entry](
+        envs, tmp_path, policy="quarantine", **kwargs
+    ).report.faults
     expected = QUARANTINE_EXPECTED[(entry, key)]
+    assert tuple((f.index, f.category, f.detail) for f in faults) == expected
 
-    def call():
-        return ENSEMBLE_ENTRY_POINTS[entry](
-            envs, tmp_path, policy="quarantine", **kwargs
-        )
 
-    if isinstance(expected[0], type):
-        with pytest.raises(Exception) as info:
-            call()
-        assert (type(info.value), str(info.value)) == expected
-    else:
-        faults = call().report.faults
-        assert tuple((f.index, f.category, f.detail) for f in faults) == expected
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("policy", ["quarantine", "repair"])
+@pytest.mark.parametrize("key", ["overflow", "tiny"])
+def test_an_unscalable_member_leaves_its_batch_mates_bit_identical(key, policy):
+    envs, _ = ENSEMBLE_INPUTS[key]
+    mates = envs[[0, 2]]
+    result = repro.characterize_ensemble(envs, policy=policy)
+    alone = repro.characterize_ensemble(mates)
+    assert result.report.quarantined == (1,)
+    for name in ("mph", "tdh", "tma", "iterations", "converged", "batched"):
+        assert getattr(result, name)[[0, 2]].tobytes() == getattr(alone, name).tobytes()
+    scaled = repro.standardize_batched(envs, policy=policy)
+    assert scaled.report.quarantined == (1,)
+    alone = repro.standardize_batched(mates)
+    assert scaled.matrix[[0, 2]].tobytes() == alone.matrix.tobytes()
 
 
 def test_weights_that_underflow_some_entries_still_work():
