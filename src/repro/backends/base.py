@@ -401,7 +401,7 @@ class KernelBackendBase:
         after a ``warm_start`` the scaling checks the rescaled copy.
         """
         from ..batch.measures import _adjacent_ratio_batched
-        from ..normalize.sinkhorn import _scale_stack, _unscalable, _unscalable_error
+        from ..normalize.sinkhorn import _entry_state, _scale_stack, _unscalable_error
         from ..normalize.standard_form import standard_targets
         from ..obs import metrics as _metrics, span as _obs_span
 
@@ -412,7 +412,7 @@ class KernelBackendBase:
         col_targets = np.full(n_cols, col_target)
         if warm_start is not None:
             # MPH and TDH still need finite raw line sums.
-            overflow = _unscalable(row_sums, col_sums, row_targets, col_targets)[0]
+            overflow = _entry_state(row_sums, col_sums, row_targets, col_targets)[1]
             if overflow.any():
                 raise _unscalable_error(overflow, None, "batched")
         standard = _scale_stack(

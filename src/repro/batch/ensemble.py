@@ -40,7 +40,7 @@ from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
-from ..normalize.sinkhorn import _unscalable, _unscalable_error
+from ..normalize.sinkhorn import _entry_state, _unscalable_error
 from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs, standard_targets
 from ..obs import current_recorder, metrics as _metrics, traced
 from ..robust.budget import DEFAULT_BUDGET
@@ -325,7 +325,7 @@ def _unscalable_members(stack: np.ndarray, in_batch: np.ndarray):
     batch whose line sums the standard form cannot scale."""
     n_rows, n_cols = stack.shape[1:]
     row_target, col_target = standard_targets(n_rows, n_cols)
-    overflow, too_small = _unscalable(
+    _, overflow, too_small = _entry_state(
         *_line_sums(stack), np.full(n_rows, row_target), np.full(n_cols, col_target)
     )
     return overflow & in_batch, too_small & in_batch

@@ -34,9 +34,9 @@ from ..normalize.sinkhorn import (
     BatchNormalizationResult,
     _check_entries,
     _check_targets,
+    _entry_state,
     _first_slices,
     _scale_stack,
-    _unscalable,
 )
 from ..normalize.standard_form import standard_targets
 from ..robust.budget import DEFAULT_BUDGET
@@ -254,7 +254,7 @@ def standardize_batched(
     # decomposable slice can never converge to the Theorem-2 margins.
     faults = classify_stack(work, tma_fallback="raise")
     row_sums, col_sums = _line_sums(work)
-    unscalable = _unscalable(row_sums, col_sums, *targets)
+    _, *unscalable = _entry_state(row_sums, col_sums, *targets)
     for i, fault in _unscalable_faults(*unscalable).items():
         faults.setdefault(i, fault)
     healthy = np.ones(n_slices, dtype=bool)

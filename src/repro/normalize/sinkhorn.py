@@ -288,24 +288,26 @@ def _in_slices(bad: np.ndarray, kind: str) -> str:
     return f" in slice(s) {_first_slices(np.flatnonzero(bad))}"
 
 
-def _unscalable(row_sums, col_sums, row_targets, col_targets):
-    """``(overflow, too_small)`` slice masks from a stack's ``(N, T)``
-    row and ``(N, M)`` column sums: a line sum that is not finite, and
-    (otherwise) one so small that the first pass's factor
+def _entry_state(row_sums, col_sums, row_targets, col_targets):
+    """``(residual, overflow, too_small)`` from a stack's ``(N, T)`` row
+    and ``(N, M)`` column sums: the entry residual, and the slice masks
+    of a line sum that is not finite (so neither is the residual) and
+    (otherwise) of one so small that the first pass's factor
     ``target / sum`` overflows to inf, making every iterate after it
     NaN."""
+    residual = _sum_residuals(row_sums, col_sums, row_targets, col_targets)
+    overflow = ~np.isfinite(residual)
     isfinite = np.isfinite
-    overflow = ~(isfinite(row_sums).all(axis=1) & isfinite(col_sums).all(axis=1))
     with np.errstate(over="ignore", divide="ignore"):
         too_small = ~(
             isfinite(row_targets / row_sums).all(axis=1)
             & isfinite(col_targets / col_sums).all(axis=1)
         )
-    return overflow, too_small & ~overflow
+    return residual, overflow, too_small & ~overflow
 
 
 def _unscalable_error(overflow, too_small, kind: str) -> MatrixValueError | None:
-    """The error for the first non-empty mask of :func:`_unscalable`
+    """The error for the first non-empty mask of :func:`_entry_state`
     (``too_small=None`` skips that test), or None."""
     if overflow.any():
         return MatrixValueError(
@@ -375,14 +377,14 @@ def _scale_stack(
         sums = None
     if sums is None:
         sums = _line_sums(work)
+    residual, *unscalable = _entry_state(*sums, row_targets, col_targets)
+    del sums  # the iterations need no line sums
     # Entries are finite, but their line sums can still overflow, or be
     # too small to scale.  After one column pass every sum is bounded by
     # its target, so checking the entry sums rules out NaN iterates.
-    error = _unscalable_error(*_unscalable(*sums, row_targets, col_targets), kind)
+    error = _unscalable_error(*unscalable, kind)
     if error is not None:
         raise error
-    residual = _sum_residuals(*sums, row_targets, col_targets)
-    del sums  # the iterations need no line sums
     active = ~(residual <= tol)
     iterations = np.zeros(n_slices, dtype=np.int64)
     trace = [(None, residual.copy())]

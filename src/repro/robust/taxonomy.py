@@ -290,18 +290,17 @@ def _value_screens(stack: np.ndarray):
     """``(screens, positive)`` of a float ``(N, T, M)`` stack.
 
     ``screens`` holds the ``(category, detail, mask)`` of each value
-    screen, in screening order; ``mask[i]`` flags slice ``i``.
-    ``positive[i]`` says every entry of slice ``i`` is > 0 (the slices
-    a batched kernel can take).  Stack-wide reductions only, no
-    per-slice loop.
+    screen, in screening order (none when no entry can trip one);
+    ``mask[i]`` flags slice ``i``.  ``positive[i]`` says every entry of
+    slice ``i`` is > 0 (the slices a batched kernel can take).
+    Stack-wide reductions only, no per-slice loop.
     """
     # The common case takes two reductions: every entry is positive and
     # finite (a NaN fails both comparisons).
     if stack.size and np.minimum.reduce(stack, axis=None) > 0 and (
         np.maximum.reduce(stack, axis=None) < np.inf
     ):
-        clear = np.zeros(stack.shape[0], dtype=bool)
-        return tuple((*fault, clear) for fault in _VALUE_FAULTS), ~clear
+        return (), np.ones(stack.shape[0], dtype=bool)
     positive = stack > 0
     masks = (
         np.isnan(stack).any(axis=(1, 2)),
@@ -323,7 +322,7 @@ _UNSCALABLE_DETAILS = (
 
 def _unscalable_faults(overflow, too_small) -> dict[int, tuple[str, str]]:
     """``non-finite`` faults of the slices flagged by
-    :func:`repro.normalize.sinkhorn._unscalable`'s masks."""
+    :func:`repro.normalize.sinkhorn._entry_state`'s masks."""
     faults: dict[int, tuple[str, str]] = {}
     for mask, detail in zip((overflow, too_small), _UNSCALABLE_DETAILS):
         for i in np.flatnonzero(mask):

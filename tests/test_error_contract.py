@@ -6,6 +6,13 @@ private bodies that trust it; :func:`repro.normalize.standardize` and
 pins the exact ``(exception type, message)`` every bad input gets from
 each of them, as recorded while every kernel still re-validated its
 input, so validating once drops no check and rewords no error.
+
+The batched entry points (``characterize_ensemble``,
+``standardize_batched``, ``sinkhorn_knopp_batched``,
+``characterize_store``) are pinned the same way, with their quarantine
+reports, as recorded while they still chained each other's checks; only
+the rows for finite entries whose line sums cannot be scaled changed
+when they began to validate once (see ``_MEMBER_FAULTS``).
 """
 
 from __future__ import annotations
@@ -194,7 +201,8 @@ def _stack_with(value, where=(1, 0, 1)):
 def _between_healthy(member):
     """An (8, 8) ``member`` between two healthy 8x8 members."""
     rng = np.random.default_rng(3)
-    return np.stack([rng.uniform(0.5, 2.0, (8, 8)), member, rng.uniform(0.5, 2.0, (8, 8))])
+    healthy = rng.uniform(0.5, 2.0, (2, 8, 8))
+    return np.stack([healthy[0], member, healthy[1]])
 
 
 #: name -> (ensemble, keyword arguments)
@@ -368,7 +376,11 @@ _MEMBER_FAULTS = {
     ),
     "tiny": ("non-finite", "member has a row or column sum too small to scale"),
 }
-ROBUST_ENTRY_POINTS = ("characterize_ensemble", "standardize_batched", "characterize_store")
+ROBUST_ENTRY_POINTS = (
+    "characterize_ensemble",
+    "standardize_batched",
+    "characterize_store",
+)
 
 #: (entry point, input) -> the report's (index, category, detail) rows
 #: under policy="quarantine".
