@@ -20,10 +20,11 @@ The batched entry points follow the same rule.
 (``batch._stack._ecs_stack`` or ``robust.taxonomy._classify``, which
 also find the strictly positive members), and the backend's fused pass
 sums the batch's lines once for MPH/TDH
-(``batch.measures._adjacent_ratio_batched``) and for
-``sinkhorn._scale_stack``.  :func:`repro.batch.standardize_batched`
-screens and sums once and calls ``_scale_stack`` itself, while
-:func:`repro.batch.sinkhorn_knopp_batched` keeps its own full checks.
+(``batch.measures._adjacent_ratio_batched``) and for the standardize
+body ``batch.sinkhorn._standardize_stack``.
+:func:`repro.batch.standardize_batched` screens and sums once and calls
+that body itself, while :func:`repro.batch.sinkhorn_knopp_batched`
+keeps its own full checks.
 """
 
 from __future__ import annotations

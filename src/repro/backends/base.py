@@ -401,25 +401,20 @@ class KernelBackendBase:
         after a ``warm_start`` the scaling checks the rescaled copy.
         """
         from ..batch.measures import _adjacent_ratio_batched
-        from ..normalize.sinkhorn import _entry_state, _scale_stack, _unscalable_error
-        from ..normalize.standard_form import standard_targets
+        from ..batch.sinkhorn import _standardize_stack
+        from ..normalize.sinkhorn import _unscalable_error
         from ..obs import metrics as _metrics, span as _obs_span
 
-        n_rows, n_cols = stack.shape[1:]
         row_sums, col_sums = _line_sums(stack)
-        row_target, col_target = standard_targets(n_rows, n_cols)
-        row_targets = np.full(n_rows, row_target)
-        col_targets = np.full(n_cols, col_target)
         if warm_start is not None:
             # MPH and TDH still need finite raw line sums.
-            overflow = _entry_state(row_sums, col_sums, row_targets, col_targets)[1]
-            if overflow.any():
-                raise _unscalable_error(overflow, None, "batched")
-        standard = _scale_stack(
+            isfinite = np.isfinite
+            finite = isfinite(row_sums).all(axis=1) & isfinite(col_sums).all(axis=1)
+            if not finite.all():
+                raise _unscalable_error(~finite, None, "batched")
+        standard = _standardize_stack(
             stack.copy(),
-            row_targets,
-            col_targets,
-            kind="batched",
+            (row_sums, col_sums),
             backend=self,
             precision=check_precision(precision),
             warm_start=warm_start,
@@ -427,9 +422,6 @@ class KernelBackendBase:
             max_iterations=max_iterations,
             require_convergence=False,
             deadline_s=deadline_s,
-            row_target=row_target,
-            col_target=col_target,
-            sums=(row_sums, col_sums),
         )
         mph = _adjacent_ratio_batched(col_sums)
         tdh = _adjacent_ratio_batched(row_sums)

@@ -152,6 +152,42 @@ def _check_zero_lines(row_sums, col_sums) -> None:
         )
 
 
+def _standardize_stack(
+    work,
+    sums,
+    *,
+    backend,
+    precision,
+    warm_start,
+    tol,
+    max_iterations,
+    require_convergence,
+    deadline_s,
+) -> BatchNormalizationResult:
+    """The standardize body of :func:`standardize_batched` and the
+    backends' fused pass: :func:`_scale_stack` with the Theorem-2
+    targets on a validated stack ``work``, which it scales in place.
+    ``sums`` and the keywords are ``_scale_stack``'s."""
+    n_rows, n_cols = work.shape[1:]
+    row_target, col_target = standard_targets(n_rows, n_cols)
+    return _scale_stack(
+        work,
+        np.full(n_rows, row_target),
+        np.full(n_cols, col_target),
+        kind="batched",
+        backend=backend,
+        precision=precision,
+        warm_start=warm_start,
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
+        row_target=row_target,
+        col_target=col_target,
+        sums=sums,
+    )
+
+
 def standardize_batched(
     stack,
     *,
@@ -223,49 +259,57 @@ def standardize_batched(
     precision = check_precision(precision)
     n_slices, n_rows, n_cols = work.shape
     row_target, col_target = standard_targets(n_rows, n_cols)
-    targets = (np.full(n_rows, row_target), np.full(n_cols, col_target))
-
-    def scale(sub, sums):
-        return _scale_stack(
-            sub,
-            *targets,
-            kind="batched",
-            backend=be,
-            precision=precision,
-            warm_start=warm_start,
-            tol=tol,
-            max_iterations=max_iterations,
-            require_convergence=require_convergence and not robust,
-            deadline_s=deadline.clamp(deadline_s),
-            row_target=row_target,
-            col_target=col_target,
-            sums=sums,
-        )
-
     if not robust:
         _check_entries(work, "stack")
         sums = _line_sums(work)
         _check_zero_lines(*sums)
         if warm_start is not None:
             sums = None  # the body sums the warm-started copy itself
-        return scale(work.copy(), sums)
+        return _standardize_stack(
+            work.copy(),
+            sums,
+            backend=be,
+            precision=precision,
+            warm_start=warm_start,
+            tol=tol,
+            max_iterations=max_iterations,
+            require_convergence=require_convergence,
+            deadline_s=deadline.clamp(deadline_s),
+        )
 
     # Structural screening uses the strict ("raise") semantics: a
     # decomposable slice can never converge to the Theorem-2 margins.
     faults = classify_stack(work, tma_fallback="raise")
     row_sums, col_sums = _line_sums(work)
-    _, *unscalable = _entry_state(row_sums, col_sums, *targets)
+    _, *unscalable = _entry_state(
+        row_sums,
+        col_sums,
+        np.full(n_rows, row_target),
+        np.full(n_cols, col_target),
+    )
     for i, fault in _unscalable_faults(*unscalable).items():
         faults.setdefault(i, fault)
     healthy = np.ones(n_slices, dtype=bool)
     healthy[list(faults)] = False
-    # The one working copy: the healthy slices' gather, or a copy of the
-    # whole input (the repair ladder still reads it).
     scaled = None
-    if not faults:
-        scaled = scale(work.copy(), (row_sums, col_sums))
-    elif healthy.any():
-        scaled = scale(work[healthy], (row_sums[healthy], col_sums[healthy]))
+    if healthy.any():
+        # The one working copy: a copy of the whole input (the repair
+        # ladder still reads it), or the healthy slices' gather.
+        if faults:
+            sub, sums = work[healthy], (row_sums[healthy], col_sums[healthy])
+        else:
+            sub, sums = work.copy(), (row_sums, col_sums)
+        scaled = _standardize_stack(
+            sub,
+            sums,
+            backend=be,
+            precision=precision,
+            warm_start=None,
+            tol=tol,
+            max_iterations=max_iterations,
+            require_convergence=False,
+            deadline_s=deadline.clamp(deadline_s),
+        )
 
     matrix = np.full_like(work, np.nan)
     row_scale = np.full((n_slices, n_rows), np.nan)
