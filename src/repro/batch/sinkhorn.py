@@ -152,22 +152,11 @@ def _check_zero_lines(row_sums, col_sums) -> None:
         )
 
 
-def _standardize_stack(
-    work,
-    sums,
-    *,
-    backend,
-    precision,
-    warm_start,
-    tol,
-    max_iterations,
-    require_convergence,
-    deadline_s,
-) -> BatchNormalizationResult:
+def _standardize_stack(work, sums, **options) -> BatchNormalizationResult:
     """The standardize body of :func:`standardize_batched` and the
     backends' fused pass: :func:`_scale_stack` with the Theorem-2
     targets on a validated stack ``work``, which it scales in place.
-    ``sums`` and the keywords are ``_scale_stack``'s."""
+    ``sums`` and ``options`` are ``_scale_stack``'s other keywords."""
     n_rows, n_cols = work.shape[1:]
     row_target, col_target = standard_targets(n_rows, n_cols)
     return _scale_stack(
@@ -175,16 +164,10 @@ def _standardize_stack(
         np.full(n_rows, row_target),
         np.full(n_cols, col_target),
         kind="batched",
-        backend=backend,
-        precision=precision,
-        warm_start=warm_start,
-        tol=tol,
-        max_iterations=max_iterations,
-        require_convergence=require_convergence,
-        deadline_s=deadline_s,
         row_target=row_target,
         col_target=col_target,
         sums=sums,
+        **options,
     )
 
 
@@ -282,10 +265,7 @@ def standardize_batched(
     faults = classify_stack(work, tma_fallback="raise")
     row_sums, col_sums = _line_sums(work)
     _, *unscalable = _entry_state(
-        row_sums,
-        col_sums,
-        np.full(n_rows, row_target),
-        np.full(n_cols, col_target),
+        row_sums, col_sums, np.full(n_rows, row_target), np.full(n_cols, col_target)
     )
     for i, fault in _unscalable_faults(*unscalable).items():
         faults.setdefault(i, fault)
@@ -293,8 +273,8 @@ def standardize_batched(
     healthy[list(faults)] = False
     scaled = None
     if healthy.any():
-        # The one working copy: a copy of the whole input (the repair
-        # ladder still reads it), or the healthy slices' gather.
+        # The one working copy: the healthy slices' gather, or a copy of
+        # the whole input (which the repair ladder still reads).
         if faults:
             sub, sums = work[healthy], (row_sums[healthy], col_sums[healthy])
         else:

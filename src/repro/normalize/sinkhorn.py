@@ -377,12 +377,12 @@ def _scale_stack(
         sums = None
     if sums is None:
         sums = _line_sums(work)
-    residual, *unscalable = _entry_state(*sums, row_targets, col_targets)
+    residual, overflow, too_small = _entry_state(*sums, row_targets, col_targets)
     del sums  # the iterations need no line sums
     # Entries are finite, but their line sums can still overflow, or be
     # too small to scale.  After one column pass every sum is bounded by
     # its target, so checking the entry sums rules out NaN iterates.
-    error = _unscalable_error(*unscalable, kind)
+    error = _unscalable_error(overflow, too_small, kind)
     if error is not None:
         raise error
     active = ~(residual <= tol)
