@@ -205,7 +205,7 @@ def _shard_budget(budget, deadline):
 def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs):
     parts = []
     # One memory map serves the whole pass, and no longer.
-    with store._pass_map():
+    with store._pass_map() as mapped:
         for shard in plan.shards:
             stall_s = shard_stalls.get(shard.index, 0.0)
             with _obs_span(
@@ -215,7 +215,7 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
                     time.sleep(stall_s)
                 t0 = time.perf_counter()
                 result = _characterize_chunk(
-                    store,
+                    mapped,
                     shard.start,
                     shard.stop,
                     data_specs,

@@ -28,6 +28,7 @@ Readers get two granularities:
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 from pathlib import Path
 
@@ -276,14 +277,16 @@ class StackStore:
 
     @contextlib.contextmanager
     def _pass_map(self):
-        """Serve every :meth:`read` inside the block from one memory map,
-        dropped when the block ends (a later read maps the file afresh,
-        so it sees the file as it is then)."""
-        outer, self._map = self._map, self.memmap()
+        """A copy of this store whose :meth:`read` calls share one memory
+        map, dropped when the block ends.  ``self`` is left as it is, so
+        its later reads (and another thread's) map the file afresh and
+        see the file as it is then."""
+        view = copy.copy(self)
+        view._map = self.memmap()
         try:
-            yield
+            yield view
         finally:
-            self._map = outer
+            view._map = None
 
     def read(self, start: int, stop: int) -> np.ndarray:
         """Members ``[start, stop)`` as an owned C-contiguous float64 array.

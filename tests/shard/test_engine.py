@@ -63,10 +63,16 @@ class TestOneMapPerPass:
         monkeypatch.setattr(
             StackStore,
             "read",
-            lambda self, start, stop: reads.append(start) or read(self, start, stop),
+            lambda self, start, stop: (
+                reads.append(store._map is None) or read(self, start, stop)
+            ),
         )
         result = characterize_store(store, chunk_size=8)
         assert (len(maps), len(reads)) == (1, 8)
+        # The pass reads through its own copy of the store: the caller's
+        # store holds no map even mid-pass, so another thread reading it
+        # maps the file as it is.
+        assert all(reads)
         reference = characterize_ensemble(stack)
         assert result.records().tobytes() == reference.records().tobytes()
         # The map ends with the pass: a later read maps the file afresh.
