@@ -40,8 +40,8 @@ from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
-from ..normalize.sinkhorn import _entry_state, _unscalable_error
-from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs, standard_targets
+from ..normalize.sinkhorn import _unscalable_error
+from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
 from ..obs import current_recorder, metrics as _metrics, traced
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy, recovered_columns
@@ -55,6 +55,7 @@ from ..robust.taxonomy import (
     classify_matrix,
 )
 from ._stack import _ecs_stack, as_float_stack, stack_members
+from .sinkhorn import _unscalable_slices
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
 
@@ -318,17 +319,6 @@ def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
     """
     sub = stack if in_batch.all() else stack[in_batch]
     return be.fused_standard_measures(sub, **options)
-
-
-def _unscalable_members(stack: np.ndarray, in_batch: np.ndarray):
-    """Full-length ``(overflow, too_small)`` masks of the members in the
-    batch whose line sums the standard form cannot scale."""
-    n_rows, n_cols = stack.shape[1:]
-    row_target, col_target = standard_targets(n_rows, n_cols)
-    _, overflow, too_small = _entry_state(
-        *_line_sums(stack), np.full(n_rows, row_target), np.full(n_cols, col_target)
-    )
-    return overflow & in_batch, too_small & in_batch
 
 
 @traced(name="batch.characterize_ensemble")
@@ -603,7 +593,9 @@ def characterize_ensemble(
             # The fused pass checks the batch's line sums before it
             # scales anything: find the members at fault, and name them
             # (under "raise") or quarantine them and run the rest.
-            overflow, too_small = _unscalable_members(stack, in_batch)
+            overflow, too_small = (
+                mask & in_batch for mask in _unscalable_slices(*_line_sums(stack))
+            )
             unscalable = overflow | too_small
             if warm_start is not None or not unscalable.any():
                 raise

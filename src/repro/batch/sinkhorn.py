@@ -152,6 +152,18 @@ def _check_zero_lines(row_sums, col_sums) -> None:
         )
 
 
+def _unscalable_slices(row_sums, col_sums):
+    """The ``(overflow, too_small)`` slice masks of :func:`_entry_state`
+    for the Theorem-2 targets: the slices whose ``(N, T)`` row and
+    ``(N, M)`` column sums the standard form cannot scale."""
+    n_rows, n_cols = row_sums.shape[1], col_sums.shape[1]
+    row_target, col_target = standard_targets(n_rows, n_cols)
+    _, overflow, too_small = _entry_state(
+        row_sums, col_sums, np.full(n_rows, row_target), np.full(n_cols, col_target)
+    )
+    return overflow, too_small
+
+
 def _standardize_stack(work, sums, **options) -> BatchNormalizationResult:
     """The standardize body of :func:`standardize_batched` and the
     backends' fused pass: :func:`_scale_stack` with the Theorem-2
@@ -240,8 +252,6 @@ def standardize_batched(
         work = fault_plan.apply(work)
     be = resolve_backend(backend)
     precision = check_precision(precision)
-    n_slices, n_rows, n_cols = work.shape
-    row_target, col_target = standard_targets(n_rows, n_cols)
     if not robust:
         _check_entries(work, "stack")
         sums = _line_sums(work)
@@ -260,13 +270,13 @@ def standardize_batched(
             deadline_s=deadline.clamp(deadline_s),
         )
 
+    n_slices, n_rows, n_cols = work.shape
+    row_target, col_target = standard_targets(n_rows, n_cols)
     # Structural screening uses the strict ("raise") semantics: a
     # decomposable slice can never converge to the Theorem-2 margins.
     faults = classify_stack(work, tma_fallback="raise")
     row_sums, col_sums = _line_sums(work)
-    _, *unscalable = _entry_state(
-        row_sums, col_sums, np.full(n_rows, row_target), np.full(n_cols, col_target)
-    )
+    unscalable = _unscalable_slices(row_sums, col_sums)
     for i, fault in _unscalable_faults(*unscalable).items():
         faults.setdefault(i, fault)
     healthy = np.ones(n_slices, dtype=bool)
