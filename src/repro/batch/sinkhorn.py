@@ -276,8 +276,8 @@ def standardize_batched(
     # decomposable slice can never converge to the Theorem-2 margins.
     faults = classify_stack(work, tma_fallback="raise")
     row_sums, col_sums = _line_sums(work)
-    unscalable = _unscalable_slices(row_sums, col_sums)
-    for i, fault in _unscalable_faults(*unscalable).items():
+    unscalable = _unscalable_faults(*_unscalable_slices(row_sums, col_sums))
+    for i, fault in unscalable.items():
         faults.setdefault(i, fault)
     healthy = np.ones(n_slices, dtype=bool)
     healthy[list(faults)] = False
