@@ -323,8 +323,10 @@ def run_sinkhorn_batched(
             # the application below is a bit-exact no-op for them.
             # Verification happens in float64 on the pristine entry
             # iterates, and each slice's verified residual replaces its
-            # last float32 one.
-            work[:] = rs64[:, :, None] * work * cs64[:, None, :]
+            # last float32 one.  Scaling in place (rows, then columns)
+            # keeps the order of the products without stack temporaries.
+            work *= rs64[:, :, None]
+            work *= cs64[:, None, :]
             row_scale *= rs64
             col_scale *= cs64
             verified = residuals(work, row_target, col_target)
