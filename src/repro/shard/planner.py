@@ -1,22 +1,33 @@
 """Chunked execution planning under a peak-memory budget.
 
-The batched kernels materialize several float64 copies of whatever
-chunk they are handed (the input copy, the standard form, the scaling
-vectors and the stacked SVD workspace).  :func:`plan_shards` inverts
-that: given a memory budget it picks the largest chunk whose estimated
-working set stays inside it, then tiles the ensemble into consecutive
-``[start, stop)`` shards.  The property harness in
-``tests/shard/test_planner.py`` pins the two planner invariants:
+A store pass holds, at its peak, one chunk in flight plus everything the
+pass has accumulated.  :func:`plan_shards` models that peak from named
+parts, each fitted to ``tracemalloc`` peaks of
+:func:`~repro.shard.characterize_store` (docs/SHARDING.md, "The
+planner"):
+
+* per member of the chunk, :data:`WORKING_SET_FACTOR` matrix-sized
+  float64 copies (the chunk read and the kernels' working copies) and
+  :data:`LINE_VECTORS` line-sized ones (scales, sums, deviations);
+* per shard, :data:`SHARD_BYTES` for its finished result object;
+* per pass, :data:`PASS_BYTES` plus :data:`RESULT_BYTES` per member of
+  the ensemble (the finished result columns and their merged copy).
+
+Given a budget it picks the largest chunk whose modeled peak fits, then
+tiles the ensemble into consecutive ``[start, stop)`` shards.  The
+property harness in ``tests/shard/test_planner.py`` pins the two planner
+invariants:
 
 * the shards partition ``range(n_members)`` — every member is covered
   exactly once, in order, for any (N, chunk, budget);
-* ``estimated_peak_bytes <= memory_budget_bytes`` whenever the budget
-  admits at least one member (a single member is the planning floor —
-  no chunking scheme can stream less than one slice at a time).
+* ``estimated_peak_bytes <= memory_budget_bytes`` whenever some chunk
+  fits; otherwise the plan takes the chunk of least modeled peak (the
+  planning floor: with a cost per shard, not one member).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,25 +36,85 @@ from ..exceptions import MatrixValueError
 
 __all__ = [
     "WORKING_SET_FACTOR",
+    "LINE_VECTORS",
+    "SHARD_BYTES",
+    "PASS_BYTES",
+    "RESULT_BYTES",
     "DEFAULT_CHUNK_SIZE",
     "Shard",
     "ShardPlan",
     "plan_shards",
 ]
 
-#: Peak-memory multiplier: the number of float64 copies of one chunk
-#: the streamed pipeline is budgeted to hold at once.  Measured upper
-#: bound for the fused standardize+SVD pass (input chunk, standard
-#: form, float32 fast-path copies, iteration temporaries, stacked SVD
-#: workspace, measure columns) with headroom; the memory-ceiling tests
-#: in ``tests/shard/`` assert real ``tracemalloc`` peaks stay under
-#: ``budget`` with this factor in place.
-WORKING_SET_FACTOR = 16
+#: Matrix-sized float64 copies of each chunk member held at the peak
+#: (``T * M * 8`` bytes each).
+WORKING_SET_FACTOR = 3.5
+
+#: Line-sized float64 vectors per chunk member (``(T + M) * 8`` bytes
+#: each): scaling vectors, line sums and deviations.
+LINE_VECTORS = 13
+
+#: Bytes per shard: the finished part a pass keeps until the merge.
+SHARD_BYTES = 1408
+
+#: Bytes per pass, whatever its size or chunking.
+PASS_BYTES = 32 * 1024
+
+#: Bytes per ensemble member for its result columns (about 34: three
+#: float64 measures, int64 iterations, two bools), held twice while the
+#: parts are merged.
+RESULT_BYTES = 72
 
 #: Chunk size when neither a budget nor an explicit chunk is given:
 #: large enough to amortize per-chunk Python overhead, small enough
-#: that an (8, 8) float64 ensemble streams in ~8 MB working sets.
+#: that an (8, 8) ensemble's chunk working set is ~28 MB by the model.
 DEFAULT_CHUNK_SIZE = 8192
+
+
+def _member_bytes(n_tasks: int, n_machines: int) -> int:
+    """Modeled bytes one chunk member adds to the peak."""
+    return int(WORKING_SET_FACTOR * n_tasks * n_machines * 8) + (
+        LINE_VECTORS * (n_tasks + n_machines) * 8
+    )
+
+
+def _modeled_peak(n_members: int, n_tasks: int, n_machines: int, chunk: int) -> int:
+    """Modeled peak bytes of one pass in ``chunk``-member shards."""
+    return (
+        PASS_BYTES
+        + RESULT_BYTES * n_members
+        + SHARD_BYTES * -(-n_members // chunk)
+        + chunk * _member_bytes(n_tasks, n_machines)
+    )
+
+
+def _fit_chunk(n_members: int, n_tasks: int, n_machines: int, budget: int) -> int:
+    """The largest chunk whose modeled peak fits ``budget``; if none
+    fits, the chunk of least modeled peak.
+
+    Chunks giving the same shard count form a range ``[low, high]``
+    whose peaks rise with the chunk.  The ranges are walked from one
+    shard upward, so the first one with room holds the largest chunk
+    that fits.  A range whose shard bytes alone reach the least peak
+    seen ends the walk: it and every later one are dearer.
+    """
+    fixed = PASS_BYTES + RESULT_BYTES * n_members
+    per_member = _member_bytes(n_tasks, n_machines)
+    least_peak, least_chunk = math.inf, 1
+    high = n_members
+    while high:
+        shards = -(-n_members // high)
+        if fixed + SHARD_BYTES * shards >= least_peak:
+            break
+        low = -(-n_members // shards)
+        room = (budget - fixed - SHARD_BYTES * shards) // per_member
+        if room >= low:
+            return min(high, room)
+        peak = _modeled_peak(n_members, n_tasks, n_machines, low)
+        if peak < least_peak:
+            least_peak, least_chunk = peak, low
+        high = low - 1
+    return least_chunk
 
 
 @dataclass(frozen=True)
@@ -99,20 +170,23 @@ class ShardPlan:
 
     @property
     def estimated_peak_bytes(self) -> int:
-        """Budgeted peak working set of streaming one full chunk."""
-        return self.chunk_size * self.member_nbytes * WORKING_SET_FACTOR
+        """Modeled peak heap of one pass under this plan (module
+        docstring): chunk working set, shard parts and result columns."""
+        return _modeled_peak(
+            self.n_members, self.n_tasks, self.n_machines, self.chunk_size
+        )
 
     def summary(self) -> str:
         """One-line operator digest."""
         budget = (
-            f"{self.memory_budget_bytes / 2**20:.0f} MB budget"
+            f"{self.memory_budget_bytes / 2**20:.3g} MB budget"
             if self.memory_budget_bytes is not None
             else "no budget"
         )
         return (
             f"{len(self.shards)} shard(s) x {self.chunk_size} member(s) "
             f"over {self.n_members} ({budget}, est. peak "
-            f"{self.estimated_peak_bytes / 2**20:.1f} MB)"
+            f"{self.estimated_peak_bytes / 2**20:.3g} MB)"
         )
 
 
@@ -131,10 +205,10 @@ def plan_shards(
     n_members, n_tasks, n_machines : int
         Ensemble geometry.
     memory_budget_bytes : int, optional
-        Peak working-set budget.  The chunk size is the largest count
-        whose ``chunk * T * M * 8 * WORKING_SET_FACTOR`` fits, floored
-        at one member per chunk (the budget is then reported as
-        best-effort by :attr:`ShardPlan.estimated_peak_bytes`).
+        Peak heap budget of the pass.  The chunk size is the largest
+        count whose modeled peak (module docstring) fits; when none
+        fits, the chunk of least modeled peak, reported best-effort by
+        :attr:`ShardPlan.estimated_peak_bytes`.
     chunk_size : int, optional
         Fix the chunk size directly (mutually exclusive with the
         budget).
@@ -144,8 +218,11 @@ def plan_shards(
     >>> plan = plan_shards(10, 8, 8, chunk_size=4)
     >>> [(s.start, s.stop) for s in plan.shards]
     [(0, 4), (4, 8), (8, 10)]
-    >>> plan_shards(10**6, 8, 8, memory_budget_bytes=64 * 2**20).chunk_size
-    8192
+    >>> budget = 128 * 2**20
+    >>> plan = plan_shards(10**6, 8, 8, memory_budget_bytes=budget)
+    >>> wider = plan_shards(10**6, 8, 8, chunk_size=plan.chunk_size + 1)
+    >>> plan.estimated_peak_bytes <= budget < wider.estimated_peak_bytes
+    True
     """
     for name, value in (
         ("n_members", n_members),
@@ -159,7 +236,6 @@ def plan_shards(
                 f"{name} must be a positive int, got {value!r}"
             )
     n_members = int(n_members)
-    member_nbytes = int(n_tasks) * int(n_machines) * 8
 
     if chunk_size is not None and memory_budget_bytes is not None:
         raise MatrixValueError(
@@ -182,8 +258,8 @@ def plan_shards(
                 f"memory_budget_bytes must be a positive int, got "
                 f"{memory_budget_bytes!r}"
             )
-        chunk = max(
-            1, int(memory_budget_bytes) // (member_nbytes * WORKING_SET_FACTOR)
+        chunk = _fit_chunk(
+            n_members, int(n_tasks), int(n_machines), int(memory_budget_bytes)
         )
     else:
         chunk = DEFAULT_CHUNK_SIZE

@@ -1,12 +1,13 @@
-"""Memory-ceiling regression: streaming peaks stay under the budget.
+"""Memory-ceiling regression: streaming peaks stay under the plan.
 
 ``tracemalloc`` sees every numpy heap allocation but not memmap pages
 (those live in the OS page cache), so the traced peak of a
-``characterize_store`` run is exactly the streaming working set the
-planner budgets: chunk copies, kernel temporaries, plus the O(N)
-result columns (~34 bytes per member — see docs/SHARDING.md).  The
-quick variant runs in tier 1; the ``slow``-marked variant streams a
-store several times larger than its budget.
+``characterize_store`` run is what the planner models: chunk copies,
+kernel temporaries, finished shard parts and the O(N) result columns
+(docs/SHARDING.md, "The planner").  The matrix over shapes, precisions,
+policies and budgets runs in tier 1 and checks the model bounds every
+pass it plans; the ``slow``-marked variant streams a store several
+times larger than its budget.
 """
 
 import tracemalloc
@@ -14,17 +15,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.shard import characterize_store, create_store, open_store
+from repro.shard import (
+    characterize_store,
+    create_store,
+    open_store,
+    plan_shards,
+    write_store,
+)
+from repro.shard.planner import _modeled_peak
+
+#: The configurations the planner serves, at tier-1 sizes.
+SHAPES = ((5, 4), (8, 8), (32, 16))
+BUDGETS_MB = (0.1, 0.25, 0.5, 2)
+MATRIX_MEMBERS = 1024
 
 
-def build_store(path, n_members, *, chunk=8192, seed=0):
-    """Stream a positive (N, 8, 8) ensemble to disk in bounded chunks."""
+def build_store(path, n_members, *, shape=(8, 8), chunk=8192, seed=0):
+    """Stream a positive (N, T, M) ensemble to disk in bounded chunks."""
     rng = np.random.default_rng(seed)
-    with create_store(path, n_tasks=8, n_machines=8) as writer:
+    with create_store(path, n_tasks=shape[0], n_machines=shape[1]) as writer:
         remaining = n_members
         while remaining:
             k = min(chunk, remaining)
-            writer.append(np.exp(rng.uniform(-2.3, 2.3, size=(k, 8, 8))))
+            writer.append(np.exp(rng.uniform(-2.3, 2.3, size=(k, *shape))))
             remaining -= k
     return open_store(path)
 
@@ -55,9 +68,58 @@ def run_and_assert_ceiling(store, budget_mb):
     return peak
 
 
+@pytest.fixture(scope="module")
+def matrix_stores(tmp_path_factory):
+    """shape -> (store, 8-member warm-up store of the same shape)."""
+    root = tmp_path_factory.mktemp("ceiling")
+    stores = {}
+    for t, m in SHAPES:
+        stores[t, m] = (
+            build_store(root / f"{t}x{m}", MATRIX_MEMBERS, shape=(t, m)),
+            build_store(root / f"warm-{t}x{m}", 8, shape=(t, m)),
+        )
+    return stores
+
+
+@pytest.mark.parametrize("budget_mb", BUDGETS_MB)
+@pytest.mark.parametrize("policy", ["raise", "quarantine"])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_peak_within_estimate(matrix_stores, shape, precision, policy, budget_mb):
+    store, warm = matrix_stores[shape]
+    options = {"precision": precision, "policy": policy}
+    characterize_store(warm, chunk_size=4, **options)
+    budget = int(budget_mb * 2**20)
+    plan = plan_shards(len(store), *shape, memory_budget_bytes=budget)
+    result, peak = traced_peak_bytes(
+        lambda: characterize_store(store, memory_budget_mb=budget_mb, **options)
+    )
+    assert result.converged.all()
+    assert peak <= plan.estimated_peak_bytes, (
+        f"{plan.summary()}: traced peak {peak} B"
+    )
+    # Over budget only at the floor: no chunk has a smaller modeled peak.
+    n = len(store)
+    least = min(_modeled_peak(n, *shape, c) for c in range(1, n + 1))
+    assert plan.estimated_peak_bytes <= budget or plan.estimated_peak_bytes == least
+
+
+def test_estimate_tracks_benchmark_pass(tmp_path):
+    # The suite's store pass: 512 (8, 8) members under 0.5 MiB.  The
+    # estimate bounds the peak and stays within 1.5x of it.
+    rng = np.random.default_rng(7)
+    store = write_store(tmp_path / "s", rng.uniform(0.5, 10.0, (512, 8, 8)))
+    characterize_store(store, chunk_size=4)
+    plan = plan_shards(512, 8, 8, memory_budget_bytes=2**19)
+    _, peak = traced_peak_bytes(
+        lambda: characterize_store(store, memory_budget_mb=0.5)
+    )
+    assert peak <= plan.estimated_peak_bytes <= 1.5 * peak
+
+
 def test_quick_ceiling(tmp_path):
     # 16384 members = 8 MiB on disk, streamed under an 8 MiB budget in
-    # 1024-member chunks.
+    # the chunks the planner fits.
     store = build_store(tmp_path / "s", 16384)
     peak = run_and_assert_ceiling(store, budget_mb=8)
     # Sanity: the whole stack would not have fit the measured peak

@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MatrixValueError
-from repro.shard import (
-    DEFAULT_CHUNK_SIZE,
-    WORKING_SET_FACTOR,
-    Shard,
-    plan_shards,
-)
+from repro.shard import DEFAULT_CHUNK_SIZE, Shard, plan_shards
+from repro.shard import planner
+from repro.shard.planner import _modeled_peak
 
 geometries = st.tuples(
     st.integers(min_value=1, max_value=5000),  # n_members
@@ -74,21 +71,37 @@ class TestBudgetProperty:
     def test_estimated_peak_within_budget_when_feasible(self, geometry, budget):
         n, t, m = geometry
         plan = plan_shards(n, t, m, memory_budget_bytes=budget)
-        floor = plan.member_nbytes * WORKING_SET_FACTOR
-        if budget >= floor:
+        peaks = [_modeled_peak(n, t, m, c) for c in range(1, n + 1)]
+        assert plan.estimated_peak_bytes == peaks[plan.chunk_size - 1]
+        if min(peaks) <= budget:
+            # The largest chunk that fits.
             assert plan.estimated_peak_bytes <= budget
+            assert all(p > budget for p in peaks[plan.chunk_size :])
         else:
-            # One member per chunk is the planning floor; the plan is
-            # best-effort and says so via estimated_peak_bytes.
-            assert plan.chunk_size == 1
-            assert plan.estimated_peak_bytes == floor
+            # No chunk fits: the plan takes the least modeled peak and
+            # says so via estimated_peak_bytes.
+            assert plan.estimated_peak_bytes == min(peaks)
 
     def test_known_chunk_derivation(self):
-        # 64 MiB over (8, 8) float64: 64 MiB / (512 B * 16) = 8192.
-        plan = plan_shards(10**6, 8, 8, memory_budget_bytes=64 * 2**20)
-        assert plan.chunk_size == 8192
-        assert len(plan.shards) == 123  # ceil(1e6 / 8192)
-        assert plan.estimated_peak_bytes <= 64 * 2**20
+        # The largest chunk that fits: one member more would not.
+        budget = 128 * 2**20
+        plan = plan_shards(10**6, 8, 8, memory_budget_bytes=budget)
+        wider = plan_shards(10**6, 8, 8, chunk_size=plan.chunk_size + 1)
+        assert plan.estimated_peak_bytes <= budget < wider.estimated_peak_bytes
+        assert len(plan.shards) == -(-(10**6) // plan.chunk_size)
+
+    def test_peak_model_parts(self):
+        # Per member of the chunk, per shard and per pass (module
+        # docstring): the parts add up to the estimate.
+        plan = plan_shards(1000, 8, 4, chunk_size=300)
+        chunk_bytes = planner.WORKING_SET_FACTOR * 8 * 4 * 8
+        line_bytes = planner.LINE_VECTORS * (8 + 4) * 8
+        assert plan.estimated_peak_bytes == (
+            planner.PASS_BYTES
+            + planner.RESULT_BYTES * 1000
+            + planner.SHARD_BYTES * 4
+            + 300 * (chunk_bytes + line_bytes)
+        )
 
 
 class TestValidation:
@@ -128,6 +141,14 @@ class TestSummary:
         text = plan.summary()
         assert "1 MB budget" in text
         assert f"{len(plan)} shard(s)" in text
+
+    def test_summary_reads_sub_mib_values(self):
+        plan = plan_shards(512, 8, 8, memory_budget_bytes=2**19)
+        text = plan.summary()
+        assert "(0.5 MB budget, est. peak " in text
+        estimate = plan.estimated_peak_bytes / 2**20
+        assert f"est. peak {estimate:.3g} MB)" in text
+        assert 0.1 < estimate <= 0.5
 
     def test_summary_without_budget(self):
         assert "no budget" in plan_shards(100, 8, 8, chunk_size=10).summary()

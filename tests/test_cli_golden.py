@@ -14,6 +14,7 @@ import pytest
 
 from repro import ETCMatrix, save_etc_csv
 from repro.cli import main
+from repro.shard import plan_shards
 
 GOLDEN_MEASURES = """\
 HC environment: 3 task types x 2 machines
@@ -214,8 +215,10 @@ class TestCharacterizeStoreGolden:
         second = capsys.readouterr().out
         assert first == second  # store + seedless run => deterministic
         lines = first.splitlines()
+        estimate = plan_shards(12, 3, 2, chunk_size=5).estimated_peak_bytes
         assert lines[0] == (
-            "3 shard(s) x 5 member(s) over 12 (no budget, est. peak 0.0 MB)"
+            "3 shard(s) x 5 member(s) over 12 "
+            f"(no budget, est. peak {estimate / 2**20:.3g} MB)"
         )
         assert lines[1].startswith("12 environments (3x2): MPH ")
         assert lines[2] == "quarantine report: all members healthy"
@@ -225,9 +228,10 @@ class TestCharacterizeStoreGolden:
             "characterize", "--store", store_path, "--memory-budget", "1",
         ]
         assert main(argv) == 0
+        plan = plan_shards(12, 3, 2, memory_budget_bytes=2**20)
         assert capsys.readouterr().out.splitlines()[0] == (
             "1 shard(s) x 12 member(s) over 12 (1 MB budget, "
-            "est. peak 0.0 MB)"
+            f"est. peak {plan.estimated_peak_bytes / 2**20:.3g} MB)"
         )
 
     def test_json_schema(self, store_path, capsys):
@@ -248,7 +252,9 @@ class TestCharacterizeStoreGolden:
             "count": 1,
             "chunk_size": 12,
             "memory_budget_bytes": 2**20,
-            "estimated_peak_bytes": 12 * 3 * 2 * 8 * 16,
+            "estimated_peak_bytes": plan_shards(
+                12, 3, 2, memory_budget_bytes=2**20
+            ).estimated_peak_bytes,
         }
 
     def test_matches_in_memory_pipeline(self, store_path, capsys):
