@@ -6,8 +6,7 @@ survives pytest's capture; the asserted claims mirror the paper's
 qualitative statements, and the ``benchmark`` fixture times the
 underlying computation.  Benchmarks that also produce machine-readable
 numbers pass them as ``data=`` and get a ``<name>.json`` sibling next
-to the text table — ``repro-hc bench`` folds those snapshots into its
-``BENCH_<n>.json`` payload (``results_snapshots``).
+to the text table.
 """
 
 from __future__ import annotations

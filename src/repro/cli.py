@@ -41,13 +41,6 @@ Subcommands
     an on-disk stack store (:mod:`repro.shard`) out-of-core instead,
     with ``--memory-budget MB`` / ``--chunk-size`` bounding the peak
     working set.
-``bench``
-    Run the curated benchmark suite (``repro.obs.bench``) and write a
-    machine-readable ``BENCH_<n>.json`` payload (git sha, wall/CPU
-    stats, metric histograms).  ``--compare BASELINE.json`` exits
-    non-zero when any benchmark regressed beyond ``--max-regression``;
-    ``--replay CURRENT.json`` compares a previously written payload
-    instead of re-running (deterministic CI gating).
 ``serve``
     Run the characterization service (:mod:`repro.serve`): a
     JSON-over-HTTP API for ``characterize`` / ``standardize`` /
@@ -321,44 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     _add_backend_flag(p)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the curated benchmarks, write BENCH_<n>.json, "
-        "optionally gate against a baseline",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="reduced repeat counts (CI smoke mode)",
-    )
-    p.add_argument(
-        "--benchmarks",
-        default=None,
-        help="comma-separated case names (default: all; see "
-        "repro.obs.bench.BENCH_CASES)",
-    )
-    p.add_argument(
-        "-o", "--output", default=None,
-        help="output path (default: next free BENCH_<n>.json here)",
-    )
-    p.add_argument(
-        "--replay",
-        default=None,
-        metavar="FILE",
-        help="reuse this previously written payload instead of "
-        "re-running the benchmarks (deterministic --compare gating)",
-    )
-    p.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="baseline BENCH JSON; exit 1 when any case regressed",
-    )
-    p.add_argument(
-        "--max-regression", type=float, default=0.15,
-        help="allowed fractional wall-time slowdown vs the baseline "
-        "(default 0.15 = 15%%)",
-    )
 
     p = sub.add_parser(
         "serve",
@@ -899,43 +854,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(result.summary())
                 if report is not None:
                     print(report.summary())
-        elif args.command == "bench":
-            from .obs import bench as obs_bench
-
-            try:
-                if args.replay is not None:
-                    payload = obs_bench.load_bench(args.replay)
-                else:
-                    names = (
-                        [
-                            n.strip()
-                            for n in args.benchmarks.split(",")
-                            if n.strip()
-                        ]
-                        if args.benchmarks
-                        else None
-                    )
-                    payload = obs_bench.run_bench(
-                        quick=args.quick, benchmarks=names
-                    )
-                    out_path = obs_bench.write_bench(payload, path=args.output)
-                    print(f"wrote {out_path}")
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if args.compare is not None:
-                try:
-                    comparison = obs_bench.compare_bench(
-                        payload,
-                        obs_bench.load_bench(args.compare),
-                        max_regression=args.max_regression,
-                    )
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                print(comparison.table())
-                if not comparison.ok:
-                    return 1
         elif args.command == "serve":
             import asyncio
             import signal

@@ -33,25 +33,14 @@ Core pieces
   counters, gauges and fixed-bucket histograms that the hot paths feed
   while :func:`enable_metrics` (or :func:`collecting_metrics`) is
   active; :func:`render_prometheus` / :func:`start_metrics_server`
-  expose it in Prometheus text format, :func:`chrome_trace` /
+  expose it in Prometheus text format, and :func:`chrome_trace` /
   :func:`convert_trace_jsonl` convert recorder output into Chrome
-  ``about:tracing`` JSON, and :func:`run_bench` / :func:`compare_bench`
-  drive the machine-readable ``repro-hc bench`` regression pipeline.
+  ``about:tracing`` JSON.
 
 See ``docs/OBSERVABILITY.md`` for the recorder model, sink selection,
 the metrics/export layer and measured overhead numbers.
 """
 
-from .bench import (
-    BENCH_CASES,
-    BENCH_SCHEMA,
-    BenchComparison,
-    compare_bench,
-    load_bench,
-    run_bench,
-    validate_bench,
-    write_bench,
-)
 from .events import CounterEvent, GaugeEvent, SpanEvent
 from .export import (
     PROMETHEUS_CONTENT_TYPE,
@@ -153,12 +142,4 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_events",
     "convert_trace_jsonl",
-    "BENCH_SCHEMA",
-    "BENCH_CASES",
-    "BenchComparison",
-    "run_bench",
-    "write_bench",
-    "load_bench",
-    "validate_bench",
-    "compare_bench",
 ]

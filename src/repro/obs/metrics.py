@@ -570,7 +570,7 @@ class MetricsRegistry:
         ]
 
     def snapshot(self) -> dict:
-        """JSON-safe dump of every metric (the BENCH payload format)."""
+        """JSON-safe dump of every metric, one entry per family."""
         out = {}
         for family in self.collect():
             series = []
@@ -578,7 +578,7 @@ class MetricsRegistry:
                 labels = dict(zip(family.labelnames, key))
                 if family.kind == "histogram":
                     # Exemplars are scrape-surface decoration, not part
-                    # of the stable BENCH payload shape.
+                    # of the stable snapshot shape.
                     value = {k: v for k, v in value.items() if k != "exemplars"}
                     series.append({"labels": labels, **value})
                 else:

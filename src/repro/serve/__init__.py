@@ -14,8 +14,7 @@ characterization kernels:
 * :mod:`repro.serve.server` — the HTTP server, request router and
   serving glue (singleflight, quarantine, metrics);
 * :mod:`repro.serve.loadgen` — seedable trace generation and replay
-  for tests, chaos drills and the ``serve_latency`` /
-  ``serve_overload`` bench cases.
+  for tests and chaos drills.
 """
 
 from .cache import (
@@ -33,7 +32,6 @@ from .loadgen import (
     TraceRequest,
     estimate_capacity,
     generate_trace,
-    latency_study,
     load_trace,
     overload_drill,
     percentile,
@@ -95,7 +93,6 @@ __all__ = [
     "estimate_capacity",
     "generate_trace",
     "json_safe",
-    "latency_study",
     "load_trace",
     "matrix_cache_key",
     "overload_drill",

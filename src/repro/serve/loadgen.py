@@ -20,10 +20,6 @@ Three pieces:
   burst — maximal coalescing pressure) and returns a
   :class:`ReplayReport` with per-request latencies and p50/p99.
 
-:func:`latency_study` drives the three canonical serving paths (cold,
-coalesced, cache-hit) and reports per-path percentiles; it is the
-engine of the ``serve_latency`` bench case.
-
 **Overload drills.**  :func:`estimate_capacity` measures the server's
 sustainable throughput with a closed-loop concurrent burst, and
 :func:`overload_drill` then runs an *open-loop* drill: Poisson
@@ -34,7 +30,7 @@ The resulting :class:`ReplayReport` separates accepted requests from
 shed ones and records whether every rejection was **well-formed**: a
 structured 503 with a ``Retry-After`` header and a
 ``retry_after_s`` hint in the error body.  This is the engine of the
-``serve_overload`` bench case and the overload chaos tests.
+overload chaos tests.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import asyncio
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +56,6 @@ __all__ = [
     "http_request",
     "http_exchange",
     "percentile",
-    "latency_study",
     "estimate_capacity",
     "overload_drill",
 ]
@@ -198,7 +193,7 @@ class ReplayReport:
         }
 
     def to_payload(self) -> dict:
-        """JSON-safe digest (CI logs, bench snapshots)."""
+        """JSON-safe digest (``loadgen replay --json``, CI logs)."""
         categories = self.by_category()
         return {
             "requests": len(self.outcomes),
@@ -367,6 +362,8 @@ def load_trace(path) -> list[TraceRequest]:
             raise ValueError(
                 f"{path}: malformed trace record {record!r} ({exc})"
             ) from exc
+    if not trace:
+        raise ValueError(f"{path}: trace has no requests")
     return trace
 
 
@@ -551,84 +548,6 @@ def replay_trace(
             trace, host, port, time_scale=time_scale, timeout_s=timeout_s
         )
     )
-
-
-# -- the three-path latency probe (bench engine) -----------------------
-
-
-@dataclass(frozen=True)
-class _PathLatencies:
-    label: str
-    latencies_s: list[float] = field(default_factory=list)
-
-    def to_payload(self) -> dict:
-        ms = [v * 1e3 for v in self.latencies_s]
-        return {
-            "n": len(ms),
-            "p50_ms": round(percentile(ms, 50), 4),
-            "p99_ms": round(percentile(ms, 99), 4),
-        }
-
-
-def latency_study(
-    host: str,
-    port: int,
-    *,
-    shape: tuple[int, int] = (8, 8),
-    cold: int = 8,
-    coalesce_width: int = 16,
-    cache_repeats: int = 16,
-    seed: int = 0,
-) -> dict:
-    """p50/p99 of the three canonical serving paths against a server.
-
-    * **cold** — unique matrices, issued one at a time: every request
-      pays a batch-of-one kernel call;
-    * **coalesced** — a concurrent burst of distinct same-shape
-      matrices: the coalescer stacks them into one batched call;
-    * **cache_hit** — one matrix warmed once, then resubmitted: every
-      request answers from the content-addressed cache.
-    """
-    rng = np.random.default_rng(seed)
-
-    def _body(matrix) -> bytes:
-        return json.dumps({"matrix": matrix.tolist()}).encode("utf-8")
-
-    async def _post(body: bytes) -> float:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        status, answer = await http_request(
-            host, port, "POST", "/v1/characterize", body
-        )
-        if status != 200:
-            raise RuntimeError(
-                f"latency_study request failed ({status}): {answer!r}"
-            )
-        return loop.time() - t0
-
-    async def _run() -> dict:
-        paths = {
-            "cold": _PathLatencies("cold"),
-            "coalesced": _PathLatencies("coalesced"),
-            "cache_hit": _PathLatencies("cache_hit"),
-        }
-        for _ in range(cold):
-            body = _body(rng.uniform(0.5, 10.0, size=shape))
-            paths["cold"].latencies_s.append(await _post(body))
-        burst = [
-            _body(rng.uniform(0.5, 10.0, size=shape))
-            for _ in range(coalesce_width)
-        ]
-        paths["coalesced"].latencies_s.extend(
-            await asyncio.gather(*(_post(b) for b in burst))
-        )
-        warm = _body(rng.uniform(0.5, 10.0, size=shape))
-        await _post(warm)  # populate the cache
-        for _ in range(cache_repeats):
-            paths["cache_hit"].latencies_s.append(await _post(warm))
-        return {name: p.to_payload() for name, p in paths.items()}
-
-    return asyncio.run(_run())
 
 
 # -- overload drills ---------------------------------------------------

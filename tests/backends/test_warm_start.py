@@ -108,8 +108,8 @@ class TestBatchedWarmStart:
         )
         assert warm.converged.all()
         assert (warm.iterations <= cold.iterations).all()
-        # The warm_start bench criterion: >= 3x fewer total iterations
-        # on a perturb_stack re-characterization.
+        # Warm start must save >= 3x total iterations on a
+        # perturb_stack re-characterization.
         assert cold.iterations.sum() >= 3 * warm.iterations.sum()
 
     def test_ensemble_warm_start_threads_through(self):

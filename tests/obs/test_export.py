@@ -190,8 +190,8 @@ class TestExemplars:
         assert "later99" in text and "abc123" not in text
 
     def test_snapshot_strips_exemplars(self):
-        # The bench pipeline diffs snapshots; exemplars are scrape-time
-        # decoration and must not leak into the stable payload shape.
+        # Exemplars are scrape-time decoration and must not leak into
+        # the stable snapshot shape.
         registry = self._registry_with_exemplar()
         snapshot = registry.snapshot()
         for series in snapshot["ex_seconds"]["series"]:
