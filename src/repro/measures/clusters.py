@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL, standardize
@@ -150,6 +149,8 @@ def affinity_clusters(
     >>> bool(clusters.task_labels[0] != clusters.task_labels[2])
     True
     """
+    import scipy.linalg  # loaded on first use; ``import repro`` skips it
+
     standard = standardize(matrix, tol=tol, zeros=zeros)
     u, s, vt = scipy.linalg.svd(standard.matrix, full_matrices=False)
     n_tasks, n_machines = standard.matrix.shape

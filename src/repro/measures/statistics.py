@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_positive_vector
+from .alternatives import _unit_scaled
 
 __all__ = ["gini_coefficient", "quartile_dispersion", "skewness"]
 
@@ -85,6 +86,7 @@ def skewness(values) -> float:
     vec = as_positive_vector(values, name="values")
     if vec.shape[0] == 1:
         return 0.0
+    vec = _unit_scaled(vec, vec.max())
     centered = vec - vec.mean()
     std = vec.std(ddof=0)
     # Relative threshold: a constant vector can carry float rounding

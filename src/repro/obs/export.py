@@ -23,10 +23,13 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .metrics import MetricsRegistry, get_registry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "render_prometheus",
@@ -157,24 +160,6 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricsRegistry  # set on the subclass by the factory
-
-    def do_GET(self):  # noqa: N802 (stdlib handler naming)
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served")
-            return
-        body = render_prometheus(self.registry).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
-        pass  # scrapes should not spam stderr
-
-
 def start_metrics_server(
     port: int = 9464,
     host: str = "127.0.0.1",
@@ -188,14 +173,30 @@ def start_metrics_server(
     actual port — pass ``port=0`` for an ephemeral one).  With
     ``in_thread=True`` (default) a daemon thread runs ``serve_forever``
     and the caller stops it with ``server.shutdown()``; with False the
-    caller owns the serve loop (the CLI foreground mode).
+    caller owns the serve loop (the CLI foreground mode).  ``http.server``
+    is imported here, on the first call, so ``import repro`` never loads
+    it.
     """
-    handler = type(
-        "_BoundMetricsHandler",
-        (_MetricsHandler,),
-        {"registry": registry if registry is not None else get_registry()},
-    )
-    server = ThreadingHTTPServer((host, port), handler)
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    bound = registry if registry is not None else get_registry()
+
+    class _MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 (stdlib handler naming)
+            if self.path.split("?", 1)[0] not in ("/metrics", "/"):
+                self.send_error(404, "only /metrics is served")
+                return
+            body = render_prometheus(bound).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
+            pass  # scrapes should not spam stderr
+
+    server = ThreadingHTTPServer((host, port), _MetricsHandler)
     if in_thread:
         thread = threading.Thread(
             target=server.serve_forever, name="repro-metrics", daemon=True

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import MatrixShapeError
@@ -82,6 +81,8 @@ def fully_indecomposable_components(matrix) -> IndecomposableComponents:
     >>> comps.n_blocks
     1
     """
+    import networkx as nx
+
     pattern = support_pattern(matrix)
     if pattern.shape[0] != pattern.shape[1]:
         raise MatrixShapeError(

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import networkx as nx
 
 from ..exceptions import MatrixShapeError
 from .patterns import (
@@ -55,6 +54,8 @@ _MAX_MINORS = 200_000
 
 
 def _square_fully_indecomposable(pattern: np.ndarray) -> bool:
+    import networkx as nx
+
     if pattern.shape[0] == 1:
         return bool(pattern[0, 0])
     if not has_total_support(pattern):

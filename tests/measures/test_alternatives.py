@@ -1,5 +1,7 @@
 """Tests for the Section II-D comparison statistics (R, G, COV)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,28 @@ class TestCov:
         assert coefficient_of_variation(v * 1e6) == pytest.approx(
             coefficient_of_variation(v)
         )
+
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_exact_at_the_ends_of_the_float_range(self, exponent):
+        # A power-of-two scale is exact, so COV must not move a bit; the
+        # direct sum of squares overflows (inf) or underflows (0) here.
+        v = np.array([1.0, 1.0, 1.0, 1.0, 16.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = coefficient_of_variation(v * 2.0**exponent)
+        assert scaled == coefficient_of_variation(v) == 1.5
+
+    def test_paper_value_near_the_smallest_normal(self):
+        v = np.array([1.0, 1.0, 1.0, 1.0, 16.0]) * 1e-300
+        assert coefficient_of_variation(v) == pytest.approx(1.5, rel=1e-14)
+
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_extreme_values_hold_for_r_and_g(self, exponent):
+        v = np.array([1.0, 3.0, 9.0, 2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = min_max_ratio(v * 2.0**exponent)
+            g = geometric_mean_ratio(v * 2.0**exponent)
+        assert r == min_max_ratio(v)
+        # G goes through logs, so only rounding separates the two.
+        assert g == pytest.approx(geometric_mean_ratio(v), rel=1e-12)

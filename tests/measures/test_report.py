@@ -1,5 +1,7 @@
 """Tests for characterize() and HeterogeneityProfile."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,32 @@ class TestInfeasibleLimitFallback:
         )
         with pytest.raises(NotNormalizableError):
             characterize(ecs, tma_fallback="raise")
+
+
+class TestExtremeScale:
+    """COV stays scale-invariant at the ends of the float64 range."""
+
+    @pytest.fixture
+    def matrix(self):
+        return np.random.default_rng(8).uniform(0.1, 10.0, (8, 8))
+
+    @pytest.mark.parametrize("exponent", [960, -960])
+    def test_power_of_two_scale_is_exact(self, matrix, exponent):
+        base = characterize(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = characterize(matrix * 2.0**exponent)
+        assert scaled.machine_cov == base.machine_cov
+        assert scaled.task_cov == base.task_cov
+        assert (scaled.mph, scaled.tdh, scaled.tma) == (
+            base.mph, base.tdh, base.tma
+        )
+
+    @pytest.mark.parametrize("factor", [1e280, 1e-290])
+    def test_decimal_scale_is_close(self, matrix, factor):
+        base = characterize(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = characterize(matrix * factor)
+        assert scaled.machine_cov == pytest.approx(base.machine_cov, rel=1e-12)
+        assert scaled.task_cov == pytest.approx(base.task_cov, rel=1e-12)

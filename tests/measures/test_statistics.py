@@ -1,5 +1,7 @@
 """Tests for the companion-work heterogeneity statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,3 +104,20 @@ class TestSkewness:
         assert skewness(vec * factor) == pytest.approx(
             skewness(vec), abs=1e-6
         )
+
+
+@pytest.mark.parametrize("exponent", [1000, -1000])
+def test_exact_at_the_ends_of_the_float_range(exponent):
+    # A power-of-two scale is exact, so no statistic may move a bit;
+    # skewness' variance overflows or underflows here without a rescale.
+    v = np.array([1.0, 1.0, 2.0, 3.0, 16.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = v * 2.0**exponent
+        values = (
+            skewness(scaled),
+            gini_coefficient(scaled),
+            quartile_dispersion(scaled),
+        )
+    assert values == (skewness(v), gini_coefficient(v), quartile_dispersion(v))
+    assert values[0] > 0

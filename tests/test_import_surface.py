@@ -1,0 +1,94 @@
+"""Guard: importing repro loads no library that only a rare feature needs.
+
+``scipy`` (``affinity_clusters``), ``networkx`` (the Section VI zero
+pattern checks in ``repro.structure``) and ``http.server``
+(``start_metrics_server``) are imported inside the functions that use
+them, so a fresh process pays for them only on first use.  Each check
+runs in a new interpreter, because other test modules import scipy at
+module level.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+DEFERRED = ("scipy", "networkx", "http.server")
+
+ENTRY_POINTS = ["repro", "repro.batch", "repro.shard", "repro.serve", "repro.cli"]
+
+
+def _run(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; return the JSON it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+_LOADED = (
+    "import json, sys; "
+    f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
+)
+
+
+@pytest.mark.parametrize("module", ENTRY_POINTS)
+def test_entry_point_skips_deferred_libraries(module):
+    assert _run(f"import {module}; {_LOADED}") == []
+
+
+def test_characterize_skips_deferred_libraries():
+    code = (
+        "import numpy as np, repro; "
+        "repro.characterize(np.arange(1.0, 13.0).reshape(4, 3)); "
+        + _LOADED
+    )
+    assert _run(code) == []
+
+
+def test_first_use_loads_each_library():
+    code = """
+import json, sys, urllib.request
+import numpy as np
+import repro
+from repro.measures import affinity_clusters
+from repro.obs import start_metrics_server
+
+out = {}
+out["normalizable"] = repro.is_normalizable(np.array([[1.0, 0.0], [1.0, 1.0]]))
+out["networkx"] = "networkx" in sys.modules
+block = np.array([[9.0, 9.0, 0.1], [9.0, 9.0, 0.1], [0.1, 0.1, 9.0]])
+out["clusters"] = affinity_clusters(block).n_clusters
+out["scipy"] = "scipy" in sys.modules
+server = start_metrics_server(port=0)
+try:
+    host, port = server.server_address[:2]
+    with urllib.request.urlopen(f"http://{host}:{port}/metrics", timeout=30) as r:
+        out["status"] = r.status
+finally:
+    server.shutdown()
+    server.server_close()
+out["http.server"] = "http.server" in sys.modules
+print(json.dumps(out))
+"""
+    assert _run(code) == {
+        "normalizable": False,
+        "networkx": True,
+        "clusters": 2,
+        "scipy": True,
+        "status": 200,
+        "http.server": True,
+    }
