@@ -56,8 +56,8 @@ Subpackages
 ``repro.backends``
     Pluggable kernel backends behind every Sinkhorn/SVD entry point:
     registry (:func:`register_backend`, :func:`get_backend`,
-    :func:`list_backends`), the :class:`KernelBackend` protocol, the
-    float32 fast path and warm-started re-characterization.
+    :func:`list_backends`), the :class:`KernelBackend` protocol and
+    warm-started re-characterization.
 ``repro.shard``
     Out-of-core sharded ensembles: the on-disk :class:`StackStore`
     format, memory-budgeted chunk planning and

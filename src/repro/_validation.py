@@ -75,10 +75,14 @@ def as_float_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """Coerce ``values`` to a 2-D C-contiguous float64 array.
 
     Raises :class:`MatrixShapeError` for non-2D or empty input and
-    :class:`MatrixValueError` for NaN entries.  ``inf`` is allowed here
-    because ETC matrices use it for incompatible task/machine pairs.
+    :class:`MatrixValueError` for complex or NaN entries.  ``inf`` is
+    allowed here because ETC matrices use it for incompatible
+    task/machine pairs.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise MatrixValueError(f"{name} must be real-valued")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise MatrixShapeError(
             f"{name} must be 2-D, got ndim={arr.ndim} (shape {arr.shape})"
@@ -193,20 +197,23 @@ def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
     the weights zero out a line it is left to Sinkhorn's "rescale the
     matrix" error.
     """
+    # Products and line sums past the float64 range are screened below.
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = w_t[:, None] * w_m[None, :] * ecs
+        underflow = _too_small_to_scale(weighted) and (
+            not _too_small_to_scale(ecs)
+            # A valid ECS line has a positive entry, so a line the
+            # weights zero out is their doing even when the matrix is
+            # tiny too.
+            or not (weighted.any(axis=1).all() and weighted.any(axis=0).all())
+        )
     if not np.isfinite(weighted).all():
         raise WeightError(
             "task_weights and machine_weights overflow the weighted ECS "
             "matrix (an entry w_t[i] * w_m[j] * ECS[i, j] exceeds the "
             "float64 range); rescale the weights"
         )
-    if _too_small_to_scale(weighted) and (
-        not _too_small_to_scale(ecs)
-        # A valid ECS line has a positive entry, so a line the weights
-        # zero out is their doing even when the matrix is tiny too.
-        or not (weighted.any(axis=1).all() and weighted.any(axis=0).all())
-    ):
+    if underflow:
         raise WeightError(
             "task_weights and machine_weights underflow the weighted ECS "
             "matrix (a row or column sum is zero or too small to scale); "
@@ -221,7 +228,9 @@ def _too_small_to_scale(ecs: np.ndarray) -> bool:
 
     The test ``sinkhorn._scale_stack`` applies, with the Theorem-2
     targets of ``standard_form.standard_targets``.  Division is
-    monotone, so the smallest sum of each axis decides it.
+    monotone, so the smallest sum of each axis decides it.  A sum past
+    the float64 range is inf, which is not too small; the caller
+    silences numpy's overflow warning for it.
     """
     n_rows, n_cols = ecs.shape
     low_row = float(np.add.reduce(ecs, axis=1).min())

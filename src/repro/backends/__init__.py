@@ -1,13 +1,13 @@
 """Pluggable kernel backends (``docs/BACKENDS.md``).
 
 One registry fronts interchangeable implementations of the library's
-hot loops — scalar/batched Sinkhorn, singular values, and the fused
+hot loops — batched Sinkhorn, singular values, and the fused
 normalize-and-measure pass.  Every kernel entry point
 (:func:`repro.normalize.sinkhorn_knopp`, :func:`repro.standardize`,
 the batched variants, :func:`repro.characterize` /
 :func:`repro.batch.characterize_ensemble`, the robust pipeline, the
 CLI ``--backend`` flag and the serve request option) accepts the same
-``backend=`` / ``precision=`` pair and resolves it here.
+``backend=`` argument and resolves it here.
 
 Built-in backends:
 
@@ -25,12 +25,7 @@ from __future__ import annotations
 
 import importlib.util
 
-from .base import (
-    KernelBackend,
-    KernelBackendBase,
-    PRECISIONS,
-    check_precision,
-)
+from .base import KernelBackend, KernelBackendBase
 from .numpy_backend import NumpyBackend
 from .registry import (
     BACKEND_ENV_VAR,
@@ -45,8 +40,6 @@ __all__ = [
     "KernelBackend",
     "KernelBackendBase",
     "NumpyBackend",
-    "PRECISIONS",
-    "check_precision",
     "get_backend",
     "list_backends",
     "register_backend",

@@ -1,17 +1,15 @@
-"""The :class:`KernelBackend` protocol and the shared Sinkhorn driver.
+"""The :class:`KernelBackend` protocol and the helpers backends share.
 
 A backend supplies the *inner loops* the library's kernels are built
 from — one batched Sinkhorn core, singular values, and a fused
 normalize-and-measure pass — while everything around those loops
-(input validation, warm-start application, the float32 fast path,
-observability spans/metrics, error messages, result objects) lives in
-the public entry points, their shared body in
-:mod:`repro.normalize.sinkhorn` and the driver here, shared by every
-backend.
+(input validation, warm-start application, observability
+spans/metrics, error messages, result objects) lives in the public
+entry points and their shared body in :mod:`repro.normalize.sinkhorn`.
 
 There is one Sinkhorn core per backend.  A single matrix is a stack of
 one: ``sinkhorn_knopp`` and ``scale_to_margins`` run a ``(T, M)``
-matrix as its ``(1, T, M)`` view through the same core and driver as
+matrix as its ``(1, T, M)`` view through the same core and body as
 ``sinkhorn_knopp_batched``.
 
 The core operates **in place** on caller-owned state so a backend never
@@ -34,49 +32,25 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
   ``residual_history`` is first read, so a chunk's arrays must not be
   written again);
 * returns ``(iterations_run, timed_out)``.
-
-Precision
----------
-``precision="float32"`` runs a coarse float32 phase to
-``max(tol, 1e-5)``, then **verifies** the float32-derived scaling
-vectors by applying them to the original float64 stack and measuring
-the residual in float64, and finally polishes in float64 down to the
-true tolerance.  Both phases share each slice's ``max_iterations``
-budget.  Non-finite or non-positive float32 scales discard the coarse
-phase entirely and fall back to a pure float64 run, so the returned
-result is always float64-verified regardless of backend.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .._validation import check_choice
 from ..exceptions import MatrixValueError
 
 __all__ = [
     "KernelBackend",
     "KernelBackendBase",
-    "PRECISIONS",
-    "check_precision",
     "coerce_warm_start",
     "coerce_warm_start_batched",
     "residual_histories",
     "residuals",
-    "run_sinkhorn_batched",
 ]
-
-#: Accepted values of the ``precision=`` kwarg (``None`` means the
-#: default, ``"float64"``).
-PRECISIONS = ("float64", "float32")
-
-#: The float32 coarse phase never chases a tolerance below this — the
-#: remaining gap is closed by the float64 polish phase.
-F32_COARSE_TOL = 1e-5
 
 
 @runtime_checkable
@@ -119,16 +93,8 @@ class KernelBackend(Protocol):
     def svd_values_batched(self, stack): ...
 
     def fused_standard_measures(
-        self, stack, *, tol, max_iterations, deadline_s, warm_start, precision
+        self, stack, *, tol, max_iterations, deadline_s, warm_start
     ): ...
-
-
-def check_precision(precision) -> str:
-    """Validate the ``precision=`` kwarg (``None`` → ``"float64"``)."""
-    if precision is None:
-        return "float64"
-    check_choice(precision, name="precision", choices=PRECISIONS)
-    return precision
 
 
 def _warm_vectors(warm_start):
@@ -237,129 +203,21 @@ def _line_sums(stack) -> tuple[np.ndarray, np.ndarray]:
         return add(stack, axis=2), add(stack, axis=1)
 
 
-def _grouped(trace, n_slices):
-    """A trace's ``(owners, values)``, grouped by slice and kept in
-    chronological order within each slice."""
-    owners = np.concatenate(
-        [np.arange(n_slices) if o is None else o for o, _ in trace]
-    )
-    values = np.concatenate([v for _, v in trace]).astype(np.float64)
-    order = np.argsort(owners, kind="stable")
-    return owners[order], values[order]
-
-
 def residual_histories(trace, n_slices: int) -> tuple[tuple[float, ...], ...]:
     """Per-slice residual tuples recorded by a trace (see the module
     docstring for the chunk format)."""
     if all(owners is None for owners, _ in trace):
         rows = np.array([values for _, values in trace], dtype=np.float64)
         return tuple(map(tuple, rows.T.tolist()))
-    owners, values = _grouped(trace, n_slices)
+    owners = np.concatenate(
+        [np.arange(n_slices) if o is None else o for o, _ in trace]
+    )
+    # Grouped by slice, chronological within each slice.
+    order = np.argsort(owners, kind="stable")
+    owners = owners[order]
+    values = np.concatenate([v for _, v in trace])[order]
     bounds = np.cumsum(np.bincount(owners, minlength=n_slices))[:-1]
     return tuple(tuple(part.tolist()) for part in np.split(values, bounds))
-
-
-def run_sinkhorn_batched(
-    backend,
-    work,
-    row_target,
-    col_target,
-    *,
-    tol,
-    max_iterations,
-    row_scale,
-    col_scale,
-    residual,
-    active,
-    iterations,
-    trace,
-    t_end,
-    precision="float64",
-    on_progress=None,
-):
-    """The precision-dispatching Sinkhorn driver.
-
-    Arguments follow the core's contract (module docstring), with
-    ``work``/``row_scale``/``col_scale`` in float64.  Returns
-    ``(iterations_run, timed_out, precision_outcome)`` where
-    ``precision_outcome`` is ``"verified"``/``"fallback"`` when a
-    float32 phase ran and ``None`` otherwise.
-    """
-    core = functools.partial(
-        backend.sinkhorn_core_batched,
-        max_iterations=max_iterations,
-        residual=residual,
-        iterations=iterations,
-        t_end=t_end,
-        on_progress=on_progress,
-    )
-    coarse_run, outcome = 0, None
-    if precision == "float32" and np.count_nonzero(active):
-        coarse_tol = max(tol, F32_COARSE_TOL)
-        entry_residual = residual.copy()
-        entry_iterations = iterations.copy()
-        rs32 = np.ones(row_scale.shape, dtype=np.float32)
-        cs32 = np.ones(col_scale.shape, dtype=np.float32)
-        coarse_trace: list = []
-        # Over/underflow in the float32 phase is expected on extreme
-        # inputs and handled by the fallback below, so the coarse pass
-        # runs silenced.
-        with np.errstate(all="ignore"):
-            coarse_run, timed_out = core(
-                work.astype(np.float32),
-                row_target.astype(np.float32),
-                col_target.astype(np.float32),
-                tol=coarse_tol,
-                row_scale=rs32,
-                col_scale=cs32,
-                active=active & (residual > coarse_tol),
-                trace=coarse_trace,
-            )
-        rs64 = rs32.astype(np.float64)
-        cs64 = cs32.astype(np.float64)
-        if all(np.isfinite(v).all() and (v > 0).all() for v in (rs64, cs64)):
-            outcome = "verified"
-            # Slices that never iterated keep unit relative scales, so
-            # the application below is a bit-exact no-op for them.
-            # Verification happens in float64 on the pristine entry
-            # iterates, and each slice's verified residual replaces its
-            # last float32 one.  Scaling in place (rows, then columns)
-            # keeps the order of the products without stack temporaries.
-            work *= rs64[:, :, None]
-            work *= cs64[:, None, :]
-            row_scale *= rs64
-            col_scale *= cs64
-            verified = residuals(work, row_target, col_target)
-            residual[active] = verified[active]
-            if coarse_trace:
-                owners, values = _grouped(coarse_trace, len(residual))
-                last = np.append(owners[1:] != owners[:-1], True)
-                values[last] = verified[owners[last]]
-                trace.append((owners, values))
-        else:
-            # One slice overflowing float32 discards the whole coarse
-            # phase (cheap, and keeps every slice's history coherent):
-            # the run restarts in float64 from the untouched entry state.
-            outcome = "fallback"
-            residual[:] = entry_residual
-            iterations[:] = entry_iterations
-            coarse_run = 0
-        active &= ~(residual <= tol)
-        if timed_out:
-            return coarse_run, True, outcome
-    # The float64 run, or the float32 path's polish: the float32
-    # iterations already count against each slice's budget.
-    run, timed_out = core(
-        work,
-        row_target,
-        col_target,
-        tol=tol,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        active=active,
-        trace=trace,
-    )
-    return coarse_run + run, timed_out, outcome
 
 
 class KernelBackendBase:
@@ -390,7 +248,6 @@ class KernelBackendBase:
         max_iterations,
         deadline_s=None,
         warm_start=None,
-        precision=None,
     ):
         """Batched (MPH, TDH, TMA, iterations, converged) columns of a
         strictly positive ``(N, T, M)`` stack in one backend pass.
@@ -418,7 +275,6 @@ class KernelBackendBase:
             stack.copy(),
             (row_sums, col_sums),
             backend=self,
-            precision=check_precision(precision),
             warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,

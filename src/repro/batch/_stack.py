@@ -22,12 +22,15 @@ def as_float_stack(
     """Coerce ``values`` to a 3-D C-contiguous float64 array.
 
     Raises :class:`MatrixShapeError` for non-3D or empty input and
-    :class:`MatrixValueError` for NaN entries.  ``allow_nan=True``
+    :class:`MatrixValueError` for complex or NaN entries.  ``allow_nan=True``
     skips the NaN screen — the robust pipeline coerces corrupt stacks
     deliberately so it can quarantine the offending slices per member
     instead of rejecting the whole stack.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise MatrixValueError(f"{name} must be real-valued")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 3:
         raise MatrixShapeError(
             f"{name} must be 3-D (N, T, M), got ndim={arr.ndim} "

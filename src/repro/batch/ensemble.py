@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._parallel import WorkerFailure, parallel_map, resolve_n_jobs
-from .._validation import check_weights
+from .._validation import check_positive_int, check_positive_scalar, check_weights
 from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
@@ -202,7 +202,7 @@ def _characterize_columns(args: tuple) -> tuple:
     optionally delayed by an injected chaos stall."""
     from ..measures.report import characterize
 
-    matrix, tol, tma_fallback, backend, precision, stall_s = args
+    matrix, tol, tma_fallback, backend, stall_s = args
     if stall_s > 0:
         time.sleep(stall_s)
     profile = characterize(
@@ -210,7 +210,6 @@ def _characterize_columns(args: tuple) -> tuple:
         tol=tol,
         tma_fallback=tma_fallback,
         backend=backend,
-        precision=precision,
     )
     iterations = (
         profile.sinkhorn_iterations
@@ -242,9 +241,12 @@ def _lenient_member(env):
         if isinstance(base, (ECSMatrix, ETCMatrix)):
             base = base.values
         try:
-            return np.asarray(base, dtype=np.float64)
+            if np.asarray(base).dtype.kind != "c":
+                return np.asarray(base, dtype=np.float64)
         except (TypeError, ValueError):
             return None
+        # Complex data is rejected, as in a stack, not truncated.
+        raise
 
 
 def _coerce(environments, task_weights, machine_weights, *, strict: bool):
@@ -339,7 +341,6 @@ def characterize_ensemble(
     budget=None,
     fault_plan=None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> EnsembleCharacterization:
     """Characterize a whole ensemble of environments in one call.
@@ -369,7 +370,8 @@ def characterize_ensemble(
         raw-array input (wrappers carry their own weights; mixing the
         two would double-weight).
     tol, max_iterations
-        Sinkhorn controls for the standard form.
+        Sinkhorn controls for the standard form: ``tol`` finite and
+        >= 0, ``max_iterations`` an integer >= 1.
     tma_fallback : {"limit", "column", "raise"}
         Section-VI handling for zero-patterned members (these always
         take the scalar path; see :func:`repro.measures.characterize`).
@@ -402,10 +404,9 @@ def characterize_ensemble(
         policies (a straggler a ``member_timeout_s`` budget can
         quarantine); under ``"raise"`` the call sleeps ``stall_s`` once
         before the kernels and the results are unchanged.
-    backend, precision
-        Kernel backend and float32 fast-path selection, threaded into
-        every Sinkhorn/SVD call on both the batched and scalar paths
-        (see :mod:`repro.backends`).
+    backend : str or KernelBackend, optional
+        Kernel backend, threaded into every Sinkhorn/SVD call on both
+        the batched and scalar paths (see :mod:`repro.backends`).
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Previous standard-form scaling vectors applied before
         iterating — the incremental re-characterization path for
@@ -462,7 +463,6 @@ def characterize_ensemble(
             budget=budget,
             fault_plan=fault_plan,
             backend=backend,
-            precision=precision,
         )
     if environments is None:
         raise MatrixValueError(
@@ -480,6 +480,8 @@ def characterize_ensemble(
             f"tma_fallback must be 'limit', 'column' or 'raise', got "
             f"{tma_fallback!r}"
         )
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     robust = check_policy(policy, warm_start=warm_start)
     if budget is not None and not robust:
         raise MatrixValueError(
@@ -585,7 +587,6 @@ def characterize_ensemble(
             deadline_s=deadline.remaining(),
             # A warm start implies every member is in the batch.
             warm_start=warm_start,
-            precision=precision,
         )
         try:
             columns = _batch_columns(be, stack, in_batch, **options)
@@ -632,7 +633,7 @@ def characterize_ensemble(
             # implies a pool.
             jobs = 2
         items = [
-            (member(i), tol, tma_fallback, backend, precision, stalls.get(i, 0.0))
+            (member(i), tol, tma_fallback, backend, stalls.get(i, 0.0))
             for i in scalar_idx
         ]
         results = parallel_map(

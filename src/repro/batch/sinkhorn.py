@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._validation import check_positive_int, check_positive_scalar
 from ..backends import resolve_backend
-from ..backends.base import _line_sums, check_precision
+from ..backends.base import _line_sums
 from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import (
     BatchNormalizationResult,
@@ -61,7 +62,6 @@ def sinkhorn_knopp_batched(
     require_convergence: bool = True,
     deadline_s: float | None = None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Scale every slice of ``stack`` so rows sum to ``row_target`` and
@@ -90,9 +90,9 @@ def sinkhorn_knopp_batched(
         as non-converged — graceful degradation instead of burning the
         full iteration budget on a straggling slice.  ``None`` (the
         default) means unbounded.
-    backend, precision
-        Kernel backend and float32 fast-path selection, exactly as in
-        the scalar kernel (see :mod:`repro.backends`).
+    backend : str or KernelBackend, optional
+        Kernel backend, exactly as in the scalar kernel (see
+        :mod:`repro.backends`).
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Previous scaling vectors applied before iterating.  A single
         ``(T,)``/``(M,)`` pair (e.g. from the unperturbed base matrix
@@ -114,7 +114,8 @@ def sinkhorn_knopp_batched(
            [1., 1.]])
     """
     be = resolve_backend(backend)
-    precision = check_precision(precision)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_stack(stack, name="stack")
     _check_entries(work, "stack")
     n_slices, n_rows, n_cols = work.shape
@@ -129,7 +130,6 @@ def sinkhorn_knopp_batched(
         np.full(n_cols, col_target),
         kind="batched",
         backend=be,
-        precision=precision,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
@@ -194,7 +194,6 @@ def standardize_batched(
     budget=None,
     fault_plan=None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Convert every slice of a stack to the standard ECS form.
@@ -219,10 +218,10 @@ def standardize_batched(
     reference kernels).  The robust policies honour the optional
     ``budget`` and apply the optional chaos ``fault_plan``.
 
-    ``backend``/``precision``/``warm_start`` behave exactly as in
-    :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the default
-    ``policy="raise"`` (the robust pipeline re-orders slices, so stale
-    scaling vectors cannot be matched up safely).
+    ``tol``/``max_iterations``/``backend``/``warm_start`` behave exactly
+    as in :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the
+    default ``policy="raise"`` (the robust pipeline re-orders slices, so
+    stale scaling vectors cannot be matched up safely).
 
     Examples
     --------
@@ -251,7 +250,8 @@ def standardize_batched(
     if fault_plan is not None:
         work = fault_plan.apply(work)
     be = resolve_backend(backend)
-    precision = check_precision(precision)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     if not robust:
         _check_entries(work, "stack")
         sums = _line_sums(work)
@@ -262,7 +262,6 @@ def standardize_batched(
             work.copy(),
             sums,
             backend=be,
-            precision=precision,
             warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,
@@ -293,7 +292,6 @@ def standardize_batched(
             sub,
             sums,
             backend=be,
-            precision=precision,
             warm_start=None,
             tol=tol,
             max_iterations=max_iterations,

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import check_choice, weight_ecs
+from .._validation import check_choice, check_positive_scalar, weight_ecs
 from ..backends import resolve_backend
-from ..backends.base import check_precision
 from ..exceptions import ConvergenceError, NotNormalizableError
 from ..normalize.standard_form import DEFAULT_TOL, _standardize
 # Not called here since characterize runs the private body, but still
@@ -100,7 +99,6 @@ def characterize(
     tol: float = DEFAULT_TOL,
     tma_fallback: str = "limit",
     backend=None,
-    precision: str | None = None,
 ) -> HeterogeneityProfile:
     """Compute the full heterogeneity profile of an environment.
 
@@ -111,7 +109,8 @@ def characterize(
     task_weights, machine_weights : array-like, optional
         Weighting factors (wrapper-stored weights used by default).
     tol : float
-        Sinkhorn stopping tolerance for the standard form.
+        Sinkhorn stopping tolerance for the standard form; finite and
+        >= 0.
     tma_fallback : {"limit", "column", "raise"}
         What to do when the exact standard form does not exist
         (non-normalizable zero pattern, Section VI):
@@ -126,9 +125,6 @@ def characterize(
     backend : str or KernelBackend, optional
         Kernel backend running the Sinkhorn iteration and the SVD (see
         :mod:`repro.backends`).
-    precision : {"float64", "float32"}, optional
-        Float32 fast path for the standard form, float64-verified as in
-        :func:`repro.normalize.sinkhorn_knopp`.
 
     Examples
     --------
@@ -143,10 +139,8 @@ def characterize(
     ecs, w_t, w_m = coerce_ecs_and_weights(matrix, task_weights, machine_weights)
     weighted = weight_ecs(ecs, w_t, w_m)
     be = resolve_backend(backend)
-    precision = check_precision(precision)
-    mp = weighted.sum(axis=0)
-    td = weighted.sum(axis=1)
-    options = dict(tol=tol, backend=be, precision=precision)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    options = dict(tol=tol, backend=be)
 
     iterations: int | None = None
     residual: float | None = None
@@ -179,6 +173,10 @@ def characterize(
         sp.note(tma_method=method, iterations=iterations)
     _metrics.count_characterize(method)
 
+    # Summed after the standard form: a line sum that overflows raises
+    # there, before numpy would warn about it here.
+    mp = weighted.sum(axis=0)
+    td = weighted.sum(axis=1)
     mph, machine_r, machine_g, machine_cov = _line_statistics(mp)
     tdh, task_r, task_g, task_cov = _line_statistics(td)
     return HeterogeneityProfile(

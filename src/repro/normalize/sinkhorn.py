@@ -14,7 +14,7 @@ pattern alone.
 One matrix runs as a stack of one: :func:`sinkhorn_knopp`,
 :func:`scale_to_margins` and :func:`repro.batch.sinkhorn_knopp_batched`
 validate their own input, then share one body (warm start, entry
-checks, span, the backend driver, metrics, errors and the result), so
+checks, span, the backend core, metrics, errors and the result), so
 a matrix gets the same iterates alone or inside a stack.
 :func:`repro.normalize.standardize` and :func:`repro.characterize`
 validate at their own entry and call the scalar body
@@ -36,17 +36,16 @@ import numpy as np
 
 from .._validation import (
     as_float_matrix,
+    check_positive_int,
     check_positive_scalar,
 )
 from ..backends import resolve_backend
 from ..backends.base import (
     _line_sums,
     _sum_residuals,
-    check_precision,
     coerce_warm_start,
     coerce_warm_start_batched,
     residual_histories,
-    run_sinkhorn_batched,
 )
 from ..exceptions import ConvergenceError, MatrixValueError
 from ..obs import current_recorder
@@ -332,7 +331,6 @@ def _scale_stack(
     *,
     kind: str,
     backend,
-    precision: str,
     warm_start,
     tol: float,
     max_iterations: int,
@@ -402,8 +400,8 @@ def _scale_stack(
             def on_progress(active_count: int) -> None:
                 sp.sample("active_slices", active_count)
 
-        run, timed_out, outcome = run_sinkhorn_batched(
-            backend,
+        # Looked up at call time, so a wrapped core is the one that runs.
+        run, timed_out = backend.sinkhorn_core_batched(
             work,
             row_targets,
             col_targets,
@@ -416,7 +414,6 @@ def _scale_stack(
             iterations=iterations,
             trace=trace,
             t_end=t_end,
-            precision=precision,
             on_progress=on_progress,
         )
         converged = ~active
@@ -441,8 +438,6 @@ def _scale_stack(
         kind, iterations=iterations, residual=residual, converged=converged
     )
     _metrics.count_backend_dispatch(backend.name, f"sinkhorn_{kind}")
-    if outcome is not None:
-        _metrics.count_backend_precision(backend.name, outcome)
     if warm_start is not None:
         _metrics.count_warm_start(
             f"sinkhorn_{kind}", "pending" if pending else "converged"
@@ -482,7 +477,7 @@ def _sinkhorn(
     """The body of :func:`sinkhorn_knopp`: ``work`` is a caller-owned,
     validated ``(T, M)`` matrix scaled in place, the targets are
     consistent, and ``options`` are :func:`_scale_stack`'s keywords
-    with a resolved backend and a checked precision."""
+    with a resolved backend and checked ``tol``/``max_iterations``."""
     n_rows, n_cols = work.shape
     return _slice(
         _scale_stack(
@@ -534,7 +529,6 @@ def sinkhorn_knopp(
     require_convergence: bool = True,
     deadline_s: float | None = None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` so rows sum to ``row_target`` and columns to
@@ -553,9 +547,10 @@ def sinkhorn_knopp(
         inconsistent pair is rejected.
     tol : float
         Convergence threshold on the largest absolute row/column-sum
-        error (the paper stops at 1e-8).
+        error (the paper stops at 1e-8); finite and >= 0.
     max_iterations : int
-        Upper bound on full (column pass + row pass) iterations.
+        Upper bound on full (column pass + row pass) iterations; an
+        integer >= 1.
     require_convergence : bool
         When True (default) a :class:`~repro.exceptions.ConvergenceError`
         is raised if the tolerance is not reached; when False the best
@@ -573,11 +568,6 @@ def sinkhorn_knopp(
         Kernel backend running the inner loop (see
         :mod:`repro.backends`); defaults to the ``REPRO_BACKEND``
         environment variable, then the numpy reference.
-    precision : {"float64", "float32"}, optional
-        ``"float32"`` runs a coarse single-precision phase first, then
-        verifies the derived scales against a float64 residual check
-        and polishes in float64 — the result is always
-        float64-verified.  Default ``"float64"``.
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Scaling vectors from a previous run (e.g. on an unperturbed
         copy of this matrix) applied before iterating, so
@@ -599,14 +589,16 @@ def sinkhorn_knopp(
     iterations on the SPEC CINT/CFP matrices.
     """
     be = resolve_backend(backend)
-    precision = check_precision(precision)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_matrix(matrix, name="matrix").copy()
     _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
     row_target, col_target = _check_targets(
         row_target, col_target, n_rows, n_cols
     )
-    if (work.sum(axis=1) == 0).any() or (work.sum(axis=0) == 0).any():
+    sums = _line_sums(work[None])
+    if (sums[0] == 0).any() or (sums[1] == 0).any():
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
@@ -615,12 +607,12 @@ def sinkhorn_knopp(
         row_target,
         col_target,
         backend=be,
-        precision=precision,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
+        sums=sums,
     )
 
 
@@ -634,7 +626,6 @@ def scale_to_margins(
     require_convergence: bool = True,
     deadline_s: float | None = None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` to *prescribed, possibly unequal* margins.
@@ -654,11 +645,12 @@ def scale_to_margins(
     Returns a :class:`NormalizationResult`; ``row_target``/``col_target``
     are reported as NaN since the per-line targets are vectors here, and
     the residual is the largest absolute deviation from the prescribed
-    margins.  ``backend``/``precision``/``warm_start`` behave exactly as
-    in :func:`sinkhorn_knopp`.
+    margins.  ``tol``/``max_iterations``/``backend``/``warm_start`` behave
+    exactly as in :func:`sinkhorn_knopp`.
     """
     be = resolve_backend(backend)
-    precision = check_precision(precision)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_matrix(matrix, name="matrix").copy()
     _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
@@ -676,7 +668,8 @@ def scale_to_margins(
             "inconsistent margins: sum(row_sums) must equal sum(col_sums) "
             f"({r.sum():g} != {c.sum():g})"
         )
-    if (work.sum(axis=1) == 0).any() or (work.sum(axis=0) == 0).any():
+    sums = _line_sums(work[None])
+    if (sums[0] == 0).any() or (sums[1] == 0).any():
         raise MatrixValueError(
             "matrix has an all-zero row or column; no scaling can fix that"
         )
@@ -686,7 +679,6 @@ def scale_to_margins(
         c,
         kind="margins",
         backend=be,
-        precision=precision,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
@@ -694,6 +686,7 @@ def scale_to_margins(
         deadline_s=deadline_s,
         row_target=float("nan"),
         col_target=float("nan"),
+        sums=sums,
     )
     return _slice(result, 0, copy=False)
 

@@ -20,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import as_ecs_array, check_choice, check_weights, weight_ecs
+from .._validation import (
+    as_ecs_array,
+    check_choice,
+    check_positive_int,
+    check_positive_scalar,
+    check_weights,
+    weight_ecs,
+)
 from ..backends import resolve_backend
-from ..backends.base import check_precision
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import NotNormalizableError
 from .sinkhorn import NormalizationResult, _sinkhorn
@@ -147,7 +153,6 @@ def standardize(
     zeros: str = "strict",
     deadline_s: float | None = None,
     backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> StandardFormResult:
     """Convert an ECS matrix to standard form.
@@ -165,9 +170,8 @@ def standardize(
         Passed to :func:`repro.normalize.sinkhorn_knopp`; ``deadline_s``
         bounds the iteration in wall-clock time (graceful degradation —
         see :mod:`repro.robust`).
-    backend, precision, warm_start
-        Kernel backend, float32 fast path and warm-start scaling
-        vectors, passed straight to
+    backend, warm_start
+        Kernel backend and warm-start scaling vectors, passed straight to
         :func:`repro.normalize.sinkhorn_knopp` (see
         :mod:`repro.backends`).  A previous ``StandardFormResult`` on a
         near-identical matrix is a valid ``warm_start``.
@@ -213,9 +217,8 @@ def standardize(
         ecs,
         zeros=zeros,
         backend=resolve_backend(backend),
-        precision=check_precision(precision),
-        tol=tol,
-        max_iterations=max_iterations,
+        tol=check_positive_scalar(tol, name="tol", allow_zero=True),
+        max_iterations=check_positive_int(max_iterations, name="max_iterations"),
         require_convergence=require_convergence,
         deadline_s=deadline_s,
         warm_start=warm_start,
@@ -227,7 +230,6 @@ def _standardize(
     *,
     zeros: str,
     backend,
-    precision: str,
     tol: float,
     max_iterations: int = 100_000,
     require_convergence: bool = True,
@@ -235,7 +237,7 @@ def _standardize(
     warm_start=None,
 ) -> StandardFormResult:
     """The body of :func:`standardize` on a validated (weighted) ECS
-    array, a resolved backend and a checked precision."""
+    array, a resolved backend and checked ``tol``/``max_iterations``."""
     zeroed: tuple[tuple[int, int], ...] = ()
     if (ecs == 0).any():
         from ..structure import normalizability_report
@@ -269,7 +271,6 @@ def _standardize(
         require_convergence=require_convergence,
         deadline_s=deadline_s,
         backend=backend,
-        precision=precision,
         warm_start=warm_start,
     )
     return StandardFormResult(

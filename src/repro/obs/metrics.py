@@ -154,8 +154,6 @@ FAMILIES = {spec.name: spec for spec in (
                "Robust ensemble member outcomes by quarantine taxonomy slug."),
     FamilySpec("repro_backend_dispatch_total", "counter", ("backend", "kernel"),
                "Kernel invocations by backend and kernel entry point."),
-    FamilySpec("repro_backend_precision_total", "counter", ("backend", "outcome"),
-               "float32 fast-path outcomes: float64-verified vs discarded."),
     FamilySpec("repro_backend_warm_start_total", "counter", ("kernel", "outcome"),
                "Warm-started Sinkhorn runs by kernel and convergence outcome."),
     FamilySpec("repro_characterize_runs_total", "counter", ("tma_method",),
@@ -786,14 +784,6 @@ def count_backend_dispatch(
     """Record one kernel invocation by backend (``repro.backends``)."""
     if registry is not None or _enabled:
         _record(registry, ("repro_backend_dispatch_total", (backend, kernel), 1.0))
-
-
-def count_backend_precision(
-    backend: str, outcome: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record a float32 fast-path outcome (``verified``/``fallback``)."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_backend_precision_total", (backend, outcome), 1.0))
 
 
 def count_warm_start(

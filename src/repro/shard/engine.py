@@ -46,6 +46,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 
 from .._parallel import _shutdown, resolve_n_jobs
+from .._validation import check_positive_int, check_positive_scalar
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import current_recorder, metrics as _metrics, span as _obs_span, traced
@@ -105,7 +106,6 @@ def _chunk_kwargs(
     batched,
     policy,
     backend,
-    precision,
 ) -> dict:
     return {
         "tol": tol,
@@ -114,7 +114,6 @@ def _chunk_kwargs(
         "batched": batched,
         "policy": policy,
         "backend": backend,
-        "precision": precision,
     }
 
 
@@ -403,7 +402,6 @@ def characterize_store(
     budget=None,
     fault_plan=None,
     backend=None,
-    precision: str | None = None,
 ):
     """Characterize a disk-backed ensemble with bounded peak memory.
 
@@ -428,7 +426,7 @@ def characterize_store(
         Chaos injection.  Data faults match the in-memory path exactly
         (absolute member indices); ``stall`` faults stall the shard's
         primary dispatch (see the module docstring).
-    tol, max_iterations, tma_fallback, batched, policy, backend, precision
+    tol, max_iterations, tma_fallback, batched, policy, backend
         Exactly as :func:`repro.batch.characterize_ensemble`.
 
     Returns
@@ -454,6 +452,8 @@ def characterize_store(
         raise MatrixValueError(
             "budget requires policy='quarantine' or policy='repair'"
         )
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
     memory_budget_bytes = None
     if memory_budget_mb is not None:
         if not isinstance(memory_budget_mb, (int, float)) or (
@@ -500,7 +500,6 @@ def characterize_store(
         batched=batched,
         policy=policy,
         backend=backend,
-        precision=precision,
     )
     if jobs == 1 or len(plan.shards) == 1:
         parts = _run_serial(

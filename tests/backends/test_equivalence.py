@@ -118,11 +118,11 @@ class TestBatchedEquivalence:
         stack = rng.uniform(0.2, 8.0, size=(6, 7, 4))
         reference = get_backend("numpy").fused_standard_measures(
             stack, tol=1e-8, max_iterations=10_000,
-            deadline_s=None, warm_start=None, precision=None,
+            deadline_s=None, warm_start=None,
         )
         result = get_backend(backend_name).fused_standard_measures(
             stack, tol=1e-8, max_iterations=10_000,
-            deadline_s=None, warm_start=None, precision=None,
+            deadline_s=None, warm_start=None,
         )
         tol = tolerance_of(backend_name)
         for got, want in zip(result[:3], reference[:3]):

@@ -84,8 +84,7 @@ class TestDocumentedBackend:
         assert isinstance(loop_backend, KernelBackend)
         assert "loop" in list_backends()
 
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_matches_reference_within_tolerance(self, loop_backend, precision):
+    def test_matches_reference_within_tolerance(self, loop_backend):
         from repro.batch import standardize_batched
         from repro.normalize import scale_to_margins, sinkhorn_knopp
 
@@ -94,7 +93,7 @@ class TestDocumentedBackend:
         margins = (np.full(6, 5.0), np.full(5, 6.0))
 
         def run(name):
-            options = {"backend": name, "precision": precision}
+            options = {"backend": name}
             return (
                 sinkhorn_knopp(stack[0], **options),
                 scale_to_margins(stack[1], *margins, **options),
@@ -241,9 +240,3 @@ class TestKwargSurface:
         save_etc_csv(range_based(3, 3, seed=0), path)
         assert main(["measures", str(path), "--backend", "fortran"]) == 2
         assert "backend must be one of" in capsys.readouterr().err
-
-    def test_precision_choice_error(self):
-        from repro.normalize import sinkhorn_knopp
-
-        with pytest.raises(MatrixValueError, match="precision must be one of"):
-            sinkhorn_knopp(np.ones((2, 2)), precision="float16")

@@ -30,13 +30,7 @@ OVERFLOWING = np.full((2, 2), 1e308)
 EQ10 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 FIG4_A = np.array([[10.0, 0.0], [9.0, 1.0]])
 
-#: numpy still warns while summing the overflowing input.
-overflow_warning = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning"
-)
-
-
-@overflow_warning
+@pytest.mark.filterwarnings("error")
 class TestOverflowingSums:
     def test_scalar_rejected_at_entry(self):
         with pytest.raises(MatrixValueError, match="overflow.*rescale"):
@@ -61,6 +55,14 @@ class TestOverflowingSums:
         result = sinkhorn_knopp(np.full((2, 2), 1e307))
         assert result.converged
         np.testing.assert_allclose(result.matrix, 0.5)
+        # Entries past float32's range (~3.4e38), alone and as one
+        # slice of a stack, converge in float64 like any other.
+        rng = np.random.default_rng(3)
+        huge = sinkhorn_knopp(rng.uniform(1e39, 5e39, size=(4, 3)))
+        assert huge.converged and huge.max_sum_error() <= 1e-8
+        stack = rng.uniform(0.5, 5.0, size=(4, 5, 3))
+        stack[2] *= 1e39
+        assert repro.standardize_batched(stack).converged.all()
 
 
 #: Positive entries whose line sums are subnormal: 1 / sum overflows.

@@ -312,7 +312,6 @@ def _helper_sequence(registry) -> None:
     )
     m.count_member_outcomes(report, registry=registry)
     m.count_backend_dispatch("numpy", "sinkhorn_batched", registry=registry)
-    m.count_backend_precision("numpy", "fallback", registry=registry)
     m.count_warm_start("batched", "converged", registry=registry)
     m.count_characterize("standard", registry=registry)
     m.count_characterize("limit", registry=registry)
@@ -358,7 +357,7 @@ def _exposition_without_exemplars(registry) -> bytes:
 
 
 PROMETHEUS_DIGEST = (
-    "ec8f49410cc50c722c161e211e2f2715202283e29f5f5064c38182d7d6dc2fdc"
+    "0cefa5a70f911978709828b3b9c476b800733655a661a1bd9c527d070a8f553c"
 )
 
 

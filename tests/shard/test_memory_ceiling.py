@@ -4,9 +4,9 @@
 (those live in the OS page cache), so the traced peak of a
 ``characterize_store`` run is what the planner models: chunk copies,
 kernel temporaries, finished shard parts and the O(N) result columns
-(docs/SHARDING.md, "The planner").  The matrix over shapes, precisions,
-policies and budgets runs in tier 1 and checks the model bounds every
-pass it plans; the ``slow``-marked variant streams a store several
+(docs/SHARDING.md, "The planner").  The matrix over shapes, policies
+and budgets runs in tier 1 and checks the model bounds every pass it
+plans; the ``slow``-marked variant streams a store several
 times larger than its budget.
 """
 
@@ -83,16 +83,14 @@ def matrix_stores(tmp_path_factory):
 
 @pytest.mark.parametrize("budget_mb", BUDGETS_MB)
 @pytest.mark.parametrize("policy", ["raise", "quarantine"])
-@pytest.mark.parametrize("precision", ["float64", "float32"])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_peak_within_estimate(matrix_stores, shape, precision, policy, budget_mb):
+def test_peak_within_estimate(matrix_stores, shape, policy, budget_mb):
     store, warm = matrix_stores[shape]
-    options = {"precision": precision, "policy": policy}
-    characterize_store(warm, chunk_size=4, **options)
+    characterize_store(warm, chunk_size=4, policy=policy)
     budget = int(budget_mb * 2**20)
     plan = plan_shards(len(store), *shape, memory_budget_bytes=budget)
     result, peak = traced_peak_bytes(
-        lambda: characterize_store(store, memory_budget_mb=budget_mb, **options)
+        lambda: characterize_store(store, memory_budget_mb=budget_mb, policy=policy)
     )
     assert result.converged.all()
     assert peak <= plan.estimated_peak_bytes, (

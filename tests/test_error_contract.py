@@ -13,6 +13,9 @@ The batched entry points (``characterize_ensemble``,
 reports, as recorded while they still chained each other's checks; only
 the rows for finite entries whose line sums cannot be scaled changed
 when they began to validate once (see ``_MEMBER_FAULTS``).
+
+Every case runs with warnings as errors: a bad input gets its error and
+nothing else.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.exceptions import (
 )
 from repro.normalize import sinkhorn_knopp, standardize
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 GOOD = [[1.0, 2.0], [3.0, 4.0]]
 
 #: name -> (matrix, keyword arguments)
@@ -42,8 +47,15 @@ INPUTS = {
     "one_d": ([1.0, 2.0], {}),
     "empty": (np.empty((0, 3)), {}),
     "ragged": ([[1.0, 2.0], [3.0]], {}),
+    "complex": ([[1.0 + 5.0j, 2.0], [3.0, 4.0]], {}),
+    # Finite entries whose line sums leave the float64 range.
+    "overflow": (np.full((3, 3), 1e308), {}),
     "weights_length": (GOOD, {"task_weights": [1.0]}),
     "weights_nonpositive": (GOOD, {"machine_weights": [1.0, 0.0]}),
+    "tol_nan": (GOOD, {"tol": float("nan")}),
+    "tol_negative": (GOOD, {"tol": -1.0}),
+    "max_iterations_negative": (GOOD, {"max_iterations": -5}),
+    "max_iterations_float": (GOOD, {"max_iterations": 2.5}),
 }
 
 ENTRY_POINTS = {
@@ -56,6 +68,21 @@ _ECS_INF = (
     "ECS matrix contains infinite entries; infinities belong in the ETC "
     "representation (use zero ECS for incompatible pairs)"
 )
+_SUMS_OVERFLOW = (
+    MatrixValueError,
+    "row or column sums overflow to inf; rescale the matrix (e.g. divide it "
+    "by its largest entry) so every row and column sum is finite",
+)
+#: The same for every entry point that takes the keyword.
+_CONTROL_ERRORS = {
+    "tol_nan": (MatrixValueError, "tol must be finite, got nan"),
+    "tol_negative": (MatrixValueError, "tol must be >= 0, got -1.0"),
+    "max_iterations_negative": (
+        MatrixValueError,
+        "max_iterations must be >= 1, got -5",
+    ),
+    "max_iterations_float": (MatrixValueError, "max_iterations must be an integer"),
+}
 _ECS_ERRORS = {
     "nan": (MatrixValueError, "ECS matrix contains NaN entries"),
     "inf": (MatrixValueError, _ECS_INF),
@@ -72,6 +99,8 @@ _ECS_ERRORS = {
     ),
     "one_d": (MatrixShapeError, "ECS matrix must be 2-D, got ndim=1 (shape (2,))"),
     "empty": (MatrixShapeError, "ECS matrix must be non-empty, got shape (0, 3)"),
+    "complex": (MatrixValueError, "ECS matrix must be real-valued"),
+    "overflow": _SUMS_OVERFLOW,
     "weights_length": (
         WeightError,
         "task_weights must be a 1-D vector of length 2, got shape (1,)",
@@ -106,6 +135,15 @@ EXPECTED = {
         MatrixShapeError,
         "matrix must be non-empty, got shape (0, 3)",
     ),
+    ("sinkhorn_knopp", "complex"): (MatrixValueError, "matrix must be real-valued"),
+    ("sinkhorn_knopp", "overflow"): _SUMS_OVERFLOW,
+    **{
+        (entry, key): error
+        for entry in ENTRY_POINTS
+        for key, error in _CONTROL_ERRORS.items()
+        # characterize takes no max_iterations.
+        if not (entry == "characterize" and key.startswith("max_iterations"))
+    },
 }
 
 #: Ragged input fails inside numpy's array conversion with numpy's own
@@ -116,8 +154,9 @@ CASES = [
     (entry, key)
     for entry in ENTRY_POINTS
     for key, (_matrix, kwargs) in INPUTS.items()
-    # sinkhorn_knopp takes no weights.
-    if not (entry == "sinkhorn_knopp" and kwargs)
+    # sinkhorn_knopp takes no weights, characterize no max_iterations.
+    if not (entry == "sinkhorn_knopp" and key.startswith("weights"))
+    and not (entry == "characterize" and "max_iterations" in kwargs)
 ]
 
 
@@ -198,6 +237,13 @@ def _stack_with(value, where=(1, 0, 1)):
     return stack
 
 
+def _complex_stack():
+    """A (3, 2, 2) complex stack of ones with one imaginary part."""
+    stack = np.ones((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = 1.0 + 5.0j
+    return stack
+
+
 def _between_healthy(member):
     """An (8, 8) ``member`` between two healthy 8x8 members."""
     rng = np.random.default_rng(3)
@@ -220,6 +266,14 @@ ENSEMBLE_INPUTS = {
     # Finite entries whose line sums leave the float64 range.
     "overflow": (_between_healthy(np.full((8, 8), 1e308)), {}),
     "tiny": (_between_healthy(np.full((8, 8), 1e-320)), {}),
+    "complex": (_complex_stack(), {}),
+    "complex_members": (list(_complex_stack()), {"policy": "quarantine"}),
+    **{key: (np.ones((3, 2, 2)), INPUTS[key][1]) for key in _CONTROL_ERRORS},
+    # The caller's argument is not the members' fault.
+    "tol_nan_quarantine": (
+        np.ones((3, 2, 2)),
+        {"tol": float("nan"), "policy": "quarantine"},
+    ),
 }
 
 
@@ -304,7 +358,15 @@ _STACK_ERRORS = {
     ),
     "overflow": _OVERFLOW,
     "tiny": _TINY,
+    "complex": (MatrixValueError, "stack must be real-valued"),
 }
+
+#: The entry points that take a fault policy.
+ROBUST_ENTRY_POINTS = (
+    "characterize_ensemble",
+    "standardize_batched",
+    "characterize_store",
+)
 
 #: (entry point, input) -> (exception type, message) under policy="raise".
 #: The store entry point only sees data errors: write_store itself
@@ -314,6 +376,27 @@ ENSEMBLE_EXPECTED = {
     **{("characterize_store", k): e for k, e in _ECS_STACK_DATA.items()},
     **{("standardize_batched", k): e for k, e in _STACK_ERRORS.items()},
     **{("sinkhorn_knopp_batched", k): e for k, e in _STACK_ERRORS.items()},
+    **{
+        (entry, key): error
+        for entry in ENSEMBLE_ENTRY_POINTS
+        for key, error in _CONTROL_ERRORS.items()
+    },
+    **{
+        (entry, "tol_nan_quarantine"): _CONTROL_ERRORS["tol_nan"]
+        for entry in ROBUST_ENTRY_POINTS
+    },
+    ("characterize_ensemble", "complex"): (
+        MatrixValueError,
+        "ECS stack must be real-valued",
+    ),
+    ("characterize_ensemble", "complex_members"): (
+        MatrixValueError,
+        "ECS matrix must be real-valued",
+    ),
+    ("standardize_batched", "complex_members"): (
+        MatrixValueError,
+        "stack must be real-valued",
+    ),
     **{
         (entry, key): error
         for entry in ("characterize_ensemble", "characterize_store")
@@ -376,11 +459,6 @@ _MEMBER_FAULTS = {
     ),
     "tiny": ("non-finite", "member has a row or column sum too small to scale"),
 }
-ROBUST_ENTRY_POINTS = (
-    "characterize_ensemble",
-    "standardize_batched",
-    "characterize_store",
-)
 
 #: (entry point, input) -> the report's (index, category, detail) rows
 #: under policy="quarantine".
