@@ -31,6 +31,11 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
   trace into per-slice tuples when a batched result's
   ``residual_history`` is first read, so a chunk's arrays must not be
   written again);
+* records nothing when ``trace`` is None, and otherwise leaves the same
+  state: callers that never read histories (the fused pass below, and
+  so ``characterize_ensemble``, ``characterize_store`` and the server's
+  characterize) pass None, so their memory does not grow with the
+  iteration count;
 * returns ``(iterations_run, timed_out)``.
 """
 
@@ -280,6 +285,7 @@ class KernelBackendBase:
             max_iterations=max_iterations,
             require_convergence=False,
             deadline_s=deadline_s,
+            keep_history=False,
         )
         mph = _adjacent_ratio_batched(col_sums)
         tdh = _adjacent_ratio_batched(row_sums)

@@ -137,7 +137,8 @@ class NumbaBackend(KernelBackendBase):
                     col_scale[i],
                     residual_out,
                 )
-                trace.append((np.full(done, i), residual_out[:done].copy()))
+                if trace is not None:
+                    trace.append((np.full(done, i), residual_out[:done].copy()))
                 residual[i] = residual_out[done - 1]
                 ran += done
             iterations[i] += ran

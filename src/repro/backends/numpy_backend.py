@@ -2,8 +2,12 @@
 
 One Sinkhorn core serves every entry point: a single matrix arrives as
 a stack of one.  An iteration is two broadcast sums and two broadcast
-multiplies over the slices still iterating, so every slice's iterate
-sequence is the one it would follow alone.  Every other backend is
+multiplies, so every slice's iterate sequence is the one it would
+follow alone.  While more than half the stack iterates, the iteration
+runs over the whole stack in place, stopped slices scaled by exactly
+1.0; after that, over a compact copy of the slices still iterating,
+so the core holds at most one and a half copies of the stack
+(docs/BACKENDS.md gives the worst case).  Every other backend is
 tested against this one (``tolerance = 0.0``: the reference defines
 correctness).
 """
@@ -44,15 +48,12 @@ class NumpyBackend(KernelBackendBase):
     ):
         n_slices, n_rows, n_cols = work.shape
         idx = (active & (iterations < max_iterations)).nonzero()[0]
-        # While every slice iterates, the stack is scaled in place; once
-        # some stop, the survivors are gathered into a compact copy that
-        # is written back whenever the set shrinks again.
-        sel = slice(None) if idx.size == n_slices else idx
         # As in ``residuals``: the ufuncs behind ``.sum``/``.max``, and
         # targets with a leading unit axis, to keep per-iteration
         # overhead down on small stacks.
         row_target, col_target = row_target[None], col_target[None]
         add, highest = np.add.reduce, np.maximum.reduce
+        copyto, divide = np.copyto, np.divide
         run = 0
         timed_out = False
         # The accumulated diagonal scales can overflow for
@@ -61,10 +62,24 @@ class NumpyBackend(KernelBackendBase):
         # ConvergenceError, not a warning.
         with np.errstate(over="ignore"):
             while idx.size and not timed_out:
-                sub, rows, cols = work[sel], row_scale[sel], col_scale[sel]
-                owners = idx if sel is idx else None
+                # While more than half the stack iterates, it is scaled
+                # in place: a stopped slice's line sums are set to their
+                # targets, so its factors are exactly 1.0 and its
+                # entries and scales stay bit-for-bit as they are.  Once
+                # at most half iterate, they are gathered into a compact
+                # copy (at most half the stack) that is written back
+                # whenever the set shrinks again.
+                stopped = None
+                if 2 * idx.size <= n_slices:
+                    sub, rows, cols = work[idx], row_scale[idx], col_scale[idx]
+                else:
+                    sub, rows, cols = work, row_scale, col_scale
+                    if idx.size < n_slices:
+                        stopped = np.ones((n_slices, 1), dtype=bool)
+                        stopped[idx] = False
+                owners = None if idx.size == n_slices else idx
                 # Iterations until the first slice exhausts its budget.
-                horizon = max_iterations - highest(iterations[sel])
+                horizon = max_iterations - highest(iterations[idx])
                 steps = 0
                 # The residual's column sums are the next column pass's.
                 col_sums = add(sub, axis=1)
@@ -78,12 +93,19 @@ class NumpyBackend(KernelBackendBase):
                         break
                     if on_progress is not None:
                         on_progress(idx.size)
-                    # Column pass (eq. 9, odd k).
-                    factors = col_target / col_sums
+                    # Column pass (eq. 9, odd k); each pass's factors
+                    # overwrite the line sums they divide.
+                    factors = col_sums
+                    if stopped is not None:
+                        copyto(factors, col_target, where=stopped)
+                    divide(col_target, factors, out=factors)
                     sub *= factors[:, None, :]
                     cols *= factors
                     # Row pass (eq. 9, even k).
-                    factors = row_target / add(sub, axis=2)
+                    factors = add(sub, axis=2)
+                    if stopped is not None:
+                        copyto(factors, row_target, where=stopped)
+                    divide(row_target, factors, out=factors)
                     sub *= factors[:, :, None]
                     rows *= factors
                     steps += 1
@@ -91,12 +113,15 @@ class NumpyBackend(KernelBackendBase):
                     np.subtract(add(sub, axis=2), row_target, out=row_dev)
                     np.subtract(col_sums, col_target, out=col_dev)
                     res = highest(np.abs(deviation, out=deviation), axis=1)
-                    trace.append((owners, res))
+                    if stopped is not None:
+                        res = res[idx]
+                    if trace is not None:
+                        trace.append((owners, res))
                     # fmin skips NaN, so one NaN slice cannot hide another
                     # slice's convergence.
                     if steps == horizon or np.fmin.reduce(res) <= tol:
                         break
-                if sel is idx:
+                if sub is not work:
                     work[idx], row_scale[idx], col_scale[idx] = sub, rows, cols
                 # Free the compact copy before the next phase gathers one.
                 del sub, rows, cols
@@ -105,10 +130,10 @@ class NumpyBackend(KernelBackendBase):
                 # Book the phase: every slice in it was active and ran
                 # ``steps`` iterations.
                 run += steps
-                iterations[sel] += steps
-                residual[sel] = res
-                active[sel] = keep = ~(res <= tol)
+                iterations[idx] += steps
+                residual[idx] = res
+                active[idx] = keep = ~(res <= tol)
                 if steps == horizon:
-                    keep &= iterations[sel] < max_iterations
-                idx = sel = idx[keep]
+                    keep &= iterations[idx] < max_iterations
+                idx = idx[keep]
         return run, timed_out

@@ -305,17 +305,16 @@ def standardize_batched(
     converged = np.zeros(n_slices, dtype=bool)
     iterations = np.zeros(n_slices, dtype=np.int64)
     residual = np.full(n_slices, np.nan)
-    histories: list[tuple[float, ...]] = [() for _ in range(n_slices)]
+    index = np.flatnonzero(healthy)
+    # Histories of the repaired slices, which replace the scaled ones.
+    repaired: dict[int, tuple[float, ...]] = {}
     if scaled is not None:
-        index = np.flatnonzero(healthy)
         matrix[index] = scaled.matrix
         row_scale[index] = scaled.row_scale
         col_scale[index] = scaled.col_scale
         converged[index] = scaled.converged
         iterations[index] = scaled.iterations
         residual[index] = scaled.residual
-        for i, history in zip(index, scaled.residual_history):
-            histories[i] = history
         for i in index[~scaled.converged]:
             detail = (
                 f"missed tol={tol:g} after {int(iterations[i])} iterations "
@@ -332,7 +331,17 @@ def standardize_batched(
         converged[i] = True
         iterations[i] = standard.iterations
         residual[i] = standard.residual
-        histories[i] = standard.residual_history
+        repaired[i] = standard.residual_history
+
+    def histories():
+        # Built on first read: serve's standardize never reads them.
+        built = [()] * n_slices
+        if scaled is not None:
+            for i, history in zip(index.tolist(), scaled.residual_history):
+                built[i] = history
+        for i, history in repaired.items():
+            built[i] = history
+        return tuple(built)
 
     report = apply_policy(
         faults,
@@ -351,7 +360,7 @@ def standardize_batched(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        residual_history=tuple(histories),
+        residual_history=histories,
         row_target=row_target,
         col_target=col_target,
         report=report,

@@ -23,6 +23,7 @@ validate at their own entry and call the scalar body
 A batched result's ``residual_history`` is built from the core's trace
 on first read, so ensemble runs whose histories nobody reads never
 build them; a single-matrix result builds its one history at once.
+The backends' fused pass, which reads no histories, records no trace.
 """
 
 from __future__ import annotations
@@ -339,6 +340,7 @@ def _scale_stack(
     row_target: float,
     col_target: float,
     sums=None,
+    keep_history: bool = True,
 ) -> BatchNormalizationResult:
     """The body every Sinkhorn entry point shares once its input is
     validated.
@@ -351,7 +353,10 @@ def _scale_stack(
     ``col_target`` are what the result reports.  ``sums`` are the row
     and column sums of ``work`` as passed, when the caller has them
     (from :func:`repro.backends.base._line_sums`); they are recomputed
-    when a ``warm_start`` rescales ``work`` first.
+    when a ``warm_start`` rescales ``work`` first.  With
+    ``keep_history=False`` the core records no residual trace, and the
+    result's ``residual_history`` is None: for callers that never read
+    it, whose memory then stays bounded however long a slice iterates.
     """
     n_slices, n_rows, n_cols = work.shape
     if warm_start is None:
@@ -385,7 +390,7 @@ def _scale_stack(
         raise error
     active = ~(residual <= tol)
     iterations = np.zeros(n_slices, dtype=np.int64)
-    trace = [(None, residual.copy())]
+    trace = [(None, residual.copy())] if keep_history else None
     t_end = _check_deadline(deadline_s)
     if kind == "batched":
         region = _obs_span(
@@ -465,7 +470,11 @@ def _scale_stack(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        residual_history=functools.partial(residual_histories, trace, n_slices),
+        residual_history=(
+            functools.partial(residual_histories, trace, n_slices)
+            if keep_history
+            else None
+        ),
         row_target=row_target,
         col_target=col_target,
     )

@@ -48,17 +48,17 @@ __all__ = [
 
 #: Matrix-sized float64 copies of each chunk member held at the peak
 #: (``T * M * 8`` bytes each).
-WORKING_SET_FACTOR = 3.5
+WORKING_SET_FACTOR = 3.0
 
 #: Line-sized float64 vectors per chunk member (``(T + M) * 8`` bytes
 #: each): scaling vectors, line sums and deviations.
-LINE_VECTORS = 13
+LINE_VECTORS = 5
 
 #: Bytes per shard: the finished part a pass keeps until the merge.
 SHARD_BYTES = 1408
 
 #: Bytes per pass, whatever its size or chunking.
-PASS_BYTES = 32 * 1024
+PASS_BYTES = 16 * 1024
 
 #: Bytes per ensemble member for its result columns (about 34: three
 #: float64 measures, int64 iterations, two bools), held twice while the
@@ -67,7 +67,7 @@ RESULT_BYTES = 72
 
 #: Chunk size when neither a budget nor an explicit chunk is given:
 #: large enough to amortize per-chunk Python overhead, small enough
-#: that an (8, 8) ensemble's chunk working set is ~28 MB by the model.
+#: that an (8, 8) ensemble's chunk working set is ~18 MB by the model.
 DEFAULT_CHUNK_SIZE = 8192
 
 

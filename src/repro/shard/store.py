@@ -118,11 +118,15 @@ class StackStoreWriter:
         Returns the member count written so far.  Data is converted to
         the store dtype and written C-order; values are *not* screened —
         a store may legitimately hold corrupt members that the robust
-        pipeline will quarantine when it streams them.
+        pipeline will quarantine when it streams them.  Complex members
+        are rejected: the conversion would drop their imaginary parts.
         """
         if self._closed:
             raise MatrixValueError("cannot append to a closed store writer")
-        arr = np.ascontiguousarray(members, dtype=self.dtype)
+        arr = np.asarray(members)
+        if np.iscomplexobj(arr):
+            raise MatrixValueError("members must be real-valued")
+        arr = np.ascontiguousarray(arr, dtype=self.dtype)
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[1:] != (self.n_tasks, self.n_machines):

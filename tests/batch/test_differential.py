@@ -18,6 +18,7 @@ from hypothesis import given, settings
 
 from repro.backends import resolve_backend
 from repro.batch import (
+    characterize_ensemble,
     mph_batched,
     sinkhorn_knopp_batched,
     standardize_batched,
@@ -25,7 +26,7 @@ from repro.batch import (
     tma_batched,
 )
 from repro.exceptions import ConvergenceError, MatrixValueError
-from repro.measures import mph, tdh, tma
+from repro.measures import characterize, mph, tdh, tma
 from repro.normalize import sinkhorn_knopp, standardize
 
 from .conftest import ecs_stacks
@@ -149,6 +150,54 @@ class TestStandardizeDifferential:
         )
         assert result.converged.tolist() == [True, False, True]
         assert result.iterations[1] == CAPPED
+
+
+def straggler_stack(n_slices=32, n_slow=17, eps=1e-3, seed=5):
+    """An (N, 8, 8) stack whose ``n_slow`` scattered members converge
+    slowly: their off-diagonal 4x4 blocks are scaled by ``eps``."""
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(0.5, 10.0, (n_slices, 8, 8))
+    slow = rng.permutation(n_slices)[:n_slow]
+    stack[slow[:, None], :4, 4:] *= eps
+    stack[slow[:, None], 4:, :4] *= eps
+    return stack
+
+
+class TestHalfStackThreshold:
+    """17 of 32 members converge slowly, so the core scales the whole
+    stack in place (the fast members held fixed) until all but 16 of
+    the slow ones stop, then iterates a compact copy of the rest."""
+
+    def test_every_slice_matches_its_lone_run(self):
+        stack = straggler_stack()
+        batched = sinkhorn_knopp_batched(stack)
+        assert len(set(batched.iterations.tolist())) > 2
+        for i in range(stack.shape[0]):
+            scalar = sinkhorn_knopp(stack[i])
+            assert int(batched.iterations[i]) == scalar.iterations
+            np.testing.assert_allclose(
+                batched.matrix[i], scalar.matrix, rtol=0, atol=SINKHORN_ATOL
+            )
+            np.testing.assert_allclose(
+                batched.row_scale[i], scalar.row_scale, rtol=SINKHORN_ATOL
+            )
+            np.testing.assert_allclose(
+                batched.col_scale[i], scalar.col_scale, rtol=SINKHORN_ATOL
+            )
+            assert batched.residual_history[i] == pytest.approx(
+                scalar.residual_history, abs=SINKHORN_ATOL
+            )
+
+    def test_fused_pass_matches_lone_characterize(self):
+        # The ensemble pass records no residual trace.
+        stack = straggler_stack()
+        ensemble = characterize_ensemble(stack)
+        for i in range(stack.shape[0]):
+            profile = characterize(stack[i])
+            assert int(ensemble.iterations[i]) == profile.sinkhorn_iterations
+            np.testing.assert_allclose(
+                ensemble.tma[i], profile.tma, rtol=0, atol=MEASURE_ATOL
+            )
 
 
 class TestMeasureDifferential:

@@ -115,6 +115,27 @@ def test_estimate_tracks_benchmark_pass(tmp_path):
     assert peak <= plan.estimated_peak_bytes <= 1.5 * peak
 
 
+def test_slow_members_stay_within_estimate(tmp_path):
+    # Off-diagonal 4x4 blocks scaled by 1e-4 take ~1.5e4 iterations.  A
+    # store pass records no residual trace, so its peak does not grow
+    # with the iteration count.
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(0.5, 10.0, (512, 8, 8))
+    stack[:, :4, 4:] *= 1e-4
+    stack[:, 4:, :4] *= 1e-4
+    store = write_store(tmp_path / "s", stack)
+    characterize_store(write_store(tmp_path / "w", np.ones((8, 8, 8))), chunk_size=4)
+    plan = plan_shards(512, 8, 8, memory_budget_bytes=2**19)
+    result, peak = traced_peak_bytes(
+        lambda: characterize_store(store, memory_budget_mb=0.5)
+    )
+    assert result.converged.all()
+    assert np.median(result.iterations) > 10_000
+    assert peak <= plan.estimated_peak_bytes, (
+        f"{plan.summary()}: traced peak {peak} B"
+    )
+
+
 def test_quick_ceiling(tmp_path):
     # 16384 members = 8 MiB on disk, streamed under an 8 MiB budget in
     # the chunks the planner fits.

@@ -101,6 +101,17 @@ class TestWriterErrors:
         with pytest.raises(MatrixShapeError):
             writer.append(np.ones((4,)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_members_rejected(self, tmp_path):
+        # Casting would keep 1.0 and drop the imaginary parts.
+        with pytest.raises(MatrixValueError, match="members must be real-valued"):
+            write_store(tmp_path / "s", np.ones((2, 3, 3)) * (1 + 1j))
+        assert not (tmp_path / "s" / MANIFEST_NAME).exists()
+        with pytest.raises(MatrixValueError, match="members must be real-valued"):
+            with create_store(tmp_path / "t", n_tasks=2, n_machines=2) as writer:
+                writer.append([[1.0, 2.0j], [3.0, 4.0]])
+        assert writer.n_members == 0
+
     def test_bad_dtype_rejected(self, tmp_path):
         with pytest.raises(MatrixValueError, match="dtype"):
             create_store(tmp_path / "s", n_tasks=2, n_machines=2, dtype="int32")

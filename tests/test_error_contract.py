@@ -397,6 +397,16 @@ ENSEMBLE_EXPECTED = {
         MatrixValueError,
         "stack must be real-valued",
     ),
+    # The store writer rejects them: casting would drop the imaginary
+    # parts.
+    ("characterize_store", "complex"): (
+        MatrixValueError,
+        "members must be real-valued",
+    ),
+    ("characterize_store", "complex_members"): (
+        MatrixValueError,
+        "members must be real-valued",
+    ),
     **{
         (entry, key): error
         for entry in ("characterize_ensemble", "characterize_store")
