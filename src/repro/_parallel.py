@@ -1,33 +1,37 @@
-"""Optional process-level parallelism for embarrassingly parallel studies.
+"""The one process-pool scheduler, and the map built on it.
 
-The numerical kernels are vectorized numpy and don't benefit from
-Python-level threading, but the *study* layers (sensitivity trials,
-correlation ensembles, generator footprints) are embarrassingly
-parallel across independently seeded work items.  ``parallel_map`` runs
-such a function over its items with an optional process pool:
+Study layers (sensitivity trials, correlation ensembles) and ensemble
+drivers (the robust scalar fallback, pooled shard dispatch) fan
+independent work out over processes through :func:`_schedule`, the only
+code that creates a ``ProcessPoolExecutor``; it imports the pool on
+first use, so ``import repro`` does not load ``multiprocessing``.
 
-* ``n_jobs=1`` (default) — plain loop, zero overhead, fully
-  deterministic ordering;
-* ``n_jobs>1`` — ``concurrent.futures.ProcessPoolExecutor``; results
-  come back in submission order, so determinism is preserved as long
-  as the per-item work is seeded per item (every study in this library
-  derives one child seed per item up front).
+A task is a picklable argument; a worker runs ``fn(task, attempt)``,
+where ``attempt`` numbers the task's copies from 0.  At most ``workers``
+copies are in flight, so a copy's clock starts when a free worker takes
+it, never while it is queued.  A copy still running ``timeout_s`` after
+dispatch gets a spare copy if its task has one left (``spares``: 0 for
+ensemble members, 1 for store shards).  The first copy to finish wins;
+a loser is cancelled or, if running, its process is terminated at
+shutdown.  A task whose copies all ran past the timeout with no spare
+left becomes a timed-out :class:`WorkerFailure`.  A given-up copy holds
+its worker until it ends, so it still counts as in flight.  Once every
+worker holds a copy past its timeout (given up, or overdue with its
+spare waiting), the pool's processes are terminated and a fresh pool
+takes the remaining tasks, so a map never waits on a stalled copy.
 
-Fault tolerance (used by the robust ensemble policies): ``return_failures=True``
-captures per-item exceptions as :class:`WorkerFailure` records instead
-of aborting the whole map, and ``timeout_s`` bounds the wait on each
-item so a straggling worker cannot hang the pipeline — its slot is
-reported as a timed-out :class:`WorkerFailure` and the stalled process
-is terminated at shutdown.
-
-The callable and its items must be picklable (module-level functions
-and plain data), which is why the study workers live at module scope.
+:func:`parallel_map` maps ``fn(item)`` in item order: a plain loop for
+``n_jobs=1``, chunked tasks when there is neither a timeout nor failure
+capture, one item per task otherwise.  Seeding each item by itself
+keeps a map deterministic; functions and items must be picklable.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
+import math
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -43,10 +47,12 @@ R = TypeVar("R")
 #: chunks per worker keeps both overheads small.
 _CHUNKS_PER_WORKER = 4
 
+_UNSETTLED = object()
+
 
 @dataclass(frozen=True)
 class WorkerFailure:
-    """One failed map item: its position and the exception that killed it.
+    """One failed task: its position and the exception that killed it.
 
     ``timed_out`` distinguishes a straggler abandoned at ``timeout_s``
     (its ``error`` is a synthesized :class:`TimeoutError`) from a worker
@@ -60,6 +66,23 @@ class WorkerFailure:
     def __repr__(self) -> str:  # keep tracebacks readable in reports
         kind = "timeout" if self.timed_out else type(self.error).__name__
         return f"WorkerFailure(index={self.index}, {kind}: {self.error})"
+
+
+@dataclass
+class Copy:
+    """One dispatched copy of a task in the scheduler's log.
+
+    Times are ``time.monotonic()``; a given-up copy ends when the
+    scheduler gives up on it.  ``fate`` is ``"won"``/``"failed"`` (its
+    value/exception settled the task), ``"lost"`` (cancelled or
+    terminated in favour of a sibling) or ``"timed_out"``.
+    """
+
+    task: int
+    attempt: int
+    dispatched: float
+    ended: float = 0.0
+    fate: str = "running"
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -77,6 +100,129 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
+def _schedule(
+    fn: Callable, tasks: Sequence, *, workers: int, timeout_s=None, spares=0
+) -> tuple[list, list[Copy]]:
+    """Run ``fn(task, attempt)`` for every task under the module's rule.
+
+    Returns ``(results, log)``: ``results[i]`` is task ``i``'s winning
+    value or a :class:`WorkerFailure`; ``log`` holds one :class:`Copy`
+    per dispatched copy, in dispatch order.
+    """
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    results = [_UNSETTLED] * len(tasks)
+    log: list[Copy] = []
+    ready = deque((index, 0) for index in range(len(tasks)))
+    running: dict[Future, Copy] = {}  # copies of unsettled tasks
+    deadlines: dict[Future, float] = {}  # running copies not yet overdue
+    orphans: set[Future] = set()  # given-up copies that may hold a worker
+    unsettled = len(tasks)
+
+    def settle(index, value, winner, now):
+        nonlocal unsettled
+        results[index] = value
+        unsettled -= 1
+        for future in [f for f, copy in running.items() if copy.task == index]:
+            copy = running.pop(future)
+            deadlines.pop(future, None)
+            copy.ended = now
+            if future is winner:
+                copy.fate = "failed" if isinstance(value, WorkerFailure) else "won"
+            else:
+                copy.fate = "lost" if winner is not None else "timed_out"
+                if not future.cancel():
+                    orphans.add(future)
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while unsettled:
+            orphans.difference_update([f for f in orphans if f.done()])
+            if (
+                timeout_s is not None
+                and not deadlines
+                and len(running) + len(orphans) >= workers
+                and not any(f.done() for f in running)
+            ):
+                # Every worker holds a copy past its timeout: one given
+                # up, or one whose spare waits for a worker.  Nothing
+                # bounds that wait, so terminate them and go on with a
+                # fresh pool; an overdue copy is lost to its spare.
+                now = time.monotonic()
+                for copy in running.values():
+                    copy.ended, copy.fate = now, "lost"
+                running.clear()
+                _shutdown(pool, terminate=True)
+                pool, orphans = ProcessPoolExecutor(max_workers=workers), set()
+            while ready and len(running) + len(orphans) < workers:
+                index, attempt = ready.popleft()
+                if results[index] is not _UNSETTLED:
+                    continue  # settled while this spare waited for a worker
+                copy = Copy(index, attempt, time.monotonic())
+                log.append(copy)
+                try:
+                    future = pool.submit(fn, tasks[index], attempt)
+                except BrokenProcessPool as error:  # a worker process died
+                    future = Future()
+                    future.set_exception(error)
+                running[future] = copy
+                if timeout_s is not None:
+                    deadlines[future] = copy.dispatched + timeout_s
+            done, _ = wait(
+                running.keys() | orphans,
+                timeout=(
+                    max(0.0, min(deadlines.values()) - time.monotonic())
+                    if deadlines
+                    else None
+                ),
+                return_when=FIRST_COMPLETED,
+            )
+            now = time.monotonic()
+            for future in done:
+                if future not in running:
+                    continue  # an orphan ended, or a sibling just settled
+                index, error = running[future].task, future.exception()
+                failure = WorkerFailure(index, error) if error is not None else None
+                settle(index, failure or future.result(), future, now)
+            for future in [f for f, due in deadlines.items() if due <= now]:
+                if deadlines.pop(future, None) is None:
+                    continue  # settled along with a sibling
+                copy = running[future]
+                if copy.attempt < spares:
+                    ready.appendleft((copy.task, copy.attempt + 1))
+                    continue
+                error = TimeoutError(
+                    f"worker for item {copy.task} exceeded timeout_s={timeout_s:g}"
+                )
+                settle(copy.task, WorkerFailure(copy.task, error, True), None, now)
+    finally:
+        _shutdown(
+            pool, terminate=bool(running) or any(not f.done() for f in orphans)
+        )
+    return results, log
+
+
+def _shutdown(pool, *, terminate: bool) -> None:
+    """Shut ``pool`` down, cancelling queued work.
+
+    ``terminate`` kills the pool's processes outright first — for a
+    pool whose remaining workers are stragglers nobody waits for.  The
+    join is then instant, and waiting for it lets the executor close
+    its wakeup pipes cleanly instead of tripping the interpreter's
+    atexit hook on a dead pool.
+    """
+    if terminate:
+        for process in (pool._processes or {}).values():
+            process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _map_chunk(task, attempt):
+    """Scheduler task (picklable): ``fn`` over one chunk of items."""
+    fn, items = task
+    return [fn(item) for item in items]
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -92,23 +238,21 @@ def parallel_map(
     Parameters
     ----------
     fn, items, n_jobs
-        As before: ``n_jobs=None``/1 runs a plain deterministic loop,
-        larger values (or -1) use a process pool.
+        ``n_jobs=None``/1 runs a plain deterministic loop, larger values
+        (or -1) use a process pool.
     timeout_s : float or None
-        Per-item wall-clock bound.  Requires a process pool
-        (``n_jobs >= 2``): an in-process call cannot be preempted, so a
-        serial map with a timeout raises
-        :class:`~repro.exceptions.MatrixValueError` immediately rather
-        than silently not enforcing the bound.  An item whose result is
-        not available within ``timeout_s`` of being waited on becomes a
-        timed-out :class:`WorkerFailure`; other items complete normally
-        and the stalled process is terminated at shutdown so the call
-        never hangs.
+        Per-item wall-clock bound, counted from when a worker takes the
+        item; an item still running then becomes a timed-out
+        :class:`WorkerFailure` and its process is terminated (at
+        shutdown, or once stalled copies hold every worker), so the
+        call never hangs.  Requires ``n_jobs >= 2``
+        (an in-process call cannot be preempted): a serial map with a
+        timeout raises :class:`~repro.exceptions.MatrixValueError`.
     return_failures : bool
         When True, an item whose worker raises (or times out) yields a
         :class:`WorkerFailure` in its result slot instead of aborting
-        the whole map.  When False (default), worker exceptions
-        propagate and a timeout raises :class:`TimeoutError`.
+        the whole map.  When False (default), the first failed item's
+        exception propagates (a timeout raises :class:`TimeoutError`).
 
     Examples
     --------
@@ -121,9 +265,9 @@ def parallel_map(
     """
     jobs = resolve_n_jobs(n_jobs)
     if timeout_s is not None:
-        if not isinstance(timeout_s, (int, float)) or timeout_s <= 0:
+        if not isinstance(timeout_s, (int, float)) or not 0 < timeout_s < math.inf:
             raise MatrixValueError(
-                f"timeout_s must be a positive number or None, got "
+                f"timeout_s must be a positive finite number or None, got "
                 f"{timeout_s!r}"
             )
         if jobs == 1:
@@ -132,67 +276,30 @@ def parallel_map(
                 "serial in-process call cannot be preempted"
             )
     materialized: Sequence[T] = list(items)
+    results: list = []
     if jobs == 1 or (len(materialized) <= 1 and timeout_s is None):
-        if not return_failures:
-            return [fn(item) for item in materialized]
-        results: list[R] = []
         for i, item in enumerate(materialized):
             try:
                 results.append(fn(item))
             except Exception as exc:
-                results.append(WorkerFailure(index=i, error=exc))
-        return results
-    workers = min(jobs, max(1, len(materialized)))
-    if timeout_s is None and not return_failures:
-        # Fast path: chunked submission, one pickle round-trip per chunk
-        # instead of per item, so large ensembles don't drown in IPC
-        # overhead.
-        chunksize = -(-len(materialized) // (workers * _CHUNKS_PER_WORKER))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, materialized, chunksize=chunksize))
-    # Fault-tolerant path: one future per item so a single straggler or
-    # crash is isolated to its own result slot.
-    pool = ProcessPoolExecutor(max_workers=workers)
-    results = []
-    any_timeout = False
-    try:
-        futures = [pool.submit(fn, item) for item in materialized]
-        for i, future in enumerate(futures):
-            try:
-                # In 3.10 concurrent.futures.TimeoutError is distinct
-                # from the builtin; catch both.
-                results.append(future.result(timeout=timeout_s))
-            except (_FuturesTimeout, TimeoutError):
-                any_timeout = True
-                error = TimeoutError(
-                    f"worker for item {i} exceeded timeout_s={timeout_s:g}"
-                )
-                if not return_failures:
-                    raise error from None
-                results.append(
-                    WorkerFailure(index=i, error=error, timed_out=True)
-                )
-            except Exception as exc:
                 if not return_failures:
                     raise
                 results.append(WorkerFailure(index=i, error=exc))
-    finally:
-        # A stalled worker would block a clean shutdown (all healthy
-        # futures have already been collected above).
-        _shutdown(pool, terminate=any_timeout)
+        return results
+    workers = min(jobs, max(1, len(materialized)))
+    size = 1
+    if timeout_s is None and not return_failures:
+        # One pickle round-trip per chunk instead of per item, so large
+        # ensembles don't drown in IPC overhead.
+        size = -(-len(materialized) // (workers * _CHUNKS_PER_WORKER))
+    chunks = [
+        (fn, materialized[i : i + size]) for i in range(0, len(materialized), size)
+    ]
+    for chunk in _schedule(_map_chunk, chunks, workers=workers, timeout_s=timeout_s)[0]:
+        if not isinstance(chunk, WorkerFailure):
+            results.extend(chunk)
+        elif return_failures:
+            results.append(chunk)
+        else:
+            raise chunk.error
     return results
-
-
-def _shutdown(pool: ProcessPoolExecutor, *, terminate: bool) -> None:
-    """Shut ``pool`` down, cancelling queued work.
-
-    ``terminate`` kills the pool's processes outright first — for a
-    pool whose remaining workers are stragglers nobody waits for.  The
-    join is then instant, and waiting for it lets the executor close
-    its wakeup pipes cleanly instead of tripping the interpreter's
-    atexit hook on a dead pool.
-    """
-    if terminate:
-        for process in (pool._processes or {}).values():
-            process.terminate()
-    pool.shutdown(wait=True, cancel_futures=True)

@@ -10,6 +10,7 @@ after a fixed number of attempts.  :class:`Budget` bundles those knobs;
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -70,10 +71,14 @@ class Budget:
         slices as non-converged when it expires; the repair ladder
         stops escalating once it is spent.
     member_timeout_s : float or None
-        Per-member wall-clock budget on the worker (scalar fallback)
-        path.  Requires a process pool — the robust pipeline raises
-        ``n_jobs`` to 2 when a timeout is set on a serial run, because
-        an in-process worker cannot be preempted.
+        Per-task wall-clock budget of the process-pool scheduler: one
+        member on the scalar fallback path, one shard in a pooled
+        ``characterize_store`` run.  The clock starts when a worker
+        takes the task, not while it is queued.  Must be positive
+        and finite.
+        Requires a process pool — the robust pipeline raises ``n_jobs``
+        to 2 when a timeout is set on a serial run, because an
+        in-process worker cannot be preempted.
     max_attempts : int
         Repair-ladder retries per quarantined member.
     tol_backoff : float
@@ -96,15 +101,23 @@ class Budget:
     iteration_growth: float = 4.0
 
     def __post_init__(self) -> None:
-        for name in ("deadline_s", "member_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, (int, float)) or value < 0
-            ):
-                raise MatrixValueError(
-                    f"{name} must be a non-negative number or None, got "
-                    f"{value!r}"
-                )
+        if self.deadline_s is not None and (
+            not isinstance(self.deadline_s, (int, float)) or self.deadline_s < 0
+        ):
+            raise MatrixValueError(
+                f"deadline_s must be a non-negative number or None, got "
+                f"{self.deadline_s!r}"
+            )
+        # A zero or NaN timeout would time out (or speculate) every task;
+        # an infinite one is no timeout at all.
+        timeout = self.member_timeout_s
+        if timeout is not None and (
+            not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf
+        ):
+            raise MatrixValueError(
+                f"member_timeout_s must be a positive finite number or None, "
+                f"got {timeout!r}"
+            )
         if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
             raise MatrixValueError(
                 f"max_attempts must be a positive int, got "

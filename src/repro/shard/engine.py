@@ -16,36 +16,36 @@ Two dispatch modes:
 * ``n_jobs=1`` (default) — serial streaming: one chunk of heap at a
   time, peak memory bounded by the planner's budget regardless of the
   store size.
-* ``n_jobs>=2`` — a shard scheduler over a process pool.  Workers
-  receive ``(store_path, start, stop)`` and memory-map their own slice,
-  so nothing but shard coordinates crosses the pickle boundary.  When a
-  :class:`~repro.robust.Budget` carries ``member_timeout_s``, the
-  scheduler treats it as the per-*shard* timeout and mitigates
-  stragglers by speculation: a shard still running at its timeout is
-  re-dispatched redundantly, the first copy to finish wins, and the
-  loser is cancelled (or its process terminated at shutdown).  The
-  ``repro_shard_dispatch_total`` counter records primaries,
-  speculative re-dispatches, winners and cancellations.
+* ``n_jobs>=2`` — one call to the process-pool scheduler of
+  :mod:`repro._parallel`, one task per shard.  Workers receive
+  ``(store_path, start, stop)`` and memory-map their own slice, so
+  nothing but shard coordinates crosses the pickle boundary.  A
+  :class:`~repro.robust.Budget`'s ``member_timeout_s`` is the per-shard
+  timeout under the scheduler's rule, with one spare copy per shard; a
+  shard whose both copies run past it has its members quarantined as
+  ``timeout``.  The scheduler's copy log feeds the
+  ``repro_shard_dispatch_total`` counter, ``repro_shard_chunk_seconds``
+  and the ``shard.dispatch`` / ``shard.worker.lost`` spans.
 
 Fault injection (:class:`~repro.robust.FaultPlan`) keeps in-memory
-semantics for data faults: they are applied at *absolute* member
-indices before a chunk enters the pipeline (``FaultPlan.apply_member``
-derives corruption positions from the index, so shard-relative
-application would corrupt different rows).  ``stall`` faults are
-lifted to shard level — the shard holding a stalled member sleeps
-``stall_s`` on its primary dispatch only, modelling a machine-borne
-straggler that a redundant dispatch escapes; member data is untouched,
-so results stay bit-identical to a stall-free run.
+semantics: data faults are applied at *absolute* member indices before
+a chunk enters the pipeline (``FaultPlan.apply_member`` derives
+corruption positions from the index), and a ``stall`` fault sleeps on
+attempt 0 of the task that holds the member — here, the shard's first
+copy.  Member data is untouched, so results stay bit-identical to a
+stall-free run.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter
 from dataclasses import replace
 
-from .._parallel import _shutdown, resolve_n_jobs
+import numpy as np
+
+from .._parallel import WorkerFailure, _schedule, resolve_n_jobs
 from .._validation import check_positive_int, check_positive_scalar
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL
@@ -79,8 +79,8 @@ def _split_faults(fault_plan, n_members: int):
     return tuple(data), tuple(stalls)
 
 
-def _apply_data_faults(chunk, start: int, specs) -> None:
-    """Apply data faults to ``chunk`` (members ``[start, ...)``) in place.
+def _read_chunk(store: StackStore, start: int, stop: int, specs):
+    """Members ``[start, stop)`` with their data faults applied.
 
     Faults are applied at absolute member indices via a single-spec
     :class:`~repro.robust.FaultPlan`, so the corrupted rows/columns are
@@ -89,64 +89,51 @@ def _apply_data_faults(chunk, start: int, specs) -> None:
     """
     from ..robust.chaos import FaultPlan
 
-    stop = start + chunk.shape[0]
+    chunk = store.read(start, stop)
     for spec in specs:
         if start <= spec.member < stop:
             plan = FaultPlan(faults=(spec,))
             chunk[spec.member - start] = plan.apply_member(
                 spec.member, chunk[spec.member - start]
             )
-
-
-def _chunk_kwargs(
-    *,
-    tol,
-    max_iterations,
-    tma_fallback,
-    batched,
-    policy,
-    backend,
-) -> dict:
-    return {
-        "tol": tol,
-        "max_iterations": max_iterations,
-        "tma_fallback": tma_fallback,
-        "batched": batched,
-        "policy": policy,
-        "backend": backend,
-    }
+    return chunk
 
 
 def _characterize_chunk(
-    store: StackStore, start: int, stop: int, data_specs, budget, kwargs
+    store: StackStore, start: int, stop: int, data_specs, budget, deadline, kwargs
 ):
-    """Read, fault-inject and characterize one ``[start, stop)`` chunk."""
+    """Read, fault-inject and characterize one ``[start, stop)`` chunk,
+    under the run deadline's remainder (``member_timeout_s`` belongs to
+    the scheduler, not to the chunk pipeline)."""
     from ..batch.ensemble import characterize_ensemble
 
-    chunk = store.read(start, stop)
-    _apply_data_faults(chunk, start, data_specs)
+    if budget is not None:
+        budget = replace(
+            budget, deadline_s=deadline.remaining(), member_timeout_s=None
+        )
+    chunk = _read_chunk(store, start, stop, data_specs)
     return characterize_ensemble(chunk, budget=budget, **kwargs)
 
 
-def _shard_worker(args):
-    """Module-level pool worker (picklable): characterize one shard.
+def _shard_worker(task, attempt):
+    """Scheduler task (picklable): characterize one shard.
 
     Opens the store by path and memory-maps only its own slice; the
-    primary dispatch (``attempt == 0``) hosts any injected stall, so a
-    speculative re-dispatch models a healthy replacement machine.
+    first copy (``attempt == 0``) hosts any injected stall, so a spare
+    copy models a healthy replacement machine.
 
     ``trace`` (optional) is the serialized span-context handoff:
-    ``(span_file_path, shard_context_payload)``.  Both dispatch copies
-    of a shard receive the *same* pre-allocated shard context, so the
-    primary and its speculative backup emit sibling ``shard.worker``
-    spans under one ``shard.dispatch`` parent.  The record is written
-    with one ``O_APPEND`` write (atomic under ``PIPE_BUF``), so
-    concurrent workers sharing the span file never interleave lines.
+    ``(span_file_path, shard_context_payload)``.  Every copy of a shard
+    receives the *same* pre-allocated shard context, so the primary and
+    its spare emit sibling ``shard.worker`` spans under one
+    ``shard.dispatch`` parent.  The record is written with one
+    ``O_APPEND`` write (atomic under ``PIPE_BUF``), so concurrent
+    workers sharing the span file never interleave lines.
     """
     (
-        store_path, start, stop, attempt, stall_s, data_specs, budget,
+        store_path, start, stop, stall_s, data_specs, budget, deadline,
         kwargs, trace,
-    ) = args
+    ) = task
     if attempt == 0 and stall_s > 0.0:
         time.sleep(stall_s)
     wall_start = time.time()
@@ -154,7 +141,7 @@ def _shard_worker(args):
     c0 = time.process_time()
     store = StackStore(store_path)
     result = _characterize_chunk(
-        store, start, stop, data_specs, budget, kwargs
+        store, start, stop, data_specs, budget, deadline, kwargs
     )
     if trace is not None:
         trace_path, ctx_payload = trace
@@ -182,23 +169,7 @@ def _shard_worker(args):
                     },
                 },
             )
-    return start, result
-
-
-def _shard_budget(budget, deadline):
-    """The budget a chunk call runs under: run-level deadline remainder.
-
-    The scheduler consumes ``member_timeout_s`` itself (it is the
-    per-shard speculation trigger in pool mode), so the chunk pipeline
-    sees only the deadline and repair knobs.
-    """
-    if budget is None:
-        return None
-    return replace(
-        budget,
-        deadline_s=deadline.remaining(),
-        member_timeout_s=None,
-    )
+    return result
 
 
 def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs):
@@ -218,7 +189,8 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
                     shard.start,
                     shard.stop,
                     data_specs,
-                    _shard_budget(budget, deadline),
+                    budget,
+                    deadline,
                     kwargs,
                 )
             _metrics.observe_shard_chunk(
@@ -229,162 +201,127 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
     return parts
 
 
-def _run_pool(
-    store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwargs
-):
-    """The speculating shard scheduler (see the module docstring)."""
-    rec = current_recorder()
-    timeout = budget.member_timeout_s if budget is not None else None
-    store_path = str(store.path)
-    # Trace handoff: pre-allocate one context per shard so both dispatch
-    # copies (primary + speculative backup) emit sibling spans under the
-    # same ``shard.dispatch`` parent.  Workers need a file path to append
-    # to, so only file-backed tracers cross the process boundary.
+def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwargs):
+    """Run the shards as one scheduler call, with one spare copy each."""
+    # One trace context per shard, so every copy of a shard emits a
+    # sibling span under the same ``shard.dispatch`` parent.  Workers
+    # append to a file, so only file-backed tracers cross over.
     tracer = current_tracer()
-    trace_path = tracer.path if tracer is not None else None
-    dispatch_ctx: dict[int, TraceContext] = {}
-    if trace_path is not None:
+    contexts = {}
+    if tracer is not None and tracer.path is not None:
         ambient = current_trace()
         run_ctx = ambient if ambient is not None else TraceContext.new()
-        for shard in plan.shards:
-            dispatch_ctx[shard.index] = run_ctx.child()
-
-    def submit(pool, shard, attempt):
-        _metrics.count_shard_dispatch(
-            "primary" if attempt == 0 else "speculative"
+        contexts = {shard.index: run_ctx.child() for shard in plan.shards}
+    tasks = [
+        (
+            str(store.path), shard.start, shard.stop,
+            shard_stalls.get(shard.index, 0.0), data_specs, budget, deadline,
+            kwargs,
+            (tracer.path, contexts[shard.index].to_payload()) if contexts else None,
         )
-        trace = None
-        if trace_path is not None:
-            trace = (trace_path, dispatch_ctx[shard.index].to_payload())
-        return pool.submit(
-            _shard_worker,
-            (
-                store_path,
-                shard.start,
-                shard.stop,
-                attempt,
-                shard_stalls.get(shard.index, 0.0),
-                data_specs,
-                _shard_budget(budget, deadline),
-                kwargs,
-                trace,
-            ),
-        )
-
+        for shard in plan.shards
+    ]
+    results, log = _schedule(
+        _shard_worker,
+        tasks,
+        workers=min(jobs, len(tasks)),
+        timeout_s=budget.member_timeout_s if budget is not None else None,
+        spares=1,
+    )
+    _record_dispatch(plan, log, tracer, contexts)
     parts = []
-    results_by_shard = {}
-    outstanding = {}  # future -> (shard, attempt)
-    dispatched_at = {}  # future -> monotonic dispatch time
-    backups = {}  # shard.index -> backup future
-    abandoned = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(plan.shards)))
-    try:
-        for shard in plan.shards:
-            future = submit(pool, shard, attempt=0)
-            outstanding[future] = (shard, 0)
-            dispatched_at[future] = time.monotonic()
-
-        while len(results_by_shard) < len(plan.shards):
-            wait_s = None
-            if timeout is not None:
-                now = time.monotonic()
-                due = [
-                    dispatched_at[f] + timeout
-                    for f, (shard, attempt) in outstanding.items()
-                    if attempt == 0 and shard.index not in backups
-                ]
-                if due:
-                    wait_s = max(0.0, min(due) - now)
-            done, _ = wait(
-                set(outstanding), timeout=wait_s, return_when=FIRST_COMPLETED
+    for shard, result in zip(plan.shards, results):
+        if isinstance(result, WorkerFailure):
+            if not result.timed_out:
+                raise result.error
+            result = _timed_out_part(
+                store, shard, data_specs, budget, deadline, kwargs
             )
-            for future in done:
-                shard, attempt = outstanding.pop(future)
-                if shard.index in results_by_shard:
-                    continue  # the sibling already won
-                error = future.exception()
-                if error is not None:
-                    raise error
-                start, result = future.result()
-                results_by_shard[shard.index] = (start, result)
-                wall_s = time.monotonic() - dispatched_at[future]
-                _metrics.observe_shard_chunk(
-                    "pool", members=shard.n_members, wall_s=wall_s
-                )
-                _metrics.count_shard_dispatch(
-                    "winner_backup" if attempt else "winner_primary"
-                )
-                if tracer is not None and shard.index in dispatch_ctx:
-                    tracer.emit_span(
-                        "shard.dispatch",
-                        dispatch_ctx[shard.index],
-                        wall_s=wall_s,
-                        meta={
-                            "start_member": shard.start,
-                            "members": shard.n_members,
-                            "winner": "backup" if attempt else "primary",
-                            "speculated": shard.index in backups,
-                        },
-                    )
-                if attempt and rec is not None:
-                    rec.counter("shard.backup_wins", 1)
-                sibling = next(
-                    (
-                        f
-                        for f, (s, _) in outstanding.items()
-                        if s.index == shard.index
-                    ),
-                    None,
-                )
-                if sibling is not None:
-                    _, lost_attempt = outstanding.pop(sibling)
-                    if not sibling.cancel():
-                        # Already running (the straggler): abandon it
-                        # and terminate its process at shutdown.
-                        abandoned = True
-                    if tracer is not None and shard.index in dispatch_ctx:
-                        # The loser may never get to write its own span
-                        # (its process is terminated at shutdown), so
-                        # the scheduler records the losing dispatch as a
-                        # sibling of the winner's ``shard.worker`` span.
-                        tracer.emit_span(
-                            "shard.worker.lost",
-                            dispatch_ctx[shard.index].child(),
-                            wall_s=time.monotonic()
-                            - dispatched_at[sibling],
-                            meta={
-                                "attempt": lost_attempt,
-                                "start_member": shard.start,
-                                "members": shard.n_members,
-                            },
-                            error="lost the dispatch race; cancelled",
-                        )
-                    _metrics.count_shard_dispatch("cancelled")
-                    if rec is not None:
-                        rec.counter("shard.cancelled", 1)
-            if timeout is not None:
-                now = time.monotonic()
-                for future, (shard, attempt) in list(outstanding.items()):
-                    if (
-                        attempt == 0
-                        and shard.index not in backups
-                        and shard.index not in results_by_shard
-                        and now - dispatched_at[future] >= timeout
-                    ):
-                        backup = submit(pool, shard, attempt=1)
-                        outstanding[backup] = (shard, 1)
-                        dispatched_at[backup] = now
-                        backups[shard.index] = backup
-                        if rec is not None:
-                            rec.counter("shard.speculative", 1)
-    finally:
-        # A straggling loser (or an error-path abort) would block a
-        # clean shutdown; every wanted result is already collected.
-        _shutdown(pool, terminate=abandoned or bool(outstanding))
-
-    for shard in plan.shards:
-        parts.append(results_by_shard[shard.index])
+        parts.append((shard.start, result))
     return parts
+
+
+def _record_dispatch(plan, log, tracer, contexts) -> None:
+    """Dispatch metrics, counters and spans, read off the copy log."""
+    rec = current_recorder()
+    count = rec.counter if rec is not None else lambda name, value: None
+    to_wall = time.time() - time.monotonic()
+    copies = Counter(copy.task for copy in log)
+    for copy in log:
+        shard = plan.shards[copy.task]
+        context = contexts.get(shard.index)
+        wall_s = copy.ended - copy.dispatched
+        timing = {"wall_s": wall_s, "start": copy.dispatched + to_wall}
+        meta = {"start_member": shard.start, "members": shard.n_members}
+        _metrics.count_shard_dispatch("speculative" if copy.attempt else "primary")
+        if copy.attempt:
+            count("shard.speculative", 1)
+        if copy.fate == "won":
+            who = "backup" if copy.attempt else "primary"
+            _metrics.observe_shard_chunk("pool", members=shard.n_members, wall_s=wall_s)
+            _metrics.count_shard_dispatch(f"winner_{who}")
+            if copy.attempt:
+                count("shard.backup_wins", 1)
+            if context is not None:
+                meta.update(winner=who, speculated=copies[copy.task] > 1)
+                tracer.emit_span("shard.dispatch", context, meta=meta, **timing)
+        elif copy.fate == "lost":
+            _metrics.count_shard_dispatch("cancelled")
+            count("shard.cancelled", 1)
+            if context is not None:
+                # The loser may never write its own span (its process is
+                # terminated at shutdown), so its log entry stands in as
+                # a sibling of the winner's ``shard.worker`` span.
+                tracer.emit_span(
+                    "shard.worker.lost",
+                    context.child(),
+                    meta={"attempt": copy.attempt, **meta},
+                    error="lost the dispatch race; cancelled",
+                    **timing,
+                )
+
+
+def _timed_out_part(store, shard, data_specs, budget, deadline, kwargs):
+    """A shard whose every copy ran past the timeout: its members are
+    quarantined as ``timeout``, and recomputed in process by the
+    ``local-retry`` rung under ``policy="repair"``."""
+    from ..batch.ensemble import EnsembleCharacterization
+    from ..robust.repair import apply_policy, recovered_columns
+
+    n = shard.n_members
+    part = EnsembleCharacterization(
+        *np.full((3, n), np.nan),
+        iterations=np.full(n, -1, dtype=np.int64),
+        converged=np.zeros(n, dtype=bool),
+        batched=np.zeros(n, dtype=bool),
+        n_tasks=store.n_tasks,
+        n_machines=store.n_machines,
+    )
+
+    def member(i):
+        start = shard.start + i
+        return _read_chunk(store, start, start + 1, data_specs)[0]
+
+    def splice(i, repaired, standard):
+        columns = (part.mph, part.tdh, part.tma, part.iterations, part.converged)
+        for column, value in zip(columns, recovered_columns(repaired, standard)):
+            column[i] = value
+
+    detail = (
+        f"shard of members [{shard.start}, {shard.stop}) exceeded "
+        f"member_timeout_s={budget.member_timeout_s:g} on every copy"
+    )
+    report = apply_policy(
+        dict.fromkeys(range(n), ("timeout", detail)),
+        policy=kwargs["policy"],
+        member=member,
+        splice=splice,
+        tol=kwargs["tol"],
+        max_iterations=kwargs["max_iterations"],
+        budget=budget,
+        deadline=deadline,
+    )
+    return replace(part, report=report)
 
 
 @traced(name="shard.characterize_store")
@@ -420,12 +357,14 @@ def characterize_store(
     budget : repro.robust.Budget, optional
         Robust-policy budgets.  ``deadline_s`` bounds the whole store
         run (chunks receive the remainder); in pool mode
-        ``member_timeout_s`` becomes the per-shard straggler timeout
-        that triggers speculative re-dispatch.
+        ``member_timeout_s`` is the per-shard timeout that dispatches a
+        spare copy, and quarantines the shard's members as ``timeout``
+        once the spare runs past it too.
     fault_plan : repro.robust.FaultPlan, optional
         Chaos injection.  Data faults match the in-memory path exactly
-        (absolute member indices); ``stall`` faults stall the shard's
-        primary dispatch (see the module docstring).
+        (absolute member indices); ``stall`` faults stall the first
+        copy of the shard that holds the member (see the module
+        docstring).
     tol, max_iterations, tma_fallback, batched, policy, backend
         Exactly as :func:`repro.batch.characterize_ensemble`.
 
@@ -493,20 +432,20 @@ def characterize_store(
         rec.counter("shard.shards", len(plan.shards))
         rec.counter("shard.members", plan.n_members)
 
-    kwargs = _chunk_kwargs(
-        tol=tol,
-        max_iterations=max_iterations,
-        tma_fallback=tma_fallback,
-        batched=batched,
-        policy=policy,
-        backend=backend,
-    )
+    kwargs = {
+        "tol": tol,
+        "max_iterations": max_iterations,
+        "tma_fallback": tma_fallback,
+        "batched": batched,
+        "policy": policy,
+        "backend": backend,
+    }
     if jobs == 1 or len(plan.shards) == 1:
         parts = _run_serial(
             store, plan, data_specs, shard_stalls, budget, deadline, kwargs
         )
     else:
-        parts = _run_pool(
+        parts = _dispatch(
             store, plan, jobs, data_specs, shard_stalls, budget, deadline,
             kwargs,
         )

@@ -279,6 +279,56 @@ class TestWorkerFaults:
             result, baseline, healthy_indices(8, plan)
         )
 
+    def test_each_member_has_its_own_clock(self, base_stack):
+        # Both stalled members start at once on two workers, so both
+        # run past the timeout; a clock that started when the caller
+        # began waiting on the second one would let it through.
+        plan = FaultPlan(
+            faults=tuple(
+                FaultSpec(kind="stall", member=member, stall_s=0.8)
+                for member in (0, 1)
+            )
+        )
+        result = characterize_ensemble(
+            base_stack,
+            policy="quarantine",
+            fault_plan=plan,
+            budget=Budget(member_timeout_s=0.5),
+            n_jobs=2,
+            max_iterations=MAX_ITER,
+        )
+        assert result.report.categories() == {0: "timeout", 1: "timeout"}
+
+    def test_members_stalled_on_every_worker_do_not_block_the_rest(
+        self, base_stack
+    ):
+        # Two members stall far past the timeout and hold both workers
+        # after they are given up; the other six still run, promptly.
+        import time
+
+        plan = FaultPlan(
+            faults=tuple(
+                FaultSpec(kind="stall", member=member, stall_s=60.0)
+                for member in (0, 1)
+            )
+        )
+        baseline = characterize_ensemble(
+            base_stack, batched=False, max_iterations=MAX_ITER
+        )
+        start = time.monotonic()
+        result = characterize_ensemble(
+            base_stack,
+            policy="quarantine",
+            fault_plan=plan,
+            budget=Budget(member_timeout_s=0.3),
+            n_jobs=2,
+            batched=False,
+            max_iterations=MAX_ITER,
+        )
+        assert time.monotonic() - start < 10.0
+        assert result.report.categories() == {0: "timeout", 1: "timeout"}
+        _assert_healthy_bit_identical(result, baseline, range(2, 8))
+
     @pytest.mark.slow
     def test_stall_without_timeout_completes(self, base_stack):
         # No timeout budget: the straggler is simply slow, not faulty.

@@ -18,15 +18,33 @@ from repro.obs import recording
 from repro.obs.metrics import MetricsRegistry, collecting_metrics
 from repro.robust import Budget, FaultPlan
 from repro.robust.chaos import FaultSpec
-from repro.shard import characterize_store, write_store
+from repro.shard import characterize_store, engine, write_store
 
 from .conftest import assert_results_equal, random_stack
 
 N_MEMBERS = 32
 CHUNK = 8  # four shards
+THIRD = -(-N_MEMBERS // 3)  # three shards
 
 STALL_S = 3.0
 TIMEOUT_S = 0.25
+
+
+_REAL_WORKER = engine._shard_worker
+
+
+def _stall_every_copy(task, attempt):
+    """A shard worker whose second shard stalls on every attempt."""
+    if task[1] == CHUNK:
+        time.sleep(STALL_S)
+    return _REAL_WORKER(task, attempt)
+
+
+def _hang_first_two_shards(task, attempt):
+    """A shard worker whose first two of three shards hang on every copy."""
+    if task[1] < 2 * THIRD:
+        time.sleep(60.0)
+    return _REAL_WORKER(task, attempt)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +134,103 @@ class TestSpeculation:
         assert events["speculative"] == 0.0
         assert events["winner_primary"] == 4.0
         assert_results_equal(sharded, characterize_ensemble(stack))
+
+    def test_queued_shards_are_not_speculated(self, stack, store):
+        # Two workers, four shards, every first copy 0.3 s slow: the
+        # second pair waits for a free worker, and its clock must not
+        # run while it waits.
+        plan = FaultPlan(
+            faults=tuple(
+                FaultSpec(kind="stall", member=member, stall_s=0.3)
+                for member in (0, 8, 16, 24)
+            )
+        )
+        with collecting_metrics(MetricsRegistry()) as registry:
+            sharded = characterize_store(
+                store,
+                chunk_size=CHUNK,
+                n_jobs=2,
+                policy="quarantine",
+                fault_plan=plan,
+                budget=Budget(member_timeout_s=0.5),
+            )
+        events = dispatches(registry)
+        assert events["primary"] == 4.0
+        assert events["speculative"] == 0.0
+        assert events["cancelled"] == 0.0
+        assert events["winner_primary"] == 4.0
+        assert_results_equal(
+            sharded, characterize_ensemble(stack, policy="quarantine")
+        )
+
+    def test_shard_past_timeout_on_both_copies_is_quarantined(
+        self, stack, store, monkeypatch
+    ):
+        # The second shard stalls on every copy: its spare runs past the
+        # timeout too, so its members are quarantined as timeouts (at
+        # absolute indices) and, under "repair", recomputed in process.
+        monkeypatch.setattr(engine, "_shard_worker", _stall_every_copy)
+        for policy in ("quarantine", "repair"):
+            with collecting_metrics(MetricsRegistry()) as registry:
+                sharded = characterize_store(
+                    store,
+                    chunk_size=CHUNK,
+                    n_jobs=2,
+                    policy=policy,
+                    budget=Budget(member_timeout_s=TIMEOUT_S),
+                )
+            events = dispatches(registry)
+            assert events["speculative"] == 1.0
+            assert events["winner_primary"] == 3.0
+            assert events["winner_backup"] == 0.0
+            report = sharded.report
+            assert [f.index for f in report.faults] == list(range(8, 16))
+            assert {f.category for f in report.faults} == {"timeout"}
+            whole = characterize_ensemble(stack, policy="quarantine")
+            rest = np.r_[0:8, 16:N_MEMBERS]
+            for name in ("mph", "tdh", "tma"):
+                assert np.array_equal(
+                    getattr(sharded, name)[rest], getattr(whole, name)[rest]
+                )
+            if policy == "quarantine":
+                assert np.isnan(sharded.tma[8:16]).all()
+                assert not report.repaired
+            else:
+                assert [f.repair for f in report.faults] == ["local-retry"] * 8
+                np.testing.assert_allclose(
+                    sharded.tma[8:16], whole.tma[8:16], rtol=1e-9
+                )
+
+    def test_shards_hung_on_every_worker_do_not_block_the_rest(
+        self, stack, store, monkeypatch
+    ):
+        # Three shards on two workers; the first two hang on every copy,
+        # so their given-up copies hold both workers.  The third shard
+        # must still run, on a fresh pool, within a few timeouts.
+        monkeypatch.setattr(engine, "_shard_worker", _hang_first_two_shards)
+        start = time.monotonic()
+        with collecting_metrics(MetricsRegistry()) as registry:
+            sharded = characterize_store(
+                store,
+                chunk_size=THIRD,
+                n_jobs=2,
+                policy="quarantine",
+                budget=Budget(member_timeout_s=0.3),
+            )
+        assert time.monotonic() - start < 10.0
+        events = dispatches(registry)
+        assert events["primary"] == 3.0
+        assert events["speculative"] == 2.0
+        assert events["winner_primary"] == 1.0
+        report = sharded.report
+        assert [f.index for f in report.faults] == list(range(2 * THIRD))
+        assert {f.category for f in report.faults} == {"timeout"}
+        whole = characterize_ensemble(stack, policy="quarantine")
+        for name in ("mph", "tdh", "tma"):
+            assert np.array_equal(
+                getattr(sharded, name)[2 * THIRD :],
+                getattr(whole, name)[2 * THIRD :],
+            )
 
     def test_stall_combined_with_data_faults(self, stack, store):
         plan = FaultPlan(

@@ -516,3 +516,53 @@ def test_weights_that_underflow_some_entries_still_work():
     ecs[0, 2] = 1e-170
     profile = repro.characterize(ecs, machine_weights=[1.0, 1.0, 1e-160])
     assert profile.tma_method == "standard"
+
+
+#: Budget fields -> (keyword arguments, (exception type, message)).  A
+#: zero member timeout used to be accepted and then fail only when a
+#: member reached the process pool; a zero, NaN or infinite one would
+#: time out (or speculate) every task, or none.
+BUDGET_EXPECTED = {
+    "deadline_negative": (
+        {"deadline_s": -1.0},
+        (
+            MatrixValueError,
+            "deadline_s must be a non-negative number or None, got -1.0",
+        ),
+    ),
+    "member_timeout_zero": (
+        {"member_timeout_s": 0.0},
+        (
+            MatrixValueError,
+            "member_timeout_s must be a positive finite number or None, "
+            "got 0.0",
+        ),
+    ),
+    "member_timeout_nan": (
+        {"member_timeout_s": float("nan")},
+        (
+            MatrixValueError,
+            "member_timeout_s must be a positive finite number or None, "
+            "got nan",
+        ),
+    ),
+    "member_timeout_inf": (
+        {"member_timeout_s": float("inf")},
+        (
+            MatrixValueError,
+            "member_timeout_s must be a positive finite number or None, "
+            "got inf",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUDGET_EXPECTED))
+def test_budget_error_type_and_message(key):
+    from repro.robust import Budget
+
+    kwargs, (kind, message) = BUDGET_EXPECTED[key]
+    with pytest.raises(Exception) as info:
+        Budget(**kwargs)
+    assert type(info.value) is kind
+    assert str(info.value) == message

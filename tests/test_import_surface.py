@@ -1,11 +1,12 @@
 """Guard: importing repro loads no library that only a rare feature needs.
 
 ``scipy`` (``affinity_clusters``), ``networkx`` (the Section VI zero
-pattern checks in ``repro.structure``) and ``http.server``
-(``start_metrics_server``) are imported inside the functions that use
-them, so a fresh process pays for them only on first use.  Each check
-runs in a new interpreter, because other test modules import scipy at
-module level.
+pattern checks in ``repro.structure``), ``http.server``
+(``start_metrics_server``) and ``concurrent.futures.process`` with
+``multiprocessing`` (the process-pool scheduler) are imported inside
+the functions that use them, so a fresh process pays for them only on
+first use.  Each check runs in a new interpreter, because other test
+modules import scipy at module level.
 """
 
 import json
@@ -20,7 +21,13 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-DEFERRED = ("scipy", "networkx", "http.server")
+DEFERRED = (
+    "scipy",
+    "networkx",
+    "http.server",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
 
 ENTRY_POINTS = ["repro", "repro.batch", "repro.shard", "repro.serve", "repro.cli"]
 
@@ -65,9 +72,13 @@ import json, sys, urllib.request
 import numpy as np
 import repro
 from repro.measures import affinity_clusters
+from repro._parallel import parallel_map
 from repro.obs import start_metrics_server
 
 out = {}
+out["pooled"] = parallel_map(abs, [-1, -2, -3], n_jobs=2)
+out["concurrent.futures.process"] = "concurrent.futures.process" in sys.modules
+out["multiprocessing"] = "multiprocessing" in sys.modules
 out["normalizable"] = repro.is_normalizable(np.array([[1.0, 0.0], [1.0, 1.0]]))
 out["networkx"] = "networkx" in sys.modules
 block = np.array([[9.0, 9.0, 0.1], [9.0, 9.0, 0.1], [0.1, 0.1, 9.0]])
@@ -85,6 +96,9 @@ out["http.server"] = "http.server" in sys.modules
 print(json.dumps(out))
 """
     assert _run(code) == {
+        "pooled": [1, 2, 3],
+        "concurrent.futures.process": True,
+        "multiprocessing": True,
         "normalizable": False,
         "networkx": True,
         "clusters": 2,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import MatrixValueError
-from repro._parallel import WorkerFailure, parallel_map, resolve_n_jobs
+from repro._parallel import WorkerFailure, _schedule, parallel_map, resolve_n_jobs
 
 
 def _square(x):  # module-level: picklable
@@ -23,6 +23,18 @@ def _sleep_then_square(args):
     x, seconds = args
     time.sleep(seconds)
     return x * x
+
+
+def _sleep_until(task, attempt):
+    """Every copy of a task ends at the same wall-clock instant."""
+    end, value = task
+    time.sleep(max(0.0, end - time.time()))
+    return value
+
+
+def _sleep_on_every_attempt(seconds, attempt):
+    time.sleep(seconds)
+    return attempt
 
 
 class TestResolveNJobs:
@@ -136,6 +148,74 @@ class TestTimeouts:
                 n_jobs=2,
                 timeout_s=0.5,
             )
+
+
+class TestScheduler:
+    def test_copies_finishing_together_have_one_winner(self):
+        # Each primary runs past the timeout, gets a spare, and both
+        # copies end at the same instant, so both usually land in one
+        # wait: the task must still settle exactly once.
+        spared = 0
+        for _ in range(8):
+            end = time.time() + 0.35
+            results, log = _schedule(
+                _sleep_until,
+                [(end, "a"), (end, "b")],
+                workers=4,
+                timeout_s=0.2,
+                spares=1,
+            )
+            assert results == ["a", "b"]
+            for task in (0, 1):
+                fates = [c.fate for c in log if c.task == task]
+                assert fates.count("won") == 1
+                assert set(fates) <= {"won", "lost"}
+                spared += len(fates) - 1
+        assert spared > 0
+
+    def test_task_without_spares_left_times_out(self):
+        timeout_s = 0.4
+        start = time.monotonic()
+        results, log = _schedule(
+            _sleep_on_every_attempt,
+            [5.0],
+            workers=2,
+            timeout_s=timeout_s,
+            spares=1,
+        )
+        elapsed = time.monotonic() - start
+        [failure] = results
+        assert isinstance(failure, WorkerFailure) and failure.timed_out
+        assert isinstance(failure.error, TimeoutError)
+        assert elapsed < 2 * timeout_s + 0.5
+        assert [(c.attempt, c.fate) for c in log] == [
+            (0, "timed_out"),
+            (1, "timed_out"),
+        ]
+
+    @pytest.mark.parametrize("spares", [0, 1])
+    def test_stalled_copies_on_every_worker_do_not_block_the_rest(self, spares):
+        # Two tasks stall on every copy and hold both workers once they
+        # are past the timeout; the third still runs, on a fresh pool.
+        hung = time.time() + 60.0
+        start = time.monotonic()
+        results, log = _schedule(
+            _sleep_until,
+            [(hung, "a"), (hung, "b"), (0.0, "c")],
+            workers=2,
+            timeout_s=0.3,
+            spares=spares,
+        )
+        assert time.monotonic() - start < 5.0
+        assert results[2] == "c"
+        for failure in results[:2]:
+            assert isinstance(failure, WorkerFailure) and failure.timed_out
+        expected = [(task, spares, "timed_out") for task in (0, 1)] + [
+            (2, 0, "won")
+        ]
+        if spares:  # the first copies were terminated for their spares
+            expected = [(0, 0, "lost"), (1, 0, "lost")] + expected
+        assert sorted((c.task, c.attempt, c.fate) for c in log) == sorted(expected)
 
 
 class TestStudyParallelism:
