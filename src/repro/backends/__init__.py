@@ -9,12 +9,9 @@ the batched variants, :func:`repro.characterize` /
 CLI ``--backend`` flag and the serve request option) accepts the same
 ``backend=`` argument and resolves it here.
 
-Built-in backends:
-
-* ``"numpy"`` — the pure-numpy reference (always registered; the
-  differential harness defines correctness against it);
-* ``"numba"`` — JIT-compiled loops, registered only when numba is
-  importable.
+The one built-in backend is ``"numpy"``, the pure-numpy reference that
+the conformance table (``tests/test_conformance.py``) checks every path
+against; a custom backend registers beside it.
 
 >>> from repro.backends import list_backends
 >>> "numpy" in list_backends()
@@ -22,8 +19,6 @@ True
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 from .base import KernelBackend, KernelBackendBase
 from .numpy_backend import NumpyBackend
@@ -47,12 +42,3 @@ __all__ = [
 ]
 
 register_backend("numpy", NumpyBackend(), replace=True)
-
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-    try:
-        from .numba_backend import NumbaBackend  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        __all__.append("NumbaBackend")
-        register_backend("numba", NumbaBackend(), replace=True)

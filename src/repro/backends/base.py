@@ -65,8 +65,8 @@ class KernelBackend(Protocol):
     ``name`` is the registry/metrics label; ``tolerance`` is the
     documented worst-case disagreement of the backend against the
     pure-numpy reference on convergent float64 inputs (0.0 for the
-    reference itself), asserted by the differential harness in
-    ``tests/backends/``.
+    reference itself), asserted by the conformance table in
+    ``tests/test_conformance.py``.
     """
 
     @property

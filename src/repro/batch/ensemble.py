@@ -16,8 +16,8 @@ Dispatch rules (documented in ``docs/BATCHED.md``):
   optionally across a process pool (``n_jobs``).
 
 Either way the returned columns line up with the input order, and the
-batched and scalar paths agree to ≤ 1e-10 on convergent slices (the
-differential harness in ``tests/batch/`` enforces this).
+batched and scalar paths agree bit for bit on the numpy backend (the
+conformance table in ``tests/test_conformance.py`` enforces this).
 
 Every fault policy runs the same body: coerce, apply the chaos fault
 plan, pre-screen, split batched/scalar, run the kernels, then the policy

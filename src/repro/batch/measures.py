@@ -7,8 +7,8 @@ row/column sums; TMA (eq. 8) rides on ``numpy.linalg.svd``'s stacked
 matrix support, which dispatches the whole ensemble through one LAPACK
 loop instead of N Python calls.
 
-The differential harness in ``tests/batch/`` holds these to ≤ 1e-10
-agreement with the scalar implementations per slice.
+The conformance table in ``tests/test_conformance.py`` holds these
+bit-identical to the scalar implementations per slice.
 """
 
 from __future__ import annotations

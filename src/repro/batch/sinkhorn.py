@@ -8,8 +8,8 @@ and two broadcast multiplies over the slices still iterating, so the
 per-matrix Python overhead is paid once per stack.  Slices converge
 independently — a slice freezes the moment its residual drops below
 ``tol``, so its iterates are exactly those of a scalar run on that
-matrix alone (bit-identical on the numpy backend; the differential
-harness in ``tests/batch/`` pins it).
+matrix alone (bit-identical on the numpy backend; the conformance
+table in ``tests/test_conformance.py`` pins it).
 
 :func:`standardize_batched` applies the Theorem-2 targets
 (rows ``sqrt(M/T)``, columns ``sqrt(T/M)``) to a stack.  Unlike the

@@ -89,8 +89,8 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 
     Choices are deliberately not baked into argparse: the registry is
     consulted at call time, so an unknown name produces the library's
-    canonical error listing the backends actually registered (which
-    depends on optional dependencies like numba).
+    canonical error listing the backends actually registered (including
+    any custom backend registered before the call).
     """
     p.add_argument(
         "--backend",

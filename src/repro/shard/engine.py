@@ -7,9 +7,9 @@
 T, M)`` slice with the in-memory pipeline, and merges the parts with
 :func:`repro.shard.merge.merge_characterizations`.  Because the batched
 kernels are per-slice independent, the merged result is bit-identical
-to characterizing the whole stack in RAM — the differential harness in
-``tests/shard/test_differential.py`` pins exactly that, across
-backends and policies.
+to characterizing the whole stack in RAM — the conformance table in
+``tests/test_conformance.py`` pins exactly that, across dispatch modes,
+policies and backends.
 
 Two dispatch modes:
 

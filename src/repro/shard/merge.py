@@ -1,9 +1,9 @@
 """Merging per-shard results into one ensemble characterization.
 
 The batched kernels are per-slice independent (the invariant the
-differential harness in ``tests/batch/`` pins), so a sharded run is
-just a partition of the in-memory run — merging is concatenation plus
-index bookkeeping.  :func:`merge_characterizations` takes
+conformance table in ``tests/test_conformance.py`` pins), so a sharded
+run is just a partition of the in-memory run — merging is concatenation
+plus index bookkeeping.  :func:`merge_characterizations` takes
 ``(start, result)`` parts whose member indices are *relative to the
 part*, shifts quarantine-report indices by each part's offset, and
 returns a single result indistinguishable from characterizing the
@@ -98,8 +98,8 @@ def merge_characterizations(parts):
     -------
     EnsembleCharacterization
         Bit-identical to characterizing the concatenated members in one
-        call (the differential harness in ``tests/shard/`` enforces
-        this against the real pipeline).
+        call (the conformance table in ``tests/test_conformance.py``
+        enforces this against the real pipeline).
 
     Examples
     --------

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -22,20 +19,16 @@ from repro.backends import (
 )
 from repro.exceptions import MatrixValueError
 
-DOCS = Path(__file__).resolve().parents[2] / "docs"
-
 
 class TestLookup:
     def test_numpy_reference_always_registered(self):
-        assert "numpy" in list_backends()
+        # The only built-in backend; also catches a test that leaves its
+        # own backend registered.
+        assert list_backends() == ("numpy",)
         backend = get_backend("numpy")
         assert isinstance(backend, KernelBackend)
         assert backend.name == "numpy"
         assert backend.tolerance == 0.0
-
-    def test_numba_registered_iff_importable(self):
-        has_numba = importlib.util.find_spec("numba") is not None
-        assert ("numba" in list_backends()) == has_numba
 
     def test_unknown_name_lists_registered_backends(self):
         with pytest.raises(MatrixValueError, match="backend must be one of"):
@@ -63,22 +56,8 @@ class TestRegister:
             register_backend("", NumpyBackend())
 
 
-def _documented_backend_source() -> str:
-    """The code block of docs/BACKENDS.md's "Registering your own"."""
-    text = (DOCS / "BACKENDS.md").read_text(encoding="utf-8")
-    section = text.split("## Registering your own", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
-
-
 class TestDocumentedBackend:
     """The documented example registers and runs every entry point."""
-
-    @pytest.fixture
-    def loop_backend(self, monkeypatch):
-        # Register into a copy so the example never leaks into other tests.
-        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        exec(_documented_backend_source(), {})
-        return get_backend("loop")
 
     def test_registers_as_a_kernel_backend(self, loop_backend):
         assert isinstance(loop_backend, KernelBackend)

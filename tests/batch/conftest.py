@@ -32,7 +32,7 @@ def ecs_stacks(
     keeps at least one positive entry in each row and column (the same
     validity rule the scalar kernels enforce).  The zero patterns are
     otherwise unconstrained, so decomposable (non-convergent) slices
-    are generated too — exactly what the differential tests need.
+    are generated too — exactly what the conformance table needs.
     """
     shapes = st.tuples(
         st.integers(min_slices, max_slices),

@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's example matrices and hypothesis strategies.
+"""Shared fixtures: the paper's example matrices, hypothesis strategies
+and the documented ``LoopBackend``.
 
 Also a session check that the test run leaves the repository's working
 tree as it found it (no test may write into a tracked or unignored
@@ -79,6 +80,26 @@ def _restore_metrics_gate():
     yield
     (metrics.enable_metrics if enabled else metrics.disable_metrics)()
     metrics.set_registry(registry)
+
+
+def _documented_backend_source() -> str:
+    """The code block of docs/BACKENDS.md's "Registering your own": the
+    one copy of the ``LoopBackend`` example."""
+    text = (REPO_ROOT / "docs" / "BACKENDS.md").read_text(encoding="utf-8")
+    section = text.split("## Registering your own", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.fixture
+def loop_backend(monkeypatch):
+    """The documented ``LoopBackend``, registered as ``"loop"`` into a
+    copy of the registry, so ``list_backends()`` is ``('numpy',)`` again
+    after the test."""
+    from repro.backends import get_backend, registry
+
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    exec(_documented_backend_source(), {})
+    return get_backend("loop")
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class TestKeyBasics:
                 "tol": 1e-08,
                 "policy": "quarantine",
                 "tma_fallback": "limit",
-                "backend": "numba",
+                "backend": "custom",
             },
         )
         assert other not in keys

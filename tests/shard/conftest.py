@@ -1,24 +1,15 @@
-"""Shared fixtures for the sharded-ensemble test harness.
+"""Shared helpers for the sharded-ensemble tests.
 
-The differential suites all compare a sharded run against the
-in-memory pipeline bit for bit, so the helpers here are strict:
-``assert_results_equal`` uses ``np.array_equal`` (no tolerance) on
-every result column and compares quarantine reports by dataclass
-equality.
+The suites compare a sharded run against the in-memory pipeline bit for
+bit, so ``assert_results_equal`` is strict: ``np.array_equal`` (no
+tolerance) on every result column, and quarantine reports compared by
+dataclass equality.
 """
 
 import numpy as np
-import pytest
-
-from repro import list_backends
 
 #: Measure columns every characterization result carries.
 RESULT_COLUMNS = ("mph", "tdh", "tma", "iterations", "converged", "batched")
-
-
-@pytest.fixture(params=list_backends())
-def backend(request):
-    return request.param
 
 
 def random_stack(n, t, m, *, seed=0):

@@ -1,121 +1,57 @@
-"""Differential harness: sharded execution == in-memory, bit for bit.
-
-One (512, 8, 8) store is characterized through every combination of
-registered backend x robustness policy, serially and through the
-process pool, and compared with ``np.array_equal`` (no tolerance)
-against ``characterize_ensemble`` on the same stack in RAM — including
-quarantine reports under injected faults.
+"""Sharded execution == in-memory: the conformance table's store rows
+(``tests/test_conformance.py``) on its ``faults`` corpus, under their
+earlier names.  28 members in 8-member shards (the last one short),
+data faults in three of them and two zero-patterned members that take
+the scalar fallback.
 """
 
 import pytest
 
-from repro.batch import characterize_ensemble
-from repro.robust import FaultPlan
-from repro.shard import characterize_store, write_store
+from repro.shard import plan_shards
 
-from .conftest import assert_results_equal, random_stack
-
-N_MEMBERS = 512
-CHUNK = 100  # five full shards + a short tail
+from ..test_conformance import BUDGET_MB, CORPUS, check_row
 
 
-@pytest.fixture(scope="module")
-def stack():
-    stack = random_stack(N_MEMBERS, 8, 8, seed=42)
-    # A couple of zero-patterned (but valid) members exercise the
-    # scalar fallback path inside chunks.
-    for member in (100, 301):
-        stack[member, 0, 1] = 0.0
-    return stack
-
-
-@pytest.fixture(scope="module")
-def store(stack, tmp_path_factory):
-    path = tmp_path_factory.mktemp("differential") / "store"
-    return write_store(path, stack)
-
-
-@pytest.fixture(scope="module")
-def fault_plan():
-    # Data faults only (stall semantics are covered by the chaos suite);
-    # members span several shards, including the short tail.
-    return FaultPlan.random(
-        N_MEMBERS, faults="nan=2,zero-row=1,zero-col=1", seed=3
-    )
+def check(path, corpus="faults"):
+    check_row(CORPUS[corpus], path)
 
 
 class TestPolicyBackendMatrix:
-    def test_raise_policy_matches(self, stack, store, backend):
-        whole = characterize_ensemble(stack, backend=backend)
-        sharded = characterize_store(store, chunk_size=CHUNK, backend=backend)
-        assert_results_equal(sharded, whole)
-        assert not sharded.batched[100]  # scalar fallback kept
+    @pytest.mark.parametrize("backend", ["numpy"])
+    def test_raise_policy_matches(self, backend):
+        check("store[serial]")
 
-    @pytest.mark.parametrize("policy", ["quarantine", "repair"])
-    def test_faulty_policies_match(self, stack, store, backend, policy, fault_plan):
-        whole = characterize_ensemble(
-            stack, policy=policy, fault_plan=fault_plan, backend=backend
-        )
-        sharded = characterize_store(
-            store,
-            chunk_size=CHUNK,
-            policy=policy,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-        assert_results_equal(sharded, whole)
-        # The report carries absolute indices matching the plan's targets.
-        assert {f.index for f in sharded.report.faults} == set(
-            fault_plan.members
-        )
+    @pytest.mark.parametrize("backend,policy",
+                             [("numpy", "quarantine"), ("numpy", "repair")])
+    def test_faulty_policies_match(self, backend, policy):
+        check("store=" if policy == "quarantine" else "store[repair]")
 
 
 class TestDispatchModes:
-    def test_pool_matches_serial(self, stack, store):
-        whole = characterize_ensemble(stack)
-        pooled = characterize_store(store, chunk_size=CHUNK, n_jobs=2)
-        assert_results_equal(pooled, whole)
+    def test_pool_matches_serial(self):
+        check("store[pool]", corpus="positive")
 
-    def test_pool_matches_with_faults(self, stack, store, fault_plan):
-        whole = characterize_ensemble(
-            stack, policy="quarantine", fault_plan=fault_plan
-        )
-        pooled = characterize_store(
-            store,
-            chunk_size=CHUNK,
-            n_jobs=2,
-            policy="quarantine",
-            fault_plan=fault_plan,
-        )
-        assert_results_equal(pooled, whole)
+    def test_pool_matches_with_faults(self):
+        check("store[pool]")
 
-    def test_memory_budget_path_matches(self, stack, store):
-        whole = characterize_ensemble(stack)
-        sharded = characterize_store(store, memory_budget_mb=1.0)
-        assert_results_equal(sharded, whole)
+    def test_memory_budget_path_matches(self):
+        """The budget row runs chunks the planner derives, not one shard."""
+        for name in ("faults", "stragglers", "cvb-cov2"):
+            plan = plan_shards(*CORPUS[name].stack.shape,
+                               memory_budget_bytes=int(BUDGET_MB * 2**20))
+            assert len(plan) >= 2, name
+        check("store[memory_budget_mb]")
 
-    def test_single_shard_matches(self, stack, store):
-        whole = characterize_ensemble(stack)
-        sharded = characterize_store(store, chunk_size=N_MEMBERS)
-        assert_results_equal(sharded, whole)
+    def test_single_shard_matches(self):
+        check("store[one shard]")
 
-    def test_chunk_of_one_member(self, stack, store):
-        # Degenerate tiling: 512 single-member shards, via the facade.
-        small = random_stack(9, 4, 4, seed=9)
-        whole = characterize_ensemble(small)
-        sharded = characterize_store(
-            write_store(store.path.parent / "tiny", small), chunk_size=1
-        )
-        assert_results_equal(sharded, whole)
+    def test_chunk_of_one_member(self):
+        check("store[chunk of one]")
 
 
 class TestFacade:
-    def test_characterize_ensemble_store_kwarg(self, stack, store):
-        whole = characterize_ensemble(stack)
-        via_facade = characterize_ensemble(store=store, chunk_size=CHUNK)
-        assert_results_equal(via_facade, whole)
+    def test_characterize_ensemble_store_kwarg(self):
+        check("store=")
 
-    def test_store_accepted_as_path(self, stack, store):
-        whole = characterize_ensemble(stack)
-        sharded = characterize_store(str(store.path), chunk_size=CHUNK)
-        assert_results_equal(sharded, whole)
+    def test_store_accepted_as_path(self):
+        check("store[path string]")

@@ -17,13 +17,7 @@ def _iter_modules():
 
 @pytest.mark.parametrize("name", sorted(_iter_modules()))
 def test_module_doctests(name):
-    try:
-        module = importlib.import_module(name)
-    except ModuleNotFoundError as exc:
-        # Optional-dependency modules (repro.backends.numba_backend)
-        # import their backing library at module level and simply never
-        # register when it is absent.
-        pytest.skip(f"optional dependency missing for {name}: {exc}")
+    module = importlib.import_module(name)
     results = doctest.testmod(
         module, optionflags=doctest.NORMALIZE_WHITESPACE, verbose=False
     )

@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.batch import sinkhorn_knopp_batched
 from repro.exceptions import (
+    ConvergenceError,
     EmptyRowColumnError,
     MatrixShapeError,
     MatrixValueError,
@@ -566,3 +567,68 @@ def test_budget_error_type_and_message(key):
         Budget(**kwargs)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+#: The backend retired with its optional dependency is an unknown name
+#: like any other: the registry lists what is registered.
+_RETIRED_BACKEND = "backend must be one of 'numpy'; got 'numba'"
+
+
+def test_retired_backend_name_is_unknown_to_characterize():
+    with pytest.raises(MatrixValueError) as info:
+        repro.characterize(GOOD, backend="numba")
+    assert str(info.value) == _RETIRED_BACKEND
+
+
+def test_retired_backend_name_exits_the_cli_without_a_traceback(
+    tmp_path, capsys
+):
+    from repro.cli import main
+
+    path = tmp_path / "env.csv"
+    np.savetxt(path, np.array(GOOD), delimiter=",")
+    assert main(["measures", str(path), "--backend", "numba"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_RETIRED_BACKEND}\n"
+
+
+def test_retired_backend_name_is_a_structured_400():
+    import asyncio
+    import json
+
+    from repro.serve import CharacterizationServer, ServeConfig
+
+    async def exchange():
+        server = CharacterizationServer(ServeConfig(enable_metrics=False))
+        body = json.dumps({"matrix": GOOD, "backend": "numba"}).encode()
+        return await server.exchange("POST", "/v1/characterize", body)
+
+    status, _, body, _ = asyncio.run(exchange())
+    assert status == 400
+    assert json.loads(body)["error"] == {
+        "category": "bad-request",
+        "message": "'backend' must be one of ['numpy'], got 'numba'",
+    }
+
+
+def test_non_convergence_names_the_slices():
+    eq10 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    stack = np.stack([np.arange(1.0, 10.0).reshape(3, 3), eq10,
+                      np.arange(2.0, 11.0).reshape(3, 3)])
+    with pytest.raises(ConvergenceError) as info:
+        sinkhorn_knopp_batched(stack, max_iterations=500)
+    assert str(info.value) == (
+        "1 of 3 slices did not reach tol=1e-08 within 500 iterations "
+        "(residual=9.990e-04, first failing slices: [1]); the matrix may be "
+        "decomposable — see repro.structure.is_normalizable"
+    )
+
+
+def test_inconsistent_batched_targets():
+    with pytest.raises(MatrixValueError) as info:
+        sinkhorn_knopp_batched(np.ones((1, 2, 2)), row_target=1.0, col_target=3.0)
+    assert str(info.value) == (
+        "inconsistent targets: need T*row_target == M*col_target "
+        "(2*1.0 != 2*3.0)"
+    )

@@ -5,7 +5,8 @@ pattern checks in ``repro.structure``), ``http.server``
 (``start_metrics_server``) and ``concurrent.futures.process`` with
 ``multiprocessing`` (the process-pool scheduler) are imported inside
 the functions that use them, so a fresh process pays for them only on
-first use.  Each check runs in a new interpreter, because other test
+first use.  No backend needs numba, so an installed numba stays
+unloaded too.  Each check runs in a new interpreter, because other test
 modules import scipy at module level.
 """
 
@@ -32,11 +33,13 @@ DEFERRED = (
 ENTRY_POINTS = ["repro", "repro.batch", "repro.shard", "repro.serve", "repro.cli"]
 
 
-def _run(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; return the JSON it prints."""
+def _run(code: str, *path: str) -> dict:
+    """Run ``code`` in a fresh interpreter, with ``path`` after the
+    source tree on ``PYTHONPATH``; return the JSON it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        [SRC, *path]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -55,6 +58,18 @@ _LOADED = (
 @pytest.mark.parametrize("module", ENTRY_POINTS)
 def test_entry_point_skips_deferred_libraries(module):
     assert _run(f"import {module}; {_LOADED}") == []
+
+
+def test_an_installed_numba_is_not_imported(tmp_path):
+    # No backend depends on numba: an importable one stays unloaded.
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text("")
+    code = (
+        "import importlib.util, json, sys, repro; print(json.dumps(["
+        "importlib.util.find_spec('numba') is not None, "
+        "'numba' in sys.modules, repro.list_backends()]))"
+    )
+    assert _run(code, str(tmp_path)) == [True, False, ["numpy"]]
 
 
 def test_characterize_skips_deferred_libraries():
