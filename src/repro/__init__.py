@@ -109,8 +109,6 @@ from .measures import (
 from .normalize import (
     CanonicalFormResult,
     NormalizationResult,
-    ScalingOutcome,
-    StandardFormResult,
     canonical_form,
     column_normalize,
     sinkhorn_knopp,
@@ -184,8 +182,6 @@ __all__ = [
     "column_normalize",
     "canonical_form",
     "NormalizationResult",
-    "ScalingOutcome",
-    "StandardFormResult",
     "CanonicalFormResult",
     # obs
     "recording",

@@ -52,7 +52,6 @@ __all__ = [
     "KernelBackend",
     "KernelBackendBase",
     "coerce_warm_start",
-    "coerce_warm_start_batched",
     "residual_histories",
     "residuals",
 ]
@@ -105,10 +104,10 @@ class KernelBackend(Protocol):
 def _warm_vectors(warm_start):
     """Extract ``(row_scale, col_scale)`` from a warm-start argument.
 
-    Accepts any :class:`~repro.normalize.ScalingOutcome`-shaped object
-    exposing ``row_scale``/``col_scale`` (e.g. a previous
-    ``NormalizationResult``, ``StandardFormResult`` or
-    ``BatchNormalizationResult``) or an explicit 2-sequence of vectors.
+    Accepts a previous scaling result exposing ``row_scale``/
+    ``col_scale`` (a :class:`~repro.normalize.NormalizationResult` or a
+    :class:`~repro.batch.BatchNormalizationResult`) or an explicit
+    2-sequence of vectors.
     """
     if hasattr(warm_start, "row_scale") and hasattr(warm_start, "col_scale"):
         return warm_start.row_scale, warm_start.col_scale
@@ -132,44 +131,31 @@ def _check_warm(vec: np.ndarray, what: str) -> np.ndarray:
 
 
 def coerce_warm_start(
-    warm_start, n_rows: int, n_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ``(row_scale, col_scale)`` float64 vectors for one
-    ``(n_rows, n_cols)`` matrix."""
-    row, col = _warm_vectors(warm_start)
-    row = np.asarray(row, dtype=np.float64).reshape(-1)
-    col = np.asarray(col, dtype=np.float64).reshape(-1)
-    if row.shape[0] != n_rows or col.shape[0] != n_cols:
-        raise MatrixValueError(
-            "warm_start scaling vectors must match the matrix shape "
-            f"({n_rows}, {n_cols}), got lengths {row.shape[0]} and "
-            f"{col.shape[0]}"
-        )
-    return _check_warm(row, "row_scale"), _check_warm(col, "col_scale")
-
-
-def coerce_warm_start_batched(
     warm_start, n_slices: int, n_rows: int, n_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ``((N, T), (N, M))`` float64 scale arrays for a stack.
+    """Validated ``((N, T), (N, M))`` float64 scale arrays, freshly
+    allocated, for an ``(N, T, M)`` stack (one matrix is ``N == 1``).
 
-    A single ``(T,)``/``(M,)`` pair (e.g. from a scalar run on the
-    unperturbed base matrix) broadcasts to every slice; per-slice
-    ``(N, T)``/``(N, M)`` arrays are used as-is.
+    A ``(T,)``/``(M,)`` pair (e.g. from a run on the unperturbed base
+    matrix) broadcasts to every slice; per-slice ``(N, T)``/``(N, M)``
+    arrays are used as-is.
     """
     row, col = _warm_vectors(warm_start)
     row = np.asarray(row, dtype=np.float64)
     col = np.asarray(col, dtype=np.float64)
     if row.ndim == 1 and col.ndim == 1:
-        row = np.broadcast_to(row, (n_slices, row.shape[0])).copy()
-        col = np.broadcast_to(col, (n_slices, col.shape[0])).copy()
-    if row.shape != (n_slices, n_rows) or col.shape != (n_slices, n_cols):
+        shapes = (n_rows,), (n_cols,)
+    else:
+        shapes = (n_slices, n_rows), (n_slices, n_cols)
+    if (row.shape, col.shape) != shapes:
         raise MatrixValueError(
-            "warm_start scaling arrays must have shape "
-            f"({n_slices}, {n_rows}) and ({n_slices}, {n_cols}) — or be "
-            f"a single ({n_rows},)/({n_cols},) pair broadcast to every "
-            f"slice — got {row.shape} and {col.shape}"
+            "warm_start scaling vectors must match the matrix shape "
+            f"({n_rows}, {n_cols}): one ({n_rows},)/({n_cols},) pair, or "
+            f"one such pair per member; got shapes {row.shape} and "
+            f"{col.shape}"
         )
+    row = np.broadcast_to(row, (n_slices, n_rows)).copy()
+    col = np.broadcast_to(col, (n_slices, n_cols)).copy()
     return _check_warm(row, "row_scale"), _check_warm(col, "col_scale")
 
 

@@ -407,7 +407,7 @@ def characterize_ensemble(
     backend : str or KernelBackend, optional
         Kernel backend, threaded into every Sinkhorn/SVD call on both
         the batched and scalar paths (see :mod:`repro.backends`).
-    warm_start : ScalingOutcome or (row_scale, col_scale), optional
+    warm_start : NormalizationResult or (row_scale, col_scale), optional
         Previous standard-form scaling vectors applied before
         iterating — the incremental re-characterization path for
         ``perturb_stack``-style what-if resubmissions (a scalar result
@@ -556,9 +556,9 @@ def characterize_ensemble(
                 "positive stack (zero-patterned slices take the scalar "
                 "path, which cannot reuse scaling vectors)"
             )
-        from ..backends.base import coerce_warm_start_batched
+        from ..backends.base import coerce_warm_start
 
-        warm_start = coerce_warm_start_batched(warm_start, *stack.shape)
+        warm_start = coerce_warm_start(warm_start, *stack.shape)
     scalar_idx = np.flatnonzero(healthy & ~in_batch)
     n_batched = int(in_batch.sum())
     rec = current_recorder()

@@ -93,7 +93,7 @@ def sinkhorn_knopp_batched(
     backend : str or KernelBackend, optional
         Kernel backend, exactly as in the scalar kernel (see
         :mod:`repro.backends`).
-    warm_start : ScalingOutcome or (row_scale, col_scale), optional
+    warm_start : NormalizationResult or (row_scale, col_scale), optional
         Previous scaling vectors applied before iterating.  A single
         ``(T,)``/``(M,)`` pair (e.g. from the unperturbed base matrix
         of a what-if stack) broadcasts to every slice; per-slice
@@ -326,8 +326,8 @@ def standardize_batched(
 
     def splice(i, _repaired, standard):
         matrix[i] = standard.matrix
-        row_scale[i] = standard.normalization.row_scale
-        col_scale[i] = standard.normalization.col_scale
+        row_scale[i] = standard.row_scale
+        col_scale[i] = standard.col_scale
         converged[i] = True
         iterations[i] = standard.iterations
         residual[i] = standard.residual

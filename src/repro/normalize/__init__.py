@@ -18,7 +18,6 @@ This package implements:
   by difficulty (ascending), the ordering MPH and TDH are defined on.
 """
 
-from .outcome import ScalingOutcome
 from .sinkhorn import (
     NormalizationResult,
     sinkhorn_knopp,
@@ -26,7 +25,6 @@ from .sinkhorn import (
     scale_by_diagonals,
 )
 from .standard_form import (
-    StandardFormResult,
     standardize,
     standard_targets,
     column_normalize,
@@ -40,12 +38,10 @@ from .diagnostics import (
 )
 
 __all__ = [
-    "ScalingOutcome",
     "NormalizationResult",
     "sinkhorn_knopp",
     "scale_to_margins",
     "scale_by_diagonals",
-    "StandardFormResult",
     "standardize",
     "standard_targets",
     "column_normalize",

@@ -45,14 +45,12 @@ from ..backends.base import (
     _line_sums,
     _sum_residuals,
     coerce_warm_start,
-    coerce_warm_start_batched,
     residual_histories,
 )
 from ..exceptions import ConvergenceError, MatrixValueError
 from ..obs import current_recorder
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
-from .outcome import _removed_alias
 
 if TYPE_CHECKING:
     from ..robust.taxonomy import QuarantineReport
@@ -162,8 +160,13 @@ class NormalizationResult:
     residual_history : tuple of float
         Residual after each full iteration (index 0 is the residual of
         the *input* matrix, before any scaling).
-    row_target, col_target : float
-        The target sums the iteration aimed for.
+    row_target, col_target : float or numpy.ndarray
+        The target sums the iteration aimed for: scalars, or the
+        prescribed ``(T,)``/``(M,)`` margins of :func:`scale_to_margins`.
+    zeroed_entries : tuple of (int, int)
+        Entries zeroed to reach the Sinkhorn *limit* before scaling
+        (only non-empty from :func:`repro.normalize.standardize` under
+        ``zeros="limit"``).
     """
 
     matrix: np.ndarray
@@ -173,8 +176,9 @@ class NormalizationResult:
     iterations: int
     residual: float
     residual_history: tuple[float, ...] = field(repr=False)
-    row_target: float = 1.0
-    col_target: float = 1.0
+    row_target: float | np.ndarray = 1.0
+    col_target: float | np.ndarray = 1.0
+    zeroed_entries: tuple[tuple[int, int], ...] = ()
 
     def max_sum_error(self) -> float:
         """Recompute the residual from ``matrix`` (diagnostic helper)."""
@@ -187,13 +191,10 @@ class NormalizationResult:
 class BatchNormalizationResult:
     """Columnar outcome of the batched alternating-scaling iteration.
 
-    Field names follow the :class:`~repro.normalize.ScalingOutcome`
-    protocol shared with the scalar results — ``matrix`` is the whole
-    scaled stack here, and the diagnostics are per-slice arrays instead
-    of scalars.  The pre-1.1 names ``matrices`` and
-    ``residual_histories`` were removed after their deprecation cycle;
-    accessing them raises :class:`AttributeError` naming the
-    replacement field.
+    The stacked form of :class:`NormalizationResult`, with the same
+    field names: ``matrix`` is the whole scaled stack here, and the
+    diagnostics are per-slice arrays instead of scalars.
+    :meth:`slice` returns one slice as a :class:`NormalizationResult`.
 
     Attributes
     ----------
@@ -234,22 +235,20 @@ class BatchNormalizationResult:
     col_target: float = 1.0
     report: QuarantineReport | None = None
 
-    matrices = _removed_alias("matrices", "matrix")
-    residual_histories = _removed_alias(
-        "residual_histories", "residual_history"
-    )
-
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
     def slice(self, index: int) -> NormalizationResult:
-        """The scalar-compatible :class:`NormalizationResult` of slice
-        ``index`` (a bridge for code written against the scalar API)."""
+        """The :class:`NormalizationResult` of slice ``index``."""
         return _slice(self, index, copy=True)
 
 
 def _slice(
-    result: BatchNormalizationResult, index: int, *, copy: bool
+    result: BatchNormalizationResult,
+    index: int,
+    *,
+    copy: bool,
+    zeroed_entries: tuple[tuple[int, int], ...] = (),
 ) -> NormalizationResult:
     """Slice ``index`` of ``result``; ``copy=False`` returns views, for
     a stack the call created and nobody else sees."""
@@ -264,6 +263,7 @@ def _slice(
         residual_history=result.residual_history[index],
         row_target=result.row_target,
         col_target=result.col_target,
+        zeroed_entries=zeroed_entries,
     )
 
 
@@ -363,15 +363,10 @@ def _scale_stack(
         row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
         col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
     else:
-        if kind == "batched":
-            rows, cols = coerce_warm_start_batched(
-                warm_start, n_slices, n_rows, n_cols
-            )
-        else:
-            rows, cols = coerce_warm_start(warm_start, n_rows, n_cols)
-        # Copies, because the scales accumulate in place.
-        row_scale = rows.reshape(n_slices, n_rows).copy()
-        col_scale = cols.reshape(n_slices, n_cols).copy()
+        # Fresh arrays, because the scales accumulate in place.
+        row_scale, col_scale = coerce_warm_start(
+            warm_start, n_slices, n_rows, n_cols
+        )
         # Rows first, then columns: the products scale_by_diagonals
         # forms, so a warm start from a converged run reproduces that
         # result bit-for-bit.
@@ -481,12 +476,19 @@ def _scale_stack(
 
 
 def _sinkhorn(
-    work: np.ndarray, row_target: float, col_target: float, **options
+    work: np.ndarray,
+    row_target: float,
+    col_target: float,
+    *,
+    zeroed_entries: tuple[tuple[int, int], ...] = (),
+    **options,
 ) -> NormalizationResult:
     """The body of :func:`sinkhorn_knopp`: ``work`` is a caller-owned,
     validated ``(T, M)`` matrix scaled in place, the targets are
     consistent, and ``options`` are :func:`_scale_stack`'s keywords
-    with a resolved backend and checked ``tol``/``max_iterations``."""
+    with a resolved backend and checked ``tol``/``max_iterations``.
+    ``zeroed_entries`` is what the result reports (see
+    :func:`repro.normalize.standardize`)."""
     n_rows, n_cols = work.shape
     return _slice(
         _scale_stack(
@@ -500,6 +502,7 @@ def _sinkhorn(
         ),
         0,
         copy=False,
+        zeroed_entries=zeroed_entries,
     )
 
 
@@ -577,7 +580,7 @@ def sinkhorn_knopp(
         Kernel backend running the inner loop (see
         :mod:`repro.backends`); defaults to the ``REPRO_BACKEND``
         environment variable, then the numpy reference.
-    warm_start : ScalingOutcome or (row_scale, col_scale), optional
+    warm_start : NormalizationResult or (row_scale, col_scale), optional
         Scaling vectors from a previous run (e.g. on an unperturbed
         copy of this matrix) applied before iterating, so
         near-identical resubmissions re-converge in a few iterations.
@@ -651,11 +654,12 @@ def scale_to_margins(
     adjacent-ratio averages equal the target MPH and TDH produces a
     matrix with *exactly* those three measure values.
 
-    Returns a :class:`NormalizationResult`; ``row_target``/``col_target``
-    are reported as NaN since the per-line targets are vectors here, and
-    the residual is the largest absolute deviation from the prescribed
-    margins.  ``tol``/``max_iterations``/``backend``/``warm_start`` behave
-    exactly as in :func:`sinkhorn_knopp`.
+    Returns a :class:`NormalizationResult` whose ``row_target``/
+    ``col_target`` are the prescribed ``(T,)``/``(M,)`` margins, so
+    ``max_sum_error()`` and the residual both measure the largest
+    absolute deviation from them.  ``tol``/``max_iterations``/
+    ``backend``/``warm_start`` behave exactly as in
+    :func:`sinkhorn_knopp`.
     """
     be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
@@ -663,8 +667,9 @@ def scale_to_margins(
     work = as_float_matrix(matrix, name="matrix").copy()
     _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
-    r = np.ascontiguousarray(row_sums, dtype=np.float64).reshape(-1)
-    c = np.ascontiguousarray(col_sums, dtype=np.float64).reshape(-1)
+    # Copies: the result keeps them as its targets.
+    r = np.array(row_sums, dtype=np.float64).reshape(-1)
+    c = np.array(col_sums, dtype=np.float64).reshape(-1)
     if r.shape[0] != n_rows or c.shape[0] != n_cols:
         raise MatrixValueError(
             f"margin lengths must match the matrix shape {work.shape}, got "
@@ -693,8 +698,8 @@ def scale_to_margins(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        row_target=float("nan"),
-        col_target=float("nan"),
+        row_target=r,
+        col_target=c,
         sums=sums,
     )
     return _slice(result, 0, copy=False)

@@ -10,13 +10,13 @@ singular value is exactly 1, which
 
 :func:`standardize` accepts a raw array or an :class:`~repro.core.ECSMatrix`
 (whose weighting factors are applied first, per eqs. 4/6) and runs the
-Sinkhorn iteration of :mod:`repro.normalize.sinkhorn` with those targets.
+Sinkhorn iteration of :mod:`repro.normalize.sinkhorn` with those targets,
+returning the same :class:`~repro.normalize.NormalizationResult`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .sinkhorn import NormalizationResult, _sinkhorn
 from .sinkhorn import sinkhorn_knopp  # noqa: F401
 
 __all__ = [
-    "StandardFormResult",
     "standard_targets",
     "standardize",
     "column_normalize",
@@ -60,56 +59,6 @@ def standard_targets(n_tasks: int, n_machines: int) -> tuple[float, float]:
         math.sqrt(n_machines / n_tasks),
         math.sqrt(n_tasks / n_machines),
     )
-
-
-@dataclass(frozen=True)
-class StandardFormResult:
-    """A standardized ECS matrix plus the iteration diagnostics.
-
-    Attributes
-    ----------
-    matrix : numpy.ndarray
-        The standard ECS matrix (rows sum to ``sqrt(M/T)``, columns to
-        ``sqrt(T/M)``; largest singular value 1 by Theorem 2).
-    normalization : NormalizationResult
-        Full Sinkhorn diagnostics (scaling diagonals, residual history).
-    zeroed_entries : tuple of (int, int)
-        Entries that were zeroed to reach the Sinkhorn *limit* (only
-        non-empty under ``zeros="limit"``; see :func:`standardize`).
-    """
-
-    matrix: np.ndarray
-    normalization: NormalizationResult
-    zeroed_entries: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def row_scale(self) -> np.ndarray:
-        """Diagonal of ``D1`` (ScalingOutcome field; feeds warm starts)."""
-        return self.normalization.row_scale
-
-    @property
-    def col_scale(self) -> np.ndarray:
-        """Diagonal of ``D2`` (ScalingOutcome field; feeds warm starts)."""
-        return self.normalization.col_scale
-
-    @property
-    def iterations(self) -> int:
-        """Full column+row iterations used (paper reports 6/7 for SPEC)."""
-        return self.normalization.iterations
-
-    @property
-    def converged(self) -> bool:
-        return self.normalization.converged
-
-    @property
-    def residual(self) -> float:
-        return self.normalization.residual
-
-    @property
-    def residual_history(self) -> tuple[float, ...]:
-        """Residual after each iteration (ScalingOutcome field; entry 0
-        is the residual of the input matrix)."""
-        return self.normalization.residual_history
 
 
 def _coerce_ecs(
@@ -154,7 +103,7 @@ def standardize(
     deadline_s: float | None = None,
     backend=None,
     warm_start=None,
-) -> StandardFormResult:
+) -> NormalizationResult:
     """Convert an ECS matrix to standard form.
 
     Parameters
@@ -173,7 +122,7 @@ def standardize(
     backend, warm_start
         Kernel backend and warm-start scaling vectors, passed straight to
         :func:`repro.normalize.sinkhorn_knopp` (see
-        :mod:`repro.backends`).  A previous ``StandardFormResult`` on a
+        :mod:`repro.backends`).  A previous standard form of a
         near-identical matrix is a valid ``warm_start``.
     zeros : {"strict", "limit"}
         How to treat zero patterns for which no exact scaling
@@ -193,6 +142,15 @@ def standardize(
           the semantics under which the paper's Fig. 4 matrices A, B
           and D "converge to the standard form of C".  Matrices whose
           margins are infeasible outright still raise.
+
+    Returns
+    -------
+    NormalizationResult
+        The same result :func:`repro.normalize.sinkhorn_knopp` returns,
+        with the Theorem-2 ``row_target``/``col_target`` and the
+        ``zeroed_entries`` the ``"limit"`` semantics zeroed (empty
+        otherwise).  Its ``row_scale``/``col_scale`` are a valid
+        ``warm_start`` for a later run.
 
     Examples
     --------
@@ -235,7 +193,7 @@ def _standardize(
     require_convergence: bool = True,
     deadline_s: float | None = None,
     warm_start=None,
-) -> StandardFormResult:
+) -> NormalizationResult:
     """The body of :func:`standardize` on a validated (weighted) ECS
     array, a resolved backend and checked ``tol``/``max_iterations``."""
     zeroed: tuple[tuple[int, int], ...] = ()
@@ -262,7 +220,7 @@ def _standardize(
             ecs[list(rows), list(cols)] = 0.0
             zeroed = report.blocking_edges
     row_target, col_target = standard_targets(*ecs.shape)
-    norm = _sinkhorn(
+    return _sinkhorn(
         ecs.copy(),
         row_target,
         col_target,
@@ -272,9 +230,7 @@ def _standardize(
         deadline_s=deadline_s,
         backend=backend,
         warm_start=warm_start,
-    )
-    return StandardFormResult(
-        matrix=norm.matrix, normalization=norm, zeroed_entries=zeroed
+        zeroed_entries=zeroed,
     )
 
 

@@ -114,7 +114,7 @@ def _repair(
 
     Returns ``(repaired, standard, attempts, label)``: the repaired
     matrix, its converged standard form
-    (:class:`~repro.normalize.StandardFormResult`), the attempts used
+    (:class:`~repro.normalize.NormalizationResult`), the attempts used
     and the repair label; ``repaired``/``standard``/``label`` are None
     when the member is unrepairable, every attempt failed, or the
     deadline ran out first.  Standard forms run on the default backend

@@ -10,7 +10,7 @@ from repro.batch import characterize_ensemble, standardize_batched
 from repro.exceptions import MatrixValueError
 from repro.generate.ensembles import perturb_stack
 from repro.normalize import (
-    ScalingOutcome,
+    NormalizationResult,
     scale_by_diagonals,
     sinkhorn_knopp,
     standardize,
@@ -63,7 +63,7 @@ class TestScalarWarmStart:
         rng = np.random.default_rng(2)
         ecs = rng.uniform(0.5, 5.0, size=(6, 4))
         seeded = standardize(ecs)
-        assert isinstance(seeded, ScalingOutcome)
+        assert type(seeded) is NormalizationResult
         warm = standardize(ecs, warm_start=seeded)
         assert warm.iterations == 0
 

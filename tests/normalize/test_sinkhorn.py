@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ConvergenceError, MatrixValueError
-from repro.normalize import sinkhorn_knopp, scale_by_diagonals
+from repro.normalize import scale_by_diagonals, scale_to_margins, sinkhorn_knopp
 
 
 class TestBasicConvergence:
@@ -50,6 +50,12 @@ class TestBasicConvergence:
             1, 2, size=(4, 4)))
         assert result.max_sum_error() == pytest.approx(result.residual,
                                                        abs=1e-12)
+        # Prescribed margins are the targets max_sum_error measures from.
+        margins = scale_to_margins([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0],
+                                   [1.5, 1.5])
+        assert margins.converged
+        assert margins.max_sum_error() == pytest.approx(margins.residual,
+                                                        abs=1e-12)
 
 
 class TestScalingRecovery:

@@ -632,3 +632,26 @@ def test_inconsistent_batched_targets():
         "inconsistent targets: need T*row_target == M*col_target "
         "(2*1.0 != 2*3.0)"
     )
+
+
+#: A warm start that does not fit the matrix shape gets one message from
+#: every entry point that takes one, for one matrix and for a stack.
+_WRONG_WARM_START = (
+    "warm_start scaling vectors must match the matrix shape (2, 2): one "
+    "(2,)/(2,) pair, or one such pair per member; got shapes (3,) and (2,)"
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [sinkhorn_knopp, standardize, sinkhorn_knopp_batched,
+     repro.characterize_ensemble],
+    ids=lambda entry: entry.__name__,
+)
+def test_wrong_length_warm_start(entry):
+    matrix = np.array(GOOD)
+    if entry in (sinkhorn_knopp_batched, repro.characterize_ensemble):
+        matrix = np.stack([matrix, 2.0 * matrix])
+    with pytest.raises(MatrixValueError) as info:
+        entry(matrix, warm_start=(np.ones(3), np.ones(2)))
+    assert str(info.value) == _WRONG_WARM_START
