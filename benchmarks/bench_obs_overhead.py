@@ -17,8 +17,8 @@ budget arithmetic (spans-per-run x cost-per-span / runtime) is visible
 in the persisted results file.
 
 A third claim covers the metrics registry (``repro.obs.metrics``):
-with collection disabled (the default), the hot-path feed helpers
-early-return, and their cost on a scalar Sinkhorn call — the smallest
+with collection disabled (the default), ``record(...)`` returns at its
+gate, and its cost on a scalar Sinkhorn call — the smallest
 instrumented kernel, hence the worst case in relative terms — stays
 below 1% of the kernel runtime.
 """
@@ -93,8 +93,8 @@ def test_disabled_overhead_under_2_percent(write_result):
 
     # Metrics-registry disabled path, measured on the *scalar* Sinkhorn
     # kernel — the smallest instrumented unit, hence the worst case in
-    # relative terms.  sinkhorn_knopp makes exactly one observe_sinkhorn
-    # call per run; while collection is disabled that call is a single
+    # relative terms.  sinkhorn_knopp records its run's three updates in
+    # one gated call; while collection is disabled that call is a single
     # early return.
     from repro.normalize.sinkhorn import sinkhorn_knopp
 
@@ -102,13 +102,15 @@ def test_disabled_overhead_under_2_percent(write_result):
     matrix = np.random.default_rng(7).uniform(0.5, 10.0, size=(24, 8))
     sinkhorn_knopp(matrix)  # warm caches
     kernel_s = _best_time(sinkhorn_knopp, matrix)
-    disabled_observe_s = timeit.timeit(
-        lambda: obs_metrics.observe_sinkhorn(
-            "scalar", iterations=7, residual=1e-9, converged=True
+    disabled_record_s = timeit.timeit(
+        lambda: obs_metrics.record(
+            ("repro_sinkhorn_runs_total", ("scalar", "true"), 1.0),
+            ("repro_sinkhorn_iterations", ("scalar",), 7),
+            ("repro_sinkhorn_exit_residual", ("scalar",), 1e-9),
         ),
         number=n_iter,
     ) / n_iter
-    feed_pct = disabled_observe_s / kernel_s * 100
+    feed_pct = disabled_record_s / kernel_s * 100
 
     # Serve-path tracing with span emission *disabled* (no trace_path,
     # no slow log): the only per-request cost is
@@ -147,8 +149,8 @@ def test_disabled_overhead_under_2_percent(write_result):
         f"enabled recording session            : {enabled_s * 1e3:8.2f} ms"
         f"  ({enabled_pct:+.1f}% vs disabled)",
         f"scalar sinkhorn_knopp(24x8)          : {kernel_s * 1e6:8.1f} us",
-        f"disabled observe_sinkhorn            : "
-        f"{disabled_observe_s * 1e9:8.1f} ns/call",
+        f"disabled record (3 sinkhorn updates) : "
+        f"{disabled_record_s * 1e9:8.1f} ns/call",
         f"disabled metrics feed (1 call/run)   : {feed_pct:8.4f} %"
         f"  (acceptance < 1%)",
         f"serve cache-hit request              : {hit_s * 1e6:8.1f} us",
@@ -178,7 +180,7 @@ def test_disabled_overhead_under_2_percent(write_result):
             "enabled_s": enabled_s,
             "enabled_pct": enabled_pct,
             "scalar_sinkhorn_s": kernel_s,
-            "disabled_observe_ns": disabled_observe_s * 1e9,
+            "disabled_record_ns": disabled_record_s * 1e9,
             "disabled_metrics_feed_pct": feed_pct,
             "serve_cache_hit_s": hit_s,
             "serve_compute_s": compute_s,
@@ -198,7 +200,7 @@ def test_disabled_overhead_under_2_percent(write_result):
     # Registry acceptance: the gated metrics feed costs < 1% of a scalar
     # Sinkhorn call while collection is disabled (the default).
     assert feed_pct < 1.0, f"disabled metrics feed {feed_pct:.4f}% >= 1%"
-    assert disabled_observe_s < 2e-6
+    assert disabled_record_s < 2e-6
     # Serve-path acceptance: with no trace_path the per-request tracing
     # bookkeeping costs <= 0.1% of a compute request under the default
     # config, and span emission never changes the served bytes.

@@ -52,6 +52,7 @@ __all__ = [
     "check_probability",
     "check_positive_scalar",
     "check_positive_int",
+    "INT64_MAX",
 ]
 
 
@@ -269,11 +270,19 @@ def check_positive_scalar(value, *, name: str, allow_zero: bool = False) -> floa
     return value
 
 
+#: The largest count the kernels' int64 counters hold.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def check_positive_int(value, *, name: str) -> int:
-    """Validate an integer >= 1."""
+    """Validate an integer in ``[1, INT64_MAX]``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise MatrixValueError(f"{name} must be an integer")
     value = int(value)
     if value < 1:
         raise MatrixValueError(f"{name} must be >= 1, got {value}")
+    if value > INT64_MAX:
+        raise MatrixValueError(
+            f"{name} must be <= {INT64_MAX} (the int64 maximum), got {value}"
+        )
     return value

@@ -283,7 +283,7 @@ class KernelBackendBase:
             cols=stack.shape[2],
         ):
             values = self.svd_values_batched(standard.matrix)
-        _metrics.observe_svd("batched", time.perf_counter() - t0)
+        _metrics.record(("repro_svd_seconds", ("batched",), time.perf_counter() - t0))
         if values.shape[1] < 2:
             tma = np.zeros(stack.shape[0], dtype=np.float64)
         else:

@@ -566,7 +566,14 @@ def characterize_ensemble(
         rec.counter("ensemble.slices", n)
         rec.counter("ensemble.batched_slices", n_batched)
         rec.counter("ensemble.fallback_slices", len(scalar_idx))
-    _metrics.count_ensemble_members(batched=n_batched, fallback=len(scalar_idx))
+    if _metrics.metrics_enabled():
+        # A path with no members adds no series; the family still shows.
+        _metrics.get_registry().declare("repro_ensemble_members_total")
+        _metrics.record(*(
+            ("repro_ensemble_members_total", (path,), count)
+            for path, count in (("batched", n_batched), ("fallback", len(scalar_idx)))
+            if count
+        ))
     if not robust and stalls:
         # No worker hosts a straggle under "raise": the call stalls once.
         time.sleep(max(stalls.values()))

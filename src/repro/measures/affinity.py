@@ -52,7 +52,7 @@ def _singular_values(matrix: np.ndarray, backend) -> np.ndarray:
     t0 = time.perf_counter()
     with _obs_span("svd.scalar", rows=matrix.shape[0], cols=matrix.shape[1]):
         values = backend.svd_values(matrix)
-    _metrics.observe_svd("scalar", time.perf_counter() - t0)
+    _metrics.record(("repro_svd_seconds", ("scalar",), time.perf_counter() - t0))
     return values
 
 

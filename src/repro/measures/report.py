@@ -171,7 +171,7 @@ def characterize(
             residual = standard.residual
             tma_value = _standard_tma(_singular_values(standard.matrix, be))
         sp.note(tma_method=method, iterations=iterations)
-    _metrics.count_characterize(method)
+    _metrics.record(("repro_characterize_runs_total", (method,), 1.0))
 
     # Summed after the standard form: a line sum that overflows raises
     # there, before numpy would warn about it here.

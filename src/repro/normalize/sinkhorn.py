@@ -434,14 +434,25 @@ def _scale_stack(
                 timed_out=timed_out,
             )
             sp.sample("residual", residual_histories(trace, 1)[0])
-    _metrics.observe_sinkhorn_batch(
-        kind, iterations=iterations, residual=residual, converged=converged
-    )
-    _metrics.count_backend_dispatch(backend.name, f"sinkhorn_{kind}")
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            f"sinkhorn_{kind}", "pending" if pending else "converged"
+    if _metrics.metrics_enabled():
+        updates = [
+            update
+            for its, res, ok in zip(iterations, residual, converged)
+            for update in (
+                ("repro_sinkhorn_runs_total", (kind, "true" if ok else "false"), 1.0),
+                ("repro_sinkhorn_iterations", (kind,), int(its)),
+                ("repro_sinkhorn_exit_residual", (kind,), float(res)),
+            )
+        ]
+        updates.append(
+            ("repro_backend_dispatch_total", (backend.name, f"sinkhorn_{kind}"), 1.0)
         )
+        if warm_start is not None:
+            outcome = "pending" if pending else "converged"
+            updates.append(
+                ("repro_backend_warm_start_total", (f"sinkhorn_{kind}", outcome), 1.0)
+            )
+        _metrics.record(*updates)
     if require_convergence and pending:
         bad = np.flatnonzero(active)
         worst = float(residual[bad].max())

@@ -20,17 +20,16 @@ Instruments are labelled: one metric name carries many label-value
 series (``repro_sinkhorn_runs_total{kernel="scalar",converged="true"}``).
 
 Every family the library records is declared once, in :data:`FAMILIES`
-(name, kind, help, label names, buckets).  The hot-path helpers below
-record into those families by name through
+(name, kind, help, label names, buckets).  Call sites record into
+those families by name with :func:`record`, which hands the updates to
 :meth:`MetricsRegistry.record`: the family is registered and validated
 the first time a registry sees it, and every later record is a dict
 lookup plus an update, all of one call under one lock hold.
 
 Collection is **off by default** and gated by a module-level flag so the
-instrumented hot paths pay one early-return function call per kernel
-*run* (never per iteration) while disabled —
-``benchmarks/bench_obs_overhead.py`` pins this below 1% of a scalar
-Sinkhorn call.  Enable it explicitly::
+instrumented hot paths pay one gate test per kernel *run* (never per
+iteration) while disabled — ``benchmarks/bench_obs_overhead.py`` pins
+this below 1% of a scalar Sinkhorn call.  Enable it explicitly::
 
     from repro.obs import collecting_metrics, render_prometheus
 
@@ -71,19 +70,7 @@ __all__ = [
     "collecting_metrics",
     "declare_families",
     "fold_recorder",
-    "observe_serve_request",
-    "observe_serve_scrape",
-    "observe_coalesce_batch",
-    "count_serve_kernel",
-    "count_serve_cache",
-    "count_serve_quarantined",
-    "count_serve_admitted",
-    "count_serve_shed",
-    "count_serve_deadline_exceeded",
-    "count_serve_drain",
-    "set_serve_admission_limit",
-    "observe_shard_chunk",
-    "count_shard_dispatch",
+    "record",
     "ITERATION_BUCKETS",
     "RESIDUAL_BUCKETS",
     "SECONDS_BUCKETS",
@@ -132,11 +119,14 @@ class FamilySpec(NamedTuple):
 
 
 #: Every metric family the library and the service record, by name.
-#: To add one, append a :class:`FamilySpec` here and record into it by
-#: name with :meth:`MetricsRegistry.record`; a ``repro_serve_*`` family
-#: is then pre-registered by the server like every other serve family.
+#: To add one, append a :class:`FamilySpec` here and :func:`record` into
+#: it by name; a ``repro_serve_*`` family is then pre-registered by the
+#: server like every other serve family.  The comments beside a family
+#: list its label vocabulary; the help strings stay as they are, since
+#: they are part of every exposition.
 FAMILIES = {spec.name: spec for spec in (
     # -- compute layers (normalize, batch, backends, measures, robust)
+    # kernel: scalar, margins or batched (one run per stack slice).
     FamilySpec("repro_sinkhorn_runs_total", "counter", ("kernel", "converged"),
                "Sinkhorn kernel runs by kernel and convergence outcome."),
     FamilySpec("repro_sinkhorn_iterations", "histogram", ("kernel",),
@@ -145,17 +135,24 @@ FAMILIES = {spec.name: spec for spec in (
     FamilySpec("repro_sinkhorn_exit_residual", "histogram", ("kernel",),
                "Largest row/column-sum deviation at kernel exit.",
                RESIDUAL_BUCKETS),
+    # kernel: scalar or batched (one stacked call).
     FamilySpec("repro_svd_seconds", "histogram", ("kernel",),
                "Wall time of the singular-value decompositions behind TMA.",
                SECONDS_BUCKETS),
+    # path: batched or fallback (the scalar path); a run with no members
+    # in either still declares the family.
     FamilySpec("repro_ensemble_members_total", "counter", ("path",),
                "Ensemble members characterized, by kernel dispatch path."),
+    # outcome: quarantined, repaired, and fault.<category> per taxonomy
+    # slug seen (fault.nan, fault.non-convergent, ...).
     FamilySpec("repro_member_outcomes_total", "counter", ("outcome",),
                "Robust ensemble member outcomes by quarantine taxonomy slug."),
     FamilySpec("repro_backend_dispatch_total", "counter", ("backend", "kernel"),
                "Kernel invocations by backend and kernel entry point."),
+    # kernel: sinkhorn_<kind>; outcome: converged or pending.
     FamilySpec("repro_backend_warm_start_total", "counter", ("kernel", "outcome"),
                "Warm-started Sinkhorn runs by kernel and convergence outcome."),
+    # tma_method: standard, limit or column.
     FamilySpec("repro_characterize_runs_total", "counter", ("tma_method",),
                "Full heterogeneity characterizations by TMA method."),
     # -- folded recorder sessions
@@ -172,9 +169,15 @@ FAMILIES = {spec.name: spec for spec in (
     # -- the service (repro.serve)
     FamilySpec("repro_serve_requests_total", "counter", ("endpoint", "status"),
                "Characterization service requests by endpoint and HTTP status."),
+    # source, the path that produced the response bytes: cold (a batch of
+    # one), batched (a coalesced batch > 1), inflight (joined an identical
+    # computation), cache-memory / cache-disk (the cache tier that hit),
+    # shed (a structured 503) or error.  The exemplar is the trace id.
     FamilySpec("repro_serve_request_seconds", "histogram", ("endpoint", "source"),
                "Service request wall time by endpoint and serving path.",
                SECONDS_BUCKETS),
+    # kind: metrics or healthz.  Scrapes stay out of the request families,
+    # so scrape traffic cannot drag the p99 the AIMD estimator targets.
     FamilySpec("repro_serve_scrapes_total", "counter", ("kind", "status"),
                "Observability scrapes (metrics/health endpoints) by kind and "
                "status."),
@@ -185,21 +188,30 @@ FAMILIES = {spec.name: spec for spec in (
                BATCH_SIZE_BUCKETS),
     FamilySpec("repro_serve_kernel_invocations_total", "counter", ("endpoint",),
                "Batched kernel calls issued by the coalescer, by endpoint."),
+    # event: hit-memory, hit-disk, miss, store, spill or spill_error.
     FamilySpec("repro_serve_cache_events_total", "counter", ("event",),
                "Content-addressed result cache events."),
     FamilySpec("repro_serve_quarantined_total", "counter", ("endpoint", "category"),
                "Service requests quarantined, by endpoint and fault category."),
     FamilySpec("repro_serve_admitted_total", "counter", ("endpoint",),
                "Requests admitted to the compute path, by endpoint."),
+    # reason: queue-full (the pending queue overflowed) or draining
+    # (graceful shutdown); deadline sheds count in the family below.
     FamilySpec("repro_serve_shed_total", "counter", ("endpoint", "reason"),
                "Requests shed with a structured 503, by endpoint and reason."),
+    # stage where the expiry was caught: entry (expired when parsed),
+    # admission (queued for a slot) or coalesce (lingering in a group).
     FamilySpec("repro_serve_deadline_exceeded_total", "counter", ("endpoint", "stage"),
                "Requests shed at their deadline, by endpoint and pipeline stage."),
+    # event: started, flushed (coalescer groups flushed), completed (every
+    # in-flight request finished) or timeout (work still live at the
+    # drain deadline).
     FamilySpec("repro_serve_drain_total", "counter", ("event",),
                "Graceful-drain lifecycle events."),
     FamilySpec("repro_serve_admission_limit", "gauge", ("endpoint",),
                "Current adaptive admission limit, by endpoint."),
     # -- the shard engine (repro.shard)
+    # mode: serial (streamed in-process) or pool (a worker process).
     FamilySpec("repro_shard_chunks_total", "counter", ("mode",),
                "Shard chunks characterized, by dispatch mode."),
     FamilySpec("repro_shard_members_total", "counter", ("mode",),
@@ -207,6 +219,9 @@ FAMILIES = {spec.name: spec for spec in (
     FamilySpec("repro_shard_chunk_seconds", "histogram", ("mode",),
                "Wall time of one shard chunk (read + characterize), by mode.",
                SECONDS_BUCKETS),
+    # event: primary (first dispatch of a shard), speculative (spare copy
+    # of a straggler), winner_primary / winner_backup (the copy that
+    # finished first) or cancelled (the losing copy).
     FamilySpec("repro_shard_dispatch_total", "counter", ("event",),
                "Shard scheduler dispatch events (straggler mitigation)."),
 )}
@@ -679,127 +694,19 @@ def declare_families(
             registry.declare(name)
 
 
-# -- the hot-path helpers ----------------------------------------------
-#
-# Helpers rather than module-level instrument objects so a swapped
-# default registry (collecting_metrics(fresh)) is always the one fed;
-# ``registry=`` records into an explicit registry regardless of the
-# gate.  Every helper skips all work while the gate is closed; that one
-# test IS the disabled-path cost the overhead benchmark budgets.
+def record(*updates) -> None:
+    """Apply ``(family, label values, value[, exemplar])`` updates to the
+    default registry, as :meth:`MetricsRegistry.record` does; nothing
+    while the gate is closed.
 
-
-def _record(registry: MetricsRegistry | None, *updates) -> None:
-    (registry or _default_registry).record(*updates)
-
-
-def _sinkhorn_updates(kernel, iterations, residual, converged) -> tuple:
-    return (
-        ("repro_sinkhorn_runs_total",
-         (kernel, "true" if converged else "false"), 1.0),
-        ("repro_sinkhorn_iterations", (kernel,), int(iterations)),
-        ("repro_sinkhorn_exit_residual", (kernel,), float(residual)),
-    )
-
-
-def observe_sinkhorn(
-    kernel: str,
-    *,
-    iterations: int,
-    residual: float,
-    converged: bool,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one scalar Sinkhorn kernel run (scalar/margins kernels)."""
-    if registry is not None or _enabled:
-        _record(registry, *_sinkhorn_updates(kernel, iterations, residual, converged))
-
-
-def observe_sinkhorn_batch(
-    kernel: str,
-    *,
-    iterations,
-    residual,
-    converged,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record every slice of a batched Sinkhorn run (per-slice arrays),
-    in slice order, under one lock hold."""
-    if registry is not None or _enabled:
-        _record(registry, *(
-            update
-            for run in zip(iterations, residual, converged)
-            for update in _sinkhorn_updates(kernel, *run)
-        ))
-
-
-def observe_svd(
-    kernel: str, wall_s: float, registry: MetricsRegistry | None = None
-) -> None:
-    """Record the wall time of one SVD call (scalar or stacked)."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_svd_seconds", (kernel,), wall_s))
-
-
-def count_ensemble_members(
-    *,
-    batched: int = 0,
-    fallback: int = 0,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record ensemble members by dispatch path (batched vs scalar)."""
-    if registry is not None or _enabled:
-        registry = registry or _default_registry
-        updates = [
-            ("repro_ensemble_members_total", (path,), n)
-            for path, n in (("batched", batched), ("fallback", fallback))
-            if n
-        ]
-        if updates:
-            registry.record(*updates)
-        else:  # the family still shows, with no samples
-            registry.declare("repro_ensemble_members_total")
-
-
-def count_member_outcomes(
-    report, registry: MetricsRegistry | None = None
-) -> None:
-    """Record robust-pipeline member outcomes by taxonomy slug.
-
-    ``report`` is a :class:`repro.robust.QuarantineReport`; outcomes are
-    ``quarantined``, ``repaired`` plus one series per fault-category
-    slug seen (``fault.nan_input``, ``fault.non_convergent``, ...).
+    The one hot-path entry point: call sites name a :data:`FAMILIES`
+    entry and pass string label values in its label order.  Looking up
+    the default registry at call time means a swapped one
+    (``collecting_metrics(fresh)``) is always the one fed.  A site whose
+    updates cost work to build tests :func:`metrics_enabled` first.
     """
-    if registry is not None or _enabled:
-        counts = [("quarantined", len(report.quarantined)),
-                  ("repaired", len(report.repaired))]
-        counts += [(f"fault.{category}", len(indices))
-                   for category, indices in report.by_category().items()]
-        _record(registry, *(("repro_member_outcomes_total", (outcome,), n)
-                            for outcome, n in counts))
-
-
-def count_backend_dispatch(
-    backend: str, kernel: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one kernel invocation by backend (``repro.backends``)."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_backend_dispatch_total", (backend, kernel), 1.0))
-
-
-def count_warm_start(
-    kernel: str, outcome: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one warm-started Sinkhorn run and how it ended."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_backend_warm_start_total", (kernel, outcome), 1.0))
-
-
-def count_characterize(
-    tma_method: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one full characterization by TMA method taken."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_characterize_runs_total", (tma_method,), 1.0))
+    if _enabled:
+        _default_registry.record(*updates)
 
 
 def fold_recorder(
@@ -831,194 +738,3 @@ def fold_recorder(
     updates += [("repro_obs_gauge", (event.name,), event.value)
                 for event in recorder.gauges]
     registry.record(*updates)
-
-
-# -- serving-layer instruments (repro.serve) ---------------------------
-
-
-def observe_serve_request(
-    endpoint: str,
-    *,
-    status: int,
-    source: str,
-    wall_s: float,
-    trace_id: str | None = None,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one finished service request.
-
-    ``source`` names the path that produced the response bytes:
-    ``cold`` (computed in a batch of one), ``batched`` (computed in a
-    coalesced batch > 1), ``inflight`` (joined an identical in-flight
-    computation), ``cache-memory`` / ``cache-disk`` (content-addressed
-    cache hit), or ``error``.  Scrape traffic (``GET /metrics``,
-    ``/healthz*``) never lands here — it is recorded separately by
-    :func:`observe_serve_scrape` so it cannot skew the latency
-    distribution the adaptive admission controller tunes against.
-
-    ``trace_id`` attaches an OpenMetrics exemplar to the latency bucket
-    this request fell into, tying the histogram tail to a concrete
-    trace.
-    """
-    if registry is not None or _enabled:
-        _record(
-            registry,
-            ("repro_serve_requests_total", (endpoint, str(int(status))), 1.0),
-            ("repro_serve_request_seconds", (endpoint, source), wall_s,
-             {"trace_id": trace_id} if trace_id else None),
-        )
-
-
-def observe_serve_scrape(
-    kind: str,
-    *,
-    status: int,
-    wall_s: float,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one observability scrape (``GET /metrics`` or ``/healthz*``).
-
-    Scrapes are kept out of ``repro_serve_requests_total`` /
-    ``repro_serve_request_seconds`` entirely: a 15-second Prometheus
-    scrape interval would otherwise pile sub-millisecond observations
-    into the serving histograms and drag the p99 the AIMD estimator
-    targets.  They get their own family instead, so scrape traffic is
-    still visible.
-    """
-    if registry is not None or _enabled:
-        _record(
-            registry,
-            ("repro_serve_scrapes_total", (kind, str(int(status))), 1.0),
-            ("repro_serve_scrape_seconds", (kind,), wall_s),
-        )
-
-
-def observe_coalesce_batch(
-    endpoint: str, size: int, registry: MetricsRegistry | None = None
-) -> None:
-    """Record the size of one flushed coalescer batch."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_coalesce_batch_size", (endpoint,), size))
-
-
-def count_serve_kernel(
-    endpoint: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one batched kernel invocation issued by the service."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_kernel_invocations_total", (endpoint,), 1.0))
-
-
-def count_serve_cache(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one result-cache event.
-
-    ``event`` is ``hit-memory``, ``hit-disk``, ``miss``, ``store`` or
-    ``spill``.
-    """
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_cache_events_total", (event,), 1.0))
-
-
-def count_serve_quarantined(
-    endpoint: str, category: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request answered with a structured quarantine error."""
-    if registry is not None or _enabled:
-        _record(registry,
-                ("repro_serve_quarantined_total", (endpoint, category), 1.0))
-
-
-def count_serve_admitted(
-    endpoint: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request admitted past the admission controller."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_admitted_total", (endpoint,), 1.0))
-
-
-def count_serve_shed(
-    endpoint: str, reason: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request shed by the admission layer.
-
-    ``reason`` is ``queue-full`` (bounded pending queue overflowed) or
-    ``draining`` (graceful shutdown in progress); deadline sheds are
-    counted separately by :func:`count_serve_deadline_exceeded`.
-    """
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_shed_total", (endpoint, reason), 1.0))
-
-
-def count_serve_deadline_exceeded(
-    endpoint: str, stage: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request shed because its deadline expired.
-
-    ``stage`` names where the expiry was caught: ``entry`` (already
-    expired when parsed), ``admission`` (expired while queued for a
-    slot) or ``coalesce`` (expired while lingering in a batch group).
-    """
-    if registry is not None or _enabled:
-        _record(registry,
-                ("repro_serve_deadline_exceeded_total", (endpoint, stage), 1.0))
-
-
-def count_serve_drain(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one graceful-drain lifecycle event.
-
-    ``event`` is ``started``, ``flushed`` (coalescer groups flushed
-    during the drain), ``completed`` (all in-flight requests finished)
-    or ``timeout`` (the drain deadline expired with work still live).
-    """
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_drain_total", (event,), 1.0))
-
-
-def set_serve_admission_limit(
-    endpoint: str, limit: float, registry: MetricsRegistry | None = None
-) -> None:
-    """Publish the live AIMD admission limit of one endpoint."""
-    if registry is not None or _enabled:
-        _record(registry, ("repro_serve_admission_limit", (endpoint,), limit))
-
-
-# -- shard-engine instruments (repro.shard) ----------------------------
-
-
-def observe_shard_chunk(
-    mode: str,
-    *,
-    members: int,
-    wall_s: float,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one completed shard chunk.
-
-    ``mode`` names the dispatch path: ``serial`` (streamed in-process)
-    or ``pool`` (scheduled on a worker process).
-    """
-    if registry is not None or _enabled:
-        _record(
-            registry,
-            ("repro_shard_chunks_total", (mode,), 1.0),
-            ("repro_shard_members_total", (mode,), members),
-            ("repro_shard_chunk_seconds", (mode,), wall_s),
-        )
-
-
-def count_shard_dispatch(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one shard-scheduler dispatch event.
-
-    ``event`` is ``primary`` (first dispatch of a shard),
-    ``speculative`` (redundant re-dispatch of a straggling shard),
-    ``winner_primary`` / ``winner_backup`` (which copy finished first),
-    or ``cancelled`` (the losing copy was revoked or abandoned).
-    """
-    if registry is not None or _enabled:
-        _record(registry, ("repro_shard_dispatch_total", (event,), 1.0))

@@ -263,7 +263,13 @@ def apply_policy(
             )
         )
     report = QuarantineReport(policy=policy, faults=tuple(records))
-    _metrics.count_member_outcomes(report)
+    if _metrics.metrics_enabled():
+        outcomes = [("quarantined", len(report.quarantined)),
+                    ("repaired", len(report.repaired))]
+        outcomes += [(f"fault.{category}", len(indices))
+                     for category, indices in report.by_category().items()]
+        _metrics.record(*(("repro_member_outcomes_total", (outcome,), n)
+                          for outcome, n in outcomes))
     rec = current_recorder()
     if rec is not None:
         rec.counter("robust.quarantined", len(report.quarantined))

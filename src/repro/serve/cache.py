@@ -176,7 +176,7 @@ class ResultCache:
     def _degrade_spill(self, why: str) -> None:
         """Fall back to memory-only LRU; warn once, count the event."""
         self.spill_errors += 1
-        _metrics.count_serve_cache("spill_error")
+        _metrics.record(("repro_serve_cache_events_total", ("spill_error",), 1.0))
         if not self.spill_degraded:
             self.spill_degraded = True
             self.spill_dir = None
@@ -206,7 +206,9 @@ class ResultCache:
             if value is not None:
                 self._entries.move_to_end(key)
                 self.hits_memory += 1
-                _metrics.count_serve_cache("hit-memory")
+                _metrics.record(
+                    ("repro_serve_cache_events_total", ("hit-memory",), 1.0)
+                )
                 return value
         if self.spill_dir is not None:
             path = self._spill_path(key)
@@ -222,7 +224,9 @@ class ResultCache:
                 # damage): never serve it — drop the file and
                 # recompute.  The spill path itself stays enabled.
                 self.spill_errors += 1
-                _metrics.count_serve_cache("spill_error")
+                _metrics.record(
+                    ("repro_serve_cache_events_total", ("spill_error",), 1.0)
+                )
                 try:
                     path.unlink()
                 except OSError:
@@ -232,11 +236,11 @@ class ResultCache:
                 with self._lock:
                     self.hits_disk += 1
                 self._store(key, value)
-                _metrics.count_serve_cache("hit-disk")
+                _metrics.record(("repro_serve_cache_events_total", ("hit-disk",), 1.0))
                 return value
         with self._lock:
             self.misses += 1
-        _metrics.count_serve_cache("miss")
+        _metrics.record(("repro_serve_cache_events_total", ("miss",), 1.0))
         return None
 
     def put(self, key: str, value: bytes) -> None:
@@ -257,10 +261,10 @@ class ResultCache:
                 self.evictions += 1
                 if self.spill_dir is not None:
                     spilled = (old_key, old_value)
-        _metrics.count_serve_cache("store")
+        _metrics.record(("repro_serve_cache_events_total", ("store",), 1.0))
         spill_dir = self.spill_dir
         if spilled is not None and spill_dir is not None:
-            _metrics.count_serve_cache("spill")
+            _metrics.record(("repro_serve_cache_events_total", ("spill",), 1.0))
             path = spill_dir / f"{spilled[0]}.json"
             try:
                 path.write_bytes(spilled[1])

@@ -282,9 +282,11 @@ class Coalescer:
         ):
             if deadline is not None and deadline.expired():
                 self.deadline_shed += 1
-                _metrics.count_serve_deadline_exceeded(
-                    self.endpoint, "coalesce"
-                )
+                _metrics.record((
+                    "repro_serve_deadline_exceeded_total",
+                    (self.endpoint, "coalesce"),
+                    1.0,
+                ))
                 if not future.done():
                     future.set_exception(
                         DeadlineExceeded(
@@ -313,8 +315,10 @@ class Coalescer:
         size = len(matrices)
         self.batches_flushed += 1
         self.requests_coalesced += size
-        _metrics.observe_coalesce_batch(self.endpoint, size)
-        _metrics.count_serve_kernel(self.endpoint)
+        _metrics.record(
+            ("repro_serve_coalesce_batch_size", (self.endpoint,), size),
+            ("repro_serve_kernel_invocations_total", (self.endpoint,), 1.0),
+        )
         loop = asyncio.get_running_loop()
         flush_t = time.perf_counter()
         lingers = [max(0.0, flush_t - submit_t) for submit_t in submitted]

@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._validation import INT64_MAX
+
 __all__ = [
     "SCHEMA",
     "ENDPOINTS",
@@ -197,11 +199,11 @@ def parse_request(endpoint: str, payload) -> ServeRequest:
         if (
             not isinstance(max_iterations, int)
             or isinstance(max_iterations, bool)
-            or max_iterations < 1
+            or not 1 <= max_iterations <= INT64_MAX
         ):
             raise ProtocolError(
-                "'max_iterations' must be a positive integer, got "
-                f"{max_iterations!r}"
+                f"'max_iterations' must be an integer in [1, {INT64_MAX}], "
+                f"got {max_iterations!r}"
             )
         options["max_iterations"] = max_iterations
 
@@ -277,7 +279,7 @@ def decode_json(body: bytes):
     """Parse a request body; raises :class:`ProtocolError` on bad JSON."""
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 

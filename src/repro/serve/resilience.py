@@ -304,7 +304,7 @@ class AdmissionController:
         if len(gate.waiters) >= self.queue_depth:
             gate.shed += 1
             retry = self.retry_after_s(endpoint)
-            _metrics.count_serve_shed(endpoint, "queue-full")
+            _metrics.record(("repro_serve_shed_total", (endpoint, "queue-full"), 1.0))
             raise ShedError(
                 "queue-full",
                 f"endpoint {endpoint!r} is at its admission limit "
@@ -336,7 +336,9 @@ class AdmissionController:
                     pass
             gate.shed += 1
             retry = self.retry_after_s(endpoint)
-            _metrics.count_serve_deadline_exceeded(endpoint, "admission")
+            _metrics.record(
+                ("repro_serve_deadline_exceeded_total", (endpoint, "admission"), 1.0)
+            )
             if trace is not None:
                 trace.add("queue_wait_s", time.perf_counter() - wait_t0)
             raise DeadlineExceeded(
@@ -352,10 +354,12 @@ class AdmissionController:
         gate.inflight += 1
         gate.peak_inflight = max(gate.peak_inflight, gate.inflight)
         gate.admitted += 1
-        _metrics.count_serve_admitted(endpoint)
+        _metrics.record(("repro_serve_admitted_total", (endpoint,), 1.0))
         estimator = self.estimators.get(endpoint)
         if estimator is not None:
-            _metrics.set_serve_admission_limit(endpoint, estimator.limit)
+            _metrics.record(
+                ("repro_serve_admission_limit", (endpoint,), estimator.limit)
+            )
 
     def release(self, endpoint: str) -> None:
         """Free one slot and grant the oldest live waiter, if any."""
@@ -375,8 +379,8 @@ class AdmissionController:
             before = estimator.limit
             estimator.observe(wall_s)
             if estimator.limit != before:
-                _metrics.set_serve_admission_limit(
-                    endpoint, estimator.limit
+                _metrics.record(
+                    ("repro_serve_admission_limit", (endpoint,), estimator.limit)
                 )
                 # A freshly raised limit can unblock queued waiters.
                 if estimator.limit > before:
@@ -443,7 +447,7 @@ class DrainState:
             return False
         self._draining = True
         self.drain_started_at = time.time()
-        _metrics.count_serve_drain("started")
+        _metrics.record(("repro_serve_drain_total", ("started",), 1.0))
         return True
 
     def uptime_s(self) -> float:

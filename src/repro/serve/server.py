@@ -431,7 +431,9 @@ class CharacterizationServer:
         request = parse_request(endpoint, payload)
         deadline = self._request_deadline(request, elapsed_s)
         if deadline is not None and deadline.expired():
-            _metrics.count_serve_deadline_exceeded(endpoint, "entry")
+            _metrics.record(
+                ("repro_serve_deadline_exceeded_total", (endpoint, "entry"), 1.0)
+            )
             raise DeadlineExceeded(
                 "request deadline expired before any work was scheduled"
             )
@@ -441,6 +443,7 @@ class CharacterizationServer:
         # Cache hits and singleflight joins bypass admission control:
         # they cost no kernel work, and shedding them under load would
         # throw away exactly the requests that are free to serve.
+        disk_hits = self.cache.hits_disk
         cache_t0 = time.perf_counter()
         cached = self.cache.get(key)
         cache_s = time.perf_counter() - cache_t0
@@ -448,7 +451,10 @@ class CharacterizationServer:
             trace.add("cache_s", cache_s)
         if cached is not None:
             self._emit_cache_span(trace, cache_s, "hit")
-            return 200, cached, "cache-memory"
+            # The loop thread is the cache's only reader, so a moved
+            # disk-hit count means this hit came from the spill tier.
+            disk = self.cache.hits_disk != disk_hits
+            return 200, cached, "cache-disk" if disk else "cache-memory"
         self._emit_cache_span(trace, cache_s, "miss")
 
         inflight = self._inflight.get(key)
@@ -636,19 +642,17 @@ class CharacterizationServer:
         t0 = time.perf_counter()
         path = path.split("?", 1)[0]
         if method == "GET" and path in ("/metrics", "/"):
-            payload = render_prometheus(
-                _metrics.get_registry()
-            ).encode("utf-8")
-            _metrics.observe_serve_scrape(
-                "metrics", status=200, wall_s=time.perf_counter() - t0
+            payload = render_prometheus(_metrics.get_registry()).encode("utf-8")
+            _metrics.record(
+                ("repro_serve_scrapes_total", ("metrics", "200"), 1.0),
+                ("repro_serve_scrape_seconds", ("metrics",), time.perf_counter() - t0),
             )
             return 200, PROMETHEUS_CONTENT_TYPE, payload, {}
-        if method == "GET" and path in (
-            "/healthz", "/healthz/live", "/healthz/ready"
-        ):
+        if method == "GET" and path in ("/healthz", "/healthz/live", "/healthz/ready"):
             status, ctype, payload = self._healthz(path)
-            _metrics.observe_serve_scrape(
-                "healthz", status=status, wall_s=time.perf_counter() - t0
+            _metrics.record(
+                ("repro_serve_scrapes_total", ("healthz", str(status)), 1.0),
+                ("repro_serve_scrape_seconds", ("healthz",), time.perf_counter() - t0),
             )
             return status, ctype, payload, {}
         endpoint = None
@@ -656,23 +660,25 @@ class CharacterizationServer:
             endpoint = path[len("/v1/"):]
         parent, trace_id = request_ids((headers or {}).get("traceparent"))
         out_headers = {"X-Repro-Trace-Id": trace_id}
+        if endpoint is None:
+            return 404, "application/json", error_body(
+                None, "not-found", f"unknown path {path!r}"
+            ), out_headers
+        if method != "POST":
+            return 405, "application/json", error_body(
+                endpoint, "bad-request",
+                f"{endpoint} requires POST, got {method}",
+            ), out_headers
         # Stage timings are collected only for a request whose span,
         # slow-log record or debug_timings answer reads them.
         rtrace = None
         if self.tracer is not None or self.slow_log is not None:
             rtrace = RequestTrace.begin(parent, trace_id, t0)
+        want_debug = False
+        source, error, fault = "error", None, None
         try:
-            if endpoint is None:
-                return 404, "application/json", error_body(
-                    None, "not-found", f"unknown path {path!r}"
-                ), out_headers
-            if method != "POST":
-                return 405, "application/json", error_body(
-                    endpoint, "bad-request",
-                    f"{endpoint} requires POST, got {method}",
-                ), out_headers
             if self.drain_state.draining:
-                _metrics.count_serve_shed(endpoint, "draining")
+                _metrics.record(("repro_serve_shed_total", (endpoint, "draining"), 1.0))
                 raise ShedError(
                     "draining",
                     "the server is draining for shutdown and accepts "
@@ -693,99 +699,46 @@ class CharacterizationServer:
                 trace=rtrace,
             )
             self.requests_served += 1
-            wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint,
-                status=status,
-                source=source,
-                wall_s=wall_s,
-                trace_id=trace_id,
-            )
-            if source in ("cold", "batched", "inflight"):
-                # Feed the AIMD estimator from the compute path only:
-                # memoized answers say nothing about kernel capacity.
-                self.admission.observe(endpoint, wall_s)
-            timings = self._finish_request(
-                rtrace, endpoint, status=status, source=source,
-                wall_s=wall_s, need_timings=want_debug,
-            )
-            if want_debug:
-                response = self._inject_debug(
-                    response, rtrace, timings, wall_s
-                )
-            return status, "application/json", response, out_headers
         except ProtocolError as exc:
-            status = exc.status
+            status, error = exc.status, f"ProtocolError: {exc}"
             category = "not-found" if status == 404 else "bad-request"
-            wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=status,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
+            response = error_body(endpoint, category, str(exc))
+        except ShedError as exc:
+            status, source, error = exc.status, "shed", f"ShedError: {exc}"
+            response = error_body(
+                endpoint, exc.category, str(exc), retry_after_s=exc.retry_after_s
             )
-            self._finish_request(
-                rtrace, endpoint, status=status, source="error",
-                wall_s=wall_s, error=f"ProtocolError: {exc}",
-            )
-            return status, "application/json", error_body(
-                endpoint, category, str(exc)
-            ), out_headers
-        except ShedError as shed:
-            wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=shed.status,
-                source="shed",
-                wall_s=wall_s,
-                trace_id=trace_id,
-            )
-            self._finish_request(
-                rtrace, endpoint, status=shed.status, source="shed",
-                wall_s=wall_s, error=f"ShedError: {shed}",
-            )
-            return shed.status, "application/json", error_body(
-                endpoint,
-                shed.category,
-                str(shed),
-                retry_after_s=shed.retry_after_s,
-            ), {**out_headers, "Retry-After": shed.retry_after_header}
-        except ServeFault as fault:
-            wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=fault.status,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
-            )
-            _metrics.count_serve_quarantined(
-                endpoint or "unknown", fault.category
-            )
-            self._finish_request(
-                rtrace, endpoint, status=fault.status, source="error",
-                wall_s=wall_s, error=f"ServeFault: {fault}",
-            )
-            return fault.status, "application/json", error_body(
-                endpoint, fault.category, str(fault)
-            ), out_headers
+            out_headers["Retry-After"] = exc.retry_after_header
+        except ServeFault as exc:
+            status, error, fault = exc.status, f"ServeFault: {exc}", exc
+            response = error_body(endpoint, exc.category, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
-            wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=500,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
-            )
-            self._finish_request(
-                rtrace, endpoint, status=500, source="error",
-                wall_s=wall_s, error=f"{type(exc).__name__}: {exc}",
-            )
-            return 500, "application/json", error_body(
-                endpoint, "internal", f"{type(exc).__name__}: {exc}"
-            ), out_headers
+            status, error = 500, f"{type(exc).__name__}: {exc}"
+            response = error_body(endpoint, "internal", error)
+        # The one exit of a /v1 request: its metrics, span and slow log.
+        wall_s = time.perf_counter() - t0
+        label = endpoint or "unknown"
+        quarantined = () if fault is None else (
+            ("repro_serve_quarantined_total", (label, fault.category), 1.0),
+        )
+        _metrics.record(
+            ("repro_serve_requests_total", (label, str(status)), 1.0),
+            ("repro_serve_request_seconds", (label, source), wall_s,
+             {"trace_id": trace_id}),
+            *quarantined,
+        )
+        if source in ("cold", "batched", "inflight"):
+            # Feed the AIMD estimator from the compute path only:
+            # memoized answers say nothing about kernel capacity.
+            self.admission.observe(endpoint, wall_s)
+        debug = want_debug and error is None
+        timings = self._finish_request(
+            rtrace, endpoint, status=status, source=source,
+            wall_s=wall_s, error=error, need_timings=debug,
+        )
+        if debug:
+            response = self._inject_debug(response, rtrace, timings, wall_s)
+        return status, "application/json", response, out_headers
 
     # -- the socket layer ----------------------------------------------
 
@@ -947,13 +900,15 @@ class CharacterizationServer:
             self._server = None
         for coalescer in self.coalescers.values():
             await coalescer.drain()
-        _metrics.count_serve_drain("flushed")
+        _metrics.record(("repro_serve_drain_total", ("flushed",), 1.0))
         waited = 0.0
         while self._active_exchanges > 0 and waited < drain_timeout_s:
             await asyncio.sleep(0.01)
             waited += 0.01
         clean = self._active_exchanges == 0
-        _metrics.count_serve_drain("completed" if clean else "timeout")
+        _metrics.record(
+            ("repro_serve_drain_total", ("completed" if clean else "timeout",), 1.0)
+        )
         return clean
 
 

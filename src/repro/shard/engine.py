@@ -193,10 +193,12 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
                     deadline,
                     kwargs,
                 )
-            _metrics.observe_shard_chunk(
-                "serial", members=shard.n_members, wall_s=time.perf_counter() - t0
+            _metrics.record(
+                ("repro_shard_chunks_total", ("serial",), 1.0),
+                ("repro_shard_members_total", ("serial",), shard.n_members),
+                ("repro_shard_chunk_seconds", ("serial",), time.perf_counter() - t0),
+                ("repro_shard_dispatch_total", ("primary",), 1.0),
             )
-            _metrics.count_shard_dispatch("primary")
             parts.append((shard.start, result))
     return parts
 
@@ -253,20 +255,25 @@ def _record_dispatch(plan, log, tracer, contexts) -> None:
         wall_s = copy.ended - copy.dispatched
         timing = {"wall_s": wall_s, "start": copy.dispatched + to_wall}
         meta = {"start_member": shard.start, "members": shard.n_members}
-        _metrics.count_shard_dispatch("speculative" if copy.attempt else "primary")
+        _metrics.record(("repro_shard_dispatch_total",
+                         ("speculative" if copy.attempt else "primary",), 1.0))
         if copy.attempt:
             count("shard.speculative", 1)
         if copy.fate == "won":
             who = "backup" if copy.attempt else "primary"
-            _metrics.observe_shard_chunk("pool", members=shard.n_members, wall_s=wall_s)
-            _metrics.count_shard_dispatch(f"winner_{who}")
+            _metrics.record(
+                ("repro_shard_chunks_total", ("pool",), 1.0),
+                ("repro_shard_members_total", ("pool",), shard.n_members),
+                ("repro_shard_chunk_seconds", ("pool",), wall_s),
+                ("repro_shard_dispatch_total", (f"winner_{who}",), 1.0),
+            )
             if copy.attempt:
                 count("shard.backup_wins", 1)
             if context is not None:
                 meta.update(winner=who, speculated=copies[copy.task] > 1)
                 tracer.emit_span("shard.dispatch", context, meta=meta, **timing)
         elif copy.fate == "lost":
-            _metrics.count_shard_dispatch("cancelled")
+            _metrics.record(("repro_shard_dispatch_total", ("cancelled",), 1.0))
             count("shard.cancelled", 1)
             if context is not None:
                 # The loser may never write its own span (its process is

@@ -193,14 +193,17 @@ class TestRegistry:
 
 class TestGate:
     def test_disabled_by_default_and_helpers_noop(self):
+        from repro import characterize
+
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            obs_metrics.observe_sinkhorn(
-                "scalar", iterations=5, residual=1e-9, converged=True
+            obs_metrics.record(
+                ("repro_sinkhorn_runs_total", ("scalar", "true"), 1.0),
+                ("repro_svd_seconds", ("scalar",), 0.01),
+                ("repro_characterize_runs_total", ("standard",), 1.0),
             )
-            obs_metrics.observe_svd("scalar", 0.01)
-            obs_metrics.count_characterize("standard")
+            characterize([[1.0, 2.0], [2.0, 1.0]])
             assert registry.names() == ()
         finally:
             set_registry(previous)
@@ -304,24 +307,23 @@ class TestHotPathFeeds:
         assert outcomes.value(outcome="fault.nan") == 2.0
 
     def test_count_member_outcomes_with_explicit_report(self):
-        from repro.robust.taxonomy import MemberFault, QuarantineReport
+        from repro.robust.budget import Budget, Deadline
+        from repro.robust.repair import apply_policy
 
-        report = QuarantineReport(
-            policy="repair",
-            faults=(
-                MemberFault(index=0, category="nan", detail="x"),
-                MemberFault(
-                    index=2,
-                    category="non-convergent",
-                    detail="y",
-                    repaired=True,
-                    attempts=1,
-                    repair="tol-backoff:1e-06",
-                ),
-            ),
-        )
-        registry = MetricsRegistry()
-        obs_metrics.count_member_outcomes(report, registry=registry)
+        healthy = np.array([[1.0, 2.0], [3.0, 4.0]])
+        faults = {0: ("nan", "x"), 2: ("non-convergent", "y")}
+        with collecting_metrics(MetricsRegistry()) as registry:
+            report = apply_policy(
+                faults,
+                policy="repair",
+                member=lambda i: healthy,
+                splice=lambda i, repaired, standard: None,
+                tol=1e-8,
+                max_iterations=10_000,
+                budget=Budget(),
+                deadline=Deadline(None),
+            )
+        assert report.quarantined == (0,) and report.repaired == (2,)
         outcomes = registry.get("repro_member_outcomes_total")
         assert outcomes.value(outcome="quarantined") == 1.0
         assert outcomes.value(outcome="repaired") == 1.0

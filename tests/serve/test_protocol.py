@@ -120,7 +120,7 @@ class TestParseRequest:
         with pytest.raises(ProtocolError):
             parse_request("characterize", _payload(tma_fallback="guess"))
 
-    @pytest.mark.parametrize("value", [0, -3, 2.5, "many"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "many", 2**63])
     def test_bad_max_iterations_rejected(self, value):
         with pytest.raises(ProtocolError):
             parse_request("standardize", _payload(max_iterations=value))
@@ -159,6 +159,19 @@ class TestEncoding:
     def test_decode_json_bad_bytes(self):
         with pytest.raises(ProtocolError):
             decode_json(b"{not json")
+
+    def test_deeply_nested_json_is_a_400(self):
+        body = b"[" * 50000 + b"]" * 50000
+        with pytest.raises(ProtocolError):
+            decode_json(body)
+
+        async def post():
+            server = CharacterizationServer(ServeConfig(enable_metrics=False))
+            return await server.exchange("POST", "/v1/characterize", body)
+
+        status, _, answer, _ = asyncio.run(post())
+        assert status == 400
+        assert json.loads(answer)["error"]["category"] == "bad-request"
 
     def test_result_body_roundtrip(self):
         body = result_body("characterize", {"mph": 0.5})
@@ -290,31 +303,42 @@ ENCODE_DIGESTS = {
 }
 
 
+def _sinkhorn_runs(kernel, iterations, residual, converged) -> list:
+    return [
+        update
+        for its, res, ok in zip(iterations, residual, converged)
+        for update in (
+            ("repro_sinkhorn_runs_total", (kernel, "true" if ok else "false"), 1.0),
+            ("repro_sinkhorn_iterations", (kernel,), its),
+            ("repro_sinkhorn_exit_residual", (kernel,), res),
+        )
+    ]
+
+
 def _helper_sequence(registry) -> None:
-    """A fixed call of every metrics helper into ``registry``."""
-    m = obs_metrics
-    m.observe_sinkhorn("scalar", iterations=7, residual=3e-9, converged=True, registry=registry)
-    m.observe_sinkhorn("margins", iterations=100_000, residual=0.25, converged=False, registry=registry)
-    m.observe_sinkhorn_batch(
-        "batched",
-        iterations=np.array([5, 9, 12, 700]),
-        residual=np.array([1e-9, 2.5e-9, np.nan, 0.1]),
-        converged=np.array([True, True, False, False]),
-        registry=registry,
+    """A fixed record into every declared family of ``registry``."""
+    record = registry.record
+    record(*_sinkhorn_runs("scalar", [7], [3e-9], [True]))
+    record(*_sinkhorn_runs("margins", [100_000], [0.25], [False]))
+    record(*_sinkhorn_runs(
+        "batched", [5, 9, 12, 700], [1e-9, 2.5e-9, np.nan, 0.1],
+        [True, True, False, False],
+    ))
+    record(
+        ("repro_svd_seconds", ("scalar",), 2.5e-5),
+        ("repro_svd_seconds", ("batched",), 0.003),
+        ("repro_ensemble_members_total", ("batched",), 14),
+        ("repro_ensemble_members_total", ("fallback",), 2),
+        ("repro_ensemble_members_total", ("batched",), 3),
+        ("repro_member_outcomes_total", ("quarantined",), 2),
+        ("repro_member_outcomes_total", ("repaired",), 1),
+        ("repro_member_outcomes_total", ("fault.nan",), 1),
+        ("repro_member_outcomes_total", ("fault.non-convergent",), 2),
+        ("repro_backend_dispatch_total", ("numpy", "sinkhorn_batched"), 1.0),
+        ("repro_backend_warm_start_total", ("batched", "converged"), 1.0),
+        ("repro_characterize_runs_total", ("standard",), 1.0),
+        ("repro_characterize_runs_total", ("limit",), 1.0),
     )
-    m.observe_svd("scalar", 2.5e-5, registry=registry)
-    m.observe_svd("batched", 0.003, registry=registry)
-    m.count_ensemble_members(batched=14, fallback=2, registry=registry)
-    m.count_ensemble_members(batched=3, registry=registry)
-    report = SimpleNamespace(
-        quarantined=[1, 4], repaired=[2],
-        by_category=lambda: {"nan": [1], "non-convergent": [2, 4]},
-    )
-    m.count_member_outcomes(report, registry=registry)
-    m.count_backend_dispatch("numpy", "sinkhorn_batched", registry=registry)
-    m.count_warm_start("batched", "converged", registry=registry)
-    m.count_characterize("standard", registry=registry)
-    m.count_characterize("limit", registry=registry)
     recorder = SimpleNamespace(
         events=[
             SimpleNamespace(name="demo.ok", wall_s=0.004, error=None),
@@ -323,32 +347,38 @@ def _helper_sequence(registry) -> None:
         counters={"demo.count": 3, "demo.more": 0.5},
         gauges=[SimpleNamespace(name="demo.gauge", value=7.5)],
     )
-    m.fold_recorder(recorder, registry=registry)
+    obs_metrics.fold_recorder(recorder, registry=registry)
+    exemplar = {"trace_id": "ab" * 16}
     for wall_s, source in ((0.0021, "batched"), (0.4, "cold"), (3e-5, "cache-memory")):
-        m.observe_serve_request(
-            "characterize", status=200, source=source, wall_s=wall_s,
-            trace_id="ab" * 16, registry=registry,
+        record(
+            ("repro_serve_requests_total", ("characterize", "200"), 1.0),
+            ("repro_serve_request_seconds", ("characterize", source), wall_s, exemplar),
         )
-    m.observe_serve_request(
-        "standardize", status=422, source="error", wall_s=0.0015, registry=registry
+    record(
+        ("repro_serve_requests_total", ("standardize", "422"), 1.0),
+        ("repro_serve_request_seconds", ("standardize", "error"), 0.0015),
+        ("repro_serve_scrapes_total", ("metrics", "200"), 1.0),
+        ("repro_serve_scrape_seconds", ("metrics",), 0.0004),
+        ("repro_serve_scrapes_total", ("healthz", "503"), 1.0),
+        ("repro_serve_scrape_seconds", ("healthz",), 2e-5),
+        ("repro_serve_coalesce_batch_size", ("characterize",), 16),
+        ("repro_serve_coalesce_batch_size", ("standardize",), 6),
+        ("repro_serve_kernel_invocations_total", ("characterize",), 1.0),
+        *(("repro_serve_cache_events_total", (event,), 1.0)
+          for event in ("miss", "store", "hit-memory", "hit-memory")),
+        ("repro_serve_quarantined_total", ("characterize", "nan"), 1.0),
+        ("repro_serve_admitted_total", ("characterize",), 1.0),
+        ("repro_serve_shed_total", ("standardize", "queue-full"), 1.0),
+        ("repro_serve_deadline_exceeded_total", ("characterize", "coalesce"), 1.0),
+        ("repro_serve_drain_total", ("started",), 1.0),
+        ("repro_serve_admission_limit", ("characterize",), 48),
+        ("repro_serve_admission_limit", ("characterize",), 33.5),
+        ("repro_shard_chunks_total", ("serial",), 1.0),
+        ("repro_shard_members_total", ("serial",), 64),
+        ("repro_shard_chunk_seconds", ("serial",), 0.012),
+        ("repro_shard_dispatch_total", ("primary",), 1.0),
+        ("repro_shard_dispatch_total", ("winner_backup",), 1.0),
     )
-    m.observe_serve_scrape("metrics", status=200, wall_s=0.0004, registry=registry)
-    m.observe_serve_scrape("healthz", status=503, wall_s=2e-5, registry=registry)
-    m.observe_coalesce_batch("characterize", 16, registry=registry)
-    m.observe_coalesce_batch("standardize", 6, registry=registry)
-    m.count_serve_kernel("characterize", registry=registry)
-    for event in ("miss", "store", "hit-memory", "hit-memory"):
-        m.count_serve_cache(event, registry=registry)
-    m.count_serve_quarantined("characterize", "nan", registry=registry)
-    m.count_serve_admitted("characterize", registry=registry)
-    m.count_serve_shed("standardize", "queue-full", registry=registry)
-    m.count_serve_deadline_exceeded("characterize", "coalesce", registry=registry)
-    m.count_serve_drain("started", registry=registry)
-    m.set_serve_admission_limit("characterize", 48, registry=registry)
-    m.set_serve_admission_limit("characterize", 33.5, registry=registry)
-    m.observe_shard_chunk("serial", members=64, wall_s=0.012, registry=registry)
-    m.count_shard_dispatch("primary", registry=registry)
-    m.count_shard_dispatch("winner_backup", registry=registry)
 
 
 def _exposition_without_exemplars(registry) -> bytes:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.measures.report import characterize
 from repro.scheduling.selection import recommend_from_measures
-from repro.serve import SCHEMA, ServeConfig, ServerThread
+from repro.serve import SCHEMA, CharacterizationServer, ServeConfig, ServerThread
 
 from .conftest import batch_size_snapshot, cache_events, kernel_invocations
 
@@ -102,6 +102,33 @@ class TestCachingOverHttp:
             == invocations
         )
         assert cache_events(live_server.registry, "hit-memory") >= 1
+
+    def test_disk_hit_is_labelled_cache_disk(self, metrics_registry, tmp_path):
+        rng = np.random.default_rng(22)
+        first, second = (
+            json.dumps({"matrix": m.tolist()}).encode()
+            for m in rng.uniform(0.5, 10.0, (2, 4, 4))
+        )
+
+        async def run():
+            server = CharacterizationServer(
+                ServeConfig(cache_dir=str(tmp_path), cache_entries=1)
+            )
+            for body in (first, second, first):  # second spills first
+                status, _, _, _ = await server.exchange(
+                    "POST", "/v1/characterize", body
+                )
+                assert status == 200
+            await server.stop()
+
+        asyncio.run(run())
+        assert cache_events(metrics_registry, "hit-disk") == 1.0
+        latency = metrics_registry.get("repro_serve_request_seconds")
+        counts = {
+            source: latency.snapshot(endpoint="characterize", source=source)["count"]
+            for source in ("cache-disk", "cache-memory")
+        }
+        assert counts == {"cache-disk": 1, "cache-memory": 0}
 
     def test_different_options_miss_the_cache(self, live_server, env_matrix):
         live_server.post_json("characterize", {"matrix": env_matrix.tolist()})

@@ -57,6 +57,8 @@ INPUTS = {
     "tol_negative": (GOOD, {"tol": -1.0}),
     "max_iterations_negative": (GOOD, {"max_iterations": -5}),
     "max_iterations_float": (GOOD, {"max_iterations": 2.5}),
+    # Past the int64 counters the kernels keep.
+    "max_iterations_huge": (GOOD, {"max_iterations": 2**63}),
 }
 
 ENTRY_POINTS = {
@@ -83,6 +85,11 @@ _CONTROL_ERRORS = {
         "max_iterations must be >= 1, got -5",
     ),
     "max_iterations_float": (MatrixValueError, "max_iterations must be an integer"),
+    "max_iterations_huge": (
+        MatrixValueError,
+        "max_iterations must be <= 9223372036854775807 (the int64 maximum), "
+        "got 9223372036854775808",
+    ),
 }
 _ECS_ERRORS = {
     "nan": (MatrixValueError, "ECS matrix contains NaN entries"),
@@ -609,6 +616,26 @@ def test_retired_backend_name_is_a_structured_400():
     assert json.loads(body)["error"] == {
         "category": "bad-request",
         "message": "'backend' must be one of ['numpy'], got 'numba'",
+    }
+
+
+def test_huge_max_iterations_is_a_structured_400():
+    import asyncio
+    import json
+
+    from repro.serve import CharacterizationServer, ServeConfig
+
+    async def exchange():
+        server = CharacterizationServer(ServeConfig(enable_metrics=False))
+        body = json.dumps({"matrix": GOOD, "max_iterations": 2**63}).encode()
+        return await server.exchange("POST", "/v1/standardize", body)
+
+    status, _, body, _ = asyncio.run(exchange())
+    assert status == 400
+    assert json.loads(body)["error"] == {
+        "category": "bad-request",
+        "message": "'max_iterations' must be an integer in "
+        "[1, 9223372036854775807], got 9223372036854775808",
     }
 
 
