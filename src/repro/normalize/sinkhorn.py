@@ -48,7 +48,6 @@ from ..backends.base import (
     residual_histories,
 )
 from ..exceptions import ConvergenceError, MatrixValueError
-from ..obs import current_recorder
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
 
@@ -395,7 +394,7 @@ def _scale_stack(
         region = _obs_span(f"sinkhorn.{kind}", rows=n_rows, cols=n_cols)
     with region as sp:
         on_progress = None
-        if kind == "batched" and current_recorder() is not None:
+        if kind == "batched" and sp.enabled:
             # Active-mask occupancy: how many slices still iterate.
             def on_progress(active_count: int) -> None:
                 sp.sample("active_slices", active_count)

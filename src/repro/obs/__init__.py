@@ -18,13 +18,15 @@ True
 
 Core pieces
 -----------
-* :func:`recording` — activate a contextvar-scoped :class:`Recorder`
-  for a ``with`` block (optionally wiring a JSONL trace file or a
-  :mod:`logging` bridge).
+* :func:`recording` — bind a fresh :class:`Recorder` for a ``with``
+  block (optionally wiring a JSONL trace file or a :mod:`logging`
+  bridge); :func:`trace_scope` — bind a :class:`TraceContext`, and
+  optionally more sinks.  One contextvar holds both.
 * :func:`span` / :func:`traced` — instrument a region / a function;
-  no-ops when no recorder is active.
-* :func:`current_recorder` — ambient-recorder lookup for hot loops
-  that guard per-iteration sampling.
+  no-ops when nothing is bound.  :func:`record_span` records a region
+  its caller timed itself, through the same builder.
+* :func:`current_recorder` — ambient-recorder lookup for code that
+  keeps counters.
 * :func:`summary` — count/total/p50/p95/p99 aggregation per span name,
   the table behind ``repro-hc profile``.
 * Sinks: :class:`MemorySink`, :class:`JsonlSink`, :class:`LoggingSink`
@@ -67,23 +69,16 @@ from .metrics import (
 from .recorder import (
     Recorder,
     current_recorder,
+    current_trace,
+    record_span,
     recording,
     span,
+    trace_scope,
     traced,
 )
 from .sinks import JsonlSink, LoggingSink, MemorySink, RotatingJsonlSink, Sink
 from .summary import SpanStats, SpanSummary, summarize, summary
-from .trace_context import (
-    TIMING_STAGES,
-    RequestTrace,
-    TraceContext,
-    Tracer,
-    current_trace,
-    current_tracer,
-    set_tracer,
-    trace_scope,
-    tracing,
-)
+from .trace_context import TIMING_STAGES, RequestTrace, TraceContext
 from .trace_query import (
     TraceView,
     format_trace,
@@ -97,6 +92,7 @@ __all__ = [
     "recording",
     "span",
     "traced",
+    "record_span",
     "current_recorder",
     "summary",
     "summarize",
@@ -112,13 +108,9 @@ __all__ = [
     "LoggingSink",
     "TraceContext",
     "RequestTrace",
-    "Tracer",
     "TIMING_STAGES",
     "current_trace",
-    "current_tracer",
-    "set_tracer",
     "trace_scope",
-    "tracing",
     "TraceView",
     "load_spans",
     "group_traces",

@@ -19,6 +19,7 @@ new sinks never need to know about the dataclasses themselves.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -58,11 +59,12 @@ class SpanEvent:
         Dotted span name (``"sinkhorn.scalar"``, ``"svd.batched"``,
         ``"scheduling.min_min"`` ...).
     index : int
-        Sequence number within the recorder (0-based, close order).
+        Sequence number in close order, unique within the process.
     depth : int
-        Nesting depth at entry (0 = top level).
+        Nesting depth at entry (0 = top level) within the process.
     start : float
-        Entry time in seconds relative to the recorder's epoch.
+        Wall-clock (``time.time()``) entry time, so spans from several
+        processes line up on one timeline.
     wall_s, cpu_s : float
         Wall-clock and process-CPU duration of the region.
     meta : dict
@@ -76,8 +78,10 @@ class SpanEvent:
     trace_id, span_id, parent_id : str or None
         Distributed-trace identity (W3C format), stamped when a
         :class:`repro.obs.trace_context.TraceContext` was ambient while
-        the span closed.  None for untraced runs, and omitted from the
-        record so existing sinks and tooling see unchanged output.
+        the span opened.  None for untraced runs, and omitted from the
+        record.  A traced record also carries the ``pid`` of the process
+        that wrote it, so a trace that spans a process pool keeps one
+        lane per process in a Chrome export.
     links : tuple of dict
         Span links (``{"trace_id", "span_id"}``) for fan-in spans such
         as a batched kernel serving several request traces.
@@ -117,8 +121,8 @@ class SpanEvent:
         if self.trace_id is not None:
             record["trace_id"] = self.trace_id
             record["span_id"] = self.span_id
-            if self.parent_id is not None:
-                record["parent_id"] = self.parent_id
+            record["parent_id"] = self.parent_id
+            record["pid"] = os.getpid()
             if self.links:
                 record["links"] = [dict(link) for link in self.links]
         return record

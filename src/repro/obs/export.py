@@ -228,11 +228,12 @@ def chrome_trace_events(records) -> list[dict]:
     (``ph="C"``) events.  Unknown record types are skipped, so the
     converter tolerates trace files from newer writers.
 
-    Records from multi-process runs (shard pool workers stamp ``pid``
-    and ``process``) get a stable per-process lane: real pids map to
-    sequential trace pids in first-seen order, and ``process_name`` /
-    ``thread_name`` metadata (``ph="M"``) events name every lane, so
-    Perfetto shows "shard-worker-1234" rather than an anonymous tid.
+    Records from multi-process runs (traced records stamp ``pid``, and
+    may name a ``process``) get a stable per-process lane: real pids
+    map to sequential trace pids in first-seen order, and
+    ``process_name`` / ``thread_name`` metadata (``ph="M"``) events
+    name every lane, so Perfetto shows "pid 1234" rather than an
+    anonymous tid.
     """
     events: list[dict] = []
     lanes: dict[object, int] = {}
@@ -322,9 +323,11 @@ def chrome_trace(source) -> dict:
     """
     if hasattr(source, "events") and hasattr(source, "counters"):
         records = [event.to_record() for event in source.events]
+        # Totals land where the last span ends, on the spans' wall clock.
+        end = max((e.start + e.wall_s for e in source.events), default=0.0)
         records += [
             {"type": "counter_total", "name": name, "value": value,
-             "start": 0.0}
+             "start": end}
             for name, value in sorted(source.counters.items())
         ]
         records += [event.to_record() for event in source.gauges]

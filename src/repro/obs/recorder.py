@@ -1,30 +1,22 @@
-"""The contextvar-scoped recorder and its span/decorator front door.
+"""The one span model: ambient sinks, trace context and live spans.
 
-Design (see ``docs/OBSERVABILITY.md`` for the full model):
-
-* Instrumented library code calls :func:`span` (a context manager) or
-  is wrapped in :func:`traced`.  Neither takes a recorder argument —
-  the *ambient* recorder is looked up in a :mod:`contextvars` variable,
-  so instrumentation composes across call stacks, threads and asyncio
-  tasks without threading a handle through every signature.
-* When no recorder is active (the default), :func:`span` returns a
-  shared no-op singleton: the entire cost of disabled instrumentation
-  is one contextvar read plus an attribute call, a few hundred
-  nanoseconds per span.  ``benchmarks/bench_obs_overhead.py`` pins
-  this below 2% of the batched-pipeline runtime.
-* :func:`recording` activates a fresh :class:`Recorder` for the
-  duration of a ``with`` block and restores the previous state on
-  exit, so recordings nest and never leak.
-
-Hot loops that want per-iteration samples should fetch the recorder
-once with :func:`current_recorder` and skip the sampling work entirely
-when it is ``None`` — see ``repro.batch.sinkhorn`` for the pattern.
+Instrumented code calls :func:`span` or is wrapped in :func:`traced`;
+neither takes a handle.  One :mod:`contextvars` variable holds the
+ambient *frame*: the bound sinks, the :class:`Recorder` (if any), the
+current :class:`~repro.obs.TraceContext` and the nesting depth.
+:func:`recording` and :func:`trace_scope` bind a frame, and so does
+every live span, so spans opened inside it become its children.
+:func:`record_span` is the one function that builds a span record and
+hands it to the bound sinks.  With nothing bound, :func:`span` is one
+contextvar read returning a shared no-op (``benchmarks/
+bench_obs_overhead.py`` gates that cost).  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterable
@@ -34,32 +26,61 @@ from .events import CounterEvent, GaugeEvent, SpanEvent
 __all__ = [
     "Recorder",
     "current_recorder",
+    "current_trace",
+    "record_span",
     "recording",
     "span",
+    "trace_scope",
     "traced",
 ]
 
-_recorder_var: contextvars.ContextVar["Recorder | None"] = (
-    contextvars.ContextVar("repro_obs_recorder", default=None)
+
+class _Frame:
+    """What the ambient contextvar binds.  ``depth`` is the depth of a
+    span opened inside; an ``idle`` frame (no recorder, no sinks) only
+    carries a trace context, and spans inside it are no-ops."""
+
+    __slots__ = ("recorder", "sinks", "context", "depth", "idle")
+
+    def __init__(self, recorder, sinks: tuple, context, depth: int) -> None:
+        self.recorder = recorder
+        self.sinks = sinks
+        self.context = context
+        self.depth = depth
+        self.idle = recorder is None and not sinks
+
+
+_frame_var: contextvars.ContextVar["_Frame | None"] = contextvars.ContextVar(
+    "repro_obs_frame", default=None
 )
+_UNBOUND = _Frame(None, (), None, 0)
+
+# Close order of every span record in this process.
+_span_index = itertools.count()
 
 
 def current_recorder() -> "Recorder | None":
-    """The recorder active in this context, or None when disabled.
+    """The recorder bound in this context, or None (counters skip their
+    bookkeeping then)."""
+    frame = _frame_var.get()
+    return None if frame is None else frame.recorder
 
-    Hot loops use this to guard per-iteration sampling::
 
-        rec = current_recorder()
-        while iterating:
-            ...
-            if rec is not None:
-                sp.sample("active_slices", int(active.sum()))
-    """
-    return _recorder_var.get()
+def current_trace():
+    """The ambient :class:`~repro.obs.TraceContext` (inside a traced
+    live span, the span's own), or None."""
+    frame = _frame_var.get()
+    return None if frame is None else frame.context
+
+
+def current_sinks() -> tuple:
+    """The sinks bound in this context, besides the recorder."""
+    frame = _frame_var.get()
+    return () if frame is None else frame.sinks
 
 
 class Recorder:
-    """Collects structured events for one recording session.
+    """The sink that keeps a recording session's events and counters.
 
     Attributes
     ----------
@@ -70,8 +91,9 @@ class Recorder:
     gauges : list of GaugeEvent
         Point-in-time values recorded via :meth:`gauge`.
     sinks : list
-        Sinks receiving every record as it is produced (counter totals
-        are additionally flushed on :meth:`close`).
+        The session's other sinks.  They receive every span record the
+        session sees, every counter and gauge, and the counter totals
+        on :meth:`close`.
     """
 
     def __init__(self, sinks: Iterable = ()) -> None:
@@ -79,34 +101,21 @@ class Recorder:
         self.counters: dict[str, float] = {}
         self.gauges: list[GaugeEvent] = []
         self.sinks = list(sinks)
-        self._epoch = time.perf_counter()
-        self._depth = 0
-        self._index = 0
         self._closed = False
-
-    # -- event intake --------------------------------------------------
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._epoch
 
     def _emit(self, record: dict) -> None:
         for sink in self.sinks:
             sink.emit(record)
 
-    def _record_span(self, event: SpanEvent) -> None:
-        self.events.append(event)
-        if self.sinks:
-            self._emit(event.to_record())
-
     def counter(self, name: str, value: float = 1) -> None:
         """Accumulate ``value`` onto counter ``name``."""
         self.counters[name] = self.counters.get(name, 0) + value
         if self.sinks:
-            self._emit(CounterEvent(name, value, self._now()).to_record())
+            self._emit(CounterEvent(name, value, time.time()).to_record())
 
     def gauge(self, name: str, value: float) -> None:
         """Record a point-in-time value."""
-        event = GaugeEvent(name, float(value), self._now())
+        event = GaugeEvent(name, float(value), time.time())
         self.gauges.append(event)
         if self.sinks:
             self._emit(event.to_record())
@@ -135,7 +144,7 @@ class Recorder:
             return
         self._closed = True
         if self.sinks and self.counters:
-            now = self._now()
+            now = time.time()
             for name, total in sorted(self.counters.items()):
                 self._emit(
                     {
@@ -149,8 +158,56 @@ class Recorder:
             sink.close()
 
 
+def record_span(
+    name: str,
+    context=None,
+    *,
+    start: float,
+    wall_s: float,
+    cpu_s: float = 0.0,
+    meta: dict | None = None,
+    samples: dict | None = None,
+    links: Iterable[dict] = (),
+    error: str | None = None,
+) -> None:
+    """Build one span record and hand it to every sink bound here.
+
+    ``context`` is the span's own :class:`~repro.obs.TraceContext` (None
+    when untraced); ``start`` is wall-clock (``time.time()``), the one
+    time base of every record.  A span recorded for the context a
+    :func:`trace_scope` bound sits one level above the spans inside it.
+    """
+    frame = _frame_var.get()
+    if frame is None or frame.idle:
+        return
+    depth = frame.depth
+    if context is not None and context is frame.context:
+        depth -= 1
+    event = SpanEvent(
+        name=name,
+        index=next(_span_index),
+        depth=depth,
+        start=start,
+        wall_s=wall_s,
+        cpu_s=cpu_s,
+        meta=meta or {},
+        samples={k: tuple(v) for k, v in samples.items()} if samples else {},
+        error=error,
+        trace_id=None if context is None else context.trace_id,
+        span_id=None if context is None else context.span_id,
+        parent_id=None if context is None else context.parent_id,
+        links=tuple(links),
+    )
+    if frame.recorder is not None:
+        frame.recorder.events.append(event)
+    if frame.sinks:
+        record = event.to_record()
+        for sink in frame.sinks:
+            sink.emit(record)
+
+
 class _NoopSpan:
-    """Shared do-nothing span returned while recording is disabled."""
+    """Shared do-nothing span returned while nothing is bound."""
 
     __slots__ = ()
     enabled = False
@@ -167,27 +224,37 @@ class _NoopSpan:
     def sample(self, name, value) -> None:
         pass
 
+    def link(self, context) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
 
-class _LiveSpan:
-    """An open timed region bound to an active recorder."""
+class _LiveSpan(_Frame):
+    """An open timed region; the frame its child spans open under."""
 
-    __slots__ = ("_rec", "_name", "_meta", "_samples", "_t0", "_c0", "_depth")
+    __slots__ = ("_name", "_meta", "_samples", "_links", "_start", "_t0",
+                 "_c0", "_token")
 
     enabled = True
 
-    def __init__(self, rec: Recorder, name: str, meta: dict) -> None:
-        self._rec = rec
+    def __init__(self, parent: _Frame, name: str, meta: dict) -> None:
+        context = parent.context
+        super().__init__(
+            parent.recorder,
+            parent.sinks,
+            None if context is None else context.child(),
+            parent.depth + 1,
+        )
         self._name = name
         self._meta = meta
         self._samples: dict[str, list[float]] = {}
+        self._links: list[dict] = []
 
     def __enter__(self) -> "_LiveSpan":
-        rec = self._rec
-        self._depth = rec._depth
-        rec._depth += 1
+        self._token = _frame_var.set(self)
+        self._start = time.time()
         self._c0 = time.process_time()
         self._t0 = time.perf_counter()
         return self
@@ -195,32 +262,18 @@ class _LiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         wall = time.perf_counter() - self._t0
         cpu = time.process_time() - self._c0
-        rec = self._rec
-        rec._depth -= 1
-        # Stamp distributed-trace identity when a TraceContext is ambient
-        # (recorder spans become children of the surrounding trace).
-        # Lookup happens only on the enabled path; the no-op span is
-        # untouched.
-        from .trace_context import current_trace
-
-        ctx = current_trace()
-        child = ctx.child() if ctx is not None else None
-        event = SpanEvent(
-            name=self._name,
-            index=rec._index,
-            depth=self._depth,
-            start=self._t0 - rec._epoch,
+        _frame_var.reset(self._token)
+        record_span(
+            self._name,
+            self.context,
+            start=self._start,
             wall_s=wall,
             cpu_s=cpu,
             meta=self._meta,
-            samples={k: tuple(v) for k, v in self._samples.items()},
+            samples=self._samples,
+            links=self._links,
             error=None if exc_type is None else exc_type.__name__,
-            trace_id=None if child is None else child.trace_id,
-            span_id=None if child is None else child.span_id,
-            parent_id=None if child is None else child.parent_id,
         )
-        rec._index += 1
-        rec._record_span(event)
         return False
 
     def note(self, **meta) -> None:
@@ -242,11 +295,15 @@ class _LiveSpan:
         else:
             bucket.append(float(value))
 
+    def link(self, context) -> None:
+        """Link the span to ``context`` (a fan-in span names each input)."""
+        self._links.append(context.link())
+
 
 def span(name: str, **meta):
-    """Open a timed region under the ambient recorder.
+    """Open a timed region under the ambient frame.
 
-    Returns a context manager; with no active recorder this is a shared
+    Returns a context manager; with nothing bound this is a shared
     no-op singleton, so instrumented code pays only a contextvar read.
 
     Examples
@@ -258,10 +315,10 @@ def span(name: str, **meta):
     >>> rec.events[0].name, rec.events[0].meta["result"]
     ('example.work', 'ok')
     """
-    rec = _recorder_var.get()
-    if rec is None:
+    frame = _frame_var.get()
+    if frame is None or frame.idle:
         return _NOOP_SPAN
-    return _LiveSpan(rec, name, dict(meta) if meta else {})
+    return _LiveSpan(frame, name, dict(meta) if meta else {})
 
 
 def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
@@ -269,8 +326,8 @@ def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
 
     The span name defaults to the function's module path (minus the
     ``repro.`` prefix) plus its name, e.g.
-    ``analysis.sensitivity.sensitivity_study``.  With no recorder
-    active the wrapper calls straight through.
+    ``analysis.sensitivity.sensitivity_study``.  With nothing bound the
+    wrapper calls straight through.
 
     Examples
     --------
@@ -293,10 +350,10 @@ def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            rec = _recorder_var.get()
-            if rec is None:
+            frame = _frame_var.get()
+            if frame is None or frame.idle:
                 return fn(*args, **kwargs)
-            with _LiveSpan(rec, span_name, dict(meta) if meta else {}):
+            with _LiveSpan(frame, span_name, dict(meta) if meta else {}):
                 return fn(*args, **kwargs)
 
         wrapper.__traced_span__ = span_name
@@ -306,13 +363,42 @@ def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
 
 
 @contextmanager
+def _bound(frame: _Frame):
+    token = _frame_var.set(frame)
+    try:
+        yield
+    finally:
+        _frame_var.reset(token)
+
+
+@contextmanager
+def trace_scope(context, *sinks):
+    """Bind ``context`` as the ambient trace, and ``sinks`` beside the
+    ones already bound (the caller closes them), for the block.
+
+    >>> from repro.obs import MemorySink, TraceContext, span
+    >>> ctx, sink = TraceContext.new(), MemorySink()
+    >>> with trace_scope(ctx, sink):
+    ...     with span("work"):
+    ...         pass
+    >>> sink.records[0]["parent_id"] == ctx.span_id
+    True
+    """
+    outer = _frame_var.get() or _UNBOUND
+    with _bound(_Frame(
+        outer.recorder, outer.sinks + sinks, context, outer.depth + 1
+    )):
+        yield context
+
+
+@contextmanager
 def recording(
     *,
     sinks: Iterable = (),
     trace_path=None,
     logger=None,
 ):
-    """Activate a fresh :class:`Recorder` for the enclosed block.
+    """Bind a fresh :class:`Recorder`, and its sinks, for the block.
 
     Parameters
     ----------
@@ -320,15 +406,15 @@ def recording(
         Extra sinks receiving every record as it is produced.
     trace_path : path-like, optional
         Convenience: append a :class:`~repro.obs.JsonlSink` writing to
-        this path.
+        this path (pooled store runs hand it to their workers).
     logger : logging.Logger or bool, optional
         Convenience: append a :class:`~repro.obs.LoggingSink`.  Pass a
         logger instance, or True for the default ``repro.obs`` logger.
 
-    Yields the recorder; on exit the previous recorder (usually None)
-    is restored and the recorder is closed, flushing counter totals and
-    closing file-backed sinks.  Recordings nest: an inner ``recording``
-    shadows the outer one for its duration.
+    Yields the recorder; on exit the previous frame is restored and the
+    recorder is closed, flushing counter totals and closing its sinks.
+    An inner ``recording`` shadows the outer one's recorder and sinks,
+    and keeps its trace context.
 
     Examples
     --------
@@ -349,11 +435,11 @@ def recording(
             LoggingSink(None if logger is True else logger)
         )
     rec = Recorder(sinks=all_sinks)
-    token = _recorder_var.set(rec)
+    outer = _frame_var.get() or _UNBOUND
     try:
-        yield rec
+        with _bound(_Frame(rec, tuple(all_sinks), outer.context, outer.depth)):
+            yield rec
     finally:
-        _recorder_var.reset(token)
         rec.close()
         # While process-wide metrics collection is enabled, completed
         # sessions accumulate into the registry (span-duration

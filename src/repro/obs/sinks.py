@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 from typing import Protocol, runtime_checkable
 
 __all__ = ["Sink", "MemorySink", "JsonlSink", "RotatingJsonlSink", "LoggingSink"]
@@ -64,25 +65,30 @@ class JsonlSink:
 
     The file handle is opened on the first :meth:`emit` and closed by
     :meth:`close` (which :func:`repro.obs.recording` calls on exit).
-    Each record is written and flushed as one line, so a SIGTERM'd
+    Each record is one unbuffered write of one line, so a SIGTERM'd
     process never loses spans that already completed — at worst the
-    final line is truncated, which ``trace query`` tolerates.
+    final line is truncated, which ``trace query`` tolerates.  Threads
+    may share one sink, and processes may append to one file: the
+    handle is ``O_APPEND``, so lines never interleave.
     """
 
     def __init__(self, path) -> None:
         self.path = path
         self._handle = None
+        self._lock = threading.Lock()
 
     def emit(self, record: dict) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
+        line = (json.dumps(record) + "\n").encode("utf-8")
+        with self._lock:
+            if self._handle is None:
+                self._handle = open(self.path, "ab", buffering=0)
+            self._handle.write(line)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 class RotatingJsonlSink:

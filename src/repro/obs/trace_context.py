@@ -1,53 +1,31 @@
 """Request-scoped trace contexts propagated across serving layers.
 
-This module is the spine of end-to-end request tracing: a
-:class:`TraceContext` is minted at server ingress (or adopted from an
-incoming W3C ``traceparent`` header), carried through admission control,
-the coalescer, the cache, and — via :meth:`TraceContext.to_payload` —
-serialized into ``ProcessPoolExecutor`` shard workers.
+A :class:`TraceContext` is minted at server ingress (or adopted from an
+incoming W3C ``traceparent`` header), bound as the ambient trace with
+:func:`repro.obs.trace_scope`, carried into the coalescer's batch
+kernel, and — via :meth:`TraceContext.to_payload` — serialized into
+process-pool shard workers.  Spans themselves are opened and recorded
+by :mod:`repro.obs.recorder`, the one span model.
 
 Design constraints, in priority order:
 
-1. **Disabled cost is near zero.**  When no tracer is installed the only
+1. **Disabled cost is near zero.**  On an untraced server the only
    per-request work is minting a random trace id (see
    ``benchmarks/bench_obs_overhead.py`` for the gated budget).  Stage
    timings (:class:`RequestTrace`) are collected only for a request whose
-   span, slow-log record or ``debug_timings`` answer reads them, and
-   span emission happens only behind a ``tracer is not None`` check.
-2. **No retention.**  :class:`Tracer` writes span records straight to
-   its sink; a long-running server never accumulates span state.
-3. **Determinism of results.**  Trace ids never feed into any numeric
+   span, slow-log record or ``debug_timings`` answer reads them.
+2. **Determinism of results.**  Trace ids never feed into any numeric
    path; traced and untraced runs produce bit-identical bodies.
-
-Span records share the JSONL schema emitted by
-:class:`repro.obs.recorder.Recorder` (``type: "span"``) with four
-additional fields: ``trace_id``, ``span_id``, ``parent_id`` and
-(optionally) ``links`` — so the existing ``repro-hc trace convert``
-Chrome exporter and the new ``repro-hc trace query`` command both read
-the same files.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-
-from .events import jsonable
-from .sinks import JsonlSink, Sink
 
 __all__ = [
     "TraceContext",
     "RequestTrace",
-    "Tracer",
-    "current_trace",
-    "current_tracer",
-    "set_tracer",
-    "trace_scope",
-    "tracing",
     "TIMING_STAGES",
     "request_ids",
 ]
@@ -177,8 +155,14 @@ class TraceContext:
         parts = header.strip().lower().split("-")
         if len(parts) < 4:
             return None
-        version, trace_id, span_id = parts[0], parts[1], parts[2]
+        version, trace_id, span_id, flags = parts[:4]
         if version == "ff" or len(version) != 2 or not _is_hex(version):
+            return None
+        # Version 00 has exactly four fields; a later version may
+        # append fields after the flags.
+        if version == "00" and len(parts) != 4:
+            return None
+        if len(flags) != 2 or not _is_hex(flags):
             return None
         if len(trace_id) != 32 or not _is_hex(trace_id) or trace_id == _ZERO_TRACE:
             return None
@@ -272,160 +256,3 @@ class RequestTrace:
         attributed = sum(out.values())
         out["other_s"] = max(0.0, total_s - attributed)
         return out
-
-
-class Tracer:
-    """Writes span records to a sink without retaining them.
-
-    Unlike :class:`repro.obs.recorder.Recorder` (which accumulates
-    events for post-run summaries), a Tracer is built for long-running
-    servers: every span goes straight to the sink.  Timestamps are
-    wall-clock (``time.time()``) so spans emitted by separate processes
-    line up on one timeline.
-    """
-
-    def __init__(self, sink: Sink, *, process: str | None = None):
-        self.sink = sink
-        self.process = process or f"pid-{os.getpid()}"
-        self.path = getattr(sink, "path", None)
-        self._lock = threading.Lock()
-        self._index = 0
-
-    def emit_span(
-        self,
-        name: str,
-        context: TraceContext,
-        *,
-        wall_s: float,
-        start: float | None = None,
-        cpu_s: float = 0.0,
-        meta: dict | None = None,
-        links: list[dict] | tuple[dict, ...] = (),
-        error: str | None = None,
-    ) -> None:
-        """Emit one completed span record."""
-        record = {
-            "type": "span",
-            "name": name,
-            "trace_id": context.trace_id,
-            "span_id": context.span_id,
-            "parent_id": context.parent_id,
-            "start": float(start if start is not None else time.time() - wall_s),
-            "wall_s": float(wall_s),
-            "cpu_s": float(cpu_s),
-            "pid": os.getpid(),
-            "process": self.process,
-            "meta": jsonable(meta or {}),
-        }
-        if links:
-            record["links"] = [dict(link) for link in links]
-        if error is not None:
-            record["error"] = error
-        with self._lock:
-            record["index"] = self._index
-            self._index += 1
-            self.sink.emit(record)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        context: TraceContext,
-        *,
-        meta: dict | None = None,
-        links: list[dict] | tuple[dict, ...] = (),
-    ):
-        """Context manager timing a block and emitting it as a span."""
-        start = time.time()
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        error: str | None = None
-        try:
-            yield context
-        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            self.emit_span(
-                name,
-                context,
-                wall_s=time.perf_counter() - t0,
-                start=start,
-                cpu_s=time.process_time() - c0,
-                meta=meta,
-                links=links,
-                error=error,
-            )
-
-    def close(self) -> None:
-        self.sink.close()
-
-
-def append_span_record(path: str, record: dict) -> None:
-    """Append one span record to a JSONL file, one atomic write.
-
-    Used by pool workers that share a span file with the parent: the
-    line is written with a single ``write`` on an ``O_APPEND`` handle,
-    which POSIX keeps atomic for writes under ``PIPE_BUF``.
-    """
-    line = json.dumps(jsonable(record), sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
-
-
-# --- ambient trace context + process-wide tracer ----------------------------
-#
-# Mirrors the metrics-gate pattern in ``repro.obs.metrics``: library code
-# checks one module global (``current_tracer() is None`` on the disabled
-# path) and an optional contextvar for the ambient trace.
-
-_trace_var: ContextVar[TraceContext | None] = ContextVar("repro_trace", default=None)
-_tracer: Tracer | None = None
-
-
-def current_trace() -> TraceContext | None:
-    """The ambient TraceContext for this task/thread, if any."""
-    return _trace_var.get()
-
-
-@contextmanager
-def trace_scope(context: TraceContext):
-    """Bind ``context`` as the ambient trace for the enclosed block."""
-    token = _trace_var.set(context)
-    try:
-        yield context
-    finally:
-        _trace_var.reset(token)
-
-
-def current_tracer() -> Tracer | None:
-    """The process-wide tracer, or None when tracing is disabled."""
-    return _tracer
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install (or clear, with None) the process-wide tracer."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
-
-
-@contextmanager
-def tracing(path: str, *, process: str | None = None):
-    """Install a JSONL-backed process tracer for the enclosed block.
-
-    >>> import os, tempfile
-    >>> with tempfile.TemporaryDirectory() as tmp:
-    ...     with tracing(os.path.join(tmp, "spans.jsonl")) as tracer:
-    ...         ctx = TraceContext.new()
-    ...         with tracer.span("work", ctx):
-    ...             pass
-    """
-    tracer = Tracer(JsonlSink(path), process=process)
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-        tracer.close()

@@ -52,12 +52,13 @@ as a structured ``converged=False`` partial outcome, never corrupt it.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import metrics as _metrics
+from ..obs import current_trace, metrics as _metrics, span
 from .cache import canonical_options
 from .protocol import ServeRequest
 from .resilience import DeadlineExceeded
@@ -103,7 +104,7 @@ class _PendingGroup:
     futures: list = field(default_factory=list)
     deadlines: list = field(default_factory=list)
     submitted: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
+    contexts: list = field(default_factory=list)
     timer: asyncio.TimerHandle | None = None
     #: members present when the pending idle check was scheduled
     seen: int = 0
@@ -130,10 +131,12 @@ class Coalescer:
     max_batch : int
         Flush threshold; also the largest stack a single kernel call
         materializes.
-    tracer : repro.obs.Tracer, optional
-        When set, every flushed batch emits one ``serve.kernel`` span
-        *linked* to the request spans it served (fan-in), so a single
-        slow batch explains N slow responses.
+
+    Each member's submitting context is kept, and the batch kernel runs
+    in the first traced member's context (the first member's, if none
+    is traced) inside one ``serve.kernel`` span.  So the kernel's own
+    spans nest under it, and it links to every traced member's request
+    span (fan-in): a single slow batch explains N slow responses.
     """
 
     def __init__(
@@ -143,7 +146,6 @@ class Coalescer:
         endpoint: str,
         linger_s: float = 0.002,
         max_batch: int = 64,
-        tracer=None,
     ) -> None:
         if linger_s < 0:
             raise ValueError(f"linger_s must be >= 0, got {linger_s}")
@@ -153,7 +155,6 @@ class Coalescer:
         self.endpoint = endpoint
         self.linger_s = float(linger_s)
         self.max_batch = int(max_batch)
-        self.tracer = tracer
         #: requests the server is still reading (see read_started)
         self.reading = 0
         self._groups: dict[tuple, _PendingGroup] = {}
@@ -172,7 +173,7 @@ class Coalescer:
         )
 
     async def submit(
-        self, request: ServeRequest, deadline=None, trace=None
+        self, request: ServeRequest, deadline=None
     ) -> CoalesceResult:
         """Queue one request; resolves when its batch has been run.
 
@@ -182,10 +183,6 @@ class Coalescer:
         :class:`~repro.serve.resilience.DeadlineExceeded` instead of
         running, and the batch kernel runs under the tightest surviving
         deadline.
-
-        ``trace`` is an optional
-        :class:`repro.obs.TraceContext` identifying the request span
-        this member belongs to; the batch span links back to it.
 
         Raises whatever exception the runner assigned to this request's
         slot (or the runner's own exception if the whole batch failed).
@@ -206,7 +203,7 @@ class Coalescer:
         group.futures.append(future)
         group.deadlines.append(deadline)
         group.submitted.append(time.perf_counter())
-        group.traces.append(trace)
+        group.contexts.append(contextvars.copy_context())
         if len(group.matrices) >= self.max_batch:
             self._flush_now(key)
         return await future
@@ -263,7 +260,7 @@ class Coalescer:
         self, group: _PendingGroup
     ) -> tuple[list, list, list, list]:
         """Fail expired members; returns the surviving parallel lists
-        (matrices, futures, submit times, trace contexts).
+        (matrices, futures, submit times, submitting contexts).
 
         The tightest surviving deadline (if any) is threaded into
         ``group.options["deadline_s"]`` for the runner.
@@ -271,14 +268,14 @@ class Coalescer:
         matrices: list = []
         futures: list = []
         submitted: list = []
-        traces: list = []
+        contexts: list = []
         tightest: float | None = None
-        for matrix, future, deadline, submit_t, trace in zip(
+        for matrix, future, deadline, submit_t, context in zip(
             group.matrices,
             group.futures,
             group.deadlines,
             group.submitted,
-            group.traces,
+            group.contexts,
         ):
             if deadline is not None and deadline.expired():
                 self.deadline_shed += 1
@@ -303,13 +300,13 @@ class Coalescer:
             matrices.append(matrix)
             futures.append(future)
             submitted.append(submit_t)
-            traces.append(trace)
+            contexts.append(context)
         if tightest is not None:
             group.options["deadline_s"] = tightest
-        return matrices, futures, submitted, traces
+        return matrices, futures, submitted, contexts
 
     async def _run_batch(self, group: _PendingGroup) -> None:
-        matrices, futures, submitted, traces = self._shed_expired(group)
+        matrices, futures, submitted, contexts = self._shed_expired(group)
         if not matrices:  # every member expired: nothing to compute
             return
         size = len(matrices)
@@ -319,31 +316,26 @@ class Coalescer:
             ("repro_serve_coalesce_batch_size", (self.endpoint,), size),
             ("repro_serve_kernel_invocations_total", (self.endpoint,), 1.0),
         )
+        traces = [context.run(current_trace) for context in contexts]
+        members = [trace for trace in traces if trace is not None]
+        context = next(
+            (c for c, trace in zip(contexts, traces) if trace is not None),
+            contexts[0],
+        )
         loop = asyncio.get_running_loop()
         flush_t = time.perf_counter()
         lingers = [max(0.0, flush_t - submit_t) for submit_t in submitted]
         try:
             results = await loop.run_in_executor(
-                None, self.runner, group.options, matrices
+                None, context.run, self._kernel, group.options, matrices,
+                members,
             )
-            kernel_s = time.perf_counter() - flush_t
-            if len(results) != size:
-                raise RuntimeError(
-                    f"batch runner returned {len(results)} results for "
-                    f"{size} requests"
-                )
         except Exception as exc:  # runner blew up: fail the whole batch
-            self._emit_batch_span(
-                traces,
-                size,
-                kernel_s=time.perf_counter() - flush_t,
-                error=f"{type(exc).__name__}: {exc}",
-            )
             for future in futures:
                 if not future.done():
                     future.set_exception(exc)
             return
-        self._emit_batch_span(traces, size, kernel_s=kernel_s)
+        kernel_s = time.perf_counter() - flush_t
         for future, result, linger_s in zip(futures, results, lingers):
             if future.done():  # caller went away (cancelled request)
                 continue
@@ -356,32 +348,21 @@ class Coalescer:
                     )
                 )
 
-    def _emit_batch_span(
-        self, traces, size, *, kernel_s, error=None
-    ) -> None:
-        """One fan-in span per flushed batch, linked to its members.
-
-        The batch span is parented under the first traced member (a
-        batch has no single request parent) and carries a link to every
-        member's request span, so trace tooling can walk from any slow
-        response to the batch that computed it and back out to its
-        batch-mates.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-        members = [trace for trace in traces if trace is not None]
-        if not members:
-            return
-        context = members[0].child()
-        tracer.emit_span(
-            "serve.kernel",
-            context,
-            wall_s=kernel_s,
-            meta={"endpoint": self.endpoint, "batch_size": size},
-            links=[member.link() for member in members],
-            error=error,
-        )
+    def _kernel(self, options: dict, matrices: list, members: list) -> list:
+        """The batch runner inside its ``serve.kernel`` span, linked to
+        every traced member's request span (executor thread)."""
+        with span(
+            "serve.kernel", endpoint=self.endpoint, batch_size=len(matrices)
+        ) as sp:
+            for member in members:
+                sp.link(member)
+            results = self.runner(options, matrices)
+            if len(results) != len(matrices):
+                raise RuntimeError(
+                    f"batch runner returned {len(results)} results for "
+                    f"{len(matrices)} requests"
+                )
+        return results
 
     @property
     def pending(self) -> int:

@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import __version__
-from ..obs import metrics as _metrics
+from ..obs import metrics as _metrics, record_span, span, trace_scope
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.metrics import declare_families, enable_metrics
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
-from ..obs.trace_context import RequestTrace, Tracer, request_ids
+from ..obs.trace_context import RequestTrace, request_ids
 from ..robust.budget import Budget, Deadline
 from .cache import ResultCache, matrix_cache_key
 from .coalesce import Coalescer, ServeFault
@@ -123,11 +123,13 @@ class ServeConfig:
 
     The tracing knobs (see ``docs/OBSERVABILITY.md``):
 
-    * ``trace_path`` — JSONL span-sink file; when set, every request
-      emits a ``serve.request`` root span (plus cache / kernel child
-      spans) queryable with ``repro-hc trace query``.  Trace *ids* are
-      minted regardless — every response carries ``X-Repro-Trace-Id`` —
-      only span emission is gated on this path;
+    * ``trace_path`` — JSONL span-sink file; when set, every ``/v1``
+      exchange binds it with the request's trace context, so the
+      request emits a ``serve.request`` root span (plus cache / kernel
+      child spans, and the kernel's own spans under ``serve.kernel``)
+      queryable with ``repro-hc trace query``.  Trace *ids* are minted
+      regardless — every response carries ``X-Repro-Trace-Id`` — only
+      span emission is gated on this path;
     * ``slow_log_path`` / ``slow_threshold_ms`` — rotating JSONL log of
       requests slower than the threshold, each record carrying the
       trace id and the full stage breakdown;
@@ -180,11 +182,9 @@ class CharacterizationServer:
             max_entries=self.config.cache_entries,
             spill_dir=self.config.cache_dir,
         )
-        self.tracer: Tracer | None = None
+        self.trace_sink: JsonlSink | None = None
         if self.config.trace_path is not None:
-            self.tracer = Tracer(
-                JsonlSink(self.config.trace_path), process="repro-serve"
-            )
+            self.trace_sink = JsonlSink(self.config.trace_path)
         self.slow_log: RotatingJsonlSink | None = None
         if self.config.slow_log_path is not None:
             self.slow_log = RotatingJsonlSink(
@@ -199,14 +199,12 @@ class CharacterizationServer:
                 endpoint="characterize",
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
-                tracer=self.tracer,
             ),
             "standardize": Coalescer(
                 self._run_standardize_batch,
                 endpoint="standardize",
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
-                tracer=self.tracer,
             ),
         }
         estimators = None
@@ -337,7 +335,6 @@ class CharacterizationServer:
     ) -> tuple[bytes, str]:
         """Body bytes for one request, via the coalescer; no caching."""
         endpoint = request.endpoint
-        context = trace.context if trace is not None else None
         if endpoint == "recommend-heuristic":
             # Rides the characterize coalescer, then applies the rule.
             from ..scheduling.selection import recommend_from_measures
@@ -348,7 +345,7 @@ class CharacterizationServer:
                 options={**request.options, "tma_fallback": "limit"},
             )
             outcome = await self.coalescers["characterize"].submit(
-                inner, deadline, context
+                inner, deadline
             )
             if trace is not None:
                 trace.add("coalesce_linger_s", outcome.linger_s)
@@ -372,9 +369,7 @@ class CharacterizationServer:
             if trace is not None:
                 trace.add("render_s", time.perf_counter() - render_t0)
             return body, source
-        outcome = await self.coalescers[endpoint].submit(
-            request, deadline, context
-        )
+        outcome = await self.coalescers[endpoint].submit(request, deadline)
         if trace is not None:
             trace.add("coalesce_linger_s", outcome.linger_s)
             trace.add("kernel_s", outcome.kernel_s)
@@ -400,19 +395,6 @@ class CharacterizationServer:
         if deadline_ms is None:
             return None
         return Deadline(max(0.0, deadline_ms / 1e3 - elapsed_s))
-
-    def _emit_cache_span(
-        self, trace: RequestTrace | None, wall_s: float, outcome: str
-    ) -> None:
-        """A ``serve.cache`` child span, when tracing is on."""
-        if self.tracer is None or trace is None:
-            return
-        self.tracer.emit_span(
-            "serve.cache",
-            trace.context.child(),
-            wall_s=wall_s,
-            meta={"outcome": outcome},
-        )
 
     async def handle_request(
         self,
@@ -445,17 +427,16 @@ class CharacterizationServer:
         # throw away exactly the requests that are free to serve.
         disk_hits = self.cache.hits_disk
         cache_t0 = time.perf_counter()
-        cached = self.cache.get(key)
-        cache_s = time.perf_counter() - cache_t0
+        with span("serve.cache") as sp:
+            cached = self.cache.get(key)
+            sp.note(outcome="miss" if cached is None else "hit")
         if trace is not None:
-            trace.add("cache_s", cache_s)
+            trace.add("cache_s", time.perf_counter() - cache_t0)
         if cached is not None:
-            self._emit_cache_span(trace, cache_s, "hit")
             # The loop thread is the cache's only reader, so a moved
             # disk-hit count means this hit came from the spill tier.
             disk = self.cache.hits_disk != disk_hits
             return 200, cached, "cache-disk" if disk else "cache-memory"
-        self._emit_cache_span(trace, cache_s, "miss")
 
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -568,23 +549,24 @@ class CharacterizationServer:
             self.slow_log is not None
             and wall_s * 1e3 >= self.config.slow_threshold_ms
         )
-        if self.tracer is None and not slow and not need_timings:
+        if self.trace_sink is None and not slow and not need_timings:
             return None
         timings = rtrace.timings(wall_s)
-        if self.tracer is not None:
-            self.tracer.emit_span(
-                "serve.request",
-                rtrace.context,
-                wall_s=wall_s,
-                start=rtrace.started_at,
-                meta={
-                    "endpoint": endpoint or "unknown",
-                    "status": status,
-                    "source": source,
-                    "timings": timings,
-                },
-                error=error,
-            )
+        if self.trace_sink is not None:
+            with trace_scope(rtrace.context, self.trace_sink):
+                record_span(
+                    "serve.request",
+                    rtrace.context,
+                    start=rtrace.started_at,
+                    wall_s=wall_s,
+                    meta={
+                        "endpoint": endpoint or "unknown",
+                        "status": status,
+                        "source": source,
+                        "timings": timings,
+                    },
+                    error=error,
+                )
         if slow:
             self.slow_log.emit(
                 {
@@ -672,7 +654,7 @@ class CharacterizationServer:
         # Stage timings are collected only for a request whose span,
         # slow-log record or debug_timings answer reads them.
         rtrace = None
-        if self.tracer is not None or self.slow_log is not None:
+        if self.trace_sink is not None or self.slow_log is not None:
             rtrace = RequestTrace.begin(parent, trace_id, t0)
         want_debug = False
         source, error, fault = "error", None, None
@@ -692,12 +674,17 @@ class CharacterizationServer:
             )
             if want_debug and rtrace is None:
                 rtrace = RequestTrace.begin(parent, trace_id, t0)
-            status, response, source = await self.handle_request(
+            handling = self.handle_request(
                 endpoint,
                 payload,
                 elapsed_s=time.perf_counter() - t0,
                 trace=rtrace,
             )
+            if self.trace_sink is None:
+                status, response, source = await handling
+            else:
+                with trace_scope(rtrace.context, self.trace_sink):
+                    status, response, source = await handling
             self.requests_served += 1
         except ProtocolError as exc:
             status, error = exc.status, f"ProtocolError: {exc}"
@@ -870,8 +857,8 @@ class CharacterizationServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.tracer is not None:
-            self.tracer.close()
+        if self.trace_sink is not None:
+            self.trace_sink.close()
         if self.slow_log is not None:
             self.slow_log.close()
 

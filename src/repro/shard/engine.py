@@ -38,7 +38,7 @@ stall-free run.
 
 from __future__ import annotations
 
-import os
+import contextvars
 import time
 from collections import Counter
 from dataclasses import replace
@@ -49,13 +49,18 @@ from .._parallel import WorkerFailure, _schedule, resolve_n_jobs
 from .._validation import check_positive_int, check_positive_scalar
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL
-from ..obs import current_recorder, metrics as _metrics, span as _obs_span, traced
-from ..obs.trace_context import (
+from ..obs import (
+    JsonlSink,
     TraceContext,
-    append_span_record,
+    current_recorder,
     current_trace,
-    current_tracer,
+    metrics as _metrics,
+    record_span,
+    span as _obs_span,
+    trace_scope,
+    traced,
 )
+from ..obs.recorder import current_sinks
 from ..robust.taxonomy import check_policy
 from .merge import merge_characterizations
 from .planner import plan_shards
@@ -122,54 +127,44 @@ def _shard_worker(task, attempt):
     first copy (``attempt == 0``) hosts any injected stall, so a spare
     copy models a healthy replacement machine.
 
-    ``trace`` (optional) is the serialized span-context handoff:
-    ``(span_file_path, shard_context_payload)``.  Every copy of a shard
-    receives the *same* pre-allocated shard context, so the primary and
-    its spare emit sibling ``shard.worker`` spans under one
-    ``shard.dispatch`` parent.  The record is written with one
-    ``O_APPEND`` write (atomic under ``PIPE_BUF``), so concurrent
-    workers sharing the span file never interleave lines.
+    The task runs in an empty context, so a forked worker never writes
+    to sinks it inherited.  ``trace`` (optional) is the span handoff
+    ``(span_file_path, shard_context_payload)``: the worker binds a
+    :class:`~repro.obs.JsonlSink` on that file under the shard context
+    and runs inside a ``shard.worker`` span, so its kernel spans are
+    that span's children.  Every copy of a shard receives the *same*
+    shard context, so the primary and its spare are sibling
+    ``shard.worker`` spans under one ``shard.dispatch`` parent.
     """
-    (
-        store_path, start, stop, stall_s, data_specs, budget, deadline,
-        kwargs, trace,
-    ) = task
+    return contextvars.Context().run(_shard_task, *task, attempt)
+
+
+def _shard_task(
+    store_path, start, stop, stall_s, data_specs, budget, deadline, kwargs,
+    trace, attempt,
+):
     if attempt == 0 and stall_s > 0.0:
         time.sleep(stall_s)
-    wall_start = time.time()
-    t0 = time.perf_counter()
-    c0 = time.process_time()
     store = StackStore(store_path)
-    result = _characterize_chunk(
-        store, start, stop, data_specs, budget, deadline, kwargs
-    )
-    if trace is not None:
-        trace_path, ctx_payload = trace
-        context = TraceContext.from_payload(ctx_payload)
-        if context is not None:
-            # os.urandom span ids are fork-safe: sibling workers never
-            # inherit shared RNG state and mint identical ids.
-            append_span_record(
-                trace_path,
-                {
-                    "type": "span",
-                    "name": "shard.worker",
-                    "trace_id": context.trace_id,
-                    "span_id": os.urandom(8).hex(),
-                    "parent_id": context.span_id,
-                    "start": wall_start,
-                    "wall_s": time.perf_counter() - t0,
-                    "cpu_s": time.process_time() - c0,
-                    "pid": os.getpid(),
-                    "process": f"shard-worker-{os.getpid()}",
-                    "meta": {
-                        "attempt": attempt,
-                        "start_member": start,
-                        "members": stop - start,
-                    },
-                },
-            )
-    return result
+    if trace is None:
+        return _characterize_chunk(
+            store, start, stop, data_specs, budget, deadline, kwargs
+        )
+    path, payload = trace
+    sink = JsonlSink(path)
+    try:
+        with trace_scope(TraceContext.from_payload(payload), sink):
+            with _obs_span(
+                "shard.worker",
+                attempt=attempt,
+                start_member=start,
+                members=stop - start,
+            ):
+                return _characterize_chunk(
+                    store, start, stop, data_specs, budget, deadline, kwargs
+                )
+    finally:
+        sink.close()
 
 
 def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs):
@@ -207,10 +202,13 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
     """Run the shards as one scheduler call, with one spare copy each."""
     # One trace context per shard, so every copy of a shard emits a
     # sibling span under the same ``shard.dispatch`` parent.  Workers
-    # append to a file, so only file-backed tracers cross over.
-    tracer = current_tracer()
+    # append to a file, so only a bound JSONL sink crosses over.
+    path = next(
+        (sink.path for sink in current_sinks() if isinstance(sink, JsonlSink)),
+        None,
+    )
     contexts = {}
-    if tracer is not None and tracer.path is not None:
+    if path is not None:
         ambient = current_trace()
         run_ctx = ambient if ambient is not None else TraceContext.new()
         contexts = {shard.index: run_ctx.child() for shard in plan.shards}
@@ -219,7 +217,7 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
             str(store.path), shard.start, shard.stop,
             shard_stalls.get(shard.index, 0.0), data_specs, budget, deadline,
             kwargs,
-            (tracer.path, contexts[shard.index].to_payload()) if contexts else None,
+            (path, contexts[shard.index].to_payload()) if contexts else None,
         )
         for shard in plan.shards
     ]
@@ -230,7 +228,7 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
         timeout_s=budget.member_timeout_s if budget is not None else None,
         spares=1,
     )
-    _record_dispatch(plan, log, tracer, contexts)
+    _record_dispatch(plan, log, contexts)
     parts = []
     for shard, result in zip(plan.shards, results):
         if isinstance(result, WorkerFailure):
@@ -243,7 +241,7 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
     return parts
 
 
-def _record_dispatch(plan, log, tracer, contexts) -> None:
+def _record_dispatch(plan, log, contexts) -> None:
     """Dispatch metrics, counters and spans, read off the copy log."""
     rec = current_recorder()
     count = rec.counter if rec is not None else lambda name, value: None
@@ -271,7 +269,8 @@ def _record_dispatch(plan, log, tracer, contexts) -> None:
                 count("shard.backup_wins", 1)
             if context is not None:
                 meta.update(winner=who, speculated=copies[copy.task] > 1)
-                tracer.emit_span("shard.dispatch", context, meta=meta, **timing)
+                with trace_scope(context):
+                    record_span("shard.dispatch", context, meta=meta, **timing)
         elif copy.fate == "lost":
             _metrics.record(("repro_shard_dispatch_total", ("cancelled",), 1.0))
             count("shard.cancelled", 1)
@@ -279,13 +278,14 @@ def _record_dispatch(plan, log, tracer, contexts) -> None:
                 # The loser may never write its own span (its process is
                 # terminated at shutdown), so its log entry stands in as
                 # a sibling of the winner's ``shard.worker`` span.
-                tracer.emit_span(
-                    "shard.worker.lost",
-                    context.child(),
-                    meta={"attempt": copy.attempt, **meta},
-                    error="lost the dispatch race; cancelled",
-                    **timing,
-                )
+                with trace_scope(context):
+                    record_span(
+                        "shard.worker.lost",
+                        context.child(),
+                        meta={"attempt": copy.attempt, **meta},
+                        error="lost the dispatch race; cancelled",
+                        **timing,
+                    )
 
 
 def _timed_out_part(store, shard, data_specs, budget, deadline, kwargs):

@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 from repro.obs import (
     TIMING_STAGES,
+    JsonlSink,
     MemorySink,
     RequestTrace,
     TraceContext,
-    Tracer,
+    current_recorder,
     current_trace,
-    current_tracer,
+    record_span,
     recording,
     span,
     trace_scope,
-    tracing,
 )
+from repro.obs.recorder import current_sinks
 from repro.obs.trace_context import request_ids
 
 
@@ -61,14 +63,24 @@ class TestTraceContext:
             "00-" + "ab" * 16 + "-" + "0" * 16 + "-01",  # zero span id
             "ff-" + "ab" * 16 + "-" + "cd" * 8 + "-01",  # forbidden version
             "00-" + "gg" * 16 + "-" + "cd" * 8 + "-01",  # non-hex
+            "00-" + "ab" * 16 + "-" + "cd" * 8 + "-zz",  # non-hex flags
+            "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01-extra",  # 5 fields
         ],
         ids=[
             "none", "empty", "garbage", "short", "zero-trace",
-            "zero-span", "version-ff", "non-hex",
+            "zero-span", "version-ff", "non-hex", "non-hex-flags",
+            "version-00-extra-field",
         ],
     )
     def test_malformed_traceparent_yields_none(self, header):
         assert TraceContext.from_traceparent(header) is None
+
+    def test_later_version_may_append_fields(self):
+        header = "01-" + "ab" * 16 + "-" + "cd" * 8 + "-01-extra"
+        parsed = TraceContext.from_traceparent(header)
+        assert parsed is not None
+        assert parsed.trace_id == "ab" * 16
+        assert parsed.span_id == "cd" * 8
 
     def test_traceparent_case_insensitive(self):
         header = "00-" + "AB" * 16 + "-" + "CD" * 8 + "-01"
@@ -142,47 +154,52 @@ class TestRequestTrace:
 
 
 class TestTracer:
+    """Span records written through a bound sink, with no recorder."""
+
     def test_emit_span_writes_straight_to_sink(self):
         sink = MemorySink()
-        tracer = Tracer(sink, process="unit")
         ctx = TraceContext.new()
-        tracer.emit_span("demo", ctx, wall_s=0.5, meta={"k": 1})
+        with trace_scope(ctx, sink):
+            assert current_recorder() is None  # nothing is retained
+            record_span("demo", ctx, start=time.time(), wall_s=0.5,
+                        meta={"k": 1})
         assert len(sink.records) == 1
         record = sink.records[0]
         assert record["type"] == "span"
         assert record["trace_id"] == ctx.trace_id
         assert record["span_id"] == ctx.span_id
-        assert record["process"] == "unit"
+        assert record["pid"] == os.getpid()
         assert record["meta"] == {"k": 1}
+        assert record["depth"] == 0
         json.dumps(record)
 
     def test_span_context_manager_records_errors(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom", TraceContext.new()):
-                raise RuntimeError("nope")
-        assert sink.records[0]["error"] == "RuntimeError: nope"
+        with trace_scope(TraceContext.new(), sink):
+            with pytest.raises(RuntimeError):
+                with span("boom"):
+                    raise RuntimeError("nope")
+        assert sink.records[0]["error"] == "RuntimeError"
 
     def test_links_survive_to_the_record(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
         members = [TraceContext.new() for _ in range(3)]
-        tracer.emit_span(
-            "fan-in",
-            TraceContext.new(),
-            wall_s=0.1,
-            links=[m.link() for m in members],
-        )
+        with trace_scope(TraceContext.new(), sink):
+            with span("fan-in") as sp:
+                for member in members:
+                    sp.link(member)
         links = sink.records[0]["links"]
         assert [l["span_id"] for l in links] == [m.span_id for m in members]
 
     def test_index_is_monotonic(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
-        for _ in range(5):
-            tracer.emit_span("s", TraceContext.new(), wall_s=0.0)
-        assert [r["index"] for r in sink.records] == list(range(5))
+        with trace_scope(TraceContext.new(), sink):
+            for _ in range(5):
+                with span("s"):
+                    pass
+        indices = [r["index"] for r in sink.records]
+        assert indices == sorted(indices)
+        assert len(set(indices)) == 5
 
 
 class TestAmbientState:
@@ -194,14 +211,20 @@ class TestAmbientState:
         assert current_trace() is None
 
     def test_tracing_installs_process_tracer(self, tmp_path):
+        """``recording(trace_path=...)`` binds a JSONL sink for the block
+        only: nothing is bound before or after it."""
         path = tmp_path / "spans.jsonl"
-        assert current_tracer() is None
-        with tracing(str(path)) as tracer:
-            assert current_tracer() is tracer
-            assert tracer.path == str(path)
-            tracer.emit_span("demo", TraceContext.new(), wall_s=0.1)
-        assert current_tracer() is None
-        assert path.exists()
+        assert current_sinks() == ()
+        with recording(trace_path=str(path)):
+            [sink] = current_sinks()
+            assert isinstance(sink, JsonlSink)
+            assert sink.path == str(path)
+            with span("demo"):
+                pass
+        assert current_sinks() == ()
+        [record] = [json.loads(line) for line in path.read_text().splitlines()
+                    if json.loads(line)["type"] == "span"]
+        assert record["name"] == "demo"
 
     def test_recorder_spans_pick_up_ambient_trace(self):
         ctx = TraceContext.new()
@@ -220,3 +243,24 @@ class TestAmbientState:
         untraced = by_name["untraced.step"]
         assert untraced.trace_id is None
         assert "trace_id" not in untraced.to_record()
+        # Both share the recording's wall-clock time base.
+        assert abs(traced.start - untraced.start) < 60.0
+        assert abs(traced.start - time.time()) < 60.0
+
+    def test_nested_spans_nest_under_trace_scope(self):
+        ctx = TraceContext.new()
+        with recording() as rec:
+            with trace_scope(ctx):
+                with span("outer"):
+                    with span("inner"):
+                        assert current_trace().trace_id == ctx.trace_id
+                assert current_trace() is ctx
+        by_name = {e.name: e for e in rec.events}
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert outer.parent_id == ctx.span_id
+        assert inner.parent_id == outer.span_id
+        assert inner.depth == outer.depth + 1
+
+    def test_span_under_an_idle_trace_scope_is_a_noop(self):
+        with trace_scope(TraceContext.new()):
+            assert span("nothing.bound").enabled is False

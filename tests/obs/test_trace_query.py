@@ -8,11 +8,13 @@ workers appending to one shared span file never interleave lines.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -22,13 +24,13 @@ from repro.obs import (
     JsonlSink,
     RotatingJsonlSink,
     TraceContext,
-    Tracer,
     format_trace,
     group_traces,
     load_spans,
     query_traces,
+    span,
+    trace_scope,
 )
-from repro.obs.trace_context import append_span_record
 
 
 def _span(trace_id, span_id, *, parent=None, wall_s=0.1, start=0.0, **meta):
@@ -149,19 +151,20 @@ class TestSinkIntegrityUnderShutdown:
         sink.close()
 
     def test_sigterm_loses_no_completed_spans(self, tmp_path):
-        """Kill a tracer-owning process mid-run; every span emitted
-        before the kill must be intact on disk."""
+        """Kill a process with a bound span sink mid-run; every span
+        emitted before the kill must be intact on disk."""
         path = tmp_path / "spans.jsonl"
         script = f"""
 import sys, time
 sys.path.insert(0, {repr(os.path.join(os.getcwd(), "src"))})
-from repro.obs import JsonlSink, Tracer, TraceContext
+from repro.obs import JsonlSink, TraceContext, span, trace_scope
 
-tracer = Tracer(JsonlSink({repr(str(path))}), process="victim")
-for i in range(5):
-    tracer.emit_span("pre-kill", TraceContext.new(), wall_s=0.001)
-print("ready", flush=True)
-time.sleep(30)  # killed long before this returns; sink never closed
+with trace_scope(TraceContext.new(), JsonlSink({repr(str(path))})):
+    for i in range(5):
+        with span("pre-kill"):
+            pass
+    print("ready", flush=True)
+    time.sleep(30)  # killed long before this returns; sink never closed
 """
         proc = subprocess.Popen(
             [sys.executable, "-c", script],
@@ -174,9 +177,38 @@ time.sleep(30)  # killed long before this returns; sink never closed
             proc.wait(timeout=10)
         finally:
             proc.kill()
+            proc.stdout.close()
         spans = load_spans(str(path))
         assert len(spans) == 5
         assert all(s["name"] == "pre-kill" for s in spans)
+
+    def test_threads_sharing_one_sink_never_interleave(self, tmp_path):
+        """A served trace's sink is written from the event loop and the
+        kernel executor at once: every line must parse, none lost."""
+        path = tmp_path / "shared.jsonl"
+        sink = JsonlSink(str(path))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with trace_scope(TraceContext.new(), sink):
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(_spans_from_thread, writer, 50),
+                    )
+                    for writer in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            sink.close()
+        spans = load_spans(str(path))
+        assert len(spans) == 8 * 50
+        assert {s["meta"]["writer"] for s in spans} == set(range(8))
 
     def test_concurrent_pool_writers_never_interleave(self, tmp_path):
         """Many processes appending to one span file via O_APPEND: every
@@ -229,22 +261,25 @@ class TestRotatingSink:
         assert json.loads(content[-1])["index"] == 29
 
 
-def _append_batch(job):
-    """Pool target: append ``count`` span records with one O_APPEND
-    write each (module-level for pickling)."""
-    path, writer, count = job
+def _spans_from_thread(writer, count):
     for index in range(count):
-        append_span_record(
-            path,
-            {
-                "type": "span",
-                "name": "worker.step",
-                "trace_id": "c" * 32,
-                "span_id": f"{writer:08x}{index:08x}",
-                "wall_s": 0.001,
-                "meta": {"writer": writer, "index": index},
-            },
-        )
-        if index % 7 == 0:
-            time.sleep(0.001)  # encourage interleaving across writers
+        with span("thread.step", writer=writer, index=index):
+            pass
+
+
+def _append_batch(job):
+    """Pool target: append ``count`` span records through a JSONL sink
+    on the shared file, one O_APPEND write each, as a traced shard
+    worker does (module-level for pickling)."""
+    path, writer, count = job
+    sink = JsonlSink(path)
+    try:
+        with trace_scope(TraceContext("c" * 32, f"{writer:016x}"), sink):
+            for index in range(count):
+                with span("worker.step", writer=writer, index=index):
+                    pass
+                if index % 7 == 0:
+                    time.sleep(0.001)  # encourage interleaving across writers
+    finally:
+        sink.close()
     return writer

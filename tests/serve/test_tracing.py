@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from repro.obs import load_spans
+from repro.obs import LoggingSink, load_spans, recording
 from repro.obs.export import render_prometheus
 from repro.serve import CharacterizationServer, ServeConfig
 
@@ -34,6 +35,32 @@ async def _with_server(config, fn):
         return await fn(server)
     finally:
         await server.stop()
+
+
+def _burst(config, size=3):
+    """One concurrent burst of ``size`` distinct characterize requests
+    (no cache or singleflight dedup), so it coalesces into one batch."""
+
+    async def _go(server):
+        bodies = [
+            json.dumps({
+                "matrix": (np.asarray(_MATRIX) + i).tolist()
+            }).encode("utf-8")
+            for i in range(size)
+        ]
+        return await asyncio.gather(*(
+            server.exchange("POST", "/v1/characterize", body)
+            for body in bodies
+        ))
+
+    return _run(_with_server(config, _go))
+
+
+def _kernel_of(record, by_id):
+    """The ``serve.kernel`` span on ``record``'s parent chain, if any."""
+    while record is not None and record["name"] != "serve.kernel":
+        record = by_id.get(record.get("parent_id"))
+    return record
 
 
 def _exchange_sync(config, requests):
@@ -182,6 +209,62 @@ class TestSpanTree:
         linked_traces = {l["trace_id"] for l in batched["links"]}
         member_traces = {r[3]["X-Repro-Trace-Id"] for r in responses}
         assert linked_traces == member_traces
+
+    def test_kernel_spans_nest_under_their_batch(
+        self, metrics_registry, tmp_path
+    ):
+        """The batch kernel runs in its first traced member's context, so
+        its Sinkhorn and SVD spans are children of ``serve.kernel``."""
+        config = ServeConfig(
+            linger_s=0.1, trace_path=str(tmp_path / "spans.jsonl")
+        )
+        responses = _burst(config)
+        assert all(r[0] == 200 for r in responses)
+        spans = load_spans(config.trace_path)
+        by_id = {s["span_id"]: s for s in spans}
+        [kernel] = [s for s in spans if s["name"] == "serve.kernel"]
+        assert kernel["meta"]["batch_size"] == 3
+        for name in ("sinkhorn.batched", "svd.batched"):
+            [inner] = [s for s in spans if s["name"] == name]
+            assert _kernel_of(inner, by_id) is kernel
+            assert inner["trace_id"] == kernel["trace_id"]
+            assert inner["depth"] > kernel["depth"]
+        # The kernel hangs off one member's request span.
+        roots = {s["span_id"] for s in spans if s["name"] == "serve.request"}
+        assert kernel["parent_id"] in roots
+
+    def test_recording_collects_the_served_kernel_spans(
+        self, metrics_registry, tmp_path
+    ):
+        config = ServeConfig(
+            linger_s=0.1, trace_path=str(tmp_path / "spans.jsonl")
+        )
+        with recording() as rec:
+            responses = _burst(config)
+        assert all(r[0] == 200 for r in responses)
+        names = [e.name for e in rec.events]
+        assert names.count("serve.request") == 3
+        assert names.count("serve.kernel") == 1
+        [kernel] = rec.spans("serve.kernel")
+        for name in ("sinkhorn.batched", "svd.batched"):
+            [inner] = rec.spans(name)
+            assert inner.trace_id == kernel.trace_id
+            assert inner.depth > kernel.depth
+
+    def test_logging_sink_formats_every_served_record(
+        self, metrics_registry, tmp_path, caplog
+    ):
+        logger = logging.getLogger("repro.obs.test_served")
+        config = ServeConfig(
+            linger_s=0.1, trace_path=str(tmp_path / "spans.jsonl")
+        )
+        with caplog.at_level(logging.DEBUG, logger=logger.name):
+            with recording(sinks=[LoggingSink(logger)]):
+                responses = _burst(config)
+        assert all(r[0] == 200 for r in responses)
+        logged = [r.getMessage() for r in caplog.records]
+        for name in ("serve.request", "serve.kernel", "sinkhorn.batched"):
+            assert any(line.startswith(f"span {name} ") for line in logged)
 
     def test_untraced_server_emits_nothing(self, metrics_registry, tmp_path):
         _exchange_sync(
@@ -335,5 +418,5 @@ class TestSlowLogAndExemplars:
             return server
 
         server = _run(_with_server(config, _go))
-        assert server.tracer.sink._handle is None
+        assert server.trace_sink._handle is None
         assert server.slow_log._handle is None

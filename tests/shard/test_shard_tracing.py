@@ -1,15 +1,18 @@
 """Trace-context handoff into shard pool workers.
 
-With an ambient tracer installed (``tracing(path)``), a pooled
-``characterize_store`` run serializes a per-shard span context into each
-worker's argument tuple; workers append their ``shard.worker`` spans to
-the shared JSONL file with one O_APPEND write each.  Under speculation a
-shard's primary and backup dispatches are *sibling* spans under one
+With a JSONL sink bound (``recording(trace_path=path)``), a pooled
+``characterize_store`` run serializes ``(path, shard context)`` into
+each worker's argument tuple; each worker binds a sink on the shared
+file under that context and runs inside a ``shard.worker`` span, so its
+kernel spans are that span's children.  Under speculation a shard's
+primary and backup dispatches are *sibling* spans under one
 ``shard.dispatch`` parent — the loser's span is synthesized by the
 scheduler (terminated stragglers cannot write their own).
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -17,8 +20,8 @@ from repro.obs import (
     TraceContext,
     group_traces,
     load_spans,
+    recording,
     trace_scope,
-    tracing,
 )
 from repro.obs.metrics import MetricsRegistry, collecting_metrics
 from repro.robust import Budget, FaultPlan
@@ -39,7 +42,7 @@ def store(tmp_path_factory):
 
 def _traced_run(store, trace_path, **kwargs):
     with collecting_metrics(MetricsRegistry()):
-        with tracing(str(trace_path)):
+        with recording(trace_path=str(trace_path)):
             characterize_store(store, chunk_size=CHUNK, **kwargs)
     return load_spans(str(trace_path))
 
@@ -60,7 +63,7 @@ class TestPooledRunTracing:
         # Worker spans carry their shard slice and real process ids.
         for worker in workers:
             assert worker["meta"]["members"] == CHUNK
-            assert worker["process"].startswith("shard-worker-")
+            assert worker["pid"] != os.getpid()
         # Each dispatch records its winner without speculation.
         for dispatch in dispatches:
             assert dispatch["meta"]["speculated"] is False
@@ -71,15 +74,21 @@ class TestPooledRunTracing:
     ):
         ambient = TraceContext.new()
         with collecting_metrics(MetricsRegistry()):
-            with tracing(str(tmp_path / "spans.jsonl")):
+            with recording(trace_path=str(tmp_path / "spans.jsonl")):
                 with trace_scope(ambient):
                     characterize_store(store, chunk_size=CHUNK, n_jobs=2)
         spans = load_spans(str(tmp_path / "spans.jsonl"))
         assert spans and all(
             s["trace_id"] == ambient.trace_id for s in spans
         )
-        for dispatch in (s for s in spans if s["name"] == "shard.dispatch"):
-            assert dispatch["parent_id"] == ambient.span_id
+        # The run's own span is the ambient context's child, and each
+        # dispatch hangs off the run.
+        [run] = [s for s in spans if s["name"] == "shard.characterize_store"]
+        assert run["parent_id"] == ambient.span_id
+        dispatches = [s for s in spans if s["name"] == "shard.dispatch"]
+        assert len(dispatches) == 2
+        for dispatch in dispatches:
+            assert dispatch["parent_id"] == run["span_id"]
 
     def test_speculation_yields_sibling_pair_under_one_parent(
         self, store, tmp_path
@@ -128,13 +137,39 @@ class TestPooledRunTracing:
         assert list(tmp_path.iterdir()) == []
 
     def test_serial_run_emits_no_dispatch_spans(self, store, tmp_path):
-        with collecting_metrics(MetricsRegistry()):
-            with tracing(str(tmp_path / "spans.jsonl")):
-                characterize_store(store, chunk_size=CHUNK)
-        # Serial path never dispatches; the lazily-opened sink may not
-        # even have created the file.
         path = tmp_path / "spans.jsonl"
-        spans = load_spans(str(path)) if path.exists() else []
-        assert [
-            s for s in spans if s["name"].startswith("shard.")
-        ] == []
+        with collecting_metrics(MetricsRegistry()):
+            with recording(trace_path=str(path)) as rec:
+                characterize_store(store, chunk_size=CHUNK)
+        # The serial path never dispatches: its chunks run in process
+        # under the run's span, and nothing crosses to a worker.
+        names = {e.name for e in rec.events}
+        assert "shard.chunk" in names
+        assert not names & {"shard.dispatch", "shard.worker",
+                            "shard.worker.lost"}
+        assert load_spans(str(path)) == []  # untraced: no trace ids
+
+    def test_worker_kernel_spans_nest_under_shard_worker(
+        self, store, tmp_path
+    ):
+        spans = _traced_run(store, tmp_path / "spans.jsonl", n_jobs=2)
+        by_id = {s["span_id"]: s for s in spans}
+        workers = [s for s in spans if s["name"] == "shard.worker"]
+        assert len(workers) == 2
+
+        def owning_worker(record):
+            while record is not None and record["name"] != "shard.worker":
+                record = by_id.get(record["parent_id"])
+            return record
+
+        for worker in workers:
+            kernels = [
+                s for s in spans
+                if s["name"] in ("sinkhorn.batched", "svd.batched")
+                and owning_worker(s) is worker
+            ]
+            assert {s["name"] for s in kernels} == {
+                "sinkhorn.batched", "svd.batched",
+            }
+            # Written by the worker process that ran them.
+            assert {s["pid"] for s in kernels} == {worker["pid"]}
