@@ -1,9 +1,9 @@
 """One-call columnar characterization of matrix ensembles.
 
 :func:`characterize_ensemble` is the batched sibling of
-:func:`repro.measures.characterize_many`: it takes an ``(N, T, M)``
-stack (or any sequence of environments) and returns the three paper
-measures for every member as flat arrays instead of N profile objects.
+:func:`repro.measures.characterize`: it takes an ``(N, T, M)`` stack
+(or any sequence of environments) and returns the three paper measures
+for every member as flat arrays instead of N profile objects.
 
 Dispatch rules (documented in ``docs/BATCHED.md``):
 

@@ -43,7 +43,7 @@ from .alternatives import (
     coefficient_of_variation,
 )
 from .statistics import gini_coefficient, quartile_dispersion, skewness
-from .report import HeterogeneityProfile, characterize, characterize_many
+from .report import HeterogeneityProfile, characterize
 from .clusters import AffinityClusters, affinity_clusters
 from .properties import (
     verify_scale_invariance,
@@ -70,7 +70,6 @@ __all__ = [
     "skewness",
     "HeterogeneityProfile",
     "characterize",
-    "characterize_many",
     "AffinityClusters",
     "affinity_clusters",
     "verify_scale_invariance",

@@ -26,7 +26,7 @@ from ._coerce import coerce_ecs_and_weights
 from .affinity import _column_tma, _singular_values, _standard_tma
 from .alternatives import _line_statistics
 
-__all__ = ["HeterogeneityProfile", "characterize", "characterize_many"]
+__all__ = ["HeterogeneityProfile", "characterize"]
 
 
 @dataclass(frozen=True)
@@ -197,36 +197,3 @@ def characterize(
         n_tasks=ecs.shape[0],
         n_machines=ecs.shape[1],
     )
-
-
-def _characterize_worker(args: tuple) -> HeterogeneityProfile:
-    """Module-level worker (picklable) for :func:`characterize_many`."""
-    matrix, tol, tma_fallback = args
-    return characterize(matrix, tol=tol, tma_fallback=tma_fallback)
-
-
-def characterize_many(
-    environments,
-    *,
-    tol: float = DEFAULT_TOL,
-    tma_fallback: str = "limit",
-    n_jobs: int | None = None,
-) -> list[HeterogeneityProfile]:
-    """Characterize a batch of environments, optionally in parallel.
-
-    Equivalent to ``[characterize(e, ...) for e in environments]``;
-    with ``n_jobs > 1`` the batch is distributed across a process pool
-    (raw arrays and the core matrix wrappers are picklable).  Ensemble
-    studies over hundreds of environments are the intended use.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> profiles = characterize_many([np.ones((2, 2)), np.eye(2) + 0.01])
-    >>> [round(p.tma, 2) for p in profiles]
-    [0.0, 0.98]
-    """
-    from .._parallel import parallel_map
-
-    items = [(env, tol, tma_fallback) for env in environments]
-    return parallel_map(_characterize_worker, items, n_jobs=n_jobs)

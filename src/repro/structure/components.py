@@ -21,7 +21,7 @@ import numpy as np
 
 from ..exceptions import MatrixShapeError
 from .patterns import (
-    _bipartite_graph,
+    _bipartite_components,
     has_support,
     support_pattern,
     total_support_pattern,
@@ -81,8 +81,6 @@ def fully_indecomposable_components(matrix) -> IndecomposableComponents:
     >>> comps.n_blocks
     1
     """
-    import networkx as nx
-
     pattern = support_pattern(matrix)
     if pattern.shape[0] != pattern.shape[1]:
         raise MatrixShapeError(
@@ -98,14 +96,17 @@ def fully_indecomposable_components(matrix) -> IndecomposableComponents:
     dropped = tuple(
         (int(i), int(j)) for i, j in zip(*np.nonzero(pattern & ~core))
     )
-    graph = _bipartite_graph(core)
-    blocks = []
-    for component in nx.connected_components(graph):
-        rows = tuple(sorted(idx for kind, idx in component if kind == "r"))
-        cols = tuple(sorted(idx for kind, idx in component if kind == "c"))
-        if rows or cols:
-            blocks.append((rows, cols))
-    blocks.sort(key=lambda b: b[0][0] if b[0] else -1)
+    n_blocks, label = _bipartite_components(core)
+    n = pattern.shape[0]
+    # The core keeps a perfect matching, so every block holds a row.
+    blocks = sorted(
+        (
+            (tuple(np.flatnonzero(label[:n] == b).tolist()),
+             tuple(np.flatnonzero(label[n:] == b).tolist()))
+            for b in range(n_blocks)
+        ),
+        key=lambda block: block[0][0],
+    )
     return IndecomposableComponents(
         blocks=tuple(blocks), dropped_entries=dropped
     )

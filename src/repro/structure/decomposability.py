@@ -35,8 +35,8 @@ import numpy as np
 
 from ..exceptions import MatrixShapeError
 from .patterns import (
-    _bipartite_graph,
-    _maximum_matching,
+    _bipartite_components,
+    _row_of_col,
     has_total_support,
     support_pattern,
 )
@@ -54,13 +54,11 @@ _MAX_MINORS = 200_000
 
 
 def _square_fully_indecomposable(pattern: np.ndarray) -> bool:
-    import networkx as nx
-
     if pattern.shape[0] == 1:
         return bool(pattern[0, 0])
     if not has_total_support(pattern):
         return False
-    return nx.is_connected(_bipartite_graph(pattern))
+    return _bipartite_components(pattern)[0] == 1
 
 
 def is_fully_indecomposable(matrix) -> bool:
@@ -133,8 +131,7 @@ def find_zero_block(matrix) -> tuple[list[int], list[int]] | None:
     for r in range(n):
         for c in range(n):
             sub = np.delete(np.delete(pattern, r, axis=0), c, axis=1)
-            match = _maximum_matching(sub)
-            if len(match) < n - 1:
+            if (_row_of_col(sub) < 0).any():
                 # König: a vertex cover of size < n - 1 exists in the
                 # minor; recover a Hall violator among its columns.
                 cols_keep = [j for j in range(n) if j != c]
@@ -166,12 +163,13 @@ def _hall_violator(pattern: np.ndarray) -> list[int] | None:
     alternate (column → its rows → rows' matched columns); the reachable
     columns form a maximal violator when any column is unmatched.
     """
-    n_rows, n_cols = pattern.shape
-    match = _maximum_matching(pattern)  # row -> col
-    col_to_row = {col: row for row, col in match.items()}
-    unmatched = [j for j in range(n_cols) if j not in col_to_row]
+    row_of_col = _row_of_col(pattern)
+    unmatched = np.flatnonzero(row_of_col < 0).tolist()
     if not unmatched:
         return None
+    col_of_row = np.full(pattern.shape[0], -1)
+    matched = row_of_col >= 0
+    col_of_row[row_of_col[matched]] = np.flatnonzero(matched)
     seen_cols = set(unmatched)
     seen_rows: set[int] = set()
     frontier = list(unmatched)
@@ -182,8 +180,8 @@ def _hall_violator(pattern: np.ndarray) -> list[int] | None:
             if i in seen_rows:
                 continue
             seen_rows.add(i)
-            mate = match.get(i)
-            if mate is not None and mate not in seen_cols:
+            mate = int(col_of_row[i])
+            if mate >= 0 and mate not in seen_cols:
                 seen_cols.add(mate)
                 frontier.append(mate)
     violator = sorted(seen_cols)

@@ -23,14 +23,10 @@ flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .patterns import support_pattern
-
-if TYPE_CHECKING:  # imported where used, so ``import repro`` skips it
-    import networkx as nx
 
 __all__ = ["is_normalizable", "normalizability_report", "NormalizabilityReport"]
 
@@ -59,34 +55,52 @@ class NormalizabilityReport:
     blocking_edges: tuple[tuple[int, int], ...]
 
 
-def _transportation_network(
-    pattern: np.ndarray,
-) -> tuple[nx.DiGraph, int]:
-    """Build source→rows→cols→sink network with integer capacities.
+def _menon_test(pattern: np.ndarray) -> tuple[NormalizabilityReport, int]:
+    """The report for a boolean pattern, and its max-flow deficit.
 
-    Row supplies are ``M`` units each and column demands ``T`` units
-    each (both scaled), the smallest integer margins consistent with
-    equal row sums and equal column sums.
+    The deficit is how many of the ``T*M`` units the pattern cannot
+    route (0 exactly when it is feasible).
     """
-    import networkx as nx
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, maximum_flow
 
+    # Nodes: rows 0..T-1, columns T..T+M-1, then source and sink.  Every
+    # row supplies M units and every column demands T units, the
+    # smallest integer margins with equal row sums and equal column
+    # sums, so the flow is exact integer arithmetic.  Pattern edges get
+    # capacity T*M: effectively uncapacitated.
     n_rows, n_cols = pattern.shape
-    # Integer margins: every row supplies M units, every column demands
-    # T units, so the grand totals agree exactly (T*M each way) and the
-    # max-flow is computed in exact integer arithmetic.
-    row_cap = n_cols
-    col_cap = n_rows
-    graph = nx.DiGraph()
-    for i in range(n_rows):
-        graph.add_edge("s", ("r", i), capacity=row_cap)
-    for j in range(n_cols):
-        graph.add_edge(("c", j), "t", capacity=col_cap)
+    total = n_rows * n_cols
+    source, sink = n_rows + n_cols, n_rows + n_cols + 1
     rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows, cols):
-        # Pattern edges are effectively uncapacitated.
-        graph.add_edge(("r", int(i)), ("c", int(j)),
-                       capacity=n_rows * row_cap)
-    return graph, n_rows * row_cap
+    tails = np.concatenate(
+        [np.full(n_rows, source), rows, np.arange(n_rows, source)]
+    )
+    heads = np.concatenate(
+        [np.arange(n_rows), n_rows + cols, np.full(n_cols, sink)]
+    )
+    caps = np.repeat(
+        np.array([n_cols, total, n_rows], dtype=np.int32),
+        [n_rows, rows.size, n_cols],
+    )
+    graph = csr_array((caps, (tails, heads)), shape=(sink + 1, sink + 1))
+    result = maximum_flow(graph, source, sink)
+    deficit = total - int(result.flow_value)
+    if deficit:
+        return NormalizabilityReport(False, False, ()), deficit
+    # ``graph - flow`` is the residual capacity: cap - f on each forward
+    # arc and f on its reverse.  A zero-flow pattern edge (u, v) can
+    # carry positive flow in some feasible solution iff v reaches u in
+    # the residual graph, i.e. u and v share a strongly connected
+    # component.  An edge that carries flow qualifies outright: when the
+    # flow fills it (a 1 x 1 pattern) u and v need not share one.
+    residual = graph - result.flow
+    residual.eliminate_zeros()
+    _, component = connected_components(residual, connection="strong")
+    carried = np.asarray(result.flow[rows, n_rows + cols]).reshape(-1) > 0
+    blocking = ~carried & (component[rows] != component[n_rows + cols])
+    edges = tuple(zip(rows[blocking].tolist(), cols[blocking].tolist()))
+    return NormalizabilityReport(not edges, True, edges), 0
 
 
 def normalizability_report(matrix) -> NormalizabilityReport:
@@ -96,52 +110,7 @@ def normalizability_report(matrix) -> NormalizabilityReport:
     (one max-flow plus one SCC pass), unlike the every-square-submatrix
     definition of full indecomposability.
     """
-    import networkx as nx
-
-    pattern = support_pattern(matrix)
-    if not pattern.any(axis=1).all() or not pattern.any(axis=0).all():
-        # An all-zero row or column can never reach a positive sum.
-        return NormalizabilityReport(
-            normalizable=False,
-            feasible=False,
-            blocking_edges=(),
-        )
-    graph, total = _transportation_network(pattern)
-    flow_value, flow = nx.maximum_flow(graph, "s", "t")
-    if flow_value < total:
-        return NormalizabilityReport(
-            normalizable=False, feasible=False, blocking_edges=()
-        )
-    # Residual graph: forward edge when flow < capacity, backward when
-    # flow > 0.  A zero-flow pattern edge (u, v) can carry positive flow
-    # in some feasible solution iff v reaches u in the residual graph —
-    # i.e. u and v share a strongly connected component (positive-flow
-    # edges give the v→u residual arc directly, so they always qualify).
-    residual = nx.DiGraph()
-    for u, targets in flow.items():
-        for v, f in targets.items():
-            cap = graph[u][v]["capacity"]
-            if f < cap:
-                residual.add_edge(u, v)
-            if f > 0:
-                residual.add_edge(v, u)
-    component_of: dict = {}
-    for comp_id, comp in enumerate(nx.strongly_connected_components(residual)):
-        for node in comp:
-            component_of[node] = comp_id
-    blocking: list[tuple[int, int]] = []
-    rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows, cols):
-        u, v = ("r", int(i)), ("c", int(j))
-        if flow[u].get(v, 0) > 0:
-            continue
-        if component_of.get(u) != component_of.get(v):
-            blocking.append((int(i), int(j)))
-    return NormalizabilityReport(
-        normalizable=not blocking,
-        feasible=True,
-        blocking_edges=tuple(blocking),
-    )
+    return _menon_test(support_pattern(matrix))[0]
 
 
 def is_normalizable(matrix) -> bool:

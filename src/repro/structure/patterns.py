@@ -17,14 +17,9 @@ connected component of the exchange digraph).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..exceptions import MatrixShapeError
-
-if TYPE_CHECKING:  # imported where used, so ``import repro`` skips it
-    import networkx as nx
 
 __all__ = [
     "support_pattern",
@@ -44,33 +39,31 @@ def support_pattern(matrix) -> np.ndarray:
     return arr != 0
 
 
-def _bipartite_graph(pattern: np.ndarray) -> nx.Graph:
-    """Bipartite graph with rows as ``("r", i)`` and columns ``("c", j)``."""
-    import networkx as nx
+def _row_of_col(pattern: np.ndarray) -> np.ndarray:
+    """Hopcroft–Karp maximum matching of the pattern's bipartite graph:
+    the row matched to each column, or -1 where a column is unmatched."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    graph = nx.Graph()
+    return maximum_bipartite_matching(csr_array(pattern), perm_type="row")
+
+
+def _bipartite_components(pattern: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the bipartite row/column graph.
+
+    Rows are nodes ``0..T-1`` and columns ``T..T+M-1``; returns the
+    component count and each node's label.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     n_rows, n_cols = pattern.shape
-    graph.add_nodes_from(("r", i) for i in range(n_rows))
-    graph.add_nodes_from(("c", j) for j in range(n_cols))
     rows, cols = np.nonzero(pattern)
-    graph.add_edges_from(
-        (("r", int(i)), ("c", int(j))) for i, j in zip(rows, cols)
+    n = n_rows + n_cols
+    graph = csr_array(
+        (np.ones(rows.size, dtype=np.int8), (rows, n_rows + cols)), shape=(n, n)
     )
-    return graph
-
-
-def _maximum_matching(pattern: np.ndarray) -> dict[int, int]:
-    """Row→column maximum matching of the pattern's bipartite graph."""
-    import networkx as nx
-
-    graph = _bipartite_graph(pattern)
-    top = {("r", i) for i in range(pattern.shape[0])}
-    matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=top)
-    return {
-        node[1]: mate[1]
-        for node, mate in matching.items()
-        if node[0] == "r"
-    }
+    return connected_components(graph, directed=False)
 
 
 def has_support(matrix) -> bool:
@@ -83,8 +76,8 @@ def has_support(matrix) -> bool:
     T ≤ M, every column when M ≤ T).
     """
     pattern = support_pattern(matrix)
-    match = _maximum_matching(pattern)
-    return len(match) == min(pattern.shape)
+    matched = int((_row_of_col(pattern) >= 0).sum())
+    return matched == min(pattern.shape)
 
 
 def total_support_pattern(matrix) -> np.ndarray:
@@ -103,7 +96,8 @@ def total_support_pattern(matrix) -> np.ndarray:
     reach ``j`` — i.e. ``j`` and ``k`` share a strongly connected
     component once the matching edges (self-loops) are present.
     """
-    import networkx as nx
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
 
     pattern = support_pattern(matrix)
     n_rows, n_cols = pattern.shape
@@ -112,29 +106,18 @@ def total_support_pattern(matrix) -> np.ndarray:
             "total support is defined for square matrices; got shape "
             f"{pattern.shape}"
         )
-    match = _maximum_matching(pattern)
-    if len(match) < n_rows:
+    row_of_col = _row_of_col(pattern)
+    if (row_of_col < 0).any():
         return np.zeros_like(pattern, dtype=bool)
-    row_of_col = {col: row for row, col in match.items()}
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(range(n_cols))
-    for j in range(n_cols):
-        row = row_of_col[j]
-        for k in np.nonzero(pattern[row])[0]:
-            if int(k) != j:
-                digraph.add_edge(j, int(k))
-    component_of: dict[int, int] = {}
-    for comp_id, comp in enumerate(nx.strongly_connected_components(digraph)):
-        for node in comp:
-            component_of[node] = comp_id
-    mask = np.zeros_like(pattern, dtype=bool)
-    for j in range(n_cols):
-        row = row_of_col[j]
-        mask[row, j] = True  # matching entries always qualify
-        for k in np.nonzero(pattern[row])[0]:
-            k = int(k)
-            if k != j and component_of[j] == component_of[k]:
-                mask[row, k] = True
+    # Row j of ``exchange`` is the pattern row matched to column j, so
+    # its entry (j, k) is the digraph edge j -> k; the matching entries
+    # are its diagonal (self-loops, harmless to strong components).
+    exchange = pattern[row_of_col]
+    _, component = connected_components(
+        csr_array(exchange), connection="strong"
+    )
+    mask = np.empty_like(pattern)
+    mask[row_of_col] = exchange & (component[:, None] == component[None, :])
     return mask
 
 

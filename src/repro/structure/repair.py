@@ -14,8 +14,10 @@ minimal by construction (the blocking set is unique).  Adding is a
 greedy search: at each step the candidate zero entry whose inclusion
 most reduces the number of blocking edges is chosen (ties broken by
 position), which is not guaranteed minimum-cardinality but is exact in
-the common single-bottleneck cases and always terminates with a
-normalizable pattern (the all-ones pattern is).
+the common single-bottleneck cases.  It always ends with a normalizable
+pattern, within as many steps as the pattern has zeros: while the
+margins are infeasible some added entry raises the max flow, and every
+step adds one entry toward the all-ones pattern, which is normalizable.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import MatrixValueError
-from .normalizability import normalizability_report
+from .normalizability import _menon_test, normalizability_report
 from .patterns import support_pattern
 
 __all__ = ["RepairPlan", "suggest_repairs"]
-
-#: Candidate-evaluation budget for the greedy "add" strategy.
-_MAX_GREEDY_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -112,22 +111,19 @@ def suggest_repairs(matrix, *, strategy: str = "drop") -> RepairPlan:
         )
 
     # Greedy "add": flip the zero entry that best reduces the blocking
-    # count (infeasible patterns count every edge as blocking).
+    # count.  An infeasible pattern scores above every feasible one, by
+    # its max-flow deficit, so a flip that routes more flow is progress.
     work = pattern.copy()
     added: list[tuple[int, int]] = []
 
     def badness(p: np.ndarray) -> int:
-        rep = normalizability_report(p)
-        if rep.normalizable:
-            return 0
+        rep, deficit = _menon_test(p)
         if not rep.feasible:
-            return p.size + 1
+            return p.size + deficit
         return len(rep.blocking_edges)
 
     current = badness(work)
-    for _ in range(_MAX_GREEDY_STEPS):
-        if current == 0:
-            break
+    while current:
         zeros = np.argwhere(~work)
         best_entry = None
         best_score = current

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from repro import ConvergenceError
 from repro.normalize import sinkhorn_knopp
@@ -110,6 +111,73 @@ class TestAgainstSinkhornOracle:
         except ConvergenceError:
             converged_cleanly = False
         assert predicted == converged_cleanly, matrix
+
+
+def _lp_blocking_edges(pattern):
+    """Feasibility and blocking edges from linear programs alone.
+
+    Flow runs on pattern edges only; rows supply M and columns demand T.
+    Each edge not yet seen carrying flow gets its own LP that maximises
+    its flow over that polytope; an edge whose maximum is 0 blocks.
+    """
+    n_rows, n_cols = pattern.shape
+    rows, cols = np.nonzero(pattern)
+    if rows.size == 0:
+        return False, ()
+    a_eq = np.vstack([
+        rows == np.arange(n_rows)[:, None],
+        cols == np.arange(n_cols)[:, None],
+    ]).astype(float)
+    b_eq = np.r_[np.full(n_rows, n_cols), np.full(n_cols, n_rows)]
+    carried = np.zeros(rows.size, dtype=bool)
+    blocking = np.zeros(rows.size, dtype=bool)
+    for edge in range(rows.size):
+        if carried[edge]:
+            continue
+        c = np.zeros(rows.size)
+        c[edge] = -1.0
+        result = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                         method="highs")
+        if result.status == 2:
+            return False, ()
+        assert result.status == 0, result.message
+        # Vertices of an integral transportation polytope are integral,
+        # so any positive flow is at least 1.
+        carried |= result.x > 0.5
+        blocking[edge] = not carried[edge]
+    return True, tuple(zip(rows[blocking].tolist(), cols[blocking].tolist()))
+
+
+class TestAgainstLinearProgram:
+    """``blocking_edges`` against an oracle that shares no flow code."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_random_patterns(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        if seed % 4 == 2:
+            # A square pattern with each column repeated: rectangular,
+            # and its blocking structure survives the repeat.
+            n, k = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            shape, repeat = (n, n), (1, k)
+        else:
+            shape = tuple(int(n) for n in rng.integers(1, 8, size=2))
+            if seed % 2:
+                shape = (shape[0], shape[0])
+            repeat = (1, 1)
+        pattern = rng.random(shape) < rng.choice([0.4, 0.6, 0.8])
+        if seed % 5:  # most seeds fill their empty lines
+            for i in np.flatnonzero(~pattern.any(axis=1)):
+                pattern[i, rng.integers(shape[1])] = True
+            for j in np.flatnonzero(~pattern.any(axis=0)):
+                pattern[rng.integers(shape[0]), j] = True
+        pattern = np.kron(pattern, np.ones(repeat, dtype=bool))
+        if seed % 3 == 0:
+            pattern = pattern.T
+        feasible, blocking = _lp_blocking_edges(pattern)
+        report = normalizability_report(pattern)
+        assert report.feasible == feasible, pattern.astype(int)
+        assert report.blocking_edges == blocking, pattern.astype(int)
+        assert report.normalizable == (feasible and not blocking)
 
 
 class TestSufficiencyRelation:

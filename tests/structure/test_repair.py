@@ -78,6 +78,15 @@ class TestAddStrategy:
         plan = suggest_repairs(pattern, strategy="add")
         assert is_normalizable(plan.apply(pattern))
 
+    @pytest.mark.parametrize("shape", [(9, 9), (4, 30)])
+    def test_single_nonzero_repaired(self, shape):
+        # No single flip makes these feasible, so the plan must make
+        # progress on the flow deficit rather than run out of steps.
+        pattern = np.zeros(shape)
+        pattern[0, 0] = 1.0
+        plan = suggest_repairs(pattern, strategy="add")
+        assert is_normalizable(plan.apply(pattern))
+
     def test_unknown_strategy(self, eq10_matrix):
         with pytest.raises(MatrixValueError):
             suggest_repairs(eq10_matrix, strategy="rebuild")

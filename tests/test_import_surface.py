@@ -1,13 +1,13 @@
 """Guard: importing repro loads no library that only a rare feature needs.
 
-``scipy`` (``affinity_clusters``), ``networkx`` (the Section VI zero
-pattern checks in ``repro.structure``), ``http.server``
-(``start_metrics_server``) and ``concurrent.futures.process`` with
-``multiprocessing`` (the process-pool scheduler) are imported inside
-the functions that use them, so a fresh process pays for them only on
-first use.  No backend needs numba, so an installed numba stays
-unloaded too.  Each check runs in a new interpreter, because other test
-modules import scipy at module level.
+``scipy`` (``affinity_clusters`` and the Section VI zero pattern checks
+in ``repro.structure``), ``http.server`` (``start_metrics_server``) and
+``concurrent.futures.process`` with ``multiprocessing`` (the
+process-pool scheduler) are imported inside the functions that use
+them, so a fresh process pays for them only on first use.  No code
+needs numba or networkx, so an installed one stays unloaded too.  Each
+check runs in a new interpreter, because other test modules import
+scipy at module level.
 """
 
 import json
@@ -72,6 +72,42 @@ def test_an_installed_numba_is_not_imported(tmp_path):
     assert _run(code, str(tmp_path)) == [True, False, ["numpy"]]
 
 
+def test_section_vi_runs_without_networkx(tmp_path):
+    # A networkx that cannot be imported sits ahead of site-packages.
+    (tmp_path / "networkx").mkdir()
+    (tmp_path / "networkx" / "__init__.py").write_text(
+        "raise ImportError('networkx is not available')\n"
+    )
+    code = """
+import importlib.util, inspect, json
+import numpy as np
+import repro
+import repro.structure as structure
+
+eq10 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+calls = {
+    name: (lambda fn=getattr(structure, name): fn(eq10))
+    for name in structure.__all__
+    if inspect.isfunction(getattr(structure, name))
+}
+calls["suggest_repairs(add)"] = lambda: structure.suggest_repairs(eq10, strategy="add")
+calls["characterize"] = lambda: repro.characterize(eq10)
+calls["standardize(limit)"] = lambda: repro.standardize(eq10, zeros="limit")
+out = {"networkx spec": importlib.util.find_spec("networkx") is not None}
+for name, call in calls.items():
+    try:
+        call()
+        out[name] = "ok"
+    except Exception as exc:
+        out[name] = repr(exc)
+print(json.dumps(out))
+"""
+    out = _run(code, str(tmp_path))
+    assert out.pop("networkx spec") is True
+    assert len(out) == 14
+    assert out == dict.fromkeys(out, "ok")
+
+
 def test_characterize_skips_deferred_libraries():
     code = (
         "import numpy as np, repro; "
@@ -115,7 +151,7 @@ print(json.dumps(out))
         "concurrent.futures.process": True,
         "multiprocessing": True,
         "normalizable": False,
-        "networkx": True,
+        "networkx": False,
         "clusters": 2,
         "scipy": True,
         "status": 200,
