@@ -7,7 +7,7 @@ vectorization-friendly invariant; see the repo's DESIGN.md).
 
 The rule: **public entry points validate once; private ``_…`` bodies
 take validated arrays.**  A public function checks its input here and
-then calls private bodies (``standard_form._standardize``,
+then calls private bodies (``batch.measures._scalar_measures``,
 ``sinkhorn._scale_stack``, ``alternatives._line_statistics``, ...)
 that trust it, so a call that chains several kernels — e.g.
 :func:`repro.characterize` — checks its matrix once, not once per

@@ -41,7 +41,6 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -232,62 +231,27 @@ class KernelBackendBase:
         return np.linalg.svd(stack, compute_uv=False)
 
     def fused_standard_measures(
-        self,
-        stack,
-        *,
-        tol,
-        max_iterations,
-        deadline_s=None,
-        warm_start=None,
+        self, stack, *, tol, max_iterations, deadline_s=None, warm_start=None
     ):
         """Batched (MPH, TDH, TMA, iterations, converged) columns of a
-        strictly positive ``(N, T, M)`` stack in one backend pass.
-
-        The stack is left as it is: the standard form scales one working
-        copy.  Its line sums are computed once, and give MPH, TDH and
-        the standard form's entry residual.  Line sums that overflow to
-        inf, or are too small to scale, raise
-        :class:`~repro.exceptions.MatrixValueError` naming the slices;
-        after a ``warm_start`` the scaling checks the rescaled copy.
+        strictly positive ``(N, T, M)`` stack in one backend pass: the
+        one measure body (:func:`repro.batch.measures._standard_measures`)
+        on the batch, whose line sums give MPH and TDH.  The stack is
+        left as it is; unscalable line sums raise
+        :class:`~repro.exceptions.MatrixValueError` naming the slices.
         """
-        from ..batch.measures import _adjacent_ratio_batched
-        from ..batch.sinkhorn import _standardize_stack
-        from ..normalize.sinkhorn import _unscalable_error
-        from ..obs import metrics as _metrics, span as _obs_span
+        from ..batch.measures import _adjacent_ratio_batched, _standard_measures
 
-        row_sums, col_sums = _line_sums(stack)
-        if warm_start is not None:
-            # MPH and TDH still need finite raw line sums.
-            isfinite = np.isfinite
-            finite = isfinite(row_sums).all(axis=1) & isfinite(col_sums).all(axis=1)
-            if not finite.all():
-                raise _unscalable_error(~finite, None, "batched")
-        standard = _standardize_stack(
-            stack.copy(),
-            (row_sums, col_sums),
+        tma, standard, (row_sums, col_sums) = _standard_measures(
+            stack,
+            None,
+            kind="batched",
             backend=self,
-            warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,
             require_convergence=False,
             deadline_s=deadline_s,
-            keep_history=False,
+            warm_start=warm_start,
         )
-        mph = _adjacent_ratio_batched(col_sums)
-        tdh = _adjacent_ratio_batched(row_sums)
-        t0 = time.perf_counter()
-        with _obs_span(
-            "svd.batched",
-            slices=stack.shape[0],
-            rows=stack.shape[1],
-            cols=stack.shape[2],
-        ):
-            values = self.svd_values_batched(standard.matrix)
-        _metrics.record(("repro_svd_seconds", ("batched",), time.perf_counter() - t0))
-        if values.shape[1] < 2:
-            tma = np.zeros(stack.shape[0], dtype=np.float64)
-        else:
-            tma = np.clip(
-                values[:, 1:].sum(axis=1) / (values.shape[1] - 1), 0.0, 1.0
-            )
+        mph, tdh = _adjacent_ratio_batched(col_sums), _adjacent_ratio_batched(row_sums)
         return mph, tdh, tma, standard.iterations, standard.converged

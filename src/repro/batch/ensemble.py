@@ -40,6 +40,7 @@ from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
+from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.sinkhorn import _unscalable_error
 from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
 from ..obs import current_recorder, metrics as _metrics, traced
@@ -55,6 +56,7 @@ from ..robust.taxonomy import (
     classify_matrix,
 )
 from ._stack import _ecs_stack, as_float_stack, stack_members
+from .measures import _scalar_measures
 from .sinkhorn import _unscalable_slices
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
@@ -198,29 +200,23 @@ class EnsembleCharacterization:
 
 
 def _characterize_columns(args: tuple) -> tuple:
-    """Module-level worker (picklable): scalar columns of one member,
-    optionally delayed by an injected chaos stall."""
-    from ..measures.report import characterize
-
-    matrix, tol, tma_fallback, backend, stall_s = args
+    """Module-level worker (picklable): the columns of one validated
+    member by :func:`repro.characterize`'s fallback chain, under the
+    ensemble's ``max_iterations``, after any injected chaos stall."""
+    matrix, tol, max_iterations, tma_fallback, backend, stall_s = args
     if stall_s > 0:
         time.sleep(stall_s)
-    profile = characterize(
-        matrix,
-        tol=tol,
+    tma, _, standard, (row_sums, col_sums) = _scalar_measures(
+        _coerce_ecs(matrix),
         tma_fallback=tma_fallback,
-        backend=backend,
+        backend=resolve_backend(backend),
+        tol=tol,
+        max_iterations=max_iterations,
     )
-    iterations = (
-        profile.sinkhorn_iterations
-        if profile.sinkhorn_iterations is not None
-        else -1
-    )
-    converged = (
-        profile.sinkhorn_residual is not None
-        and profile.sinkhorn_residual <= tol
-    )
-    return (profile.mph, profile.tdh, profile.tma, iterations, converged)
+    mph, tdh = map(average_adjacent_ratio, (col_sums[0], row_sums[0]))
+    if standard is None:
+        return mph, tdh, tma, -1, False
+    return mph, tdh, tma, int(standard.iterations[0]), True
 
 
 def _lenient_member(env):
@@ -307,18 +303,11 @@ def _coerce(environments, task_weights, machine_weights, *, strict: bool):
 
 def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
     """Batched (MPH, TDH, TMA, iterations, converged) columns of the
-    strictly positive members ``in_batch``.
-
-    The same reductions :func:`repro.measures.characterize` performs on
-    the weighted matrix, lifted one axis: MP is the column-sum rows, TD
-    the row-sum rows, TMA the mean trailing singular value of the
-    standard form (eq. 8).  Per-slice results are independent of which
-    other slices share the stack, which is what lets the robust
-    pipeline promise bit-identical healthy members.  The whole pass is
-    one fused call of the resolved backend ``be``
-    (:mod:`repro.backends`), on ``stack`` itself when every member is
-    in the batch (the pass scales its own working copy).
-    """
+    strictly positive members ``in_batch``: one fused pass of the
+    resolved backend ``be``, on ``stack`` itself when every member is in
+    the batch.  Per-slice results do not depend on which other slices
+    share the stack, so the robust pipeline's healthy members are
+    bit-identical."""
     sub = stack if in_batch.all() else stack[in_batch]
     return be.fused_standard_measures(sub, **options)
 
@@ -639,10 +628,8 @@ def characterize_ensemble(
             # An in-process worker cannot be preempted; a timeout
             # implies a pool.
             jobs = 2
-        items = [
-            (member(i), tol, tma_fallback, backend, stalls.get(i, 0.0))
-            for i in scalar_idx
-        ]
+        shared = (tol, max_iterations, tma_fallback, backend)
+        items = [(member(i), *shared, stalls.get(i, 0.0)) for i in scalar_idx]
         results = parallel_map(
             _characterize_columns,
             items,

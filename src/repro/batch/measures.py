@@ -7,6 +7,9 @@ row/column sums; TMA (eq. 8) rides on ``numpy.linalg.svd``'s stacked
 matrix support, which dispatches the whole ensemble through one LAPACK
 loop instead of N Python calls.
 
+:func:`_standard_measures` is the one measure body: the fused pass runs
+it on a batch, :func:`_scalar_measures` on a stack of one.
+
 The conformance table in ``tests/test_conformance.py`` holds these
 bit-identical to the scalar implementations per slice.
 """
@@ -16,11 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_weights
-from ..exceptions import MatrixValueError
-from ..normalize.standard_form import DEFAULT_TOL
-from ..obs import span as _obs_span
+from ..backends import resolve_backend
+from ..backends.base import _line_sums
+from ..exceptions import ConvergenceError, MatrixValueError, NotNormalizableError
+from ..measures._coerce import weighted_line_sums
+from ..measures.affinity import _column_tma, _singular_values, _tma_column
+from ..normalize.sinkhorn import _unscalable_error
+from ..normalize.standard_form import DEFAULT_TOL, _usable_pattern
+from ..obs import metrics as _metrics, span as _obs_span
 from ._stack import as_ecs_stack
-from .sinkhorn import standardize_batched
+from .sinkhorn import _standardize_stack, standardize_batched
 
 __all__ = [
     "average_adjacent_ratio_batched",
@@ -65,11 +73,11 @@ def _adjacent_ratio_batched(values: np.ndarray) -> np.ndarray:
     return (ordered[:, :-1] / ordered[:, 1:]).mean(axis=1)
 
 
-def _stack_and_weights(stack, task_weights, machine_weights):
+def _weighted_sums(stack, task_weights, machine_weights):
     arr = as_ecs_stack(stack)
     w_t = check_weights(task_weights, arr.shape[1], name="task_weights")
     w_m = check_weights(machine_weights, arr.shape[2], name="machine_weights")
-    return arr, w_t, w_m
+    return weighted_line_sums(arr, w_t, w_m)
 
 
 def machine_performance_batched(
@@ -86,8 +94,7 @@ def machine_performance_batched(
     >>> machine_performance_batched([ecs])
     array([[17., 23., 14.]])
     """
-    arr, w_t, w_m = _stack_and_weights(stack, task_weights, machine_weights)
-    return w_m[None, :] * (w_t @ arr)
+    return _weighted_sums(stack, task_weights, machine_weights)[1]
 
 
 def task_difficulty_batched(
@@ -101,8 +108,7 @@ def task_difficulty_batched(
     >>> task_difficulty_batched([ecs])
     array([[17., 18., 13.,  6.]])
     """
-    arr, w_t, w_m = _stack_and_weights(stack, task_weights, machine_weights)
-    return w_t[None, :] * (arr @ w_m)
+    return _weighted_sums(stack, task_weights, machine_weights)[0]
 
 
 def mph_batched(
@@ -160,11 +166,7 @@ def standard_singular_values_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
     )
-    shape = standard.matrix.shape
-    with _obs_span(
-        "svd.batched", slices=shape[0], rows=shape[1], cols=shape[2]
-    ):
-        return np.linalg.svd(standard.matrix, compute_uv=False)
+    return _singular_values(standard.matrix, resolve_backend(), "batched")
 
 
 def tma_batched(
@@ -198,8 +200,84 @@ def tma_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
     )
-    if values.shape[1] < 2:
-        return np.zeros(values.shape[0], dtype=np.float64)
-    # sigma_1 == 1 by Theorem 2 (up to tol); eq. 8 drops the 1/sigma_1.
-    raw = values[:, 1:].sum(axis=1) / (values.shape[1] - 1)
-    return np.clip(raw, 0.0, 1.0)
+    return _tma_column(values)
+
+
+def _standard_measures(
+    stack, sums, *, kind: str, backend, warm_start=None, **options
+):
+    """The one measure body: ``(tma, standard, sums)`` of a validated
+    ``(N, T, M)`` stack that has a standard form: the eq. 8 column, the
+    scaling of one working copy, and the ``(N, T)``/``(N, M)`` line
+    sums (summed here when None) that the caller reduces to TDH and MPH.
+    ``kind`` labels the Sinkhorn and SVD spans and metrics (``"scalar"``
+    for a stack of one); ``options`` are ``tol``, ``max_iterations``,
+    ``require_convergence`` and ``deadline_s``.  Unscalable line sums
+    raise :class:`~repro.exceptions.MatrixValueError`."""
+    if sums is None:
+        sums = _line_sums(stack)
+    if warm_start is not None:
+        # MPH and TDH still need finite raw line sums.
+        isfinite = np.isfinite
+        finite = isfinite(sums[0]).all(axis=1) & isfinite(sums[1]).all(axis=1)
+        if not finite.all():
+            raise _unscalable_error(~finite, None, kind)
+    standard = _standardize_stack(
+        stack.copy(),
+        sums,
+        kind,
+        backend=backend,
+        warm_start=warm_start,
+        # The sinkhorn.scalar span samples the residual history.
+        keep_history=kind == "scalar",
+        **options,
+    )
+    tma = _tma_column(_singular_values(standard.matrix, backend, kind))
+    return tma, standard, sums
+
+
+def _scalar_measures(
+    weighted, *, tma_fallback: str, backend, tol: float, max_iterations: int
+):
+    """``(tma, method, standard, sums)`` of one validated, weighted ECS
+    matrix by :func:`repro.characterize`'s fallback chain: the strict
+    standard form, the eq. 9 limit form, then eq. 5 (``standard`` is
+    None).  ``sums`` are the matrix's ``(1, T)``/``(1, M)`` line sums.
+
+    A run that misses ``tol`` is not retried in the limit form: with no
+    blocking entries, that form is the same run."""
+    sums = _line_sums(weighted[None])
+    standard = None
+    with _obs_span(
+        "measures.characterize", rows=weighted.shape[0], cols=weighted.shape[1]
+    ) as sp:
+        try:
+            scaled, zeroed = _usable_pattern(
+                weighted, "limit" if tma_fallback == "limit" else "strict"
+            )
+            tma, standard, _ = _standard_measures(
+                scaled[None],
+                sums if scaled is weighted else None,
+                kind="scalar",
+                backend=backend,
+                tol=tol,
+                max_iterations=max_iterations,
+                require_convergence=True,
+                deadline_s=None,
+            )
+            tma, method = float(tma[0]), "limit" if zeroed else "standard"
+        except NotNormalizableError:
+            # Even the eq. 9 limit may not exist (the margins can be
+            # infeasible outright, e.g. one machine compatible with a
+            # single task type); eq. 5 always is.
+            if tma_fallback == "raise":
+                raise
+        except ConvergenceError:
+            if tma_fallback != "column":
+                raise
+        if standard is None:
+            tma, method = _column_tma(weighted, backend), "column"
+        iterations = None if standard is None else int(standard.iterations[0])
+        sp.note(tma_method=method, iterations=iterations)
+    _metrics.record(("repro_characterize_runs_total", (method,), 1.0))
+    return tma, method, standard, sums

@@ -164,18 +164,20 @@ def _unscalable_slices(row_sums, col_sums):
     return overflow, too_small
 
 
-def _standardize_stack(work, sums, **options) -> BatchNormalizationResult:
-    """The standardize body of :func:`standardize_batched` and the
-    backends' fused pass: :func:`_scale_stack` with the Theorem-2
-    targets on a validated stack ``work``, which it scales in place.
-    ``sums`` and ``options`` are ``_scale_stack``'s other keywords."""
+def _standardize_stack(
+    work, sums, kind: str = "batched", **options
+) -> BatchNormalizationResult:
+    """The standardize body of :func:`standardize_batched` and of the
+    measure body: :func:`_scale_stack` with the Theorem-2 targets on a
+    validated stack ``work``, which it scales in place.  ``sums``,
+    ``kind`` and ``options`` are ``_scale_stack``'s other keywords."""
     n_rows, n_cols = work.shape[1:]
     row_target, col_target = standard_targets(n_rows, n_cols)
     return _scale_stack(
         work,
         np.full(n_rows, row_target),
         np.full(n_cols, col_target),
-        kind="batched",
+        kind=kind,
         row_target=row_target,
         col_target=col_target,
         sums=sums,

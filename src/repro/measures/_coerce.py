@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_ecs_array, check_weights
+from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
 
-__all__ = ["coerce_ecs_and_weights"]
+__all__ = ["coerce_ecs_and_weights", "weighted_line_sums"]
 
 
 def coerce_ecs_and_weights(
@@ -36,3 +37,10 @@ def coerce_ecs_and_weights(
     w_t = check_weights(task_weights, ecs.shape[0], name="task_weights")
     w_m = check_weights(machine_weights, ecs.shape[1], name="machine_weights")
     return ecs, w_t, w_m
+
+
+def weighted_line_sums(stack, w_t, w_m) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(N, T)`` TD and ``(N, M)`` MP vectors (eqs. 4/6) of an ECS
+    stack: the line sums of ``w_t[i] * w_m[j] * ECS[i, j]``, summed as
+    :func:`repro.characterize` sums them, without its scaling screen."""
+    return _line_sums(w_t[:, None] * w_m[None, :] * stack)

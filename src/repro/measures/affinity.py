@@ -46,35 +46,38 @@ from ..obs import span as _obs_span
 __all__ = ["tma", "task_machine_affinity", "standard_singular_values"]
 
 
-def _singular_values(matrix: np.ndarray, backend) -> np.ndarray:
-    """``backend.svd_values(matrix)``, descending, timed as the
-    ``svd.scalar`` span and metric."""
+def _singular_values(stack: np.ndarray, backend, kind: str) -> np.ndarray:
+    """The ``(N, min(T, M))`` descending singular values of a stack,
+    timed as the ``svd.<kind>`` span and metric: ``backend.svd_values``
+    on a stack of one (``"scalar"``), else ``svd_values_batched``."""
     t0 = time.perf_counter()
-    with _obs_span("svd.scalar", rows=matrix.shape[0], cols=matrix.shape[1]):
-        values = backend.svd_values(matrix)
-    _metrics.record(("repro_svd_seconds", ("scalar",), time.perf_counter() - t0))
+    n_slices, n_rows, n_cols = stack.shape
+    if kind == "batched":
+        with _obs_span("svd.batched", slices=n_slices, rows=n_rows, cols=n_cols):
+            values = backend.svd_values_batched(stack)
+    else:
+        with _obs_span("svd.scalar", rows=n_rows, cols=n_cols):
+            values = backend.svd_values(stack[0])[None]
+    _metrics.record(("repro_svd_seconds", (kind,), time.perf_counter() - t0))
     return values
 
 
-def _clamp(raw: float) -> float:
-    """Clamp tiny numerical excursions (|error| ~ tol) into [0, 1]."""
-    return float(min(max(raw, 0.0), 1.0))
-
-
-def _standard_tma(values: np.ndarray) -> float:
-    """eq. 8 on the singular values of a standard-form matrix."""
-    if values.shape[0] < 2:
-        return 0.0
+def _tma_column(values: np.ndarray) -> np.ndarray:
+    """eq. 8 on each row of the ``(N, K)`` singular values of standard
+    forms, clamped into [0, 1] against excursions of order ``tol``."""
+    if values.shape[1] < 2:
+        return np.zeros(values.shape[0], dtype=np.float64)
     # sigma_1 == 1 by Theorem 2 (up to tol); eq. 8 drops the 1/sigma_1.
-    return _clamp(float(values[1:].sum() / (values.shape[0] - 1)))
+    return np.clip(values[:, 1:].sum(axis=1) / (values.shape[1] - 1), 0.0, 1.0)
 
 
 def _column_tma(ecs: np.ndarray, backend) -> float:
     """eq. 5 on a validated (weighted) ECS array."""
-    values = _singular_values(_column_normalize(ecs), backend)
+    values = _singular_values(_column_normalize(ecs)[None], backend, "scalar")[0]
     if values.shape[0] < 2:
         return 0.0
-    return _clamp(float(values[1:].sum() / ((values.shape[0] - 1) * values[0])))
+    raw = values[1:].sum() / ((values.shape[0] - 1) * values[0])
+    return float(min(max(raw, 0.0), 1.0))
 
 
 def standard_singular_values(
@@ -105,7 +108,7 @@ def standard_singular_values(
         max_iterations=max_iterations,
         zeros=zeros,
     )
-    return _singular_values(standard.matrix, resolve_backend())
+    return _singular_values(standard.matrix[None], resolve_backend(), "scalar")[0]
 
 
 def tma(
@@ -172,7 +175,7 @@ def tma(
         max_iterations=max_iterations,
         zeros=zeros,
     )
-    return _standard_tma(values)
+    return float(_tma_column(values[None])[0])
 
 
 #: Long-form alias for :func:`tma`.

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL, standardize
+from .affinity import _tma_column
 
 __all__ = ["AffinityClusters", "affinity_clusters"]
 
@@ -155,7 +156,7 @@ def affinity_clusters(
     u, s, vt = scipy.linalg.svd(standard.matrix, full_matrices=False)
     n_tasks, n_machines = standard.matrix.shape
     limit = min(n_tasks, n_machines)
-    strength = float(s[1:].sum() / (limit - 1)) if limit > 1 else 0.0
+    strength = float(_tma_column(s[None])[0])
 
     significant = int(np.sum(s[1:] > significance))
     if n_clusters is None:

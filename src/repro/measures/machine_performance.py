@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._coerce import coerce_ecs_and_weights
+from ._coerce import coerce_ecs_and_weights, weighted_line_sums
 from .alternatives import average_adjacent_ratio
 
 __all__ = ["machine_performance", "mph", "machine_performance_homogeneity"]
@@ -54,7 +54,7 @@ def machine_performance(
     array([17., 23., 14.])
     """
     ecs, w_t, w_m = coerce_ecs_and_weights(matrix, task_weights, machine_weights)
-    return w_m * (w_t @ ecs)
+    return weighted_line_sums(ecs[None], w_t, w_m)[1][0]
 
 
 def mph(matrix, *, task_weights=None, machine_weights=None) -> float:

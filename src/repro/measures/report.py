@@ -15,15 +15,12 @@ import numpy as np
 
 from .._validation import check_choice, check_positive_scalar, weight_ecs
 from ..backends import resolve_backend
-from ..exceptions import ConvergenceError, NotNormalizableError
-from ..normalize.standard_form import DEFAULT_TOL, _standardize
+from ..batch.measures import _scalar_measures
+from ..normalize.standard_form import DEFAULT_TOL
 # Not called here since characterize runs the private body, but still
 # looked up in this module by name (benchmarks/suite/spans.py HOOKS).
 from ..normalize.standard_form import standardize  # noqa: F401
-from ..obs import metrics as _metrics
-from ..obs import span as _obs_span
 from ._coerce import coerce_ecs_and_weights
-from .affinity import _column_tma, _singular_values, _standard_tma
 from .alternatives import _line_statistics
 
 __all__ = ["HeterogeneityProfile", "characterize"]
@@ -138,61 +135,29 @@ def characterize(
     # The one validation of this call: the private bodies below trust it.
     ecs, w_t, w_m = coerce_ecs_and_weights(matrix, task_weights, machine_weights)
     weighted = weight_ecs(ecs, w_t, w_m)
-    be = resolve_backend(backend)
-    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
-    options = dict(tol=tol, backend=be)
-
-    iterations: int | None = None
-    residual: float | None = None
-    method = "standard"
-    with _obs_span(
-        "measures.characterize", rows=ecs.shape[0], cols=ecs.shape[1]
-    ) as sp:
-        try:
-            standard = _standardize(weighted, zeros="strict", **options)
-        except (NotNormalizableError, ConvergenceError):
-            if tma_fallback == "raise":
-                raise
-            standard = None
-            if tma_fallback == "limit":
-                try:
-                    standard = _standardize(weighted, zeros="limit", **options)
-                    method = "limit"
-                except NotNormalizableError:
-                    # Even the eq. 9 limit may not exist (the margins can
-                    # be infeasible outright, e.g. one machine compatible
-                    # with a single task type); eq. 5 always is.
-                    pass
-        if standard is None:
-            method = "column"
-            tma_value = _column_tma(weighted, be)
-        else:
-            iterations = standard.iterations
-            residual = standard.residual
-            tma_value = _standard_tma(_singular_values(standard.matrix, be))
-        sp.note(tma_method=method, iterations=iterations)
-    _metrics.record(("repro_characterize_runs_total", (method,), 1.0))
-
-    # Summed after the standard form: a line sum that overflows raises
-    # there, before numpy would warn about it here.
-    mp = weighted.sum(axis=0)
-    td = weighted.sum(axis=1)
-    mph, machine_r, machine_g, machine_cov = _line_statistics(mp)
-    tdh, task_r, task_g, task_cov = _line_statistics(td)
+    tma_value, method, standard, (row_sums, col_sums) = _scalar_measures(
+        weighted,
+        tma_fallback=tma_fallback,
+        backend=resolve_backend(backend),
+        tol=check_positive_scalar(tol, name="tol", allow_zero=True),
+        max_iterations=100_000,
+    )
+    mph, machine_r, machine_g, machine_cov = _line_statistics(col_sums[0])
+    tdh, task_r, task_g, task_cov = _line_statistics(row_sums[0])
     return HeterogeneityProfile(
         mph=mph,
         tdh=tdh,
         tma=tma_value,
-        machine_performance=mp,
-        task_difficulty=td,
+        machine_performance=col_sums[0],
+        task_difficulty=row_sums[0],
         machine_r=machine_r,
         machine_g=machine_g,
         machine_cov=machine_cov,
         task_r=task_r,
         task_g=task_g,
         task_cov=task_cov,
-        sinkhorn_iterations=iterations,
-        sinkhorn_residual=residual,
+        sinkhorn_iterations=None if standard is None else int(standard.iterations[0]),
+        sinkhorn_residual=None if standard is None else float(standard.residual[0]),
         tma_method=method,
         n_tasks=ecs.shape[0],
         n_machines=ecs.shape[1],

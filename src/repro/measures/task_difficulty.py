@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._coerce import coerce_ecs_and_weights
+from ._coerce import coerce_ecs_and_weights, weighted_line_sums
 from .alternatives import average_adjacent_ratio
 
 __all__ = ["task_difficulty", "tdh", "task_difficulty_homogeneity"]
@@ -44,7 +44,7 @@ def task_difficulty(
     array([17., 18., 13.,  6.])
     """
     ecs, w_t, w_m = coerce_ecs_and_weights(matrix, task_weights, machine_weights)
-    return w_t * (ecs @ w_m)
+    return weighted_line_sums(ecs[None], w_t, w_m)[0][0]
 
 
 def tdh(matrix, *, task_weights=None, machine_weights=None) -> float:

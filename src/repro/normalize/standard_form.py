@@ -171,54 +171,10 @@ def standardize(
     """
     ecs = _coerce_ecs(matrix, task_weights, machine_weights)
     check_choice(zeros, name="zeros", choices=("strict", "limit"))
-    return _standardize(
-        ecs,
-        zeros=zeros,
-        backend=resolve_backend(backend),
-        tol=check_positive_scalar(tol, name="tol", allow_zero=True),
-        max_iterations=check_positive_int(max_iterations, name="max_iterations"),
-        require_convergence=require_convergence,
-        deadline_s=deadline_s,
-        warm_start=warm_start,
-    )
-
-
-def _standardize(
-    ecs: np.ndarray,
-    *,
-    zeros: str,
-    backend,
-    tol: float,
-    max_iterations: int = 100_000,
-    require_convergence: bool = True,
-    deadline_s: float | None = None,
-    warm_start=None,
-) -> NormalizationResult:
-    """The body of :func:`standardize` on a validated (weighted) ECS
-    array, a resolved backend and checked ``tol``/``max_iterations``."""
-    zeroed: tuple[tuple[int, int], ...] = ()
-    if (ecs == 0).any():
-        from ..structure import normalizability_report
-
-        report = normalizability_report(ecs)
-        if not report.feasible:
-            raise NotNormalizableError(
-                "no standard form exists and eq. 9 has no limit: the zero "
-                "pattern admits no matrix with equal row sums and equal "
-                "column sums at all"
-            )
-        if report.blocking_edges:
-            if zeros == "strict":
-                raise NotNormalizableError(
-                    "no standard form exists: the matrix's zero pattern is "
-                    "decomposable (paper Section VI, e.g. its eq. 10); use "
-                    "zeros='limit' for the eq.-9 limit or TMA with "
-                    "method='column'"
-                )
-            ecs = ecs.copy()
-            rows, cols = zip(*report.blocking_edges)
-            ecs[list(rows), list(cols)] = 0.0
-            zeroed = report.blocking_edges
+    backend = resolve_backend(backend)
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
+    ecs, zeroed = _usable_pattern(ecs, zeros)
     row_target, col_target = standard_targets(*ecs.shape)
     return _sinkhorn(
         ecs.copy(),
@@ -232,6 +188,37 @@ def _standardize(
         warm_start=warm_start,
         zeroed_entries=zeroed,
     )
+
+
+def _usable_pattern(ecs: np.ndarray, zeros: str) -> tuple[np.ndarray, tuple]:
+    """The Section VI step of :func:`standardize`: the array to scale
+    and the entries zeroed to reach the eq. 9 limit (``ecs`` and ``()``
+    when the exact standard form exists).  Raises
+    :class:`~repro.exceptions.NotNormalizableError` as ``zeros`` says."""
+    if not (ecs == 0).any():
+        return ecs, ()
+    from ..structure import normalizability_report
+
+    report = normalizability_report(ecs)
+    if not report.feasible:
+        raise NotNormalizableError(
+            "no standard form exists and eq. 9 has no limit: the zero "
+            "pattern admits no matrix with equal row sums and equal "
+            "column sums at all"
+        )
+    if not report.blocking_edges:
+        return ecs, ()
+    if zeros == "strict":
+        raise NotNormalizableError(
+            "no standard form exists: the matrix's zero pattern is "
+            "decomposable (paper Section VI, e.g. its eq. 10); use "
+            "zeros='limit' for the eq.-9 limit or TMA with "
+            "method='column'"
+        )
+    ecs = ecs.copy()
+    rows, cols = zip(*report.blocking_edges)
+    ecs[list(rows), list(cols)] = 0.0
+    return ecs, report.blocking_edges
 
 
 def column_normalize(

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..backends import resolve_backend
 from ..exceptions import MatrixValueError, ReproError
-from ..measures.affinity import _singular_values, _standard_tma
+from ..measures.affinity import _singular_values, _tma_column
 from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.standard_form import standardize
 from ..obs import current_recorder, metrics as _metrics
@@ -210,10 +210,11 @@ def repair_member(
 def recovered_columns(repaired: np.ndarray, standard) -> tuple:
     """``(mph, tdh, tma, iterations, converged)`` of a repaired member:
     MPH/TDH from its column/row sums, TMA from its standard form."""
+    values = _singular_values(standard.matrix[None], resolve_backend(), "scalar")
     return (
         average_adjacent_ratio(repaired.sum(axis=0)),
         average_adjacent_ratio(repaired.sum(axis=1)),
-        _standard_tma(_singular_values(standard.matrix, resolve_backend())),
+        float(_tma_column(values)[0]),
         standard.iterations,
         True,
     )

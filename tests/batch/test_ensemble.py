@@ -11,9 +11,16 @@ from repro.batch import (
     characterize_ensemble,
     stack_environments,
 )
-from repro.exceptions import MatrixShapeError, MatrixValueError, WeightError
+from repro.exceptions import (
+    ConvergenceError,
+    MatrixShapeError,
+    MatrixValueError,
+    WeightError,
+)
 from repro.generate import perturb_stack, random_ecs, random_ecs_stack
 from repro.measures import characterize
+from repro.obs import recording
+from repro.shard import characterize_store, write_store
 
 
 @pytest.fixture
@@ -112,6 +119,53 @@ class TestDispatch:
             characterize_ensemble(np.ones((1, 2, 2)), tma_fallback="nope")
         with pytest.raises(MatrixShapeError):
             characterize_ensemble([])
+
+
+def _slow_member(*, zero: bool) -> np.ndarray:
+    """An 8x8 member whose two diagonal blocks barely interact
+    (off-diagonal blocks x1e-3), so Sinkhorn needs ~2,000 iterations;
+    ``zero`` puts one zero in it, which sends it down the scalar path."""
+    member = np.random.default_rng(0).uniform(0.5, 2.0, (8, 8))
+    member[:4, 4:] *= 1e-3
+    member[4:, :4] *= 1e-3
+    if zero:
+        member[0, 0] = 0.0
+    return member
+
+
+class TestScalarPath:
+    @pytest.mark.parametrize("via_store", [False, True], ids=["memory", "store"])
+    def test_honours_max_iterations(self, via_store, tmp_path):
+        stack = np.stack([_slow_member(zero=True), np.ones((8, 8))])
+        if via_store:
+            store = write_store(tmp_path / "store", stack)
+
+            def run(**options):
+                return characterize_store(store, **options)
+        else:
+
+            def run(**options):
+                return characterize_ensemble(stack, **options)
+
+        with pytest.raises(ConvergenceError, match="within 10 iterations"):
+            run(max_iterations=10)
+        result = run(max_iterations=10, policy="quarantine")
+        assert result.report.categories() == {0: "non-convergent"}
+        assert result.converged.tolist() == [False, True]
+
+    def test_limit_fallback_does_not_rerun_a_failed_run(self):
+        """Without blocking entries the limit form is the strict run, so a
+        run that missed tol fails once, with the "raise" message."""
+        member = _slow_member(zero=False)
+        messages = {}
+        for fallback in ("raise", "limit"):
+            with recording() as rec, pytest.raises(ConvergenceError) as error:
+                characterize_ensemble(
+                    [member], max_iterations=5, tma_fallback=fallback, batched=False
+                )
+            assert len(rec.spans("sinkhorn.scalar")) == 1
+            messages[fallback] = str(error.value)
+        assert messages["limit"] == messages["raise"]
 
 
 class TestColumnarResult:

@@ -1,0 +1,74 @@
+"""MP and TD are one line sum: every path that reports MPH or TDH gives
+the same bits for the same (weighted) matrix."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import characterize
+from repro.batch import (
+    characterize_ensemble,
+    machine_performance_batched,
+    mph_batched,
+    task_difficulty_batched,
+    tdh_batched,
+)
+from repro.measures import machine_performance, mph, task_difficulty, tdh
+from repro.spec import list_datasets, load_dataset
+
+
+def _random(shapes, seed, *, weighted):
+    rng = np.random.default_rng(seed)
+    for shape in shapes:
+        for _ in range(6):
+            ecs = rng.uniform(0.1, 10.0, shape)
+            weights = (
+                (rng.uniform(0.2, 5.0, shape[0]), rng.uniform(0.2, 5.0, shape[1]))
+                if weighted
+                else (None, None)
+            )
+            yield ecs, *weights
+
+
+SHAPES = [(2, 2), (4, 3), (3, 7), (8, 8), (13, 9), (32, 16), (16, 33)]
+CASES = {
+    "random": lambda: _random(SHAPES, 11, weighted=False),
+    "weighted": lambda: _random(SHAPES, 12, weighted=True),
+    "single-line": lambda: _random([(1, 5), (6, 1), (1, 1)], 13, weighted=True),
+    "spec": lambda: (
+        (load_dataset(name).to_ecs().values, None, None) for name in list_datasets()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_path_reads_one_line_sum(case):
+    for ecs, w_t, w_m in CASES[case]():
+        weights = dict(task_weights=w_t, machine_weights=w_m)
+        profile = characterize(ecs, **weights)
+        ensemble = characterize_ensemble(ecs[None], **weights)
+        mp = [
+            profile.machine_performance,
+            machine_performance(ecs, **weights),
+            machine_performance_batched(ecs[None], **weights)[0],
+        ]
+        td = [
+            profile.task_difficulty,
+            task_difficulty(ecs, **weights),
+            task_difficulty_batched(ecs[None], **weights)[0],
+        ]
+        homogeneities = [
+            (profile.mph, profile.tdh),
+            (mph(ecs, **weights), tdh(ecs, **weights)),
+            (
+                mph_batched(ecs[None], **weights)[0],
+                tdh_batched(ecs[None], **weights)[0],
+            ),
+            (ensemble.mph[0], ensemble.tdh[0]),
+        ]
+        for vectors in (mp, td):
+            for vector in vectors[1:]:
+                assert vector.tobytes() == vectors[0].tobytes(), ecs.shape
+        for pair in homogeneities[1:]:
+            assert pair == homogeneities[0], ecs.shape

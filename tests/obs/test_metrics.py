@@ -280,6 +280,15 @@ class TestHotPathFeeds:
         svd = registry.get("repro_svd_seconds")
         assert svd.snapshot(kernel="scalar")["count"] == 1
 
+    def test_tma_batched_feeds_svd(self):
+        from repro.batch import tma_batched
+
+        stack = np.random.default_rng(3).uniform(0.5, 4.0, size=(4, 3, 5))
+        with collecting_metrics(MetricsRegistry()) as registry:
+            tma_batched(stack)
+        svd = registry.get("repro_svd_seconds")
+        assert svd.snapshot(kernel="batched")["count"] == 1
+
     def test_batched_ensemble_counts_dispatch_paths(self):
         from repro.batch import characterize_ensemble
 
