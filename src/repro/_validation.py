@@ -47,6 +47,7 @@ __all__ = [
     "as_etc_array",
     "as_positive_vector",
     "check_weights",
+    "unit_weights",
     "weight_ecs",
     "check_choice",
     "check_probability",
@@ -185,11 +186,21 @@ def check_weights(weights, length: int, *, name: str) -> np.ndarray:
     return arr
 
 
+def unit_weights(w_t: np.ndarray, w_m: np.ndarray) -> bool:
+    """Whether validated weights apply no product: every factor is 1.0
+    (as :func:`check_weights` returns for absent weights, and as an
+    unweighted :class:`~repro.core.ECSMatrix` stores), so
+    ``w_t[i] * w_m[j] * x == x`` exactly and the eq. 4/6 product is the
+    matrix itself."""
+    return bool((w_t == 1.0).all() and (w_m == 1.0).all())
+
+
 def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
     """The weighted ECS matrix ``w_t[i] * w_m[j] * ecs[i, j]`` (eqs. 4/6).
 
-    ``ecs`` is a validated ECS array and ``w_t``/``w_m`` validated
-    weights, so the product can only break by leaving the float64
+    Unit weights (:func:`unit_weights`) return ``ecs`` itself, not a
+    copy.  Otherwise ``ecs`` is a validated ECS array and ``w_t``/``w_m``
+    validated weights, so the product can only break by leaving the float64
     range: entries that overflow to ``inf``, or a line sum that
     underflows to zero or to a value the standard form cannot scale.
     Either raises :class:`WeightError` naming the weights (silently,
@@ -198,6 +209,8 @@ def weight_ecs(ecs: np.ndarray, w_t: np.ndarray, w_m: np.ndarray) -> np.ndarray:
     the weights zero out a line it is left to Sinkhorn's "rescale the
     matrix" error.
     """
+    if unit_weights(w_t, w_m):
+        return ecs
     # Products and line sums past the float64 range are screened below.
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = w_t[:, None] * w_m[None, :] * ecs

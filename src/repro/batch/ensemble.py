@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._parallel import WorkerFailure, parallel_map, resolve_n_jobs
-from .._validation import check_positive_int, check_positive_scalar, check_weights
+from .._validation import (
+    check_positive_int,
+    check_positive_scalar,
+    check_weights,
+    unit_weights,
+)
 from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix
@@ -296,8 +301,9 @@ def _coerce(environments, task_weights, machine_weights, *, strict: bool):
         w_m = check_weights(
             machine_weights, stack.shape[2], name="machine_weights"
         )
-        stack = w_t[None, :, None] * w_m[None, None, :] * stack
-        positive = None
+        if not unit_weights(w_t, w_m):
+            stack = w_t[None, :, None] * w_m[None, None, :] * stack
+            positive = None
     return stack, members, positive
 
 

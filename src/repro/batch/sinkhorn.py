@@ -282,11 +282,12 @@ def standardize_batched(
         faults.setdefault(i, fault)
     healthy = np.ones(n_slices, dtype=bool)
     healthy[list(faults)] = False
+    screened = bool(faults)
     scaled = None
     if healthy.any():
         # The one working copy: the healthy slices' gather, or a copy of
         # the whole input (which the repair ladder still reads).
-        if faults:
+        if screened:
             sub, sums = work[healthy], (row_sums[healthy], col_sums[healthy])
         else:
             sub, sums = work.copy(), (row_sums, col_sums)
@@ -301,7 +302,12 @@ def standardize_batched(
             deadline_s=deadline.clamp(deadline_s),
         )
 
-    matrix = np.full_like(work, np.nan)
+    if screened:
+        matrix = np.full_like(work, np.nan)
+    else:
+        # Nothing screened: the scaled working copy is the result, and
+        # repairs splice into it.
+        matrix = scaled.matrix
     row_scale = np.full((n_slices, n_rows), np.nan)
     col_scale = np.full((n_slices, n_cols), np.nan)
     converged = np.zeros(n_slices, dtype=bool)
@@ -311,7 +317,8 @@ def standardize_batched(
     # Histories of the repaired slices, which replace the scaled ones.
     repaired: dict[int, tuple[float, ...]] = {}
     if scaled is not None:
-        matrix[index] = scaled.matrix
+        if screened:
+            matrix[index] = scaled.matrix
         row_scale[index] = scaled.row_scale
         col_scale[index] = scaled.col_scale
         converged[index] = scaled.converged

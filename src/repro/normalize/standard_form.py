@@ -84,8 +84,6 @@ def _coerce_ecs(
         ecs = matrix.values
     else:
         ecs = as_ecs_array(matrix)
-    if task_weights is None and machine_weights is None:
-        return ecs
     w_t = check_weights(task_weights, ecs.shape[0], name="task_weights")
     w_m = check_weights(machine_weights, ecs.shape[1], name="machine_weights")
     return weight_ecs(ecs, w_t, w_m)

@@ -95,14 +95,18 @@ def matrix_cache_key(matrix, *, endpoint: str = "", options=None) -> str:
 
     Stable across processes and Python versions (no ``hash()``
     anywhere), invariant under dtype/memory-order changes, and distinct
-    under any value perturbation.
+    under any value perturbation.  ``options`` is a dict, or its
+    :func:`canonical_options` string (a request's
+    ``ServeRequest.canonical_options``), which gives the same key.
     """
+    if not isinstance(options, str):
+        options = canonical_options(options)
     digest = hashlib.sha256()
     digest.update(CACHE_KEY_VERSION.encode("ascii"))
     digest.update(b"\x00")
     digest.update(endpoint.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(canonical_options(options).encode("utf-8"))
+    digest.update(options.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(canonical_matrix_bytes(matrix))
     return digest.hexdigest()

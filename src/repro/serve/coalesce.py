@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import current_trace, metrics as _metrics, span
-from .cache import canonical_options
 from .protocol import ServeRequest
 from .resilience import DeadlineExceeded
 
@@ -169,7 +168,7 @@ class Coalescer:
         return (
             self.endpoint,
             request.shape,
-            canonical_options(request.options),
+            request.canonical_options,
         )
 
     async def submit(

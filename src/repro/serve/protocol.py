@@ -48,10 +48,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .._validation import INT64_MAX
+from .cache import canonical_options
 
 __all__ = [
     "SCHEMA",
@@ -111,6 +113,10 @@ class ServeRequest:
     *reported*, never what is computed — so it stays out of the cache
     and coalescing identity and the debug section is attached after the
     canonical (cacheable) body is produced.
+
+    ``canonical_options`` is :func:`repro.serve.cache.canonical_options`
+    of ``options``, serialized once when the request is built; the cache
+    key and the coalescing group read it.
     """
 
     endpoint: str
@@ -118,17 +124,52 @@ class ServeRequest:
     options: dict
     deadline_ms: float | None = None
     debug_timings: bool = False
+    canonical_options: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "canonical_options", canonical_options(self.options)
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape  # type: ignore[return-value]
 
 
+#: JSON types numpy would read as numbers (``"1.5"`` as 1.5, ``true``
+#: as 1.0), which a matrix entry must not be.
+_NOT_NUMBERS = {str: "string", bool: "boolean"}
+
+
+def _as_float(value) -> float:
+    """``float`` of a JSON number; an integer past the float64 range
+    reads as the signed infinity instead of raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_matrix(payload: dict) -> np.ndarray:
     if "matrix" not in payload:
         raise ProtocolError("request body needs a 'matrix' field")
+    rows = payload["matrix"]
+    if isinstance(rows, list):
+        # Rows that are not lists are left to the shape check below.
+        entries = chain.from_iterable(row for row in rows if isinstance(row, list))
+        kinds = set(map(type, entries))
+        wrong = [name for kind, name in _NOT_NUMBERS.items() if kind in kinds]
+        if wrong:
+            raise ProtocolError(
+                "'matrix' entries must be JSON numbers, got "
+                f"{' and '.join(wrong)} entries"
+            )
     try:
-        matrix = np.asarray(payload["matrix"], dtype=np.float64)
+        matrix = np.asarray(rows, dtype=np.float64)
+    except OverflowError as exc:
+        raise ProtocolError(
+            f"'matrix' has an entry past the float64 range: {exc}"
+        ) from exc
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"'matrix' is not numeric: {exc}") from exc
     if matrix.ndim != 2 or 0 in matrix.shape:
@@ -165,7 +206,7 @@ def parse_request(endpoint: str, payload) -> ServeRequest:
 
     options: dict = {}
     tol = payload.get("tol", 1e-8)
-    if not isinstance(tol, (int, float)) or not 0 < float(tol) < 1:
+    if not isinstance(tol, (int, float)) or not 0 < _as_float(tol) < 1:
         raise ProtocolError(f"'tol' must be a float in (0, 1), got {tol!r}")
     options["tol"] = float(tol)
 
@@ -212,8 +253,8 @@ def parse_request(endpoint: str, payload) -> ServeRequest:
         if (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
-            or not math.isfinite(float(deadline_ms))
-            or float(deadline_ms) <= 0
+            or not math.isfinite(_as_float(deadline_ms))
+            or deadline_ms <= 0
         ):
             raise ProtocolError(
                 "'deadline_ms' must be a positive finite number of "
@@ -279,7 +320,9 @@ def decode_json(body: bytes):
     """Parse a request body; raises :class:`ProtocolError` on bad JSON."""
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past
+    # the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 

@@ -411,6 +411,8 @@ class CharacterizationServer:
         rejected by admission control or its deadline.
         """
         request = parse_request(endpoint, payload)
+        # A waiting request holds its ServeRequest, not the document.
+        del payload
         deadline = self._request_deadline(request, elapsed_s)
         if deadline is not None and deadline.expired():
             _metrics.record(
@@ -420,7 +422,7 @@ class CharacterizationServer:
                 "request deadline expired before any work was scheduled"
             )
         key = matrix_cache_key(
-            request.matrix, endpoint=endpoint, options=request.options
+            request.matrix, endpoint=endpoint, options=request.canonical_options
         )
         # Cache hits and singleflight joins bypass admission control:
         # they cost no kernel work, and shedding them under load would
@@ -668,6 +670,7 @@ class CharacterizationServer:
                     retry_after_s=max(1.0, self.config.drain_timeout_s),
                 )
             payload = decode_json(body)
+            del body
             want_debug = (
                 isinstance(payload, dict)
                 and payload.get("debug_timings") is True
@@ -680,6 +683,8 @@ class CharacterizationServer:
                 elapsed_s=time.perf_counter() - t0,
                 trace=rtrace,
             )
+            # handle_request drops the document once it is parsed.
+            del payload
             if self.trace_sink is None:
                 status, response, source = await handling
             else:
@@ -791,9 +796,12 @@ class CharacterizationServer:
             else:
                 self._active_exchanges += 1
                 try:
-                    status, ctype, body, headers = await self.exchange(
+                    exchanging = self.exchange(
                         method, target, body_in, request_headers
                     )
+                    # The exchange holds the body until it is decoded.
+                    del request, body_in
+                    status, ctype, body, headers = await exchanging
                 finally:
                     self._active_exchanges -= 1
             reason = _REASONS.get(status, "Unknown")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import characterize
+from repro import ECSMatrix, characterize
 from repro.batch import (
     characterize_ensemble,
     machine_performance_batched,
@@ -72,3 +72,43 @@ def test_every_path_reads_one_line_sum(case):
                 assert vector.tobytes() == vectors[0].tobytes(), ecs.shape
         for pair in homogeneities[1:]:
             assert pair == homogeneities[0], ecs.shape
+
+
+def _unit_forms(ecs):
+    """The unweighted environment spelled with all-ones weights, and
+    as an :class:`ECSMatrix` wrapper (which stores ones)."""
+    ones = dict(
+        task_weights=np.ones(ecs.shape[0]), machine_weights=np.ones(ecs.shape[1])
+    )
+    return {"ones": (ecs, ones), "wrapper": (ECSMatrix(ecs), {})}
+
+
+def _every_path(matrix, weights):
+    """Each path's MP, TD, MPH, TDH (and characterize's TMA) as bytes."""
+    stack = [matrix]
+    profile = characterize(matrix, **weights)
+    ensemble = characterize_ensemble(stack, **weights)
+    arrays = [
+        profile.machine_performance,
+        profile.task_difficulty,
+        np.array([profile.mph, profile.tdh, profile.tma]),
+        machine_performance(matrix, **weights),
+        task_difficulty(matrix, **weights),
+        np.array([mph(matrix, **weights), tdh(matrix, **weights)]),
+        machine_performance_batched(stack, **weights),
+        task_difficulty_batched(stack, **weights),
+        mph_batched(stack, **weights),
+        tdh_batched(stack, **weights),
+        ensemble.mph,
+        ensemble.tdh,
+        ensemble.tma,
+    ]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("form", ["ones", "wrapper"])
+@pytest.mark.parametrize("case", ["random", "spec"])
+def test_unit_weights_equal_the_unweighted_call(case, form):
+    for ecs, _, _ in CASES[case]():
+        expected = _every_path(ecs, {})
+        assert _every_path(*_unit_forms(ecs)[form]) == expected, ecs.shape

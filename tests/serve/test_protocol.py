@@ -20,10 +20,12 @@ from repro.serve import (
     CharacterizationServer,
     ProtocolError,
     ServeConfig,
+    canonical_options,
     decode_json,
     encode_json,
     error_body,
     json_safe,
+    matrix_cache_key,
     parse_request,
     result_body,
 )
@@ -47,6 +49,17 @@ class TestParseRequest:
         request = parse_request("characterize", _payload())
         assert request.matrix.dtype == np.float64
         assert request.matrix.flags["C_CONTIGUOUS"]
+
+    def test_canonical_options_are_built_once_and_key_the_same(self):
+        request = parse_request("standardize", _payload(tol=1e-6))
+        assert request.canonical_options == canonical_options(request.options)
+        assert matrix_cache_key(
+            request.matrix, endpoint="standardize", options=request.options
+        ) == matrix_cache_key(
+            request.matrix,
+            endpoint="standardize",
+            options=request.canonical_options,
+        )
 
     def test_unknown_endpoint_is_404(self):
         with pytest.raises(ProtocolError) as err:
@@ -124,6 +137,65 @@ class TestParseRequest:
     def test_bad_max_iterations_rejected(self, value):
         with pytest.raises(ProtocolError):
             parse_request("standardize", _payload(max_iterations=value))
+
+    @pytest.mark.parametrize(
+        "matrix, names",
+        [
+            ([["1.5", 2.0], [3.0, 4.0]], "string"),
+            ([[1.0, True], [3.0, 4.0]], "boolean"),
+            ([[False, False], [False, False]], "boolean"),
+            ([["1.5", True], [3, 4]], "string and boolean"),
+        ],
+    )
+    def test_string_and_boolean_entries_are_not_numbers(self, matrix, names):
+        # numpy would read "1.5" as 1.5 and true as 1.0.
+        with pytest.raises(ProtocolError, match=f"got {names} entries"):
+            parse_request("characterize", _payload(matrix=matrix))
+
+
+def _post(endpoint, body: bytes):
+    async def post():
+        server = CharacterizationServer(ServeConfig(enable_metrics=False))
+        return await server.exchange("POST", f"/v1/{endpoint}", body)
+
+    status, _, answer, _ = asyncio.run(post())
+    return status, json.loads(answer)["error"]
+
+
+class TestMalformedBodiesAnswer400:
+    """Each body is a JSON document that parsed, so the answer is a
+    structured 400 ``bad-request``, never a 500."""
+
+    def test_string_or_boolean_entry(self):
+        body = b'{"matrix": [["1.5", true], [3, 4]]}'
+        status, error = _post("characterize", body)
+        assert status == 400
+        assert error["category"] == "bad-request"
+        assert "string and boolean" in error["message"]
+
+    @pytest.mark.parametrize(
+        "endpoint, field, document",
+        [
+            ("characterize", "tol", {"matrix": [[1, 2], [3, 4]], "tol": 10**400}),
+            (
+                "standardize",
+                "deadline_ms",
+                {"matrix": [[1, 2], [3, 4]], "deadline_ms": 10**400},
+            ),
+            ("characterize", "matrix", {"matrix": [[10**400, 2], [3, 4]]}),
+        ],
+    )
+    def test_integer_past_the_float64_range(self, endpoint, field, document):
+        status, error = _post(endpoint, json.dumps(document).encode())
+        assert status == 400
+        assert error["category"] == "bad-request"
+        assert f"'{field}'" in error["message"]
+
+    def test_integer_past_the_digit_limit(self):
+        body = b'{"matrix": [[1, 2], [3, 4]], "tol": 1' + b"0" * 5000 + b"}"
+        status, error = _post("characterize", body)
+        assert status == 400
+        assert error["category"] == "bad-request"
 
 
 class TestEncoding:
