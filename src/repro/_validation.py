@@ -42,6 +42,7 @@ from .exceptions import (
 )
 
 __all__ = [
+    "check_numeric_dtype",
     "as_float_matrix",
     "as_ecs_array",
     "as_etc_array",
@@ -73,17 +74,31 @@ def check_choice(value, *, name: str, choices) -> str:
     return value
 
 
+def check_numeric_dtype(arr: np.ndarray, *, name: str) -> None:
+    """Reject an array whose dtype is not integer or float.
+
+    Complex data is not real-valued; booleans, strings, bytes and
+    Python objects are not numbers, even where numpy would cast them.
+    """
+    kind = arr.dtype.kind
+    if kind == "c":
+        raise MatrixValueError(f"{name} must be real-valued")
+    if kind not in "iuf":
+        raise MatrixValueError(
+            f"{name} must hold int or float entries, got dtype {arr.dtype}"
+        )
+
+
 def as_float_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """Coerce ``values`` to a 2-D C-contiguous float64 array.
 
     Raises :class:`MatrixShapeError` for non-2D or empty input and
-    :class:`MatrixValueError` for complex or NaN entries.  ``inf`` is
-    allowed here because ETC matrices use it for incompatible
+    :class:`MatrixValueError` for non-numeric, complex or NaN entries.
+    ``inf`` is allowed here because ETC matrices use it for incompatible
     task/machine pairs.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise MatrixValueError(f"{name} must be real-valued")
+    check_numeric_dtype(arr, name=name)
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise MatrixShapeError(

@@ -25,7 +25,7 @@ import numpy as np
 from .._validation import check_choice
 from ..generate.ensembles import random_ecs
 from ..generate.target_driven import TargetSpec, from_targets
-from ..obs import current_recorder, span as _obs_span
+from ..obs import span as _obs_span
 from ..measures.machine_performance import mph as _mph
 from ..measures.task_difficulty import tdh as _tdh
 from ..measures.affinity import tma as _tma
@@ -101,9 +101,6 @@ def independence_study(
     pinned = {name: 0.7 for name in _MEASURES if name != swept}
     if fixed:
         pinned.update(fixed)
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("independence.trials", int(targets.shape[0]))
     achieved = np.empty((targets.shape[0], 3))
     with _obs_span(
         "analysis.independence", swept=swept, points=int(targets.shape[0])
@@ -158,29 +155,26 @@ def measure_correlations(
     """
     rng = np.random.default_rng(seed)
     item_seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(samples)]
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("independence.trials", samples)
-    if batched:
-        from ..batch import characterize_ensemble
-        from ..generate.ensembles import random_ecs
+    with _obs_span("analysis.correlations", samples=samples):
+        if batched:
+            from ..batch import characterize_ensemble
 
-        stack = np.stack(
-            [
-                random_ecs(
-                    n_tasks, n_machines, spread=float(spread), seed=s
-                ).values
-                for s in item_seeds
+            stack = np.stack(
+                [
+                    random_ecs(
+                        n_tasks, n_machines, spread=float(spread), seed=s
+                    ).values
+                    for s in item_seeds
+                ]
+            )
+            values = characterize_ensemble(stack).measures
+        else:
+            from .._parallel import parallel_map
+
+            tasks = [
+                (n_tasks, n_machines, float(spread), s) for s in item_seeds
             ]
-        )
-        values = characterize_ensemble(stack).measures
-    else:
-        from .._parallel import parallel_map
-
-        tasks = [
-            (n_tasks, n_machines, float(spread), s) for s in item_seeds
-        ]
-        values = np.asarray(
-            parallel_map(_correlation_worker, tasks, n_jobs=n_jobs)
-        )
+            values = np.asarray(
+                parallel_map(_correlation_worker, tasks, n_jobs=n_jobs)
+            )
     return np.corrcoef(values, rowvar=False)

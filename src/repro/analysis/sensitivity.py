@@ -22,7 +22,7 @@ import numpy as np
 from .._validation import as_ecs_array, check_positive_int
 from ..generate._rng import resolve_rng
 from ..generate.ensembles import perturb
-from ..obs import current_recorder, span as _obs_span
+from ..obs import span as _obs_span
 from ..measures.machine_performance import mph as _mph
 from ..measures.task_difficulty import tdh as _tdh
 from ..measures.affinity import tma as _tma
@@ -141,9 +141,6 @@ def sensitivity_study(
     base_vec = np.array([baseline[m] for m in _MEASURES])
     from .._parallel import parallel_map
 
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("sensitivity.trials", int(levels.size) * trials)
     mean_shift = np.empty((levels.size, 3))
     max_shift = np.empty((levels.size, 3))
     for li, sigma in enumerate(levels):

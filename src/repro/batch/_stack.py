@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._validation import check_numeric_dtype
 from ..exceptions import MatrixShapeError, MatrixValueError
 from ..robust.taxonomy import _value_screens
 
@@ -22,14 +23,13 @@ def as_float_stack(
     """Coerce ``values`` to a 3-D C-contiguous float64 array.
 
     Raises :class:`MatrixShapeError` for non-3D or empty input and
-    :class:`MatrixValueError` for complex or NaN entries.  ``allow_nan=True``
-    skips the NaN screen — the robust pipeline coerces corrupt stacks
-    deliberately so it can quarantine the offending slices per member
-    instead of rejecting the whole stack.
+    :class:`MatrixValueError` for non-numeric, complex or NaN entries.
+    ``allow_nan=True`` skips the NaN screen — the robust pipeline
+    coerces corrupt stacks deliberately so it can quarantine the
+    offending slices per member instead of rejecting the whole stack.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise MatrixValueError(f"{name} must be real-valued")
+    check_numeric_dtype(arr, name=name)
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != 3:
         raise MatrixShapeError(

@@ -48,7 +48,7 @@ from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightE
 from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.sinkhorn import _unscalable_error
 from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
-from ..obs import current_recorder, metrics as _metrics, traced
+from ..obs import metrics as _metrics, note, traced
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy, recovered_columns
 from ..robust.taxonomy import (
@@ -556,11 +556,7 @@ def characterize_ensemble(
         warm_start = coerce_warm_start(warm_start, *stack.shape)
     scalar_idx = np.flatnonzero(healthy & ~in_batch)
     n_batched = int(in_batch.sum())
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("ensemble.slices", n)
-        rec.counter("ensemble.batched_slices", n_batched)
-        rec.counter("ensemble.fallback_slices", len(scalar_idx))
+    note(slices=n, batched_slices=n_batched, fallback_slices=len(scalar_idx))
     if _metrics.metrics_enabled():
         # A path with no members adds no series; the family still shows.
         _metrics.get_registry().declare("repro_ensemble_members_total")

@@ -26,12 +26,13 @@ Subcommands
     measured makespan ranking to check it).
 ``profile FILE``
     Run the characterize + scheduling pipeline under the
-    :mod:`repro.obs` recorder and print the span/counter summary
-    (Sinkhorn, SVD and heuristic hot paths).  ``FILE`` is an ETC CSV
-    path or a bundled dataset name.  ``--ensemble N`` adds a batched
-    ensemble characterization stage (optionally with a robust
-    ``--policy`` and injected ``--inject-faults``), surfacing the
-    ``ensemble.*`` / ``robust.*`` counters in the summary.
+    :mod:`repro.obs` recorder and print the span summary (Sinkhorn,
+    SVD and heuristic hot paths), with each span's summed counts.
+    ``FILE`` is an ETC CSV path or a bundled dataset name.
+    ``--ensemble N`` adds a batched ensemble characterization stage
+    (optionally with a robust ``--policy`` and injected
+    ``--inject-faults``), whose ``batch.characterize_ensemble`` and
+    ``robust.apply_policy`` spans carry the slice and fault counts.
 ``characterize FILE``
     Fault-tolerant ensemble characterization (``repro.robust``): draw a
     perturbation ensemble around an ETC CSV or bundled dataset, apply a
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="also profile an N-member perturbation-ensemble "
-        "characterization (surfaces the ensemble.* counters)",
+        "characterization (its spans count slices and faults)",
     )
     p.add_argument(
         "--policy",

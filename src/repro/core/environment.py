@@ -394,11 +394,10 @@ class ETCMatrix(_BaseMatrix):
         return as_etc_array(values).copy()
 
     def to_ecs(self) -> "ECSMatrix":
-        """The reciprocal ECS matrix (paper eq. 1), labels preserved."""
-        with np.errstate(divide="ignore"):
-            ecs = np.where(np.isinf(self._values), 0.0, 1.0 / self._values)
+        """The reciprocal ECS matrix (paper eq. 1, :func:`etc_to_ecs`),
+        labels and weights preserved."""
         return ECSMatrix(
-            ecs,
+            etc_to_ecs(self._values),
             task_names=self._task_names,
             machine_names=self._machine_names,
             task_weights=self._task_weights,
@@ -450,15 +449,10 @@ class ECSMatrix(_BaseMatrix):
         return as_ecs_array(values).copy()
 
     def to_etc(self) -> ETCMatrix:
-        """The reciprocal ETC matrix, labels preserved."""
-        with np.errstate(divide="ignore"):
-            etc = np.where(
-                self._values == 0.0,
-                np.inf,
-                1.0 / np.where(self._values == 0.0, 1.0, self._values),
-            )
+        """The reciprocal ETC matrix (:func:`ecs_to_etc`), labels and
+        weights preserved."""
         return ETCMatrix(
-            etc,
+            ecs_to_etc(self._values),
             task_names=self._task_names,
             machine_names=self._machine_names,
             task_weights=self._task_weights,

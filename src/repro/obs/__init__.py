@@ -25,10 +25,12 @@ Core pieces
 * :func:`span` / :func:`traced` — instrument a region / a function;
   no-ops when nothing is bound.  :func:`record_span` records a region
   its caller timed itself, through the same builder.
-* :func:`current_recorder` — ambient-recorder lookup for code that
-  keeps counters.
+* :func:`note` — attach attributes (counts among them) to the
+  innermost open span, for :func:`traced` code with no span handle;
+  :func:`current_recorder` — the ambient recorder, if any.
 * :func:`summary` — count/total/p50/p95/p99 aggregation per span name,
-  the table behind ``repro-hc profile``.
+  with per-name sums of the ``int`` attributes: the table behind
+  ``repro-hc profile``.
 * Sinks: :class:`MemorySink`, :class:`JsonlSink`, :class:`LoggingSink`
   (anything matching the :class:`Sink` protocol works).
 * Metrics: a process-wide :class:`MetricsRegistry` of labelled
@@ -43,7 +45,7 @@ See ``docs/OBSERVABILITY.md`` for the recorder model, sink selection,
 the metrics/export layer and measured overhead numbers.
 """
 
-from .events import CounterEvent, GaugeEvent, SpanEvent
+from .events import SpanEvent
 from .export import (
     PROMETHEUS_CONTENT_TYPE,
     chrome_trace,
@@ -70,6 +72,7 @@ from .recorder import (
     Recorder,
     current_recorder,
     current_trace,
+    note,
     record_span,
     recording,
     span,
@@ -93,14 +96,13 @@ __all__ = [
     "span",
     "traced",
     "record_span",
+    "note",
     "current_recorder",
     "summary",
     "summarize",
     "SpanSummary",
     "SpanStats",
     "SpanEvent",
-    "CounterEvent",
-    "GaugeEvent",
     "Sink",
     "MemorySink",
     "JsonlSink",

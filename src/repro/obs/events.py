@@ -1,20 +1,14 @@
-"""Structured event records emitted by the :mod:`repro.obs` recorder.
+"""The one event record emitted by the :mod:`repro.obs` recorder.
 
-Three event kinds cover the instrumentation needs of the compute
-layers:
+A :class:`SpanEvent` is one timed region (a Sinkhorn run, an SVD call,
+one heuristic execution) with wall/CPU duration, nesting depth,
+free-form attributes and optional per-iteration sample series (e.g.
+the residual after every Sinkhorn iteration).  A count — members
+quarantined, trials fanned out, tasks mapped — is an integer attribute
+of the span of the call it describes.
 
-* :class:`SpanEvent` — one timed region (a Sinkhorn run, an SVD call,
-  one heuristic execution) with wall/CPU duration, nesting depth,
-  free-form metadata and optional per-iteration sample series
-  (e.g. the residual after every Sinkhorn iteration).
-* :class:`CounterEvent` — a monotonically accumulated count (trials
-  fanned out, scheduling decisions committed).
-* :class:`GaugeEvent` — a point-in-time value (active-mask occupancy,
-  stack memory footprint).
-
-Events are plain frozen dataclasses with a :meth:`to_record` method
-producing the JSON-safe dict representation every sink consumes, so
-new sinks never need to know about the dataclasses themselves.
+:meth:`SpanEvent.to_record` produces the JSON-safe dict every sink
+consumes, so new sinks never need to know about the dataclass itself.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["SpanEvent", "CounterEvent", "GaugeEvent", "jsonable"]
+__all__ = ["SpanEvent", "jsonable"]
 
 
 def jsonable(value: Any) -> Any:
@@ -68,8 +62,9 @@ class SpanEvent:
     wall_s, cpu_s : float
         Wall-clock and process-CPU duration of the region.
     meta : dict
-        Free-form annotations attached via ``span.note(...)`` (matrix
-        shape, iteration count, makespan, ...).
+        Free-form attributes attached via ``span.note(...)`` or
+        :func:`repro.obs.note` (matrix shape, iteration count, makespan,
+        members quarantined, ...).
     samples : dict of str -> tuple of float
         Named per-iteration series attached via ``span.sample(...)``
         (convergence residuals, active-mask occupancy, ...).
@@ -127,36 +122,3 @@ class SpanEvent:
                 record["links"] = [dict(link) for link in self.links]
         return record
 
-
-@dataclass(frozen=True)
-class CounterEvent:
-    """One counter increment (the recorder also keeps running totals)."""
-
-    name: str
-    value: float
-    start: float
-
-    def to_record(self) -> dict:
-        return {
-            "type": "counter",
-            "name": self.name,
-            "value": self.value,
-            "start": self.start,
-        }
-
-
-@dataclass(frozen=True)
-class GaugeEvent:
-    """One point-in-time measurement."""
-
-    name: str
-    value: float
-    start: float
-
-    def to_record(self) -> dict:
-        return {
-            "type": "gauge",
-            "name": self.name,
-            "value": self.value,
-            "start": self.start,
-        }

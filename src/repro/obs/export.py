@@ -11,11 +11,10 @@ Two consumers, two formats:
   histograms.
 * **Chrome trace-event JSON** (:func:`chrome_trace`,
   :func:`convert_trace_jsonl`, ``repro-hc trace convert``) built from
-  the span/counter JSONL that :func:`repro.obs.recording` streams
+  the span JSONL that :func:`repro.obs.recording` streams
   (``repro-hc profile -o trace.jsonl``).  The output loads directly in
   ``chrome://tracing`` and Perfetto: spans become complete (``"X"``)
-  events with microsecond timestamps, counters and gauges become
-  counter (``"C"``) tracks.
+  events with microsecond timestamps and their attributes as ``args``.
 """
 
 from __future__ import annotations
@@ -223,10 +222,8 @@ def chrome_trace_events(records) -> list[dict]:
     """Trace-event dicts for an iterable of obs JSONL records.
 
     Spans map to complete (``ph="X"``) events — Chrome expects
-    microsecond ``ts``/``dur`` — and counters/gauges (including the
-    ``counter_total`` records flushed at session close) map to counter
-    (``ph="C"``) events.  Unknown record types are skipped, so the
-    converter tolerates trace files from newer writers.
+    microsecond ``ts``/``dur``.  Other record types are skipped, so the
+    converter tolerates trace files from other writers.
 
     Records from multi-process runs (traced records stamp ``pid``, and
     may name a ``process``) get a stable per-process lane: real pids
@@ -266,19 +263,6 @@ def chrome_trace_events(records) -> list[dict]:
                     "args": _span_args(record),
                 }
             )
-        elif kind in ("counter", "gauge", "counter_total"):
-            pid = lane(record)
-            events.append(
-                {
-                    "name": record["name"],
-                    "cat": kind,
-                    "ph": "C",
-                    "ts": record["start"] * 1e6,
-                    "pid": pid,
-                    "tid": 1,
-                    "args": {record["name"]: record["value"]},
-                }
-            )
     metadata: list[dict] = []
     for pid in sorted(lane_names):
         metadata.append(
@@ -306,8 +290,7 @@ def chrome_trace(source) -> dict:
     """A Chrome/Perfetto-loadable trace document.
 
     ``source`` is an iterable of JSONL records (dicts), or a
-    :class:`~repro.obs.Recorder` — the recorder's spans, counter totals
-    and gauges are converted in place.
+    :class:`~repro.obs.Recorder`, whose spans are converted in place.
 
     Examples
     --------
@@ -321,16 +304,8 @@ def chrome_trace(source) -> dict:
     >>> [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
     ['demo.step']
     """
-    if hasattr(source, "events") and hasattr(source, "counters"):
+    if hasattr(source, "events"):
         records = [event.to_record() for event in source.events]
-        # Totals land where the last span ends, on the spans' wall clock.
-        end = max((e.start + e.wall_s for e in source.events), default=0.0)
-        records += [
-            {"type": "counter_total", "name": name, "value": value,
-             "start": end}
-            for name, value in sorted(source.counters.items())
-        ]
-        records += [event.to_record() for event in source.gauges]
     else:
         records = list(source)
     return {

@@ -39,7 +39,7 @@ this below 1% of a scalar Sinkhorn call.  Enable it explicitly::
 
 Completed :func:`repro.obs.recording` sessions are folded into the
 registry automatically while collection is enabled (span wall-time
-histograms plus the recorder's counter totals); :func:`fold_recorder`
+histograms and span counts); :func:`fold_recorder`
 does the same explicitly.
 """
 
@@ -162,10 +162,6 @@ FAMILIES = {spec.name: spec for spec in (
                "Recorded obs spans, by span name."),
     FamilySpec("repro_span_errors_total", "counter", ("span",),
                "Recorded obs spans that exited by raising, by span name."),
-    FamilySpec("repro_obs_counter_total", "counter", ("counter",),
-               "Recorder counter totals folded at session close, by name."),
-    FamilySpec("repro_obs_gauge", "gauge", ("gauge",),
-               "Last recorded obs gauge value, by name."),
     # -- the service (repro.serve)
     FamilySpec("repro_serve_requests_total", "counter", ("endpoint", "status"),
                "Characterization service requests by endpoint and HTTP status."),
@@ -716,9 +712,7 @@ def fold_recorder(
 
     Spans land in the ``repro_span_seconds`` histogram (one ``span``
     label series per span name) plus ``repro_spans_total`` /
-    ``repro_span_errors_total`` counters; the recorder's counter totals
-    accumulate onto ``repro_obs_counter_total`` and its gauges set
-    ``repro_obs_gauge`` (last value per name wins).
+    ``repro_span_errors_total`` counters.
 
     :func:`repro.obs.recording` calls this automatically on exit while
     metrics collection is enabled, so CLI profile runs and long-lived
@@ -726,15 +720,10 @@ def fold_recorder(
     """
     registry = registry or _default_registry
     declare_families("repro_span", registry)
-    registry.declare("repro_obs_counter_total")
     updates = []
     for event in recorder.events:
         updates.append(("repro_span_seconds", (event.name,), event.wall_s))
         updates.append(("repro_spans_total", (event.name,), 1.0))
         if event.error is not None:
             updates.append(("repro_span_errors_total", (event.name,), 1.0))
-    updates += [("repro_obs_counter_total", (name,), total)
-                for name, total in recorder.counters.items()]
-    updates += [("repro_obs_gauge", (event.name,), event.value)
-                for event in recorder.gauges]
     registry.record(*updates)

@@ -21,12 +21,13 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from .events import CounterEvent, GaugeEvent, SpanEvent
+from .events import SpanEvent
 
 __all__ = [
     "Recorder",
     "current_recorder",
     "current_trace",
+    "note",
     "record_span",
     "recording",
     "span",
@@ -60,8 +61,7 @@ _span_index = itertools.count()
 
 
 def current_recorder() -> "Recorder | None":
-    """The recorder bound in this context, or None (counters skip their
-    bookkeeping then)."""
+    """The recorder bound in this context, or None."""
     frame = _frame_var.get()
     return None if frame is None else frame.recorder
 
@@ -80,47 +80,21 @@ def current_sinks() -> tuple:
 
 
 class Recorder:
-    """The sink that keeps a recording session's events and counters.
+    """The sink that keeps a recording session's spans.
 
     Attributes
     ----------
     events : list of SpanEvent
         Closed spans in close order.
-    counters : dict of str -> float
-        Running totals accumulated via :meth:`counter`.
-    gauges : list of GaugeEvent
-        Point-in-time values recorded via :meth:`gauge`.
     sinks : list
         The session's other sinks.  They receive every span record the
-        session sees, every counter and gauge, and the counter totals
-        on :meth:`close`.
+        session sees, and are closed on :meth:`close`.
     """
 
     def __init__(self, sinks: Iterable = ()) -> None:
         self.events: list[SpanEvent] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: list[GaugeEvent] = []
         self.sinks = list(sinks)
         self._closed = False
-
-    def _emit(self, record: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def counter(self, name: str, value: float = 1) -> None:
-        """Accumulate ``value`` onto counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + value
-        if self.sinks:
-            self._emit(CounterEvent(name, value, time.time()).to_record())
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record a point-in-time value."""
-        event = GaugeEvent(name, float(value), time.time())
-        self.gauges.append(event)
-        if self.sinks:
-            self._emit(event.to_record())
-
-    # -- reading back --------------------------------------------------
 
     def spans(self, prefix: str | None = None) -> list[SpanEvent]:
         """Closed spans, optionally filtered by dotted-name prefix."""
@@ -139,21 +113,10 @@ class Recorder:
         return summarize(self)
 
     def close(self) -> None:
-        """Flush counter totals and close every sink (idempotent)."""
+        """Close every sink (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self.sinks and self.counters:
-            now = time.time()
-            for name, total in sorted(self.counters.items()):
-                self._emit(
-                    {
-                        "type": "counter_total",
-                        "name": name,
-                        "value": total,
-                        "start": now,
-                    }
-                )
         for sink in self.sinks:
             sink.close()
 
@@ -362,6 +325,27 @@ def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
     return decorate(_fn) if _fn is not None else decorate
 
 
+def note(**attrs) -> None:
+    """Attach ``attrs`` to the innermost open span; nothing when none is.
+
+    The handle-free form of ``span.note`` for the body of a
+    :func:`traced` function.  A count is an ``int`` attribute, which
+    :func:`repro.obs.summary` sums per span name.
+
+    >>> from repro.obs import recording, traced
+    >>> @traced(name="example.fanout")
+    ... def fanout(n):
+    ...     note(trials=n)
+    >>> with recording() as rec:
+    ...     fanout(4)
+    >>> rec.events[0].meta
+    {'trials': 4}
+    """
+    frame = _frame_var.get()
+    if isinstance(frame, _LiveSpan):
+        frame._meta.update(attrs)
+
+
 @contextmanager
 def _bound(frame: _Frame):
     token = _frame_var.set(frame)
@@ -412,7 +396,7 @@ def recording(
         logger instance, or True for the default ``repro.obs`` logger.
 
     Yields the recorder; on exit the previous frame is restored and the
-    recorder is closed, flushing counter totals and closing its sinks.
+    recorder is closed, closing its sinks.
     An inner ``recording`` shadows the outer one's recorder and sinks,
     and keeps its trace context.
 
@@ -443,8 +427,8 @@ def recording(
         rec.close()
         # While process-wide metrics collection is enabled, completed
         # sessions accumulate into the registry (span-duration
-        # histograms + counter totals) so scrape endpoints see every
-        # recording without extra wiring.
+        # histograms) so scrape endpoints see every recording without
+        # extra wiring.
         from . import metrics as _metrics
 
         if _metrics.metrics_enabled():

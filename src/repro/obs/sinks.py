@@ -15,10 +15,9 @@ with the library:
 * :class:`RotatingJsonlSink` — a JsonlSink with size-based rotation
   (``path`` → ``path.1`` → ``path.2`` ...), used for the serving slow-
   request log so an unattended server cannot fill a disk.
-* :class:`LoggingSink` — bridge into :mod:`logging`; each record
-  becomes one ``DEBUG`` (spans/gauges) or ``INFO`` (counters at close)
-  message on the ``repro.obs`` logger, so existing logging
-  configuration picks up traces with no extra wiring.
+* :class:`LoggingSink` — bridge into :mod:`logging`; each span record
+  becomes one ``DEBUG`` message on the ``repro.obs`` logger, so
+  existing logging configuration picks up traces with no extra wiring.
 
 Records are plain dicts (see :meth:`repro.obs.events.SpanEvent.to_record`)
 and are already JSON-safe when they reach a sink.
@@ -145,34 +144,23 @@ class RotatingJsonlSink:
 class LoggingSink:
     """Forward records to a :mod:`logging` logger.
 
-    Spans log at DEBUG as ``span sinkhorn.scalar wall=1.23ms cpu=1.10ms``;
-    counters and gauges log their name and value.  Pass a ``logger`` to
-    override the default ``repro.obs`` logger (e.g. to attach handlers
-    in a service).
+    Spans log at DEBUG as ``span sinkhorn.scalar wall=1.23ms cpu=1.10ms``
+    followed by depth and attributes.  Pass a ``logger`` to override the
+    default ``repro.obs`` logger (e.g. to attach handlers in a service).
     """
 
     def __init__(self, logger: logging.Logger | None = None) -> None:
         self.logger = logger or logging.getLogger("repro.obs")
 
     def emit(self, record: dict) -> None:
-        kind = record.get("type", "event")
-        if kind == "span":
-            self.logger.debug(
-                "span %s wall=%.3fms cpu=%.3fms depth=%d meta=%s",
-                record["name"],
-                record["wall_s"] * 1e3,
-                record["cpu_s"] * 1e3,
-                record["depth"],
-                record.get("meta", {}),
-            )
-        elif kind == "counter":
-            self.logger.info(
-                "counter %s += %s", record["name"], record["value"]
-            )
-        else:
-            self.logger.debug(
-                "%s %s = %s", kind, record.get("name"), record.get("value")
-            )
+        self.logger.debug(
+            "span %s wall=%.3fms cpu=%.3fms depth=%d meta=%s",
+            record["name"],
+            record["wall_s"] * 1e3,
+            record["cpu_s"] * 1e3,
+            record["depth"],
+            record.get("meta", {}),
+        )
 
     def close(self) -> None:
         pass

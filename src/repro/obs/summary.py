@@ -1,17 +1,17 @@
 """Aggregated span statistics: the ``repro-hc profile`` table.
 
 :func:`summarize` folds a recorder's closed spans into one row per
-span name — count, total/mean wall time, p50/p95/p99/max, CPU total —
-sorted by total wall time so the hottest path tops the table.  The
-result renders as an aligned text table (:meth:`SpanSummary.table`)
-or a JSON-safe dict (:meth:`SpanSummary.to_dict`).
+span name — count, total/mean wall time, p50/p95/p99/max, CPU total,
+and the sum of every ``int`` attribute — sorted by total wall time so
+the hottest path tops the table.  The result renders as an aligned
+text table (:meth:`SpanSummary.table`) or a JSON-safe dict
+(:meth:`SpanSummary.to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import jsonable
 from .recorder import Recorder, current_recorder
 
 __all__ = ["SpanStats", "SpanSummary", "summarize", "summary"]
@@ -32,7 +32,11 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 @dataclass(frozen=True)
 class SpanStats:
-    """Aggregate statistics of every span sharing one name."""
+    """Aggregate statistics of every span sharing one name.
+
+    ``totals`` sums each attribute whose value is an ``int`` (not a
+    ``bool``) over the spans: the counts they carry.
+    """
 
     name: str
     count: int
@@ -43,6 +47,7 @@ class SpanStats:
     p99_s: float
     max_s: float
     cpu_s: float
+    totals: dict
 
     def to_dict(self) -> dict:
         return {
@@ -55,6 +60,7 @@ class SpanStats:
             "p99_s": self.p99_s,
             "max_s": self.max_s,
             "cpu_s": self.cpu_s,
+            "totals": self.totals,
         }
 
 
@@ -62,12 +68,10 @@ class SpanStats:
 class SpanSummary:
     """Per-span-name aggregation of one recording session.
 
-    ``rows`` is sorted by total wall time, descending; ``counters``
-    carries the recorder's accumulated counter totals.
+    ``rows`` is sorted by total wall time, descending.
     """
 
     rows: tuple[SpanStats, ...]
-    counters: dict
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -90,10 +94,7 @@ class SpanSummary:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "spans": [stats.to_dict() for stats in self.rows],
-            "counters": {k: jsonable(v) for k, v in self.counters.items()},
-        }
+        return {"spans": [stats.to_dict() for stats in self.rows]}
 
     def table(self) -> str:
         """Aligned text table, hottest span first (times in ms)."""
@@ -114,10 +115,12 @@ class SpanSummary:
                 f"{s.p99_s * 1e3:>7.2f}ms  "
                 f"{s.max_s * 1e3:>7.2f}ms  {s.cpu_s * 1e3:>7.2f}ms"
             )
-        if self.counters:
+        totals = sorted((s.name, s.totals) for s in self.rows if s.totals)
+        if totals:
             lines.append("")
-            for name in sorted(self.counters):
-                lines.append(f"counter {name} = {self.counters[name]:g}")
+            for name, sums in totals:
+                pairs = " ".join(f"{k}={sums[k]}" for k in sorted(sums))
+                lines.append(f"totals {name}: {pairs}")
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -128,9 +131,14 @@ def summarize(recorder: Recorder) -> SpanSummary:
     """Aggregate a recorder's spans into a :class:`SpanSummary`."""
     buckets: dict[str, list[float]] = {}
     cpu: dict[str, float] = {}
+    totals: dict[str, dict[str, int]] = {}
     for event in recorder.events:
         buckets.setdefault(event.name, []).append(event.wall_s)
         cpu[event.name] = cpu.get(event.name, 0.0) + event.cpu_s
+        sums = totals.setdefault(event.name, {})
+        for key, value in event.meta.items():
+            if isinstance(value, int) and not isinstance(value, bool):
+                sums[key] = sums.get(key, 0) + value
     rows = []
     for name, walls in buckets.items():
         ordered = sorted(walls)
@@ -146,10 +154,11 @@ def summarize(recorder: Recorder) -> SpanSummary:
                 p99_s=_percentile(ordered, 0.99),
                 max_s=ordered[-1],
                 cpu_s=cpu[name],
+                totals=totals[name],
             )
         )
     rows.sort(key=lambda s: s.total_s, reverse=True)
-    return SpanSummary(rows=tuple(rows), counters=dict(recorder.counters))
+    return SpanSummary(rows=tuple(rows))
 
 
 def summary(recorder: Recorder | None = None) -> SpanSummary:
@@ -172,5 +181,5 @@ def summary(recorder: Recorder | None = None) -> SpanSummary:
     if recorder is None:
         recorder = current_recorder()
     if recorder is None:
-        return SpanSummary(rows=(), counters={})
+        return SpanSummary(rows=())
     return summarize(recorder)

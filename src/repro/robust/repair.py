@@ -36,7 +36,7 @@ from ..exceptions import MatrixValueError, ReproError
 from ..measures.affinity import _singular_values, _tma_column
 from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.standard_form import standardize
-from ..obs import current_recorder, metrics as _metrics
+from ..obs import metrics as _metrics, span as _obs_span
 from .budget import Budget, Deadline
 from .taxonomy import UNREPAIRABLE_CATEGORIES, MemberFault, QuarantineReport
 
@@ -237,45 +237,40 @@ def apply_policy(
     becomes a :class:`MemberFault`; under ``policy="repair"`` each one
     also walks the ladder on ``member(i)`` and a recovery is handed to
     ``splice(i, repaired, standard)``.  The report's outcomes are
-    counted in the ambient obs recorder and the metrics registry.
+    attributes of the ``robust.apply_policy`` span and series of the
+    metrics registry.
     """
-    records = []
-    for i, (category, detail) in sorted(faults.items()):
-        standard, attempts, label = None, 0, None
-        if policy == "repair":
-            repaired, standard, attempts, label = _repair(
-                member(i),
-                category,
-                tol=tol,
-                max_iterations=max_iterations,
-                budget=budget,
-                deadline=deadline,
+    with _obs_span("robust.apply_policy", policy=policy) as sp:
+        records = []
+        for i, (category, detail) in sorted(faults.items()):
+            standard, attempts, label = None, 0, None
+            if policy == "repair":
+                repaired, standard, attempts, label = _repair(
+                    member(i),
+                    category,
+                    tol=tol,
+                    max_iterations=max_iterations,
+                    budget=budget,
+                    deadline=deadline,
+                )
+                if standard is not None:
+                    splice(i, repaired, standard)
+            records.append(
+                MemberFault(
+                    index=i,
+                    category=category,
+                    detail=detail,
+                    attempts=attempts,
+                    repaired=standard is not None,
+                    repair=label,
+                )
             )
-            if standard is not None:
-                splice(i, repaired, standard)
-        records.append(
-            MemberFault(
-                index=i,
-                category=category,
-                detail=detail,
-                attempts=attempts,
-                repaired=standard is not None,
-                repair=label,
-            )
-        )
-    report = QuarantineReport(policy=policy, faults=tuple(records))
-    if _metrics.metrics_enabled():
-        outcomes = [("quarantined", len(report.quarantined)),
-                    ("repaired", len(report.repaired))]
-        outcomes += [(f"fault.{category}", len(indices))
-                     for category, indices in report.by_category().items()]
-        _metrics.record(*(("repro_member_outcomes_total", (outcome,), n)
-                          for outcome, n in outcomes))
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("robust.quarantined", len(report.quarantined))
-        rec.counter("robust.repaired", len(report.repaired))
-        rec.counter("robust.retries", report.attempts)
-        for category, indices in report.by_category().items():
-            rec.counter(f"robust.fault.{category}", len(indices))
+        report = QuarantineReport(policy=policy, faults=tuple(records))
+        outcomes = {"quarantined": len(report.quarantined),
+                    "repaired": len(report.repaired)}
+        outcomes.update((f"fault.{category}", len(indices))
+                        for category, indices in report.by_category().items())
+        sp.note(retries=report.attempts, **outcomes)
+    _metrics.record(*(("repro_member_outcomes_total", (outcome,), n)
+                      for outcome, n in outcomes.items()))
     return report

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..exceptions import SchedulingError
 from ..generate._rng import resolve_rng
-from ..obs import current_recorder, span as _obs_span
+from ..obs import span as _obs_span
 from .mapping import Mapping, evaluate_mapping
 from .workload import Workload
 
@@ -275,7 +275,4 @@ def run_heuristic(name: str, etc, *, seed=None, **kwargs) -> Mapping:
             tasks=int(mapping.assignment.shape[0]),
             makespan=mapping.makespan,
         )
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("scheduling.decisions", int(mapping.assignment.shape[0]))
     return mapping

@@ -52,9 +52,9 @@ from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import (
     JsonlSink,
     TraceContext,
-    current_recorder,
     current_trace,
     metrics as _metrics,
+    note,
     record_span,
     span as _obs_span,
     trace_scope,
@@ -242,9 +242,7 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
 
 
 def _record_dispatch(plan, log, contexts) -> None:
-    """Dispatch metrics, counters and spans, read off the copy log."""
-    rec = current_recorder()
-    count = rec.counter if rec is not None else lambda name, value: None
+    """Dispatch metrics and spans, read off the copy log."""
     to_wall = time.time() - time.monotonic()
     copies = Counter(copy.task for copy in log)
     for copy in log:
@@ -255,8 +253,6 @@ def _record_dispatch(plan, log, contexts) -> None:
         meta = {"start_member": shard.start, "members": shard.n_members}
         _metrics.record(("repro_shard_dispatch_total",
                          ("speculative" if copy.attempt else "primary",), 1.0))
-        if copy.attempt:
-            count("shard.speculative", 1)
         if copy.fate == "won":
             who = "backup" if copy.attempt else "primary"
             _metrics.record(
@@ -265,15 +261,12 @@ def _record_dispatch(plan, log, contexts) -> None:
                 ("repro_shard_chunk_seconds", ("pool",), wall_s),
                 ("repro_shard_dispatch_total", (f"winner_{who}",), 1.0),
             )
-            if copy.attempt:
-                count("shard.backup_wins", 1)
             if context is not None:
                 meta.update(winner=who, speculated=copies[copy.task] > 1)
                 with trace_scope(context):
                     record_span("shard.dispatch", context, meta=meta, **timing)
         elif copy.fate == "lost":
             _metrics.record(("repro_shard_dispatch_total", ("cancelled",), 1.0))
-            count("shard.cancelled", 1)
             if context is not None:
                 # The loser may never write its own span (its process is
                 # terminated at shutdown), so its log entry stands in as
@@ -434,10 +427,7 @@ def characterize_store(
 
         deadline = Deadline(None)
 
-    rec = current_recorder()
-    if rec is not None:
-        rec.counter("shard.shards", len(plan.shards))
-        rec.counter("shard.members", plan.n_members)
+    note(shards=len(plan.shards), members=plan.n_members)
 
     kwargs = {
         "tol": tol,

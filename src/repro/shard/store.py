@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._validation import check_numeric_dtype
 from ..exceptions import MatrixShapeError, MatrixValueError
 
 __all__ = [
@@ -118,14 +119,14 @@ class StackStoreWriter:
         Returns the member count written so far.  Data is converted to
         the store dtype and written C-order; values are *not* screened —
         a store may legitimately hold corrupt members that the robust
-        pipeline will quarantine when it streams them.  Complex members
-        are rejected: the conversion would drop their imaginary parts.
+        pipeline will quarantine when it streams them.  Non-numeric
+        members are rejected, and so are complex ones: the conversion
+        would drop their imaginary parts.
         """
         if self._closed:
             raise MatrixValueError("cannot append to a closed store writer")
         arr = np.asarray(members)
-        if np.iscomplexobj(arr):
-            raise MatrixValueError("members must be real-valued")
+        check_numeric_dtype(arr, name="members")
         arr = np.ascontiguousarray(arr, dtype=self.dtype)
         if arr.ndim == 2:
             arr = arr[None, :, :]

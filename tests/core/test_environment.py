@@ -10,6 +10,8 @@ from repro import (
     MatrixShapeError,
     MatrixValueError,
     WeightError,
+    ecs_to_etc,
+    etc_to_ecs,
 )
 from repro.exceptions import DatasetError
 
@@ -120,6 +122,26 @@ class TestConversion:
         np.testing.assert_allclose(back.values, etc.values)
         assert back.task_names == etc.task_names
         np.testing.assert_allclose(back.task_weights, etc.task_weights)
+
+    def test_functions_are_the_methods_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        times = rng.uniform(0.1, 10.0, (5, 4))
+        times[1, 2] = times[3, 0] = np.inf
+        etc = ETCMatrix(times)
+        ecs = etc_to_ecs(times)
+        assert ecs.tobytes() == etc.to_ecs().values.tobytes()
+        assert ecs[1, 2] == 0.0 and ecs[3, 0] == 0.0
+        speeds = ECSMatrix(ecs)
+        assert ecs_to_etc(ecs).tobytes() == speeds.to_etc().values.tobytes()
+        back = ecs_to_etc(ecs)
+        assert np.isinf(back[1, 2]) and np.isinf(back[3, 0])
+        np.testing.assert_allclose(back, times, rtol=1e-15)
+
+    def test_functions_round_trip_exactly_on_powers_of_two(self):
+        times = np.array([[2.0, np.inf], [0.5, 4.0]])
+        assert ecs_to_etc(etc_to_ecs(times)).tobytes() == times.tobytes()
+        speeds = np.array([[0.0, 0.25], [8.0, 1.0]])
+        assert etc_to_ecs(ecs_to_etc(speeds)).tobytes() == speeds.tobytes()
 
     def test_compatibility_masks_agree(self):
         etc = ETCMatrix([[2.0, np.inf], [1.0, 0.5]])

@@ -264,17 +264,14 @@ class TestChromeTrace:
             with span("demo.outer"):
                 with span("demo.inner", size=3) as sp:
                     sp.sample("residual", [0.5, 0.1])
-            rec.counter("demo.count", 2)
-            rec.gauge("demo.gauge", 1.5)
         doc = chrome_trace(rec)
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert doc["displayTimeUnit"] == "ms"
         json.dumps(doc)  # Perfetto needs plain JSON
         events = doc["traceEvents"]
         spans = [e for e in events if e["ph"] == "X"]
-        counters = [e for e in events if e["ph"] == "C"]
         assert {e["name"] for e in spans} == {"demo.outer", "demo.inner"}
-        assert {e["name"] for e in counters} == {"demo.count", "demo.gauge"}
+        assert {e["ph"] for e in events} == {"X", "M"}
         inner = next(e for e in spans if e["name"] == "demo.inner")
         assert inner["args"]["size"] == 3
         assert list(inner["args"]["samples.residual"]) == [0.5, 0.1]

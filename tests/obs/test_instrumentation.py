@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import repro
 from repro import characterize, recording, standardize
-from repro.analysis.independence import independence_study
+from repro.analysis.independence import independence_study, measure_correlations
 from repro.analysis.sensitivity import sensitivity_study
 from repro.batch import characterize_ensemble, sinkhorn_knopp_batched
 from repro.normalize import sinkhorn_knopp
@@ -67,9 +68,10 @@ class TestMeasureSpans:
             characterize_ensemble(stack)
         assert rec.spans("batch.characterize_ensemble")
         assert rec.spans("svd.batched")
-        assert rec.counters["ensemble.slices"] == 2
-        assert rec.counters["ensemble.batched_slices"] == 2
-        assert rec.counters["ensemble.fallback_slices"] == 0
+        (event,) = rec.spans("batch.characterize_ensemble")
+        assert event.meta == {
+            "slices": 2, "batched_slices": 2, "fallback_slices": 0,
+        }
 
 
 class TestSchedulingSpans:
@@ -79,7 +81,7 @@ class TestSchedulingSpans:
         (event,) = rec.spans("scheduling.min_min")
         assert event.meta["tasks"] == 3
         assert event.meta["makespan"] == mapping.makespan
-        assert rec.counters["scheduling.decisions"] == 3
+        assert rec.summary().row("scheduling.min_min").totals == {"tasks": 3}
 
     def test_online_simulation_span(self):
         with recording() as rec:
@@ -96,14 +98,41 @@ class TestAnalysisSpans:
                 ENV, noise_levels=(0.05, 0.1), trials=3, seed=0
             )
         assert len(rec.spans("analysis.sensitivity_level")) == 2
-        assert rec.counters["sensitivity.trials"] == 6
+        totals = rec.summary().row("analysis.sensitivity_level").totals
+        assert totals["trials"] == 6
 
     def test_independence_fanout(self):
         with recording() as rec:
             independence_study("tma", targets=(0.1, 0.3), seed=0)
         (event,) = rec.spans("analysis.independence")
         assert event.meta["swept"] == "tma"
-        assert rec.counters["independence.trials"] == 2
+        assert event.meta["points"] == 2
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_correlations_span_counts_samples(self, batched):
+        with recording() as rec:
+            measure_correlations(samples=5, seed=0, batched=batched)
+        (event,) = rec.spans("analysis.correlations")
+        assert event.meta == {"samples": 5}
+
+
+class TestRobustSpans:
+    @pytest.mark.parametrize("entry", ["characterize_ensemble", "standardize_batched"])
+    def test_apply_policy_span_carries_the_outcomes(self, entry):
+        stack = np.stack([np.array(ENV)] * 3)
+        stack[1, 0, 0] = np.nan
+        stack[2, 1, 1] = -1.0
+        with recording() as rec:
+            getattr(repro, entry)(stack, policy="quarantine")
+        (event,) = rec.spans("robust.apply_policy")
+        assert event.meta == {
+            "policy": "quarantine",
+            "quarantined": 2,
+            "repaired": 0,
+            "retries": 0,
+            "fault.nan": 1,
+            "fault.negative": 1,
+        }
 
 
 class TestDisabledIsInert:

@@ -8,6 +8,7 @@ from repro.obs import (
     MemorySink,
     Recorder,
     current_recorder,
+    note,
     recording,
     span,
     summary,
@@ -87,14 +88,21 @@ class TestRecording:
         # inner closes first, so it gets the lower index
         assert by_name["inner"].index < by_name["outer"].index
 
-    def test_counters_accumulate(self):
+    def test_note_attaches_to_the_innermost_open_span(self):
+        @traced(name="unit.noted")
+        def work():
+            note(members=3)
+
         with recording() as rec:
-            rec.counter("unit.count")
-            rec.counter("unit.count", 4)
-            rec.gauge("unit.gauge", 0.5)
-        assert rec.counters["unit.count"] == 5
-        assert rec.gauges[-1].name == "unit.gauge"
-        assert rec.gauges[-1].value == 0.5
+            with span("unit.outer"):
+                work()
+            note(dropped=1)  # no span open: nothing happens
+        by_name = {e.name: e for e in rec.events}
+        assert by_name["unit.noted"].meta == {"members": 3}
+        assert by_name["unit.outer"].meta == {}
+
+    def test_note_without_a_recording_is_a_no_op(self):
+        note(members=3)
 
     def test_spans_prefix_filter(self):
         with recording() as rec:
@@ -124,12 +132,10 @@ class TestRecording:
 
     def test_memory_sink_receives_records(self):
         sink = MemorySink()
-        with recording(sinks=[sink]) as rec:
+        with recording(sinks=[sink]):
             with span("unit.sunk"):
                 pass
-            rec.counter("unit.c", 2)
-        types = [r["type"] for r in sink.records]
-        assert "span" in types and "counter_total" in types
+        assert [r["type"] for r in sink.records] == ["span"]
 
     def test_recorder_close_is_idempotent(self):
         rec = Recorder(sinks=[MemorySink()])

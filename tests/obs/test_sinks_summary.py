@@ -37,15 +37,13 @@ class TestSinkProtocol:
 class TestJsonlSink:
     def test_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with recording(trace_path=path) as rec:
+        with recording(trace_path=path):
             with span("jsonl.block", rows=2):
                 pass
-            rec.counter("jsonl.count", 7)
         lines = path.read_text().strip().splitlines()
         records = [json.loads(line) for line in lines]
-        types = {r["type"] for r in records}
-        assert {"span", "counter", "counter_total"} <= types
-        span_rec = next(r for r in records if r["type"] == "span")
+        assert [r["type"] for r in records] == ["span"]
+        span_rec = records[0]
         assert span_rec["name"] == "jsonl.block"
         assert span_rec["meta"]["rows"] == 2
 
@@ -79,18 +77,18 @@ class TestSummary:
     def test_aggregates_per_name(self):
         with recording() as rec:
             for _ in range(4):
-                with span("agg.step"):
+                with span("agg.step", items=2, ok=True, ratio=0.5, kind="x"):
                     pass
-            rec.counter("agg.count", 2)
         stats = summary(rec)
         row = stats.row("agg.step")
         assert row.count == 4
         assert row.total_s >= row.max_s >= row.p95_s >= row.p50_s >= 0
         assert row.mean_s == pytest.approx(row.total_s / 4)
-        assert stats.counters["agg.count"] == 2
+        # Only int attributes are counts; a bool is not.
+        assert row.totals == {"items": 8}
 
     def test_row_missing_name_raises(self):
-        stats = SpanSummary(rows=(), counters={})
+        stats = SpanSummary(rows=())
         with pytest.raises(KeyError):
             stats.row("absent")
 
@@ -106,16 +104,15 @@ class TestSummary:
 
     def test_table_and_to_dict(self):
         with recording() as rec:
-            with span("tbl.step"):
+            with span("tbl.step", count=3, size=1):
                 pass
-            rec.counter("tbl.count", 3)
         stats = rec.summary()
         text = stats.table()
-        assert "tbl.step" in text and "counter tbl.count = 3" in text
+        assert "tbl.step" in text and "totals tbl.step: count=3 size=1" in text
         doc = stats.to_dict()
         assert doc["spans"][0]["name"] == "tbl.step"
-        assert doc["counters"]["tbl.count"] == 3
+        assert doc["spans"][0]["totals"] == {"count": 3, "size": 1}
         json.dumps(doc)  # JSON-safe
 
     def test_empty_table_placeholder(self):
-        assert "no spans" in SpanSummary(rows=(), counters={}).table()
+        assert "no spans" in SpanSummary(rows=()).table()

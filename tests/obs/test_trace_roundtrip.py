@@ -39,7 +39,7 @@ class TestProfileToChromeTrace:
         events = doc["traceEvents"]
         assert events, "profile run produced no trace events"
         for event in events:
-            assert event["ph"] in ("X", "C", "M")
+            assert event["ph"] in ("X", "M")
             if event["ph"] == "M":
                 continue  # process/thread-name metadata has no ts
             assert isinstance(event["ts"], (int, float))
@@ -55,11 +55,9 @@ class TestProfileToChromeTrace:
         span_names = {e["name"] for e in events if e["ph"] == "X"}
         assert "measures.characterize" in span_names
         assert any(n.startswith("sinkhorn") for n in span_names)
-        # ... and so do the counter_total records flushed at close.
-        counter_names = {
-            e["name"] for e in events if e.get("cat") == "counter_total"
-        }
-        assert "scheduling.decisions" in counter_names
+        # ... and so do the counts they carry, as span args.
+        min_min = next(e for e in events if e["name"] == "scheduling.min_min")
+        assert min_min["args"]["tasks"] == 3
 
     def test_convert_reports_malformed_line(self, tmp_path, capsys):
         jsonl = tmp_path / "trace.jsonl"
@@ -86,9 +84,9 @@ class TestExceptionPropagationPath:
     def test_sink_flushed_and_closed_on_error(self, tmp_path):
         jsonl = tmp_path / "trace.jsonl"
         with pytest.raises(MatrixValueError):
-            with recording(trace_path=jsonl) as rec:
-                with span("roundtrip.outer"):
-                    rec.counter("roundtrip.count", 2)
+            with recording(trace_path=jsonl):
+                with span("roundtrip.outer") as sp:
+                    sp.note(count=2)
                     raise MatrixValueError("injected failure")
 
         # Every line parses: the JSONL sink was flushed and closed even
@@ -106,9 +104,9 @@ class TestExceptionPropagationPath:
             r for r in by_type["span"] if r["name"] == "roundtrip.outer"
         )
         assert outer["error"] == "MatrixValueError"
-        # ... and the counter total was still flushed at close.
-        totals = {r["name"]: r["value"] for r in by_type["counter_total"]}
-        assert totals["roundtrip.count"] == 2
+        # ... with the count noted before the raise, and nothing else.
+        assert outer["meta"]["count"] == 2
+        assert set(by_type) == {"span"}
 
         # The converter accepts the error-path trace unchanged (the two
         # extra events are the lane's process/thread-name metadata).

@@ -197,3 +197,18 @@ class TestReplayAndStudy:
             trace, live_server.host, live_server.port, time_scale=0.0
         )
         assert report.wall_s < nominal
+
+    def test_estimate_capacity_reports_a_finite_positive_rate(
+        self, live_server
+    ):
+        from repro.serve import estimate_capacity
+
+        rate = estimate_capacity(
+            live_server.host, live_server.port, shape=(4, 4), probe=8
+        )
+        assert math.isfinite(rate) and rate > 0.0
+        # The probe was answered, not refused: every request succeeded.
+        served = live_server.registry.counter(
+            "repro_serve_requests_total", labelnames=("endpoint", "status")
+        ).value(endpoint="characterize", status="200")
+        assert served == 8

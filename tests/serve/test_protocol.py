@@ -416,8 +416,6 @@ def _helper_sequence(registry) -> None:
             SimpleNamespace(name="demo.ok", wall_s=0.004, error=None),
             SimpleNamespace(name="demo.err", wall_s=0.25, error="boom"),
         ],
-        counters={"demo.count": 3, "demo.more": 0.5},
-        gauges=[SimpleNamespace(name="demo.gauge", value=7.5)],
     )
     obs_metrics.fold_recorder(recorder, registry=registry)
     exemplar = {"trace_id": "ab" * 16}
@@ -459,7 +457,7 @@ def _exposition_without_exemplars(registry) -> bytes:
 
 
 PROMETHEUS_DIGEST = (
-    "0cefa5a70f911978709828b3b9c476b800733655a661a1bd9c527d070a8f553c"
+    "2deaaea008f2b296eab1e0ff7b161e2a04c131466cdfccc409f15d5a7aa9e0eb"
 )
 
 

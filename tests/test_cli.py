@@ -276,7 +276,10 @@ class TestProfileEnsemble:
         assert main(["profile", etc_csv, "--ensemble", "4"]) == 0
         out = capsys.readouterr().out
         assert "ensemble:" in out
-        assert "counter ensemble.slices = 4" in out
+        assert (
+            "totals batch.characterize_ensemble: batched_slices=4 "
+            "fallback_slices=0 slices=4"
+        ) in out
 
     def test_profile_with_chaos_counters(self, etc_csv, capsys):
         assert (
@@ -291,8 +294,10 @@ class TestProfileEnsemble:
             == 0
         )
         out = capsys.readouterr().out
-        assert "counter robust.quarantined = 1" in out
-        assert "counter robust.fault.nan = 1" in out
+        assert (
+            "totals robust.apply_policy: fault.nan=1 quarantined=1 "
+            "repaired=0 retries=0"
+        ) in out
 
 
 class TestSchedule:

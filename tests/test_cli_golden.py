@@ -5,7 +5,7 @@ and JSON schema of the deterministic subcommands — `measures`,
 `sensitivity` and the new `profile` — so output-format regressions
 show up as diffs.  Timing numbers are inherently non-deterministic, so
 the profile assertions pin the table *structure* (rows, columns,
-counters) rather than the millisecond values.
+per-span totals) rather than the millisecond values.
 """
 
 import json
@@ -49,7 +49,6 @@ PROFILE_JSON_SCHEMA = {
     "measures": dict,
     "best_heuristic": str,
     "spans": list,
-    "counters": dict,
 }
 
 SPAN_ROW_SCHEMA = {
@@ -62,6 +61,7 @@ SPAN_ROW_SCHEMA = {
     "p99_s": float,
     "max_s": float,
     "cpu_s": float,
+    "totals": dict,
 }
 
 
@@ -146,7 +146,7 @@ class TestProfileGolden:
             "sinkhorn.scalar",
             "svd.scalar",
             "scheduling.min_min",
-            "counter scheduling.decisions",
+            "totals scheduling.min_min: tasks=",
         ):
             assert expected in out, expected
 
@@ -165,7 +165,8 @@ class TestProfileGolden:
         assert any(n.startswith("sinkhorn") for n in names)
         assert any(n.startswith("svd") for n in names)
         assert any(n.startswith("scheduling") for n in names)
-        assert doc["counters"]["scheduling.decisions"] > 0
+        min_min = next(r for r in doc["spans"] if r["name"] == "scheduling.min_min")
+        assert min_min["totals"]["tasks"] > 0
 
     def test_dataset_name_accepted(self, capsys):
         assert main(["profile", "cint2006rate"]) == 0

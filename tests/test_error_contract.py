@@ -49,6 +49,11 @@ INPUTS = {
     "empty": (np.empty((0, 3)), {}),
     "ragged": ([[1.0, 2.0], [3.0]], {}),
     "complex": ([[1.0 + 5.0j, 2.0], [3.0, 4.0]], {}),
+    # Not numbers, though numpy would cast all but the dict to float.
+    "string_entry": ([[1.5, 2.0], [3, "4"]], {}),
+    "bytes_entry": (np.array([[b"1", b"2"], [b"3", b"4"]]), {}),
+    "bool_array": (np.array([[True, False], [True, True]]), {}),
+    "object_entry": ([[1.0, {}], [1.0, 1.0]], {}),
     # Finite entries whose line sums leave the float64 range.
     "overflow": (np.full((3, 3), 1e308), {}),
     "weights_length": (GOOD, {"task_weights": [1.0]}),
@@ -66,6 +71,27 @@ ENTRY_POINTS = {
     "standardize": standardize,
     "sinkhorn_knopp": sinkhorn_knopp,
 }
+
+#: The dtype numpy infers for each non-numeric input.
+_DTYPES = {
+    "string_entry": "<U32",
+    "bytes_entry": "|S1",
+    "bool_array": "bool",
+    "object_entry": "object",
+}
+
+
+def _dtype_errors(name: str) -> dict:
+    """The non-numeric rows, for an entry point that names its input
+    ``name``."""
+    return {
+        key: (
+            MatrixValueError,
+            f"{name} must hold int or float entries, got dtype {dtype}",
+        )
+        for key, dtype in _DTYPES.items()
+    }
+
 
 _ECS_INF = (
     "ECS matrix contains infinite entries; infinities belong in the ETC "
@@ -108,6 +134,7 @@ _ECS_ERRORS = {
     "one_d": (MatrixShapeError, "ECS matrix must be 2-D, got ndim=1 (shape (2,))"),
     "empty": (MatrixShapeError, "ECS matrix must be non-empty, got shape (0, 3)"),
     "complex": (MatrixValueError, "ECS matrix must be real-valued"),
+    **_dtype_errors("ECS matrix"),
     "overflow": _SUMS_OVERFLOW,
     "weights_length": (
         WeightError,
@@ -144,6 +171,7 @@ EXPECTED = {
         "matrix must be non-empty, got shape (0, 3)",
     ),
     ("sinkhorn_knopp", "complex"): (MatrixValueError, "matrix must be real-valued"),
+    **{("sinkhorn_knopp", k): e for k, e in _dtype_errors("matrix").items()},
     ("sinkhorn_knopp", "overflow"): _SUMS_OVERFLOW,
     **{
         (entry, key): error
@@ -276,6 +304,12 @@ ENSEMBLE_INPUTS = {
     "tiny": (_between_healthy(np.full((8, 8), 1e-320)), {}),
     "complex": (_complex_stack(), {}),
     "complex_members": (list(_complex_stack()), {"policy": "quarantine"}),
+    # A list goes member by member through characterize_ensemble, an
+    # array as one stack.
+    "string_entry": ([INPUTS["string_entry"][0]] * 3, {}),
+    "bytes_entry": (np.stack([INPUTS["bytes_entry"][0]] * 3), {}),
+    "bool_array": (np.stack([INPUTS["bool_array"][0]] * 3), {}),
+    "object_entry": ([INPUTS["object_entry"][0]] * 3, {}),
     **{key: (np.ones((3, 2, 2)), INPUTS[key][1]) for key in _CONTROL_ERRORS},
     # The caller's argument is not the members' fault.
     "tol_nan_quarantine": (
@@ -428,6 +462,22 @@ ENSEMBLE_EXPECTED = {
         )
     },
     ("standardize_batched", "policy"): _POLICY,
+    **{
+        (entry, key): error
+        for entry, name in (
+            ("standardize_batched", "stack"),
+            ("sinkhorn_knopp_batched", "stack"),
+            ("characterize_store", "members"),
+        )
+        for key, error in _dtype_errors(name).items()
+    },
+    **{
+        ("characterize_ensemble", key): _dtype_errors(
+            "ECS matrix" if isinstance(ENSEMBLE_INPUTS[key][0], list)
+            else "ECS stack"
+        )[key]
+        for key in _DTYPES
+    },
     ("characterize_ensemble", "empty"): (
         MatrixShapeError,
         "ECS stack must be non-empty, got shape (0, 2, 2)",
