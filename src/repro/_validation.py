@@ -5,6 +5,12 @@ through the functions here so that error messages are uniform and the
 numerical kernels can assume clean, C-contiguous ``float64`` data (a
 vectorization-friendly invariant; see the repo's DESIGN.md).
 
+There is one float coercer, :func:`as_float_array`, for a matrix
+(``ndim=2``) and for an ``(N, T, M)`` stack (``ndim=3``), with one
+dtype rule (:func:`check_numeric_dtype`).  There is one environment
+coercion, :func:`repro.core.environment.coerce_ecs_and_weights`, which
+returns ``(ecs, w_t, w_m)``; :func:`weight_ecs` applies the weights.
+
 The rule: **public entry points validate once; private ``_…`` bodies
 take validated arrays.**  A public function checks its input here and
 then calls private bodies (``batch.measures._scalar_measures``,
@@ -43,7 +49,7 @@ from .exceptions import (
 
 __all__ = [
     "check_numeric_dtype",
-    "as_float_matrix",
+    "as_float_array",
     "as_ecs_array",
     "as_etc_array",
     "as_positive_vector",
@@ -89,24 +95,31 @@ def check_numeric_dtype(arr: np.ndarray, *, name: str) -> None:
         )
 
 
-def as_float_matrix(values, *, name: str = "matrix") -> np.ndarray:
-    """Coerce ``values`` to a 2-D C-contiguous float64 array.
+def as_float_array(
+    values, *, ndim: int, name: str, allow_nan: bool = False
+) -> np.ndarray:
+    """Coerce ``values`` to a C-contiguous float64 array of ``ndim``
+    dimensions: a matrix (2) or an ``(N, T, M)`` stack (3).
 
-    Raises :class:`MatrixShapeError` for non-2D or empty input and
-    :class:`MatrixValueError` for non-numeric, complex or NaN entries.
-    ``inf`` is allowed here because ETC matrices use it for incompatible
-    task/machine pairs.
+    Raises :class:`MatrixShapeError` for input of another ndim or
+    empty input and :class:`MatrixValueError` for non-numeric
+    (:func:`check_numeric_dtype`), complex or NaN entries.  ``inf`` is
+    allowed here because ETC matrices use it for incompatible
+    task/machine pairs.  ``allow_nan=True`` skips the NaN screen, so
+    the robust pipeline can quarantine a corrupt member instead of
+    rejecting the whole input.
     """
     arr = np.asarray(values)
     check_numeric_dtype(arr, name=name)
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
+    if arr.ndim != ndim:
+        expected = "2-D" if ndim == 2 else "3-D (N, T, M)"
         raise MatrixShapeError(
-            f"{name} must be 2-D, got ndim={arr.ndim} (shape {arr.shape})"
+            f"{name} must be {expected}, got ndim={arr.ndim} (shape {arr.shape})"
         )
     if arr.size == 0:
         raise MatrixShapeError(f"{name} must be non-empty, got shape {arr.shape}")
-    if np.isnan(arr).any():
+    if not allow_nan and np.isnan(arr).any():
         raise MatrixValueError(f"{name} contains NaN entries")
     return arr
 
@@ -118,7 +131,7 @@ def as_ecs_array(values, *, name: str = "ECS matrix") -> np.ndarray:
     task/machine pair.  All-zero rows or columns are rejected per
     Section II-B of the paper.
     """
-    arr = as_float_matrix(values, name=name)
+    arr = as_float_array(values, ndim=2, name=name)
     if np.isinf(arr).any():
         raise MatrixValueError(
             f"{name} contains infinite entries; infinities belong in the "
@@ -137,7 +150,7 @@ def as_etc_array(values, *, name: str = "ETC matrix") -> np.ndarray:
     task/machine pair.  Rows or columns that are entirely ``inf`` are
     rejected (they would become all-zero ECS rows/columns).
     """
-    arr = as_float_matrix(values, name=name)
+    arr = as_float_array(values, ndim=2, name=name)
     if (arr <= 0).any():
         raise MatrixValueError(
             f"{name} contains non-positive entries; execution times must be "

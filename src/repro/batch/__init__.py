@@ -25,7 +25,7 @@ throughput.  See ``docs/BATCHED.md`` for the
 dispatch rules and the memory trade-off of materializing full stacks.
 """
 
-from ._stack import as_ecs_stack, as_float_stack, stack_environments
+from ._stack import as_ecs_stack, stack_environments
 from .sinkhorn import (
     BatchNormalizationResult,
     sinkhorn_knopp_batched,
@@ -47,7 +47,6 @@ from .ensemble import (
 )
 
 __all__ = [
-    "as_float_stack",
     "as_ecs_stack",
     "stack_environments",
     "BatchNormalizationResult",

@@ -1,46 +1,22 @@
-"""Validation and coercion for ``(N, T, M)`` ensemble stacks.
+"""Validation of ``(N, T, M)`` ensemble stacks.
 
 The batched kernels assume clean, C-contiguous ``float64`` stacks the
-same way the scalar kernels assume clean matrices (see
-``repro._validation``).  A *stack* bundles N same-shape ECS matrices
-along a leading ensemble axis; slice ``stack[i]`` is one environment.
+same way the scalar kernels assume clean matrices; one coercer,
+``repro._validation.as_float_array``, makes both.  A *stack* bundles N
+same-shape ECS matrices along a leading ensemble axis; slice
+``stack[i]`` is one environment.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_numeric_dtype
+from .._validation import as_float_array, weight_ecs
+from ..core.environment import coerce_ecs_and_weights
 from ..exceptions import MatrixShapeError, MatrixValueError
 from ..robust.taxonomy import _value_screens
 
-__all__ = ["as_float_stack", "as_ecs_stack", "stack_environments"]
-
-
-def as_float_stack(
-    values, *, name: str = "stack", allow_nan: bool = False
-) -> np.ndarray:
-    """Coerce ``values`` to a 3-D C-contiguous float64 array.
-
-    Raises :class:`MatrixShapeError` for non-3D or empty input and
-    :class:`MatrixValueError` for non-numeric, complex or NaN entries.
-    ``allow_nan=True`` skips the NaN screen — the robust pipeline
-    coerces corrupt stacks deliberately so it can quarantine the
-    offending slices per member instead of rejecting the whole stack.
-    """
-    arr = np.asarray(values)
-    check_numeric_dtype(arr, name=name)
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if arr.ndim != 3:
-        raise MatrixShapeError(
-            f"{name} must be 3-D (N, T, M), got ndim={arr.ndim} "
-            f"(shape {arr.shape})"
-        )
-    if arr.size == 0:
-        raise MatrixShapeError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not allow_nan and np.isnan(arr).any():
-        raise MatrixValueError(f"{name} contains NaN entries")
-    return arr
+__all__ = ["as_ecs_stack", "stack_environments"]
 
 
 def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
@@ -59,7 +35,7 @@ def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
 def _ecs_stack(values, *, name: str = "ECS stack"):
     """:func:`as_ecs_stack`, and the mask of its strictly positive
     slices from the same screen."""
-    arr = as_float_stack(values, name=name, allow_nan=True)
+    arr = as_float_array(values, ndim=3, name=name, allow_nan=True)
     screens, positive = _value_screens(arr)
     for category, _detail, mask in screens:
         if not mask.any():
@@ -103,9 +79,7 @@ def stack_environments(environments) -> np.ndarray | None:
     >>> stack_environments([np.ones((2, 3)), np.ones((4, 3))]) is None
     True
     """
-    from ..normalize.standard_form import _coerce_ecs
-
-    arrays = [_coerce_ecs(env) for env in environments]
+    arrays = [weight_ecs(*coerce_ecs_and_weights(env)) for env in environments]
     if not arrays:
         raise MatrixShapeError("cannot stack an empty environment sequence")
     return stack_members(arrays)
@@ -113,9 +87,11 @@ def stack_environments(environments) -> np.ndarray | None:
 
 def stack_members(members: list) -> np.ndarray | None:
     """``np.stack`` of coerced members; ``None`` unless every member is
-    a 2-D array of one common shape."""
-    if all(isinstance(m, np.ndarray) and m.ndim == 2 for m in members) and (
-        len({m.shape for m in members}) == 1
-    ):
+    a 2-D float64 array of one common shape (a member the robust
+    coercion left as it came, e.g. non-numeric, never stacks)."""
+    if all(
+        isinstance(m, np.ndarray) and m.ndim == 2 and m.dtype == np.float64
+        for m in members
+    ) and len({m.shape for m in members}) == 1:
         return np.stack(members)
     return None

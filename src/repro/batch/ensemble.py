@@ -36,18 +36,21 @@ import numpy as np
 
 from .._parallel import WorkerFailure, parallel_map, resolve_n_jobs
 from .._validation import (
+    as_ecs_array,
+    as_float_array,
     check_positive_int,
     check_positive_scalar,
     check_weights,
     unit_weights,
+    weight_ecs,
 )
 from ..backends import resolve_backend
 from ..backends.base import _line_sums
-from ..core.environment import ECSMatrix, ETCMatrix
+from ..core.environment import ECSMatrix, ETCMatrix, coerce_ecs_and_weights, etc_to_ecs
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
 from ..measures.alternatives import average_adjacent_ratio
 from ..normalize.sinkhorn import _unscalable_error
-from ..normalize.standard_form import DEFAULT_TOL, _coerce_ecs
+from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import metrics as _metrics, note, traced
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy, recovered_columns
@@ -60,7 +63,7 @@ from ..robust.taxonomy import (
     classify_exception,
     classify_matrix,
 )
-from ._stack import _ecs_stack, as_float_stack, stack_members
+from ._stack import _ecs_stack, stack_members
 from .measures import _scalar_measures
 from .sinkhorn import _unscalable_slices
 
@@ -212,7 +215,7 @@ def _characterize_columns(args: tuple) -> tuple:
     if stall_s > 0:
         time.sleep(stall_s)
     tma, _, standard, (row_sums, col_sums) = _scalar_measures(
-        _coerce_ecs(matrix),
+        as_ecs_array(matrix),
         tma_fallback=tma_fallback,
         backend=resolve_backend(backend),
         tol=tol,
@@ -225,29 +228,32 @@ def _characterize_columns(args: tuple) -> tuple:
 
 
 def _lenient_member(env):
-    """Best-effort member coercion: the strict path first, a raw float
-    view when validation rejects the data (the pre-screen will name the
-    corruption), ``None`` when it isn't array-like at all."""
+    """Best-effort member coercion: the strict coercion first.  When it
+    rejects the member, a matrix wrapper gives its weighted ECS values
+    and a numeric array its float64 values, so the pre-screen names the
+    corruption; any other member is left as numpy reads it (as given
+    when numpy cannot), for the pre-screen to quarantine as
+    ``invalid-shape``."""
     try:
-        return _coerce_ecs(env)
+        return weight_ecs(*coerce_ecs_and_weights(env))
     # Raw TypeError/ValueError covers data numpy cannot even coerce
-    # (e.g. a string member) — validation never gets to wrap those.
+    # (e.g. a ragged nested list) — validation never gets to wrap those.
     except (ReproError, TypeError, ValueError):
-        base = env
-        if isinstance(base, ETCMatrix):
-            try:
-                base = base.to_ecs()
-            except ReproError:
-                pass
-        if isinstance(base, (ECSMatrix, ETCMatrix)):
-            base = base.values
+        if isinstance(env, (ECSMatrix, ETCMatrix)):
+            # Speeds or weighted speeds past the float64 range are inf.
+            with np.errstate(over="ignore"):
+                ecs = env.values
+                if isinstance(env, ETCMatrix):
+                    ecs = etc_to_ecs(ecs)
+                return env.task_weights[:, None] * env.machine_weights * ecs
         try:
-            if np.asarray(base).dtype.kind != "c":
-                return np.asarray(base, dtype=np.float64)
+            arr = np.asarray(env)
         except (TypeError, ValueError):
-            return None
-        # Complex data is rejected, as in a stack, not truncated.
-        raise
+            return env
+        if arr.dtype.kind == "c":
+            # Complex data is rejected, as in a stack, not truncated.
+            raise
+        return arr.astype(np.float64) if arr.dtype.kind in "iuf" else arr
 
 
 def _coerce(environments, task_weights, machine_weights, *, strict: bool):
@@ -274,7 +280,9 @@ def _coerce(environments, task_weights, machine_weights, *, strict: bool):
         if strict:
             stack, positive = _ecs_stack(environments)
         else:
-            stack = as_float_stack(environments, name="ECS stack", allow_nan=True)
+            stack = as_float_array(
+                environments, ndim=3, name="ECS stack", allow_nan=True
+            )
     else:
         environments = list(environments)
         if weighted and any(
@@ -284,8 +292,10 @@ def _coerce(environments, task_weights, machine_weights, *, strict: bool):
                 "explicit task_weights/machine_weights require raw-array "
                 "environments (matrix wrappers carry their own weights)"
             )
-        coerce = _coerce_ecs if strict else _lenient_member
-        members = [coerce(env) for env in environments]
+        members = [
+            weight_ecs(*coerce_ecs_and_weights(env)) if strict else _lenient_member(env)
+            for env in environments
+        ]
         if not members:
             raise MatrixShapeError("cannot stack an empty environment sequence")
         stack = stack_members(members)

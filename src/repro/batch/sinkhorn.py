@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_positive_int, check_positive_scalar
+from .._validation import as_float_array, check_positive_int, check_positive_scalar
 from ..backends import resolve_backend
 from ..backends.base import _line_sums
 from ..exceptions import MatrixValueError
@@ -43,7 +43,6 @@ from ..normalize.standard_form import standard_targets
 from ..robust.budget import DEFAULT_BUDGET
 from ..robust.repair import apply_policy
 from ..robust.taxonomy import _unscalable_faults, check_policy, classify_stack
-from ._stack import as_float_stack
 
 __all__ = [
     "BatchNormalizationResult",
@@ -116,7 +115,7 @@ def sinkhorn_knopp_batched(
     be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
-    work = as_float_stack(stack, name="stack")
+    work = as_float_array(stack, ndim=3, name="stack")
     _check_entries(work, "stack")
     n_slices, n_rows, n_cols = work.shape
     row_target, col_target = _check_targets(
@@ -248,7 +247,7 @@ def standardize_batched(
         )
     budget = DEFAULT_BUDGET if budget is None else budget
     deadline = budget.start()
-    work = as_float_stack(stack, name="stack", allow_nan=robust)
+    work = as_float_array(stack, ndim=3, name="stack", allow_nan=robust)
     if fault_plan is not None:
         work = fault_plan.apply(work)
     be = resolve_backend(backend)

@@ -74,7 +74,9 @@ import sys
 from typing import Sequence
 
 from . import __version__
+from ._validation import weight_ecs
 from .analysis.whatif import whatif_drop_machines, whatif_drop_tasks
+from .core.environment import coerce_ecs_and_weights
 from .core.io import load_etc_csv, save_etc_csv
 from .exceptions import ReproError
 from .generate.target_driven import from_targets
@@ -525,9 +527,9 @@ def _load_env(file: str):
 def _ensemble_stack(env, members: int, noise: float, seed: int):
     """An (N, T, M) perturbation ensemble around ``env``'s ECS matrix."""
     from .generate.ensembles import perturb_stack
-    from .normalize.standard_form import _coerce_ecs
 
-    return perturb_stack(_coerce_ecs(env), noise, members, seed=seed)
+    ecs = weight_ecs(*coerce_ecs_and_weights(env))
+    return perturb_stack(ecs, noise, members, seed=seed)
 
 
 def _build_fault_plan(args, n_members: int):

@@ -483,3 +483,30 @@ class ECSMatrix(_BaseMatrix):
             * self._machine_weights[None, :]
             * self._values
         )
+
+
+def coerce_ecs_and_weights(
+    matrix, task_weights=None, machine_weights=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one environment coercion: ``(ecs, w_t, w_m)`` as validated
+    float64 arrays.
+
+    Accepts an :class:`ECSMatrix` (stored weights used unless the caller
+    overrides them), an :class:`ETCMatrix` (converted through paper
+    eq. 1, stored weights used unless overridden), or a raw array-like
+    (an ECS matrix).  ``_validation.weight_ecs(*coerce_ecs_and_weights(
+    matrix))`` is the weighted ECS matrix of eqs. 4/6.
+    """
+    if isinstance(matrix, ETCMatrix):
+        matrix = matrix.to_ecs()
+    if isinstance(matrix, ECSMatrix):
+        if task_weights is None:
+            task_weights = matrix.task_weights
+        if machine_weights is None:
+            machine_weights = matrix.machine_weights
+        ecs = matrix.values
+    else:
+        ecs = as_ecs_array(matrix)
+    w_t = check_weights(task_weights, ecs.shape[0], name="task_weights")
+    w_m = check_weights(machine_weights, ecs.shape[1], name="machine_weights")
+    return ecs, w_t, w_m

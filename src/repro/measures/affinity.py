@@ -32,14 +32,10 @@ import time
 
 import numpy as np
 
-from .._validation import check_choice
+from .._validation import check_choice, weight_ecs
 from ..backends import resolve_backend
-from ..normalize.standard_form import (
-    DEFAULT_TOL,
-    _coerce_ecs,
-    _column_normalize,
-    standardize,
-)
+from ..core.environment import coerce_ecs_and_weights
+from ..normalize.standard_form import DEFAULT_TOL, _column_normalize, standardize
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
 
@@ -165,7 +161,7 @@ def tma(
     """
     check_choice(method, name="method", choices=("standard", "column"))
     if method == "column":
-        ecs = _coerce_ecs(matrix, task_weights, machine_weights)
+        ecs = weight_ecs(*coerce_ecs_and_weights(matrix, task_weights, machine_weights))
         return _column_tma(ecs, resolve_backend())
     values = standard_singular_values(
         matrix,

@@ -16,11 +16,11 @@ import numpy as np
 from .._validation import check_choice, check_positive_scalar, weight_ecs
 from ..backends import resolve_backend
 from ..batch.measures import _scalar_measures
+from ..core.environment import coerce_ecs_and_weights
 from ..normalize.standard_form import DEFAULT_TOL
 # Not called here since characterize runs the private body, but still
 # looked up in this module by name (benchmarks/suite/spans.py HOOKS).
 from ..normalize.standard_form import standardize  # noqa: F401
-from ._coerce import coerce_ecs_and_weights
 from .alternatives import _line_statistics
 
 __all__ = ["HeterogeneityProfile", "characterize"]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._coerce import coerce_ecs_and_weights, weighted_line_sums
+from ..core.environment import coerce_ecs_and_weights
+from ._coerce import weighted_line_sums
 from .alternatives import average_adjacent_ratio
 
 __all__ = ["task_difficulty", "tdh", "task_difficulty_homogeneity"]

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .._validation import (
-    as_float_matrix,
+    as_float_array,
     check_positive_int,
     check_positive_scalar,
 )
@@ -613,7 +613,7 @@ def sinkhorn_knopp(
     be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
-    work = as_float_matrix(matrix, name="matrix").copy()
+    work = as_float_array(matrix, ndim=2, name="matrix").copy()
     _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
     row_target, col_target = _check_targets(
@@ -674,7 +674,7 @@ def scale_to_margins(
     be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
-    work = as_float_matrix(matrix, name="matrix").copy()
+    work = as_float_array(matrix, ndim=2, name="matrix").copy()
     _check_entries(work, "matrix")
     n_rows, n_cols = work.shape
     # Copies: the result keeps them as its targets.
@@ -724,7 +724,7 @@ def scale_by_diagonals(
     a scaling recovered by :func:`sinkhorn_knopp` to another matrix with
     the same labels (e.g. a perturbed copy).
     """
-    arr = as_float_matrix(matrix, name="matrix")
+    arr = as_float_array(matrix, ndim=2, name="matrix")
     row_scale = np.asarray(row_scale, dtype=np.float64).reshape(-1)
     col_scale = np.asarray(col_scale, dtype=np.float64).reshape(-1)
     if row_scale.shape[0] != arr.shape[0] or col_scale.shape[0] != arr.shape[1]:

@@ -21,15 +21,13 @@ import math
 import numpy as np
 
 from .._validation import (
-    as_ecs_array,
     check_choice,
     check_positive_int,
     check_positive_scalar,
-    check_weights,
     weight_ecs,
 )
 from ..backends import resolve_backend
-from ..core.environment import ECSMatrix, ETCMatrix
+from ..core.environment import coerce_ecs_and_weights
 from ..exceptions import NotNormalizableError
 from .sinkhorn import NormalizationResult, _sinkhorn
 # Not called here since standardize runs the private body, but still
@@ -59,34 +57,6 @@ def standard_targets(n_tasks: int, n_machines: int) -> tuple[float, float]:
         math.sqrt(n_machines / n_tasks),
         math.sqrt(n_tasks / n_machines),
     )
-
-
-def _coerce_ecs(
-    matrix, task_weights=None, machine_weights=None
-) -> np.ndarray:
-    """Canonical environment coercion (the normalize-side twin of
-    :func:`repro.measures._coerce.coerce_ecs_and_weights`).
-
-    Accepts an :class:`~repro.core.ECSMatrix` (stored weights applied
-    unless explicitly overridden), an :class:`~repro.core.ETCMatrix`
-    (converted through paper eq. 1 first), or a raw array-like.
-    Explicit ``task_weights``/``machine_weights`` follow the same
-    override rule as the measure functions: they replace the wrapper's
-    stored weights for this call.
-    """
-    if isinstance(matrix, ETCMatrix):
-        matrix = matrix.to_ecs()
-    if isinstance(matrix, ECSMatrix):
-        if task_weights is None:
-            task_weights = matrix.task_weights
-        if machine_weights is None:
-            machine_weights = matrix.machine_weights
-        ecs = matrix.values
-    else:
-        ecs = as_ecs_array(matrix)
-    w_t = check_weights(task_weights, ecs.shape[0], name="task_weights")
-    w_m = check_weights(machine_weights, ecs.shape[1], name="machine_weights")
-    return weight_ecs(ecs, w_t, w_m)
 
 
 def standardize(
@@ -167,7 +137,7 @@ def standardize(
     >>> res.zeroed_entries
     ((1, 0),)
     """
-    ecs = _coerce_ecs(matrix, task_weights, machine_weights)
+    ecs = weight_ecs(*coerce_ecs_and_weights(matrix, task_weights, machine_weights))
     check_choice(zeros, name="zeros", choices=("strict", "limit"))
     backend = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
@@ -231,7 +201,9 @@ def column_normalize(
     factors follow the canonical override rule (wrapper-stored weights
     unless explicitly given).
     """
-    return _column_normalize(_coerce_ecs(matrix, task_weights, machine_weights))
+    return _column_normalize(
+        weight_ecs(*coerce_ecs_and_weights(matrix, task_weights, machine_weights))
+    )
 
 
 def _column_normalize(ecs: np.ndarray) -> np.ndarray:
@@ -243,7 +215,7 @@ def is_standard(
     matrix, *, tol: float = 1e-6
 ) -> bool:
     """True when the matrix already has the Theorem-2 row/column sums."""
-    ecs = _coerce_ecs(matrix)
+    ecs = weight_ecs(*coerce_ecs_and_weights(matrix))
     row_target, col_target = standard_targets(*ecs.shape)
     return (
         np.abs(ecs.sum(axis=1) - row_target).max() <= tol

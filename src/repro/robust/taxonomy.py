@@ -36,7 +36,8 @@ Categories
 ``worker-error``
     Any other exception escaping a per-member worker.
 ``invalid-shape``
-    The member is not a valid 2-D environment matrix.
+    The member is not a valid 2-D environment matrix: not 2-D, empty,
+    or its entries are not numbers (strings, bytes, booleans, objects).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .._validation import as_float_array
 from ..exceptions import (
     ConvergenceError,
     EmptyRowColumnError,
@@ -395,8 +397,11 @@ def classify_matrix(
 
     The screen is ordered so the most fundamental corruption wins: a
     slice that is both NaN-ridden and decomposable reports ``nan``.
-    After the shape checks this is :func:`classify_stack` on a stack
-    of one.
+    A member the library's one float coercer
+    (``repro._validation.as_float_array``) rejects — not 2-D, empty,
+    or not numbers — is ``invalid-shape`` with the coercer's message;
+    numpy never parses a string or a boolean into a float here.  Any
+    other member is :func:`classify_stack` on a stack of one.
 
     Examples
     --------
@@ -407,13 +412,8 @@ def classify_matrix(
     True
     """
     try:
-        arr = np.asarray(matrix, dtype=np.float64)
+        arr = as_float_array(matrix, ndim=2, name="member", allow_nan=True)
+    # The coercer's errors are ValueErrors, as are numpy's own.
     except (TypeError, ValueError) as exc:
-        return ("invalid-shape", f"not coercible to a float matrix: {exc}")
-    if arr.ndim != 2 or arr.size == 0:
-        return (
-            "invalid-shape",
-            f"environment must be a non-empty 2-D matrix, got shape "
-            f"{arr.shape}",
-        )
+        return ("invalid-shape", str(exc))
     return classify_stack(arr[None], tma_fallback=tma_fallback).get(0)

@@ -100,6 +100,80 @@ class TestTraceContext:
         assert TraceContext.from_payload({"trace_id": "x"}) is None
 
 
+class TestRequestIds:
+    """Untraced trace ids are cut from a per-thread buffer of OS random
+    bytes: W3C ids, never reused across threads or forked children."""
+
+    N_IDS = 600  # many buffers' worth
+
+    def test_ids_are_w3c_trace_ids(self):
+        ids = [request_ids(None) for _ in range(self.N_IDS)]
+        assert all(parent is None for parent, _ in ids)
+        trace_ids = [trace_id for _, trace_id in ids]
+        assert len(set(trace_ids)) == self.N_IDS
+        for trace_id in trace_ids:
+            header = f"00-{trace_id}-{'1' * 16}-01"
+            assert TraceContext.from_traceparent(header).trace_id == trace_id
+
+    def test_ids_from_threads_are_unique(self):
+        import sys
+        import threading
+
+        drawn = [[] for _ in range(4)]
+
+        def draw(out):
+            out.extend(request_ids(None)[1] for _ in range(self.N_IDS))
+
+        threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-draw
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [trace_id for out in drawn for trace_id in out]
+        ids += [request_ids(None)[1] for _ in range(self.N_IDS)]
+        assert len(ids) == 5 * self.N_IDS
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("in_thread", [False, True], ids=["main", "thread"])
+    def test_forked_child_mints_its_own_ids(self, in_thread):
+        import threading
+
+        drawn = {}
+
+        def fork_and_draw():
+            request_ids(None)  # this thread now holds a buffer of ids
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                try:
+                    ids = " ".join(request_ids(None)[1] for _ in range(8))
+                    os.write(write_end, ids.encode())
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            with os.fdopen(read_end, "rb") as pipe:
+                drawn["child"] = pipe.read().decode().split()
+            os.waitpid(pid, 0)
+            drawn["parent"] = [request_ids(None)[1] for _ in range(8)]
+
+        if in_thread:
+            thread = threading.Thread(target=fork_and_draw)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        else:
+            fork_and_draw()
+        assert len(drawn["child"]) == 8
+        assert not set(drawn["child"]) & set(drawn["parent"])
+
+
 class TestRequestTrace:
     def test_begin_without_header_mints_root(self):
         rtrace = RequestTrace.begin()

@@ -21,3 +21,12 @@ def base_stack() -> np.ndarray:
 def healthy_indices(n: int, plan) -> list[int]:
     """Members of an ``n``-ensemble the plan does not touch."""
     return [i for i in range(n) if i not in set(plan.members)]
+
+
+#: name -> (a 2x2 member whose entries are not numbers, its dtype).
+NON_NUMERIC_MEMBERS = {
+    "string": ([[1.5, 2.0], [3, "4"]], "<U32"),
+    "bytes": (np.array([[b"1", b"2"], [b"3", b"4"]]), "|S1"),
+    "bool": (np.array([[True, False], [True, True]]), "bool"),
+    "object": (np.array([[1.5, 2.0], [3.0, 4.0]], dtype=object), "object"),
+}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.batch import characterize_ensemble
+from repro.core import ECSMatrix, ETCMatrix
 from repro.exceptions import (
     GenerationError,
     MatrixValueError,
@@ -20,7 +21,7 @@ from repro.exceptions import (
 )
 from repro.robust import FAULT_KINDS, KIND_CATEGORY, Budget, FaultPlan, FaultSpec
 
-from .conftest import healthy_indices
+from .conftest import NON_NUMERIC_MEMBERS, healthy_indices
 
 #: Data-fault kinds (stall manifests in the worker, tested separately).
 DATA_KINDS = ("nan", "zero-row", "zero-col", "decomposable", "non-convergent")
@@ -236,6 +237,57 @@ class TestQuarantineMatrix:
         result = characterize_ensemble(members, policy="quarantine")
         assert result.report.categories() == {2: "invalid-shape"}
         assert np.isfinite(result.mph[:2]).all()
+
+
+class TestNonNumericMembers:
+    """A list member the strict coercion rejects for its dtype is
+    quarantined under the robust policies, never parsed into floats."""
+
+    @pytest.mark.parametrize("policy", ["quarantine", "repair"])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["same-shape", "ragged"])
+    @pytest.mark.parametrize("kind", sorted(NON_NUMERIC_MEMBERS))
+    def test_quarantined(self, kind, ragged, policy):
+        member, dtype = NON_NUMERIC_MEMBERS[kind]
+        rng = np.random.default_rng(5)
+        others = [rng.uniform(0.5, 2.0, (2, 2)) for _ in range(3)]
+        if ragged:
+            others[2] = rng.uniform(0.5, 2.0, (3, 2))
+        result = characterize_ensemble(
+            [others[0], member, *others[1:]], policy=policy
+        )
+        fault = result.report.fault(1)
+        assert result.report.quarantined == (1,)
+        assert (fault.category, fault.detail, fault.attempts) == (
+            "invalid-shape",
+            f"member must hold int or float entries, got dtype {dtype}",
+            0,
+        )
+        assert np.isnan([result.mph[1], result.tdh[1], result.tma[1]]).all()
+        # The other members' columns equal a run without the bad one.
+        baseline = characterize_ensemble(others, policy=policy)
+        for field in ("mph", "tdh", "tma", "iterations", "converged"):
+            np.testing.assert_array_equal(
+                getattr(result, field)[[0, 2, 3]], getattr(baseline, field)
+            )
+
+    @pytest.mark.parametrize("policy", ["quarantine", "repair"])
+    def test_wrapper_screened_by_its_speeds(self, policy):
+        # Weights that overflow the weighted matrix, and execution times
+        # whose speeds overflow, are not characterized from the
+        # unweighted or ETC values but quarantined as non-finite.
+        healthy = np.array([[1.0, 2.0], [3.0, 4.0]])
+        members = [
+            healthy,
+            ECSMatrix(np.full((2, 2), 1e300), task_weights=[1e10, 1.0]),
+            ETCMatrix([[1e-320, 1.0], [1.0, 1.0]]),
+        ]
+        with np.errstate(over="ignore"):
+            result = characterize_ensemble(members, policy=policy)
+        assert result.report.categories() == {1: "non-finite", 2: "non-finite"}
+        assert result.report.quarantined == (1, 2)
+        np.testing.assert_array_equal(
+            result.mph[:1], characterize_ensemble([healthy]).mph
+        )
 
 
 class TestWorkerFaults:

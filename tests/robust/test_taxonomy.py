@@ -22,6 +22,8 @@ from repro.robust import (
     classify_stack,
 )
 
+from .conftest import NON_NUMERIC_MEMBERS
+
 
 class TestClassifyException:
     @pytest.mark.parametrize(
@@ -72,6 +74,16 @@ class TestClassifyMatrix:
             assert verdict is None
         else:
             assert verdict[0] == category
+
+    @pytest.mark.parametrize("kind", sorted(NON_NUMERIC_MEMBERS))
+    def test_not_numbers_is_invalid_shape(self, kind):
+        # Checked before any conversion: numpy would parse "4" and
+        # cast True to 1.0.
+        member, dtype = NON_NUMERIC_MEMBERS[kind]
+        assert classify_matrix(member) == (
+            "invalid-shape",
+            f"member must hold int or float entries, got dtype {dtype}",
+        )
 
     def test_screen_order_nan_beats_structure(self):
         # NaN and an all-zero column at once: nan wins (most fundamental).

@@ -6,7 +6,7 @@ import pytest
 from repro._validation import (
     as_ecs_array,
     as_etc_array,
-    as_float_matrix,
+    as_float_array,
     as_positive_vector,
     check_positive_int,
     check_positive_scalar,
@@ -21,28 +21,35 @@ from repro.exceptions import (
 )
 
 
-class TestAsFloatMatrix:
-    def test_coerces_lists(self):
-        out = as_float_matrix([[1, 2], [3, 4]])
+def _shaped(rows, ndim):
+    """``rows`` (a 2-D nested list) as a matrix, or as a stack of one."""
+    return rows if ndim == 2 else [rows]
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+class TestAsFloatArray:
+    def test_coerces_lists(self, ndim):
+        out = as_float_array(_shaped([[1, 2], [3, 4]], ndim), ndim=ndim, name="m")
         assert out.dtype == np.float64
+        assert out.ndim == ndim
         assert out.flags["C_CONTIGUOUS"]
 
-    def test_contiguity_enforced(self):
-        strided = np.ones((4, 6))[:, ::2]
-        out = as_float_matrix(strided)
+    def test_contiguity_enforced(self, ndim):
+        strided = np.ones((2, 4, 6))[..., ::2]
+        out = as_float_array(strided[(0,) * (3 - ndim)], ndim=ndim, name="m")
         assert out.flags["C_CONTIGUOUS"]
 
-    def test_inf_allowed(self):
-        out = as_float_matrix([[1.0, np.inf]])
-        assert np.isinf(out[0, 1])
+    def test_inf_allowed(self, ndim):
+        out = as_float_array(_shaped([[1.0, np.inf]], ndim), ndim=ndim, name="m")
+        assert np.isinf(out.flat[1])
 
-    def test_nan_rejected(self):
-        with pytest.raises(MatrixValueError):
-            as_float_matrix([[np.nan]])
+    def test_nan_rejected(self, ndim):
+        with pytest.raises(MatrixValueError, match="^m contains NaN entries$"):
+            as_float_array(_shaped([[np.nan]], ndim), ndim=ndim, name="m")
 
-    def test_name_in_message(self):
-        with pytest.raises(MatrixShapeError, match="my-matrix"):
-            as_float_matrix([1.0], name="my-matrix")
+    def test_name_in_message(self, ndim):
+        with pytest.raises(MatrixShapeError, match="^my-matrix must be"):
+            as_float_array([1.0], ndim=ndim, name="my-matrix")
 
 
 class TestEcsEtcValidation:
