@@ -7,9 +7,12 @@ follow alone.  While more than half the stack iterates, the iteration
 runs over the whole stack in place, stopped slices scaled by exactly
 1.0; after that, over a compact copy of the slices still iterating,
 so the core holds at most one and a half copies of the stack
-(docs/BACKENDS.md gives the worst case).  Every other backend is
-tested against this one (``tolerance = 0.0``: the reference defines
-correctness).
+(docs/BACKENDS.md gives the worst case).  Beside them, a phase over
+``n`` slices holds one ``(n, T)`` row buffer, the ``(n, M)`` column
+sums and, within the residual expression only, an ``(n, M)`` column
+deviation; numpy (>= 2.3) adds a buffer of up to 8192 float64 to each
+broadcasting ufunc call.  Every other backend is tested against this
+one (``tolerance = 0.0``: the reference defines correctness).
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ class NumpyBackend(KernelBackendBase):
     ):
         n_slices, n_rows, n_cols = work.shape
         idx = (active & (iterations < max_iterations)).nonzero()[0]
-        # As in ``residuals``: the ufuncs behind ``.sum``/``.max``, and
-        # targets with a leading unit axis, to keep per-iteration
-        # overhead down on small stacks.
+        # As in ``residuals``: the ufuncs behind ``.sum``/``.max``, bound
+        # once, and targets with a leading unit axis, to keep
+        # per-iteration overhead down on small stacks.
         row_target, col_target = row_target[None], col_target[None]
-        add, highest = np.add.reduce, np.maximum.reduce
-        copyto, divide = np.copyto, np.divide
+        add, highest, lowest = np.add.reduce, np.maximum.reduce, np.fmin.reduce
+        copyto, divide, subtract = np.copyto, np.divide, np.subtract
+        absolute, maximum = np.abs, np.maximum
         run = 0
         timed_out = False
         # The accumulated diagonal scales can overflow for
@@ -81,12 +85,14 @@ class NumpyBackend(KernelBackendBase):
                 # Iterations until the first slice exhausts its budget.
                 horizon = max_iterations - highest(iterations[idx])
                 steps = 0
-                # The residual's column sums are the next column pass's.
+                # The phase's line workspace: the column sums, which each
+                # column pass turns into its factors, and one row buffer
+                # that holds the row factors, then the residual's row
+                # deviations, with their broadcasts over the stack.  The
+                # residual's column sums are the next column pass's.
                 col_sums = add(sub, axis=1)
-                # Row then column deviations, side by side, so one
-                # reduction finds each slice's residual.
-                deviation = np.empty((len(sub), n_rows + n_cols), work.dtype)
-                row_dev, col_dev = deviation[:, :n_rows], deviation[:, n_rows:]
+                row_buf = np.empty((len(sub), n_rows), work.dtype)
+                col_factors, row_factors = col_sums[:, None, :], row_buf[:, :, None]
                 while True:
                     if t_end is not None and time.monotonic() >= t_end:
                         timed_out = True
@@ -95,36 +101,43 @@ class NumpyBackend(KernelBackendBase):
                         on_progress(idx.size)
                     # Column pass (eq. 9, odd k); each pass's factors
                     # overwrite the line sums they divide.
-                    factors = col_sums
                     if stopped is not None:
-                        copyto(factors, col_target, where=stopped)
-                    divide(col_target, factors, out=factors)
-                    sub *= factors[:, None, :]
-                    cols *= factors
+                        copyto(col_sums, col_target, where=stopped)
+                    divide(col_target, col_sums, out=col_sums)
+                    sub *= col_factors
+                    cols *= col_sums
                     # Row pass (eq. 9, even k).
-                    factors = add(sub, axis=2)
+                    add(sub, axis=2, out=row_buf)
                     if stopped is not None:
-                        copyto(factors, row_target, where=stopped)
-                    divide(row_target, factors, out=factors)
-                    sub *= factors[:, :, None]
-                    rows *= factors
+                        copyto(row_buf, row_target, where=stopped)
+                    divide(row_target, row_buf, out=row_buf)
+                    sub *= row_factors
+                    rows *= row_buf
                     steps += 1
-                    col_sums = add(sub, axis=1)
-                    np.subtract(add(sub, axis=2), row_target, out=row_dev)
-                    np.subtract(col_sums, col_target, out=col_dev)
-                    res = highest(np.abs(deviation, out=deviation), axis=1)
+                    add(sub, axis=1, out=col_sums)
+                    add(sub, axis=2, out=row_buf)
+                    subtract(row_buf, row_target, out=row_buf)
+                    # The largest row and column deviations: max is exact
+                    # and NaN propagates through both, so this is the max
+                    # over all of a slice's lines.  The column deviations
+                    # live only for this expression.
+                    res = maximum(
+                        highest(absolute(row_buf, out=row_buf), axis=1),
+                        highest(absolute(col_sums - col_target), axis=1),
+                    )
                     if stopped is not None:
                         res = res[idx]
                     if trace is not None:
                         trace.append((owners, res))
-                    # fmin skips NaN, so one NaN slice cannot hide another
-                    # slice's convergence.
-                    if steps == horizon or np.fmin.reduce(res) <= tol:
+                    # ``lowest`` is fmin, which skips NaN, so one NaN slice
+                    # cannot hide another slice's convergence.
+                    if steps == horizon or lowest(res) <= tol:
                         break
                 if sub is not work:
                     work[idx], row_scale[idx], col_scale[idx] = sub, rows, cols
-                # Free the compact copy before the next phase gathers one.
-                del sub, rows, cols
+                # Free the compact copy and the line workspace before the
+                # next phase gathers its own.
+                del sub, rows, cols, col_sums, row_buf, col_factors, row_factors
                 if not steps:
                     break
                 # Book the phase: every slice in it was active and ran

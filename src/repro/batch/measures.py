@@ -24,11 +24,11 @@ from ..backends.base import _line_sums
 from ..exceptions import ConvergenceError, MatrixValueError, NotNormalizableError
 from ..measures._coerce import weighted_line_sums
 from ..measures.affinity import _column_tma, _singular_values, _tma_column
-from ..normalize.sinkhorn import _unscalable_error
-from ..normalize.standard_form import DEFAULT_TOL, _usable_pattern
+from ..normalize.sinkhorn import _scale_stack, _unscalable_error
+from ..normalize.standard_form import DEFAULT_TOL, _usable_pattern, standard_targets
 from ..obs import metrics as _metrics, span as _obs_span
 from ._stack import as_ecs_stack
-from .sinkhorn import _standardize_stack, standardize_batched
+from .sinkhorn import standardize_batched
 
 __all__ = [
     "average_adjacent_ratio_batched",
@@ -222,10 +222,11 @@ def _standard_measures(
         finite = isfinite(sums[0]).all(axis=1) & isfinite(sums[1]).all(axis=1)
         if not finite.all():
             raise _unscalable_error(~finite, None, kind)
-    standard = _standardize_stack(
+    standard = _scale_stack(
         stack.copy(),
-        sums,
-        kind,
+        *standard_targets(*stack.shape[1:]),
+        kind=kind,
+        sums=sums,
         backend=backend,
         warm_start=warm_start,
         # The sinkhorn.scalar span samples the residual history.

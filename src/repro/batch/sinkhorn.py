@@ -36,7 +36,6 @@ from ..normalize.sinkhorn import (
     _check_entries,
     _check_targets,
     _entry_state,
-    _first_slices,
     _scale_stack,
 )
 from ..normalize.standard_form import standard_targets
@@ -117,16 +116,13 @@ def sinkhorn_knopp_batched(
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_array(stack, ndim=3, name="stack")
     _check_entries(work, "stack")
-    n_slices, n_rows, n_cols = work.shape
     row_target, col_target = _check_targets(
-        row_target, col_target, n_rows, n_cols
+        row_target, col_target, *work.shape[1:]
     )
-    sums = _line_sums(work)
-    _check_zero_lines(*sums)
     return _scale_stack(
         work.copy(),
-        np.full(n_rows, row_target),
-        np.full(n_cols, col_target),
+        row_target,
+        col_target,
         kind="batched",
         backend=be,
         warm_start=warm_start,
@@ -134,21 +130,7 @@ def sinkhorn_knopp_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        row_target=row_target,
-        col_target=col_target,
-        sums=sums,
     )
-
-
-def _check_zero_lines(row_sums, col_sums) -> None:
-    """Reject a non-negative stack with an all-zero row or column."""
-    zero_line = (row_sums == 0).any(axis=1) | (col_sums == 0).any(axis=1)
-    if zero_line.any():
-        raise MatrixValueError(
-            "stack has an all-zero row or column in slice(s) "
-            f"{_first_slices(np.flatnonzero(zero_line))}; "
-            "no scaling can fix that"
-        )
 
 
 def _unscalable_slices(row_sums, col_sums):
@@ -161,27 +143,6 @@ def _unscalable_slices(row_sums, col_sums):
         row_sums, col_sums, np.full(n_rows, row_target), np.full(n_cols, col_target)
     )
     return overflow, too_small
-
-
-def _standardize_stack(
-    work, sums, kind: str = "batched", **options
-) -> BatchNormalizationResult:
-    """The standardize body of :func:`standardize_batched` and of the
-    measure body: :func:`_scale_stack` with the Theorem-2 targets on a
-    validated stack ``work``, which it scales in place.  ``sums``,
-    ``kind`` and ``options`` are ``_scale_stack``'s other keywords."""
-    n_rows, n_cols = work.shape[1:]
-    row_target, col_target = standard_targets(n_rows, n_cols)
-    return _scale_stack(
-        work,
-        np.full(n_rows, row_target),
-        np.full(n_cols, col_target),
-        kind=kind,
-        row_target=row_target,
-        col_target=col_target,
-        sums=sums,
-        **options,
-    )
 
 
 def standardize_batched(
@@ -253,15 +214,15 @@ def standardize_batched(
     be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
+    n_slices, n_rows, n_cols = work.shape
+    row_target, col_target = standard_targets(n_rows, n_cols)
     if not robust:
         _check_entries(work, "stack")
-        sums = _line_sums(work)
-        _check_zero_lines(*sums)
-        if warm_start is not None:
-            sums = None  # the body sums the warm-started copy itself
-        return _standardize_stack(
+        return _scale_stack(
             work.copy(),
-            sums,
+            row_target,
+            col_target,
+            kind="batched",
             backend=be,
             warm_start=warm_start,
             tol=tol,
@@ -270,8 +231,6 @@ def standardize_batched(
             deadline_s=deadline.clamp(deadline_s),
         )
 
-    n_slices, n_rows, n_cols = work.shape
-    row_target, col_target = standard_targets(n_rows, n_cols)
     # Structural screening uses the strict ("raise") semantics: a
     # decomposable slice can never converge to the Theorem-2 margins.
     faults = classify_stack(work, tma_fallback="raise")
@@ -290,9 +249,12 @@ def standardize_batched(
             sub, sums = work[healthy], (row_sums[healthy], col_sums[healthy])
         else:
             sub, sums = work.copy(), (row_sums, col_sums)
-        scaled = _standardize_stack(
+        scaled = _scale_stack(
             sub,
-            sums,
+            row_target,
+            col_target,
+            kind="batched",
+            sums=sums,
             backend=be,
             warm_start=None,
             tol=tol,

@@ -17,8 +17,8 @@ validate their own input, then share one body (warm start, entry
 checks, span, the backend core, metrics, errors and the result), so
 a matrix gets the same iterates alone or inside a stack.
 :func:`repro.normalize.standardize` and :func:`repro.characterize`
-validate at their own entry and call the scalar body
-(:func:`_sinkhorn`) directly.
+validate at their own entry and call that body (:func:`_scale_stack`)
+directly.
 
 A batched result's ``residual_history`` is built from the core's trace
 on first read, so ensemble runs whose histories nobody reads never
@@ -326,8 +326,8 @@ def _unscalable_error(overflow, too_small, kind: str) -> MatrixValueError | None
 
 def _scale_stack(
     work: np.ndarray,
-    row_targets: np.ndarray,
-    col_targets: np.ndarray,
+    row_target,
+    col_target,
     *,
     kind: str,
     backend,
@@ -336,8 +336,6 @@ def _scale_stack(
     max_iterations: int,
     require_convergence: bool,
     deadline_s: float | None,
-    row_target: float,
-    col_target: float,
     sums=None,
     keep_history: bool = True,
 ) -> BatchNormalizationResult:
@@ -346,22 +344,38 @@ def _scale_stack(
 
     ``work`` is a caller-owned float64 ``(N, T, M)`` stack (a single
     matrix is ``N == 1``) that the body scales in place;
-    ``row_targets``/``col_targets`` are the ``(T,)``/``(M,)`` margins.
-    ``kind`` is the ``"scalar"``/``"margins"``/``"batched"`` label of
-    the span (``sinkhorn.<kind>``) and metrics; ``row_target``/
-    ``col_target`` are what the result reports.  ``sums`` are the row
-    and column sums of ``work`` as passed, when the caller has them
-    (from :func:`repro.backends.base._line_sums`); they are recomputed
-    when a ``warm_start`` rescales ``work`` first.  With
+    ``row_target``/``col_target`` are the margins, each a float or a
+    ``(T,)``/``(M,)`` vector, as the result reports them.  ``kind`` is
+    the ``"scalar"``/``"margins"``/``"batched"`` label of the span
+    (``sinkhorn.<kind>``) and metrics.  ``sums`` are the row and column
+    sums of ``work`` as passed, from a caller that needs them itself
+    (:func:`repro.backends.base._line_sums` of a stack with no all-zero
+    line).  Without them the body sums ``work`` and rejects an all-zero
+    row or column; sums only the body refers to are freed before the
+    core runs (Python 3.10 keeps an argument alive until the call
+    returns).  A ``warm_start`` rescales ``work``, which the body then
+    sums again.  With
     ``keep_history=False`` the core records no residual trace, and the
     result's ``residual_history`` is None: for callers that never read
     it, whose memory then stays bounded however long a slice iterates.
     """
     n_slices, n_rows, n_cols = work.shape
+    if sums is None:
+        sums = _line_sums(work)
+        zero_line = (sums[0] == 0).any(axis=1) | (sums[1] == 0).any(axis=1)
+        if zero_line.any():
+            raise MatrixValueError(
+                f"{'stack' if kind == 'batched' else 'matrix'} has an all-zero "
+                f"row or column{_in_slices(zero_line, kind)}; no scaling can "
+                "fix that"
+            )
+    row_targets = np.full(n_rows, row_target)
+    col_targets = np.full(n_cols, col_target)
     if warm_start is None:
         row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
         col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
     else:
+        sums = None  # stale once the warm start rescales work
         # Fresh arrays, because the scales accumulate in place.
         row_scale, col_scale = coerce_warm_start(
             warm_start, n_slices, n_rows, n_cols
@@ -371,8 +385,6 @@ def _scale_stack(
         # result bit-for-bit.
         work *= row_scale[:, :, None]
         work *= col_scale[:, None, :]
-        sums = None
-    if sums is None:
         sums = _line_sums(work)
     residual, overflow, too_small = _entry_state(*sums, row_targets, col_targets)
     del sums  # the iterations need no line sums
@@ -485,37 +497,6 @@ def _scale_stack(
     )
 
 
-def _sinkhorn(
-    work: np.ndarray,
-    row_target: float,
-    col_target: float,
-    *,
-    zeroed_entries: tuple[tuple[int, int], ...] = (),
-    **options,
-) -> NormalizationResult:
-    """The body of :func:`sinkhorn_knopp`: ``work`` is a caller-owned,
-    validated ``(T, M)`` matrix scaled in place, the targets are
-    consistent, and ``options`` are :func:`_scale_stack`'s keywords
-    with a resolved backend and checked ``tol``/``max_iterations``.
-    ``zeroed_entries`` is what the result reports (see
-    :func:`repro.normalize.standardize`)."""
-    n_rows, n_cols = work.shape
-    return _slice(
-        _scale_stack(
-            work[None],
-            np.full(n_rows, row_target),
-            np.full(n_cols, col_target),
-            kind="scalar",
-            row_target=row_target,
-            col_target=col_target,
-            **options,
-        ),
-        0,
-        copy=False,
-        zeroed_entries=zeroed_entries,
-    )
-
-
 def _check_entries(work: np.ndarray, what: str) -> None:
     """Reject infinite or negative entries (``what`` names the input)."""
     if np.isinf(work).any():
@@ -619,23 +600,19 @@ def sinkhorn_knopp(
     row_target, col_target = _check_targets(
         row_target, col_target, n_rows, n_cols
     )
-    sums = _line_sums(work[None])
-    if (sums[0] == 0).any() or (sums[1] == 0).any():
-        raise MatrixValueError(
-            "matrix has an all-zero row or column; no scaling can fix that"
-        )
-    return _sinkhorn(
-        work,
+    result = _scale_stack(
+        work[None],
         row_target,
         col_target,
+        kind="scalar",
         backend=be,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        sums=sums,
     )
+    return _slice(result, 0, copy=False)
 
 
 def scale_to_margins(
@@ -692,11 +669,6 @@ def scale_to_margins(
             "inconsistent margins: sum(row_sums) must equal sum(col_sums) "
             f"({r.sum():g} != {c.sum():g})"
         )
-    sums = _line_sums(work[None])
-    if (sums[0] == 0).any() or (sums[1] == 0).any():
-        raise MatrixValueError(
-            "matrix has an all-zero row or column; no scaling can fix that"
-        )
     result = _scale_stack(
         work[None],
         r,
@@ -708,9 +680,6 @@ def scale_to_margins(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        row_target=r,
-        col_target=c,
-        sums=sums,
     )
     return _slice(result, 0, copy=False)
 

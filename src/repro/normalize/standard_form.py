@@ -29,7 +29,7 @@ from .._validation import (
 from ..backends import resolve_backend
 from ..core.environment import coerce_ecs_and_weights
 from ..exceptions import NotNormalizableError
-from .sinkhorn import NormalizationResult, _sinkhorn
+from .sinkhorn import NormalizationResult, _scale_stack, _slice
 # Not called here since standardize runs the private body, but still
 # looked up in this module by name (benchmarks/suite/spans.py HOOKS).
 from .sinkhorn import sinkhorn_knopp  # noqa: F401
@@ -143,19 +143,18 @@ def standardize(
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     ecs, zeroed = _usable_pattern(ecs, zeros)
-    row_target, col_target = standard_targets(*ecs.shape)
-    return _sinkhorn(
-        ecs.copy(),
-        row_target,
-        col_target,
+    result = _scale_stack(
+        ecs[None].copy(),
+        *standard_targets(*ecs.shape),
+        kind="scalar",
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
         backend=backend,
         warm_start=warm_start,
-        zeroed_entries=zeroed,
     )
+    return _slice(result, 0, copy=False, zeroed_entries=zeroed)
 
 
 def _usable_pattern(ecs: np.ndarray, zeros: str) -> tuple[np.ndarray, tuple]:

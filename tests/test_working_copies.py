@@ -1,4 +1,5 @@
-"""Unweighted paths hold one input-sized working copy at their peak.
+"""Unweighted paths hold one input-sized working copy at their peak,
+and the Sinkhorn core a fixed line workspace beside it.
 
 ``tracemalloc`` sees every numpy heap allocation, so the traced peak of
 one call, divided by the bytes of its input, counts the input-sized
@@ -7,6 +8,13 @@ Theorem-2 scaling, and nothing beside it.  With no weighting factors
 the eq. 4/6 product is the matrix itself, a robust standardize that
 screens out no slice returns its working copy, and a served request
 that waits for a kernel holds its parsed matrix, not its JSON.
+
+Beside the working copy and its scales, the core holds line-sized
+arrays: one ``(N, T)`` row buffer, the ``(N, M)`` column sums and, for
+one expression per iteration, the column deviations.  Counted in line
+sets (``N * (T + M)`` float64), what a stack of small members holds
+beyond its working copy and scales stays a small constant, plus
+numpy's per-call broadcast buffer.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import tracemalloc
 import numpy as np
 
 from repro import characterize
-from repro.batch import standardize_batched
+from repro.batch import sinkhorn_knopp_batched, standardize_batched
 from repro.measures import mph
 from repro.serve import CharacterizationServer
 
@@ -52,6 +60,19 @@ def test_robust_standardize_returns_its_working_copy():
     stack = _matrix((64, 64, 64))
     peak = _peak_bytes(lambda: standardize_batched(stack, policy="quarantine"))
     assert peak <= 1.25 * stack.nbytes
+
+
+def test_sinkhorn_core_holds_a_fixed_line_workspace():
+    n, t, m = 2048, 16, 8
+    # Identical slices converge together: one phase, no compact copy.
+    stack = np.broadcast_to(_matrix((t, m)), (n, t, m)).copy()
+    sinkhorn_knopp_batched(stack)  # first-call allocations, e.g. coverage's
+    peak = _peak_bytes(lambda: sinkhorn_knopp_batched(stack))
+    line_set = n * (t + m) * 8
+    scales = line_set
+    # numpy >= 2.3 allocates a buffer of up to 8192 float64 on every
+    # broadcasting ufunc call.
+    assert peak - (stack.nbytes + scales) <= 2.5 * line_set + 64 * 1024
 
 
 def test_waiting_requests_hold_no_json():
