@@ -11,8 +11,17 @@ so the core holds at most one and a half copies of the stack
 ``n`` slices holds one ``(n, T)`` row buffer, the ``(n, M)`` column
 sums and, within the residual expression only, an ``(n, M)`` column
 deviation; numpy (>= 2.3) adds a buffer of up to 8192 float64 to each
-broadcasting ufunc call.  Every other backend is tested against this
-one (``tolerance = 0.0``: the reference defines correctness).
+broadcasting ufunc call.
+
+A phase's stack is C-ordered or member-last, as
+:func:`~repro.backends.base.working_copy` lays it out (from
+``MEMBER_LAST_MIN`` slices of 2 to ``MEMBER_LAST_MAX_COLS`` - 1
+columns), and its line workspace and scales share that layout.
+Member-last, every line sum, broadcast multiply and residual max runs
+over contiguous runs of ``n``; :func:`~repro.backends.base.line_sums`
+adds in the order numpy takes on the C copy, so either layout gives the
+same bits.  Every other backend is tested against this one
+(``tolerance = 0.0``: the reference defines correctness).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import time
 
 import numpy as np
 
-from .base import KernelBackendBase
+from .base import KernelBackendBase, line_sums, working_copy
 
 __all__ = ["NumpyBackend"]
 
@@ -49,15 +58,15 @@ class NumpyBackend(KernelBackendBase):
         t_end,
         on_progress=None,
     ):
-        n_slices, n_rows, n_cols = work.shape
+        n_slices = len(work)
         idx = (active & (iterations < max_iterations)).nonzero()[0]
-        # As in ``residuals``: the ufuncs behind ``.sum``/``.max``, bound
+        # As in ``residuals``: the ufuncs behind ``.max``/``.min``, bound
         # once, and targets with a leading unit axis, to keep
         # per-iteration overhead down on small stacks.
         row_target, col_target = row_target[None], col_target[None]
-        add, highest, lowest = np.add.reduce, np.maximum.reduce, np.fmin.reduce
+        highest, lowest = np.maximum.reduce, np.fmin.reduce
         copyto, divide, subtract = np.copyto, np.divide, np.subtract
-        absolute, maximum = np.abs, np.maximum
+        absolute, maximum, empty_like = np.abs, np.maximum, np.empty_like
         run = 0
         timed_out = False
         # The accumulated diagonal scales can overflow for
@@ -75,7 +84,12 @@ class NumpyBackend(KernelBackendBase):
                 # whenever the set shrinks again.
                 stopped = None
                 if 2 * idx.size <= n_slices:
-                    sub, rows, cols = work[idx], row_scale[idx], col_scale[idx]
+                    sub = working_copy(work, idx)
+                    rows, cols = row_scale[idx], col_scale[idx]
+                    if not sub.flags.c_contiguous:
+                        # Member-last: the slices' scales in its layout.
+                        rows = np.asfortranarray(rows)
+                        cols = np.asfortranarray(cols)
                 else:
                     sub, rows, cols = work, row_scale, col_scale
                     if idx.size < n_slices:
@@ -89,9 +103,13 @@ class NumpyBackend(KernelBackendBase):
                 # column pass turns into its factors, and one row buffer
                 # that holds the row factors, then the residual's row
                 # deviations, with their broadcasts over the stack.  The
-                # residual's column sums are the next column pass's.
+                # residual's column sums are the next column pass's.  Both
+                # share the layout of ``sub``, C or member-last.  On a C
+                # stack ``line_sums`` is ``np.add.reduce`` itself, bound
+                # here for the phase as the ufuncs above are.
+                add = np.add.reduce if sub.flags.c_contiguous else line_sums
                 col_sums = add(sub, axis=1)
-                row_buf = np.empty((len(sub), n_rows), work.dtype)
+                row_buf = empty_like(sub[:, :, 0])
                 col_factors, row_factors = col_sums[:, None, :], row_buf[:, :, None]
                 while True:
                     if t_end is not None and time.monotonic() >= t_end:
@@ -120,7 +138,8 @@ class NumpyBackend(KernelBackendBase):
                     # The largest row and column deviations: max is exact
                     # and NaN propagates through both, so this is the max
                     # over all of a slice's lines.  The column deviations
-                    # live only for this expression.
+                    # live only for this expression (in the layout of
+                    # ``col_sums``: numpy keeps its operands' order).
                     res = maximum(
                         highest(absolute(row_buf, out=row_buf), axis=1),
                         highest(absolute(col_sums - col_target), axis=1),

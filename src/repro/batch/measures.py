@@ -20,7 +20,7 @@ import numpy as np
 
 from .._validation import check_weights
 from ..backends import resolve_backend
-from ..backends.base import _line_sums
+from ..backends.base import _line_sums, working_copy
 from ..exceptions import ConvergenceError, MatrixValueError, NotNormalizableError
 from ..measures._coerce import weighted_line_sums
 from ..measures.affinity import _column_tma, _singular_values, _tma_column
@@ -223,7 +223,7 @@ def _standard_measures(
         if not finite.all():
             raise _unscalable_error(~finite, None, kind)
     standard = _scale_stack(
-        stack.copy(),
+        working_copy(stack),
         *standard_targets(*stack.shape[1:]),
         kind=kind,
         sums=sums,

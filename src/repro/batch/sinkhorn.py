@@ -29,7 +29,7 @@ import numpy as np
 
 from .._validation import as_float_array, check_positive_int, check_positive_scalar
 from ..backends import resolve_backend
-from ..backends.base import _line_sums
+from ..backends.base import _line_sums, working_copy
 from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import (
     BatchNormalizationResult,
@@ -120,7 +120,7 @@ def sinkhorn_knopp_batched(
         row_target, col_target, *work.shape[1:]
     )
     return _scale_stack(
-        work.copy(),
+        working_copy(work),
         row_target,
         col_target,
         kind="batched",
@@ -219,7 +219,7 @@ def standardize_batched(
     if not robust:
         _check_entries(work, "stack")
         return _scale_stack(
-            work.copy(),
+            working_copy(work),
             row_target,
             col_target,
             kind="batched",
@@ -241,14 +241,15 @@ def standardize_batched(
     healthy = np.ones(n_slices, dtype=bool)
     healthy[list(faults)] = False
     screened = bool(faults)
+    index = np.flatnonzero(healthy)
     scaled = None
-    if healthy.any():
+    if index.size:
         # The one working copy: the healthy slices' gather, or a copy of
         # the whole input (which the repair ladder still reads).
         if screened:
-            sub, sums = work[healthy], (row_sums[healthy], col_sums[healthy])
+            sub, sums = working_copy(work, index), (row_sums[index], col_sums[index])
         else:
-            sub, sums = work.copy(), (row_sums, col_sums)
+            sub, sums = working_copy(work), (row_sums, col_sums)
         scaled = _scale_stack(
             sub,
             row_target,
@@ -274,7 +275,6 @@ def standardize_batched(
     converged = np.zeros(n_slices, dtype=bool)
     iterations = np.zeros(n_slices, dtype=np.int64)
     residual = np.full(n_slices, np.nan)
-    index = np.flatnonzero(healthy)
     # Histories of the repaired slices, which replace the scaled ones.
     repaired: dict[int, tuple[float, ...]] = {}
     if scaled is not None:

@@ -343,7 +343,9 @@ def _scale_stack(
     validated.
 
     ``work`` is a caller-owned float64 ``(N, T, M)`` stack (a single
-    matrix is ``N == 1``) that the body scales in place;
+    matrix is ``N == 1``), C-ordered or member-last as
+    :func:`repro.backends.base.working_copy` makes it, that the body
+    scales in place and returns as the result's ``matrix``;
     ``row_target``/``col_target`` are the margins, each a float or a
     ``(T,)``/``(M,)`` vector, as the result reports them.  ``kind`` is
     the ``"scalar"``/``"margins"``/``"batched"`` label of the span
@@ -371,15 +373,24 @@ def _scale_stack(
             )
     row_targets = np.full(n_rows, row_target)
     col_targets = np.full(n_cols, col_target)
+    # The scales accumulate in place, in the layout of ``work``: a
+    # member-last stack's ``(N, T)`` and ``(N, M)`` slices are
+    # Fortran-ordered, and every product of the core needs matching
+    # strides to stay free of temporaries.
+    member_last = not work.flags.c_contiguous
     if warm_start is None:
-        row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
-        col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
+        order = "F" if member_last else "C"
+        row_scale = np.ones((n_slices, n_rows), dtype=np.float64, order=order)
+        col_scale = np.ones((n_slices, n_cols), dtype=np.float64, order=order)
     else:
         sums = None  # stale once the warm start rescales work
         # Fresh arrays, because the scales accumulate in place.
         row_scale, col_scale = coerce_warm_start(
             warm_start, n_slices, n_rows, n_cols
         )
+        if member_last:
+            row_scale = np.asfortranarray(row_scale)
+            col_scale = np.asfortranarray(col_scale)
         # Rows first, then columns: the products scale_by_diagonals
         # forms, so a warm start from a converged run reproduces that
         # result bit-for-bit.

@@ -45,7 +45,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends import get_backend
+from repro.backends import get_backend, numpy_backend
+from repro.backends.base import MEMBER_LAST_MIN, _member_last
 from repro.batch import (characterize_ensemble, mph_batched, sinkhorn_knopp_batched,
                          standardize_batched, tdh_batched, tma_batched)
 from repro.exceptions import NotNormalizableError
@@ -107,16 +108,17 @@ def _log_uniform(n, t, m, seed):
     return np.exp(np.random.default_rng(seed).uniform(-2.3, 2.3, (n, t, m)))
 
 
-def straggler_stack(n_slices=32, n_slow=17, eps=1e-3, seed=5):
-    """``n_slow`` scattered (8, 8) members converge slowly: their
-    off-diagonal 4x4 blocks are scaled by ``eps``.  17 of 32 keeps the
-    numpy core iterating in place until all but 16 stop, then on a
-    compact copy."""
+def straggler_stack(n_slices=32, n_slow=17, eps=1e-3, seed=5, shape=(8, 8)):
+    """``n_slow`` scattered members converge slowly: their off-diagonal
+    blocks (4x4 in an (8, 8) member) are scaled by ``eps``.  17 of 32
+    keeps the numpy core iterating in place until all but 16 stop, then
+    on a compact copy."""
     rng = np.random.default_rng(seed)
-    stack = rng.uniform(0.5, 10.0, (n_slices, 8, 8))
+    n_rows, n_cols = shape
+    stack = rng.uniform(0.5, 10.0, (n_slices, n_rows, n_cols))
     slow = rng.permutation(n_slices)[:n_slow]
-    stack[slow[:, None], :4, 4:] *= eps
-    stack[slow[:, None], 4:, :4] *= eps
+    stack[slow[:, None], :n_rows // 2, n_cols // 2:] *= eps
+    stack[slow[:, None], n_rows // 2:, :n_cols // 2] *= eps
     return stack
 
 
@@ -149,6 +151,11 @@ CORPUS = {
     "positive*2**-960": Case(POSITIVE * 2.0**-960, base="positive"),
     "faults": _faulty(),
     "stragglers": Case(straggler_stack()),
+    # 192 (16, 8) members, 72 of them slow: the numpy core runs them
+    # member-last in place, then member-last on a compact copy of the
+    # 72, then C-ordered once fewer than MEMBER_LAST_MIN iterate.
+    "threshold": Case(straggler_stack(3 * MEMBER_LAST_MIN, MEMBER_LAST_MIN + 8,
+                                      shape=(16, 8))),
     "cvb-cov2": Case(np.stack([
         np.asarray(cvb(16, 8, task_cov=2.0, machine_cov=2.0, seed=s).to_ecs())
         for s in range(8)
@@ -492,6 +499,24 @@ ROWS = [
 @pytest.mark.parametrize("corpus,path", ROWS, ids=[f"{c}-{p}" for c, p in ROWS])
 def test_row(corpus, path, loop_backend):
     check_row(CORPUS[corpus], path)
+
+
+def test_threshold_corpus_crosses_both_layouts(monkeypatch):
+    """One batched run of the threshold corpus scales the whole stack
+    member-last, then a member-last compact copy, then C-ordered ones."""
+    gathers = []
+    working_copy = numpy_backend.working_copy
+
+    def spy(stack, idx=None):
+        copy = working_copy(stack, idx)
+        gathers.append((len(copy), _member_last(copy)))
+        return copy
+
+    monkeypatch.setattr(numpy_backend, "working_copy", spy)
+    result = sinkhorn_knopp_batched(CORPUS["threshold"].stack)
+    assert _member_last(result.matrix)
+    assert any(n >= MEMBER_LAST_MIN and member_last for n, member_last in gathers)
+    assert any(n < MEMBER_LAST_MIN and not member_last for n, member_last in gathers)
 
 
 @pytest.mark.parametrize("positive", [True, False], ids=["positive", "zeros"])
