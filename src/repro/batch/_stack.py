@@ -14,6 +14,7 @@ import numpy as np
 from .._validation import as_float_array, weight_ecs
 from ..core.environment import coerce_ecs_and_weights
 from ..exceptions import MatrixShapeError, MatrixValueError
+from ..normalize.sinkhorn import _first_slices
 from ..robust.taxonomy import _value_screens
 
 __all__ = ["as_ecs_stack", "stack_environments"]
@@ -32,19 +33,19 @@ def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
     return _ecs_stack(values, name=name)[0]
 
 
-def _ecs_stack(values, *, name: str = "ECS stack"):
+def _ecs_stack(values, *, name: str = "ECS stack", offset: int = 0):
     """:func:`as_ecs_stack`, and the mask of its strictly positive
-    slices from the same screen."""
+    slices from the same screen; errors name slices from member
+    ``offset`` on."""
     arr = as_float_array(values, ndim=3, name=name, allow_nan=True)
     screens, positive = _value_screens(arr)
     for category, _detail, mask in screens:
         if not mask.any():
             continue
         if category == "empty-line":
-            bad = list(np.flatnonzero(mask))
             raise MatrixValueError(
                 f"{name} has an all-zero row or column in slice(s) "
-                f"{bad[:5]}{'...' if len(bad) > 5 else ''}"
+                f"{_first_slices(np.flatnonzero(mask) + offset)}"
             )
         raise MatrixValueError(f"{name} {_STACK_ERRORS[category]}")
     return arr, positive

@@ -19,8 +19,9 @@ Either way the returned columns line up with the input order, and the
 batched and scalar paths agree bit for bit on the numpy backend (the
 conformance table in ``tests/test_conformance.py`` enforces this).
 
-Every fault policy runs the same body: coerce, apply the chaos fault
-plan, pre-screen, split batched/scalar, run the kernels, then the policy
+Every fault policy, and every chunk of
+:func:`repro.shard.characterize_store`, runs the same members body:
+pre-screen, split batched/scalar, run the kernels, then the policy
 step.  A policy changes only how a screened or kernel fault is handled
 (``"raise"`` propagates it, ``"quarantine"`` NaN-masks the member and
 reports it, ``"repair"`` also walks the :mod:`repro.robust.repair`
@@ -53,6 +54,7 @@ from ..normalize.sinkhorn import _unscalable_error
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import metrics as _metrics, note, traced
 from ..robust.budget import DEFAULT_BUDGET
+from ..robust.chaos import _check_members, _inject
 from ..robust.repair import apply_policy, recovered_columns
 from ..robust.taxonomy import (
     QuarantineReport,
@@ -328,13 +330,34 @@ def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
     return be.fused_standard_measures(sub, **options)
 
 
+def _check_options(
+    tol, max_iterations, tma_fallback, batched, policy, budget, backend,
+    warm_start=None,
+) -> dict:
+    """The one option check of both ensemble entry points: the run's
+    keyword options of :func:`_characterize_members`."""
+    if tma_fallback not in ("limit", "column", "raise"):
+        raise MatrixValueError(
+            f"tma_fallback must be 'limit', 'column' or 'raise', got "
+            f"{tma_fallback!r}"
+        )
+    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
+    max_iterations = check_positive_int(max_iterations, name="max_iterations")
+    if not check_policy(policy, warm_start=warm_start) and budget is not None:
+        raise MatrixValueError(
+            "budget requires policy='quarantine' or policy='repair'"
+        )
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return dict(
+        tol=tol, max_iterations=max_iterations, tma_fallback=tma_fallback,
+        batched=batched, policy=policy, budget=budget, backend=backend,
+    )
+
+
 @traced(name="batch.characterize_ensemble")
 def characterize_ensemble(
-    environments=None,
+    environments,
     *,
-    store=None,
-    memory_budget_mb: float | None = None,
-    chunk_size: int | None = None,
     task_weights=None,
     machine_weights=None,
     tol: float = DEFAULT_TOL,
@@ -357,19 +380,8 @@ def characterize_ensemble(
         :class:`~repro.core.ECSMatrix` / :class:`~repro.core.ETCMatrix`
         (wrapper weighting factors are folded in, as everywhere else).
         Same-shape sequences are stacked automatically; ragged ones
-        fall back to the scalar path.  Omit it (and pass ``store``) to
-        stream a disk-backed ensemble instead.
-    store : repro.shard.StackStore or path, optional
-        An on-disk stack to characterize out-of-core with flat peak
-        memory — the call is delegated to
-        :func:`repro.shard.characterize_store` and the result is
-        bit-identical to loading the whole stack.  Mutually exclusive
-        with ``environments`` (and with weights/``warm_start``, which
-        the streamed path does not support).
-    memory_budget_mb, chunk_size : optional
-        Streaming controls for the ``store`` path (peak working-set
-        budget in MiB, or an explicit members-per-chunk); invalid
-        without ``store``.
+        fall back to the scalar path.  A disk-backed ensemble streams
+        through :func:`repro.shard.characterize_store` instead.
     task_weights, machine_weights : array-like, optional
         Weighting factors applied to every member.  Only valid for
         raw-array input (wrappers carry their own weights; mixing the
@@ -436,88 +448,47 @@ def characterize_ensemble(
     >>> bool(np.isnan(result.mph[1])), float(result.mph[0])
     (True, 1.0)
     """
-    if store is not None:
-        if environments is not None:
-            raise MatrixValueError(
-                "pass either environments or store=, not both (a store "
-                "IS the ensemble; there is nothing to combine)"
-            )
-        if task_weights is not None or machine_weights is not None:
-            raise WeightError(
-                "task_weights/machine_weights are not supported on the "
-                "store path (bake weights in when writing the store)"
-            )
-        if warm_start is not None:
-            raise MatrixValueError(
-                "warm_start is not supported on the store path (chunks "
-                "stream through; there is no stable slice identity to "
-                "warm from)"
-            )
-        from ..shard.engine import characterize_store
-
-        return characterize_store(
-            store,
-            memory_budget_mb=memory_budget_mb,
-            chunk_size=chunk_size,
-            tol=tol,
-            max_iterations=max_iterations,
-            tma_fallback=tma_fallback,
-            batched=batched,
-            n_jobs=n_jobs,
-            policy=policy,
-            budget=budget,
-            fault_plan=fault_plan,
-            backend=backend,
-        )
-    if environments is None:
-        raise MatrixValueError(
-            "characterize_ensemble needs environments (in-memory) or "
-            "store= (out-of-core)"
-        )
-    if memory_budget_mb is not None or chunk_size is not None:
-        raise MatrixValueError(
-            "memory_budget_mb/chunk_size only apply to the store path; "
-            "in-memory input is characterized in one pass (write the "
-            "stack with repro.shard.write_store to stream it)"
-        )
-    if tma_fallback not in ("limit", "column", "raise"):
-        raise MatrixValueError(
-            f"tma_fallback must be 'limit', 'column' or 'raise', got "
-            f"{tma_fallback!r}"
-        )
-    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
-    max_iterations = check_positive_int(max_iterations, name="max_iterations")
-    robust = check_policy(policy, warm_start=warm_start)
-    if budget is not None and not robust:
-        raise MatrixValueError(
-            "budget requires policy='quarantine' or policy='repair'"
-        )
-    budget = DEFAULT_BUDGET if budget is None else budget
-    deadline = budget.start()
-
-    stack, members, positive = _coerce(
-        environments, task_weights, machine_weights, strict=not robust
+    options = _check_options(
+        tol, max_iterations, tma_fallback, batched, policy, budget, backend,
+        warm_start,
     )
-    n = stack.shape[0] if stack is not None else len(members)
+    deadline = options["budget"].start()
+    stack, members, positive = _coerce(
+        environments, task_weights, machine_weights, strict=policy == "raise"
+    )
     stalls: dict[int, float] = {}
     if fault_plan is not None:
-        for spec in fault_plan.faults:
-            if spec.member >= n:
-                raise MatrixValueError(
-                    f"fault targets member {spec.member} but the "
-                    f"ensemble has only {n} members"
-                )
+        _check_members(fault_plan, len(stack if stack is not None else members))
         if stack is not None:
-            stack = fault_plan.apply(stack)
-            positive = None
-        else:
-            members = [
-                fault_plan.apply_member(i, m)
-                if isinstance(m, np.ndarray) and m.ndim == 2
-                else m
-                for i, m in enumerate(members)
-            ]
+            stack = stack.copy()  # faults corrupt a copy, not the caller's
+        _inject(fault_plan, stack if stack is not None else members)
+        positive = None
         stalls = {i: fault_plan.stall_seconds(i) for i in fault_plan.stalled}
+    return _characterize_members(
+        stack, members, positive=positive, deadline=deadline, stalls=stalls,
+        n_jobs=n_jobs, timeout_s=options["budget"].member_timeout_s,
+        warm_start=warm_start, **options,
+    )
+
+
+def _characterize_members(
+    stack, members=None, *, positive=None, offset: int = 0, deadline,
+    stalls=None, preset=None, n_jobs=None, timeout_s=None, warm_start=None,
+    tol, max_iterations, tma_fallback, batched, policy, budget, backend,
+) -> EnsembleCharacterization:
+    """The body of both ensemble entry points: pre-screen, batched/scalar
+    split, kernels, policy step and result.
+
+    ``stack`` (or the ragged list ``members``) holds members ``[offset,
+    offset + n)`` of the run; errors name them by their run index, and
+    ``stalls`` and the report by their index here.  A ``preset``
+    ``(category, detail)`` faults every member before any is read, so a
+    failed store shard takes only the policy step (``stack`` then needs
+    only a ``shape`` and item access).
+    """
+    robust = policy != "raise"
+    n = stack.shape[0] if stack is not None else len(members)
+    stalls = stalls or {}
 
     def member(i):
         return stack[i] if stack is not None else members[i]
@@ -526,7 +497,9 @@ def characterize_ensemble(
     # bad member cannot poison a batched pass.  Under "raise" the strict
     # coercion already screened the input, and injected faults surface
     # as the kernels' own errors.
-    if not robust:
+    if preset is not None:
+        faults = dict.fromkeys(range(n), preset)
+    elif not robust:
         faults = {}
     elif stack is not None:
         screens, positive = _value_screens(stack)
@@ -541,7 +514,7 @@ def characterize_ensemble(
     healthy = np.ones(n, dtype=bool)
     healthy[list(faults)] = False
     in_batch = np.zeros(n, dtype=bool)
-    if stack is not None and batched:
+    if stack is not None and batched and healthy.any():
         if positive is None:
             positive = (stack > 0).all(axis=(1, 2))
         in_batch = healthy & positive
@@ -566,7 +539,8 @@ def characterize_ensemble(
         warm_start = coerce_warm_start(warm_start, *stack.shape)
     scalar_idx = np.flatnonzero(healthy & ~in_batch)
     n_batched = int(in_batch.sum())
-    note(slices=n, batched_slices=n_batched, fallback_slices=len(scalar_idx))
+    if preset is None:
+        note(slices=n, batched_slices=n_batched, fallback_slices=len(scalar_idx))
     if _metrics.metrics_enabled():
         # A path with no members adds no series; the family still shows.
         _metrics.get_registry().declare("repro_ensemble_members_total")
@@ -609,7 +583,9 @@ def characterize_ensemble(
             if warm_start is not None or not unscalable.any():
                 raise
             if not robust:
-                raise _unscalable_error(overflow, too_small, "batched") from None
+                raise _unscalable_error(
+                    overflow, too_small, "batched", offset=offset
+                ) from None
             faults.update(_unscalable_faults(overflow, too_small))
             in_batch &= ~unscalable
             if in_batch.any():
@@ -636,7 +612,7 @@ def characterize_ensemble(
 
     if len(scalar_idx):
         jobs = resolve_n_jobs(n_jobs)
-        if budget.member_timeout_s is not None and jobs == 1:
+        if timeout_s is not None and jobs == 1:
             # An in-process worker cannot be preempted; a timeout
             # implies a pool.
             jobs = 2
@@ -646,7 +622,7 @@ def characterize_ensemble(
             _characterize_columns,
             items,
             n_jobs=jobs,
-            timeout_s=budget.member_timeout_s,
+            timeout_s=timeout_s,
             return_failures=robust,
         )
         for i, result in zip(scalar_idx, results):

@@ -745,7 +745,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                from .shard import StackStore, plan_shards
+                from .shard import StackStore, characterize_store, plan_shards
 
                 store = StackStore(args.store)
                 n_members = len(store)
@@ -793,11 +793,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     member_timeout_s=args.timeout,
                     max_attempts=args.max_attempts,
                 )
-            from .batch import characterize_ensemble
-
             if args.store is not None:
-                result = characterize_ensemble(
-                    store=args.store,
+                result = characterize_store(
+                    store,
                     memory_budget_mb=args.memory_budget,
                     chunk_size=args.chunk_size,
                     policy=args.policy,
@@ -807,6 +805,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     backend=args.backend,
                 )
             else:
+                from .batch import characterize_ensemble
+
                 result = characterize_ensemble(
                     stack,
                     policy=args.policy,

@@ -279,12 +279,13 @@ def _first_slices(indices: np.ndarray) -> str:
     return f"{indices[:5].tolist()}{'...' if indices.size > 5 else ''}"
 
 
-def _in_slices(bad: np.ndarray, kind: str) -> str:
+def _in_slices(bad: np.ndarray, kind: str, offset: int = 0) -> str:
     """`` in slice(s) [...]`` naming the ``bad`` slices of a batched run
-    (empty for a single matrix)."""
+    whose first slice is member ``offset`` (empty for a single
+    matrix)."""
     if kind != "batched":
         return ""
-    return f" in slice(s) {_first_slices(np.flatnonzero(bad))}"
+    return f" in slice(s) {_first_slices(np.flatnonzero(bad) + offset)}"
 
 
 def _entry_state(row_sums, col_sums, row_targets, col_targets):
@@ -305,21 +306,25 @@ def _entry_state(row_sums, col_sums, row_targets, col_targets):
     return residual, overflow, too_small & ~overflow
 
 
-def _unscalable_error(overflow, too_small, kind: str) -> MatrixValueError | None:
+def _unscalable_error(
+    overflow, too_small, kind: str, offset: int = 0
+) -> MatrixValueError | None:
     """The error for the first non-empty mask of :func:`_entry_state`
-    (``too_small=None`` skips that test), or None."""
+    (``too_small=None`` skips that test), or None; slices are named from
+    member ``offset`` on."""
     if overflow.any():
         return MatrixValueError(
-            f"row or column sums overflow to inf{_in_slices(overflow, kind)}; "
-            "rescale the matrix (e.g. divide it by its largest entry) so "
-            "every row and column sum is finite"
+            "row or column sums overflow to inf"
+            f"{_in_slices(overflow, kind, offset)}; rescale the matrix (e.g. "
+            "divide it by its largest entry) so every row and column sum is "
+            "finite"
         )
     if too_small is not None and too_small.any():
         return MatrixValueError(
             "row or column sums are too small to scale (target / sum "
-            f"overflows to inf){_in_slices(too_small, kind)}; rescale the "
-            "matrix (e.g. divide it by its largest entry) so every row and "
-            "column sum is a normal float"
+            f"overflows to inf){_in_slices(too_small, kind, offset)}; "
+            "rescale the matrix (e.g. divide it by its largest entry) so "
+            "every row and column sum is a normal float"
         )
     return None
 

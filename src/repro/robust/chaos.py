@@ -286,17 +286,8 @@ class FaultPlan:
                 f"fault plans apply to (N, T, M) stacks, got shape "
                 f"{arr.shape}"
             )
-        for spec in self.faults:
-            if spec.member >= arr.shape[0]:
-                raise MatrixValueError(
-                    f"fault targets member {spec.member} but the stack has "
-                    f"only {arr.shape[0]} members"
-                )
-            if spec.kind != "stall":
-                arr[spec.member] = self.apply_member(
-                    spec.member, arr[spec.member]
-                )
-        return arr
+        _check_members(self, arr.shape[0])
+        return _inject(self, arr)
 
     def summary(self) -> str:
         """One line per injected fault, member order."""
@@ -314,3 +305,28 @@ class FaultPlan:
                 f"{f.category}{extra}"
             )
         return "\n".join(lines)
+
+
+def _check_members(plan, n: int) -> None:
+    """Reject a plan (None passes) naming a member past the end of an
+    ``n``-member ensemble."""
+    for spec in plan.faults if plan is not None else ():
+        if spec.member >= n:
+            raise MatrixValueError(
+                f"fault targets member {spec.member} but the ensemble has "
+                f"only {n} members"
+            )
+
+
+def _inject(plan, members, offset: int = 0):
+    """``members`` (a stack, or a list of coerced members), which holds
+    members ``[offset, offset + len(members))`` of the run, with
+    ``plan``'s data faults (None: none) applied in place at run
+    indices."""
+    for spec in plan.faults if plan is not None else ():
+        i = spec.member - offset
+        if spec.kind == "stall" or not 0 <= i < len(members):
+            continue
+        if isinstance(members[i], np.ndarray) and members[i].ndim == 2:
+            members[i] = plan.apply_member(spec.member, members[i])
+    return members

@@ -234,8 +234,9 @@ def apply_policy(
     """The fault-policy step of the ensemble entry points.
 
     ``faults`` maps member index to ``(category, detail)``.  Every fault
-    becomes a :class:`MemberFault`; under ``policy="repair"`` each one
-    also walks the ladder on ``member(i)`` and a recovery is handed to
+    becomes a :class:`MemberFault`; under ``policy="repair"`` each
+    repairable one also walks the ladder on ``member(i)`` (an
+    unrepairable member is never read) and a recovery is handed to
     ``splice(i, repaired, standard)``.  The report's outcomes are
     attributes of the ``robust.apply_policy`` span and series of the
     metrics registry.
@@ -244,7 +245,7 @@ def apply_policy(
         records = []
         for i, (category, detail) in sorted(faults.items()):
             standard, attempts, label = None, 0, None
-            if policy == "repair":
+            if policy == "repair" and category not in UNREPAIRABLE_CATEGORIES:
                 repaired, standard, attempts, label = _repair(
                     member(i),
                     category,

@@ -1,10 +1,11 @@
 """Streaming execution of disk-backed ensembles through the batched kernels.
 
 :func:`characterize_store` is the out-of-core sibling of
-:func:`repro.batch.characterize_ensemble`: it walks a
-:class:`~repro.shard.store.StackStore` shard by shard (plan from
-:func:`repro.shard.planner.plan_shards`), characterizes each ``(chunk,
-T, M)`` slice with the in-memory pipeline, and merges the parts with
+:func:`repro.batch.characterize_ensemble`, with the same option check:
+it walks a :class:`~repro.shard.store.StackStore` shard by shard (plan
+from :func:`repro.shard.planner.plan_shards`), runs each ``(chunk, T,
+M)`` slice through the in-memory body at the chunk's absolute member
+offset, under the run's one deadline, and merges the parts with
 :func:`repro.shard.merge.merge_characterizations`.  Because the batched
 kernels are per-slice independent, the merged result is bit-identical
 to characterizing the whole stack in RAM — the conformance table in
@@ -21,19 +22,20 @@ Two dispatch modes:
   ``(store_path, start, stop)`` and memory-map their own slice, so
   nothing but shard coordinates crosses the pickle boundary.  A
   :class:`~repro.robust.Budget`'s ``member_timeout_s`` is the per-shard
-  timeout under the scheduler's rule, with one spare copy per shard; a
-  shard whose both copies run past it has its members quarantined as
-  ``timeout``.  The scheduler's copy log feeds the
-  ``repro_shard_dispatch_total`` counter, ``repro_shard_chunk_seconds``
-  and the ``shard.dispatch`` / ``shard.worker.lost`` spans.
+  timeout under the scheduler's rule, with one spare copy per shard.
+  The scheduler's copy log feeds the ``repro_shard_dispatch_total``
+  counter, ``repro_shard_chunk_seconds`` and the ``shard.dispatch`` /
+  ``shard.worker.lost`` spans.
+
+A shard that raised, or whose both copies ran past the timeout, gets
+the in-memory rule for a failed worker: under the robust policies each
+of its members is faulted with its error's category (``worker-error``,
+or ``timeout``, which ``"repair"`` recomputes in process).
 
 Fault injection (:class:`~repro.robust.FaultPlan`) keeps in-memory
-semantics: data faults are applied at *absolute* member indices before
-a chunk enters the pipeline (``FaultPlan.apply_member`` derives
-corruption positions from the index), and a ``stall`` fault sleeps on
-attempt 0 of the task that holds the member — here, the shard's first
-copy.  Member data is untouched, so results stay bit-identical to a
-stall-free run.
+semantics: data faults are applied at *absolute* member indices, and a
+``stall`` fault sleeps on the first copy of the shard that holds the
+member, so results stay bit-identical to a stall-free run.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from __future__ import annotations
 import contextvars
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
 from .._parallel import WorkerFailure, _schedule, resolve_n_jobs
-from .._validation import check_positive_int, check_positive_scalar
-from ..exceptions import MatrixValueError
+from .._validation import check_positive_scalar
+from ..batch._stack import _ecs_stack
+from ..batch.ensemble import _characterize_members, _check_options
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import (
     JsonlSink,
@@ -61,7 +63,8 @@ from ..obs import (
     traced,
 )
 from ..obs.recorder import current_sinks
-from ..robust.taxonomy import check_policy
+from ..robust.chaos import _check_members, _inject
+from ..robust.taxonomy import classify_exception
 from .merge import merge_characterizations
 from .planner import plan_shards
 from .store import StackStore
@@ -69,55 +72,46 @@ from .store import StackStore
 __all__ = ["characterize_store"]
 
 
-def _split_faults(fault_plan, n_members: int):
-    """Validate a plan against the store; split (data specs, stall specs)."""
-    if fault_plan is None:
-        return (), ()
-    data, stalls = [], []
-    for spec in fault_plan.faults:
-        if spec.member >= n_members:
-            raise MatrixValueError(
-                f"fault targets member {spec.member} but the store has "
-                f"only {n_members} members"
-            )
-        (stalls if spec.kind == "stall" else data).append(spec)
-    return tuple(data), tuple(stalls)
+def _characterize_chunk(store: StackStore, start, stop, fault_plan, deadline, options):
+    """Members ``[start, stop)``, with their data faults, through the
+    in-memory body at their absolute offset and under the run's
+    deadline; under ``"raise"`` after the in-memory strict screen."""
+    chunk, positive = _inject(fault_plan, store.read(start, stop), start), None
+    if options["policy"] == "raise":
+        chunk, positive = _ecs_stack(chunk, offset=start)
+    return _characterize_members(
+        chunk, positive=positive, offset=start, deadline=deadline, **options
+    )
 
 
-def _read_chunk(store: StackStore, start: int, stop: int, specs):
-    """Members ``[start, stop)`` with their data faults applied.
+class _ShardMembers:
+    """A failed shard's members, each read (with its data faults) only
+    when the repair ladder asks for it."""
 
-    Faults are applied at absolute member indices via a single-spec
-    :class:`~repro.robust.FaultPlan`, so the corrupted rows/columns are
-    exactly the ones the in-memory ``fault_plan.apply(stack)`` would
-    produce.
-    """
-    from ..robust.chaos import FaultPlan
+    def __init__(self, store: StackStore, shard, fault_plan) -> None:
+        self.shape = (shard.n_members, store.n_tasks, store.n_machines)
+        self._store, self._start, self._plan = store, shard.start, fault_plan
 
-    chunk = store.read(start, stop)
-    for spec in specs:
-        if start <= spec.member < stop:
-            plan = FaultPlan(faults=(spec,))
-            chunk[spec.member - start] = plan.apply_member(
-                spec.member, chunk[spec.member - start]
-            )
-    return chunk
+    def __getitem__(self, i: int) -> np.ndarray:
+        start = self._start + i
+        return _inject(self._plan, self._store.read(start, start + 1), start)[0]
 
 
-def _characterize_chunk(
-    store: StackStore, start: int, stop: int, data_specs, budget, deadline, kwargs
-):
-    """Read, fault-inject and characterize one ``[start, stop)`` chunk,
-    under the run deadline's remainder (``member_timeout_s`` belongs to
-    the scheduler, not to the chunk pipeline)."""
-    from ..batch.ensemble import characterize_ensemble
-
-    if budget is not None:
-        budget = replace(
-            budget, deadline_s=deadline.remaining(), member_timeout_s=None
-        )
-    chunk = _read_chunk(store, start, stop, data_specs)
-    return characterize_ensemble(chunk, budget=budget, **kwargs)
+def _failed_part(store: StackStore, shard, error, fault_plan, deadline, options):
+    """The in-memory rule for a failed worker, for a shard that raised or
+    ran past its timeout: ``error`` propagates under ``"raise"``, and
+    otherwise each member is faulted with ``classify_exception(error)``
+    before the body runs."""
+    if options["policy"] == "raise":
+        raise error
+    fault = (
+        classify_exception(error),
+        f"shard of members [{shard.start}, {shard.stop}): {error}",
+    )
+    return _characterize_members(
+        _ShardMembers(store, shard, fault_plan), offset=shard.start,
+        deadline=deadline, preset=fault, **options,
+    )
 
 
 def _shard_worker(task, attempt):
@@ -140,16 +134,14 @@ def _shard_worker(task, attempt):
 
 
 def _shard_task(
-    store_path, start, stop, stall_s, data_specs, budget, deadline, kwargs,
-    trace, attempt,
+    store_path, start, stop, stall_s, fault_plan, deadline, options, trace,
+    attempt,
 ):
     if attempt == 0 and stall_s > 0.0:
         time.sleep(stall_s)
-    store = StackStore(store_path)
+    args = (StackStore(store_path), start, stop, fault_plan, deadline, options)
     if trace is None:
-        return _characterize_chunk(
-            store, start, stop, data_specs, budget, deadline, kwargs
-        )
+        return _characterize_chunk(*args)
     path, payload = trace
     sink = JsonlSink(path)
     try:
@@ -160,14 +152,12 @@ def _shard_task(
                 start_member=start,
                 members=stop - start,
             ):
-                return _characterize_chunk(
-                    store, start, stop, data_specs, budget, deadline, kwargs
-                )
+                return _characterize_chunk(*args)
     finally:
         sink.close()
 
 
-def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs):
+def _run_serial(store, plan, fault_plan, shard_stalls, deadline, options):
     parts = []
     # One memory map serves the whole pass, and no longer.
     with store._pass_map() as mapped:
@@ -179,15 +169,15 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
                 if stall_s > 0.0:
                     time.sleep(stall_s)
                 t0 = time.perf_counter()
-                result = _characterize_chunk(
-                    mapped,
-                    shard.start,
-                    shard.stop,
-                    data_specs,
-                    budget,
-                    deadline,
-                    kwargs,
-                )
+                try:
+                    result = _characterize_chunk(
+                        mapped, shard.start, shard.stop, fault_plan, deadline,
+                        options,
+                    )
+                except Exception as error:
+                    result = _failed_part(
+                        mapped, shard, error, fault_plan, deadline, options
+                    )
             _metrics.record(
                 ("repro_shard_chunks_total", ("serial",), 1.0),
                 ("repro_shard_members_total", ("serial",), shard.n_members),
@@ -198,7 +188,7 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
     return parts
 
 
-def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwargs):
+def _dispatch(store, plan, jobs, fault_plan, shard_stalls, deadline, options):
     """Run the shards as one scheduler call, with one spare copy each."""
     # One trace context per shard, so every copy of a shard emits a
     # sibling span under the same ``shard.dispatch`` parent.  Workers
@@ -215,8 +205,7 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
     tasks = [
         (
             str(store.path), shard.start, shard.stop,
-            shard_stalls.get(shard.index, 0.0), data_specs, budget, deadline,
-            kwargs,
+            shard_stalls.get(shard.index, 0.0), fault_plan, deadline, options,
             (path, contexts[shard.index].to_payload()) if contexts else None,
         )
         for shard in plan.shards
@@ -225,17 +214,15 @@ def _dispatch(store, plan, jobs, data_specs, shard_stalls, budget, deadline, kwa
         _shard_worker,
         tasks,
         workers=min(jobs, len(tasks)),
-        timeout_s=budget.member_timeout_s if budget is not None else None,
+        timeout_s=options["budget"].member_timeout_s,
         spares=1,
     )
     _record_dispatch(plan, log, contexts)
     parts = []
     for shard, result in zip(plan.shards, results):
         if isinstance(result, WorkerFailure):
-            if not result.timed_out:
-                raise result.error
-            result = _timed_out_part(
-                store, shard, data_specs, budget, deadline, kwargs
+            result = _failed_part(
+                store, shard, result.error, fault_plan, deadline, options
             )
         parts.append((shard.start, result))
     return parts
@@ -281,49 +268,6 @@ def _record_dispatch(plan, log, contexts) -> None:
                     )
 
 
-def _timed_out_part(store, shard, data_specs, budget, deadline, kwargs):
-    """A shard whose every copy ran past the timeout: its members are
-    quarantined as ``timeout``, and recomputed in process by the
-    ``local-retry`` rung under ``policy="repair"``."""
-    from ..batch.ensemble import EnsembleCharacterization
-    from ..robust.repair import apply_policy, recovered_columns
-
-    n = shard.n_members
-    part = EnsembleCharacterization(
-        *np.full((3, n), np.nan),
-        iterations=np.full(n, -1, dtype=np.int64),
-        converged=np.zeros(n, dtype=bool),
-        batched=np.zeros(n, dtype=bool),
-        n_tasks=store.n_tasks,
-        n_machines=store.n_machines,
-    )
-
-    def member(i):
-        start = shard.start + i
-        return _read_chunk(store, start, start + 1, data_specs)[0]
-
-    def splice(i, repaired, standard):
-        columns = (part.mph, part.tdh, part.tma, part.iterations, part.converged)
-        for column, value in zip(columns, recovered_columns(repaired, standard)):
-            column[i] = value
-
-    detail = (
-        f"shard of members [{shard.start}, {shard.stop}) exceeded "
-        f"member_timeout_s={budget.member_timeout_s:g} on every copy"
-    )
-    report = apply_policy(
-        dict.fromkeys(range(n), ("timeout", detail)),
-        policy=kwargs["policy"],
-        member=member,
-        splice=splice,
-        tol=kwargs["tol"],
-        max_iterations=kwargs["max_iterations"],
-        budget=budget,
-        deadline=deadline,
-    )
-    return replace(part, report=report)
-
-
 @traced(name="shard.characterize_store")
 def characterize_store(
     store,
@@ -356,10 +300,11 @@ def characterize_store(
         process pool whose workers memory-map their own slices.
     budget : repro.robust.Budget, optional
         Robust-policy budgets.  ``deadline_s`` bounds the whole store
-        run (chunks receive the remainder); in pool mode
-        ``member_timeout_s`` is the per-shard timeout that dispatches a
-        spare copy, and quarantines the shard's members as ``timeout``
-        once the spare runs past it too.
+        run (every chunk runs under the run's one deadline); in pool
+        mode ``member_timeout_s`` is the per-shard timeout that
+        dispatches a spare copy, and faults the shard's members as
+        ``timeout`` once the spare runs past it too.  A shard that
+        raised has its members faulted as ``worker-error``.
     fault_plan : repro.robust.FaultPlan, optional
         Chaos injection.  Data faults match the in-memory path exactly
         (absolute member indices); ``stall`` faults stall the first
@@ -385,24 +330,18 @@ def characterize_store(
     >>> len(result), bool(result.converged.all())
     (6, True)
     """
-    if not isinstance(store, StackStore):
-        store = StackStore(store)
-    if not check_policy(policy) and budget is not None:
-        raise MatrixValueError(
-            "budget requires policy='quarantine' or policy='repair'"
-        )
-    tol = check_positive_scalar(tol, name="tol", allow_zero=True)
-    max_iterations = check_positive_int(max_iterations, name="max_iterations")
+    options = _check_options(
+        tol, max_iterations, tma_fallback, batched, policy, budget, backend
+    )
     memory_budget_bytes = None
     if memory_budget_mb is not None:
-        if not isinstance(memory_budget_mb, (int, float)) or (
-            isinstance(memory_budget_mb, bool) or memory_budget_mb <= 0
-        ):
-            raise MatrixValueError(
-                f"memory_budget_mb must be a positive number, got "
-                f"{memory_budget_mb!r}"
-            )
-        memory_budget_bytes = int(memory_budget_mb * 2**20)
+        memory_budget_bytes = int(
+            check_positive_scalar(memory_budget_mb, name="memory_budget_mb") * 2**20
+        )
+    jobs = resolve_n_jobs(n_jobs)
+    if not isinstance(store, StackStore):
+        store = StackStore(store)
+    _check_members(fault_plan, store.n_members)
 
     plan = plan_shards(
         store.n_members,
@@ -411,39 +350,22 @@ def characterize_store(
         memory_budget_bytes=memory_budget_bytes,
         chunk_size=chunk_size,
     )
-    jobs = resolve_n_jobs(n_jobs)
-    data_specs, stall_specs = _split_faults(fault_plan, store.n_members)
     shard_stalls: dict[int, float] = {}
-    for spec in stall_specs:
-        for shard in plan.shards:
-            if shard.start <= spec.member < shard.stop:
-                shard_stalls[shard.index] = max(
-                    shard_stalls.get(shard.index, 0.0), spec.stall_s
-                )
-                break
-    deadline = budget.start() if budget is not None else None
-    if deadline is None:
-        from ..robust.budget import Deadline
-
-        deadline = Deadline(None)
+    for member in fault_plan.stalled if fault_plan is not None else ():
+        index = member // plan.chunk_size
+        shard_stalls[index] = max(
+            shard_stalls.get(index, 0.0), fault_plan.stall_seconds(member)
+        )
+    deadline = options["budget"].start()
 
     note(shards=len(plan.shards), members=plan.n_members)
 
-    kwargs = {
-        "tol": tol,
-        "max_iterations": max_iterations,
-        "tma_fallback": tma_fallback,
-        "batched": batched,
-        "policy": policy,
-        "backend": backend,
-    }
     if jobs == 1 or len(plan.shards) == 1:
         parts = _run_serial(
-            store, plan, data_specs, shard_stalls, budget, deadline, kwargs
+            store, plan, fault_plan, shard_stalls, deadline, options
         )
     else:
         parts = _dispatch(
-            store, plan, jobs, data_specs, shard_stalls, budget, deadline,
-            kwargs,
+            store, plan, jobs, fault_plan, shard_stalls, deadline, options
         )
     return merge_characterizations(parts)

@@ -448,7 +448,7 @@ ENSEMBLE_DIGESTS = {
     "characterize_store[raise/nan]": "raises MatrixValueError: ECS stack contains NaN entries",
     "characterize_store[raise/non-convergent]": "1fd7507be7582ba3b1e45740814b09ebbea401a4dcb70e929f9c2885cd27608b",
     "characterize_store[raise/zero-pattern]": "981c217b877565878d925b83f6af2bc926a00b44caa60144791854bc11dd9d24",
-    "characterize_store[raise/zero-row]": "raises MatrixValueError: ECS stack has an all-zero row or column in slice(s) [np.int64(2)]",
+    "characterize_store[raise/zero-row]": "raises MatrixValueError: ECS stack has an all-zero row or column in slice(s) [2]",
     "characterize_store[repair/clean]": "4ca5f4f02ed24d27fcd31d36830c0bfe17fd968649e6c94fb08800eccd5f0661",
     "characterize_store[repair/decomposable-limit]": "97323c8acd276644c9982a1f26375ec3d768066eea87bfeea681e4f8dbf7e488",
     "characterize_store[repair/decomposable]": "b56f17f3a878869fc5a2aaf6278eb9c4004c4da899c43ec0940fc76964fe031e",

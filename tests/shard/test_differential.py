@@ -24,7 +24,7 @@ class TestPolicyBackendMatrix:
     @pytest.mark.parametrize("backend,policy",
                              [("numpy", "quarantine"), ("numpy", "repair")])
     def test_faulty_policies_match(self, backend, policy):
-        check("store=" if policy == "quarantine" else "store[repair]")
+        check("store[quarantine]" if policy == "quarantine" else "store[repair]")
 
 
 class TestDispatchModes:
@@ -50,8 +50,5 @@ class TestDispatchModes:
 
 
 class TestFacade:
-    def test_characterize_ensemble_store_kwarg(self):
-        check("store=")
-
     def test_store_accepted_as_path(self):
         check("store[path string]")

@@ -1,12 +1,11 @@
-"""characterize_store / characterize_ensemble(store=...) API contracts."""
+"""characterize_store API contracts."""
 
-import numpy as np
 import pytest
 
 from repro.batch import characterize_ensemble
-from repro.exceptions import MatrixValueError, WeightError
+from repro.exceptions import MatrixValueError
 from repro.robust import Budget
-from repro.shard import StackStore, characterize_store, write_store
+from repro.shard import StackStore, characterize_store, engine, write_store
 
 from .conftest import random_stack
 
@@ -80,27 +79,45 @@ class TestOneMapPerPass:
         assert len(maps) == 2
 
 
-class TestFacadeValidation:
-    def test_store_and_environments_conflict(self, store):
-        with pytest.raises(MatrixValueError, match="not both"):
-            characterize_ensemble(np.ones((2, 2, 2)), store=store)
+def _message(call):
+    with pytest.raises(MatrixValueError) as info:
+        call()
+    return str(info.value)
 
-    def test_neither_store_nor_environments(self):
-        with pytest.raises(MatrixValueError, match="needs environments"):
-            characterize_ensemble()
 
-    def test_weights_not_supported_on_store_path(self, store):
-        with pytest.raises(WeightError, match="bake weights"):
-            characterize_ensemble(store=store, task_weights=[1.0, 1.0, 1.0])
+class TestRaiseNamesAbsoluteMembers:
+    """A ``policy="raise"`` store run names a bad member by its index in
+    the store, as the in-memory run does, in both dispatch modes."""
 
-    def test_warm_start_not_supported_on_store_path(self, store):
-        with pytest.raises(MatrixValueError, match="warm_start"):
-            characterize_ensemble(
-                store=store, warm_start=(np.ones((12, 3)), np.ones((12, 3)))
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "member,corrupt",
+        [(67, lambda m: m.__setitem__(1, 0.0)), (70, lambda m: m.fill(1e308))],
+        ids=["zero-row", "overflow"],
+    )
+    def test_error_matches_in_memory(self, tmp_path, member, corrupt, n_jobs):
+        stack = random_stack(96, 4, 4, seed=3)
+        corrupt(stack[member])
+        store = write_store(tmp_path / "store", stack)
+        expected = _message(lambda: characterize_ensemble(stack))
+        assert f"slice(s) [{member}]" in expected
+        assert _message(
+            lambda: characterize_store(store, chunk_size=32, n_jobs=n_jobs)
+        ) == expected
+
+
+class TestOptionsCheckedFirst:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_bad_option_before_any_read_or_pool(self, store, monkeypatch, n_jobs):
+        calls = []
+        monkeypatch.setattr(
+            StackStore, "read", lambda *args: calls.append("read")
+        )
+        monkeypatch.setattr(
+            engine, "_schedule", lambda *args, **kw: calls.append("schedule")
+        )
+        with pytest.raises(MatrixValueError, match="tma_fallback"):
+            characterize_store(
+                store, chunk_size=4, n_jobs=n_jobs, tma_fallback="nearest"
             )
-
-    def test_budget_kwargs_require_store(self):
-        with pytest.raises(MatrixValueError, match="store path"):
-            characterize_ensemble(np.ones((2, 2, 2)), memory_budget_mb=8)
-        with pytest.raises(MatrixValueError, match="store path"):
-            characterize_ensemble(np.ones((2, 2, 2)), chunk_size=4)
+        assert calls == []

@@ -18,7 +18,7 @@ from repro.obs import recording
 from repro.obs.metrics import MetricsRegistry, collecting_metrics
 from repro.robust import Budget, FaultPlan
 from repro.robust.chaos import FaultSpec
-from repro.shard import characterize_store, engine, write_store
+from repro.shard import StackStore, characterize_store, engine, write_store
 
 from .conftest import assert_results_equal, random_stack
 
@@ -265,6 +265,60 @@ class TestSpeculation:
                 getattr(sharded, name), getattr(whole, name), equal_nan=True
             )
         assert {f.index for f in sharded.report.faults} == {17, 30}
+
+
+def _raise_for_second_shard(task, attempt):
+    """A shard worker whose second shard raises."""
+    if task[1] == CHUNK:
+        raise RuntimeError("shard worker crashed")
+    return _REAL_WORKER(task, attempt)
+
+
+class TestFailedShards:
+    """A shard that raised follows the in-memory rule for a failed
+    worker: under the robust policies its members are ``worker-error``
+    faults at absolute indices, and the rest of the run is untouched."""
+
+    def check(self, stack, sharded, policy):
+        report = sharded.report
+        assert [f.index for f in report.faults] == list(range(CHUNK, 2 * CHUNK))
+        assert {f.category for f in report.faults} == {"worker-error"}
+        assert not report.repaired
+        assert np.isnan(sharded.tma[CHUNK : 2 * CHUNK]).all()
+        whole = characterize_ensemble(stack, policy=policy)
+        rest = np.r_[0:CHUNK, 2 * CHUNK : N_MEMBERS]
+        for name in ("mph", "tdh", "tma", "iterations", "converged", "batched"):
+            assert np.array_equal(
+                getattr(sharded, name)[rest], getattr(whole, name)[rest]
+            )
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("policy", ["quarantine", "repair"])
+    def test_chunk_whose_read_raises(self, stack, store, monkeypatch, policy, n_jobs):
+        read = StackStore.read
+
+        def failing_read(self, start, stop):
+            if CHUNK <= start < 2 * CHUNK:
+                raise OSError("store read failed")
+            return read(self, start, stop)
+
+        monkeypatch.setattr(StackStore, "read", failing_read)
+        sharded = characterize_store(
+            store, chunk_size=CHUNK, n_jobs=n_jobs, policy=policy
+        )
+        self.check(stack, sharded, policy)
+        with pytest.raises(OSError, match="store read failed"):
+            characterize_store(store, chunk_size=CHUNK, n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("policy", ["quarantine", "repair"])
+    def test_shard_worker_that_raises(self, stack, store, monkeypatch, policy):
+        monkeypatch.setattr(engine, "_shard_worker", _raise_for_second_shard)
+        sharded = characterize_store(
+            store, chunk_size=CHUNK, n_jobs=2, policy=policy
+        )
+        self.check(stack, sharded, policy)
+        with pytest.raises(RuntimeError, match="shard worker crashed"):
+            characterize_store(store, chunk_size=CHUNK, n_jobs=2)
 
 
 class TestChaosValidation:

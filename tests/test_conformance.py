@@ -276,8 +276,6 @@ def _store(via="store", **options):
                       **_plan(case, policy))
         with tempfile.TemporaryDirectory() as tmp:
             store = write_store(Path(tmp) / "store", stack)
-            if via == "facade":
-                return _profile(characterize_ensemble(store=store, **kwargs))
             source = str(store.path) if via == "path" else store
             return _profile(characterize_store(source, **kwargs))
 
@@ -343,7 +341,7 @@ PATHS = {
     "store[memory_budget_mb]": Route("profile", _store(memory_budget_mb=BUDGET_MB)),
     "store[one shard]": Route("profile", _store(chunk_size=10**6), "repair"),
     "store[chunk of one]": Route("profile", _store(chunk_size=1), "quarantine"),
-    "store=": Route("profile", _store("facade", chunk_size=8), "quarantine"),
+    "store[quarantine]": Route("profile", _store(chunk_size=8), "quarantine"),
     "store[path string]": Route("profile", _store("path", chunk_size=8)),
     "served": Route("profile", _served, "quarantine"),
 }

@@ -348,10 +348,9 @@ _ECS_STACK_DATA = {
     "nan": (MatrixValueError, "ECS stack contains NaN entries"),
     "inf": (MatrixValueError, _ECS_STACK_INF),
     "negative": (MatrixValueError, "ECS stack contains negative entries"),
-    # numpy >= 2 prints the slice index as a numpy scalar.
     "zero_line": (
         MatrixValueError,
-        "ECS stack has an all-zero row or column in slice(s) [np.int64(1)]",
+        "ECS stack has an all-zero row or column in slice(s) [1]",
     ),
 }
 
