@@ -1,7 +1,7 @@
 """The one process-pool scheduler, and the map built on it.
 
-Study layers (sensitivity trials, correlation ensembles) and ensemble
-drivers (the robust scalar fallback, pooled shard dispatch) fan
+The ensemble drivers (the scalar members pool of
+:func:`repro.batch.characterize_ensemble`, pooled shard dispatch) fan
 independent work out over processes through :func:`_schedule`, the only
 code that creates a ``ProcessPoolExecutor``; it imports the pool on
 first use, so ``import repro`` does not load ``multiprocessing``.

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .._validation import check_choice
+from ..batch import characterize_ensemble
 from ..generate.ensembles import random_ecs
 from ..generate.target_driven import TargetSpec, from_targets
 from ..obs import span as _obs_span
@@ -121,13 +122,6 @@ def independence_study(
     )
 
 
-def _correlation_worker(args: tuple[int, int, float, int]) -> tuple:
-    """Module-level worker (picklable) for :func:`measure_correlations`."""
-    n_tasks, n_machines, spread, item_seed = args
-    env = random_ecs(n_tasks, n_machines, spread=spread, seed=item_seed)
-    return (_mph(env), _tdh(env), _tma(env))
-
-
 def measure_correlations(
     *,
     n_tasks: int = 10,
@@ -135,8 +129,6 @@ def measure_correlations(
     samples: int = 200,
     spread: float = 8.0,
     seed=0,
-    n_jobs: int | None = None,
-    batched: bool = True,
 ) -> np.ndarray:
     """3×3 Pearson correlation matrix of (MPH, TDH, TMA) over a random
     ensemble of environments.
@@ -146,35 +138,18 @@ def measure_correlations(
     standard-deviation-vs-variance example — would show off-diagonal
     entries of ±1; the three paper measures stay far from that.
 
-    With ``batched`` (default) the whole ensemble is stacked and
-    characterized through the vectorized
-    :func:`repro.batch.characterize_ensemble` kernels; otherwise
-    ``n_jobs`` distributes the per-sample scalar work across a process
-    pool.  The sampled environments are identical either way because
-    the per-sample seeds are derived up front from the master seed.
+    The per-sample seeds are derived up front from the master seed,
+    and the whole ensemble is characterized as one stack by
+    :func:`repro.batch.characterize_ensemble`.
     """
     rng = np.random.default_rng(seed)
     item_seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(samples)]
     with _obs_span("analysis.correlations", samples=samples):
-        if batched:
-            from ..batch import characterize_ensemble
-
-            stack = np.stack(
-                [
-                    random_ecs(
-                        n_tasks, n_machines, spread=float(spread), seed=s
-                    ).values
-                    for s in item_seeds
-                ]
-            )
-            values = characterize_ensemble(stack).measures
-        else:
-            from .._parallel import parallel_map
-
-            tasks = [
-                (n_tasks, n_machines, float(spread), s) for s in item_seeds
+        stack = np.stack(
+            [
+                random_ecs(n_tasks, n_machines, spread=float(spread), seed=s).values
+                for s in item_seeds
             ]
-            values = np.asarray(
-                parallel_map(_correlation_worker, tasks, n_jobs=n_jobs)
-            )
+        )
+        values = characterize_ensemble(stack).measures
     return np.corrcoef(values, rowvar=False)

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .._validation import check_positive_int
+from ..batch import characterize_ensemble
 from ..generate._rng import resolve_rng
 from ..measures.report import HeterogeneityProfile, characterize
 
@@ -119,7 +120,6 @@ def characterize_generator(
     *,
     samples: int = 10,
     seed=0,
-    batched: bool = True,
 ) -> GeneratorFootprint:
     """Sample a generator family and summarize its measure footprint.
 
@@ -133,14 +133,10 @@ def characterize_generator(
     samples : int
         Environments to draw.
     seed : int or Generator
-        Master seed.
-    batched : bool
-        When the drawn environments share a shape (they do for every
-        generator family in :mod:`repro.generate`), characterize the
-        whole sample as one stack through
-        :func:`repro.batch.characterize_ensemble` (default).  Ragged
-        families and ``batched=False`` take the per-sample scalar loop;
-        the drawn environments are identical either way.
+        Master seed.  The drawn environments are characterized together
+        by :func:`repro.batch.characterize_ensemble`: as one stack when
+        they share a shape (they do for every generator family in
+        :mod:`repro.generate`), member by member when they are ragged.
 
     Examples
     --------
@@ -158,18 +154,7 @@ def characterize_generator(
     environments = [
         factory(int(rng.integers(0, 2**63 - 1))) for _ in range(samples)
     ]
-    values: np.ndarray | None = None
-    if batched:
-        from ..batch import characterize_ensemble, stack_environments
-
-        stack = stack_environments(environments)
-        if stack is not None:
-            values = characterize_ensemble(stack).measures
-    if values is None:
-        values = np.empty((samples, 3))
-        for k, env in enumerate(environments):
-            profile = characterize(env)
-            values[k] = (profile.mph, profile.tdh, profile.tma)
+    values = characterize_ensemble(environments).measures
     return GeneratorFootprint(
         name=name,
         mean=values.mean(axis=0),

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .._validation import as_ecs_array, check_positive_int
+from ..batch import characterize_ensemble
 from ..generate._rng import resolve_rng
 from ..generate.ensembles import perturb
 from ..obs import span as _obs_span
@@ -71,21 +72,12 @@ class SensitivityResult:
         return "\n".join(lines)
 
 
-def _perturbed_measures(args: tuple) -> tuple:
-    """Module-level worker (picklable): measures of one noisy draw."""
-    ecs, sigma, item_seed = args
-    noisy = perturb(ecs, sigma, seed=item_seed)
-    return (_mph(noisy), _tdh(noisy), _tma(noisy, zeros="limit"))
-
-
 def sensitivity_study(
     matrix,
     *,
     noise_levels: Sequence[float] = (0.01, 0.05, 0.1, 0.2),
     trials: int = 20,
     seed=0,
-    n_jobs: int | None = None,
-    batched: bool = True,
 ) -> SensitivityResult:
     """Measure-shift statistics under multiplicative estimation noise.
 
@@ -99,17 +91,10 @@ def sensitivity_study(
     trials : int
         Perturbation draws per level.
     seed : int or Generator
-        Randomness source (deterministic by default).
-    n_jobs : int, optional
-        Process-pool width for the scalar path (1/None = serial, -1 =
-        all CPUs); per-trial seeds are derived up front so the result
-        is identical regardless.
-    batched : bool
-        Characterize each level's trial stack through the vectorized
-        :func:`repro.batch.characterize_ensemble` kernels (default)
-        instead of the per-trial scalar loop.  The perturbation draws
-        are identical either way (same derived seeds), and the two
-        paths agree to ≤ 1e-10 per trial.
+        Randomness source (deterministic by default).  Per-trial seeds
+        are derived up front; each level's trials are characterized as
+        one stack by :func:`repro.batch.characterize_ensemble`, which
+        sends zero-patterned draws down its scalar path.
 
     Examples
     --------
@@ -139,8 +124,6 @@ def sensitivity_study(
         "tma": _tma(ecs, zeros="limit"),
     }
     base_vec = np.array([baseline[m] for m in _MEASURES])
-    from .._parallel import parallel_map
-
     mean_shift = np.empty((levels.size, 3))
     max_shift = np.empty((levels.size, 3))
     for li, sigma in enumerate(levels):
@@ -148,20 +131,12 @@ def sensitivity_study(
         with _obs_span(
             "analysis.sensitivity_level", sigma=float(sigma), trials=trials
         ):
-            if batched:
-                from ..batch import characterize_ensemble
-
-                stack = np.stack(
-                    [perturb(ecs, float(sigma), seed=s) for s in item_seeds]
-                )
-                measured = characterize_ensemble(
-                    stack, tma_fallback="limit"
-                ).measures
-            else:
-                jobs = [(ecs, float(sigma), s) for s in item_seeds]
-                measured = np.asarray(
-                    parallel_map(_perturbed_measures, jobs, n_jobs=n_jobs)
-                )
+            stack = np.stack(
+                [perturb(ecs, float(sigma), seed=s) for s in item_seeds]
+            )
+            measured = characterize_ensemble(
+                stack, tma_fallback="limit"
+            ).measures
         shifts = np.abs(measured - base_vec[None, :])
         mean_shift[li] = shifts.mean(axis=0)
         max_shift[li] = shifts.max(axis=0)

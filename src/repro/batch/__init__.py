@@ -25,7 +25,7 @@ throughput.  See ``docs/BATCHED.md`` for the
 dispatch rules and the memory trade-off of materializing full stacks.
 """
 
-from ._stack import as_ecs_stack, stack_environments
+from ._stack import as_ecs_stack
 from .sinkhorn import (
     BatchNormalizationResult,
     sinkhorn_knopp_batched,
@@ -48,7 +48,6 @@ from .ensemble import (
 
 __all__ = [
     "as_ecs_stack",
-    "stack_environments",
     "BatchNormalizationResult",
     "sinkhorn_knopp_batched",
     "standardize_batched",

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_float_array, weight_ecs
-from ..core.environment import coerce_ecs_and_weights
-from ..exceptions import MatrixShapeError, MatrixValueError
+from .._validation import as_float_array
+from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import _first_slices
 from ..robust.taxonomy import _value_screens
 
-__all__ = ["as_ecs_stack", "stack_environments"]
+__all__ = ["as_ecs_stack"]
 
 
 def as_ecs_stack(values, *, name: str = "ECS stack") -> np.ndarray:
@@ -60,30 +59,6 @@ _STACK_ERRORS = {
     ),
     "negative": "contains negative entries",
 }
-
-
-def stack_environments(environments) -> np.ndarray | None:
-    """Stack same-shape environments into an ``(N, T, M)`` array.
-
-    Each element may be a raw array, an :class:`~repro.core.ECSMatrix`
-    (weighting factors folded in) or an :class:`~repro.core.ETCMatrix`
-    (converted through paper eq. 1 first) — the same coercion every
-    scalar measure applies.  Returns ``None`` when the shapes are ragged
-    (the caller should fall back to the scalar path) and raises on an
-    empty sequence.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> stack_environments([np.ones((2, 3)), 2 * np.ones((2, 3))]).shape
-    (2, 2, 3)
-    >>> stack_environments([np.ones((2, 3)), np.ones((4, 3))]) is None
-    True
-    """
-    arrays = [weight_ecs(*coerce_ecs_and_weights(env)) for env in environments]
-    if not arrays:
-        raise MatrixShapeError("cannot stack an empty environment sequence")
-    return stack_members(arrays)
 
 
 def stack_members(members: list) -> np.ndarray | None:

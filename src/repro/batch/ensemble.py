@@ -12,8 +12,8 @@ Dispatch rules (documented in ``docs/BATCHED.md``):
 * zero-patterned slices → scalar :func:`repro.measures.characterize`
   per slice, so the Section-VI ``tma_fallback`` semantics
   (strict/limit/column) are honoured exactly;
-* ragged shapes, or ``batched=False`` → the scalar path for everything,
-  optionally across a process pool (``n_jobs``).
+* ragged shapes → the scalar path for everything, optionally across a
+  process pool (``n_jobs``).
 
 Either way the returned columns line up with the input order, and the
 batched and scalar paths agree bit for bit on the numpy backend (the
@@ -100,8 +100,7 @@ class EnsembleCharacterization:
         Whether the standard-form iteration reached tolerance.
     batched : numpy.ndarray of bool, shape (N,)
         Which members took the batched kernels (False = scalar
-        fallback — zero-patterned slice, ragged input, or
-        ``batched=False``).
+        fallback — zero-patterned slice or ragged input).
     n_tasks, n_machines : int or None
         Common slice dimensions; ``None`` when the input was ragged.
     report : repro.robust.QuarantineReport or None
@@ -331,8 +330,7 @@ def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
 
 
 def _check_options(
-    tol, max_iterations, tma_fallback, batched, policy, budget, backend,
-    warm_start=None,
+    tol, max_iterations, tma_fallback, policy, budget, backend, warm_start=None
 ) -> dict:
     """The one option check of both ensemble entry points: the run's
     keyword options of :func:`_characterize_members`."""
@@ -350,7 +348,7 @@ def _check_options(
     budget = DEFAULT_BUDGET if budget is None else budget
     return dict(
         tol=tol, max_iterations=max_iterations, tma_fallback=tma_fallback,
-        batched=batched, policy=policy, budget=budget, backend=backend,
+        policy=policy, budget=budget, backend=backend,
     )
 
 
@@ -363,7 +361,6 @@ def characterize_ensemble(
     tol: float = DEFAULT_TOL,
     max_iterations: int = 100_000,
     tma_fallback: str = "limit",
-    batched: bool = True,
     n_jobs: int | None = None,
     policy: str = "raise",
     budget=None,
@@ -392,11 +389,6 @@ def characterize_ensemble(
     tma_fallback : {"limit", "column", "raise"}
         Section-VI handling for zero-patterned members (these always
         take the scalar path; see :func:`repro.measures.characterize`).
-    batched : bool
-        Force the scalar path with ``False`` (useful for differential
-        testing and for memory-constrained very large stacks — the
-        batched path materializes the full ``(N, T, M)`` standard-form
-        copy).
     n_jobs : int, optional
         Process-pool width for the scalar path (ignored on the batched
         path, which needs no pool).
@@ -429,8 +421,8 @@ def characterize_ensemble(
         iterating — the incremental re-characterization path for
         ``perturb_stack``-style what-if resubmissions (a scalar result
         on the base matrix broadcasts to every slice).  Requires the
-        default ``policy="raise"`` and the batched path (stacked,
-        strictly positive input).
+        default ``policy="raise"`` and a stacked, strictly positive
+        input (every member on the batched path).
 
     Examples
     --------
@@ -449,8 +441,7 @@ def characterize_ensemble(
     (True, 1.0)
     """
     options = _check_options(
-        tol, max_iterations, tma_fallback, batched, policy, budget, backend,
-        warm_start,
+        tol, max_iterations, tma_fallback, policy, budget, backend, warm_start
     )
     deadline = options["budget"].start()
     stack, members, positive = _coerce(
@@ -474,7 +465,7 @@ def characterize_ensemble(
 def _characterize_members(
     stack, members=None, *, positive=None, offset: int = 0, deadline,
     stalls=None, preset=None, n_jobs=None, timeout_s=None, warm_start=None,
-    tol, max_iterations, tma_fallback, batched, policy, budget, backend,
+    tol, max_iterations, tma_fallback, policy, budget, backend,
 ) -> EnsembleCharacterization:
     """The body of both ensemble entry points: pre-screen, batched/scalar
     split, kernels, policy step and result.
@@ -514,7 +505,7 @@ def _characterize_members(
     healthy = np.ones(n, dtype=bool)
     healthy[list(faults)] = False
     in_batch = np.zeros(n, dtype=bool)
-    if stack is not None and batched and healthy.any():
+    if stack is not None and healthy.any():
         if positive is None:
             positive = (stack > 0).all(axis=(1, 2))
         in_batch = healthy & positive
@@ -530,9 +521,9 @@ def _characterize_members(
             )
         if not in_batch.all():
             raise MatrixValueError(
-                "warm_start requires batched=True and a strictly "
-                "positive stack (zero-patterned slices take the scalar "
-                "path, which cannot reuse scaling vectors)"
+                "warm_start requires a strictly positive stack "
+                "(zero-patterned slices take the scalar path, which "
+                "cannot reuse scaling vectors)"
             )
         from ..backends.base import coerce_warm_start
 

@@ -53,10 +53,6 @@ Subcommands
     trace (optionally chaos-corrupted via ``--inject-faults``);
     ``replay`` fires a trace at a running server and prints the
     latency/error digest.
-``serve-metrics``
-    Expose the process-wide metrics registry in Prometheus text
-    exposition format on a stdlib HTTP endpoint (``/metrics``), or dump
-    one scrape to stdout with ``--print``.
 ``trace convert IN -o OUT``
     Convert a ``repro-hc profile -o trace.jsonl`` event stream into
     Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
@@ -173,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated log-space sigma levels",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="characterize each level's trial stack through the "
-        "vectorized repro.batch kernels (--no-batched forces the "
-        "per-trial scalar loop)",
-    )
 
     p = sub.add_parser("report", help="full Markdown heterogeneity report")
     p.add_argument("file")
@@ -453,17 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable digest")
 
     p = sub.add_parser(
-        "serve-metrics",
-        help="serve the metrics registry in Prometheus text format",
-    )
-    p.add_argument("--port", type=int, default=9464)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--print", action="store_true", dest="print_once",
-        help="print one exposition snapshot to stdout and exit",
-    )
-
-    p = sub.add_parser(
         "trace",
         help="trace-file utilities (Chrome export, request-trace query)",
     )
@@ -658,7 +635,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 noise_levels=levels,
                 trials=args.trials,
                 seed=args.seed,
-                batched=args.batched,
             )
             print(result.table())
         elif args.command == "report":
@@ -993,37 +969,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(json.dumps(report.to_payload(), indent=2))
                 else:
                     print(report.summary())
-        elif args.command == "serve-metrics":
-            from .obs import (
-                enable_metrics,
-                render_prometheus,
-                start_metrics_server,
-            )
-
-            enable_metrics()
-            if args.print_once:
-                sys.stdout.write(render_prometheus())
-            else:
-                try:
-                    server = start_metrics_server(
-                        port=args.port, host=args.host, in_thread=False
-                    )
-                except OSError as exc:
-                    message = _address_in_use_error(
-                        exc, args.host, args.port
-                    )
-                    if message is None:
-                        raise
-                    print(message, file=sys.stderr)
-                    return 2
-                host, port = server.server_address[:2]
-                print(f"serving metrics on http://{host}:{port}/metrics")
-                try:
-                    server.serve_forever()
-                except KeyboardInterrupt:  # pragma: no cover - interactive
-                    pass
-                finally:
-                    server.server_close()
         elif args.command == "trace" and args.trace_command == "convert":
             from .obs import convert_trace_jsonl
 

@@ -4,7 +4,8 @@ Two consumers, two formats:
 
 * **Prometheus text exposition** (:func:`render_prometheus`) of a
   :class:`~repro.obs.MetricsRegistry`, plus a stdlib-only scrape
-  endpoint (:func:`start_metrics_server`, ``repro-hc serve-metrics``).
+  endpoint (:func:`start_metrics_server`) for a process that does
+  library work (``repro-hc serve`` serves its own ``/metrics``).
   The rendering follows the classic ``text/plain; version=0.0.4``
   format: ``# HELP`` / ``# TYPE`` headers, escaped label values, and
   cumulative ``_bucket`` series with ``_sum`` / ``_count`` for
@@ -163,18 +164,14 @@ def start_metrics_server(
     port: int = 9464,
     host: str = "127.0.0.1",
     registry: MetricsRegistry | None = None,
-    *,
-    in_thread: bool = True,
 ) -> ThreadingHTTPServer:
     """Serve ``/metrics`` for the registry over stdlib ``http.server``.
 
     Returns the bound server (``server.server_address`` carries the
-    actual port — pass ``port=0`` for an ephemeral one).  With
-    ``in_thread=True`` (default) a daemon thread runs ``serve_forever``
-    and the caller stops it with ``server.shutdown()``; with False the
-    caller owns the serve loop (the CLI foreground mode).  ``http.server``
-    is imported here, on the first call, so ``import repro`` never loads
-    it.
+    actual port — pass ``port=0`` for an ephemeral one).  A daemon
+    thread runs ``serve_forever``; the caller stops it with
+    ``server.shutdown()``.  ``http.server`` is imported here, on the
+    first call, so ``import repro`` never loads it.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -196,11 +193,9 @@ def start_metrics_server(
             pass  # scrapes should not spam stderr
 
     server = ThreadingHTTPServer((host, port), _MetricsHandler)
-    if in_thread:
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-metrics", daemon=True
-        )
-        thread.start()
+    threading.Thread(
+        target=server.serve_forever, name="repro-metrics", daemon=True
+    ).start()
     return server
 
 

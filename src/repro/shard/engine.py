@@ -277,7 +277,6 @@ def characterize_store(
     tol: float = DEFAULT_TOL,
     max_iterations: int = 100_000,
     tma_fallback: str = "limit",
-    batched: bool = True,
     n_jobs: int | None = None,
     policy: str = "raise",
     budget=None,
@@ -310,7 +309,7 @@ def characterize_store(
         (absolute member indices); ``stall`` faults stall the first
         copy of the shard that holds the member (see the module
         docstring).
-    tol, max_iterations, tma_fallback, batched, policy, backend
+    tol, max_iterations, tma_fallback, policy, backend
         Exactly as :func:`repro.batch.characterize_ensemble`.
 
     Returns
@@ -331,7 +330,7 @@ def characterize_store(
     (6, True)
     """
     options = _check_options(
-        tol, max_iterations, tma_fallback, batched, policy, budget, backend
+        tol, max_iterations, tma_fallback, policy, budget, backend
     )
     memory_budget_bytes = None
     if memory_budget_mb is not None:

@@ -137,10 +137,14 @@ class TestBatchedWarmStart:
     def test_scalar_fallback_slices_rejected(self):
         stack = np.ones((2, 3, 3))
         stack[0, 0, 0] = 0.0  # zero-patterned slice -> scalar path
-        with pytest.raises(MatrixValueError, match="strictly.*positive"):
+        with pytest.raises(MatrixValueError) as error:
             characterize_ensemble(
                 stack, warm_start=(np.ones(3), np.ones(3))
             )
+        assert str(error.value) == (
+            "warm_start requires a strictly positive stack (zero-patterned "
+            "slices take the scalar path, which cannot reuse scaling vectors)"
+        )
 
     def test_ragged_ensemble_rejected(self):
         members = [np.ones((2, 2)), np.ones((3, 3))]

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ECSMatrix, ETCMatrix
-from repro.batch import (
-    ENSEMBLE_DTYPE,
-    characterize_ensemble,
-    stack_environments,
-)
+from repro.batch import ENSEMBLE_DTYPE, characterize_ensemble
 from repro.exceptions import (
     ConvergenceError,
     MatrixShapeError,
@@ -39,12 +35,11 @@ class TestDispatch:
 
     def test_matches_scalar_characterize(self, positive_stack):
         result = characterize_ensemble(positive_stack)
+        np.testing.assert_array_equal(
+            result.measures, _lone_measures(positive_stack)
+        )
         for i, matrix in enumerate(positive_stack):
-            profile = characterize(matrix)
-            assert result.mph[i] == pytest.approx(profile.mph, abs=1e-10)
-            assert result.tdh[i] == pytest.approx(profile.tdh, abs=1e-10)
-            assert result.tma[i] == pytest.approx(profile.tma, abs=1e-10)
-            assert result.iterations[i] == profile.sinkhorn_iterations
+            assert result.iterations[i] == characterize(matrix).sinkhorn_iterations
 
     def test_zero_slices_fall_back_to_scalar(self):
         rng = np.random.default_rng(1)
@@ -54,15 +49,6 @@ class TestDispatch:
         assert result.batched.tolist() == [True, True, False, True]
         profile = characterize(stack[2])
         assert result.tma[2] == pytest.approx(profile.tma, abs=1e-10)
-
-    def test_batched_false_forces_scalar_path(self, positive_stack):
-        batched = characterize_ensemble(positive_stack)
-        scalar = characterize_ensemble(positive_stack, batched=False)
-        assert not scalar.batched.any()
-        np.testing.assert_allclose(batched.mph, scalar.mph, atol=1e-10)
-        np.testing.assert_allclose(batched.tdh, scalar.tdh, atol=1e-10)
-        np.testing.assert_allclose(batched.tma, scalar.tma, atol=1e-10)
-        np.testing.assert_array_equal(batched.iterations, scalar.iterations)
 
     def test_ragged_sequence_falls_back(self):
         envs = [np.ones((2, 2)), np.ones((3, 2))]
@@ -155,13 +141,17 @@ class TestScalarPath:
 
     def test_limit_fallback_does_not_rerun_a_failed_run(self):
         """Without blocking entries the limit form is the strict run, so a
-        run that missed tol fails once, with the "raise" message."""
+        run that missed tol fails once, with the "raise" message.  The
+        trailing member of another shape makes the input ragged, so the
+        positive member takes the scalar path."""
         member = _slow_member(zero=False)
         messages = {}
         for fallback in ("raise", "limit"):
             with recording() as rec, pytest.raises(ConvergenceError) as error:
                 characterize_ensemble(
-                    [member], max_iterations=5, tma_fallback=fallback, batched=False
+                    [member, np.ones((2, 2))],
+                    max_iterations=5,
+                    tma_fallback=fallback,
                 )
             assert len(rec.spans("sinkhorn.scalar")) == 1
             messages[fallback] = str(error.value)
@@ -207,61 +197,100 @@ class TestStackHelpers:
                 stack[i], perturb(base, 0.2, seed=child)
             )
 
-    def test_stack_environments_ragged_returns_none(self):
-        assert stack_environments([np.ones((2, 2)), np.ones((2, 3))]) is None
+
+def _lone_measures(environments) -> np.ndarray:
+    """(MPH, TDH, TMA) rows of lone :func:`characterize` calls."""
+    profiles = [characterize(env) for env in environments]
+    return np.array([(p.mph, p.tdh, p.tma) for p in profiles])
+
+
+def _derived_seeds(rng, count: int) -> list[int]:
+    """The per-item seeds the studies derive from their master seed."""
+    return [int(rng.integers(0, 2**63 - 1)) for _ in range(count)]
+
+
+def _zero_patterned_6x4() -> np.ndarray:
+    matrix = np.random.default_rng(1).uniform(1, 5, (6, 4))
+    matrix[0, 1] = matrix[3, 2] = matrix[5, 0] = 0.0
+    return matrix
 
 
 class TestRewiredStudies:
-    def test_sensitivity_batched_matches_scalar(self):
-        from repro.analysis import sensitivity_study
+    """Each study equals lone ``characterize`` calls on the same seeded
+    draws, bit for bit."""
 
+    def _assert_sensitivity_exact(self, matrix, *, trials: int, seed: int):
+        from repro.analysis import sensitivity_study
+        from repro.generate import perturb
+
+        levels = (0.01, 0.05, 0.1, 0.2)
+        result = sensitivity_study(
+            matrix, noise_levels=levels, trials=trials, seed=seed
+        )
+        (baseline,) = _lone_measures([matrix])
+        np.testing.assert_array_equal(
+            [result.baseline[m] for m in ("mph", "tdh", "tma")], baseline
+        )
+        rng = np.random.default_rng(seed)
+        for li, sigma in enumerate(levels):
+            draws = [
+                perturb(matrix, sigma, seed=s)
+                for s in _derived_seeds(rng, trials)
+            ]
+            shifts = np.abs(_lone_measures(draws) - baseline)
+            np.testing.assert_array_equal(
+                result.mean_shift[li], shifts.mean(axis=0)
+            )
+            np.testing.assert_array_equal(
+                result.max_shift[li], shifts.max(axis=0)
+            )
+
+    def test_sensitivity_batched_matches_scalar(self):
+        # 64 trials per level: each level's stack takes the member-last
+        # working copy.
         matrix = np.random.default_rng(0).uniform(1, 5, (6, 4))
-        batched = sensitivity_study(matrix, trials=5, seed=3)
-        scalar = sensitivity_study(matrix, trials=5, seed=3, batched=False)
-        np.testing.assert_allclose(
-            batched.mean_shift, scalar.mean_shift, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            batched.max_shift, scalar.max_shift, atol=1e-10
-        )
+        self._assert_sensitivity_exact(matrix, trials=64, seed=3)
+
+    def test_sensitivity_zero_patterned_matches_scalar(self):
+        self._assert_sensitivity_exact(_zero_patterned_6x4(), trials=20, seed=3)
+
+    def test_sensitivity_eq10_matches_scalar(self, eq10_matrix):
+        self._assert_sensitivity_exact(eq10_matrix, trials=5, seed=3)
 
     def test_correlations_batched_matches_scalar(self):
         from repro.analysis import measure_correlations
 
-        batched = measure_correlations(samples=25, seed=4)
-        scalar = measure_correlations(samples=25, seed=4, batched=False)
-        np.testing.assert_allclose(batched, scalar, atol=1e-9)
+        seeds = _derived_seeds(np.random.default_rng(4), 80)
+        draws = [random_ecs(10, 6, spread=8.0, seed=s) for s in seeds]
+        np.testing.assert_array_equal(
+            measure_correlations(samples=80, seed=4),
+            np.corrcoef(_lone_measures(draws), rowvar=False),
+        )
+
+    @staticmethod
+    def _assert_footprint_exact(factory, *, samples: int, seed: int):
+        from repro.analysis.regimes import characterize_generator
+
+        footprint = characterize_generator(
+            "family", factory, samples=samples, seed=seed
+        )
+        seeds = _derived_seeds(np.random.default_rng(seed), samples)
+        np.testing.assert_array_equal(
+            footprint.samples, _lone_measures([factory(s) for s in seeds])
+        )
 
     def test_generator_footprint_batched_matches_scalar(self):
-        from repro.analysis.regimes import characterize_generator
         from repro.generate import braun_case
 
-        factory = lambda s: braun_case(
-            "hilo-i", n_tasks=8, n_machines=4, seed=s
-        )
-        batched = characterize_generator("hilo-i", factory, samples=4, seed=5)
-        scalar = characterize_generator(
-            "hilo-i", factory, samples=4, seed=5, batched=False
-        )
-        np.testing.assert_allclose(
-            batched.samples, scalar.samples, atol=1e-10
+        self._assert_footprint_exact(
+            lambda s: braun_case("hilo-i", n_tasks=8, n_machines=4, seed=s),
+            samples=4,
+            seed=5,
         )
 
-    def test_cli_no_batched_flag(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.core.io import save_etc_csv
-        from repro.core.environment import ETCMatrix
+    def test_generator_footprint_ragged_matches_scalar(self):
+        def factory(seed):
+            rows = 4 + seed % 3
+            return random_ecs(rows, 3, spread=6.0, seed=seed)
 
-        path = str(tmp_path / "env.csv")
-        save_etc_csv(
-            ETCMatrix(np.random.default_rng(0).uniform(1, 9, (4, 3))), path
-        )
-        for flag in (["--batched"], ["--no-batched"]):
-            assert (
-                main(
-                    ["sensitivity", path, "--trials", "2", "--noise", "0.05"]
-                    + flag
-                )
-                == 0
-            )
-            assert "sigma" in capsys.readouterr().out
+        self._assert_footprint_exact(factory, samples=6, seed=5)

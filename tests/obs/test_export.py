@@ -240,24 +240,6 @@ class TestMetricsServer:
             server.server_close()
 
 
-class TestServeMetricsCli:
-    def test_print_dumps_exposition_and_exits_zero(self, capsys):
-        from repro.cli import main
-        from repro.obs import disable_metrics, set_registry
-
-        fresh = MetricsRegistry()
-        fresh.counter("cli_demo_total", "From the CLI test.").inc()
-        previous = set_registry(fresh)
-        try:
-            assert main(["serve-metrics", "--print"]) == 0
-        finally:
-            disable_metrics()
-            set_registry(previous)
-        out = capsys.readouterr().out
-        assert "# TYPE cli_demo_total counter" in out
-        _parse_exposition(out)
-
-
 class TestChromeTrace:
     def test_recorder_conversion_shape(self):
         with recording() as rec:

@@ -108,10 +108,9 @@ class TestAnalysisSpans:
         assert event.meta["swept"] == "tma"
         assert event.meta["points"] == 2
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_correlations_span_counts_samples(self, batched):
+    def test_correlations_span_counts_samples(self):
         with recording() as rec:
-            measure_correlations(samples=5, seed=0, batched=batched)
+            measure_correlations(samples=5, seed=0)
         (event,) = rec.spans("analysis.correlations")
         assert event.meta == {"samples": 5}
 

@@ -18,6 +18,12 @@ def base_stack() -> np.ndarray:
     return rng.uniform(0.5, 2.0, size=(8, 4, 4))
 
 
+def ragged(stack: np.ndarray) -> list[np.ndarray]:
+    """The members of ``stack`` plus one trailing member of another
+    shape: a ragged ensemble, so every member takes the scalar path."""
+    return [*stack, np.ones((stack.shape[1] + 1, stack.shape[2]))]
+
+
 def healthy_indices(n: int, plan) -> list[int]:
     """Members of an ``n``-ensemble the plan does not touch."""
     return [i for i in range(n) if i not in set(plan.members)]

@@ -21,7 +21,7 @@ from repro.exceptions import (
 )
 from repro.robust import FAULT_KINDS, KIND_CATEGORY, Budget, FaultPlan, FaultSpec
 
-from .conftest import NON_NUMERIC_MEMBERS, healthy_indices
+from .conftest import NON_NUMERIC_MEMBERS, healthy_indices, ragged
 
 #: Data-fault kinds (stall manifests in the worker, tested separately).
 DATA_KINDS = ("nan", "zero-row", "zero-col", "decomposable", "non-convergent")
@@ -196,13 +196,15 @@ class TestQuarantineMatrix:
             fault_plan=plan,
             max_iterations=MAX_ITER,
         )
+        # A trailing member of another shape sends every member down
+        # the scalar path.
         scalar = characterize_ensemble(
-            base_stack,
+            ragged(base_stack),
             policy="quarantine",
             fault_plan=plan,
-            batched=False,
             max_iterations=MAX_ITER,
         )
+        assert not scalar.batched.any()
         assert scalar.report.categories() == batched.report.categories()
         healthy = healthy_indices(8, plan)
         np.testing.assert_allclose(
@@ -364,17 +366,16 @@ class TestWorkerFaults:
                 for member in (0, 1)
             )
         )
-        baseline = characterize_ensemble(
-            base_stack, batched=False, max_iterations=MAX_ITER
-        )
+        # Ragged input: all eight members go through the pool.
+        members = ragged(base_stack)
+        baseline = characterize_ensemble(members, max_iterations=MAX_ITER)
         start = time.monotonic()
         result = characterize_ensemble(
-            base_stack,
+            members,
             policy="quarantine",
             fault_plan=plan,
             budget=Budget(member_timeout_s=0.3),
             n_jobs=2,
-            batched=False,
             max_iterations=MAX_ITER,
         )
         assert time.monotonic() - start < 10.0

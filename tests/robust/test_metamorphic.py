@@ -19,7 +19,7 @@ from repro.batch import characterize_ensemble
 from repro.robust import FaultPlan
 from tests.conftest import ecs_matrices
 
-from .conftest import healthy_indices
+from .conftest import healthy_indices, ragged
 
 ATOL = 1e-12
 scale_constants = st.floats(
@@ -71,8 +71,10 @@ class TestBatchedScaleInvariance:
 
     def test_scalar_path_matches(self, base_stack):
         scaled, _ = self._per_slice_scaled(base_stack, seed=1)
-        a = characterize_ensemble(base_stack, batched=False)
-        b = characterize_ensemble(scaled, batched=False)
+        # Ragged input: every member takes the scalar path.
+        a = characterize_ensemble(ragged(base_stack))
+        b = characterize_ensemble(ragged(scaled))
+        assert not a.batched.any() and not b.batched.any()
         np.testing.assert_allclose(a.mph, b.mph, atol=ATOL, rtol=0)
         np.testing.assert_allclose(a.tdh, b.tdh, atol=ATOL, rtol=0)
         np.testing.assert_allclose(a.tma, b.tma, atol=ATOL, rtol=0)

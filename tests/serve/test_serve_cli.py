@@ -35,20 +35,6 @@ class TestPortInUse:
         assert "already in use" in message
         assert "--port" in message  # tells the operator what to do
 
-    def test_serve_metrics_on_taken_port_is_actionable(
-        self, taken_port, capsys
-    ):
-        rc = main(
-            ["serve-metrics", "--host", "127.0.0.1", "--port", str(taken_port)]
-        )
-        captured = capsys.readouterr()
-        assert rc == 2
-        message = captured.err.strip()
-        assert message.count("\n") == 0
-        assert f"127.0.0.1:{taken_port}" in message
-        assert "already in use" in message
-        assert "--port" in message
-
     def test_raw_errno_dump_is_gone(self, taken_port, capsys):
         main(["serve", "--host", "127.0.0.1", "--port", str(taken_port)])
         captured = capsys.readouterr()

@@ -2,7 +2,6 @@
 
 import time
 
-import numpy as np
 import pytest
 
 from repro import MatrixValueError
@@ -216,21 +215,3 @@ class TestScheduler:
         if spares:  # the first copies were terminated for their spares
             expected = [(0, 0, "lost"), (1, 0, "lost")] + expected
         assert sorted((c.task, c.attempt, c.fate) for c in log) == sorted(expected)
-
-
-class TestStudyParallelism:
-    def test_sensitivity_identical_across_jobs(self):
-        from repro.analysis import sensitivity_study
-
-        matrix = np.random.default_rng(0).uniform(1, 5, (6, 4))
-        serial = sensitivity_study(matrix, trials=4, seed=1)
-        pooled = sensitivity_study(matrix, trials=4, seed=1, n_jobs=2)
-        np.testing.assert_array_equal(serial.mean_shift, pooled.mean_shift)
-        np.testing.assert_array_equal(serial.max_shift, pooled.max_shift)
-
-    def test_correlations_identical_across_jobs(self):
-        from repro.analysis import measure_correlations
-
-        serial = measure_correlations(samples=30, seed=2)
-        pooled = measure_correlations(samples=30, seed=2, n_jobs=2)
-        np.testing.assert_allclose(serial, pooled)
