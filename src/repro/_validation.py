@@ -49,6 +49,7 @@ from .exceptions import (
 
 __all__ = [
     "check_numeric_dtype",
+    "as_array",
     "as_float_array",
     "as_ecs_array",
     "as_etc_array",
@@ -95,21 +96,35 @@ def check_numeric_dtype(arr: np.ndarray, *, name: str) -> None:
         )
 
 
+def as_array(values, *, ndim: int, name: str) -> np.ndarray:
+    """``np.asarray(values)``, with nested sequences of unequal lengths
+    rejected as :class:`MatrixShapeError` in a stable message: numpy's
+    own ``ValueError`` words itself differently from version to version.
+    ``ndim`` (2 for a matrix, 3 for a stack) only words the message."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        parts = "rows" if ndim == 2 else "members or their rows"
+        raise MatrixShapeError(
+            f"{name} is ragged: its {parts} differ in length"
+        ) from None
+
+
 def as_float_array(
     values, *, ndim: int, name: str, allow_nan: bool = False
 ) -> np.ndarray:
     """Coerce ``values`` to a C-contiguous float64 array of ``ndim``
     dimensions: a matrix (2) or an ``(N, T, M)`` stack (3).
 
-    Raises :class:`MatrixShapeError` for input of another ndim or
-    empty input and :class:`MatrixValueError` for non-numeric
+    Raises :class:`MatrixShapeError` for ragged, empty or
+    other-ndim input and :class:`MatrixValueError` for non-numeric
     (:func:`check_numeric_dtype`), complex or NaN entries.  ``inf`` is
     allowed here because ETC matrices use it for incompatible
     task/machine pairs.  ``allow_nan=True`` skips the NaN screen, so
     the robust pipeline can quarantine a corrupt member instead of
     rejecting the whole input.
     """
-    arr = np.asarray(values)
+    arr = as_array(values, ndim=ndim, name=name)
     check_numeric_dtype(arr, name=name)
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim != ndim:

@@ -10,8 +10,9 @@ package provides that stacked evaluation path:
   broadcast row/column scaling with per-slice convergence masks and
   residual histories (paper eq. 9, Theorems 1–2);
 * :func:`mph_batched` / :func:`tdh_batched` / :func:`tma_batched` —
-  the three measures vectorized over the stack, TMA through
-  ``numpy.linalg.svd``'s stacked-matrix support;
+  the three measures vectorized over the stack, TMA through stacked
+  Gram eigenvalues, with one stacked ``numpy.linalg.svd`` for the
+  slices that fail the Theorem 2 and conditioning test;
 * :func:`characterize_ensemble` — one-call columnar characterization
   (structured arrays of MPH/TDH/TMA, iteration counts, converged
   flags) with automatic scalar fallback for zero-patterned slices and

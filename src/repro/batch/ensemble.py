@@ -8,7 +8,7 @@ for every member as flat arrays instead of N profile objects.
 Dispatch rules (documented in ``docs/BATCHED.md``):
 
 * all slices share a shape and are strictly positive → fully batched
-  kernels (stacked Sinkhorn + one stacked SVD);
+  kernels (stacked Sinkhorn + one stacked spectrum step);
 * zero-patterned slices → scalar :func:`repro.measures.characterize`
   per slice, so the Section-VI ``tma_fallback`` semantics
   (strict/limit/column) are honoured exactly;
@@ -627,7 +627,7 @@ def _characterize_members(
 
         def splice(i, repaired, standard):
             mph[i], tdh[i], tma[i], iterations[i], converged[i] = (
-                recovered_columns(repaired, standard)
+                recovered_columns(repaired, standard, tol)
             )
 
         report = apply_policy(

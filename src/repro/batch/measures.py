@@ -3,9 +3,12 @@
 Each function computes the same quantity as its scalar counterpart in
 :mod:`repro.measures`, for every slice of the stack at once.  MPH and
 TDH are sorted-adjacent-ratio reductions (eqs. 3 and 7) over stacked
-row/column sums; TMA (eq. 8) rides on ``numpy.linalg.svd``'s stacked
-matrix support, which dispatches the whole ensemble through one LAPACK
-loop instead of N Python calls.
+row/column sums; TMA (eq. 8) takes the members' Gram eigenvalues
+(``numpy.linalg.eigvalsh``, a few stacked calls) and one stacked
+``numpy.linalg.svd`` of the members that fail the Theorem 2 and
+conditioning test (:func:`repro.measures.affinity._singular_values`),
+so the whole ensemble goes through LAPACK loops instead of N Python
+calls.
 
 :func:`_standard_measures` is the one measure body: the fused pass runs
 it on a batch, :func:`_scalar_measures` on a stack of one.
@@ -156,9 +159,13 @@ def standard_singular_values_batched(
     """Singular values of every standard-form slice, shape
     ``(N, min(T, M))``, descending per slice.
 
-    By Theorem 2 column 0 is ≈ 1 for every converged slice.  The SVD of
-    the whole standardized stack is computed in one
-    ``numpy.linalg.svd`` call (stacked-matrix support, values only).
+    By Theorem 2 column 0 is ≈ 1 for every converged slice.  A slice
+    that converged, with ``|sigma_1 - 1| <= tol`` and a smallest Gram
+    eigenvalue of at least 1e-8 of its largest, takes the square roots
+    of its Gram eigenvalues; the other slices take one stacked
+    ``numpy.linalg.svd`` call (values only) and its bits.  Row ``i``
+    is the bits :func:`repro.measures.standard_singular_values` gives
+    slice ``i``.
     """
     standard = standardize_batched(
         stack,
@@ -166,7 +173,9 @@ def standard_singular_values_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
     )
-    return _singular_values(standard.matrix, resolve_backend(), "batched")
+    return _singular_values(
+        standard.matrix, resolve_backend(), "batched", tol, standard.converged
+    )
 
 
 def tma_batched(
@@ -233,7 +242,10 @@ def _standard_measures(
         keep_history=kind == "scalar",
         **options,
     )
-    tma = _tma_column(_singular_values(standard.matrix, backend, kind))
+    values = _singular_values(
+        standard.matrix, backend, kind, options["tol"], standard.converged
+    )
+    tma = _tma_column(values)
     return tma, standard, sums
 
 

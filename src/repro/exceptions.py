@@ -74,7 +74,12 @@ class NotNormalizableError(ReproError, ValueError):
 
 
 class DatasetError(ReproError, KeyError):
-    """A named dataset, machine, or task type was not found."""
+    """A named dataset, machine, or task type was not found.
+
+    A ``KeyError``, so ``except KeyError`` catches it, but it prints its
+    message as given: ``KeyError.__str__`` would quote it as a key."""
+
+    __str__ = Exception.__str__
 
 
 class SchedulingError(ReproError, ValueError):

@@ -203,14 +203,22 @@ def repair_member(
     )
     if standard is None:
         return None, attempts
-    columns = recovered_columns(repaired, standard)
+    columns = recovered_columns(repaired, standard, tol)
     return MemberRecovery(columns, attempts=attempts, repair=label), attempts
 
 
-def recovered_columns(repaired: np.ndarray, standard) -> tuple:
+def recovered_columns(repaired: np.ndarray, standard, tol: float) -> tuple:
     """``(mph, tdh, tma, iterations, converged)`` of a repaired member:
-    MPH/TDH from its column/row sums, TMA from its standard form."""
-    values = _singular_values(standard.matrix[None], resolve_backend(), "scalar")
+    MPH/TDH from its column/row sums, TMA from its standard form.  Its
+    Gram spectrum stands only if the repaired run met the requested
+    ``tol``, not just a relaxed one from the backoff ladder."""
+    values = _singular_values(
+        standard.matrix[None],
+        resolve_backend(),
+        "scalar",
+        tol,
+        standard.residual <= tol,
+    )
     return (
         average_adjacent_ratio(repaired.sum(axis=0)),
         average_adjacent_ratio(repaired.sum(axis=1)),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._validation import as_array
 from ..exceptions import MatrixShapeError
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
 
 def support_pattern(matrix) -> np.ndarray:
     """Boolean zero/nonzero pattern of a matrix (True where nonzero)."""
-    arr = np.asarray(matrix)
+    arr = as_array(matrix, ndim=2, name="matrix")
     if arr.ndim != 2 or arr.size == 0:
         raise MatrixShapeError("pattern requires a non-empty 2-D matrix")
     if arr.dtype == np.bool_:

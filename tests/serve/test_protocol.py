@@ -267,6 +267,9 @@ class TestEncoding:
 # optimized.  The serving benchmark compares answers with a fresh server
 # running the same code, so it cannot see a rendering drift; these pins
 # can.  Update a digest deliberately, never to make a refactor pass.
+# The bodies that carry a TMA were re-pinned when eq. 8 began taking the
+# Gram spectrum of standard forms (TMA moved by at most 1.7e-16; every
+# other field held).
 
 
 def _digest(data: bytes) -> str:
@@ -316,18 +319,18 @@ def _served_bodies() -> dict[str, tuple[int, bytes]]:
 
 
 SERVED_DIGESTS = {
-    "characterize/cint2006rate": "6c8b87a8923f48fcdaebb08d65dde373be425bf1d277c5cbb1ae9e5ed5ac69b6",
-    "characterize/cfp2006rate": "05a2d4d955f93dc048bb37dad2d373251e16901e1a289aeee3c384324b671a16",
-    "characterize/rand8x8": "6ae6cd292a156c133a206fb7dabe0a06d91f5a4715ce87ff3bd9f42d263a4392",
-    "characterize/rand5x4": "bdae713e2a2e9c89b9426695cb1bb5e6894ac970d82205342d7f302ac531a063",
+    "characterize/cint2006rate": "3bbf9b67c0373d40babc3a8d405b49f06965856cdcc4717f242fca712dc1035d",
+    "characterize/cfp2006rate": "1d7872b4f5847d7f2843d719a8cd0ec3d5265df91ce6f381ba603df2c1b92390",
+    "characterize/rand8x8": "c345c2550d7830da0b85fb75c0c40effa2ffc4991b64aca0d2f29f8edb500962",
+    "characterize/rand5x4": "d3119ee36662c6f9cc45b6de8926f9fbc18fc50b7d7b3ad48ab3d671b6ab7bdf",
     "standardize/cint2006rate": "c6c7c091fa59c9ef2c5dcac45c13068d4c87192d7811e7bad006b1d3c4b565b8",
     "standardize/cfp2006rate": "8a8d0e325b5afbc1fe7410e4af85ef0437fbe43096381c34bbe7058848ea37b9",
     "standardize/rand8x8": "eec1f69ac7e77ab66cd359650565bbf45d0bcc868e511bc9fee3f1399a4aa61d",
     "standardize/rand5x4": "54d9c91b0e75887ac1ab02919032a491da90c39642a652069756134dea7a5a2b",
-    "recommend-heuristic/cint2006rate": "9174917bde6e2515b64fa3a5deaeb9b2374cae8ed2d4d4e1d1b253641165a752",
-    "recommend-heuristic/cfp2006rate": "303a6b9ef9325bceb90a7a2f6e65f5b04eafa2ffe68da267b3a8838ff83c82c6",
-    "recommend-heuristic/rand8x8": "6f6b7fa86b0b9a5c6b8647da051e138d49cc44980b6f7a0a12f1fdb60948c910",
-    "recommend-heuristic/rand5x4": "f3cf9e6ebda3ac71c2db669c34bca90ef419782180e59be09fbe3033db2cd293",
+    "recommend-heuristic/cint2006rate": "c9daee3a5a92916282b9d7b3b4ae5e4037c4a00fb3a24415a76705e722a5411b",
+    "recommend-heuristic/cfp2006rate": "6bff3846fdee210cdff3dc802370cfbf83d631c01b9b38ef734331e26c8f000b",
+    "recommend-heuristic/rand8x8": "d4aef14e54ebe3deb17a9e04caaa253e959ae40d87ca921fe758e66371cbfe07",
+    "recommend-heuristic/rand5x4": "c58b80b338df7a85fdc76fe19b32dded5f412c3f163aeafbe31f7549df00a681",
     "quarantined": "85d9f86ded701de50ffae53440c9ba1cf89e67ecdbe4293787549fb19845b974",
 }
 

@@ -62,6 +62,15 @@ class TestDataset:
     def test_unknown(self, capsys):
         assert main(["dataset", "nope"]) == 2
 
+    def test_unknown_prints_its_message(self, capsys):
+        from repro.spec import list_datasets
+
+        assert main(["dataset", "nope"]) == 2
+        available = ", ".join(list_datasets())
+        assert capsys.readouterr().err == (
+            f"error: unknown dataset 'nope'; available: {available}\n"
+        )
+
 
 class TestGenerate:
     def test_generate_and_remeasure(self, tmp_path, capsys):

@@ -48,6 +48,11 @@ class TestHierarchy:
     def test_dataset_error_is_keyerror(self):
         assert issubclass(DatasetError, KeyError)
 
+    def test_dataset_error_prints_its_message(self):
+        # KeyError.__str__ would print the repr, quotes and all.
+        message = "unknown dataset 'nope'; available: a, b"
+        assert str(DatasetError(message)) == message
+
     def test_convergence_error_is_runtimeerror(self):
         assert issubclass(ConvergenceError, RuntimeError)
 
