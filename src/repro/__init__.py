@@ -54,10 +54,9 @@ Subpackages
     (:class:`QuarantineReport`, :class:`Budget`), the repair ladder and
     seedable chaos fault injection (:class:`FaultPlan`).
 ``repro.backends``
-    Pluggable kernel backends behind every Sinkhorn/SVD entry point:
-    registry (:func:`register_backend`, :func:`get_backend`,
-    :func:`list_backends`), the :class:`KernelBackend` protocol and
-    warm-started re-characterization.
+    The kernels behind every Sinkhorn/SVD entry point: the batched
+    Sinkhorn core, the singular values, the fused normalize-and-measure
+    pass, and the warm-start and line-sum helpers they share.
 ``repro.shard``
     Out-of-core sharded ensembles: the on-disk :class:`StackStore`
     format, memory-budgeted chunk planning and
@@ -65,12 +64,6 @@ Subpackages
     straggler mitigation, bit-identical to the in-memory path.
 """
 
-from .backends import (
-    KernelBackend,
-    get_backend,
-    list_backends,
-    register_backend,
-)
 from .core import (
     ECSMatrix,
     ETCMatrix,
@@ -217,11 +210,6 @@ __all__ = [
     "write_store",
     "plan_shards",
     "characterize_store",
-    # backends
-    "KernelBackend",
-    "get_backend",
-    "list_backends",
-    "register_backend",
     # exceptions
     "ReproError",
     "MatrixShapeError",

@@ -24,7 +24,7 @@ The batched entry points follow the same rule.
 :func:`repro.batch.characterize_ensemble` (and the chunks of
 :func:`repro.shard.characterize_store`) screens its stack once
 (``batch._stack._ecs_stack`` or ``robust.taxonomy._classify``, which
-also find the strictly positive members), and the backend's fused pass
+also find the strictly positive members), and the fused pass
 sums the batch's lines once for MPH/TDH
 (``batch.measures._adjacent_ratio_batched``) and for the Sinkhorn body
 ``normalize.sinkhorn._scale_stack``.

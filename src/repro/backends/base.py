@@ -1,18 +1,12 @@
-"""The :class:`KernelBackend` protocol and the helpers backends share.
+"""The Sinkhorn core contract and the helpers the kernels and their
+callers share.
 
-A backend supplies the *inner loops* the library's kernels are built
-from — one batched Sinkhorn core, singular values, and a fused
-normalize-and-measure pass — while everything around those loops
-(input validation, warm-start application, observability
-spans/metrics, error messages, result objects) lives in the public
-entry points and their shared body in :mod:`repro.normalize.sinkhorn`.
+A single matrix is a stack of one: ``sinkhorn_knopp`` and
+``scale_to_margins`` run a ``(T, M)`` matrix as its ``(1, T, M)`` view
+through the same core (:func:`repro.backends.sinkhorn_core_batched`)
+and body as ``sinkhorn_knopp_batched``.
 
-There is one Sinkhorn core per backend.  A single matrix is a stack of
-one: ``sinkhorn_knopp`` and ``scale_to_margins`` run a ``(T, M)``
-matrix as its ``(1, T, M)`` view through the same core and body as
-``sinkhorn_knopp_batched``.
-
-The core operates **in place** on caller-owned state so a backend never
+The core operates **in place** on caller-owned state, so it never
 decides result semantics.  ``sinkhorn_core_batched(work, row_target,
 col_target, ...)`` takes an ``(N, T, M)`` stack and ``(T,)``/``(M,)``
 target vectors in the stack's dtype (constant for ``sinkhorn_knopp``,
@@ -32,7 +26,7 @@ that is ``active`` and has run fewer than ``max_iterations`` iterations
   ``residual_history`` is first read, so a chunk's arrays must not be
   written again);
 * records nothing when ``trace`` is None, and otherwise leaves the same
-  state: callers that never read histories (the fused pass below, and
+  state: callers that never read histories (the fused pass, and
   so ``characterize_ensemble``, ``characterize_store`` and the server's
   characterize) pass None, so their memory does not grow with the
   iteration count;
@@ -47,8 +41,6 @@ the bits of the C-ordered run on either.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from ..exceptions import MatrixValueError
@@ -56,58 +48,12 @@ from ..exceptions import MatrixValueError
 __all__ = [
     "MEMBER_LAST_MAX_COLS",
     "MEMBER_LAST_MIN",
-    "KernelBackend",
-    "KernelBackendBase",
     "coerce_warm_start",
     "line_sums",
     "residual_histories",
     "residuals",
     "working_copy",
 ]
-
-
-@runtime_checkable
-class KernelBackend(Protocol):
-    """Structural protocol every kernel backend satisfies.
-
-    ``name`` is the registry/metrics label; ``tolerance`` is the
-    documented worst-case disagreement of the backend against the
-    pure-numpy reference on convergent float64 inputs (0.0 for the
-    reference itself), asserted by the conformance table in
-    ``tests/test_conformance.py``.
-    """
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def tolerance(self) -> float: ...
-
-    def sinkhorn_core_batched(
-        self,
-        work,
-        row_target,
-        col_target,
-        *,
-        tol,
-        max_iterations,
-        row_scale,
-        col_scale,
-        residual,
-        active,
-        iterations,
-        trace,
-        t_end,
-        on_progress,
-    ): ...
-
-    def svd_values(self, matrix): ...
-
-    def svd_values_batched(self, stack): ...
-
-    def fused_standard_measures(
-        self, stack, *, tol, max_iterations, deadline_s, warm_start
-    ): ...
 
 
 def _warm_vectors(warm_start):
@@ -169,7 +115,7 @@ def coerce_warm_start(
 
 
 #: Stacks of at least this many members get a member-last working copy
-#: (docs/BACKENDS.md, "How the numpy core bounds its memory", gives the
+#: (docs/BACKENDS.md, "How the core bounds its memory", gives the
 #: measured crossover).
 MEMBER_LAST_MIN = 64
 
@@ -332,50 +278,3 @@ def residual_histories(trace, n_slices: int) -> tuple[tuple[float, ...], ...]:
     values = np.concatenate([v for _, v in trace])[order]
     bounds = np.cumsum(np.bincount(owners, minlength=n_slices))[:-1]
     return tuple(tuple(part.tolist()) for part in np.split(values, bounds))
-
-
-class KernelBackendBase:
-    """Shared default implementations for concrete backends.
-
-    Subclasses must provide ``name``, ``tolerance`` and
-    ``sinkhorn_core_batched``; the SVD defaults are one LAPACK routine,
-    ``numpy.linalg.svd(..., compute_uv=False)`` (``gesdd``, values
-    only), on one matrix or a stack, and the fused pass composes the
-    batched kernels' private bodies so every backend inherits identical
-    measure semantics.
-    """
-
-    name = "abstract"
-    tolerance = 0.0
-
-    def svd_values(self, matrix) -> np.ndarray:
-        return np.linalg.svd(matrix, compute_uv=False)
-
-    def svd_values_batched(self, stack) -> np.ndarray:
-        return np.linalg.svd(stack, compute_uv=False)
-
-    def fused_standard_measures(
-        self, stack, *, tol, max_iterations, deadline_s=None, warm_start=None
-    ):
-        """Batched (MPH, TDH, TMA, iterations, converged) columns of a
-        strictly positive ``(N, T, M)`` stack in one backend pass: the
-        one measure body (:func:`repro.batch.measures._standard_measures`)
-        on the batch, whose line sums give MPH and TDH.  The stack is
-        left as it is; unscalable line sums raise
-        :class:`~repro.exceptions.MatrixValueError` naming the slices.
-        """
-        from ..batch.measures import _adjacent_ratio_batched, _standard_measures
-
-        tma, standard, (row_sums, col_sums) = _standard_measures(
-            stack,
-            None,
-            kind="batched",
-            backend=self,
-            tol=tol,
-            max_iterations=max_iterations,
-            require_convergence=False,
-            deadline_s=deadline_s,
-            warm_start=warm_start,
-        )
-        mph, tdh = _adjacent_ratio_batched(col_sums), _adjacent_ratio_batched(row_sums)
-        return mph, tdh, tma, standard.iterations, standard.converged

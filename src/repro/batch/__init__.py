@@ -18,8 +18,8 @@ package provides that stacked evaluation path:
   flags) with automatic scalar fallback for zero-patterned slices and
   ragged inputs.
 
-The batched and scalar paths agree bit for bit per slice on the numpy
-backend; the conformance table in ``tests/test_conformance.py`` and the
+The batched and scalar paths agree bit for bit per slice; the
+conformance table in ``tests/test_conformance.py`` and the
 property-based harness in ``tests/batch/`` enforce this, and
 ``benchmarks/bench_batched_pipeline.py`` records the scalar-vs-batched
 throughput.  See ``docs/BATCHED.md`` for the

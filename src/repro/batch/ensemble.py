@@ -16,8 +16,8 @@ Dispatch rules (documented in ``docs/BATCHED.md``):
   process pool (``n_jobs``).
 
 Either way the returned columns line up with the input order, and the
-batched and scalar paths agree bit for bit on the numpy backend (the
-conformance table in ``tests/test_conformance.py`` enforces this).
+batched and scalar paths agree bit for bit (the conformance table in
+``tests/test_conformance.py`` enforces this).
 
 Every fault policy, and every chunk of
 :func:`repro.shard.characterize_store`, runs the same members body:
@@ -45,7 +45,7 @@ from .._validation import (
     unit_weights,
     weight_ecs,
 )
-from ..backends import resolve_backend
+from .. import backends as kernels
 from ..backends.base import _line_sums
 from ..core.environment import ECSMatrix, ETCMatrix, coerce_ecs_and_weights, etc_to_ecs
 from ..exceptions import MatrixShapeError, MatrixValueError, ReproError, WeightError
@@ -212,13 +212,12 @@ def _characterize_columns(args: tuple) -> tuple:
     """Module-level worker (picklable): the columns of one validated
     member by :func:`repro.characterize`'s fallback chain, under the
     ensemble's ``max_iterations``, after any injected chaos stall."""
-    matrix, tol, max_iterations, tma_fallback, backend, stall_s = args
+    matrix, tol, max_iterations, tma_fallback, stall_s = args
     if stall_s > 0:
         time.sleep(stall_s)
     tma, _, standard, (row_sums, col_sums) = _scalar_measures(
         as_ecs_array(matrix),
         tma_fallback=tma_fallback,
-        backend=resolve_backend(backend),
         tol=tol,
         max_iterations=max_iterations,
     )
@@ -318,19 +317,18 @@ def _coerce(environments, task_weights, machine_weights, *, strict: bool):
     return stack, members, positive
 
 
-def _batch_columns(be, stack: np.ndarray, in_batch: np.ndarray, **options):
+def _batch_columns(stack: np.ndarray, in_batch: np.ndarray, **options):
     """Batched (MPH, TDH, TMA, iterations, converged) columns of the
-    strictly positive members ``in_batch``: one fused pass of the
-    resolved backend ``be``, on ``stack`` itself when every member is in
-    the batch.  Per-slice results do not depend on which other slices
-    share the stack, so the robust pipeline's healthy members are
-    bit-identical."""
+    strictly positive members ``in_batch``: one fused pass, on ``stack``
+    itself when every member is in the batch.  Per-slice results do not
+    depend on which other slices share the stack, so the robust
+    pipeline's healthy members are bit-identical."""
     sub = stack if in_batch.all() else stack[in_batch]
-    return be.fused_standard_measures(sub, **options)
+    return kernels.fused_standard_measures(sub, **options)
 
 
 def _check_options(
-    tol, max_iterations, tma_fallback, policy, budget, backend, warm_start=None
+    tol, max_iterations, tma_fallback, policy, budget, warm_start=None
 ) -> dict:
     """The one option check of both ensemble entry points: the run's
     keyword options of :func:`_characterize_members`."""
@@ -348,7 +346,7 @@ def _check_options(
     budget = DEFAULT_BUDGET if budget is None else budget
     return dict(
         tol=tol, max_iterations=max_iterations, tma_fallback=tma_fallback,
-        policy=policy, budget=budget, backend=backend,
+        policy=policy, budget=budget,
     )
 
 
@@ -365,7 +363,6 @@ def characterize_ensemble(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
     warm_start=None,
 ) -> EnsembleCharacterization:
     """Characterize a whole ensemble of environments in one call.
@@ -413,9 +410,6 @@ def characterize_ensemble(
         policies (a straggler a ``member_timeout_s`` budget can
         quarantine); under ``"raise"`` the call sleeps ``stall_s`` once
         before the kernels and the results are unchanged.
-    backend : str or KernelBackend, optional
-        Kernel backend, threaded into every Sinkhorn/SVD call on both
-        the batched and scalar paths (see :mod:`repro.backends`).
     warm_start : NormalizationResult or (row_scale, col_scale), optional
         Previous standard-form scaling vectors applied before
         iterating — the incremental re-characterization path for
@@ -441,7 +435,7 @@ def characterize_ensemble(
     (True, 1.0)
     """
     options = _check_options(
-        tol, max_iterations, tma_fallback, policy, budget, backend, warm_start
+        tol, max_iterations, tma_fallback, policy, budget, warm_start
     )
     deadline = options["budget"].start()
     stack, members, positive = _coerce(
@@ -465,7 +459,7 @@ def characterize_ensemble(
 def _characterize_members(
     stack, members=None, *, positive=None, offset: int = 0, deadline,
     stalls=None, preset=None, n_jobs=None, timeout_s=None, warm_start=None,
-    tol, max_iterations, tma_fallback, policy, budget, backend,
+    tol, max_iterations, tma_fallback, policy, budget,
 ) -> EnsembleCharacterization:
     """The body of both ensemble entry points: pre-screen, batched/scalar
     split, kernels, policy step and result.
@@ -553,7 +547,6 @@ def _characterize_members(
 
     columns = None
     if n_batched:
-        be = resolve_backend(backend)
         options = dict(
             tol=tol,
             max_iterations=max_iterations,
@@ -562,7 +555,7 @@ def _characterize_members(
             warm_start=warm_start,
         )
         try:
-            columns = _batch_columns(be, stack, in_batch, **options)
+            columns = _batch_columns(stack, in_batch, **options)
         except MatrixValueError:
             # The fused pass checks the batch's line sums before it
             # scales anything: find the members at fault, and name them
@@ -580,7 +573,7 @@ def _characterize_members(
             faults.update(_unscalable_faults(overflow, too_small))
             in_batch &= ~unscalable
             if in_batch.any():
-                columns = _batch_columns(be, stack, in_batch, **options)
+                columns = _batch_columns(stack, in_batch, **options)
     batched_mask = in_batch.copy()
     if columns is not None:
         index = np.flatnonzero(in_batch)
@@ -607,7 +600,7 @@ def _characterize_members(
             # An in-process worker cannot be preempted; a timeout
             # implies a pool.
             jobs = 2
-        shared = (tol, max_iterations, tma_fallback, backend)
+        shared = (tol, max_iterations, tma_fallback)
         items = [(member(i), *shared, stalls.get(i, 0.0)) for i in scalar_idx]
         results = parallel_map(
             _characterize_columns,

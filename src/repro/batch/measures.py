@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_weights
-from ..backends import resolve_backend
 from ..backends.base import _line_sums, working_copy
 from ..exceptions import ConvergenceError, MatrixValueError, NotNormalizableError
 from ..measures._coerce import weighted_line_sums
@@ -173,9 +172,7 @@ def standard_singular_values_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
     )
-    return _singular_values(
-        standard.matrix, resolve_backend(), "batched", tol, standard.converged
-    )
+    return _singular_values(standard.matrix, "batched", tol, standard.converged)
 
 
 def tma_batched(
@@ -212,9 +209,7 @@ def tma_batched(
     return _tma_column(values)
 
 
-def _standard_measures(
-    stack, sums, *, kind: str, backend, warm_start=None, **options
-):
+def _standard_measures(stack, sums, *, kind: str, warm_start=None, **options):
     """The one measure body: ``(tma, standard, sums)`` of a validated
     ``(N, T, M)`` stack that has a standard form: the eq. 8 column, the
     scaling of one working copy, and the ``(N, T)``/``(N, M)`` line
@@ -236,22 +231,19 @@ def _standard_measures(
         *standard_targets(*stack.shape[1:]),
         kind=kind,
         sums=sums,
-        backend=backend,
         warm_start=warm_start,
         # The sinkhorn.scalar span samples the residual history.
         keep_history=kind == "scalar",
         **options,
     )
     values = _singular_values(
-        standard.matrix, backend, kind, options["tol"], standard.converged
+        standard.matrix, kind, options["tol"], standard.converged
     )
     tma = _tma_column(values)
     return tma, standard, sums
 
 
-def _scalar_measures(
-    weighted, *, tma_fallback: str, backend, tol: float, max_iterations: int
-):
+def _scalar_measures(weighted, *, tma_fallback: str, tol: float, max_iterations: int):
     """``(tma, method, standard, sums)`` of one validated, weighted ECS
     matrix by :func:`repro.characterize`'s fallback chain: the strict
     standard form, the eq. 9 limit form, then eq. 5 (``standard`` is
@@ -272,7 +264,6 @@ def _scalar_measures(
                 scaled[None],
                 sums if scaled is weighted else None,
                 kind="scalar",
-                backend=backend,
                 tol=tol,
                 max_iterations=max_iterations,
                 require_convergence=True,
@@ -289,7 +280,7 @@ def _scalar_measures(
             if tma_fallback != "column":
                 raise
         if standard is None:
-            tma, method = _column_tma(weighted, backend), "column"
+            tma, method = _column_tma(weighted), "column"
         iterations = None if standard is None else int(standard.iterations[0])
         sp.note(tma_method=method, iterations=iterations)
     _metrics.record(("repro_characterize_runs_total", (method,), 1.0))

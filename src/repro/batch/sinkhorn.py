@@ -1,14 +1,14 @@
 """Batched alternating row/column scaling over ``(N, T, M)`` stacks.
 
 :func:`sinkhorn_knopp_batched` runs the paper's eq. (9) iteration on a
-whole ensemble of same-shape matrices at once, through the same backend
+whole ensemble of same-shape matrices at once, through the same Sinkhorn
 core and body as the scalar :func:`repro.normalize.sinkhorn_knopp` (a
 single matrix is a stack of one).  One iteration is two broadcast sums
 and two broadcast multiplies over the slices still iterating, so the
 per-matrix Python overhead is paid once per stack.  Slices converge
 independently — a slice freezes the moment its residual drops below
 ``tol``, so its iterates are exactly those of a scalar run on that
-matrix alone (bit-identical on the numpy backend; the conformance
+matrix alone (bit-identical; the conformance
 table in ``tests/test_conformance.py`` pins it).
 
 :func:`standardize_batched` applies the Theorem-2 targets
@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_float_array, check_positive_int, check_positive_scalar
-from ..backends import resolve_backend
 from ..backends.base import _line_sums, working_copy
 from ..exceptions import MatrixValueError
 from ..normalize.sinkhorn import (
@@ -59,7 +58,6 @@ def sinkhorn_knopp_batched(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Scale every slice of ``stack`` so rows sum to ``row_target`` and
@@ -88,9 +86,6 @@ def sinkhorn_knopp_batched(
         as non-converged — graceful degradation instead of burning the
         full iteration budget on a straggling slice.  ``None`` (the
         default) means unbounded.
-    backend : str or KernelBackend, optional
-        Kernel backend, exactly as in the scalar kernel (see
-        :mod:`repro.backends`).
     warm_start : NormalizationResult or (row_scale, col_scale), optional
         Previous scaling vectors applied before iterating.  A single
         ``(T,)``/``(M,)`` pair (e.g. from the unperturbed base matrix
@@ -111,7 +106,6 @@ def sinkhorn_knopp_batched(
     array([[1., 1.],
            [1., 1.]])
     """
-    be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_array(stack, ndim=3, name="stack")
@@ -124,7 +118,6 @@ def sinkhorn_knopp_batched(
         row_target,
         col_target,
         kind="batched",
-        backend=be,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
@@ -155,7 +148,6 @@ def standardize_batched(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Convert every slice of a stack to the standard ECS form.
@@ -180,10 +172,10 @@ def standardize_batched(
     reference kernels).  The robust policies honour the optional
     ``budget`` and apply the optional chaos ``fault_plan``.
 
-    ``tol``/``max_iterations``/``backend``/``warm_start`` behave exactly
-    as in :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the
-    default ``policy="raise"`` (the robust pipeline re-orders slices, so
-    stale scaling vectors cannot be matched up safely).
+    ``tol``/``max_iterations``/``warm_start`` behave exactly as in
+    :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the default
+    ``policy="raise"`` (the robust pipeline re-orders slices, so stale
+    scaling vectors cannot be matched up safely).
 
     Examples
     --------
@@ -211,7 +203,6 @@ def standardize_batched(
     work = as_float_array(stack, ndim=3, name="stack", allow_nan=robust)
     if fault_plan is not None:
         work = fault_plan.apply(work)
-    be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     n_slices, n_rows, n_cols = work.shape
@@ -223,7 +214,6 @@ def standardize_batched(
             row_target,
             col_target,
             kind="batched",
-            backend=be,
             warm_start=warm_start,
             tol=tol,
             max_iterations=max_iterations,
@@ -256,7 +246,6 @@ def standardize_batched(
             col_target,
             kind="batched",
             sums=sums,
-            backend=be,
             warm_start=None,
             tol=tol,
             max_iterations=max_iterations,

@@ -83,22 +83,6 @@ from .spec.datasets import list_datasets, load_dataset
 __all__ = ["main", "build_parser"]
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` flag (kernel backend selection).
-
-    Choices are deliberately not baked into argparse: the registry is
-    consulted at call time, so an unknown name produces the library's
-    canonical error listing the backends actually registered (including
-    any custom backend registered before the call).
-    """
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend running the Sinkhorn/SVD kernels "
-        "(default: $REPRO_BACKEND or 'numpy'; see repro.backends)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro-hc`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -114,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", help="characterize an ETC CSV file")
     p.add_argument("file", help="labelled ETC CSV (see repro.core.io)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_backend_flag(p)
 
     p = sub.add_parser("dataset", help="characterize a bundled dataset")
     p.add_argument("name", nargs="?", help="dataset name")
@@ -225,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos spec for the --ensemble stage, e.g. 'nan=1,stall=2'",
     )
     p.add_argument("--fault-seed", type=int, default=0)
-    _add_backend_flag(p)
 
     p = sub.add_parser(
         "characterize",
@@ -304,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool width for the scalar/worker path")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
-    _add_backend_flag(p)
 
     p = sub.add_parser(
         "serve",
@@ -558,10 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "measures":
-            _print_profile(
-                characterize(load_etc_csv(args.file), backend=args.backend),
-                args.json,
-            )
+            _print_profile(characterize(load_etc_csv(args.file)), args.json)
         elif args.command == "dataset":
             if args.list or not args.name:
                 for name in list_datasets():
@@ -670,7 +648,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             env = _load_env(args.file)
             ensemble = None
             with recording(trace_path=args.output) as rec:
-                profile = characterize(env, backend=args.backend)
+                profile = characterize(env)
                 comparison = compare_heuristics(
                     env, total=args.total, seed=args.seed
                 )
@@ -683,7 +661,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         ),
                         policy=args.policy,
                         fault_plan=_build_fault_plan(args, args.ensemble),
-                        backend=args.backend,
                     )
                 stats = rec.summary()
             if args.json:
@@ -778,7 +755,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     budget=budget,
                     fault_plan=plan,
                     n_jobs=args.jobs,
-                    backend=args.backend,
                 )
             else:
                 from .batch import characterize_ensemble
@@ -789,7 +765,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     budget=budget,
                     fault_plan=plan,
                     n_jobs=args.jobs,
-                    backend=args.backend,
                 )
             report = result.report
             if args.json:

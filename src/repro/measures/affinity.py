@@ -31,8 +31,9 @@ standard form takes them from ``numpy.linalg.eigvalsh`` when its
 Sinkhorn run converged, ``|sigma_1 - 1| <= tol`` (Theorem 2) and its
 smallest eigenvalue is at least 1e-8 of its largest; that costs its TMA
 at most ~1e-12.  Every other standard form, every one of more than 64
-rows and columns, and the eq. 5 column form keep the backend's
-values-only SVD and its bits (:func:`_singular_values`).
+rows and columns, and the eq. 5 column form keep the values-only SVD
+(:func:`repro.backends.svd_values`) and its bits
+(:func:`_singular_values`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import time
 import numpy as np
 
 from .._validation import check_choice, weight_ecs
-from ..backends import resolve_backend
+from .. import backends as kernels
 from ..backends.base import _SCRATCH
 from ..core.environment import coerce_ecs_and_weights
 from ..normalize.standard_form import DEFAULT_TOL, _column_normalize, standardize
@@ -66,7 +67,7 @@ _GRAM_BLOCK = 8192
 
 
 def _singular_values(
-    stack: np.ndarray, backend, kind: str, tol=None, converged=None
+    stack: np.ndarray, kind: str, tol=None, converged=None
 ) -> np.ndarray:
     """The ``(N, min(T, M))`` descending singular values of a stack,
     timed as the ``svd.<kind>`` span and metric.
@@ -78,7 +79,7 @@ def _singular_values(
     than 64 rows and columns (one Gram matrix would outgrow the
     ``_SCRATCH`` entries a lone call may hold beside its working copy)
     and every member of a column form (eq. 5, no ``tol``) take
-    ``backend.svd_values`` on a stack of one (``"scalar"``), else one
+    ``kernels.svd_values`` on a stack of one (``"scalar"``), else one
     ``svd_values_batched`` call, and so the bits those give.  The span
     notes ``svd_members``, how many members took the SVD."""
     t0 = time.perf_counter()
@@ -92,24 +93,24 @@ def _singular_values(
         if tol is not None and min(n_rows, n_cols) ** 2 <= _SCRATCH:
             values, accepted = _gram_spectrum(stack, tol, converged)
         if accepted is None or not accepted.any():
-            values = _svd(stack, backend, kind)
+            values = _svd(stack, kind)
             svd_members = n_slices
         else:
             rejected = (~accepted).nonzero()[0]
             svd_members = len(rejected)
             if svd_members:
-                values[rejected] = _svd(stack[rejected], backend, kind)
+                values[rejected] = _svd(stack[rejected], kind)
         sp.note(svd_members=svd_members)
     _metrics.record(("repro_svd_seconds", (kind,), time.perf_counter() - t0))
     return values
 
 
-def _svd(stack: np.ndarray, backend, kind: str) -> np.ndarray:
-    """``backend.svd_values`` of a stack of one (``"scalar"``), else
+def _svd(stack: np.ndarray, kind: str) -> np.ndarray:
+    """``kernels.svd_values`` of a stack of one (``"scalar"``), else
     ``svd_values_batched`` of the stack."""
     if kind == "batched":
-        return backend.svd_values_batched(stack)
-    return backend.svd_values(stack[0])[None]
+        return kernels.svd_values_batched(stack)
+    return kernels.svd_values(stack[0])[None]
 
 
 def _gram_spectrum(stack: np.ndarray, tol: float, converged):
@@ -185,9 +186,9 @@ def _tma_column(values: np.ndarray) -> np.ndarray:
     return np.clip(values[:, 1:].sum(axis=1) / (values.shape[1] - 1), 0.0, 1.0)
 
 
-def _column_tma(ecs: np.ndarray, backend) -> float:
+def _column_tma(ecs: np.ndarray) -> float:
     """eq. 5 on a validated (weighted) ECS array."""
-    values = _singular_values(_column_normalize(ecs)[None], backend, "scalar")[0]
+    values = _singular_values(_column_normalize(ecs)[None], "scalar")[0]
     if values.shape[0] < 2:
         return 0.0
     raw = values[1:].sum() / ((values.shape[0] - 1) * values[0])
@@ -210,9 +211,9 @@ def standard_singular_values(
     They are the square roots of the Gram eigenvalues
     (``numpy.linalg.eigvalsh``) where the run converged,
     ``|sigma_1 - 1| <= tol`` and the smallest eigenvalue is at least
-    1e-8 of the largest, within ~1e-12 of the SVD's TMA; otherwise the
-    backend's ``svd_values`` (``numpy.linalg.svd(..., compute_uv=False)``)
-    gives them.  Either way they are the bits the batched path gives
+    1e-8 of the largest, within ~1e-12 of the SVD's TMA; otherwise
+    :func:`repro.backends.svd_values`
+    (``numpy.linalg.svd(..., compute_uv=False)``) gives them.  Either way they are the bits the batched path gives
     the same matrix.  ``zeros`` selects the Section-VI handling (see
     :func:`repro.normalize.standardize`); weighting factors follow the
     canonical override rule shared by every measure.
@@ -226,7 +227,7 @@ def standard_singular_values(
         zeros=zeros,
     )
     return _singular_values(
-        standard.matrix[None], resolve_backend(), "scalar", tol, standard.converged
+        standard.matrix[None], "scalar", tol, standard.converged
     )[0]
 
 
@@ -285,7 +286,7 @@ def tma(
     check_choice(method, name="method", choices=("standard", "column"))
     if method == "column":
         ecs = weight_ecs(*coerce_ecs_and_weights(matrix, task_weights, machine_weights))
-        return _column_tma(ecs, resolve_backend())
+        return _column_tma(ecs)
     values = standard_singular_values(
         matrix,
         task_weights=task_weights,

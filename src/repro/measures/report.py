@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import check_choice, check_positive_scalar, weight_ecs
-from ..backends import resolve_backend
 from ..batch.measures import _scalar_measures
 from ..core.environment import coerce_ecs_and_weights
 from ..normalize.standard_form import DEFAULT_TOL
@@ -95,7 +94,6 @@ def characterize(
     machine_weights=None,
     tol: float = DEFAULT_TOL,
     tma_fallback: str = "limit",
-    backend=None,
 ) -> HeterogeneityProfile:
     """Compute the full heterogeneity profile of an environment.
 
@@ -119,9 +117,6 @@ def characterize(
           formula; recorded as ``tma_method="column"``.
         * ``"raise"`` — propagate the
           :class:`~repro.exceptions.NotNormalizableError`.
-    backend : str or KernelBackend, optional
-        Kernel backend running the Sinkhorn iteration and the SVD (see
-        :mod:`repro.backends`).
 
     Examples
     --------
@@ -138,7 +133,6 @@ def characterize(
     tma_value, method, standard, (row_sums, col_sums) = _scalar_measures(
         weighted,
         tma_fallback=tma_fallback,
-        backend=resolve_backend(backend),
         tol=check_positive_scalar(tol, name="tol", allow_zero=True),
         max_iterations=100_000,
     )

@@ -14,7 +14,7 @@ pattern alone.
 One matrix runs as a stack of one: :func:`sinkhorn_knopp`,
 :func:`scale_to_margins` and :func:`repro.batch.sinkhorn_knopp_batched`
 validate their own input, then share one body (warm start, entry
-checks, span, the backend core, metrics, errors and the result), so
+checks, span, the Sinkhorn core, metrics, errors and the result), so
 a matrix gets the same iterates alone or inside a stack.
 :func:`repro.normalize.standardize` and :func:`repro.characterize`
 validate at their own entry and call that body (:func:`_scale_stack`)
@@ -23,7 +23,8 @@ directly.
 A batched result's ``residual_history`` is built from the core's trace
 on first read, so ensemble runs whose histories nobody reads never
 build them; a single-matrix result builds its one history at once.
-The backends' fused pass, which reads no histories, records no trace.
+The fused pass (:func:`repro.backends.fused_standard_measures`), which
+reads no histories, records no trace.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .._validation import (
     check_positive_int,
     check_positive_scalar,
 )
-from ..backends import resolve_backend
+from .. import backends as kernels
 from ..backends.base import (
     _line_sums,
     _sum_residuals,
@@ -335,7 +336,6 @@ def _scale_stack(
     col_target,
     *,
     kind: str,
-    backend,
     warm_start,
     tol: float,
     max_iterations: int,
@@ -427,8 +427,9 @@ def _scale_stack(
             def on_progress(active_count: int) -> None:
                 sp.sample("active_slices", active_count)
 
-        # Looked up at call time, so a wrapped core is the one that runs.
-        run, timed_out = backend.sinkhorn_core_batched(
+        # Looked up at call time, so a substituted core is the one that
+        # runs.
+        run, timed_out = kernels.sinkhorn_core_batched(
             work,
             row_targets,
             col_targets,
@@ -471,9 +472,6 @@ def _scale_stack(
                 ("repro_sinkhorn_exit_residual", (kind,), float(res)),
             )
         ]
-        updates.append(
-            ("repro_backend_dispatch_total", (backend.name, f"sinkhorn_{kind}"), 1.0)
-        )
         if warm_start is not None:
             outcome = "pending" if pending else "converged"
             updates.append(
@@ -547,7 +545,6 @@ def sinkhorn_knopp(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` so rows sum to ``row_target`` and columns to
@@ -583,10 +580,6 @@ def sinkhorn_knopp(
         :class:`~repro.exceptions.ConvergenceError` naming the expired
         deadline is raised under ``require_convergence=True``), so a
         non-normalizable input can never hang a caller past its budget.
-    backend : str or KernelBackend, optional
-        Kernel backend running the inner loop (see
-        :mod:`repro.backends`); defaults to the ``REPRO_BACKEND``
-        environment variable, then the numpy reference.
     warm_start : NormalizationResult or (row_scale, col_scale), optional
         Scaling vectors from a previous run (e.g. on an unperturbed
         copy of this matrix) applied before iterating, so
@@ -607,7 +600,6 @@ def sinkhorn_knopp(
     identical to the procedure the paper reports converging in 6 and 7
     iterations on the SPEC CINT/CFP matrices.
     """
-    be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_array(matrix, ndim=2, name="matrix").copy()
@@ -621,7 +613,6 @@ def sinkhorn_knopp(
         row_target,
         col_target,
         kind="scalar",
-        backend=be,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,
@@ -640,7 +631,6 @@ def scale_to_margins(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` to *prescribed, possibly unequal* margins.
@@ -661,10 +651,9 @@ def scale_to_margins(
     ``col_target`` are the prescribed ``(T,)``/``(M,)`` margins, so
     ``max_sum_error()`` and the residual both measure the largest
     absolute deviation from them.  ``tol``/``max_iterations``/
-    ``backend``/``warm_start`` behave exactly as in
+    ``warm_start`` behave exactly as in
     :func:`sinkhorn_knopp`.
     """
-    be = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     work = as_float_array(matrix, ndim=2, name="matrix").copy()
@@ -690,7 +679,6 @@ def scale_to_margins(
         r,
         c,
         kind="margins",
-        backend=be,
         warm_start=warm_start,
         tol=tol,
         max_iterations=max_iterations,

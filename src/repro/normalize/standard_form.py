@@ -26,7 +26,6 @@ from .._validation import (
     check_positive_scalar,
     weight_ecs,
 )
-from ..backends import resolve_backend
 from ..core.environment import coerce_ecs_and_weights
 from ..exceptions import NotNormalizableError
 from .sinkhorn import NormalizationResult, _scale_stack, _slice
@@ -69,7 +68,6 @@ def standardize(
     require_convergence: bool = True,
     zeros: str = "strict",
     deadline_s: float | None = None,
-    backend=None,
     warm_start=None,
 ) -> NormalizationResult:
     """Convert an ECS matrix to standard form.
@@ -87,11 +85,10 @@ def standardize(
         Passed to :func:`repro.normalize.sinkhorn_knopp`; ``deadline_s``
         bounds the iteration in wall-clock time (graceful degradation —
         see :mod:`repro.robust`).
-    backend, warm_start
-        Kernel backend and warm-start scaling vectors, passed straight to
-        :func:`repro.normalize.sinkhorn_knopp` (see
-        :mod:`repro.backends`).  A previous standard form of a
-        near-identical matrix is a valid ``warm_start``.
+    warm_start
+        Warm-start scaling vectors, as in
+        :func:`repro.normalize.sinkhorn_knopp`.  A previous standard
+        form of a near-identical matrix is a valid ``warm_start``.
     zeros : {"strict", "limit"}
         How to treat zero patterns for which no exact scaling
         ``D1 (ECS) D2`` with the required sums exists (Section VI):
@@ -139,7 +136,6 @@ def standardize(
     """
     ecs = weight_ecs(*coerce_ecs_and_weights(matrix, task_weights, machine_weights))
     check_choice(zeros, name="zeros", choices=("strict", "limit"))
-    backend = resolve_backend(backend)
     tol = check_positive_scalar(tol, name="tol", allow_zero=True)
     max_iterations = check_positive_int(max_iterations, name="max_iterations")
     ecs, zeroed = _usable_pattern(ecs, zeros)
@@ -151,7 +147,6 @@ def standardize(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        backend=backend,
         warm_start=warm_start,
     )
     return _slice(result, 0, copy=False, zeroed_entries=zeroed)

@@ -147,8 +147,6 @@ FAMILIES = {spec.name: spec for spec in (
     # slug seen (fault.nan, fault.non-convergent, ...).
     FamilySpec("repro_member_outcomes_total", "counter", ("outcome",),
                "Robust ensemble member outcomes by quarantine taxonomy slug."),
-    FamilySpec("repro_backend_dispatch_total", "counter", ("backend", "kernel"),
-               "Kernel invocations by backend and kernel entry point."),
     # kernel: sinkhorn_<kind>; outcome: converged or pending.
     FamilySpec("repro_backend_warm_start_total", "counter", ("kernel", "outcome"),
                "Warm-started Sinkhorn runs by kernel and convergence outcome."),

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends import resolve_backend
 from ..exceptions import MatrixValueError, ReproError
 from ..measures.affinity import _singular_values, _tma_column
 from ..measures.alternatives import average_adjacent_ratio
@@ -117,8 +116,8 @@ def _repair(
     (:class:`~repro.normalize.NormalizationResult`), the attempts used
     and the repair label; ``repaired``/``standard``/``label`` are None
     when the member is unrepairable, every attempt failed, or the
-    deadline ran out first.  Standard forms run on the default backend
-    with the Section-VI ``limit`` semantics.
+    deadline ran out first.  Standard forms run with the Section-VI
+    ``limit`` semantics.
     """
     failed = (None, None, 0, None)
     if category in UNREPAIRABLE_CATEGORIES or deadline.expired():
@@ -213,11 +212,7 @@ def recovered_columns(repaired: np.ndarray, standard, tol: float) -> tuple:
     Gram spectrum stands only if the repaired run met the requested
     ``tol``, not just a relaxed one from the backoff ladder."""
     values = _singular_values(
-        standard.matrix[None],
-        resolve_backend(),
-        "scalar",
-        tol,
-        standard.residual <= tol,
+        standard.matrix[None], "scalar", tol, standard.residual <= tol
     )
     return (
         average_adjacent_ratio(repaired.sum(axis=0)),

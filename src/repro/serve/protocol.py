@@ -12,10 +12,9 @@ JSON over HTTP, one document per request.  Three POST endpoints:
     ``{"matrix": [[...]], "tol"?, "policy"?, "backend"?}`` → the
     measure-driven mapping-heuristic recommendation.
 
-``backend`` selects the registered kernel backend
-(:mod:`repro.backends`) running the request; it defaults to
-``"numpy"`` and is part of the cache identity, so the same matrix
-served by two backends occupies two cache entries.
+``backend`` may only be ``"numpy"``, the one kernel set
+(:mod:`repro.backends`), which is also its default.  It stays in the
+canonical options, so cache keys and served bodies keep their bytes.
 
 Every endpoint additionally accepts ``deadline_ms`` — the caller's
 end-to-end latency budget in milliseconds.  A request that can no
@@ -217,14 +216,9 @@ def parse_request(endpoint: str, payload) -> ServeRequest:
         )
     options["policy"] = policy
 
-    from ..backends import list_backends
-
     backend = payload.get("backend", "numpy")
-    if backend not in list_backends():
-        raise ProtocolError(
-            f"'backend' must be one of {list(list_backends())}, "
-            f"got {backend!r}"
-        )
+    if backend != "numpy":
+        raise ProtocolError(f"'backend' must be one of ['numpy'], got {backend!r}")
     options["backend"] = backend
 
     if endpoint == "characterize":

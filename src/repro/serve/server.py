@@ -263,7 +263,6 @@ class CharacterizationServer:
             tol=options["tol"],
             tma_fallback=options.get("tma_fallback", "limit"),
             policy=options.get("policy", "quarantine"),
-            backend=options.get("backend"),
             budget=budget,
         )
         out: list = []
@@ -291,7 +290,6 @@ class CharacterizationServer:
             tol=options["tol"],
             max_iterations=options.get("max_iterations", 100_000),
             policy=options.get("policy", "quarantine"),
-            backend=options.get("backend"),
             budget=budget,
         )
         report = result.report
@@ -748,7 +746,8 @@ class CharacterizationServer:
     async def _read_request(reader: asyncio.StreamReader):
         """``(method, target, headers, content_length, body)`` of one
         request, or None for a malformed request line.  Header names are
-        lower-cased; ``body`` is None when it exceeds MAX_BODY_BYTES."""
+        lower-cased; ``body`` is None when ``content_length`` is negative
+        or exceeds MAX_BODY_BYTES, and then nothing more is read."""
         request_line = await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
@@ -766,7 +765,7 @@ class CharacterizationServer:
         except ValueError:
             content_length = 0
         body = None
-        if content_length <= MAX_BODY_BYTES:
+        if 0 <= content_length <= MAX_BODY_BYTES:
             body = (
                 await reader.readexactly(content_length)
                 if content_length
@@ -787,7 +786,12 @@ class CharacterizationServer:
                 return
             method, target, request_headers, content_length, body_in = request
             headers: dict[str, str] = {}
-            if body_in is None:
+            if body_in is None and content_length < 0:
+                status, ctype, body = 400, "application/json", error_body(
+                    None, "bad-request",
+                    f"Content-Length must be >= 0, got {content_length}",
+                )
+            elif body_in is None:
                 status, ctype, body = 413, "application/json", error_body(
                     None, "bad-request",
                     f"body of {content_length} bytes exceeds the "

@@ -19,7 +19,7 @@ memory:
 The headline invariant, pinned by ``tests/shard/``: a sharded run is
 **bit-identical** to the in-memory
 :func:`repro.batch.characterize_ensemble` on the same members, for any
-chunking, across backends and robust policies.  See
+chunking and robust policy.  See
 ``docs/SHARDING.md``.
 """
 

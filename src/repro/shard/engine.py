@@ -9,8 +9,8 @@ offset, under the run's one deadline, and merges the parts with
 :func:`repro.shard.merge.merge_characterizations`.  Because the batched
 kernels are per-slice independent, the merged result is bit-identical
 to characterizing the whole stack in RAM — the conformance table in
-``tests/test_conformance.py`` pins exactly that, across dispatch modes,
-policies and backends.
+``tests/test_conformance.py`` pins exactly that, across dispatch modes
+and policies.
 
 Two dispatch modes:
 
@@ -281,7 +281,6 @@ def characterize_store(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
 ):
     """Characterize a disk-backed ensemble with bounded peak memory.
 
@@ -309,7 +308,7 @@ def characterize_store(
         (absolute member indices); ``stall`` faults stall the first
         copy of the shard that holds the member (see the module
         docstring).
-    tol, max_iterations, tma_fallback, policy, backend
+    tol, max_iterations, tma_fallback, policy
         Exactly as :func:`repro.batch.characterize_ensemble`.
 
     Returns
@@ -329,9 +328,7 @@ def characterize_store(
     >>> len(result), bool(result.converged.all())
     (6, True)
     """
-    options = _check_options(
-        tol, max_iterations, tma_fallback, policy, budget, backend
-    )
+    options = _check_options(tol, max_iterations, tma_fallback, policy, budget)
     memory_budget_bytes = None
     if memory_budget_mb is not None:
         memory_budget_bytes = int(

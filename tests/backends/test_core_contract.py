@@ -4,8 +4,8 @@ A caller that never reads residual histories passes ``trace=None``
 (the ensemble, store and serve passes do), and the core must then leave
 exactly the in-place state it leaves when it records a trace.  When it
 does record one, the chunks hold each slice's residuals in order.
-Checked on the numpy reference and on the documented ``LoopBackend``,
-a core that iterates slice by slice.
+Checked on the library's core and on the documented loop reference
+core (docs/BACKENDS.md), which iterates slice by slice.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+import repro.backends as kernels
 from repro.backends.base import residual_histories, residuals
 
 
@@ -48,10 +48,10 @@ def _stack():
     return stack
 
 
-def _run(backend, stack, trace):
+def _run(core, stack, trace):
     state = _state(stack)
     entry = state["residual"].copy()
-    returned = backend.sinkhorn_core_batched(
+    returned = core(
         tol=1e-8, max_iterations=100_000, trace=trace, t_end=None, **state
     )
     return returned, state, entry
@@ -60,12 +60,13 @@ def _run(backend, stack, trace):
 @pytest.mark.parametrize("name", ["numpy", "loop"])
 def test_untraced_core_leaves_the_traced_state(name, request):
     if name == "loop":
-        request.getfixturevalue("loop_backend")
-    backend = get_backend(name)
+        core = request.getfixturevalue("loop_core").function
+    else:
+        core = kernels.sinkhorn_core_batched
     stack = _stack()
-    returned, untraced, _ = _run(backend, stack, None)
+    returned, untraced, _ = _run(core, stack, None)
     trace = []
-    traced_returned, traced, entry = _run(backend, stack, trace)
+    traced_returned, traced, entry = _run(core, stack, trace)
     assert traced_returned == returned
     for key in ("work", "row_scale", "col_scale", "residual", "active", "iterations"):
         assert untraced[key].tobytes() == traced[key].tobytes(), key

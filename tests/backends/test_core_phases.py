@@ -1,4 +1,4 @@
-"""Every phase of the numpy core leaves each slice as it would be alone.
+"""Every phase of the Sinkhorn core leaves each slice as it would be alone.
 
 The core runs a stack in phases: the whole stack in place, then the
 stack in place with its stopped slices held at factors of exactly 1.0,
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import sinkhorn_knopp
-from repro.backends import get_backend, numpy_backend
+import repro.backends as kernels
 from repro.normalize.sinkhorn import _scale_stack
 
 
@@ -66,13 +66,12 @@ def test_each_slice_equals_its_run_alone(monkeypatch, stop_after, keep_history):
         clock = SimpleNamespace(
             monotonic=lambda: -math.inf if next(checks) <= stop_after else math.inf
         )
-        monkeypatch.setattr(numpy_backend, "time", clock)
+        monkeypatch.setattr(kernels, "time", clock)
     batch = _scale_stack(
         stack.copy(),
         1.0,
         1.0,
         kind="batched",
-        backend=get_backend("numpy"),
         warm_start=None,
         tol=1e-8,
         max_iterations=100_000,

@@ -1,5 +1,5 @@
 """Shared fixtures: the paper's example matrices, hypothesis strategies
-and the documented ``LoopBackend``.
+and the documented loop reference core.
 
 Also a session check that the test run leaves the repository's working
 tree as it found it (no test may write into a tracked or unignored
@@ -8,9 +8,12 @@ path).
 
 from __future__ import annotations
 
+import contextlib
 import shutil
 import subprocess
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -82,24 +85,39 @@ def _restore_metrics_gate():
     metrics.set_registry(registry)
 
 
-def _documented_backend_source() -> str:
-    """The code block of docs/BACKENDS.md's "Registering your own": the
-    one copy of the ``LoopBackend`` example."""
+def _documented_core_source() -> str:
+    """The code block of docs/BACKENDS.md's "The loop reference core":
+    the one copy of the loop core."""
     text = (REPO_ROOT / "docs" / "BACKENDS.md").read_text(encoding="utf-8")
-    section = text.split("## Registering your own", 1)[1]
+    section = text.split("## The loop reference core", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-@pytest.fixture
-def loop_backend(monkeypatch):
-    """The documented ``LoopBackend``, registered as ``"loop"`` into a
-    copy of the registry, so ``list_backends()`` is ``('numpy',)`` again
-    after the test."""
-    from repro.backends import get_backend, registry
+@dataclass(frozen=True)
+class LoopCore:
+    """The documented loop core and the tolerance it declares against
+    the library's core."""
 
-    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-    exec(_documented_backend_source(), {})
-    return get_backend("loop")
+    function: Callable
+    tolerance: float
+
+    @contextlib.contextmanager
+    def substituted(self):
+        """Run the block with this core as
+        ``repro.backends.sinkhorn_core_batched``."""
+        import repro.backends as kernels
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "sinkhorn_core_batched", self.function)
+            yield
+
+
+@pytest.fixture
+def loop_core() -> LoopCore:
+    """The documented loop reference core, run from docs/BACKENDS.md."""
+    namespace: dict = {}
+    exec(_documented_core_source(), namespace)
+    return LoopCore(namespace["loop_sinkhorn_core"], namespace["LOOP_TOLERANCE"])
 
 
 # ---------------------------------------------------------------------------

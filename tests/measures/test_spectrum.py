@@ -9,8 +9,8 @@ the member alone, so batched equals lone, member-last equals C and any
 sub-range equals the full stack, bit for bit, wherever the block edges
 fall.  An accepted member's TMA is within 1e-12 of the SVD's.  A member
 that fails the test, one of more than 64 rows and columns, and every
-column form (eq. 5) keep ``backend.svd_values(_batched)`` and so its
-bits.
+column form (eq. 5) keep ``repro.backends.svd_values(_batched)`` and
+so its bits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import characterize, characterize_ensemble, recording
-from repro.backends import resolve_backend
 from repro.backends.base import MEMBER_LAST_MIN
 from repro.batch import (
     standard_singular_values_batched,
@@ -58,7 +57,7 @@ def _svd(stack):
 
 
 def _spectrum(stack, converged, kind="batched", tol=TOL):
-    return _singular_values(stack, resolve_backend(), kind, tol, converged)
+    return _singular_values(stack, kind, tol, converged)
 
 
 def _bits(values):

@@ -92,7 +92,6 @@ def _served(tmp_path):
 
 PINNED = {
     "ensemble": {
-        "repro_backend_dispatch_total": {("numpy", "sinkhorn_batched"): 1.0},
         "repro_ensemble_members_total": {("batched",): 4.0},
         "repro_member_outcomes_total": {
             ("fault.empty-line",): 1.0,
@@ -106,7 +105,6 @@ PINNED = {
         "repro_svd_seconds": {("batched",): 1},
     },
     "scalar": {
-        "repro_backend_dispatch_total": {("numpy", "sinkhorn_scalar"): 1.0},
         "repro_characterize_runs_total": {("standard",): 1.0},
         "repro_sinkhorn_exit_residual": {("scalar",): 1},
         "repro_sinkhorn_iterations": {("scalar",): 1},
@@ -114,7 +112,6 @@ PINNED = {
         "repro_svd_seconds": {("scalar",): 1},
     },
     "served": {
-        "repro_backend_dispatch_total": {("numpy", "sinkhorn_batched"): 3.0},
         "repro_ensemble_members_total": {("batched",): 3.0},
         "repro_member_outcomes_total": {
             ("fault.nan",): 1.0,
@@ -168,7 +165,6 @@ PINNED = {
         "repro_svd_seconds": {("batched",): 2},
     },
     "store": {
-        "repro_backend_dispatch_total": {("numpy", "sinkhorn_batched"): 2.0},
         "repro_ensemble_members_total": {("batched",): 8.0},
         "repro_shard_chunk_seconds": {("serial",): 2},
         "repro_shard_chunks_total": {("serial",): 2.0},
@@ -180,7 +176,6 @@ PINNED = {
         "repro_svd_seconds": {("batched",): 2},
     },
     "warm": {
-        "repro_backend_dispatch_total": {("numpy", "sinkhorn_batched"): 2.0},
         "repro_backend_warm_start_total": {("sinkhorn_batched", "converged"): 1.0},
         "repro_sinkhorn_exit_residual": {("batched",): 10},
         "repro_sinkhorn_iterations": {("batched",): 10},

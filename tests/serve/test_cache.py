@@ -202,10 +202,9 @@ class TestKeyBasics:
         assert matrix_cache_key(matrix, options={"tol": 1e-6}) != plain
 
     def test_distinct_backends_distinct_keys(self):
-        # Part of the backend-dispatch contract: the same matrix served
-        # by two kernel backends occupies two cache entries, because
-        # parse_request folds the normalized "backend" option into the
-        # request's cache identity.
+        # parse_request folds the normalized "backend" option, which
+        # may only be "numpy", into the request's cache identity, so
+        # cache keys keep their bytes; a different value keys apart.
         from repro.serve.protocol import parse_request
 
         payload = {"matrix": [[1.0, 2.0], [3.0, 4.0]]}

@@ -409,7 +409,6 @@ def _helper_sequence(registry) -> None:
         ("repro_member_outcomes_total", ("repaired",), 1),
         ("repro_member_outcomes_total", ("fault.nan",), 1),
         ("repro_member_outcomes_total", ("fault.non-convergent",), 2),
-        ("repro_backend_dispatch_total", ("numpy", "sinkhorn_batched"), 1.0),
         ("repro_backend_warm_start_total", ("batched", "converged"), 1.0),
         ("repro_characterize_runs_total", ("standard",), 1.0),
         ("repro_characterize_runs_total", ("limit",), 1.0),
@@ -460,7 +459,7 @@ def _exposition_without_exemplars(registry) -> bytes:
 
 
 PROMETHEUS_DIGEST = (
-    "2deaaea008f2b296eab1e0ff7b161e2a04c131466cdfccc409f15d5a7aa9e0eb"
+    "4a48a5cd875c56dd8a65fec2d1fdf14e50bc62ec2bb4650de838e65db5fcec07"
 )
 
 

@@ -190,6 +190,28 @@ class TestHttpSurface:
         raw = asyncio.run(oversized())
         assert b"413" in raw.split(b"\r\n", 1)[0]
 
+    def test_negative_content_length_400(self, live_server):
+        async def negative():
+            reader, writer = await asyncio.open_connection(
+                live_server.host, live_server.port
+            )
+            writer.write(
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        head, _, body = asyncio.run(negative()).partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(body)["error"] == {
+            "category": "bad-request",
+            "message": "Content-Length must be >= 0, got -5",
+        }
+
     def test_healthz_reports_cache_and_coalescer(self, live_server):
         live_server.post_json("characterize", {"matrix": [[1.0, 2.0], [3.0, 4.0]]})
         status, body = live_server.request("GET", "/healthz")

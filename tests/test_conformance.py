@@ -4,15 +4,16 @@ Rows are corpus x path.  A path is one way the library reaches a
 scaling, a standard form or the measures: the scalar functions, their
 batched forms and ``.slice(i)``, the three fault policies, the sharded
 store under every dispatch mode, a round trip through the HTTP service,
-and the documented ``LoopBackend`` (docs/BACKENDS.md).  Each path has a
-kind, and the kind's scalar path on the numpy backend is the reference:
+and the documented loop reference core (docs/BACKENDS.md) in place of
+the library's Sinkhorn core.  Each path has a kind, and the kind's
+scalar path is the reference:
 ``sinkhorn_knopp`` (row sums 1, column sums T/M), ``standardize``
 (Theorem 2's margins), ``mph``/``tdh``/``tma``, or ``characterize``.
 
 ``check_row`` applies the same checks to every row:
 
 * agreement: each member's values equal the reference's bit for bit,
-  or within the backend's declared ``tolerance``;
+  or, on an ``@loop`` row, within the loop core's ``LOOP_TOLERANCE``;
 * faults: a robust row names exactly the faulted members, by absolute
   index; their values, and on the profile kind the whole
   ``QuarantineReport``, equal the in-memory run under that policy;
@@ -26,8 +27,8 @@ kind, and the kind's scalar path on the numpy backend is the reference:
 
 A path without a fault policy runs the members a corpus's ``FaultPlan``
 leaves healthy; a robust path runs every member with the plan applied.
-``tests/batch/test_differential.py``, ``tests/backends/test_equivalence.py``
-and ``tests/shard/test_differential.py`` run rows of this table under
+``tests/batch/test_differential.py`` and
+``tests/shard/test_differential.py`` run rows of this table under
 their earlier names, with the checks a row cannot make.
 """
 
@@ -45,7 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends import get_backend, numpy_backend
+import repro.backends as kernels
 from repro.backends.base import MEMBER_LAST_MIN, _member_last
 from repro.batch import (characterize_ensemble, mph_batched, sinkhorn_knopp_batched,
                          standardize_batched, tdh_batched, tma_batched)
@@ -164,8 +165,8 @@ CORPUS = {
 
 
 # -- paths ------------------------------------------------------------------
-# A runner takes (stack, case, backend, policy) and returns columns
-# aligned with the stack's members.
+# A runner takes (stack, case, policy) and returns columns aligned with
+# the stack's members.
 
 
 def _scaling(case):
@@ -199,22 +200,21 @@ def _batched(result):
 
 def _each(function):
     """A runner calling ``function`` on each member."""
-    def run(stack, case, backend, policy):
+    def run(stack, case, policy):
         return _per_member([
-            _refusing(function, m, backend=backend, **_scaling(case))
+            _refusing(function, m, **_scaling(case))
             for m in stack
         ])
 
     return run
 
 
-def _sinkhorn_batched(stack, case, backend, policy):
-    return _batched(sinkhorn_knopp_batched(stack, backend=backend,
-                                           **_scaling(case)))
+def _sinkhorn_batched(stack, case, policy):
+    return _batched(sinkhorn_knopp_batched(stack, **_scaling(case)))
 
 
-def _sinkhorn_slices(stack, case, backend, policy):
-    result = sinkhorn_knopp_batched(stack, backend=backend, **_scaling(case))
+def _sinkhorn_slices(stack, case, policy):
+    result = sinkhorn_knopp_batched(stack, **_scaling(case))
     return _per_member([result.slice(i) for i in range(len(stack))])
 
 
@@ -222,21 +222,21 @@ def _plan(case, policy):
     return {"fault_plan": case.plan} if policy != "raise" else {}
 
 
-def _standardize_batched(stack, case, backend, policy):
+def _standardize_batched(stack, case, policy):
     return _batched(standardize_batched(
-        stack, backend=backend, policy=policy, **_scaling(case),
+        stack, policy=policy, **_scaling(case),
         **_plan(case, policy),
     ))
 
 
-def _functions(stack, case, backend, policy):
+def _functions(stack, case, policy):
     values = [_refusing(tma, m) for m in stack]
     return {"mph": [mph(m) for m in stack], "tdh": [tdh(m) for m in stack],
             "tma": [np.nan if v is None else v for v in values],
             "rejected": [i for i, v in enumerate(values) if v is None]}
 
 
-def _functions_batched(stack, case, backend, policy):
+def _functions_batched(stack, case, policy):
     """``tma_batched`` over the members with a standard form."""
     has_form = np.array(case.normalizable)[case.healthy]
     values = np.full(len(stack), np.nan)
@@ -245,9 +245,9 @@ def _functions_batched(stack, case, backend, policy):
     return {"mph": mph_batched(stack), "tdh": tdh_batched(stack), "tma": values}
 
 
-def _characterize(stack, case, backend, policy):
+def _characterize(stack, case, policy):
     """The columns ``characterize_ensemble`` gives a scalar member."""
-    profiles = [characterize(m, backend=backend) for m in stack]
+    profiles = [characterize(m) for m in stack]
     return {
         "mph": [p.mph for p in profiles],
         "tdh": [p.tdh for p in profiles],
@@ -264,16 +264,15 @@ def _profile(result):
     return {f: getattr(result, f) for f in PROFILE + ("batched", "report")}
 
 
-def _ensemble(stack, case, backend, policy):
+def _ensemble(stack, case, policy):
     return _profile(characterize_ensemble(
-        stack, backend=backend, policy=policy, **_plan(case, policy)
+        stack, policy=policy, **_plan(case, policy)
     ))
 
 
 def _store(via="store", **options):
-    def run(stack, case, backend, policy):
-        kwargs = dict(options, backend=backend, policy=policy,
-                      **_plan(case, policy))
+    def run(stack, case, policy):
+        kwargs = dict(options, policy=policy, **_plan(case, policy))
         with tempfile.TemporaryDirectory() as tmp:
             store = write_store(Path(tmp) / "store", stack)
             source = str(store.path) if via == "path" else store
@@ -282,7 +281,7 @@ def _store(via="store", **options):
     return run
 
 
-def _served(stack, case, backend, policy):
+def _served(stack, case, policy):
     """One burst of ``POST /v1/characterize`` requests; a quarantined
     member's answer is its error category."""
     members = case.plan.apply(stack) if case.plan else stack
@@ -291,7 +290,7 @@ def _served(stack, case, backend, policy):
         server = CharacterizationServer(ServeConfig(enable_metrics=False))
         return await asyncio.gather(*(
             server.exchange("POST", "/v1/characterize", json.dumps(
-                {"matrix": m.tolist(), "policy": policy, "backend": backend},
+                {"matrix": m.tolist(), "policy": policy},
                 allow_nan=True,
             ).encode())
             for m in members
@@ -316,7 +315,8 @@ class Route:
     kind: str
     run: Callable
     policy: str = "raise"
-    backend: str = "numpy"
+    #: Runs with the documented loop core in place of the library's.
+    loop: bool = False
 
 
 PATHS = {
@@ -346,7 +346,7 @@ PATHS = {
     "served": Route("profile", _served, "quarantine"),
 }
 PATHS.update({
-    f"{name}@loop": replace(PATHS[name], backend="loop")
+    f"{name}@loop": replace(PATHS[name], loop=True)
     for name in ("sinkhorn_knopp_batched", "standardize_batched[raise]",
                  "characterize_ensemble[raise]", "store[serial]")
 })
@@ -357,21 +357,26 @@ POLICY_REFERENCE = {"standard": "standardize_batched",
                     "profile": "characterize_ensemble"}
 
 
-def run_row(name, case):
+def run_row(name, case, loop_core=None):
     """``(members, columns)`` of one row, with ``rejected`` as absolute
-    member indices; numpy-backend rows are memoized."""
+    member indices; rows on the library's core are memoized.  An
+    ``@loop`` row runs with ``loop_core`` substituted for it."""
     row = PATHS[name]
-    if row.backend == "numpy" and name in case.memo:
+    if not row.loop and name in case.memo:
         return case.memo[name]
     members = case.healthy if row.policy == "raise" else np.arange(len(case.stack))
-    columns = row.run(case.stack[members], case, row.backend, row.policy)
+    if row.loop:
+        with loop_core.substituted():
+            columns = row.run(case.stack[members], case, row.policy)
+    else:
+        columns = row.run(case.stack[members], case, row.policy)
     if "rejected" in columns:
         columns["rejected"] = set(members[columns["rejected"]].tolist())
     if "categories" in columns:
         columns["categories"] = {
             int(members[i]): c for i, c in columns["categories"].items()
         }
-    if row.backend == "numpy":
+    if not row.loop:
         case.memo[name] = members, columns
     return members, columns
 
@@ -423,11 +428,12 @@ def expected_faults(case, kind) -> dict[int, str]:
     return faults
 
 
-def check_row(case, name):
-    """Every check of the module docstring, on one corpus x path row."""
+def check_row(case, name, loop_core=None):
+    """Every check of the module docstring, on one corpus x path row
+    (``loop_core``: the ``loop_core`` fixture, for the ``@loop`` rows)."""
     row = PATHS[name]
-    tolerance = get_backend(row.backend).tolerance
-    members, columns = outcome = run_row(name, case)
+    tolerance = loop_core.tolerance if row.loop else 0.0
+    members, columns = outcome = run_row(name, case, loop_core)
     where = f"{name} on {case.stack.shape}"
 
     flagged = {}
@@ -486,31 +492,31 @@ def _check_theorem_2(matrix, kind, where):
 
 # -- the table --------------------------------------------------------------
 
-#: The loop backend iterates slice by slice, so it has no half-stack
-#: switch for the 17-of-32 stragglers to probe, only their cost.
+#: The loop core iterates slice by slice, so it has no half-stack switch
+#: for the 17-of-32 stragglers to probe, only their cost.
 ROWS = [
     (c, p) for c in CORPUS for p in PATHS
-    if not (c == "stragglers" and PATHS[p].backend == "loop")
+    if not (c == "stragglers" and PATHS[p].loop)
 ]
 
 
 @pytest.mark.parametrize("corpus,path", ROWS, ids=[f"{c}-{p}" for c, p in ROWS])
-def test_row(corpus, path, loop_backend):
-    check_row(CORPUS[corpus], path)
+def test_row(corpus, path, loop_core):
+    check_row(CORPUS[corpus], path, loop_core)
 
 
 def test_threshold_corpus_crosses_both_layouts(monkeypatch):
     """One batched run of the threshold corpus scales the whole stack
     member-last, then a member-last compact copy, then C-ordered ones."""
     gathers = []
-    working_copy = numpy_backend.working_copy
+    working_copy = kernels.working_copy
 
     def spy(stack, idx=None):
         copy = working_copy(stack, idx)
         gathers.append((len(copy), _member_last(copy)))
         return copy
 
-    monkeypatch.setattr(numpy_backend, "working_copy", spy)
+    monkeypatch.setattr(kernels, "working_copy", spy)
     result = sinkhorn_knopp_batched(CORPUS["threshold"].stack)
     assert _member_last(result.matrix)
     assert any(n >= MEMBER_LAST_MIN and member_last for n, member_last in gathers)
@@ -518,7 +524,7 @@ def test_threshold_corpus_crosses_both_layouts(monkeypatch):
 
 
 @pytest.mark.parametrize("positive", [True, False], ids=["positive", "zeros"])
-def test_generated_corpus(positive, loop_backend):
+def test_generated_corpus(positive, loop_core):
     """The Hypothesis stacks, every example through every row."""
 
     @settings(max_examples=15, deadline=None)
@@ -526,7 +532,7 @@ def test_generated_corpus(positive, loop_backend):
     def rows(stack):
         case = Case(stack, cap=100_000 if positive else CAPPED)
         for path in PATHS:
-            check_row(case, path)
+            check_row(case, path, loop_core)
 
     rows()
 

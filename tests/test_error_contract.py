@@ -649,28 +649,19 @@ def test_budget_error_type_and_message(key):
     assert str(info.value) == message
 
 
-#: The backend retired with its optional dependency is an unknown name
-#: like any other: the registry lists what is registered.
-_RETIRED_BACKEND = "backend must be one of 'numpy'; got 'numba'"
+def test_the_retired_backend_variable_changes_nothing(monkeypatch):
+    """``REPRO_BACKEND`` no longer selects anything: with a name no
+    library ever knew, both entry points give their usual bits."""
+    from repro.batch import characterize_ensemble
 
-
-def test_retired_backend_name_is_unknown_to_characterize():
-    with pytest.raises(MatrixValueError) as info:
-        repro.characterize(GOOD, backend="numba")
-    assert str(info.value) == _RETIRED_BACKEND
-
-
-def test_retired_backend_name_exits_the_cli_without_a_traceback(
-    tmp_path, capsys
-):
-    from repro.cli import main
-
-    path = tmp_path / "env.csv"
-    np.savetxt(path, np.array(GOOD), delimiter=",")
-    assert main(["measures", str(path), "--backend", "numba"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {_RETIRED_BACKEND}\n"
+    stack = np.random.default_rng(45).uniform(0.5, 10.0, (3, 4, 3))
+    want = characterize_ensemble(stack), repro.characterize(stack[0])
+    monkeypatch.setenv("REPRO_BACKEND", "fortran")
+    got = characterize_ensemble(stack), repro.characterize(stack[0])
+    for field in ("mph", "tdh", "tma", "iterations"):
+        assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
+    for field in ("mph", "tdh", "tma", "sinkhorn_residual"):
+        assert getattr(got[1], field) == getattr(want[1], field)
 
 
 def test_retired_backend_name_is_a_structured_400():

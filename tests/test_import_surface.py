@@ -61,15 +61,15 @@ def test_entry_point_skips_deferred_libraries(module):
 
 
 def test_an_installed_numba_is_not_imported(tmp_path):
-    # No backend depends on numba: an importable one stays unloaded.
+    # No kernel depends on numba: an importable one stays unloaded.
     (tmp_path / "numba").mkdir()
     (tmp_path / "numba" / "__init__.py").write_text("")
     code = (
         "import importlib.util, json, sys, repro; print(json.dumps(["
         "importlib.util.find_spec('numba') is not None, "
-        "'numba' in sys.modules, repro.list_backends()]))"
+        "'numba' in sys.modules]))"
     )
-    assert _run(code, str(tmp_path)) == [True, False, ["numpy"]]
+    assert _run(code, str(tmp_path)) == [True, False]
 
 
 def test_section_vi_runs_without_networkx(tmp_path):
