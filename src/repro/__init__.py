@@ -120,11 +120,8 @@ from .batch import (
     BatchNormalizationResult,
     EnsembleCharacterization,
     characterize_ensemble,
-    mph_batched,
     sinkhorn_knopp_batched,
     standardize_batched,
-    tdh_batched,
-    tma_batched,
 )
 from .robust import (
     Budget,
@@ -193,9 +190,6 @@ __all__ = [
     "characterize_ensemble",
     "sinkhorn_knopp_batched",
     "standardize_batched",
-    "mph_batched",
-    "tdh_batched",
-    "tma_batched",
     # robust
     "Budget",
     "FaultPlan",

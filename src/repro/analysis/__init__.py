@@ -40,7 +40,6 @@ from .regimes import (
     describe_regime,
 )
 from .reporting import environment_report
-from .evolution import EvolutionStep, track_evolution
 
 __all__ = [
     "WhatIfEntry",
@@ -63,6 +62,4 @@ __all__ = [
     "GeneratorFootprint",
     "characterize_generator",
     "environment_report",
-    "EvolutionStep",
-    "track_evolution",
 ]

@@ -18,11 +18,12 @@ computing environments"; this module is that comparison layer:
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..measures.report import characterize
+from ..measures.report import HeterogeneityProfile, characterize
 from ..normalize.standard_form import standardize
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _DEFAULT_COLUMNS = ("mph", "tdh", "tma")
+_PROFILE_FIELDS = tuple(f.name for f in fields(HeterogeneityProfile))
 
 
 def comparison_table(
@@ -58,7 +60,18 @@ def comparison_table(
     list of dict
         One row per environment with ``"name"`` plus the requested
         columns.
+
+    Raises
+    ------
+    ValueError
+        When a column is not a profile field, before any environment
+        is characterized.
     """
+    unknown = [c for c in columns if c not in _PROFILE_FIELDS]
+    if unknown:
+        raise ValueError(
+            f"unknown column(s) {unknown}; choose from {', '.join(_PROFILE_FIELDS)}"
+        )
     rows = []
     for name, matrix in environments.items():
         profile = characterize(matrix)
@@ -110,7 +123,9 @@ def measure_distance(a, b, *, weights: Sequence[float] = (1.0, 1.0, 1.0)) -> flo
 
     Since all three measures live on comparable [0, 1]-ish scales, the
     unweighted distance is a reasonable default similarity notion;
-    ``weights`` re-balances the axes when one aspect matters more.
+    ``weights`` re-balances the axes when one aspect matters more; it
+    must be three finite, non-negative numbers (``ValueError``
+    otherwise, before either environment is characterized).
 
     Examples
     --------
@@ -118,10 +133,18 @@ def measure_distance(a, b, *, weights: Sequence[float] = (1.0, 1.0, 1.0)) -> flo
     ...                  [[1.0, 1.0], [1.0, 1.0]])
     0.0
     """
-    pa, pb = characterize(a), characterize(b)
+    w = _distance_weights(weights)
+    return _distance(characterize(a), characterize(b), w)
+
+
+def _distance_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (3,) or (w < 0).any():
-        raise ValueError("weights must be three non-negative numbers")
+    if w.shape != (3,) or not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError("weights must be three finite, non-negative numbers")
+    return w
+
+
+def _distance(pa, pb, w: np.ndarray) -> float:
     diff = np.array(
         [pa.mph - pb.mph, pa.tdh - pb.tdh, pa.tma - pb.tma]
     )
@@ -168,8 +191,10 @@ def rank_by_similarity(
     the paper's heuristic-selection workflow: find the studied
     environment nearest to yours and adopt its known-good mapper.
     """
+    w = _distance_weights(weights)
+    profile = characterize(reference)
     ranked = [
-        (name, measure_distance(reference, env, weights=weights))
+        (name, _distance(profile, characterize(env), w))
         for name, env in candidates.items()
     ]
     ranked.sort(key=lambda pair: pair[1])

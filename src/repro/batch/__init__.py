@@ -9,14 +9,13 @@ package provides that stacked evaluation path:
 * :func:`sinkhorn_knopp_batched` / :func:`standardize_batched` —
   broadcast row/column scaling with per-slice convergence masks and
   residual histories (paper eq. 9, Theorems 1–2);
-* :func:`mph_batched` / :func:`tdh_batched` / :func:`tma_batched` —
-  the three measures vectorized over the stack, TMA through stacked
-  Gram eigenvalues, with one stacked ``numpy.linalg.svd`` for the
-  slices that fail the Theorem 2 and conditioning test;
 * :func:`characterize_ensemble` — one-call columnar characterization
   (structured arrays of MPH/TDH/TMA, iteration counts, converged
-  flags) with automatic scalar fallback for zero-patterned slices and
-  ragged inputs.
+  flags): the three measures vectorized over the stack, TMA through
+  stacked Gram eigenvalues with one stacked ``numpy.linalg.svd`` for
+  the slices that fail the Theorem 2 and conditioning test, and an
+  automatic scalar fallback for zero-patterned slices and ragged
+  inputs.
 
 The batched and scalar paths agree bit for bit per slice; the
 conformance table in ``tests/test_conformance.py`` and the
@@ -32,15 +31,7 @@ from .sinkhorn import (
     sinkhorn_knopp_batched,
     standardize_batched,
 )
-from .measures import (
-    average_adjacent_ratio_batched,
-    machine_performance_batched,
-    task_difficulty_batched,
-    mph_batched,
-    tdh_batched,
-    standard_singular_values_batched,
-    tma_batched,
-)
+from .measures import average_adjacent_ratio_batched
 from .ensemble import (
     ENSEMBLE_DTYPE,
     EnsembleCharacterization,
@@ -53,12 +44,6 @@ __all__ = [
     "sinkhorn_knopp_batched",
     "standardize_batched",
     "average_adjacent_ratio_batched",
-    "machine_performance_batched",
-    "task_difficulty_batched",
-    "mph_batched",
-    "tdh_batched",
-    "standard_singular_values_batched",
-    "tma_batched",
     "ENSEMBLE_DTYPE",
     "EnsembleCharacterization",
     "characterize_ensemble",

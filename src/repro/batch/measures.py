@@ -1,46 +1,32 @@
 """Vectorized MPH / TDH / TMA over ``(N, T, M)`` ensemble stacks.
 
-Each function computes the same quantity as its scalar counterpart in
-:mod:`repro.measures`, for every slice of the stack at once.  MPH and
-TDH are sorted-adjacent-ratio reductions (eqs. 3 and 7) over stacked
-row/column sums; TMA (eq. 8) takes the members' Gram eigenvalues
-(``numpy.linalg.eigvalsh``, a few stacked calls) and one stacked
-``numpy.linalg.svd`` of the members that fail the Theorem 2 and
-conditioning test (:func:`repro.measures.affinity._singular_values`),
+:func:`_standard_measures` is the one measure body: the fused pass of
+:func:`repro.batch.characterize_ensemble` runs it on a batch,
+:func:`_scalar_measures` (behind :func:`repro.characterize`) on a stack
+of one.  MPH and TDH are sorted-adjacent-ratio reductions (eqs. 3 and
+7) over stacked row/column sums; TMA (eq. 8) takes the members' Gram
+eigenvalues (``numpy.linalg.eigvalsh``, a few stacked calls) and one
+stacked ``numpy.linalg.svd`` of the members that fail the Theorem 2
+and conditioning test (:func:`repro.measures.affinity._singular_values`),
 so the whole ensemble goes through LAPACK loops instead of N Python
 calls.
 
-:func:`_standard_measures` is the one measure body: the fused pass runs
-it on a batch, :func:`_scalar_measures` on a stack of one.
-
-The conformance table in ``tests/test_conformance.py`` holds these
-bit-identical to the scalar implementations per slice.
+The conformance table in ``tests/test_conformance.py`` holds every
+slice bit-identical to the scalar implementations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_weights
 from ..backends.base import _line_sums, working_copy
 from ..exceptions import ConvergenceError, MatrixValueError, NotNormalizableError
-from ..measures._coerce import weighted_line_sums
 from ..measures.affinity import _column_tma, _singular_values, _tma_column
 from ..normalize.sinkhorn import _scale_stack, _unscalable_error
-from ..normalize.standard_form import DEFAULT_TOL, _usable_pattern, standard_targets
+from ..normalize.standard_form import _usable_pattern, standard_targets
 from ..obs import metrics as _metrics, span as _obs_span
-from ._stack import as_ecs_stack
-from .sinkhorn import standardize_batched
 
-__all__ = [
-    "average_adjacent_ratio_batched",
-    "machine_performance_batched",
-    "task_difficulty_batched",
-    "mph_batched",
-    "tdh_batched",
-    "standard_singular_values_batched",
-    "tma_batched",
-]
+__all__ = ["average_adjacent_ratio_batched"]
 
 
 def average_adjacent_ratio_batched(values) -> np.ndarray:
@@ -73,140 +59,6 @@ def _adjacent_ratio_batched(values: np.ndarray) -> np.ndarray:
         return np.ones(values.shape[0], dtype=np.float64)
     ordered = np.sort(values, axis=1)
     return (ordered[:, :-1] / ordered[:, 1:]).mean(axis=1)
-
-
-def _weighted_sums(stack, task_weights, machine_weights):
-    arr = as_ecs_stack(stack)
-    w_t = check_weights(task_weights, arr.shape[1], name="task_weights")
-    w_m = check_weights(machine_weights, arr.shape[2], name="machine_weights")
-    return weighted_line_sums(arr, w_t, w_m)
-
-
-def machine_performance_batched(
-    stack, *, task_weights=None, machine_weights=None
-) -> np.ndarray:
-    """Per-slice machine performance vectors, shape ``(N, M)``.
-
-    Slice ``i`` equals :func:`repro.measures.machine_performance` of
-    ``stack[i]`` (eq. 2 / weighted eq. 4).
-
-    Examples
-    --------
-    >>> ecs = [[4., 8., 5.], [5., 9., 4.], [6., 5., 2.], [2., 1., 3.]]
-    >>> machine_performance_batched([ecs])
-    array([[17., 23., 14.]])
-    """
-    return _weighted_sums(stack, task_weights, machine_weights)[1]
-
-
-def task_difficulty_batched(
-    stack, *, task_weights=None, machine_weights=None
-) -> np.ndarray:
-    """Per-slice task difficulty vectors, shape ``(N, T)`` (eq. 6).
-
-    Examples
-    --------
-    >>> ecs = [[4., 8., 5.], [5., 9., 4.], [6., 5., 2.], [2., 1., 3.]]
-    >>> task_difficulty_batched([ecs])
-    array([[17., 18., 13.,  6.]])
-    """
-    return _weighted_sums(stack, task_weights, machine_weights)[0]
-
-
-def mph_batched(
-    stack, *, task_weights=None, machine_weights=None
-) -> np.ndarray:
-    """Machine performance homogeneity of every slice, shape ``(N,)``.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> mph_batched(np.diag([1.0, 2.0, 4.0, 8.0, 16.0])[None, :, :])
-    array([0.5])
-    """
-    return average_adjacent_ratio_batched(
-        machine_performance_batched(
-            stack, task_weights=task_weights, machine_weights=machine_weights
-        )
-    )
-
-
-def tdh_batched(
-    stack, *, task_weights=None, machine_weights=None
-) -> np.ndarray:
-    """Task difficulty homogeneity of every slice, shape ``(N,)``.
-
-    Examples
-    --------
-    >>> tdh_batched([[[1.0, 2.0], [2.0, 1.0]]])
-    array([1.])
-    """
-    return average_adjacent_ratio_batched(
-        task_difficulty_batched(
-            stack, task_weights=task_weights, machine_weights=machine_weights
-        )
-    )
-
-
-def standard_singular_values_batched(
-    stack,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = 100_000,
-    require_convergence: bool = True,
-) -> np.ndarray:
-    """Singular values of every standard-form slice, shape
-    ``(N, min(T, M))``, descending per slice.
-
-    By Theorem 2 column 0 is ≈ 1 for every converged slice.  A slice
-    that converged, with ``|sigma_1 - 1| <= tol`` and a smallest Gram
-    eigenvalue of at least 1e-8 of its largest, takes the square roots
-    of its Gram eigenvalues; the other slices take one stacked
-    ``numpy.linalg.svd`` call (values only) and its bits.  Row ``i``
-    is the bits :func:`repro.measures.standard_singular_values` gives
-    slice ``i``.
-    """
-    standard = standardize_batched(
-        stack,
-        tol=tol,
-        max_iterations=max_iterations,
-        require_convergence=require_convergence,
-    )
-    return _singular_values(standard.matrix, "batched", tol, standard.converged)
-
-
-def tma_batched(
-    stack,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = 100_000,
-    require_convergence: bool = True,
-) -> np.ndarray:
-    """Task-machine affinity of every slice (eq. 8), shape ``(N,)``.
-
-    Values are clamped into ``[0, 1]`` exactly like the scalar
-    :func:`repro.measures.tma`; stacks whose slices have a single row
-    or column get 0 (no non-maximum singular values).  Zero-patterned
-    slices with no standard form surface as
-    :class:`~repro.exceptions.ConvergenceError` (or best-iterate values
-    under ``require_convergence=False``); route those through the
-    scalar path for the Section-VI limit semantics.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> stack = np.array([[[2.0, 2.0], [1.0, 1.0]],
-    ...                   [[1.0, 0.0], [0.0, 1.0]]])
-    >>> np.round(tma_batched(stack), 9)
-    array([0., 1.])
-    """
-    values = standard_singular_values_batched(
-        stack,
-        tol=tol,
-        max_iterations=max_iterations,
-        require_convergence=require_convergence,
-    )
-    return _tma_column(values)
 
 
 def _standard_measures(stack, sums, *, kind: str, warm_start=None, **options):

@@ -29,7 +29,7 @@ from .target_driven import (
     margins_for_homogeneity,
     TargetSpec,
 )
-from .braun import BRAUN_CASES, braun_case, braun_suite
+from .braun import BRAUN_CASES, braun_case
 from .correlated import correlated
 from .ensembles import (
     heterogeneity_grid,
@@ -52,7 +52,6 @@ __all__ = [
     "TargetSpec",
     "BRAUN_CASES",
     "braun_case",
-    "braun_suite",
     "correlated",
     "heterogeneity_grid",
     "random_ecs",

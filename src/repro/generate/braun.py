@@ -22,7 +22,7 @@ from ..core.environment import ETCMatrix
 from ..exceptions import GenerationError
 from .range_based import range_based
 
-__all__ = ["BRAUN_CASES", "braun_case", "braun_suite"]
+__all__ = ["BRAUN_CASES", "braun_case"]
 
 _TASK_RANGE = {"hi": 3000.0, "lo": 100.0}
 _MACHINE_RANGE = {"hi": 1000.0, "lo": 10.0}
@@ -74,24 +74,3 @@ def braun_case(
         seed=seed,
     )
 
-
-def braun_suite(
-    *, n_tasks: int = 512, n_machines: int = 16, seed=None
-) -> dict[str, ETCMatrix]:
-    """All twelve cases, keyed by conventional name.
-
-    A single ``seed`` derives one sub-seed per case, so the suite is
-    reproducible as a whole.
-    """
-    from ._rng import resolve_rng
-
-    rng = resolve_rng(seed)
-    return {
-        name: braun_case(
-            name,
-            n_tasks=n_tasks,
-            n_machines=n_machines,
-            seed=int(rng.integers(0, 2**63 - 1)),
-        )
-        for name in BRAUN_CASES
-    }

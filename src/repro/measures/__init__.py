@@ -42,14 +42,8 @@ from .alternatives import (
     geometric_mean_ratio,
     coefficient_of_variation,
 )
-from .statistics import gini_coefficient, quartile_dispersion, skewness
 from .report import HeterogeneityProfile, characterize
 from .clusters import AffinityClusters, affinity_clusters
-from .properties import (
-    verify_scale_invariance,
-    verify_range,
-    verify_independence_shift,
-)
 
 __all__ = [
     "machine_performance",
@@ -65,14 +59,8 @@ __all__ = [
     "min_max_ratio",
     "geometric_mean_ratio",
     "coefficient_of_variation",
-    "gini_coefficient",
-    "quartile_dispersion",
-    "skewness",
     "HeterogeneityProfile",
     "characterize",
     "AffinityClusters",
     "affinity_clusters",
-    "verify_scale_invariance",
-    "verify_range",
-    "verify_independence_shift",
 ]

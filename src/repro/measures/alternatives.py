@@ -132,8 +132,8 @@ def _unit_scaled(vec: np.ndarray, high) -> np.ndarray:
     product, square root and ratio taken after it, so a statistic of
     the rescaled vector has the same bits as that of the unscaled
     vector wherever the latter neither overflows nor underflows: COV
-    and skewness stay scale-invariant at the ends of the float64 range
-    instead of returning inf or 0.
+    stays scale-invariant at the ends of the float64 range instead of
+    returning inf or 0.
     """
     return np.ldexp(vec, -math.frexp(float(high))[1])
 

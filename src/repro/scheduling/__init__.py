@@ -39,12 +39,6 @@ from .selection import (
     recommend_heuristic,
     selection_study,
 )
-from .bounds import (
-    makespan_lower_bound,
-    makespan_upper_bound,
-    optimal_makespan,
-)
-from .timeline import gantt_text
 from .robustness import (
     RobustnessReport,
     robustness_comparison,
@@ -86,11 +80,7 @@ __all__ = [
     "poisson_arrivals",
     "simulate_online",
     "simulate_batch_mode",
-    "makespan_lower_bound",
-    "makespan_upper_bound",
-    "optimal_makespan",
     "RobustnessReport",
     "robustness_radius",
     "robustness_comparison",
-    "gantt_text",
 ]

@@ -21,6 +21,16 @@ class TestComparisonTable:
         )
         assert rows[0]["machine_r"] == pytest.approx(0.4515, abs=1e-3)
 
+    def test_unknown_column_refused_before_any_profile(self, monkeypatch):
+        import repro.analysis.compare as compare
+
+        def refuse(matrix):
+            raise AssertionError("characterized before the columns were checked")
+
+        monkeypatch.setattr(compare, "characterize", refuse)
+        with pytest.raises(ValueError, match="'nope'"):
+            comparison_table({"cint": cint2006rate()}, columns=("mph", "nope"))
+
     def test_values_match_characterize(self):
         from repro.measures import characterize
 

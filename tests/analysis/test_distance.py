@@ -55,12 +55,11 @@ class TestMeasureDistance:
         )
 
     def test_bad_weights(self):
-        with pytest.raises(ValueError):
-            measure_distance(np.ones((2, 2)), np.ones((2, 2)),
-                             weights=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            measure_distance(np.ones((2, 2)), np.ones((2, 2)),
-                             weights=(1.0, -1.0, 1.0))
+        """Refused, not turned into a NaN or infinite distance."""
+        for weights in [(1.0, 1.0), (1.0, -1.0, 1.0), (np.nan, 1.0, 1.0),
+                        (np.inf, 1.0, 1.0)]:
+            with pytest.raises(ValueError):
+                measure_distance(cint2006rate(), cfp2006rate(), weights=weights)
 
 
 class TestEquivalence:
@@ -116,6 +115,38 @@ class TestRankBySimilarity:
         ranked = rank_by_similarity(reference, candidates)
         assert [name for name, _ in ranked] == ["near", "far"]
         assert ranked[0][1] < ranked[1][1]
+
+    def test_reference_characterized_once(self, monkeypatch):
+        """One profile of the reference serves every candidate, and the
+        distances are measure_distance's, bit for bit."""
+        import repro.analysis.compare as compare
+
+        candidates = {"cint": cint2006rate(), "cfp": cfp2006rate(),
+                      "cint again": cint2006rate()}
+        reference = cfp2006rate()
+        weights = (0.5, 2.0, 1.0)
+        expected = sorted(
+            ((name, measure_distance(reference, env, weights=weights))
+             for name, env in candidates.items()),
+            key=lambda pair: pair[1],
+        )
+        profiled = []
+        characterize = compare.characterize
+        monkeypatch.setattr(compare, "characterize",
+                            lambda m: profiled.append(m) or characterize(m))
+        assert rank_by_similarity(reference, candidates, weights=weights) == expected
+        assert len(profiled) == 1 + len(candidates)
+
+    def test_bad_weights_refused_before_any_profile(self, monkeypatch):
+        import repro.analysis.compare as compare
+
+        def refuse(matrix):
+            raise AssertionError("characterized before the weights were checked")
+
+        monkeypatch.setattr(compare, "characterize", refuse)
+        with pytest.raises(ValueError, match="finite"):
+            rank_by_similarity(cint2006rate(), {"cfp": cfp2006rate()},
+                               weights=(1.0, np.nan, 1.0))
 
     def test_spec_suites_close_to_each_other(self):
         """Fig. 6/7's point: the two SPEC suites are near twins in

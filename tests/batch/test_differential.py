@@ -20,7 +20,7 @@ from ..test_conformance import (CAPPED, CORPUS, REFERENCE, Case, check_row, comp
 from .conftest import ecs_stacks
 
 
-def check_columns(case, *columns, path="mph/tdh/tma_batched"):
+def check_columns(case, *columns, path="characterize_ensemble[raise]"):
     """Only ``columns`` of ``path`` agree with the scalar functions."""
     members, got = run_row(path, case)
     compare((members, {c: got[c] for c in columns}),

@@ -13,13 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import (
-    mph_batched,
-    standard_singular_values_batched,
-    standardize_batched,
-    tdh_batched,
-    tma_batched,
-)
+from repro.batch import characterize_ensemble, standardize_batched
+from repro.measures.affinity import _singular_values
+from repro.normalize.standard_form import DEFAULT_TOL
 
 from .conftest import ecs_stacks
 
@@ -41,7 +37,10 @@ class TestTheorem2:
     @settings(max_examples=40, deadline=None)
     @given(stack=ecs_stacks())
     def test_sigma1_is_one_across_stack(self, stack):
-        values = standard_singular_values_batched(stack)
+        standard = standardize_batched(stack)
+        values = _singular_values(
+            standard.matrix, "batched", DEFAULT_TOL, standard.converged
+        )
         np.testing.assert_allclose(
             values[:, 0], 1.0, rtol=0, atol=SINKHORN_ATOL
         )
@@ -68,8 +67,8 @@ class TestTheorem1Independence:
         row, col = _random_diagonals(stack.shape, seed)
         rescaled = row[:, :, None] * stack * col[:, None, :]
         np.testing.assert_allclose(
-            tma_batched(rescaled),
-            tma_batched(stack),
+            characterize_ensemble(rescaled).tma,
+            characterize_ensemble(stack).tma,
             rtol=0,
             atol=SINKHORN_ATOL,
         )
@@ -101,15 +100,12 @@ class TestScaleInvariance:
         """Multiplying every slice by its own positive scalar (a faster
         fleet, the same heterogeneity) changes none of the measures."""
         scale = np.resize(np.asarray(factors), stack.shape[0])
-        scaled = scale[:, None, None] * stack
+        got = characterize_ensemble(scale[:, None, None] * stack)
+        want = characterize_ensemble(stack)
+        np.testing.assert_allclose(got.mph, want.mph, rtol=1e-9)
+        np.testing.assert_allclose(got.tdh, want.tdh, rtol=1e-9)
         np.testing.assert_allclose(
-            mph_batched(scaled), mph_batched(stack), rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            tdh_batched(scaled), tdh_batched(stack), rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            tma_batched(scaled), tma_batched(stack), rtol=0, atol=SINKHORN_ATOL
+            got.tma, want.tma, rtol=0, atol=SINKHORN_ATOL
         )
 
 
@@ -117,7 +113,8 @@ class TestRanges:
     @settings(max_examples=40, deadline=None)
     @given(stack=ecs_stacks())
     def test_measures_in_paper_ranges(self, stack):
-        m, t, a = mph_batched(stack), tdh_batched(stack), tma_batched(stack)
+        ensemble = characterize_ensemble(stack)
+        m, t, a = ensemble.mph, ensemble.tdh, ensemble.tma
         assert ((m > 0) & (m <= 1)).all()
         assert ((t > 0) & (t <= 1)).all()
         assert ((a >= 0) & (a <= 1)).all()

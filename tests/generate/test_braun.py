@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GenerationError
-from repro.generate import BRAUN_CASES, braun_case, braun_suite
+from repro.generate import BRAUN_CASES, braun_case
 from repro.measures import mph, tdh
 
 
@@ -66,12 +66,5 @@ class TestCases:
 
 class TestSuite:
     def test_all_cases_present(self):
-        suite = braun_suite(n_tasks=10, n_machines=4, seed=3)
-        assert set(suite) == set(BRAUN_CASES)
-        assert all(env.shape == (10, 4) for env in suite.values())
-
-    def test_suite_deterministic(self):
-        a = braun_suite(n_tasks=6, n_machines=3, seed=4)
-        b = braun_suite(n_tasks=6, n_machines=3, seed=4)
         for name in BRAUN_CASES:
-            np.testing.assert_array_equal(a[name].values, b[name].values)
+            assert braun_case(name, n_tasks=10, n_machines=4, seed=3).shape == (10, 4)

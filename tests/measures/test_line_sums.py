@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from repro import ECSMatrix, characterize
-from repro.batch import (
-    characterize_ensemble,
-    machine_performance_batched,
-    mph_batched,
-    task_difficulty_batched,
-    tdh_batched,
-)
+from repro.batch import characterize_ensemble
 from repro.measures import machine_performance, mph, task_difficulty, tdh
 from repro.spec import list_datasets, load_dataset
 
@@ -48,23 +42,11 @@ def test_every_path_reads_one_line_sum(case):
         weights = dict(task_weights=w_t, machine_weights=w_m)
         profile = characterize(ecs, **weights)
         ensemble = characterize_ensemble(ecs[None], **weights)
-        mp = [
-            profile.machine_performance,
-            machine_performance(ecs, **weights),
-            machine_performance_batched(ecs[None], **weights)[0],
-        ]
-        td = [
-            profile.task_difficulty,
-            task_difficulty(ecs, **weights),
-            task_difficulty_batched(ecs[None], **weights)[0],
-        ]
+        mp = [profile.machine_performance, machine_performance(ecs, **weights)]
+        td = [profile.task_difficulty, task_difficulty(ecs, **weights)]
         homogeneities = [
             (profile.mph, profile.tdh),
             (mph(ecs, **weights), tdh(ecs, **weights)),
-            (
-                mph_batched(ecs[None], **weights)[0],
-                tdh_batched(ecs[None], **weights)[0],
-            ),
             (ensemble.mph[0], ensemble.tdh[0]),
         ]
         for vectors in (mp, td):
@@ -95,10 +77,6 @@ def _every_path(matrix, weights):
         machine_performance(matrix, **weights),
         task_difficulty(matrix, **weights),
         np.array([mph(matrix, **weights), tdh(matrix, **weights)]),
-        machine_performance_batched(stack, **weights),
-        task_difficulty_batched(stack, **weights),
-        mph_batched(stack, **weights),
-        tdh_batched(stack, **weights),
         ensemble.mph,
         ensemble.tdh,
         ensemble.tma,

@@ -23,11 +23,7 @@ import pytest
 
 from repro import characterize, characterize_ensemble, recording
 from repro.backends.base import MEMBER_LAST_MIN
-from repro.batch import (
-    standard_singular_values_batched,
-    standardize_batched,
-    tma_batched,
-)
+from repro.batch import standardize_batched
 from repro.measures import standard_singular_values, tma
 from repro.measures.affinity import (
     _GRAM_BLOCK,
@@ -58,6 +54,13 @@ def _svd(stack):
 
 def _spectrum(stack, converged, kind="batched", tol=TOL):
     return _singular_values(stack, kind, tol, converged)
+
+
+def _standard_spectrum(raw, tol=TOL, **options):
+    """The eq. 8 spectrum of each member's standard form, as the
+    batched path takes it: ``(N, min(T, M))``, descending per member."""
+    standard = standardize_batched(raw, tol=tol, **options)
+    return _spectrum(standard.matrix, standard.converged, tol=tol)
 
 
 def _bits(values):
@@ -123,9 +126,8 @@ class TestBitForBit:
     def test_public_entry_points_equal_lone(self, shape):
         raw = np.random.default_rng(3).uniform(0.1, 10.0, (MEMBER_LAST_MIN, *shape))
         lone = np.stack([standard_singular_values(m) for m in raw])
-        assert _bits(standard_singular_values_batched(raw)) == _bits(lone)
+        assert _bits(_standard_spectrum(raw)) == _bits(lone)
         lone_tma = np.array([tma(m) for m in raw])
-        assert _bits(tma_batched(raw)) == _bits(lone_tma)
         assert _bits(characterize_ensemble(raw).tma) == _bits(lone_tma)
 
 
@@ -142,7 +144,7 @@ def _environments():
 def test_every_tma_path_agrees(matrix):
     lone = tma(matrix)
     assert lone == characterize(matrix).tma
-    assert lone == tma_batched(matrix.to_ecs().values[None])[0]
+    assert lone == characterize_ensemble(matrix.to_ecs().values[None]).tma[0]
 
 
 def _corpus():
@@ -166,7 +168,7 @@ def test_accuracy_on_the_probe_corpus(name):
     standard = standardize_batched(CORPUS[name], tol=TOL)
     assert standard.converged.all()
     _, accepted = _gram_spectrum(standard.matrix, TOL, standard.converged)
-    values = standard_singular_values_batched(CORPUS[name], tol=TOL)
+    values = _standard_spectrum(CORPUS[name])
     svd = _svd(standard.matrix)
     gap = np.abs(_tma_column(values) - _tma_column(svd))
     assert gap[accepted].max(initial=0.0) <= 1e-12
@@ -187,9 +189,7 @@ class TestTheRule:
         sigma = _svd(standard.matrix)
         assert (sigma[:, -1] < _SIGMA_FLOOR * sigma[:, 0]).all()
         assert (np.abs(sigma[:, 0] - 1.0) <= TOL).all()
-        assert _bits(standard_singular_values_batched(raw)) == _bits(
-            _svd(standard.matrix)
-        )
+        assert _bits(_standard_spectrum(raw)) == _bits(_svd(standard.matrix))
         assert _bits(standard_singular_values(raw[0])) == _bits(
             _svd(standardize(raw[0]).matrix)
         )
@@ -205,7 +205,7 @@ class TestTheRule:
         raw = np.random.default_rng(11).uniform(0.1, 10.0, (16, 8, 8))
         options = dict(tol=0.0, max_iterations=200, require_convergence=False)
         standard = standardize_batched(raw, **options)
-        values = standard_singular_values_batched(raw, **options)
+        values = _standard_spectrum(raw, **options)
         assert _bits(values) == _bits(_svd(standard.matrix))
 
     def test_non_converged_members_take_the_svd(self):
@@ -216,7 +216,7 @@ class TestTheRule:
         assert missed.any()
         # Their sigma_1 and conditioning already pass; their margins do not.
         assert _gram_spectrum(standard.matrix, TOL, True)[1][missed].all()
-        values = standard_singular_values_batched(raw, **options)
+        values = _standard_spectrum(raw, **options)
         assert _bits(values[missed]) == _bits(_svd(standard.matrix[missed]))
         ensemble = characterize_ensemble(raw, max_iterations=5)
         assert _bits(ensemble.tma[missed]) == _bits(
@@ -240,9 +240,7 @@ class TestTheRule:
         )
         raw = np.stack([matrix, matrix[::-1]])
         standard = standardize_batched(raw)
-        assert _bits(standard_singular_values_batched(raw)) == _bits(
-            _svd(standard.matrix)
-        )
+        assert _bits(_standard_spectrum(raw)) == _bits(_svd(standard.matrix))
 
     def test_non_finite_members_reach_the_svd(self):
         stack = np.ascontiguousarray(

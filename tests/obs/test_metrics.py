@@ -281,11 +281,11 @@ class TestHotPathFeeds:
         assert svd.snapshot(kernel="scalar")["count"] == 1
 
     def test_tma_batched_feeds_svd(self):
-        from repro.batch import tma_batched
+        from repro.batch import characterize_ensemble
 
         stack = np.random.default_rng(3).uniform(0.5, 4.0, size=(4, 3, 5))
         with collecting_metrics(MetricsRegistry()) as registry:
-            tma_batched(stack)
+            characterize_ensemble(stack)
         svd = registry.get("repro_svd_seconds")
         assert svd.snapshot(kernel="batched")["count"] == 1
 

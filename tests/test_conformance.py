@@ -48,8 +48,7 @@ from hypothesis import given, settings
 
 import repro.backends as kernels
 from repro.backends.base import MEMBER_LAST_MIN, _member_last
-from repro.batch import (characterize_ensemble, mph_batched, sinkhorn_knopp_batched,
-                         standardize_batched, tdh_batched, tma_batched)
+from repro.batch import characterize_ensemble, sinkhorn_knopp_batched, standardize_batched
 from repro.exceptions import NotNormalizableError
 from repro.generate import cvb
 from repro.measures import characterize, mph, tdh, tma
@@ -236,15 +235,6 @@ def _functions(stack, case, policy):
             "rejected": [i for i, v in enumerate(values) if v is None]}
 
 
-def _functions_batched(stack, case, policy):
-    """``tma_batched`` over the members with a standard form."""
-    has_form = np.array(case.normalizable)[case.healthy]
-    values = np.full(len(stack), np.nan)
-    if has_form.any():
-        values[has_form] = tma_batched(stack[has_form])
-    return {"mph": mph_batched(stack), "tdh": tdh_batched(stack), "tma": values}
-
-
 def _characterize(stack, case, policy):
     """The columns ``characterize_ensemble`` gives a scalar member."""
     profiles = [characterize(m) for m in stack]
@@ -329,7 +319,6 @@ PATHS = {
         for p in POLICIES
     },
     "mph/tdh/tma": Route("functions", _functions),
-    "mph/tdh/tma_batched": Route("functions", _functions_batched),
     "characterize": Route("profile", _characterize),
     **{
         f"characterize_ensemble[{p}]": Route("profile", _ensemble, p)
