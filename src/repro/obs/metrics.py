@@ -71,6 +71,7 @@ __all__ = [
     "declare_families",
     "fold_recorder",
     "record",
+    "Tally",
     "ITERATION_BUCKETS",
     "RESIDUAL_BUCKETS",
     "SECONDS_BUCKETS",
@@ -701,6 +702,35 @@ def record(*updates) -> None:
     """
     if _enabled:
         _default_registry.record(*updates)
+
+
+class Tally:
+    """Counter increments an owner keeps for a later :func:`record` call.
+
+    A site that counts an event many times per unit of work (a cache
+    lookup, an admission) can :meth:`add` it here and have the unit's
+    one ``record`` call carry :meth:`drain`'s updates, instead of
+    making a ``record`` call per event.  Not locked: feed and drain it
+    on one thread.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: dict[tuple, float] = {}
+
+    def add(self, family: str, labels: tuple[str, ...]) -> None:
+        """Count one event of counter ``family`` at ``labels``."""
+        key = (family, labels)
+        self.counts[key] = self.counts.get(key, 0.0) + 1.0
+
+    def drain(self) -> tuple:
+        """The counts since the previous drain, as ``record`` updates."""
+        counts = self.counts
+        if not counts:
+            return ()
+        self.counts = {}
+        return tuple((family, labels, n) for (family, labels), n in counts.items())
 
 
 def fold_recorder(

@@ -39,6 +39,7 @@ TIMING_STAGES = (
     "coalesce_linger_s",
     "cache_s",
     "kernel_s",
+    "answer_wait_s",
     "render_s",
     "other_s",
 )

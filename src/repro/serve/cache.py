@@ -147,6 +147,10 @@ class ResultCache:
     treated as a miss (its result is simply recomputed) instead of
     being served to the client.
 
+    Hits, misses and stores are counted in :attr:`events`, a
+    :class:`repro.obs.metrics.Tally` the owner drains into its own
+    ``record`` call; unlike the LRU, it is for one thread.
+
     Examples
     --------
     >>> cache = ResultCache(max_entries=2)
@@ -171,6 +175,10 @@ class ResultCache:
         self.evictions = 0
         self.spill_errors = 0
         self.spill_degraded = False
+        #: Hits, misses and stores, counted for the owner's next record
+        #: call (the server's is each request's exit); spill events are
+        #: recorded as they happen.  Fed on the owner's thread only.
+        self.events = _metrics.Tally()
         if self.spill_dir is not None:
             try:
                 self.spill_dir.mkdir(parents=True, exist_ok=True)
@@ -210,9 +218,7 @@ class ResultCache:
             if value is not None:
                 self._entries.move_to_end(key)
                 self.hits_memory += 1
-                _metrics.record(
-                    ("repro_serve_cache_events_total", ("hit-memory",), 1.0)
-                )
+                self.events.add("repro_serve_cache_events_total", ("hit-memory",))
                 return value
         if self.spill_dir is not None:
             path = self._spill_path(key)
@@ -240,11 +246,11 @@ class ResultCache:
                 with self._lock:
                     self.hits_disk += 1
                 self._store(key, value)
-                _metrics.record(("repro_serve_cache_events_total", ("hit-disk",), 1.0))
+                self.events.add("repro_serve_cache_events_total", ("hit-disk",))
                 return value
         with self._lock:
             self.misses += 1
-        _metrics.record(("repro_serve_cache_events_total", ("miss",), 1.0))
+        self.events.add("repro_serve_cache_events_total", ("miss",))
         return None
 
     def put(self, key: str, value: bytes) -> None:
@@ -265,7 +271,7 @@ class ResultCache:
                 self.evictions += 1
                 if self.spill_dir is not None:
                     spilled = (old_key, old_value)
-        _metrics.record(("repro_serve_cache_events_total", ("store",), 1.0))
+        self.events.add("repro_serve_cache_events_total", ("store",))
         spill_dir = self.spill_dir
         if spilled is not None and spill_dir is not None:
             _metrics.record(("repro_serve_cache_events_total", ("spill",), 1.0))

@@ -24,9 +24,15 @@ request is still being read, at ``linger_s`` at the latest, or at
   held by a connection that never finishes sending;
 * a group that reaches ``max_batch`` flushes immediately (bounded
   latency *and* bounded stack memory);
-* the flush runs the (synchronous, numpy-heavy) batch runner in the
-  event loop's default executor, so the loop keeps accepting requests
-  while kernels crunch.
+* a flushed batch waits for its event loop's **kernel lane**, then
+  runs the (synchronous, numpy-heavy) batch runner in the loop's
+  default executor.  Every coalescer on one running loop shares the
+  lane, and batches take it in flush order.  So one kernel is in
+  flight per loop, and a batch answers its members before it releases
+  the lane: their render, cache store and exit steps run before the
+  next batch's kernel takes the GIL.  A burst that flushes a
+  characterize and a standardize group therefore answers the
+  characterize members at the end of their own kernel, not of both.
 
 The runner returns one entry per submitted matrix — a result payload,
 or an exception (typically :class:`ServeFault`, carrying a
@@ -36,8 +42,8 @@ requests sharing its batch; that is the per-request quarantine
 semantics of :mod:`repro.robust` lifted into the serving layer.
 
 **Deadline propagation.**  ``submit`` accepts an optional started
-:class:`repro.robust.Deadline`.  At flush time, members whose deadline
-has already expired are shed with
+:class:`repro.robust.Deadline`.  Once the batch holds the kernel lane,
+members whose deadline has already expired are shed with
 :class:`repro.serve.resilience.DeadlineExceeded` *before* the kernel
 runs — their callers have given up, so spending kernel time on them
 would only slow their batch-mates.  The surviving members' tightest
@@ -54,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +70,19 @@ from .protocol import ServeRequest
 from .resilience import DeadlineExceeded
 
 __all__ = ["Coalescer", "ServeFault", "CoalesceResult"]
+
+#: The kernel lane of each running event loop, shared by its coalescers.
+_LANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kernel_lane(loop: asyncio.AbstractEventLoop) -> asyncio.Lock:
+    """The FIFO lane one batch at a time holds from kernel start until
+    its members are answered (made on the loop's first flush, dropped
+    with the loop)."""
+    lane = _LANES.get(loop)
+    if lane is None:
+        lane = _LANES[loop] = asyncio.Lock()
+    return lane
 
 
 class ServeFault(Exception):
@@ -85,8 +105,13 @@ class CoalesceResult:
     """One request's outcome plus how it was computed.
 
     ``linger_s`` is how long *this member* waited between submission and
-    its batch flushing; ``kernel_s`` the batched kernel's wall time
-    (shared by every member of the batch).  Together they feed the
+    its batch's kernel start: the group's linger plus the wait for the
+    loop's kernel lane.  ``kernel_s`` is the wall time of the batch's
+    own runner (shared by every member of the batch), never of another
+    batch's.  ``done_t`` is the ``time.perf_counter()`` reading at which
+    the runner's results were back on the loop; a member's own reading
+    when it resumes, minus ``done_t``, is how long it waited while the
+    batch-mates resumed before it answered.  Together they feed the
     per-request ``debug.timings`` breakdown.
     """
 
@@ -94,6 +119,7 @@ class CoalesceResult:
     batch_size: int
     linger_s: float = 0.0
     kernel_s: float = 0.0
+    done_t: float = 0.0
 
 
 @dataclass
@@ -178,7 +204,7 @@ class Coalescer:
 
         ``deadline`` is an optional started
         :class:`repro.robust.Deadline`; a member whose deadline expires
-        before its group flushes is shed with
+        before its batch takes the kernel lane is shed with
         :class:`~repro.serve.resilience.DeadlineExceeded` instead of
         running, and the batch kernel runs under the tightest surviving
         deadline.
@@ -287,8 +313,9 @@ class Coalescer:
                     future.set_exception(
                         DeadlineExceeded(
                             "deadline expired while the request "
-                            "lingered in a coalescing group; the "
-                            "kernel was never run for it"
+                            "lingered in a coalescing group or waited "
+                            "for the kernel lane; the kernel was never "
+                            "run for it"
                         )
                     )
                 continue
@@ -305,47 +332,53 @@ class Coalescer:
         return matrices, futures, submitted, contexts
 
     async def _run_batch(self, group: _PendingGroup) -> None:
-        matrices, futures, submitted, contexts = self._shed_expired(group)
-        if not matrices:  # every member expired: nothing to compute
-            return
-        size = len(matrices)
-        self.batches_flushed += 1
-        self.requests_coalesced += size
-        _metrics.record(
-            ("repro_serve_coalesce_batch_size", (self.endpoint,), size),
-            ("repro_serve_kernel_invocations_total", (self.endpoint,), 1.0),
-        )
-        traces = [context.run(current_trace) for context in contexts]
-        members = [trace for trace in traces if trace is not None]
-        context = next(
-            (c for c, trace in zip(contexts, traces) if trace is not None),
-            contexts[0],
-        )
+        """Run one flushed group: wait for the loop's kernel lane, shed
+        the members that expired meanwhile, run the rest and answer them
+        before the lane passes to the next batch."""
         loop = asyncio.get_running_loop()
-        flush_t = time.perf_counter()
-        lingers = [max(0.0, flush_t - submit_t) for submit_t in submitted]
-        try:
-            results = await loop.run_in_executor(
-                None, context.run, self._kernel, group.options, matrices,
-                members,
+        async with _kernel_lane(loop):
+            matrices, futures, submitted, contexts = self._shed_expired(group)
+            if not matrices:  # every member expired: nothing to compute
+                return
+            size = len(matrices)
+            self.batches_flushed += 1
+            self.requests_coalesced += size
+            _metrics.record(
+                ("repro_serve_coalesce_batch_size", (self.endpoint,), size),
+                ("repro_serve_kernel_invocations_total", (self.endpoint,), 1.0),
             )
-        except Exception as exc:  # runner blew up: fail the whole batch
-            for future in futures:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        kernel_s = time.perf_counter() - flush_t
-        for future, result, linger_s in zip(futures, results, lingers):
-            if future.done():  # caller went away (cancelled request)
-                continue
-            if isinstance(result, Exception):
-                future.set_exception(result)
-            else:
-                future.set_result(
-                    CoalesceResult(
-                        result, size, linger_s=linger_s, kernel_s=kernel_s
-                    )
+            traces = [context.run(current_trace) for context in contexts]
+            members = [trace for trace in traces if trace is not None]
+            context = next(
+                (c for c, trace in zip(contexts, traces) if trace is not None),
+                contexts[0],
+            )
+            flush_t = time.perf_counter()
+            lingers = [max(0.0, flush_t - submit_t) for submit_t in submitted]
+            try:
+                results = await loop.run_in_executor(
+                    None, context.run, self._kernel, group.options, matrices,
+                    members,
                 )
+            except Exception as exc:  # runner blew up: fail the whole batch
+                for future in futures:
+                    if not future.done():
+                        future.set_exception(exc)
+                return
+            done_t = time.perf_counter()
+            kernel_s = done_t - flush_t
+            for future, result, linger_s in zip(futures, results, lingers):
+                if future.done():  # caller went away (cancelled request)
+                    continue
+                if isinstance(result, Exception):
+                    future.set_exception(result)
+                else:
+                    future.set_result(
+                        CoalesceResult(
+                            result, size, linger_s=linger_s, kernel_s=kernel_s,
+                            done_t=done_t,
+                        )
+                    )
 
     def _kernel(self, options: dict, matrices: list, members: list) -> list:
         """The batch runner inside its ``serve.kernel`` span, linked to
@@ -372,5 +405,6 @@ class Coalescer:
         """Flush every pending group immediately (shutdown path)."""
         for key in list(self._groups):
             self._flush_now(key)
-        # Yield once so the flush tasks get to run their executors.
+        # Yield once so the first flushed batch takes the kernel lane;
+        # the rest follow it in flush order.
         await asyncio.sleep(0)

@@ -255,6 +255,9 @@ class AdmissionController:
         self.queue_depth = int(queue_depth)
         self.estimators = dict(estimators or {})
         self._gates: dict[str, _Gate] = {}
+        #: Admissions, counted for the owner's next record call (the
+        #: server's is each request's exit).  Loop thread only.
+        self.events = _metrics.Tally()
 
     def _gate(self, endpoint: str) -> _Gate:
         gate = self._gates.get(endpoint)
@@ -354,7 +357,7 @@ class AdmissionController:
         gate.inflight += 1
         gate.peak_inflight = max(gate.peak_inflight, gate.inflight)
         gate.admitted += 1
-        _metrics.record(("repro_serve_admitted_total", (endpoint,), 1.0))
+        self.events.add("repro_serve_admitted_total", (endpoint,))
         estimator = self.estimators.get(endpoint)
         if estimator is not None:
             _metrics.record(

@@ -61,7 +61,7 @@ from ..obs.sinks import JsonlSink, RotatingJsonlSink
 from ..obs.trace_context import RequestTrace, request_ids
 from ..robust.budget import Budget, Deadline
 from .cache import ResultCache, matrix_cache_key
-from .coalesce import Coalescer, ServeFault
+from .coalesce import CoalesceResult, Coalescer, ServeFault
 from .protocol import (
     ProtocolError,
     ServeRequest,
@@ -164,6 +164,14 @@ class _Inflight:
 
     future: asyncio.Future
     waiters: int = 0
+
+
+def _add_batch_stages(trace: RequestTrace, outcome: CoalesceResult) -> None:
+    """A coalesced request's stages: its linger (lane wait included), its
+    batch's kernel, and the wait after it while batch-mates answered."""
+    trace.add("coalesce_linger_s", outcome.linger_s)
+    trace.add("kernel_s", outcome.kernel_s)
+    trace.add("answer_wait_s", time.perf_counter() - outcome.done_t)
 
 
 class CharacterizationServer:
@@ -346,8 +354,7 @@ class CharacterizationServer:
                 inner, deadline
             )
             if trace is not None:
-                trace.add("coalesce_linger_s", outcome.linger_s)
-                trace.add("kernel_s", outcome.kernel_s)
+                _add_batch_stages(trace, outcome)
             measures = outcome.payload
             name, reason = recommend_from_measures(
                 measures["mph"], measures["tdh"], measures["tma"]
@@ -369,8 +376,7 @@ class CharacterizationServer:
             return body, source
         outcome = await self.coalescers[endpoint].submit(request, deadline)
         if trace is not None:
-            trace.add("coalesce_linger_s", outcome.linger_s)
-            trace.add("kernel_s", outcome.kernel_s)
+            _add_batch_stages(trace, outcome)
         source = "batched" if outcome.batch_size > 1 else "cold"
         render_t0 = time.perf_counter()
         body = result_body(endpoint, outcome.payload)
@@ -494,6 +500,13 @@ class CharacterizationServer:
                 for name, c in self.coalescers.items()
             },
         }
+
+    def _record(self, *updates) -> None:
+        """Record ``updates`` and the cache and admission events counted
+        since the previous call, in one call."""
+        _metrics.record(
+            *updates, *self.cache.events.drain(), *self.admission.events.drain()
+        )
 
     def _healthz(self, path: str) -> tuple[int, str, bytes]:
         """The liveness / readiness probe split.
@@ -624,6 +637,7 @@ class CharacterizationServer:
         t0 = time.perf_counter()
         path = path.split("?", 1)[0]
         if method == "GET" and path in ("/metrics", "/"):
+            self._record()  # the scrape shows every tallied event
             payload = render_prometheus(_metrics.get_registry()).encode("utf-8")
             _metrics.record(
                 ("repro_serve_scrapes_total", ("metrics", "200"), 1.0),
@@ -711,7 +725,7 @@ class CharacterizationServer:
         quarantined = () if fault is None else (
             ("repro_serve_quarantined_total", (label, fault.category), 1.0),
         )
-        _metrics.record(
+        self._record(
             ("repro_serve_requests_total", (label, str(status)), 1.0),
             ("repro_serve_request_seconds", (label, source), wall_s,
              {"trace_id": trace_id}),
@@ -865,6 +879,7 @@ class CharacterizationServer:
     async def stop(self) -> None:
         for coalescer in self.coalescers.values():
             await coalescer.drain()
+        self._record()  # events of exchanges cancelled before their exit
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs.metrics import record
 from repro.serve import ResultCache, matrix_cache_key
 
 from .conftest import cache_events
@@ -169,6 +170,12 @@ class TestCacheMetrics:
         cache.put("bb", b"2")  # store + spill of aa
         cache.get("bb")  # hit-memory
         cache.get("aa")  # hit-disk (promotes, spilling bb)
+        # Spills are recorded as they happen; the lookups and stores
+        # wait in cache.events for the owner's record call.
+        assert cache_events(metrics_registry, "spill") >= 1
+        assert cache_events(metrics_registry, "miss") == 0
+        record(*cache.events.drain())
+        assert cache.events.drain() == ()
         assert cache_events(metrics_registry, "miss") == 1
         assert cache_events(metrics_registry, "store") >= 2
         assert cache_events(metrics_registry, "spill") >= 1

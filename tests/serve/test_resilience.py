@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs.metrics import record
 from repro.robust import Deadline
 from repro.serve import (
     AdmissionController,
@@ -188,13 +189,16 @@ class TestAdmissionController:
         assert ctl.degraded
 
     def test_shed_metrics_reach_the_registry(self, metrics_registry):
+        ctl = AdmissionController(max_inflight=1, queue_depth=0)
+
         async def _run():
-            ctl = AdmissionController(max_inflight=1, queue_depth=0)
             await ctl.admit("characterize")
             with pytest.raises(ShedError):
                 await ctl.admit("characterize")
 
         asyncio.run(_run())
+        # Admissions wait in ctl.events for the owner's record call.
+        record(*ctl.events.drain())
         assert _counter(
             metrics_registry,
             "repro_serve_admitted_total",

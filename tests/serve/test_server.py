@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.measures.report import characterize
+from repro.obs.metrics import MetricsRegistry, collecting_metrics
 from repro.scheduling.selection import recommend_from_measures
 from repro.serve import SCHEMA, CharacterizationServer, ServeConfig, ServerThread
 
@@ -141,6 +142,85 @@ class TestCachingOverHttp:
             kernel_invocations(live_server.registry, "characterize")
             == before + 1
         )
+
+
+class CallCountingRegistry(MetricsRegistry):
+    """A registry that keeps the family names of every record call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[set[str]] = []
+
+    def record(self, *updates) -> None:
+        self.calls.append({update[0] for update in updates})
+        super().record(*updates)
+
+
+class TestOneRecordPerExit:
+    """Cache and admission counts ride the request's exit record call."""
+
+    N = 4
+    FOLDED = {"repro_serve_cache_events_total", "repro_serve_admitted_total"}
+
+    def test_record_calls_per_compute_request_and_per_cache_hit(self):
+        rng = np.random.default_rng(23)
+        bodies = [
+            json.dumps({"matrix": m.tolist()}).encode()
+            for m in rng.uniform(0.5, 10.0, (self.N, 4, 4))
+        ]
+        registry = CallCountingRegistry()
+
+        async def burst(server):
+            await asyncio.gather(*(
+                server.exchange("POST", "/v1/characterize", body)
+                for body in bodies
+            ))
+
+        async def run():
+            server = CharacterizationServer(ServeConfig())
+            await burst(server)  # N misses coalesced into one batch
+            computed = list(registry.calls)
+            registry.calls.clear()
+            await burst(server)  # N cache hits
+            return computed, list(registry.calls)
+
+        with collecting_metrics(registry):
+            computed, hits = asyncio.run(run())
+        serve = [c for c in computed if any(n.startswith("repro_serve_") for n in c)]
+        # Per compute request: its exit and its admission-limit gauge;
+        # per batch: the coalescer's batch-size call.
+        assert len(serve) == 2 * self.N + 1
+        exits = [c for c in serve if "repro_serve_requests_total" in c]
+        assert len(exits) == self.N
+        assert all(not c & self.FOLDED for c in computed if c not in exits)
+        assert set().union(*exits) >= self.FOLDED
+        # A cache hit makes exactly one call: its exit.
+        assert len(hits) == self.N
+        assert all("repro_serve_requests_total" in c for c in hits)
+        events = registry.counter(
+            "repro_serve_cache_events_total", labelnames=("event",)
+        )
+        assert {
+            event: events.value(event=event)
+            for event in ("miss", "store", "hit-memory")
+        } == {"miss": self.N, "store": self.N, "hit-memory": self.N}
+        admitted = registry.counter(
+            "repro_serve_admitted_total", labelnames=("endpoint",)
+        )
+        assert admitted.value(endpoint="characterize") == self.N
+
+    def test_scrape_shows_events_of_an_unfinished_exit(self):
+        registry = MetricsRegistry()
+
+        async def run():
+            server = CharacterizationServer(ServeConfig())
+            server.cache.get("absent")  # tallied, no exit yet
+            _s, _ct, body, _h = await server.exchange("GET", "/metrics", b"")
+            return body.decode()
+
+        with collecting_metrics(registry):
+            text = asyncio.run(run())
+        assert 'repro_serve_cache_events_total{event="miss"} 1' in text
 
 
 class TestHttpSurface:
