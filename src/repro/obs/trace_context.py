@@ -35,6 +35,8 @@ __all__ = [
 # pipeline order.  ``other_s`` absorbs scheduling slop so the stages sum
 # to the measured total by construction.
 TIMING_STAGES = (
+    "parse_s",
+    "key_s",
     "queue_wait_s",
     "coalesce_linger_s",
     "cache_s",

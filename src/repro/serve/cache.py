@@ -26,6 +26,13 @@ changes the float64 bit pattern and therefore the key.
 caller received), with an optional disk spill directory: entries
 evicted from memory are written to ``<spill_dir>/<key>.json`` and
 promoted back on the next miss.
+
+An exact resubmission need not be decoded to find its key: the cache
+also indexes :func:`body_digest` (BLAKE2b-128 of the endpoint and the
+request body bytes) to the canonical key, so a byte-identical body is
+answered by :meth:`ResultCache.get_exact` with no decode, parse or key
+hashing.  The canonical key stays the cache's identity; the index only
+finds it sooner.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from ..obs import metrics as _metrics
 
 __all__ = [
     "CACHE_KEY_VERSION",
+    "body_digest",
     "canonical_matrix_bytes",
     "canonical_options",
     "matrix_cache_key",
@@ -76,18 +84,57 @@ def canonical_matrix_bytes(matrix) -> bytes:
     return header + arr.tobytes(order="C")
 
 
+#: Option sets already serialized by :func:`canonical_options`, keyed
+#: exactly on type (see :func:`_options_identity`), so a hit returns the
+#: very string ``json.dumps`` would and sharing it across the process
+#: changes no result.  Cleared when full.
+_OPTIONS_MEMO: dict[tuple, str] = {}
+_OPTIONS_MEMO_MAX = 256
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _options_identity(options: dict) -> tuple | None:
+    """A memo key equal only for option dicts ``json.dumps`` writes alike.
+
+    ``1``, ``1.0`` and ``True`` compare equal but serialize differently,
+    so every value carries its type, and a float its ``hex()`` (which
+    also tells ``-0.0`` from ``0.0``).  None (no memo) for a non-string
+    name or a value that is not a JSON scalar.
+    """
+    identity = []
+    for name, value in options.items():
+        kind = type(value)
+        if type(name) is not str:
+            return None
+        if kind is float:
+            value = value.hex()
+        elif kind not in _SCALARS:
+            return None
+        identity.append((name, kind, value))
+    return tuple(identity)
+
+
 def canonical_options(options: dict | None) -> str:
     """Canonical JSON of the request options (sorted keys, compact).
 
+    Serialized once per distinct option set and memoized after.
     Insertion order never matters:
 
     >>> canonical_options({"tol": 1e-8, "zeros": "limit"}) == \\
     ...     canonical_options({"zeros": "limit", "tol": 1e-8})
     True
     """
-    return json.dumps(
-        options or {}, sort_keys=True, separators=(",", ":"), allow_nan=True
-    )
+    identity = _options_identity(options) if options else None
+    text = _OPTIONS_MEMO.get(identity)
+    if text is None:
+        text = json.dumps(
+            options or {}, sort_keys=True, separators=(",", ":"), allow_nan=True
+        )
+        if identity is not None:
+            if len(_OPTIONS_MEMO) >= _OPTIONS_MEMO_MAX:
+                _OPTIONS_MEMO.clear()
+            _OPTIONS_MEMO[identity] = text
+    return text
 
 
 def matrix_cache_key(matrix, *, endpoint: str = "", options=None) -> str:
@@ -110,6 +157,18 @@ def matrix_cache_key(matrix, *, endpoint: str = "", options=None) -> str:
     digest.update(b"\x00")
     digest.update(canonical_matrix_bytes(matrix))
     return digest.hexdigest()
+
+
+def body_digest(endpoint: str, body: bytes) -> bytes:
+    """BLAKE2b-128 digest of (endpoint, raw request body bytes).
+
+    The key of :class:`ResultCache`'s exact-resubmission index: equal
+    only for byte-identical bodies sent to the same endpoint.
+    """
+    digest = hashlib.blake2b(endpoint.encode("utf-8"), digest_size=16)
+    digest.update(b"\x00")
+    digest.update(body)
+    return digest.digest()
 
 
 def _plausible_response(value: bytes) -> bool:
@@ -151,6 +210,12 @@ class ResultCache:
     :class:`repro.obs.metrics.Tally` the owner drains into its own
     ``record`` call; unlike the LRU, it is for one thread.
 
+    The exact-resubmission index (:meth:`index_exact` /
+    :meth:`get_exact`) maps a :func:`body_digest` to its canonical key.
+    It never holds a body, holds at most ``max_entries`` digests (the
+    oldest is dropped first), and, like :attr:`events`, is for the
+    owner's thread only.
+
     Examples
     --------
     >>> cache = ResultCache(max_entries=2)
@@ -179,6 +244,7 @@ class ResultCache:
         #: call (the server's is each request's exit); spill events are
         #: recorded as they happen.  Fed on the owner's thread only.
         self.events = _metrics.Tally()
+        self._exact: dict[bytes, str] = {}
         if self.spill_dir is not None:
             try:
                 self.spill_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +279,41 @@ class ResultCache:
         Memory hits refresh LRU recency; disk hits are promoted back
         into memory (possibly evicting the current LRU tail).
         """
+        value = self._find(key)
+        if value is None:
+            with self._lock:
+                self.misses += 1
+            self.events.add("repro_serve_cache_events_total", ("miss",))
+        return value
+
+    def index_exact(self, digest: bytes, key: str) -> None:
+        """Index a request body's :func:`body_digest` under its ``key``."""
+        exact = self._exact
+        exact[digest] = key
+        if len(exact) > self.max_entries:
+            del exact[next(iter(exact))]
+
+    def indexed(self, digest: bytes) -> bool:
+        """True when ``digest`` is in the exact-resubmission index."""
+        return digest in self._exact
+
+    def get_exact(self, digest: bytes) -> bytes | None:
+        """The cached bytes of the key ``digest`` is indexed under, or None.
+
+        A hit counts as :meth:`get`'s does.  A key no longer cached drops
+        its index entry and counts nothing: the caller then looks the key
+        up in full, and that lookup counts the request's one miss.
+        """
+        key = self._exact.get(digest)
+        if key is None:
+            return None
+        value = self._find(key)
+        if value is None:
+            del self._exact[digest]
+        return value
+
+    def _find(self, key: str) -> bytes | None:
+        """:meth:`get` without counting a miss."""
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
@@ -248,9 +349,6 @@ class ResultCache:
                 self._store(key, value)
                 self.events.add("repro_serve_cache_events_total", ("hit-disk",))
                 return value
-        with self._lock:
-            self.misses += 1
-        self.events.add("repro_serve_cache_events_total", ("miss",))
         return None
 
     def put(self, key: str, value: bytes) -> None:
@@ -291,6 +389,7 @@ class ResultCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
+                "exact_entries": len(self._exact),
                 "hits_memory": self.hits_memory,
                 "hits_disk": self.hits_disk,
                 "misses": self.misses,

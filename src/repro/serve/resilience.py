@@ -258,6 +258,9 @@ class AdmissionController:
         #: Admissions, counted for the owner's next record call (the
         #: server's is each request's exit).  Loop thread only.
         self.events = _metrics.Tally()
+        #: Endpoints whose admission-limit gauge that call carries: each
+        #: granted a slot, or had its limit moved, since the last one.
+        self._gauges_due: set[str] = set()
 
     def _gate(self, endpoint: str) -> _Gate:
         gate = self._gates.get(endpoint)
@@ -358,11 +361,21 @@ class AdmissionController:
         gate.peak_inflight = max(gate.peak_inflight, gate.inflight)
         gate.admitted += 1
         self.events.add("repro_serve_admitted_total", (endpoint,))
-        estimator = self.estimators.get(endpoint)
-        if estimator is not None:
-            _metrics.record(
-                ("repro_serve_admission_limit", (endpoint,), estimator.limit)
-            )
+        if endpoint in self.estimators:
+            self._gauges_due.add(endpoint)
+
+    def limit_gauges(self) -> tuple:
+        """The ``repro_serve_admission_limit`` gauge of every endpoint
+        granted a slot or moved since the previous call, at its current
+        limit, as ``record`` updates."""
+        if not self._gauges_due:
+            return ()
+        due, self._gauges_due = self._gauges_due, set()
+        return tuple(
+            ("repro_serve_admission_limit", (endpoint,),
+             self.estimators[endpoint].limit)
+            for endpoint in due
+        )
 
     def release(self, endpoint: str) -> None:
         """Free one slot and grant the oldest live waiter, if any."""
@@ -382,9 +395,7 @@ class AdmissionController:
             before = estimator.limit
             estimator.observe(wall_s)
             if estimator.limit != before:
-                _metrics.record(
-                    ("repro_serve_admission_limit", (endpoint,), estimator.limit)
-                )
+                self._gauges_due.add(endpoint)
                 # A freshly raised limit can unblock queued waiters.
                 if estimator.limit > before:
                     gate = self._gate(endpoint)

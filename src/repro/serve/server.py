@@ -17,7 +17,9 @@ Request flow (the order is the point):
 1. **content-addressed cache** — the canonical matrix + options key
    (:func:`repro.serve.cache.matrix_cache_key`) is looked up first;
    hits answer with the exact bytes of the original response and zero
-   kernel work;
+   kernel work.  An exact resubmission finds its key before it is even
+   decoded, by the digest of its body bytes
+   (:meth:`repro.serve.cache.ResultCache.get_exact`);
 2. **in-flight dedup** — an identical request already being computed
    is joined, not recomputed (single-flight);
 3. **admission control** — compute work passes a per-endpoint
@@ -60,7 +62,7 @@ from ..obs.metrics import declare_families, enable_metrics
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
 from ..obs.trace_context import RequestTrace, request_ids
 from ..robust.budget import Budget, Deadline
-from .cache import ResultCache, matrix_cache_key
+from .cache import ResultCache, body_digest, matrix_cache_key
 from .coalesce import CoalesceResult, Coalescer, ServeFault
 from .protocol import (
     ProtocolError,
@@ -400,12 +402,38 @@ class CharacterizationServer:
             return None
         return Deadline(max(0.0, deadline_ms / 1e3 - elapsed_s))
 
+    def _cached(self, get, ident, trace: RequestTrace | None):
+        """``(bytes, source)`` of a cache hit through ``get(ident)``, or
+        None: one ``serve.cache`` span, timed as ``cache_s``."""
+        disk_hits = self.cache.hits_disk
+        cache_t0 = time.perf_counter()
+        with span("serve.cache") as sp:
+            cached = get(ident)
+            sp.note(outcome="miss" if cached is None else "hit")
+        if trace is not None:
+            trace.add("cache_s", time.perf_counter() - cache_t0)
+        if cached is None:
+            return None
+        # The loop thread is the cache's only reader, so a moved
+        # disk-hit count means this hit came from the spill tier.
+        disk = self.cache.hits_disk != disk_hits
+        return cached, "cache-disk" if disk else "cache-memory"
+
+    def _exact_hit(self, digest: bytes, trace: RequestTrace | None):
+        """:meth:`_cached` through the exact-resubmission index, under
+        the request's trace scope when spans are on."""
+        if self.trace_sink is None:
+            return self._cached(self.cache.get_exact, digest, trace)
+        with trace_scope(trace.context, self.trace_sink):
+            return self._cached(self.cache.get_exact, digest, trace)
+
     async def handle_request(
         self,
         endpoint: str,
         payload,
         elapsed_s: float = 0.0,
         trace: RequestTrace | None = None,
+        digest: bytes | None = None,
     ) -> tuple[int, bytes, str]:
         """Full pipeline for one parsed JSON request document.
 
@@ -413,10 +441,18 @@ class CharacterizationServer:
         serving-path label fed to the latency histogram.  Raises
         :class:`~repro.serve.resilience.ShedError` when the request is
         rejected by admission control or its deadline.
+
+        ``digest`` is the :func:`~repro.serve.cache.body_digest` of the
+        request's body.  Once the request's answer is cached, it is
+        indexed under it, unless the request runs under a deadline or
+        asks for ``debug_timings``: those always take this full path.
         """
+        parse_t0 = time.perf_counter() if trace is not None else 0.0
         request = parse_request(endpoint, payload)
         # A waiting request holds its ServeRequest, not the document.
         del payload
+        if trace is not None:
+            trace.add("parse_s", time.perf_counter() - parse_t0)
         deadline = self._request_deadline(request, elapsed_s)
         if deadline is not None and deadline.expired():
             _metrics.record(
@@ -425,24 +461,22 @@ class CharacterizationServer:
             raise DeadlineExceeded(
                 "request deadline expired before any work was scheduled"
             )
+        key_t0 = time.perf_counter() if trace is not None else 0.0
         key = matrix_cache_key(
             request.matrix, endpoint=endpoint, options=request.canonical_options
         )
+        if trace is not None:
+            trace.add("key_s", time.perf_counter() - key_t0)
+        if deadline is not None or request.debug_timings:
+            digest = None  # never indexed
         # Cache hits and singleflight joins bypass admission control:
         # they cost no kernel work, and shedding them under load would
         # throw away exactly the requests that are free to serve.
-        disk_hits = self.cache.hits_disk
-        cache_t0 = time.perf_counter()
-        with span("serve.cache") as sp:
-            cached = self.cache.get(key)
-            sp.note(outcome="miss" if cached is None else "hit")
-        if trace is not None:
-            trace.add("cache_s", time.perf_counter() - cache_t0)
-        if cached is not None:
-            # The loop thread is the cache's only reader, so a moved
-            # disk-hit count means this hit came from the spill tier.
-            disk = self.cache.hits_disk != disk_hits
-            return 200, cached, "cache-disk" if disk else "cache-memory"
+        found = self._cached(self.cache.get, key, trace)
+        if found is not None:
+            if digest is not None:
+                self.cache.index_exact(digest, key)
+            return 200, *found
 
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -472,6 +506,8 @@ class CharacterizationServer:
                 self.admission.release(endpoint)
         put_t0 = time.perf_counter()
         self.cache.put(key, body)
+        if digest is not None:
+            self.cache.index_exact(digest, key)
         if trace is not None:
             trace.add("cache_s", time.perf_counter() - put_t0)
         entry.future.set_result(body)
@@ -502,10 +538,14 @@ class CharacterizationServer:
         }
 
     def _record(self, *updates) -> None:
-        """Record ``updates`` and the cache and admission events counted
-        since the previous call, in one call."""
+        """Record ``updates``, the cache and admission events counted
+        since the previous call and the admission-limit gauges due, in
+        one call."""
         _metrics.record(
-            *updates, *self.cache.events.drain(), *self.admission.events.drain()
+            *updates,
+            *self.cache.events.drain(),
+            *self.admission.events.drain(),
+            *self.admission.limit_gauges(),
         )
 
     def _healthz(self, path: str) -> tuple[int, str, bytes]:
@@ -681,27 +721,48 @@ class CharacterizationServer:
                     "no new work",
                     retry_after_s=max(1.0, self.config.drain_timeout_s),
                 )
-            payload = decode_json(body)
-            del body
-            want_debug = (
-                isinstance(payload, dict)
-                and payload.get("debug_timings") is True
-            )
-            if want_debug and rtrace is None:
-                rtrace = RequestTrace.begin(parent, trace_id, t0)
-            handling = self.handle_request(
-                endpoint,
-                payload,
-                elapsed_s=time.perf_counter() - t0,
-                trace=rtrace,
-            )
-            # handle_request drops the document once it is parsed.
-            del payload
-            if self.trace_sink is None:
-                status, response, source = await handling
+            # Two clock reads on every request: a debug_timings request
+            # is only known once its body is decoded.
+            key_t0 = time.perf_counter()
+            digest = body_digest(endpoint, body)
+            indexed = self.cache.indexed(digest)
+            parse_t0 = time.perf_counter()
+            key_s = parse_t0 - key_t0
+            found = None
+            if indexed:
+                found = self._exact_hit(digest, rtrace)
+                parse_t0 = time.perf_counter()
+            if found is not None:
+                # An exact resubmission: no decode, parse or key hashing.
+                if rtrace is not None:
+                    rtrace.add("key_s", key_s)
+                status, (response, source) = 200, found
             else:
-                with trace_scope(rtrace.context, self.trace_sink):
+                payload = decode_json(body)
+                del body
+                want_debug = (
+                    isinstance(payload, dict)
+                    and payload.get("debug_timings") is True
+                )
+                if want_debug and rtrace is None:
+                    rtrace = RequestTrace.begin(parent, trace_id, t0)
+                if rtrace is not None:
+                    rtrace.add("key_s", key_s)
+                    rtrace.add("parse_s", time.perf_counter() - parse_t0)
+                handling = self.handle_request(
+                    endpoint,
+                    payload,
+                    elapsed_s=time.perf_counter() - t0,
+                    trace=rtrace,
+                    digest=digest,
+                )
+                # handle_request drops the document once it is parsed.
+                del payload
+                if self.trace_sink is None:
                     status, response, source = await handling
+                else:
+                    with trace_scope(rtrace.context, self.trace_sink):
+                        status, response, source = await handling
             self.requests_served += 1
         except ProtocolError as exc:
             status, error = exc.status, f"ProtocolError: {exc}"
@@ -725,16 +786,18 @@ class CharacterizationServer:
         quarantined = () if fault is None else (
             ("repro_serve_quarantined_total", (label, fault.category), 1.0),
         )
+        if source in ("cold", "batched", "inflight"):
+            # Feed the AIMD estimator from the compute path only:
+            # memoized answers say nothing about kernel capacity.
+            self.admission.observe(endpoint, wall_s)
+        # After observe, so the admission-limit gauge shows where it
+        # left the limit.
         self._record(
             ("repro_serve_requests_total", (label, str(status)), 1.0),
             ("repro_serve_request_seconds", (label, source), wall_s,
              {"trace_id": trace_id}),
             *quarantined,
         )
-        if source in ("cold", "batched", "inflight"):
-            # Feed the AIMD estimator from the compute path only:
-            # memoized answers say nothing about kernel capacity.
-            self.admission.observe(endpoint, wall_s)
         debug = want_debug and error is None
         timings = self._finish_request(
             rtrace, endpoint, status=status, source=source,

@@ -157,10 +157,15 @@ class CallCountingRegistry(MetricsRegistry):
 
 
 class TestOneRecordPerExit:
-    """Cache and admission counts ride the request's exit record call."""
+    """Cache and admission counts, and the admission-limit gauge, ride
+    the request's exit record call."""
 
     N = 4
-    FOLDED = {"repro_serve_cache_events_total", "repro_serve_admitted_total"}
+    FOLDED = {
+        "repro_serve_cache_events_total",
+        "repro_serve_admitted_total",
+        "repro_serve_admission_limit",
+    }
 
     def test_record_calls_per_compute_request_and_per_cache_hit(self):
         rng = np.random.default_rng(23)
@@ -187,9 +192,9 @@ class TestOneRecordPerExit:
         with collecting_metrics(registry):
             computed, hits = asyncio.run(run())
         serve = [c for c in computed if any(n.startswith("repro_serve_") for n in c)]
-        # Per compute request: its exit and its admission-limit gauge;
-        # per batch: the coalescer's batch-size call.
-        assert len(serve) == 2 * self.N + 1
+        # Per compute request: its exit; per batch: the coalescer's
+        # batch-size call.
+        assert len(serve) == self.N + 1
         exits = [c for c in serve if "repro_serve_requests_total" in c]
         assert len(exits) == self.N
         assert all(not c & self.FOLDED for c in computed if c not in exits)
