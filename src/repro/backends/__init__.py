@@ -18,10 +18,10 @@ runs over the whole stack in place, stopped slices scaled by exactly
 1.0; after that, over a compact copy of the slices still iterating,
 so the core holds at most one and a half copies of the stack
 (docs/BACKENDS.md gives the worst case).  Beside them, a phase over
-``n`` slices holds one ``(n, T)`` row buffer, the ``(n, M)`` column
-sums and, within the residual expression only, an ``(n, M)`` column
-deviation; numpy (>= 2.3) adds a buffer of up to 8192 float64 to each
-broadcasting ufunc call.
+``n`` slices holds one ``(n, T + M)`` deviation buffer, whose first T
+columns are the row buffer, and the ``(n, M)`` column sums; numpy
+(>= 2.3) adds a buffer of up to 8192 float64 to each broadcasting
+ufunc call.
 
 A phase's stack is C-ordered or member-last, as
 :func:`~repro.backends.base.working_copy` lays it out (from
@@ -79,7 +79,7 @@ def sinkhorn_core_batched(
     row_target, col_target = row_target[None], col_target[None]
     highest, lowest = np.maximum.reduce, np.fmin.reduce
     copyto, divide, subtract = np.copyto, np.divide, np.subtract
-    absolute, maximum, empty_like = np.abs, np.maximum, np.empty_like
+    absolute = np.abs
     run = 0
     timed_out = False
     # The accumulated diagonal scales can overflow for
@@ -113,16 +113,23 @@ def sinkhorn_core_batched(
             horizon = max_iterations - highest(iterations[idx])
             steps = 0
             # The phase's line workspace: the column sums, which each
-            # column pass turns into its factors, and one row buffer
-            # that holds the row factors, then the residual's row
-            # deviations, with their broadcasts over the stack.  The
+            # column pass turns into its factors, and one deviation
+            # buffer of a slice's row and column deviations side by
+            # side.  Its first T columns are the row buffer, which
+            # holds the row factors, then the row sums, then the row
+            # deviations; its last M take the column deviations.  The
             # residual's column sums are the next column pass's.  Both
             # share the layout of ``sub``, C or member-last.  On a C
             # stack ``line_sums`` is ``np.add.reduce`` itself, bound
             # here for the phase as the ufuncs above are.
-            add = np.add.reduce if sub.flags.c_contiguous else line_sums
+            c_order = sub.flags.c_contiguous
+            add = np.add.reduce if c_order else line_sums
             col_sums = add(sub, axis=1)
-            row_buf = empty_like(sub[:, :, 0])
+            count, n_rows, n_cols = sub.shape
+            dev = np.empty(
+                (count, n_rows + n_cols), sub.dtype, order="C" if c_order else "F"
+            )
+            row_buf, col_dev = dev[:, :n_rows], dev[:, n_rows:]
             col_factors, row_factors = col_sums[:, None, :], row_buf[:, :, None]
             while True:
                 if t_end is not None and time.monotonic() >= t_end:
@@ -148,15 +155,11 @@ def sinkhorn_core_batched(
                 add(sub, axis=1, out=col_sums)
                 add(sub, axis=2, out=row_buf)
                 subtract(row_buf, row_target, out=row_buf)
-                # The largest row and column deviations: max is exact
-                # and NaN propagates through both, so this is the max
-                # over all of a slice's lines.  The column deviations
-                # live only for this expression (in the layout of
-                # ``col_sums``: numpy keeps its operands' order).
-                res = maximum(
-                    highest(absolute(row_buf, out=row_buf), axis=1),
-                    highest(absolute(col_sums - col_target), axis=1),
-                )
+                subtract(col_sums, col_target, out=col_dev)
+                # One abs and one max over all of a slice's lines: max
+                # is exact and propagates NaN, so this is the larger of
+                # the largest row and column deviations, bit for bit.
+                res = highest(absolute(dev, out=dev), axis=1)
                 if stopped is not None:
                     res = res[idx]
                 if trace is not None:
@@ -169,7 +172,8 @@ def sinkhorn_core_batched(
                 work[idx], row_scale[idx], col_scale[idx] = sub, rows, cols
             # Free the compact copy and the line workspace before the
             # next phase gathers its own.
-            del sub, rows, cols, col_sums, row_buf, col_factors, row_factors
+            del sub, rows, cols, col_sums, dev, row_buf, col_dev
+            del col_factors, row_factors
             if not steps:
                 break
             # Book the phase: every slice in it was active and ran

@@ -234,24 +234,26 @@ def _pairwise(lines, out) -> None:
 def residuals(stack, row_target, col_target) -> np.ndarray:
     """Per-slice residual of an ``(N, T, M)`` stack: the largest absolute
     deviation of any row or column sum from its ``(T,)``/``(M,)``
-    target.
+    target."""
+    return _joined_residuals(
+        np.concatenate((line_sums(stack, 2), line_sums(stack, 1)), axis=1),
+        np.concatenate((row_target, col_target)),
+    )
+
+
+def _joined_residuals(sums, targets) -> np.ndarray:
+    """:func:`residuals` from a stack's ``(N, T + M)`` line sums, its row
+    sums then its column sums, and their ``(T + M,)`` targets: one
+    subtract, one abs and one max over all of a slice's lines, in place
+    on ``sums``, which is left holding the absolute deviations.  max is
+    exact and propagates NaN, so this is the larger of the largest row
+    and the largest column deviation, bit for bit.
 
     The targets get a leading unit axis so a stack of one stays off
     numpy's broadcasting path, which only shaves per-call overhead.
     """
-    return _sum_residuals(
-        line_sums(stack, 2), line_sums(stack, 1), row_target, col_target
-    )
-
-
-def _sum_residuals(row_sums, col_sums, row_target, col_target) -> np.ndarray:
-    """:func:`residuals` from the stack's ``(N, T)`` row and ``(N, M)``
-    column sums."""
-    highest = np.maximum.reduce
-    return np.maximum(
-        highest(np.abs(row_sums - row_target[None]), axis=1),
-        highest(np.abs(col_sums - col_target[None]), axis=1),
-    )
+    np.subtract(sums, targets[None], out=sums)
+    return np.maximum.reduce(np.abs(sums, out=sums), axis=1)
 
 
 def _line_sums(stack) -> tuple[np.ndarray, np.ndarray]:

@@ -43,8 +43,8 @@ from .._validation import (
 )
 from .. import backends as kernels
 from ..backends.base import (
+    _joined_residuals,
     _line_sums,
-    _sum_residuals,
     coerce_warm_start,
     residual_histories,
 )
@@ -295,15 +295,18 @@ def _entry_state(row_sums, col_sums, row_targets, col_targets):
     of a line sum that is not finite (so neither is the residual) and
     (otherwise) of one so small that the first pass's factor
     ``target / sum`` overflows to inf, making every iterate after it
-    NaN."""
-    residual = _sum_residuals(row_sums, col_sums, row_targets, col_targets)
+    NaN.  One ``(N, T + M)`` buffer joins a slice's row and column sums,
+    then their factors, so the residual and each mask take one
+    reduction over all of its lines; it is the only line set this
+    holds beside the sums."""
+    n_rows = row_sums.shape[1]
+    buf = np.concatenate((row_sums, col_sums), axis=1)
+    residual = _joined_residuals(buf, np.concatenate((row_targets, col_targets)))
     overflow = ~np.isfinite(residual)
-    isfinite = np.isfinite
     with np.errstate(over="ignore", divide="ignore"):
-        too_small = ~(
-            isfinite(row_targets / row_sums).all(axis=1)
-            & isfinite(col_targets / col_sums).all(axis=1)
-        )
+        np.divide(row_targets[None], row_sums, out=buf[:, :n_rows])
+        np.divide(col_targets[None], col_sums, out=buf[:, n_rows:])
+    too_small = ~np.isfinite(buf).all(axis=1)
     return residual, overflow, too_small & ~overflow
 
 

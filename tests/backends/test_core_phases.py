@@ -3,7 +3,7 @@
 The core runs a stack in phases: the whole stack in place, then the
 stack in place with its stopped slices held at factors of exactly 1.0,
 then a compact copy of the slices still iterating.  Each phase sets up
-its own line workspace (the column sums and one row buffer).  A
+its own line workspace (the column sums and one deviation buffer).  A
 staggered stack crosses all three kinds, and every slice's matrix,
 scales, iteration count, residual and residual history must equal those
 of a run on that slice alone, bit for bit: with and without a recorded
